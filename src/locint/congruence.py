@@ -4,11 +4,18 @@ coframe view S(L) of sublocales.
 A congruence is an equivalence relation compatible with meets (C1) and
 joins (C2); at finite scale the countable-join axiom reduces to its binary
 form.  Congruences are stored as partitions (block maps), which gives O(1)
-membership tests and a canonical equality.  The congruence frame is
-enumerated as the join-closure of all principal congruences, ordered by
-inclusion; its order-dual is the coframe of sublocales, where the open
-sublocale o(a) is the quotient by delta(a) = {(x,y) | x/\\a = y/\\a} and the
-closed sublocale c(a) the quotient by nabla(a) = {(x,y) | x\\/a = y\\/a}.
+membership tests and a canonical equality.
+
+The congruence frame comes from Birkhoff duality (Birkhoff, "Rings of
+sets", Duke Math. J. 3, 1937): for a finite distributive L, each subset Q
+of the join-irreducibles J(L) gives the congruence x ~ y iff J(x) and J(y)
+agree on Q, and every congruence arises from exactly one Q, its keep-mask.
+So C(L) is the powerset of J(L), built directly with no closure
+computation; on keep-masks the frame meet is ``|``, the join ``&`` and the
+complement ``~``.  Its order-dual is the coframe of sublocales, where the
+open sublocale o(a) is the quotient by delta(a) = {(x,y) | x/\\a = y/\\a}
+(keep-mask J(a)) and the closed sublocale c(a) the quotient by
+nabla(a) = {(x,y) | x\\/a = y\\/a} (keep-mask J(L) minus J(a)).
 """
 
 from __future__ import annotations
@@ -18,8 +25,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .errors import MalformedDocument, SizeLimitExceeded
 from .lattice import SOFT_SIZE_LIMIT, FiniteLattice
 
-#: Enumeration guard: beyond this many congruences the lattice facade of
-#: C(L) (with its O(n^3) validation) stops being desk scale.
+#: Enumeration guard: at most this many congruences, i.e. |J(L)| <= 8.  It
+#: is checked before anything is built.
 CONGRUENCE_LIMIT = 256
 
 
@@ -135,40 +142,27 @@ class Congruence:
 # -- construction of particular congruences ------------------------------------
 
 
-def _close(lattice: FiniteLattice, merges: Iterable[Tuple[int, int]]) -> Tuple[int, ...]:
-    """Smallest congruence containing the given index pairs: union-find
-    closure under z |-> (x/\\z, y/\\z) and (x\\/z, y\\/z)."""
-    n = lattice.size
-    meet = lattice._meet
-    join = lattice._join
-    parent = list(range(n))
+def _from_keep_mask(lattice: FiniteLattice, keep: int) -> Congruence:
+    """The congruence x ~ y iff J(x) and J(y) agree on the kept
+    join-irreducibles (Birkhoff: C(L) is the powerset of J(L))."""
+    return Congruence(lattice, [m & keep for m in lattice._jmask])
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
 
-    queue = list(merges)
-    while queue:
-        x, y = queue.pop()
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            continue
-        parent[rx] = ry
-        for z in range(n):
-            a, b = meet[x][z], meet[y][z]
-            if find(a) != find(b):
-                queue.append((a, b))
-            a, b = join[x][z], join[y][z]
-            if find(a) != find(b):
-                queue.append((a, b))
-    return tuple(find(i) for i in range(n))
+def _keep_mask(theta: Congruence) -> int:
+    """The join-irreducibles j that theta does not collapse onto their lower
+    cover; any congruence is determined by this set."""
+    lat = theta.lattice
+    block = theta.block_of
+    return sum(1 << k for k, (j, c) in enumerate(zip(lat._jirr, lat._jcover))
+               if block[j] != block[c])
 
 
 def principal_congruence(lattice: FiniteLattice, a: str, b: str) -> Congruence:
-    """Smallest congruence identifying a and b."""
-    return Congruence(lattice, _close(lattice, [(lattice.index(a), lattice.index(b))]))
+    """Smallest congruence identifying a and b: it collapses exactly the
+    join-irreducibles in J(a) symmetric-difference J(b)."""
+    jmask = lattice._jmask
+    full = (1 << len(lattice._jirr)) - 1
+    return _from_keep_mask(lattice, full & ~(jmask[lattice.index(a)] ^ jmask[lattice.index(b)]))
 
 
 def nabla(lattice: FiniteLattice, a: str) -> Congruence:
@@ -199,16 +193,9 @@ def congruence_meet(c: Congruence, d: Congruence) -> Congruence:
 
 
 def congruence_join(c: Congruence, d: Congruence) -> Congruence:
-    """Congruence generated by the union of the two relations."""
-    merges = []
-    for cong in (c, d):
-        first: Dict[int, int] = {}
-        for i, b in enumerate(cong.block_of):
-            if b in first:
-                merges.append((first[b], i))
-            else:
-                first[b] = i
-    return Congruence(c.lattice, _close(c.lattice, merges))
+    """Congruence generated by the union of the two relations: keep only
+    the join-irreducibles both keep."""
+    return _from_keep_mask(c.lattice, _keep_mask(c) & _keep_mask(d))
 
 
 def quotient(lattice: FiniteLattice, theta: Congruence) -> FiniteLattice:
@@ -233,58 +220,48 @@ def block_name(members: Sequence[str]) -> str:
 
 
 def enumerate_congruences(lattice: FiniteLattice) -> "CongruenceFrame":
-    """All congruences of the lattice, as the join-closure of the principal
-    ones (every congruence is the join of the principal congruences it
-    contains)."""
+    """All congruences of the lattice, one per subset Q of J(L), in frame
+    order: most blocks first, then by canonical block labels."""
     if lattice.size > SOFT_SIZE_LIMIT:
         raise SizeLimitExceeded(
             f"congruence enumeration limited to {SOFT_SIZE_LIMIT}-element lattices")
-    found: Dict[Tuple[int, ...], Congruence] = {}
-    eq = Congruence.equality(lattice)
-    found[eq.block_of] = eq
-    stack = [eq]
-    for i, a in enumerate(lattice.elements):
-        for b in lattice.elements[i + 1:]:
-            c = principal_congruence(lattice, a, b)
-            if c.block_of not in found:
-                found[c.block_of] = c
-                stack.append(c)
-    while stack:
-        c = stack.pop()
-        for d in list(found.values()):
-            j = congruence_join(c, d)
-            if j.block_of not in found:
-                if len(found) >= CONGRUENCE_LIMIT:
-                    raise SizeLimitExceeded(
-                        f"more than {CONGRUENCE_LIMIT} congruences; beyond desk scale")
-                found[j.block_of] = j
-                stack.append(j)
-    ordered = sorted(found.values(), key=lambda c: (-c.n_blocks, c.block_of))
-    return CongruenceFrame(lattice, tuple(ordered))
+    if 1 << len(lattice._jirr) > CONGRUENCE_LIMIT:
+        raise SizeLimitExceeded(
+            f"more than {CONGRUENCE_LIMIT} congruences; beyond desk scale")
+    found = [(_from_keep_mask(lattice, q), q) for q in range(1 << len(lattice._jirr))]
+    found.sort(key=lambda cq: (-cq[0].n_blocks, cq[0].block_of))
+    return CongruenceFrame(lattice, tuple(c for c, _ in found), tuple(q for _, q in found))
 
 
 class CongruenceFrame:
     """The frame C(L) of all congruences, ordered by inclusion.
 
-    Meets are partition intersections and joins are generated closures;
+    Each congruence is stored with its keep-mask over J(L); on keep-masks
+    the frame meet is ``|``, the join ``&`` and the complement ``~``.
     ``as_lattice`` exposes the frame as a FiniteLattice over canonical
     partition names so that functions and simple functions can use it as a
     carrier.
     """
 
-    __slots__ = ("lattice", "congruences", "_index", "_meet_memo", "_join_memo",
+    __slots__ = ("lattice", "congruences", "masks", "_full", "_index", "_pos",
                  "_facade", "_view", "_nabla", "_delta")
 
-    def __init__(self, lattice: FiniteLattice, congruences: Tuple[Congruence, ...]):
+    def __init__(self, lattice: FiniteLattice, congruences: Tuple[Congruence, ...],
+                 masks: Tuple[int, ...]):
         self.lattice = lattice
         self.congruences = congruences
+        self.masks = masks
+        self._full = len(masks) - 1
         self._index = {c.block_of: i for i, c in enumerate(congruences)}
-        self._meet_memo: Dict[Tuple[int, int], int] = {}
-        self._join_memo: Dict[Tuple[int, int], int] = {}
+        pos = [0] * len(masks)
+        for i, q in enumerate(masks):
+            pos[q] = i
+        self._pos = tuple(pos)
         self._facade: Optional[FiniteLattice] = None
         self._view = None
-        self._nabla = {a: self.index_of(nabla(lattice, a)) for a in lattice.elements}
-        self._delta = {a: self.index_of(delta(lattice, a)) for a in lattice.elements}
+        jmask = lattice._jmask
+        self._nabla = {a: pos[self._full & ~jmask[i]] for i, a in enumerate(lattice.elements)}
+        self._delta = {a: pos[jmask[i]] for i, a in enumerate(lattice.elements)}
 
     @property
     def size(self) -> int:
@@ -313,42 +290,30 @@ class CongruenceFrame:
     def delta_of(self, a: str) -> Congruence:
         return self.congruences[self._delta[a]]
 
+    def mask_of(self, theta: Congruence) -> int:
+        return self.masks[self.index_of(theta)]
+
     def meet(self, c: Congruence, d: Congruence) -> Congruence:
-        i, j = self.index_of(c), self.index_of(d)
-        key = (i, j) if i <= j else (j, i)
-        k = self._meet_memo.get(key)
-        if k is None:
-            k = self.index_of(congruence_meet(c, d))
-            self._meet_memo[key] = k
-        return self.congruences[k]
+        return self.congruences[self._pos[self.mask_of(c) | self.mask_of(d)]]
 
     def join(self, c: Congruence, d: Congruence) -> Congruence:
-        i, j = self.index_of(c), self.index_of(d)
-        key = (i, j) if i <= j else (j, i)
-        k = self._join_memo.get(key)
-        if k is None:
-            k = self.index_of(congruence_join(c, d))
-            self._join_memo[key] = k
-        return self.congruences[k]
+        return self.congruences[self._pos[self.mask_of(c) & self.mask_of(d)]]
 
     def complement(self, theta: Congruence) -> Congruence:
-        facade = self.as_lattice()
-        name = facade.complement(theta.partition_name())
-        return self.congruence_of_element(name)
+        return self.congruences[self._pos[self._full & ~self.mask_of(theta)]]
 
     def complement_or_none(self, theta: Congruence) -> Optional[Congruence]:
-        facade = self.as_lattice()
-        name = facade.complement_or_none(theta.partition_name())
-        return None if name is None else self.congruence_of_element(name)
+        """C(L) is Boolean, so the complement always exists."""
+        return self.complement(theta)
 
     def as_lattice(self) -> FiniteLattice:
         if self._facade is None:
             names = [c.partition_name() for c in self.congruences]
-            pairs = []
-            for i, c in enumerate(self.congruences):
-                for j, d in enumerate(self.congruences):
-                    if c.refines(d):
-                        pairs.append((names[i], names[j]))
+            masks = self.masks
+            # theta_i <= theta_j in C(L) iff the keep-mask of i contains j's
+            pairs = [(names[i], names[j])
+                     for i, qi in enumerate(masks)
+                     for j, qj in enumerate(masks) if qi & qj == qj]
             self._facade = FiniteLattice(names, pairs)
         return self._facade
 
@@ -431,16 +396,11 @@ class SublocaleView:
         return self.frame.index_of(s)
 
     def atoms(self) -> Tuple[Congruence, ...]:
-        """Minimal nonvoid sublocales; used to seed additive random measures."""
+        """Minimal nonvoid sublocales, the single-bit keep-masks; used to
+        seed additive random measures."""
         if self._atoms is None:
-            subs = self.sublocales
-            out = []
-            for s in subs:
-                if s == self.bottom:
-                    continue
-                if all(t == self.bottom or t == s or not self.leq(t, s) for t in subs):
-                    out.append(s)
-            self._atoms = tuple(out)
+            self._atoms = tuple(s for s, q in zip(self.sublocales, self.frame.masks)
+                                if q and not q & (q - 1))
         return self._atoms
 
     # -- naming ---------------------------------------------------------------
@@ -489,25 +449,21 @@ class SublocaleView:
     def modularity_pairs(self) -> List[Tuple[int, int, int, int]]:
         """(i, j, index of S_i /\\ S_j, index of S_i \\/ S_j) for all i < j."""
         if self._pairs is None:
-            subs = self.sublocales
-            idx = self.frame.index_of
-            out = []
-            for i in range(len(subs)):
-                for j in range(i + 1, len(subs)):
-                    out.append((i, j,
-                                idx(self.meet(subs[i], subs[j])),
-                                idx(self.join(subs[i], subs[j]))))
-            self._pairs = out
+            masks = self.frame.masks
+            pos = self.frame._pos
+            self._pairs = [(i, j, pos[masks[i] & masks[j]], pos[masks[i] | masks[j]])
+                           for i in range(len(masks)) for j in range(i + 1, len(masks))]
         return self._pairs
 
     def order_pairs(self) -> List[Tuple[int, int]]:
-        """(i, j) whenever S_i <= S_j in the sublocale order."""
+        """(i, j) whenever S_i <= S_j in the sublocale order, i.e. the
+        keep-mask of S_i is contained in that of S_j."""
         if self._order_pairs is None:
-            subs = self.sublocales
+            masks = self.frame.masks
             self._order_pairs = [(i, j)
-                                 for i in range(len(subs))
-                                 for j in range(len(subs))
-                                 if i != j and self.leq(subs[i], subs[j])]
+                                 for i, qi in enumerate(masks)
+                                 for j, qj in enumerate(masks)
+                                 if i != j and qi & qj == qi]
         return self._order_pairs
 
 

@@ -16,9 +16,9 @@ breakpoints where nothing changes.  Right-/left-constancy of the interval
 convention discharges the regularity relations.
 
 Suprema over all rationals (in the addition and multiplication formulas)
-are evaluated exactly on a finite grid: step functions change value only at
-finitely many thresholds, so sampling every piece of the line cut at the
-relevant critical points reaches the supremum.
+are evaluated exactly as finite joins: one operand's cut is constant on
+each piece of the other's grid, and the other operand's monotone cut
+reaches its supremum over that piece at the piece's end.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
     CarrierMismatch,
@@ -137,34 +137,6 @@ class CutFunction:
 # -- grid helpers ---------------------------------------------------------------
 
 
-def _piece_points(crits: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    """Sample points meeting every piece of the line cut at `crits`
-    (each critical point, each open gap, both unbounded ends)."""
-    if not crits:
-        return (Fraction(0),)
-    pts = [crits[0] - 1]
-    for i, c in enumerate(crits):
-        pts.append(c)
-        if i + 1 < len(crits):
-            pts.append((c + crits[i + 1]) / 2)
-    pts.append(crits[-1] + 1)
-    return tuple(pts)
-
-
-def _positive_piece_points(crits: Iterable[Fraction]) -> Tuple[Fraction, ...]:
-    """Same, restricted to the open half line (0, +inf)."""
-    pos = sorted(c for c in crits if c > 0)
-    if not pos:
-        return (Fraction(1),)
-    pts = [pos[0] / 2]
-    for i, c in enumerate(pos):
-        pts.append(c)
-        if i + 1 < len(pos):
-            pts.append((c + pos[i + 1]) / 2)
-    pts.append(pos[-1] + 1)
-    return tuple(pts)
-
-
 def _lower_reps(bp: Sequence[Fraction]) -> Tuple[Fraction, ...]:
     if not bp:
         return (Fraction(0),)
@@ -260,29 +232,37 @@ def scale(lam: Fraction, f: CutFunction) -> CutFunction:
 
 def add(f: CutFunction, g: CutFunction) -> CutFunction:
     """f + g by the convolution formulas
-    (f+g)(-,q) = sup_t f(-,t) /\\ g(-,q-t)  and dually for the upper cuts,
-    with the suprema evaluated on the finite critical grid."""
+    (f+g)(-,q) = sup_t f(-,t) /\\ g(-,q-t)  and dually for the upper cuts.
+
+    Each supremum is a join over the pieces of g, on which g's cut is
+    constant; f's monotone cut reaches its supremum over a piece at the
+    piece's end, so f is sampled there once.  With b the breakpoints of g:
+    (f+g)(-,q) = \\/_j f(-, q - b_{j-1}) /\\ g.lower[j] and
+    (f+g)(p,-) = \\/_j f(p - b_j, -) /\\ g.upper[j].  The unbounded end
+    pieces drop out, because g is finite: g.lower[0] = g.upper[-1] = 0."""
     _same_carrier(f, g)
     if not (f.is_finite() and g.is_finite()):
         raise NotFinite("addition is defined for finite functions only")
     lat = f.carrier
     if not f.breakpoints or not g.breakpoints:
         return f  # only over the one-element carrier
-    bp = sorted({a + b for a in f.breakpoints for b in g.breakpoints})
+    meet, join, idx, bot = lat._meet, lat._join, lat._idx, lat._bottom
+    b = g.breakpoints
+    bp = sorted({x + y for x in f.breakpoints for y in b})
+    g_lower = [idx[v] for v in g.lower[1:]]
+    g_upper = [idx[v] for v in g.upper[:-1]]
     lower = []
     for q in _lower_reps(bp):
-        crits = sorted({*f.breakpoints, *(q - b for b in g.breakpoints)})
-        acc = lat.bottom
-        for t in _piece_points(crits):
-            acc = lat.join(acc, lat.meet(f.lower_at(t), g.lower_at(q - t)))
-        lower.append(acc)
+        acc = bot
+        for bj, gl in zip(b, g_lower):
+            acc = join[acc][meet[idx[f.lower_at(q - bj)]][gl]]
+        lower.append(lat.elements[acc])
     upper = []
     for p in _upper_reps(bp):
-        crits = sorted({*f.breakpoints, *(p - b for b in g.breakpoints)})
-        acc = lat.bottom
-        for t in _piece_points(crits):
-            acc = lat.join(acc, lat.meet(f.upper_at(t), g.upper_at(p - t)))
-        upper.append(acc)
+        acc = bot
+        for bj, gu in zip(b, g_upper):
+            acc = join[acc][meet[idx[f.upper_at(p - bj)]][gu]]
+        upper.append(lat.elements[acc])
     return CutFunction(lat, bp, upper, lower)
 
 
@@ -293,7 +273,13 @@ def sub(f: CutFunction, g: CutFunction) -> CutFunction:
 def mul_nonneg(f: CutFunction, g: CutFunction) -> CutFunction:
     """f * g for nonnegative finite operands, by the case-split formulas:
     (fg)(p,-) is top for p < 0 and sup_{s>0} f(s,-) /\\ g(p/s,-) otherwise;
-    (fg)(-,q) is bottom for q <= 0 and sup_{s>0} f(-,s) /\\ g(-,q/s) otherwise."""
+    (fg)(-,q) is bottom for q <= 0 and sup_{s>0} f(-,s) /\\ g(-,q/s) otherwise.
+
+    As in ``add``, each supremum is a join over the pieces of g, here those
+    meeting (0, +inf), with f sampled once at the end of each piece: at
+    q/b_{j-1} for the lower cuts (+inf on the piece reaching down to 0) and
+    at p/b_j for the upper cuts (the unbounded piece drops out, as g is
+    finite)."""
     _same_carrier(f, g)
     if not (f.is_nonnegative() and g.is_nonnegative()):
         raise NegativeOperand("multiplication needs nonnegative operands")
@@ -302,28 +288,32 @@ def mul_nonneg(f: CutFunction, g: CutFunction) -> CutFunction:
     lat = f.carrier
     if not f.breakpoints or not g.breakpoints:
         return f
-    bp = sorted({Fraction(0)} | {a * b for a in f.breakpoints for b in g.breakpoints
-                                 if a > 0 and b > 0})
+    meet, join, idx, bot = lat._meet, lat._join, lat._idx, lat._bottom
+    b = g.breakpoints
+    first = bisect_right(b, Fraction(0))  # the piece of g reaching down to 0
+    pos = b[first:]
+    bp = sorted({Fraction(0)} | {x * y for x in f.breakpoints for y in pos if x > 0})
+    g_lower = [idx[v] for v in g.lower[first:]]
+    g_upper = [idx[v] for v in g.upper[first:-1]]
+    f_at_inf = idx[f.lower[-1]]
     lower = []
     for q in _lower_reps(bp):
         if q <= 0:
             lower.append(lat.bottom)
             continue
-        crits = list(f.breakpoints) + [q / b for b in g.breakpoints if b > 0]
-        acc = lat.bottom
-        for s in _positive_piece_points(crits):
-            acc = lat.join(acc, lat.meet(f.lower_at(s), g.lower_at(q / s)))
-        lower.append(acc)
+        acc = meet[f_at_inf][g_lower[0]]
+        for bj, gl in zip(pos, g_lower[1:]):
+            acc = join[acc][meet[idx[f.lower_at(q / bj)]][gl]]
+        lower.append(lat.elements[acc])
     upper = []
     for p in _upper_reps(bp):
         if p < 0:
             upper.append(lat.top)
             continue
-        crits = list(f.breakpoints) + [p / b for b in g.breakpoints if b > 0]
-        acc = lat.bottom
-        for s in _positive_piece_points(crits):
-            acc = lat.join(acc, lat.meet(f.upper_at(s), g.upper_at(p / s)))
-        upper.append(acc)
+        acc = bot
+        for bj, gu in zip(pos, g_upper):
+            acc = join[acc][meet[idx[f.upper_at(p / bj)]][gu]]
+        upper.append(lat.elements[acc])
     return CutFunction(lat, bp, upper, lower)
 
 

@@ -53,6 +53,11 @@ class NotBoolean(ValidationFailure):
     pass
 
 
+class InvalidArgument(ValidationFailure, ValueError):
+    """A numeric argument outside its documented range (e.g. a
+    decomposition horizon below 1); still a ValueError for library callers."""
+
+
 # -- undefined operations (exit 3) ------------------------------------------
 
 class NotComplemented(UndefinedOperation):

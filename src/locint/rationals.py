@@ -9,6 +9,7 @@ with infinite values needs.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -42,8 +43,13 @@ def is_finite(v: ExtValue) -> bool:
     return isinstance(v, Fraction)
 
 
+#: The documented grammar: an optional sign, digits, and optionally "/digits".
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+
+
 def parse_rational(value) -> Fraction:
-    """Parse "p/q" or integer strings (plain ints are accepted too)."""
+    """Parse "p/q" or integer strings (plain ints are accepted too);
+    exponents, decimals and digit separators are rejected."""
     if isinstance(value, bool):
         raise ValueError(f"not a rational: {value!r}")
     if isinstance(value, int):
@@ -51,7 +57,9 @@ def parse_rational(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, str):
-        return Fraction(value.strip())
+        text = value.strip()
+        if _RATIONAL.fullmatch(text):
+            return Fraction(text)
     raise ValueError(f"not a rational: {value!r}")
 
 

@@ -15,11 +15,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .cutfunction import CutFunction, _piece_points
+from .cutfunction import CutFunction
 from .errors import (
     CarrierMismatch,
     ComplementationFailure,
     ConsistencyError,
+    InvalidArgument,
     MalformedDocument,
     NotFinite,
     NotNonnegative,
@@ -39,23 +40,11 @@ class SimpleFunction:
     def __init__(self, carrier: FiniteLattice, terms: Sequence[Tuple[Fraction, str]]):
         if carrier.top == carrier.bottom:
             raise MalformedDocument("simple functions need a carrier with 0 != 1")
-        terms = tuple((Fraction(r), a) for r, a in terms)
+        terms = tuple((r if isinstance(r, Fraction) else Fraction(r), a) for r, a in terms)
         if not terms:
             raise ConsistencyError("canonical form cannot be empty; zero is (0, top)")
-        cover = carrier.bottom
-        for k, (r, a) in enumerate(terms):
-            if k and not terms[k - 1][0] < r:
-                raise ConsistencyError("coefficients must be strictly ascending")
-            if a == carrier.bottom:
-                raise ConsistencyError("canonical terms exclude the bottom element")
-            if not carrier.is_complemented(a):
-                raise ConsistencyError(f"term element {a!r} is not complemented")
-            for _, b in terms[k + 1:]:
-                if carrier.meet(a, b) != carrier.bottom:
-                    raise ConsistencyError(f"term elements {a!r}, {b!r} are not disjoint")
-            cover = carrier.join(cover, a)
-        if cover != carrier.top:
-            raise ConsistencyError("term elements do not cover the top")
+        if not _is_canonical(carrier, terms):
+            _raise_first_violation(carrier, terms)
         self.carrier = carrier
         self.terms = terms
         self._hash = hash(terms)
@@ -82,6 +71,44 @@ class SimpleFunction:
 
     def __repr__(self) -> str:
         return " + ".join(f"{r}*chi({a})" for r, a in self.terms)
+
+
+def _is_canonical(carrier: FiniteLattice, terms: Sequence[Tuple[Fraction, str]]) -> bool:
+    """Fast path, O(t) on the index tables: ascending coefficients, and
+    each a_k complemented, nonzero and disjoint from a_1 \\/ ... \\/ a_{k-1}
+    (pairwise disjointness, by distributivity), with the join reaching top."""
+    idx, meet, join, comp = carrier._idx, carrier._meet, carrier._join, carrier._comp
+    bot = carrier._bottom
+    cover = bot
+    prev = None
+    for r, a in terms:
+        i = idx.get(a)
+        if (i is None or i == bot or comp[i] is None or meet[i][cover] != bot
+                or (prev is not None and not prev < r)):
+            return False
+        cover = join[cover][i]
+        prev = r
+    return cover == carrier._top
+
+
+def _raise_first_violation(carrier: FiniteLattice, terms: Sequence[Tuple[Fraction, str]]) -> None:
+    """Fallback: the term-by-term, pair-by-pair check, so a non-canonical
+    list reports the first violation in reading order."""
+    cover = carrier.bottom
+    for k, (r, a) in enumerate(terms):
+        if k and not terms[k - 1][0] < r:
+            raise ConsistencyError("coefficients must be strictly ascending")
+        if a == carrier.bottom:
+            raise ConsistencyError("canonical terms exclude the bottom element")
+        if not carrier.is_complemented(a):
+            raise ConsistencyError(f"term element {a!r} is not complemented")
+        for _, b in terms[k + 1:]:
+            if carrier.meet(a, b) != carrier.bottom:
+                raise ConsistencyError(f"term elements {a!r}, {b!r} are not disjoint")
+        cover = carrier.join(cover, a)
+    if cover != carrier.top:
+        raise ConsistencyError("term elements do not cover the top")
+    raise ConsistencyError("fast and term-by-term canonicity checks disagree")
 
 
 # -- constructors ------------------------------------------------------------------
@@ -171,8 +198,13 @@ def sf_mul(g: SimpleFunction, h: SimpleFunction) -> SimpleFunction:
 
 
 def sf_scale(lam: Fraction, g: SimpleFunction) -> SimpleFunction:
+    """lam * g; the scaled terms are canonical already (in reverse order
+    when lam < 0), so nothing is regrouped."""
     lam = Fraction(lam)
-    return from_cells(g.carrier, {a: lam * r for r, a in g.terms})
+    if lam == 0:
+        return zero(g.carrier)
+    terms = [(lam * r, a) for r, a in g.terms]
+    return SimpleFunction(g.carrier, terms if lam > 0 else terms[::-1])
 
 
 def sf_neg(g: SimpleFunction) -> SimpleFunction:
@@ -243,12 +275,13 @@ class DecompositionStep:
 
 def _difference_upper_at(f: CutFunction, g: CutFunction, c: Fraction) -> str:
     """(f - g)(c,-) evaluated without forming f - g, so it also applies to
-    extended f: sup_t f(t,-) /\\ g(-, t - c)."""
+    extended f: sup_t f(t,-) /\\ g(-, t - c), a join over the pieces of g
+    with f's antitone cut sampled at each piece's lower end b_{j-1} + c.
+    The finite g has g.lower[0] = 0, so the piece below b_0 drops out."""
     lat = f.carrier
-    crits = sorted({*f.breakpoints, *(b + c for b in g.breakpoints)})
     acc = lat.bottom
-    for t in _piece_points(crits):
-        acc = lat.join(acc, lat.meet(f.upper_at(t), g.lower_at(t - c)))
+    for bj, gl in zip(g.breakpoints, g.lower[1:]):
+        acc = lat.join(acc, lat.meet(f.upper_at(bj + c), gl))
     return acc
 
 
@@ -256,7 +289,7 @@ def decompose_trace(f: CutFunction, horizon: int = 12) -> List[DecompositionStep
     """The increasing sequence f_k = sum_{i<=k} (1/i) chi(a_i) with
     a_k = (f - f_{k-1})(1/k,-), recorded step by step."""
     if horizon < 1:
-        raise ValueError("horizon must be at least 1")
+        raise InvalidArgument("horizon must be at least 1")
     if not f.is_nonnegative():
         raise NotNonnegative("the decomposition needs a nonnegative function")
     lat = f.carrier

@@ -191,12 +191,15 @@ def test_every_congruence_is_complemented_in_frame(c3, b4, b8):
 
 
 def test_enumeration_size_guard():
-    # a 12-chain has 2^11 congruences, far beyond desk scale
+    # an n-chain has 2^(n-1) congruences: the 9-chain is at the cap, the
+    # 10-chain just beyond it and the 12-chain far beyond desk scale
     from locint.errors import SizeLimitExceeded
     from locint.lattice import chain_lattice
-    long_chain = chain_lattice([f"e{i}" for i in range(12)])
-    with pytest.raises(SizeLimitExceeded):
-        long_chain.congruence_frame()
+    assert chain_lattice([f"e{i}" for i in range(9)]).congruence_frame().size == 256
+    for n in (10, 12):
+        long_chain = chain_lattice([f"e{i}" for i in range(n)])
+        with pytest.raises(SizeLimitExceeded, match="more than 256 congruences"):
+            long_chain.congruence_frame()
 
 
 def test_ref_names_round_trip_even_without_labels():

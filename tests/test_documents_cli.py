@@ -164,6 +164,21 @@ def test_cli_exit_code_2_on_bad_documents(tmp_path, capsys):
     assert code == 2 and "(M3)" in err
 
 
+def test_cli_decompose_horizon_zero_exits_2(docs, capsys):
+    code, out, err = run_cli(capsys, "decompose", "--function", docs["one"], "--k", "0")
+    assert code == 2 and out == ""
+    assert err == "error: horizon must be at least 1\n"
+
+
+def test_cli_rejects_rationals_outside_the_grammar(docs, tmp_path, capsys):
+    for text in ["1e5", "0.5", "1_0"]:
+        fun = write(tmp_path, "f.json", {"kind": "simple", "terms": [[text, "open:x"]]})
+        code, out, err = run_cli(capsys, "integrate", "--lattice", docs["lattice"],
+                                 "--measure", docs["measure"], "--function", fun)
+        assert code == 2 and out == ""
+        assert err == f"error: bad rational in term: {text!r}\n"
+
+
 def test_cli_exit_code_3_on_undefined_operations(tmp_path, capsys):
     lattice = write(tmp_path, "c3.json",
                     {"kind": "poset", "elements": ["0", "m", "1"],

@@ -30,6 +30,18 @@ def test_parse_and_format_round_trip():
     assert format_extended(NEG_INF) == "-inf"
 
 
+def test_parse_rational_accepts_only_the_documented_grammar():
+    for text, value in [("+2", 2), (" 3/4 ", Fraction(3, 4)), ("-0", 0), ("007", 7),
+                        ("-6/4", Fraction(-3, 2))]:
+        assert parse_rational(text) == value
+    for text in ["1e5", "0.5", ".5", "1_0", "1/2.0", "1/-2", "", "/2", "1/", "1 / 2",
+                 "- 1", "inf", "nan", "\u0661"]:
+        with pytest.raises(ValueError):
+            parse_rational(text)
+    with pytest.raises(ValueError):
+        parse_extended("1e5")
+
+
 def test_undefined_sum():
     with pytest.raises(UndefinedSum):
         ext_add(POS_INF, NEG_INF)

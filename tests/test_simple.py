@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -7,7 +8,13 @@ from hypothesis import strategies as st
 import locint.cutfunction as cf
 import locint.simple as sf
 from _oracle import padd, pmul, pointwise_of_simple, pscale, simple_from_pointwise
-from locint.errors import NotComplemented, NotFinite, NotNonnegative
+from locint.errors import (
+    ConsistencyError,
+    NotComplemented,
+    NotFinite,
+    NotNonnegative,
+    ValidationFailure,
+)
 from locint.lattice import powerset_lattice
 
 ATOMS = ["x", "y", "z"]
@@ -111,6 +118,33 @@ def test_decompose_zero(b4):
 def test_decompose_rejects_negative(b4):
     with pytest.raises(NotNonnegative):
         sf.decompose(cf.constant(F(-1), b4), 3)
+
+
+def test_decompose_rejects_horizon_below_one(b4):
+    # a validation failure for the CLI, still a ValueError for library callers
+    for horizon in (0, -3):
+        with pytest.raises(ValidationFailure, match="horizon must be at least 1"):
+            sf.decompose_trace(cf.constant(F(1), b4), horizon)
+        with pytest.raises(ValueError):
+            sf.decompose(cf.constant(F(1), b4), horizon)
+
+
+def test_constructor_reports_the_first_violation(b8):
+    cases = [
+        ([(F(2), "x"), (F(1), "{y,z}")], "coefficients must be strictly ascending"),
+        ([(F(1), "0"), (F(2), "1")], "canonical terms exclude the bottom element"),
+        ([(F(1), "{x,y}"), (F(2), "y"), (F(3), "z")], "term elements '{x,y}', 'y' are not disjoint"),
+        ([(F(1), "x"), (F(2), "{x,z}"), (F(3), "y")], "term elements 'x', '{x,z}' are not disjoint"),
+        ([(F(1), "x"), (F(2), "y")], "term elements do not cover the top"),
+        # the pair check of the first term runs before the later terms' own checks
+        ([(F(1), "{x,y}"), (F(0), "y")], "term elements '{x,y}', 'y' are not disjoint"),
+        ([(F(1), "{x,y}"), (F(2), "{y,z}"), (F(0), "z")], "not disjoint"),
+    ]
+    for terms, message in cases:
+        with pytest.raises(ConsistencyError, match=re.escape(message)):
+            sf.SimpleFunction(b8, terms)
+    assert sf.SimpleFunction(b8, [(1, "x"), ("3/2", "{y,z}")]).terms == (
+        (F(1), "x"), (F(3, 2), "{y,z}"))
 
 
 def test_decompose_monotone_and_dominated(b8):
