@@ -17,10 +17,10 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .congruence import SublocaleView
-from .errors import AxiomViolation, ConsistencyError, MalformedDocument, NotIntegrable
-from .integrate import SummabilityReport, classify, integrate_simple, report_value
+from .errors import AxiomViolation, ConsistencyError, MalformedDocument
+from .integrate import NOT_INTEGRABLE, SummabilityReport, classify, report_value, summability
 from .lattice import FiniteLattice, subset_name
-from .measure import Measure, validate_measure
+from .measure import Measure, additive_measure, check_measure_value, subset_sums
 from .rationals import ExtValue, ext_add, ext_scale, format_extended
 from .simple import SimpleFunction
 
@@ -65,6 +65,8 @@ class FiniteMeasurableSpace:
         if self.lam[frozenset()] != Fraction(0):
             raise AxiomViolation("lambda(empty) must be 0")
         for s in self.algebra:
+            check_measure_value(self.lam[s])
+        for s in self.algebra:
             for t in self.algebra:
                 if not (s & t):
                     if ext_add(self.lam[s], self.lam[t]) != self.lam[s | t]:
@@ -80,18 +82,16 @@ class FiniteMeasurableSpace:
         """Full powerset algebra with lambda extended additively from the
         singleton weights."""
         points = tuple(points)
-        subsets = []
-        for mask in range(1 << len(points)):
-            subsets.append(frozenset(p for i, p in enumerate(points) if mask >> i & 1))
-        lam = {}
-        for s in subsets:
-            total: ExtValue = Fraction(0)
-            for p in s:
-                if p not in point_weights:
-                    raise MalformedDocument(f"no weight for point {p!r}")
-                total = ext_add(total, point_weights[p])
-            lam[s] = total
-        return cls(points, subsets, lam, _algebra_checked=True)
+        for p in points:
+            if p not in point_weights:
+                raise MalformedDocument(f"no weight for point {p!r}")
+        weights = [point_weights[p] for p in points]
+        for w in weights:
+            check_measure_value(w)
+        subsets = [frozenset(p for i, p in enumerate(points) if mask >> i & 1)
+                   for mask in range(1 << len(points))]
+        return cls(points, subsets, dict(zip(subsets, subset_sums(weights))),
+                   _algebra_checked=True)
 
     @classmethod
     def from_atom_weights(cls, points: Sequence[str],
@@ -100,15 +100,13 @@ class FiniteMeasurableSpace:
         """lambda extended additively from weights on the atoms of the algebra."""
         sets = {frozenset(s) for s in algebra}
         atoms = _atoms_of(sets)
-        lam = {}
-        for s in sets:
-            total: ExtValue = Fraction(0)
-            for a in atoms:
-                if a <= s:
-                    if a not in atom_weights:
-                        raise MalformedDocument(f"no weight for atom {sorted(a)!r}")
-                    total = ext_add(total, atom_weights[a])
-            lam[s] = total
+        for a in atoms:
+            if a not in atom_weights:
+                raise MalformedDocument(f"no weight for atom {sorted(a)!r}")
+        for a in atoms:
+            check_measure_value(atom_weights[a])
+        sums = subset_sums([atom_weights[a] for a in atoms])
+        lam = {s: sums[sum(1 << k for k, a in enumerate(atoms) if a <= s)] for s in sets}
         return cls(points, sets, lam)
 
     def name_of(self, subset: FrozenSet[str]) -> str:
@@ -204,11 +202,10 @@ def classical_scale(lam: Fraction, f: ClassicalSimpleFunction) -> ClassicalSimpl
     return ClassicalSimpleFunction(f.space, {p: lam * v for p, v in f.values.items()})
 
 
-def classical_integral(f: ClassicalSimpleFunction,
-                       over: Optional[FrozenSet[str]] = None
-                       ) -> Tuple[ExtValue, SummabilityReport]:
-    """sum_r r * lambda(level_r /\\ A), split into parts with the same
-    integrability guard as the pointfree side.  Pure set arithmetic."""
+def classical_summability(f: ClassicalSimpleFunction,
+                          over: Optional[FrozenSet[str]] = None) -> SummabilityReport:
+    """sum_r r * lambda(level_r /\\ A), split into its positive and negative
+    parts and classified as on the pointfree side.  Pure set arithmetic."""
     space = f.space
     if over is None:
         over = frozenset(space.points)
@@ -223,7 +220,15 @@ def classical_integral(f: ClassicalSimpleFunction,
             pos = ext_add(pos, ext_scale(r, weight))
         elif r < 0:
             neg = ext_add(neg, ext_scale(-r, weight))
-    report = classify(pos, neg)
+    return classify(pos, neg)
+
+
+def classical_integral(f: ClassicalSimpleFunction,
+                       over: Optional[FrozenSet[str]] = None
+                       ) -> Tuple[ExtValue, SummabilityReport]:
+    """The classical integral with the same integrability guard as the
+    pointfree side."""
+    report = classical_summability(f, over)
     return report_value(report), report
 
 
@@ -262,15 +267,9 @@ def extend_measure(space: FiniteMeasurableSpace) -> Measure:
     """The measure on S(A) determined by lambda: every congruence of the
     finite Boolean algebra A is nabla(B) for a unique B, and the quotient
     by nabla(B) is the open sublocale of the complement, so it gets
-    lambda(X minus B)."""
+    lambda(X minus B), the sum of lambda over the atoms it keeps."""
     lat = space.lattice()
-    frame = lat.congruence_frame()
-    view = frame.view()
-    values = {}
-    for theta in frame.congruences:
-        b_name = lat.join_all(theta.block_containing(lat.bottom))
-        values[theta] = space.lam[frozenset(space.points) - space.subset_of_name(b_name)]
-    return validate_measure(view, values)
+    return additive_measure(space.view(), [space.lam[space.algebra[j]] for j in lat._jirr])
 
 
 @dataclass(frozen=True)
@@ -291,43 +290,25 @@ class BridgeReport:
 def bridge_check(space: FiniteMeasurableSpace, f: ClassicalSimpleFunction,
                  over: Optional[FrozenSet[str]] = None) -> BridgeReport:
     """Classical integral versus pointfree integral of the counterpart over
-    the matching open sublocale; exact equality (value and classification)
-    is asserted."""
+    the matching open sublocale; exact equality (both parts and the
+    classification) is asserted."""
     if over is None:
         over = frozenset(space.points)
-    try:
-        c_value, c_report = classical_integral(f, over)
-    except NotIntegrable:
-        c_value, c_report = None, _not_integrable_report(f, over)
+    c_report = classical_summability(f, over)
     g = to_localic(f)
     mu = extend_measure(space)
-    view = mu.view
-    sub = view.open_sublocale(space.name_of(over))
-    try:
-        l_value, l_report = integrate_simple(g, mu, sub)
-    except NotIntegrable:
-        from .integrate import summability
-        l_value, l_report = None, summability(g, mu, sub)
-    report = BridgeReport(c_value, l_value, c_report, l_report)
-    if not report.equal:
+    l_report = summability(g, mu, mu.view.open_sublocale(space.name_of(over)))
+    report = BridgeReport(_value(c_report), _value(l_report), c_report, l_report)
+    if c_report != l_report:
         raise ConsistencyError(
             "bridge mismatch: classical "
-            f"{_fmt(c_value)}/{c_report.classification} vs pointfree "
-            f"{_fmt(l_value)}/{l_report.classification}")
+            f"{_fmt(report.classical_value)}/{c_report.classification} vs pointfree "
+            f"{_fmt(report.localic_value)}/{l_report.classification}")
     return report
 
 
-def _not_integrable_report(f: ClassicalSimpleFunction, over) -> SummabilityReport:
-    space = f.space
-    pos: ExtValue = Fraction(0)
-    neg: ExtValue = Fraction(0)
-    for r, level in f.level_sets():
-        weight = space.lam[level & over]
-        if r > 0:
-            pos = ext_add(pos, ext_scale(r, weight))
-        elif r < 0:
-            neg = ext_add(neg, ext_scale(-r, weight))
-    return classify(pos, neg)
+def _value(report: SummabilityReport) -> Optional[ExtValue]:
+    return None if report.classification == NOT_INTEGRABLE else report_value(report)
 
 
 def _fmt(v: Optional[ExtValue]) -> str:

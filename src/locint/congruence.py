@@ -302,10 +302,6 @@ class CongruenceFrame:
     def complement(self, theta: Congruence) -> Congruence:
         return self.congruences[self._pos[self._full & ~self.mask_of(theta)]]
 
-    def complement_or_none(self, theta: Congruence) -> Optional[Congruence]:
-        """C(L) is Boolean, so the complement always exists."""
-        return self.complement(theta)
-
     def as_lattice(self) -> FiniteLattice:
         if self._facade is None:
             names = [c.partition_name() for c in self.congruences]
@@ -382,9 +378,6 @@ class SublocaleView:
 
     def complement(self, s: Congruence) -> Congruence:
         return self.frame.complement(s)
-
-    def is_complemented(self, s: Congruence) -> bool:
-        return self.frame.complement_or_none(s) is not None
 
     def open_sublocale(self, a: str) -> Congruence:
         return self.frame.delta_of(a)

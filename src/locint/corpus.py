@@ -14,8 +14,8 @@ from typing import Dict, List, Sequence, Tuple
 
 from .congruence import SublocaleView
 from .lattice import FiniteLattice, chain_lattice, lattice_from_order, powerset_lattice
-from .measure import Measure, validate_measure
-from .rationals import POS_INF, ExtValue, ext_add
+from .measure import Measure, additive_measure
+from .rationals import POS_INF, ExtValue
 from .simple import SimpleFunction, from_cells
 
 
@@ -87,18 +87,11 @@ def random_simple(rng: Random, lattice: FiniteLattice, *,
 def random_measure(rng: Random, view: SublocaleView,
                    inf_probability: float = 0.0) -> Measure:
     """Additive measure from random weights on the atoms of S(L): the
-    measure of S is the weight sum over the atoms below it.  Atoms are
-    join-prime in a distributive coframe, which yields (M2) and (M3)."""
-    atoms = view.atoms()
-    weights = [random_weight(rng, inf_probability) for _ in atoms]
-    values = {}
-    for s in view.sublocales:
-        total: ExtValue = Fraction(0)
-        for a, w in zip(atoms, weights):
-            if view.leq(a, s):
-                total = ext_add(total, w)
-        values[s] = total
-    return validate_measure(view, values)
+    measure of S is the weight sum over the atoms below it.  The weights
+    are drawn in the frame order of the atoms, then put in bit order."""
+    masks = [view.frame.mask_of(a) for a in view.atoms()]
+    weights = [random_weight(rng, inf_probability) for _ in masks]
+    return additive_measure(view, [w for _, w in sorted(zip(masks, weights))])
 
 
 def random_subset(rng: Random, items: Sequence[str]) -> List[str]:

@@ -338,46 +338,41 @@ def seq_inf(fs: Sequence[CutFunction]) -> CutFunction:
     """Meet of a finite family: the lower cuts are the joins
     sup_n f_n(-,q), which must be complemented; the upper cuts are their
     complements (the value of sup_{r>p} (sup_n f_n(-,r))^c on each interval)."""
-    fs = list(fs)
-    if not fs:
-        raise ValueError("seq_inf needs at least one function")
-    for g in fs[1:]:
-        _same_carrier(fs[0], g)
-    lat = fs[0].carrier
-    grid = sorted(set().union(*(set(f.breakpoints) for f in fs)))
-    lower = []
-    upper = []
-    for q in _lower_reps(grid):
-        v = lat.join_all(f.lower_at(q) for f in fs)
-        c = lat.complement_or_none(v)
-        if c is None:
-            raise ComplementationFailure(
-                f"sup of lower cuts at q={q} is not complemented (element {v!r})")
-        lower.append(v)
-        upper.append(c)
-    return CutFunction(lat, grid, upper, lower)
+    return _join_ladder(fs, "seq_inf", lower=True)
 
 
 def seq_sup(fs: Sequence[CutFunction]) -> CutFunction:
     """Join of a finite family; dual to seq_inf on the upper ladders."""
+    return _join_ladder(fs, "seq_sup", lower=False)
+
+
+def _join_ladder(fs: Sequence[CutFunction], name: str, lower: bool) -> CutFunction:
+    """Join the lower (or upper) cuts of the family at each representative
+    of the merged grid; the other ladder holds their complements."""
     fs = list(fs)
     if not fs:
-        raise ValueError("seq_sup needs at least one function")
+        raise ValueError(f"{name} needs at least one function")
     for g in fs[1:]:
         _same_carrier(fs[0], g)
     lat = fs[0].carrier
     grid = sorted(set().union(*(set(f.breakpoints) for f in fs)))
-    lower = []
-    upper = []
-    for p in _upper_reps(grid):
-        v = lat.join_all(f.upper_at(p) for f in fs)
+    if lower:
+        reps, cut, label = _lower_reps(grid), CutFunction.lower_at, "lower cuts at q"
+    else:
+        reps, cut, label = _upper_reps(grid), CutFunction.upper_at, "upper cuts at p"
+    joined = []
+    comps = []
+    for t in reps:
+        v = lat.join_all(cut(f, t) for f in fs)
         c = lat.complement_or_none(v)
         if c is None:
             raise ComplementationFailure(
-                f"sup of upper cuts at p={p} is not complemented (element {v!r})")
-        upper.append(v)
-        lower.append(c)
-    return CutFunction(lat, grid, upper, lower)
+                f"sup of {label}={t} is not complemented (element {v!r})")
+        joined.append(v)
+        comps.append(c)
+    if lower:
+        return CutFunction(lat, grid, comps, joined)
+    return CutFunction(lat, grid, joined, comps)
 
 
 # -- sequences and limits -------------------------------------------------------------

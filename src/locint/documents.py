@@ -19,14 +19,20 @@ import json
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .bridge import ClassicalSimpleFunction, FiniteMeasurableSpace
+from .bridge import ClassicalSimpleFunction, FiniteMeasurableSpace, _atoms_of
 from .congruence import SublocaleView
 from .cutfunction import CutFunction, constant
 from .errors import MalformedDocument, NotFinite
-from .lattice import FiniteLattice, build_lattice
+from .lattice import FiniteLattice, build_lattice, subset_name
 from .measure import Measure, measure_from_weights, validate_measure
 from .rationals import is_finite, parse_extended, parse_rational
-from .simple import SimpleFunction, canonicalize, constant_simple, cut_to_simple
+from .simple import (
+    SimpleFunction,
+    canonicalize,
+    constant_simple,
+    cut_to_simple,
+    to_cut_function,
+)
 
 
 def load_json(path: str):
@@ -98,7 +104,6 @@ def load_function(doc, lattice: FiniteLattice,
             r = _rational(item[0], "term")
             terms.append((r, _resolve_term_element(item[1], carrier, view)))
         simple = canonicalize(carrier, terms)
-        from .simple import to_cut_function
         return LoadedFunction(to_cut_function(simple), simple)
     if kind == "cut":
         bps = doc.get("breakpoints")
@@ -126,13 +131,7 @@ def _resolve_term_element(ref, carrier: FiniteLattice,
             raise MalformedDocument(f"bad element reference: {ref!r}")
         carrier.index(ref)
         return ref
-    theta = view.resolve_ref(ref)
-    comp = view.frame.complement_or_none(theta)
-    if comp is None:
-        from .errors import NotComplemented
-        raise NotComplemented(
-            f"sublocale {view.ref_name(theta)} is not complemented in S(L)")
-    return comp.partition_name()
+    return view.complement(view.resolve_ref(ref)).partition_name()
 
 
 def _resolve_ladder_element(ref, carrier: FiniteLattice,
@@ -192,9 +191,7 @@ def load_space(doc) -> FiniteMeasurableSpace:
             sets.append(frozenset(s))
         universe = frozenset(points)
         sets = set(sets) | {frozenset(), universe}
-        from .bridge import _atoms_of
         atoms = _atoms_of(sets)
-        from .lattice import subset_name
         atom_weights = {}
         for a in atoms:
             key = subset_name(a, points)

@@ -21,7 +21,6 @@ from .cutfunction import CutFunction, constant, join_meet, negate
 from .errors import (
     CarrierMismatch,
     ConsistencyError,
-    NotComplemented,
     NotIntegrable,
     NotNonnegative,
 )
@@ -96,12 +95,7 @@ def _check_carriers(g: SimpleFunction, measure: Measure) -> None:
 def sublocale_of_term(view: SublocaleView, element: str) -> Congruence:
     """The S with theta_S^c equal to the given congruence-frame element."""
     frame = view.frame
-    theta_c = frame.congruence_of_element(element)
-    comp = frame.complement_or_none(theta_c)
-    if comp is None:
-        raise NotComplemented(
-            f"term element {element!r} is not complemented in C(L)")
-    return comp
+    return frame.complement(frame.congruence_of_element(element))
 
 
 def _nonneg_sum(g: SimpleFunction, measure: Measure, over: Congruence) -> ExtValue:
@@ -162,10 +156,7 @@ def integral_of_representation(view: SublocaleView,
 def characteristic_of_sublocale(view: SublocaleView, s: Congruence) -> SimpleFunction:
     """chi_S = chi(theta_S^c) as a simple function over C(L)."""
     frame = view.frame
-    comp = frame.complement_or_none(s)
-    if comp is None:
-        raise NotComplemented(
-            f"sublocale {view.ref_name(s)} is not complemented in S(L)")
+    comp = frame.complement(s)
     return canonicalize(frame.as_lattice(), ((Fraction(1), comp.partition_name()),))
 
 
@@ -199,10 +190,7 @@ def nonnegativity_certificate(g: SimpleFunction, measure: Measure,
     asserted to be nonnegative and True is returned."""
     _check_carriers(g, measure)
     frame = measure.view.frame
-    comp = frame.complement_or_none(s)
-    if comp is None:
-        raise NotComplemented(
-            f"sublocale {measure.view.ref_name(s)} is not complemented in S(L)")
+    comp = frame.complement(s)
     facade = frame.as_lattice()
     side = facade.meet(comp.partition_name(),
                        to_cut_function(g).lower_at(Fraction(0)))

@@ -6,6 +6,8 @@ is Boolean (C(L) is the powerset of J(L)), where M1-M3 together say exactly
 that the measure is additive over the atoms; that O(|C|) check is the fast
 path.  The exhaustive sweep over all pairs is the fallback: it runs only
 when the additive check fails, and reports the first failing axiom.
+Measures given by atom weights are built additively on the keep-masks
+(``additive_measure``), so they are measures by construction.
 
 Continuity on increasing sequences (M4) is discharged by finiteness of the
 carrier: every increasing sequence stabilises, so its supremum is attained
@@ -16,11 +18,11 @@ test.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Mapping, Sequence, Tuple
+from typing import List, Mapping, Sequence, Tuple
 
-from .congruence import Congruence, SublocaleView, nabla
+from .congruence import Congruence, SublocaleView
 from .errors import AxiomViolation, ConsistencyError, MalformedDocument, NotBoolean
-from .rationals import ExtValue, ext_add, ext_le, format_extended, is_finite
+from .rationals import ExtValue, ext_add, ext_le, format_extended
 
 
 class Measure:
@@ -60,9 +62,7 @@ def validate_measure(view: SublocaleView, values: Mapping[Congruence, ExtValue])
         if table[i] is not None:
             raise MalformedDocument(
                 f"two values given for sublocale {view.ref_name(sub)}")
-        if not (is_finite(v) and v >= 0) and not (not is_finite(v) and v.sign > 0):
-            raise MalformedDocument(
-                f"measure values must lie in [0, inf]; got {format_extended(v)}")
+        check_measure_value(v)
         table[i] = v
     for i, v in enumerate(table):
         if v is None:
@@ -74,18 +74,43 @@ def validate_measure(view: SublocaleView, values: Mapping[Congruence, ExtValue])
     return Measure(view, tuple(table))
 
 
+def check_measure_value(v: ExtValue) -> None:
+    if not ext_le(Fraction(0), v):
+        raise MalformedDocument(
+            f"measure values must lie in [0, inf]; got {format_extended(v)}")
+
+
+def subset_sums(weights: Sequence[ExtValue]) -> List[ExtValue]:
+    """sums[m] = the sum of weights[k] over the bits k of m, for every
+    m < 2**len(weights); one ext_add per entry, doubling the table bit by
+    bit."""
+    sums: List[ExtValue] = [Fraction(0)]
+    for w in weights:
+        sums += [ext_add(s, w) for s in sums]
+    return sums
+
+
 def is_additive(view: SublocaleView, table: Sequence[ExtValue]) -> bool:
     """mu(S) equals the sum of mu over the atoms below S, for every S.
 
-    On keep-masks the atoms below S are the bits of S's mask, so the sums
-    are built up mask by mask, one ext_add each: O(|C|)."""
-    masks = view.frame.masks
+    On keep-masks the atoms below S are the bits of S's mask, so this
+    compares the table with the subset sums of its atom values: O(|C|)."""
     pos = view.frame._pos
-    sums: List[ExtValue] = [Fraction(0)] * len(masks)
-    for q in range(1, len(masks)):
-        low = q & -q
-        sums[q] = ext_add(sums[q ^ low], table[pos[low]])
-    return all(table[i] == sums[q] for i, q in enumerate(masks))
+    sums = subset_sums([table[pos[1 << k]] for k in range(view.frame._full.bit_length())])
+    return all(table[i] == sums[q] for i, q in enumerate(view.frame.masks))
+
+
+def additive_measure(view: SublocaleView, bit_weights: Sequence[ExtValue]) -> Measure:
+    """The measure mu(S) = sum of bit_weights[k] over the bits k of S's
+    keep-mask, i.e. over the atoms of S(L) below S.
+
+    S(L) is Boolean, so an additive table satisfies M1-M3 by construction
+    and needs no sweep; only the weights themselves are range-checked,
+    before anything is summed."""
+    for w in bit_weights:
+        check_measure_value(w)
+    sums = subset_sums(bit_weights)
+    return Measure(view, tuple(sums[q] for q in view.frame.masks))
 
 
 def check_axioms(view: SublocaleView, table: Sequence[ExtValue]) -> None:
@@ -112,9 +137,9 @@ def check_axioms(view: SublocaleView, table: Sequence[ExtValue]) -> None:
 def measure_from_weights(view: SublocaleView, weights: Mapping[str, ExtValue]) -> Measure:
     """Additive measure on a Boolean carrier from atom weights.
 
-    Every congruence of a finite Boolean algebra is nabla(b) for a unique
-    b; the corresponding sublocale is the open one o(b^c), so its measure
-    is the weight sum over the atoms below b^c."""
+    The atoms of a Boolean L are its join-irreducibles, the bits of the
+    keep-masks, and o(a) keeps exactly the atoms below a; so the measure
+    of a sublocale is the weight sum over the atoms its congruence keeps."""
     lat = view.frame.lattice
     if not lat.is_boolean():
         raise NotBoolean("atom weights define a measure only over a Boolean lattice")
@@ -125,17 +150,4 @@ def measure_from_weights(view: SublocaleView, weights: Mapping[str, ExtValue]) -
     extra = [a for a in weights if a not in atoms]
     if extra:
         raise MalformedDocument(f"weights given for non-atoms {extra!r}")
-    values: Dict[Congruence, ExtValue] = {}
-    for theta in view.sublocales:
-        b = lat.join_all(theta.block_containing(lat.bottom))
-        if theta != nabla(lat, b):
-            raise NotBoolean(
-                f"congruence {theta.partition_name()} is not closed; "
-                "the carrier is not Boolean")
-        bc = lat.complement(b)
-        total: ExtValue = Fraction(0)
-        for a in atoms:
-            if lat.leq(a, bc):
-                total = ext_add(total, weights[a])
-        values[theta] = total
-    return validate_measure(view, values)
+    return additive_measure(view, [weights[lat.elements[j]] for j in lat._jirr])

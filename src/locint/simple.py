@@ -11,9 +11,10 @@ subalgebra generated by the mentioned elements.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cutfunction import CutFunction
 from .errors import (
@@ -170,8 +171,9 @@ def _same_carrier(g: SimpleFunction, h: SimpleFunction) -> None:
         raise CarrierMismatch("the two simple functions live on different carriers")
 
 
-def sf_add(g: SimpleFunction, h: SimpleFunction) -> SimpleFunction:
-    """Sum over the common refinement: (r_i + s_j) on a_i /\\ b_j."""
+def _on_refinement(g: SimpleFunction, h: SimpleFunction,
+                   op: Callable[[Fraction, Fraction], Fraction]) -> SimpleFunction:
+    """op(r_i, s_j) on each nonzero cell a_i /\\ b_j of the common refinement."""
     _same_carrier(g, h)
     lat = g.carrier
     cells: Dict[str, Fraction] = {}
@@ -179,22 +181,19 @@ def sf_add(g: SimpleFunction, h: SimpleFunction) -> SimpleFunction:
         for s, b in h.terms:
             cell = lat.meet(a, b)
             if cell != lat.bottom:
-                cells[cell] = r + s
+                cells[cell] = op(r, s)
     return from_cells(lat, cells)
+
+
+def sf_add(g: SimpleFunction, h: SimpleFunction) -> SimpleFunction:
+    """Sum over the common refinement: (r_i + s_j) on a_i /\\ b_j."""
+    return _on_refinement(g, h, operator.add)
 
 
 def sf_mul(g: SimpleFunction, h: SimpleFunction) -> SimpleFunction:
     """Product over the common refinement: (r_i * s_j) on a_i /\\ b_j;
     valid for all signs."""
-    _same_carrier(g, h)
-    lat = g.carrier
-    cells: Dict[str, Fraction] = {}
-    for r, a in g.terms:
-        for s, b in h.terms:
-            cell = lat.meet(a, b)
-            if cell != lat.bottom:
-                cells[cell] = r * s
-    return from_cells(lat, cells)
+    return _on_refinement(g, h, operator.mul)
 
 
 def sf_scale(lam: Fraction, g: SimpleFunction) -> SimpleFunction:

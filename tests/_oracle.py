@@ -1,14 +1,19 @@
-"""Brute-force oracles: pointwise arithmetic over powerset carriers, and
-congruences by union-find closure.
+"""Brute-force oracles: pointwise arithmetic over powerset carriers,
+congruences by union-find closure, and measure tables built sublocale by
+sublocale.
 
 Everything here is computed independently of the library's ladder,
 canonical-form and keep-mask algebra (plain set/dict comprehensions on the
 points of a finite set; closure of relations under meets and joins), so
 tests can freeze expected values produced by an unrelated code path."""
 
-from locint.congruence import Congruence
+from fractions import Fraction
+
+from locint.congruence import Congruence, nabla
+from locint.corpus import random_weight
 from locint.cutfunction import CutFunction
 from locint.lattice import FiniteLattice, subset_name
+from locint.rationals import ext_add
 from locint.simple import SimpleFunction
 
 
@@ -166,3 +171,56 @@ def downset_lattice(rng, points: int) -> FiniteLattice:
     label = {m: "d" + "".join(str(i) for i in range(points) if m >> i & 1) for m in downsets}
     pairs = [(label[s], label[t]) for s in downsets for t in downsets if s & ~t == 0]
     return FiniteLattice([label[m] for m in downsets], pairs)
+
+
+# -- measure tables sublocale by sublocale -----------------------------------------
+#
+# The per-sublocale formulas that built measures before they were summed over
+# keep-masks: each walks the sublocales in frame order and reads the partition
+# (block of 0, nabla, complements, the refinement order), never a keep-mask.
+
+
+def weights_table(view, weights) -> list:
+    """Atom weights on a Boolean L: every congruence is nabla(b) for a unique
+    b, its sublocale is the open sublocale o(b^c), so its measure is the
+    weight sum over the atoms below b^c."""
+    lat = view.frame.lattice
+    atoms = lat.atoms()
+    table = []
+    for theta in view.sublocales:
+        b = lat.join_all(theta.block_containing(lat.bottom))
+        assert theta == nabla(lat, b), "the carrier is not Boolean"
+        bc = lat.complement(b)
+        total = Fraction(0)
+        for a in atoms:
+            if lat.leq(a, bc):
+                total = ext_add(total, weights[a])
+        table.append(total)
+    return table
+
+
+def space_table(space) -> list:
+    """The measure on S(A) from lambda: the quotient by nabla(B) is the open
+    sublocale of X minus B, so it gets lambda(X minus B)."""
+    lat = space.lattice()
+    table = []
+    for theta in lat.congruence_frame().congruences:
+        b = space.subset_of_name(lat.join_all(theta.block_containing(lat.bottom)))
+        table.append(space.lam[frozenset(space.points) - b])
+    return table
+
+
+def random_table(rng, view, inf_probability: float = 0.0) -> list:
+    """Random weights on the atoms of S(L), drawn in their frame order; the
+    measure of S is the weight sum over the atoms below S in the sublocale
+    order."""
+    atoms = view.atoms()
+    weights = [random_weight(rng, inf_probability) for _ in atoms]
+    table = []
+    for s in view.sublocales:
+        total = Fraction(0)
+        for a, w in zip(atoms, weights):
+            if view.leq(a, s):
+                total = ext_add(total, w)
+        table.append(total)
+    return table

@@ -1,6 +1,7 @@
 """Differential tests for the Birkhoff core: C(L) built from keep-masks
 over J(L) against the union-find closure oracle, the additive measure
-check against the exhaustive M1-M3 sweep, and the join-primality
+check against the exhaustive M1-M3 sweep, measures summed over keep-masks
+against the per-sublocale formulas, and the join-primality
 distributivity check against the triple sweep."""
 
 from fractions import Fraction as F
@@ -15,17 +16,21 @@ from _oracle import (
     closure_join,
     downset_lattice,
     first_distributivity_failure,
+    random_table,
+    space_table,
+    weights_table,
 )
+from locint.bridge import FiniteMeasurableSpace, extend_measure
 from locint.congruence import (
     Congruence,
     congruence_join,
     congruence_meet,
     principal_congruence,
 )
-from locint.corpus import divisor_lattice, random_measure
+from locint.corpus import corpus_lattices, divisor_lattice, random_measure, random_weight
 from locint.errors import AxiomViolation, NotDistributive
 from locint.lattice import chain_lattice, lattice_from_order, powerset_lattice
-from locint.measure import check_axioms, is_additive, validate_measure
+from locint.measure import check_axioms, is_additive, measure_from_weights, validate_measure
 from locint.rationals import POS_INF
 
 SMALL = [f"poset{seed}" for seed in range(14)]
@@ -162,6 +167,68 @@ def test_additive_check_agrees_with_exhaustive_sweep(name):
         assert outcome(validate_measure, view, values) == expected
         perturbed += expected is not None
     assert valid == 12 and perturbed >= 1
+
+
+# -- measures summed over keep-masks versus the per-sublocale formulas ---------------
+
+
+def table_of(mu):
+    table = [v for _, v in mu.items()]
+    check_axioms(mu.view, table)
+    return table
+
+
+@pytest.mark.parametrize("name", sorted(corpus_lattices()) + SMALL + ["b32", "div360"])
+def test_random_measure_matches_per_sublocale_formula(name):
+    lat = corpus_lattices()[name] if name in corpus_lattices() else lattice(name)
+    view = lat.congruence_frame().view()
+    for seed in range(6):
+        new_rng, old_rng = Random(seed), Random(seed)
+        inf_probability = 0.25 if seed % 2 else 0.0
+        assert (table_of(random_measure(new_rng, view, inf_probability))
+                == random_table(old_rng, view, inf_probability))
+        assert new_rng.random() == old_rng.random()  # the same draws were made
+
+
+@pytest.mark.parametrize("name", ["b4", "b8", "b16", "b32"])
+def test_weights_measure_matches_per_sublocale_formula(name):
+    lat = corpus_lattices().get(name) or lattice(name)
+    view = lat.congruence_frame().view()
+    rng = Random(name)
+    for _ in range(6):
+        weights = {a: random_weight(rng, 0.25) for a in lat.atoms()}
+        assert table_of(measure_from_weights(view, weights)) == weights_table(view, weights)
+
+
+def random_space(rng, n):
+    """The powerset of n points, or every other time the algebra generated
+    by a random partition of the points, with weights that may be +inf."""
+    points = [f"p{i}" for i in range(n)]
+    if n < 2 or rng.random() < 0.5:
+        return FiniteMeasurableSpace.powerset(
+            points, {p: random_weight(rng, 0.2) for p in points})
+    blocks = {}
+    for p in points:
+        blocks.setdefault(rng.randrange(n), set()).add(p)
+    atoms = [frozenset(b) for b in blocks.values()]
+    algebra = {frozenset().union(*(a for k, a in enumerate(atoms) if m >> k & 1))
+               for m in range(1 << len(atoms))}
+    return FiniteMeasurableSpace.from_atom_weights(
+        points, algebra, {a: random_weight(rng, 0.2) for a in atoms})
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_extend_measure_matches_per_sublocale_formula(n):
+    rng = Random(n)
+    for _ in range(8):
+        space = random_space(rng, n)
+        view = space.view()
+        table = table_of(extend_measure(space))
+        assert table == space_table(space)
+        # the same space read as atom weights on its Boolean lattice
+        weights = {space.name_of(a): space.lam[a] for a in space.atoms()}
+        assert table == weights_table(view, weights)
+        assert table_of(measure_from_weights(view, weights)) == table
 
 
 # -- distributivity: join-primality versus the triple sweep ------------------------

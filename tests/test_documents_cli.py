@@ -217,3 +217,33 @@ def test_cli_json_format(docs, capsys):
     payload = json.loads(out)
     assert payload["integral"] == "13"
     assert payload["classification"] == "summable"
+
+
+def test_cli_rejects_minus_inf_atom_weight(docs, tmp_path, capsys):
+    mu = write(tmp_path, "mu.json", {"on_open_weights": {"x": "inf", "y": "-inf"}})
+    code, out, err = run_cli(capsys, "integrate", "--lattice", docs["lattice"],
+                             "--measure", mu, "--function", docs["function"])
+    assert code == 2 and out == ""
+    assert err == "error: measure values must lie in [0, inf]; got -inf\n"
+
+
+def test_cli_rejects_minus_inf_point_weight(tmp_path, capsys):
+    space = write(tmp_path, "space.json", {"points": ["p", "q"], "algebra": "powerset",
+                                           "lambda": {"p": "inf", "q": "-inf"}})
+    fun = write(tmp_path, "f.json", {"kind": "classical", "values": {"p": "1", "q": "2"}})
+    code, out, err = run_cli(capsys, "bridge", "--space", space, "--function", fun)
+    assert code == 2 and out == ""
+    assert err == "error: measure values must lie in [0, inf]; got -inf\n"
+
+
+def test_cli_validate_rejects_negative_lambda(tmp_path, capsys):
+    # bridge on this space always exited 2; validate must agree
+    space = write(tmp_path, "space.json", {"points": ["p", "q"], "algebra": "powerset",
+                                           "lambda": {"p": "-1", "q": "2"}})
+    explicit = write(tmp_path, "alg.json", {"points": ["x", "y", "z"],
+                                            "algebra": [["x"], ["y", "z"]],
+                                            "lambda": {"x": "-1", "{y,z}": "4"}})
+    for doc in (space, explicit):
+        code, out, err = run_cli(capsys, "validate", "--space", doc)
+        assert code == 2 and out == ""
+        assert err == "error: measure values must lie in [0, inf]; got -1\n"

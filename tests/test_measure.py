@@ -4,7 +4,7 @@ import pytest
 
 from locint.corpus import divisor_lattice, random_measure
 from locint.errors import AxiomViolation, MalformedDocument, NotBoolean
-from locint.measure import measure_from_weights, validate_measure
+from locint.measure import check_axioms, measure_from_weights, validate_measure
 from locint.rationals import POS_INF
 
 
@@ -113,4 +113,5 @@ def test_random_measures_on_non_boolean_carriers():
     for lat in (divisor_lattice(12), divisor_lattice(60)):
         view = view_of(lat)
         for _ in range(10):
-            random_measure(rng, view, inf_probability=0.2)  # validates internally
+            mu = random_measure(rng, view, inf_probability=0.2)
+            check_axioms(view, [v for _, v in mu.items()])
