@@ -35,43 +35,32 @@ class FiniteMeasurableSpace:
     def __init__(self, points: Sequence[str],
                  algebra: Iterable[FrozenSet[str]],
                  lam: Mapping[FrozenSet[str], ExtValue],
-                 _algebra_checked: bool = False):
+                 _additive: bool = False):
+        """Validate the algebra and lambda.  The builders below pass
+        `_additive` for a lambda they summed from range-checked weights
+        over an algebra they already checked; such a lambda is additive
+        by construction and skips every check."""
         self.points = tuple(points)
-        if len(set(self.points)) != len(self.points):
-            raise MalformedDocument("duplicate point names")
-        universe = frozenset(self.points)
         sets = {frozenset(s) for s in algebra}
-        if not _algebra_checked:
-            for s in sets:
-                if not s <= universe:
-                    raise MalformedDocument(f"subset {sorted(s)!r} contains unknown points")
-            if frozenset() not in sets or universe not in sets:
-                raise MalformedDocument("the algebra must contain the empty set and the whole set")
-            for s in sets:
-                if universe - s not in sets:
-                    raise MalformedDocument(
-                        f"the algebra is not closed under complement at {sorted(s)!r}")
-            for s in sets:
-                for t in sets:
-                    if s | t not in sets:
-                        raise MalformedDocument(
-                            f"the algebra is not closed under union at {sorted(s)!r}, {sorted(t)!r}")
+        if not _additive:
+            _check_algebra(self.points, sets)
         order = {p: i for i, p in enumerate(self.points)}
         self.algebra = tuple(sorted(sets, key=lambda s: (len(s), sorted(order[p] for p in s))))
         self.lam: Dict[FrozenSet[str], ExtValue] = dict(lam)
-        for s in self.algebra:
-            if s not in self.lam:
-                raise MalformedDocument(f"no weight for subset {self.name_of(s)!r}")
-        if self.lam[frozenset()] != Fraction(0):
-            raise AxiomViolation("lambda(empty) must be 0")
-        for s in self.algebra:
-            check_measure_value(self.lam[s])
-        for s in self.algebra:
-            for t in self.algebra:
-                if not (s & t):
-                    if ext_add(self.lam[s], self.lam[t]) != self.lam[s | t]:
-                        raise AxiomViolation(
-                            f"lambda is not additive on {self.name_of(s)!r}, {self.name_of(t)!r}")
+        if not _additive:
+            for s in self.algebra:
+                if s not in self.lam:
+                    raise MalformedDocument(f"no weight for subset {self.name_of(s)!r}")
+            if self.lam[frozenset()] != Fraction(0):
+                raise AxiomViolation("lambda(empty) must be 0")
+            for s in self.algebra:
+                check_measure_value(self.lam[s])
+            for s in self.algebra:
+                for t in self.algebra:
+                    if not (s & t):
+                        if ext_add(self.lam[s], self.lam[t]) != self.lam[s | t]:
+                            raise AxiomViolation(
+                                f"lambda is not additive on {self.name_of(s)!r}, {self.name_of(t)!r}")
         self._names = None
         self._lattice = None
         self._atoms = None
@@ -88,17 +77,22 @@ class FiniteMeasurableSpace:
         weights = [point_weights[p] for p in points]
         for w in weights:
             check_measure_value(w)
+        if len(set(points)) != len(points):
+            raise MalformedDocument("duplicate point names")
         subsets = [frozenset(p for i, p in enumerate(points) if mask >> i & 1)
                    for mask in range(1 << len(points))]
-        return cls(points, subsets, dict(zip(subsets, subset_sums(weights))),
-                   _algebra_checked=True)
+        return cls(points, subsets, dict(zip(subsets, subset_sums(weights))), _additive=True)
 
     @classmethod
     def from_atom_weights(cls, points: Sequence[str],
                           algebra: Iterable[FrozenSet[str]],
                           atom_weights: Mapping[FrozenSet[str], ExtValue]) -> "FiniteMeasurableSpace":
-        """lambda extended additively from weights on the atoms of the algebra."""
+        """lambda extended additively from weights on the atoms of the
+        algebra, which is checked first: a closed algebra has exactly
+        2**|atoms| members, so the table of sums is no larger than it."""
+        points = tuple(points)
         sets = {frozenset(s) for s in algebra}
+        _check_algebra(points, sets)
         atoms = _atoms_of(sets)
         for a in atoms:
             if a not in atom_weights:
@@ -107,7 +101,7 @@ class FiniteMeasurableSpace:
             check_measure_value(atom_weights[a])
         sums = subset_sums([atom_weights[a] for a in atoms])
         lam = {s: sums[sum(1 << k for k, a in enumerate(atoms) if a <= s)] for s in sets}
-        return cls(points, sets, lam)
+        return cls(points, sets, lam, _additive=True)
 
     def name_of(self, subset: FrozenSet[str]) -> str:
         return subset_name(subset, self.points)
@@ -137,6 +131,32 @@ class FiniteMeasurableSpace:
 
     def view(self) -> SublocaleView:
         return self.lattice().congruence_frame().view()
+
+
+def _check_algebra(points: Tuple[str, ...], sets) -> None:
+    """Distinct points; the sets are subsets of them, contain the empty and
+    the whole set and are closed under complement and union.  The sets are
+    visited in a fixed order, so the first failure named does not depend
+    on string hashing."""
+    if len(set(points)) != len(points):
+        raise MalformedDocument("duplicate point names")
+    universe = frozenset(points)
+    sets = sorted(sets, key=lambda s: (len(s), sorted(s)))
+    for s in sets:
+        if not s <= universe:
+            raise MalformedDocument(f"subset {sorted(s)!r} contains unknown points")
+    members = set(sets)
+    if frozenset() not in members or universe not in members:
+        raise MalformedDocument("the algebra must contain the empty set and the whole set")
+    for s in sets:
+        if universe - s not in members:
+            raise MalformedDocument(
+                f"the algebra is not closed under complement at {sorted(s)!r}")
+    for s in sets:
+        for t in sets:
+            if s | t not in members:
+                raise MalformedDocument(
+                    f"the algebra is not closed under union at {sorted(s)!r}, {sorted(t)!r}")
 
 
 def _atoms_of(sets) -> Tuple[FrozenSet[str], ...]:

@@ -338,17 +338,21 @@ def seq_inf(fs: Sequence[CutFunction]) -> CutFunction:
     """Meet of a finite family: the lower cuts are the joins
     sup_n f_n(-,q), which must be complemented; the upper cuts are their
     complements (the value of sup_{r>p} (sup_n f_n(-,r))^c on each interval)."""
-    return _join_ladder(fs, "seq_inf", lower=True)
+    lat, grid, lower, upper = _join_cuts(fs, "seq_inf", _lower_reps, CutFunction.lower_at,
+                                         "lower cuts at q")
+    return CutFunction(lat, grid, upper, lower)
 
 
 def seq_sup(fs: Sequence[CutFunction]) -> CutFunction:
     """Join of a finite family; dual to seq_inf on the upper ladders."""
-    return _join_ladder(fs, "seq_sup", lower=False)
+    lat, grid, upper, lower = _join_cuts(fs, "seq_sup", _upper_reps, CutFunction.upper_at,
+                                         "upper cuts at p")
+    return CutFunction(lat, grid, upper, lower)
 
 
-def _join_ladder(fs: Sequence[CutFunction], name: str, lower: bool) -> CutFunction:
-    """Join the lower (or upper) cuts of the family at each representative
-    of the merged grid; the other ladder holds their complements."""
+def _join_cuts(fs: Sequence[CutFunction], name: str, reps, cut, label: str):
+    """(carrier, merged grid, joins, complements): the join of cut(f, t)
+    over the family at each t in reps(grid), and the complement of each."""
     fs = list(fs)
     if not fs:
         raise ValueError(f"{name} needs at least one function")
@@ -356,13 +360,9 @@ def _join_ladder(fs: Sequence[CutFunction], name: str, lower: bool) -> CutFuncti
         _same_carrier(fs[0], g)
     lat = fs[0].carrier
     grid = sorted(set().union(*(set(f.breakpoints) for f in fs)))
-    if lower:
-        reps, cut, label = _lower_reps(grid), CutFunction.lower_at, "lower cuts at q"
-    else:
-        reps, cut, label = _upper_reps(grid), CutFunction.upper_at, "upper cuts at p"
     joined = []
     comps = []
-    for t in reps:
+    for t in reps(grid):
         v = lat.join_all(cut(f, t) for f in fs)
         c = lat.complement_or_none(v)
         if c is None:
@@ -370,9 +370,7 @@ def _join_ladder(fs: Sequence[CutFunction], name: str, lower: bool) -> CutFuncti
                 f"sup of {label}={t} is not complemented (element {v!r})")
         joined.append(v)
         comps.append(c)
-    if lower:
-        return CutFunction(lat, grid, comps, joined)
-    return CutFunction(lat, grid, joined, comps)
+    return lat, grid, joined, comps
 
 
 # -- sequences and limits -------------------------------------------------------------

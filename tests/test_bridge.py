@@ -15,7 +15,7 @@ from locint.bridge import (
     from_localic,
     to_localic,
 )
-from locint.errors import MalformedDocument, NotIntegrable
+from locint.errors import AxiomViolation, MalformedDocument, NotIntegrable
 from locint.integrate import INTEGRABLE_NOT_SUMMABLE, SUMMABLE
 from locint.rationals import NEG_INF, POS_INF
 from locint.simple import sf_add, sf_mul, sf_scale, to_cut_function
@@ -150,3 +150,21 @@ def test_sub_sigma_algebra_bridge():
     assert report.classical_value == 10 - 7
     with pytest.raises(MalformedDocument):
         ClassicalSimpleFunction(sp, {"x": F(1), "y": F(2), "z": F(3)})
+
+
+def test_explicit_lambda_is_validated():
+    sets = [frozenset(), frozenset(["x"]), frozenset(["y"]), frozenset(["x", "y"])]
+    with pytest.raises(AxiomViolation, match="not additive"):
+        FiniteMeasurableSpace(["x", "y"], sets, dict(zip(sets, [F(0), F(1), F(2), F(4)])))
+    with pytest.raises(MalformedDocument, match=r"\[0, inf\]; got -1"):
+        FiniteMeasurableSpace(["x", "y"], sets, dict(zip(sets, [F(0), F(-1), F(2), F(1)])))
+    sp = FiniteMeasurableSpace(["x", "y"], sets, dict(zip(sets, [F(0), F(1), F(2), F(3)])))
+    assert sp.lam == FiniteMeasurableSpace.powerset(["x", "y"], {"x": F(1), "y": F(2)}).lam
+
+
+def test_unclosed_algebra_names_its_first_set_in_a_fixed_order():
+    pts = ["u", "v", "w", "x", "y", "z"]
+    sets = [frozenset(), frozenset(pts)] + [frozenset([p]) for p in reversed(pts)]
+    with pytest.raises(MalformedDocument,
+                       match=r"^the algebra is not closed under complement at \['u'\]$"):
+        FiniteMeasurableSpace.from_atom_weights(pts, sets, {s: F(1) for s in sets})

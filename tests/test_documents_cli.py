@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import locint.bridge as bridge
 import locint.cutfunction as cf
 from locint.cli import main
 from locint.documents import (
@@ -247,3 +248,22 @@ def test_cli_validate_rejects_negative_lambda(tmp_path, capsys):
         code, out, err = run_cli(capsys, "validate", "--space", doc)
         assert code == 2 and out == ""
         assert err == "error: measure values must lie in [0, inf]; got -1\n"
+
+
+def test_cli_unclosed_algebra_exits_2_before_summing(tmp_path, capsys, monkeypatch):
+    # 25 singletons are 25 "atoms": the algebra must be rejected before a
+    # table of 2**25 sums is built
+    real_sums = bridge.subset_sums
+
+    def small_sums(weights):
+        assert len(weights) <= 16, "subset sums built for an unchecked algebra"
+        return real_sums(weights)
+
+    monkeypatch.setattr(bridge, "subset_sums", small_sums)
+    points = [f"p{i}" for i in range(25)]
+    space = write(tmp_path, "space.json", {"points": points,
+                                           "algebra": [[p] for p in points],
+                                           "lambda": {p: "1" for p in points}})
+    code, out, err = run_cli(capsys, "validate", "--space", space)
+    assert code == 2 and out == ""
+    assert err.startswith("error: the algebra is not closed under complement at [")
