@@ -17,9 +17,9 @@ from fractions import Fraction
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .congruence import SublocaleView
-from .errors import AxiomViolation, ConsistencyError, MalformedDocument
+from .errors import AxiomViolation, ConsistencyError, MalformedDocument, SizeLimitExceeded
 from .integrate import NOT_INTEGRABLE, SummabilityReport, classify, report_value, summability
-from .lattice import FiniteLattice, subset_name
+from .lattice import SOFT_SIZE_LIMIT, FiniteLattice, subset_name
 from .measure import Measure, additive_measure, check_measure_value, subset_sums
 from .rationals import ExtValue, ext_add, ext_scale, format_extended
 from .simple import SimpleFunction
@@ -30,7 +30,7 @@ class FiniteMeasurableSpace:
     on it.  At this scale countable unions are finite unions, so the
     algebra is just a Boolean subalgebra of the powerset."""
 
-    __slots__ = ("points", "algebra", "lam", "_names", "_lattice", "_atoms")
+    __slots__ = ("points", "algebra", "lam", "_lattice", "_atoms")
 
     def __init__(self, points: Sequence[str],
                  algebra: Iterable[FrozenSet[str]],
@@ -61,7 +61,6 @@ class FiniteMeasurableSpace:
                         if ext_add(self.lam[s], self.lam[t]) != self.lam[s | t]:
                             raise AxiomViolation(
                                 f"lambda is not additive on {self.name_of(s)!r}, {self.name_of(t)!r}")
-        self._names = None
         self._lattice = None
         self._atoms = None
 
@@ -71,6 +70,7 @@ class FiniteMeasurableSpace:
         """Full powerset algebra with lambda extended additively from the
         singleton weights."""
         points = tuple(points)
+        _check_size(1 << len(points), f"a powerset over {len(points)} points")
         for p in points:
             if p not in point_weights:
                 raise MalformedDocument(f"no weight for point {p!r}")
@@ -133,11 +133,20 @@ class FiniteMeasurableSpace:
         return self.lattice().congruence_frame().view()
 
 
+def _check_size(n_sets: int, what: str) -> None:
+    """Spaces have at most SOFT_SIZE_LIMIT measurable sets (a powerset at
+    most 6 points, like its lattice); checked before any subset is built
+    and before any sweep over pairs of sets."""
+    if n_sets > SOFT_SIZE_LIMIT:
+        raise SizeLimitExceeded(f"{what} exceeds the {SOFT_SIZE_LIMIT}-set limit")
+
+
 def _check_algebra(points: Tuple[str, ...], sets) -> None:
     """Distinct points; the sets are subsets of them, contain the empty and
     the whole set and are closed under complement and union.  The sets are
     visited in a fixed order, so the first failure named does not depend
     on string hashing."""
+    _check_size(len(sets), f"an algebra of {len(sets)} sets")
     if len(set(points)) != len(points):
         raise MalformedDocument("duplicate point names")
     universe = frozenset(points)
@@ -160,6 +169,7 @@ def _check_algebra(points: Tuple[str, ...], sets) -> None:
 
 
 def _atoms_of(sets) -> Tuple[FrozenSet[str], ...]:
+    _check_size(len(sets), f"an algebra of {len(sets)} sets")
     nonempty = [s for s in sets if s]
     atoms = [s for s in nonempty if not any(t < s for t in nonempty)]
     return tuple(sorted(atoms, key=lambda s: sorted(s)))

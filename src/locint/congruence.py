@@ -3,19 +3,22 @@ coframe view S(L) of sublocales.
 
 A congruence is an equivalence relation compatible with meets (C1) and
 joins (C2); at finite scale the countable-join axiom reduces to its binary
-form.  Congruences are stored as partitions (block maps), which gives O(1)
-membership tests and a canonical equality.
+form.
 
-The congruence frame comes from Birkhoff duality (Birkhoff, "Rings of
-sets", Duke Math. J. 3, 1937): for a finite distributive L, each subset Q
-of the join-irreducibles J(L) gives the congruence x ~ y iff J(x) and J(y)
-agree on Q, and every congruence arises from exactly one Q, its keep-mask.
-So C(L) is the powerset of J(L), built directly with no closure
-computation; on keep-masks the frame meet is ``|``, the join ``&`` and the
-complement ``~``.  Its order-dual is the coframe of sublocales, where the
-open sublocale o(a) is the quotient by delta(a) = {(x,y) | x/\\a = y/\\a}
-(keep-mask J(a)) and the closed sublocale c(a) the quotient by
-nabla(a) = {(x,y) | x\\/a = y\\/a} (keep-mask J(L) minus J(a)).
+Congruences come from Birkhoff duality (Birkhoff, "Rings of sets", Duke
+Math. J. 3, 1937): for a finite distributive L, each subset Q of the
+join-irreducibles J(L) gives the congruence x ~ y iff J(x) and J(y) agree
+on Q, and every congruence arises from exactly one Q, its keep-mask.  A
+``Congruence`` is identified by its keep-mask: equality, hashing and every
+frame operation read it, and the partition (``block_of``, the names) is
+derived from it.  So C(L) is the powerset of J(L), built directly with no
+closure computation; on keep-masks the frame meet is ``|``, the join ``&``
+and the complement ``~``.  Its order-dual is the coframe of sublocales,
+where the open sublocale o(a) is the quotient by delta(a) =
+{(x,y) | x/\\a = y/\\a} (keep-mask J(a)) and the closed sublocale c(a) the
+quotient by nabla(a) = {(x,y) | x\\/a = y\\/a} (keep-mask J(L) minus J(a)).
+A partition enters only through ``Congruence.from_blocks``, which reads the
+keep-mask off it and rejects a partition that mask does not reproduce.
 """
 
 from __future__ import annotations
@@ -31,36 +34,35 @@ CONGRUENCE_LIMIT = 256
 
 
 class Congruence:
-    """A lattice congruence stored as a partition of the carrier.
+    """A lattice congruence, identified by its keep-mask over J(L).
 
-    Block labels are canonical: blocks are numbered in order of first
-    occurrence along the carrier's element order, so two equal congruences
-    have identical ``block_of`` tuples.
+    Bit k of ``keep`` is set iff the k-th join-irreducible j is not
+    collapsed onto its lower cover, and x ~ y iff J(x) & keep = J(y) & keep.
+    ``block_of`` is derived from the mask, with blocks numbered in order of
+    first occurrence along the carrier's element order.
     """
 
-    __slots__ = ("lattice", "block_of", "_hash")
+    __slots__ = ("lattice", "keep", "block_of")
 
-    def __init__(self, lattice: FiniteLattice, block_of: Sequence[int]):
-        relabel: Dict[int, int] = {}
-        canon = []
-        for b in block_of:
-            if b not in relabel:
-                relabel[b] = len(relabel)
-            canon.append(relabel[b])
+    def __init__(self, lattice: FiniteLattice, keep: int):
         self.lattice = lattice
-        self.block_of = tuple(canon)
-        self._hash = hash(self.block_of)
+        self.keep = keep
+        self.block_of = _canonical([m & keep for m in lattice._jmask])
 
     @classmethod
     def equality(cls, lattice: FiniteLattice) -> "Congruence":
-        return cls(lattice, range(lattice.size))
+        return cls(lattice, _full(lattice))
 
     @classmethod
     def all_pairs(cls, lattice: FiniteLattice) -> "Congruence":
-        return cls(lattice, [0] * lattice.size)
+        return cls(lattice, 0)
 
     @classmethod
     def from_blocks(cls, lattice: FiniteLattice, blocks: Iterable[Iterable[str]]) -> "Congruence":
+        """The congruence with the given blocks.  Its keep-mask is read off
+        the partition (j is kept iff j and its lower cover lie in different
+        blocks); a partition that this mask does not reproduce is not a
+        congruence."""
         block_of = [-1] * lattice.size
         for b, members in enumerate(blocks):
             for name in members:
@@ -71,108 +73,80 @@ class Congruence:
         if -1 in block_of:
             missing = lattice.elements[block_of.index(-1)]
             raise MalformedDocument(f"element {missing!r} is not covered by the partition")
-        return cls(lattice, block_of)
-
-    def relates(self, a: str, b: str) -> bool:
-        return self.block_of[self.lattice.index(a)] == self.block_of[self.lattice.index(b)]
+        keep = sum(1 << k for k, (j, c) in enumerate(zip(lattice._jirr, lattice._jcover))
+                   if block_of[j] != block_of[c])
+        theta, given = cls(lattice, keep), _canonical(block_of)
+        if theta.block_of != given:
+            raise MalformedDocument(
+                f"{_partition_name(lattice, given)} is not a congruence of this lattice")
+        return theta
 
     @property
     def n_blocks(self) -> int:
         return max(self.block_of) + 1
 
     def blocks(self) -> Tuple[Tuple[str, ...], ...]:
-        out: List[List[str]] = [[] for _ in range(self.n_blocks)]
-        for i, b in enumerate(self.block_of):
-            out[b].append(self.lattice.elements[i])
-        return tuple(tuple(block) for block in out)
+        return _blocks(self.lattice, self.block_of)
 
     def block_containing(self, a: str) -> Tuple[str, ...]:
         return self.blocks()[self.block_of[self.lattice.index(a)]]
 
-    def refines(self, other: "Congruence") -> bool:
-        """self <= other in C(L): every self-block sits inside an other-block."""
-        seen: Dict[int, int] = {}
-        for mine, theirs in zip(self.block_of, other.block_of):
-            if mine in seen:
-                if seen[mine] != theirs:
-                    return False
-            else:
-                seen[mine] = theirs
-        return True
-
     def partition_name(self) -> str:
-        return "{" + "|".join(",".join(b) for b in self.blocks()) + "}"
-
-    def validate_congruence(self) -> None:
-        """Check (C1) and (C2); binary compatibility plus transitivity of the
-        stored partition implies the general finite forms."""
-        lat = self.lattice
-        n = lat.size
-        els = lat.elements
-        for i in range(n):
-            for j in range(i + 1, n):
-                if self.block_of[i] != self.block_of[j]:
-                    continue
-                for k in range(n):
-                    mi = lat.meet(els[i], els[k])
-                    mj = lat.meet(els[j], els[k])
-                    if self.block_of[lat.index(mi)] != self.block_of[lat.index(mj)]:
-                        raise MalformedDocument(
-                            f"(C1) fails: {els[i]!r}~{els[j]!r} but "
-                            f"{mi!r}!~{mj!r} after meeting with {els[k]!r}")
-                    ji = lat.join(els[i], els[k])
-                    jj = lat.join(els[j], els[k])
-                    if self.block_of[lat.index(ji)] != self.block_of[lat.index(jj)]:
-                        raise MalformedDocument(
-                            f"(C2) fails: {els[i]!r}~{els[j]!r} but "
-                            f"{ji!r}!~{jj!r} after joining with {els[k]!r}")
+        return _partition_name(self.lattice, self.block_of)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Congruence)
-                and self.block_of == other.block_of
+                and self.keep == other.keep
                 and (self.lattice is other.lattice or self.lattice == other.lattice))
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash(self.keep)
 
     def __repr__(self) -> str:
         return f"Congruence({self.partition_name()})"
 
 
+def _canonical(labels: Sequence[int]) -> Tuple[int, ...]:
+    """Block labels renumbered in order of first occurrence."""
+    relabel: Dict[int, int] = {}
+    return tuple(relabel.setdefault(b, len(relabel)) for b in labels)
+
+
+def _blocks(lattice: FiniteLattice, block_of: Sequence[int]) -> Tuple[Tuple[str, ...], ...]:
+    out: List[List[str]] = [[] for _ in range(max(block_of) + 1)]
+    for i, b in enumerate(block_of):
+        out[b].append(lattice.elements[i])
+    return tuple(tuple(block) for block in out)
+
+
+def _partition_name(lattice: FiniteLattice, block_of: Sequence[int]) -> str:
+    return "{" + "|".join(",".join(b) for b in _blocks(lattice, block_of)) + "}"
+
+
+def _full(lattice: FiniteLattice) -> int:
+    """The keep-mask of every join-irreducible: the equality relation."""
+    return (1 << len(lattice._jirr)) - 1
+
+
 # -- construction of particular congruences ------------------------------------
-
-
-def _from_keep_mask(lattice: FiniteLattice, keep: int) -> Congruence:
-    """The congruence x ~ y iff J(x) and J(y) agree on the kept
-    join-irreducibles (Birkhoff: C(L) is the powerset of J(L))."""
-    return Congruence(lattice, [m & keep for m in lattice._jmask])
-
-
-def _keep_mask(theta: Congruence) -> int:
-    """The join-irreducibles j that theta does not collapse onto their lower
-    cover; any congruence is determined by this set."""
-    lat = theta.lattice
-    block = theta.block_of
-    return sum(1 << k for k, (j, c) in enumerate(zip(lat._jirr, lat._jcover))
-               if block[j] != block[c])
 
 
 def principal_congruence(lattice: FiniteLattice, a: str, b: str) -> Congruence:
     """Smallest congruence identifying a and b: it collapses exactly the
     join-irreducibles in J(a) symmetric-difference J(b)."""
-    jmask = lattice._jmask
-    full = (1 << len(lattice._jirr)) - 1
-    return _from_keep_mask(lattice, full & ~(jmask[lattice.index(a)] ^ jmask[lattice.index(b)]))
+    collapsed = lattice._jmask[lattice.index(a)] ^ lattice._jmask[lattice.index(b)]
+    return Congruence(lattice, _full(lattice) & ~collapsed)
 
 
 def nabla(lattice: FiniteLattice, a: str) -> Congruence:
-    """The closed congruence: x ~ y iff x \\/ a = y \\/ a."""
-    return Congruence(lattice, [lattice._join[i][lattice.index(a)] for i in range(lattice.size)])
+    """The closed congruence x ~ y iff x \\/ a = y \\/ a: it keeps J(L)
+    minus J(a)."""
+    return Congruence(lattice, _full(lattice) & ~lattice._jmask[lattice.index(a)])
 
 
 def delta(lattice: FiniteLattice, a: str) -> Congruence:
-    """The open congruence: x ~ y iff x /\\ a = y /\\ a."""
-    return Congruence(lattice, [lattice._meet[i][lattice.index(a)] for i in range(lattice.size)])
+    """The open congruence x ~ y iff x /\\ a = y /\\ a: it keeps J(a)."""
+    return Congruence(lattice, lattice._jmask[lattice.index(a)])
 
 
 def open_closed(lattice: FiniteLattice, a: str) -> Tuple[Congruence, Congruence]:
@@ -181,21 +155,14 @@ def open_closed(lattice: FiniteLattice, a: str) -> Tuple[Congruence, Congruence]
 
 
 def congruence_meet(c: Congruence, d: Congruence) -> Congruence:
-    """Intersection of relations = common refinement of partitions."""
-    pairs = list(zip(c.block_of, d.block_of))
-    labels: Dict[Tuple[int, int], int] = {}
-    out = []
-    for p in pairs:
-        if p not in labels:
-            labels[p] = len(labels)
-        out.append(labels[p])
-    return Congruence(c.lattice, out)
+    """Intersection of relations: keep the join-irreducibles either keeps."""
+    return Congruence(c.lattice, c.keep | d.keep)
 
 
 def congruence_join(c: Congruence, d: Congruence) -> Congruence:
     """Congruence generated by the union of the two relations: keep only
     the join-irreducibles both keep."""
-    return _from_keep_mask(c.lattice, _keep_mask(c) & _keep_mask(d))
+    return Congruence(c.lattice, c.keep & d.keep)
 
 
 def quotient(lattice: FiniteLattice, theta: Congruence) -> FiniteLattice:
@@ -228,51 +195,47 @@ def enumerate_congruences(lattice: FiniteLattice) -> "CongruenceFrame":
     if 1 << len(lattice._jirr) > CONGRUENCE_LIMIT:
         raise SizeLimitExceeded(
             f"more than {CONGRUENCE_LIMIT} congruences; beyond desk scale")
-    found = [(_from_keep_mask(lattice, q), q) for q in range(1 << len(lattice._jirr))]
-    found.sort(key=lambda cq: (-cq[0].n_blocks, cq[0].block_of))
-    return CongruenceFrame(lattice, tuple(c for c, _ in found), tuple(q for _, q in found))
+    found = [Congruence(lattice, q) for q in range(1 << len(lattice._jirr))]
+    found.sort(key=lambda c: (-c.n_blocks, c.block_of))
+    return CongruenceFrame(lattice, tuple(found))
 
 
 class CongruenceFrame:
     """The frame C(L) of all congruences, ordered by inclusion.
 
-    Each congruence is stored with its keep-mask over J(L); on keep-masks
-    the frame meet is ``|``, the join ``&`` and the complement ``~``.
-    ``as_lattice`` exposes the frame as a FiniteLattice over canonical
-    partition names so that functions and simple functions can use it as a
-    carrier.
+    ``_pos`` maps each keep-mask to the congruence's index in frame order;
+    on keep-masks the frame meet is ``|``, the join ``&`` and the
+    complement ``~``.  ``as_lattice`` exposes the frame as a FiniteLattice
+    over canonical partition names so that functions and simple functions
+    can use it as a carrier.
     """
 
-    __slots__ = ("lattice", "congruences", "masks", "_full", "_index", "_pos",
+    __slots__ = ("lattice", "congruences", "_full", "_pos",
                  "_facade", "_view", "_nabla", "_delta")
 
-    def __init__(self, lattice: FiniteLattice, congruences: Tuple[Congruence, ...],
-                 masks: Tuple[int, ...]):
+    def __init__(self, lattice: FiniteLattice, congruences: Tuple[Congruence, ...]):
         self.lattice = lattice
         self.congruences = congruences
-        self.masks = masks
-        self._full = len(masks) - 1
-        self._index = {c.block_of: i for i, c in enumerate(congruences)}
-        pos = [0] * len(masks)
-        for i, q in enumerate(masks):
-            pos[q] = i
+        self._full = len(congruences) - 1
+        pos = [0] * len(congruences)
+        for i, c in enumerate(congruences):
+            pos[c.keep] = i
         self._pos = tuple(pos)
         self._facade: Optional[FiniteLattice] = None
-        self._view = None
         jmask = lattice._jmask
         self._nabla = {a: pos[self._full & ~jmask[i]] for i, a in enumerate(lattice.elements)}
         self._delta = {a: pos[jmask[i]] for i, a in enumerate(lattice.elements)}
+        self._view = SublocaleView(self)
 
     @property
     def size(self) -> int:
         return len(self.congruences)
 
     def index_of(self, theta: Congruence) -> int:
-        try:
-            return self._index[theta.block_of]
-        except KeyError:
+        if theta.lattice is not self.lattice and theta.lattice != self.lattice:
             raise MalformedDocument(
-                f"{theta.partition_name()} is not a congruence of this lattice") from None
+                f"{theta.partition_name()} is not a congruence of this lattice")
+        return self._pos[theta.keep]
 
     @property
     def bottom(self) -> Congruence:
@@ -290,22 +253,21 @@ class CongruenceFrame:
     def delta_of(self, a: str) -> Congruence:
         return self.congruences[self._delta[a]]
 
-    def mask_of(self, theta: Congruence) -> int:
-        return self.masks[self.index_of(theta)]
-
     def meet(self, c: Congruence, d: Congruence) -> Congruence:
-        return self.congruences[self._pos[self.mask_of(c) | self.mask_of(d)]]
+        return self.congruences[self._pos[c.keep | d.keep]]
 
     def join(self, c: Congruence, d: Congruence) -> Congruence:
-        return self.congruences[self._pos[self.mask_of(c) & self.mask_of(d)]]
+        return self.congruences[self._pos[c.keep & d.keep]]
 
     def complement(self, theta: Congruence) -> Congruence:
-        return self.congruences[self._pos[self._full & ~self.mask_of(theta)]]
+        return self.congruences[self._pos[self._full & ~theta.keep]]
 
     def as_lattice(self) -> FiniteLattice:
+        """The facade, built on first use; two threads racing here may each
+        build it, and the copies compare equal."""
         if self._facade is None:
             names = [c.partition_name() for c in self.congruences]
-            masks = self.masks
+            masks = [c.keep for c in self.congruences]
             # theta_i <= theta_j in C(L) iff the keep-mask of i contains j's
             pairs = [(names[i], names[j])
                      for i, qi in enumerate(masks)
@@ -316,9 +278,6 @@ class CongruenceFrame:
     def congruence_of_element(self, name: str) -> Congruence:
         return self.congruences[self.as_lattice().index(name)]
 
-    def element_of(self, theta: Congruence) -> str:
-        return theta.partition_name()
-
     def labels_of(self, theta: Congruence) -> Dict[str, Tuple[str, ...]]:
         """Which nabla(a) / delta(a) this congruence equals, if any."""
         i = self.index_of(theta)
@@ -328,8 +287,6 @@ class CongruenceFrame:
         }
 
     def view(self) -> "SublocaleView":
-        if self._view is None:
-            self._view = SublocaleView(self)
         return self._view
 
     def __repr__(self) -> str:
@@ -340,18 +297,16 @@ class SublocaleView:
     """S(L): the congruence list of C(L) with the order reversed.
 
     A sublocale is identified with its congruence; S <= T holds iff
-    theta_T is contained in theta_S, meets in S(L) are joins in C(L) and
-    vice versa.  The whole lattice L is the quotient by equality and the
-    void sublocale the quotient by the all-pairs relation.
+    theta_T is contained in theta_S, i.e. iff the keep-mask of S is
+    contained in that of T.  Meets in S(L) are joins in C(L) and vice
+    versa.  The whole lattice L is the quotient by equality and the void
+    sublocale the quotient by the all-pairs relation.
     """
 
-    __slots__ = ("frame", "_pairs", "_order_pairs", "_atoms")
+    __slots__ = ("frame",)
 
     def __init__(self, frame: CongruenceFrame):
         self.frame = frame
-        self._pairs = None
-        self._order_pairs = None
-        self._atoms = None
 
     @property
     def sublocales(self) -> Tuple[Congruence, ...]:
@@ -368,7 +323,7 @@ class SublocaleView:
         return self.frame.top
 
     def leq(self, s: Congruence, t: Congruence) -> bool:
-        return t.refines(s)
+        return s.keep & ~t.keep == 0
 
     def meet(self, s: Congruence, t: Congruence) -> Congruence:
         return self.frame.join(s, t)
@@ -391,10 +346,7 @@ class SublocaleView:
     def atoms(self) -> Tuple[Congruence, ...]:
         """Minimal nonvoid sublocales, the single-bit keep-masks; used to
         seed additive random measures."""
-        if self._atoms is None:
-            self._atoms = tuple(s for s, q in zip(self.sublocales, self.frame.masks)
-                                if q and not q & (q - 1))
-        return self._atoms
+        return tuple(s for s in self.sublocales if s.keep and not s.keep & (s.keep - 1))
 
     # -- naming ---------------------------------------------------------------
 
@@ -416,9 +368,7 @@ class SublocaleView:
             blocks = ref.get("blocks")
             if not isinstance(blocks, list):
                 raise MalformedDocument(f"bad sublocale reference: {ref!r}")
-            theta = Congruence.from_blocks(frame.lattice, blocks)
-            frame.index_of(theta)
-            return theta
+            return Congruence.from_blocks(frame.lattice, blocks)
         if not isinstance(ref, str):
             raise MalformedDocument(f"bad sublocale reference: {ref!r}")
         text = ref.strip()
@@ -432,32 +382,26 @@ class SublocaleView:
             return self.closed_sublocale(_known_element(frame.lattice, text[7:]))
         if text.startswith("blocks:"):
             blocks = [b.split(",") for b in text[7:].split("|")]
-            theta = Congruence.from_blocks(frame.lattice, blocks)
-            frame.index_of(theta)
-            return theta
+            return Congruence.from_blocks(frame.lattice, blocks)
         raise MalformedDocument(f"unknown sublocale reference {ref!r}")
 
-    # -- precomputed pair tables for measure validation ------------------------
+    # -- pair tables for the exhaustive measure sweep --------------------------
 
     def modularity_pairs(self) -> List[Tuple[int, int, int, int]]:
         """(i, j, index of S_i /\\ S_j, index of S_i \\/ S_j) for all i < j."""
-        if self._pairs is None:
-            masks = self.frame.masks
-            pos = self.frame._pos
-            self._pairs = [(i, j, pos[masks[i] & masks[j]], pos[masks[i] | masks[j]])
-                           for i in range(len(masks)) for j in range(i + 1, len(masks))]
-        return self._pairs
+        masks = [s.keep for s in self.sublocales]
+        pos = self.frame._pos
+        return [(i, j, pos[masks[i] & masks[j]], pos[masks[i] | masks[j]])
+                for i in range(len(masks)) for j in range(i + 1, len(masks))]
 
     def order_pairs(self) -> List[Tuple[int, int]]:
         """(i, j) whenever S_i <= S_j in the sublocale order, i.e. the
         keep-mask of S_i is contained in that of S_j."""
-        if self._order_pairs is None:
-            masks = self.frame.masks
-            self._order_pairs = [(i, j)
-                                 for i, qi in enumerate(masks)
-                                 for j, qj in enumerate(masks)
-                                 if i != j and qi & qj == qi]
-        return self._order_pairs
+        masks = [s.keep for s in self.sublocales]
+        return [(i, j)
+                for i, qi in enumerate(masks)
+                for j, qj in enumerate(masks)
+                if i != j and qi & qj == qi]
 
 
 def _known_element(lattice: FiniteLattice, name: str) -> str:

@@ -89,7 +89,7 @@ def random_measure(rng: Random, view: SublocaleView,
     """Additive measure from random weights on the atoms of S(L): the
     measure of S is the weight sum over the atoms below it.  The weights
     are drawn in the frame order of the atoms, then put in bit order."""
-    masks = [view.frame.mask_of(a) for a in view.atoms()]
+    masks = [a.keep for a in view.atoms()]
     weights = [random_weight(rng, inf_probability) for _ in masks]
     return additive_measure(view, [w for _, w in sorted(zip(masks, weights))])
 

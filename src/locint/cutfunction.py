@@ -29,14 +29,13 @@ from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
-    CarrierMismatch,
     ComplementationFailure,
     ConsistencyError,
     InvalidScale,
     NegativeOperand,
     NotFinite,
 )
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, check_same_carrier
 from .rationals import NEG_INF, POS_INF, ExtValue, Infinite
 
 
@@ -149,9 +148,7 @@ def _upper_reps(bp: Sequence[Fraction]) -> Tuple[Fraction, ...]:
     return (bp[0] - 1,) + tuple(bp)
 
 
-def _same_carrier(f: CutFunction, g: CutFunction) -> None:
-    if f.carrier is not g.carrier and f.carrier != g.carrier:
-        raise CarrierMismatch("the two functions live on different carriers")
+_DIFFERENT_CARRIERS = "the two functions live on different carriers"
 
 
 # -- generators -------------------------------------------------------------------
@@ -181,7 +178,7 @@ def characteristic(a: str, carrier: FiniteLattice) -> CutFunction:
 def leq(f: CutFunction, g: CutFunction) -> bool:
     """f <= g iff f(p,-) <= g(p,-) everywhere; the dual lower-ladder
     comparison is computed as well and cross-checked."""
-    _same_carrier(f, g)
+    check_same_carrier(f.carrier, g.carrier, _DIFFERENT_CARRIERS)
     lat = f.carrier
     grid = sorted(set(f.breakpoints) | set(g.breakpoints))
     by_upper = all(lat.leq(f.upper_at(p), g.upper_at(p)) for p in _upper_reps(grid))
@@ -196,7 +193,7 @@ def leq(f: CutFunction, g: CutFunction) -> bool:
 
 def join_meet(f: CutFunction, g: CutFunction) -> Tuple[CutFunction, CutFunction]:
     """(f \\/ g, f /\\ g) computed pointwise on the merged grid."""
-    _same_carrier(f, g)
+    check_same_carrier(f.carrier, g.carrier, _DIFFERENT_CARRIERS)
     lat = f.carrier
     grid = sorted(set(f.breakpoints) | set(g.breakpoints))
     ur = _upper_reps(grid)
@@ -240,7 +237,7 @@ def add(f: CutFunction, g: CutFunction) -> CutFunction:
     (f+g)(-,q) = \\/_j f(-, q - b_{j-1}) /\\ g.lower[j] and
     (f+g)(p,-) = \\/_j f(p - b_j, -) /\\ g.upper[j].  The unbounded end
     pieces drop out, because g is finite: g.lower[0] = g.upper[-1] = 0."""
-    _same_carrier(f, g)
+    check_same_carrier(f.carrier, g.carrier, _DIFFERENT_CARRIERS)
     if not (f.is_finite() and g.is_finite()):
         raise NotFinite("addition is defined for finite functions only")
     lat = f.carrier
@@ -280,7 +277,7 @@ def mul_nonneg(f: CutFunction, g: CutFunction) -> CutFunction:
     q/b_{j-1} for the lower cuts (+inf on the piece reaching down to 0) and
     at p/b_j for the upper cuts (the unbounded piece drops out, as g is
     finite)."""
-    _same_carrier(f, g)
+    check_same_carrier(f.carrier, g.carrier, _DIFFERENT_CARRIERS)
     if not (f.is_nonnegative() and g.is_nonnegative()):
         raise NegativeOperand("multiplication needs nonnegative operands")
     if not (f.is_finite() and g.is_finite()):
@@ -357,7 +354,7 @@ def _join_cuts(fs: Sequence[CutFunction], name: str, reps, cut, label: str):
     if not fs:
         raise ValueError(f"{name} needs at least one function")
     for g in fs[1:]:
-        _same_carrier(fs[0], g)
+        check_same_carrier(fs[0].carrier, g.carrier, _DIFFERENT_CARRIERS)
     lat = fs[0].carrier
     grid = sorted(set().union(*(set(f.breakpoints) for f in fs)))
     joined = []
@@ -387,7 +384,7 @@ class FunctionSequence:
 
     def __post_init__(self):
         for f in self.prefix:
-            _same_carrier(f, self.tail)
+            check_same_carrier(f.carrier, self.tail.carrier, _DIFFERENT_CARRIERS)
 
     @property
     def stabilization_index(self) -> int:

@@ -19,11 +19,11 @@ from typing import List, Optional, Tuple
 from .congruence import Congruence, SublocaleView
 from .cutfunction import CutFunction, constant, join_meet, negate
 from .errors import (
-    CarrierMismatch,
     ConsistencyError,
     NotIntegrable,
     NotNonnegative,
 )
+from .lattice import check_same_carrier
 from .measure import Measure, validate_measure
 from .rationals import (
     ExtValue,
@@ -47,6 +47,8 @@ from .simple import (
 SUMMABLE = "summable"
 INTEGRABLE_NOT_SUMMABLE = "integrable-not-summable"
 NOT_INTEGRABLE = "not-integrable"
+
+_SIMPLE_OFF_FRAME = "the simple function does not live on the measure's congruence frame"
 
 
 @dataclass(frozen=True)
@@ -85,37 +87,40 @@ def report_value(report: SummabilityReport) -> ExtValue:
     return ext_sub(report.positive_part, report.negative_part)
 
 
-def _check_carriers(g: SimpleFunction, measure: Measure) -> None:
-    facade = measure.view.frame.as_lattice()
-    if g.carrier is not facade and g.carrier != facade:
-        raise CarrierMismatch(
-            "the simple function does not live on the measure's congruence frame")
+def _keep_of(measure: Measure, over: Optional[Congruence]) -> int:
+    """The keep-mask of the sublocale integrated over (L when None),
+    checked to be a sublocale of the measure's lattice."""
+    if over is None:
+        return measure.view.top.keep
+    measure.view.index_of(over)
+    return over.keep
 
 
-def sublocale_of_term(view: SublocaleView, element: str) -> Congruence:
-    """The S with theta_S^c equal to the given congruence-frame element."""
-    frame = view.frame
-    return frame.complement(frame.congruence_of_element(element))
+def _term_measure(measure: Measure, element: str, over: int) -> ExtValue:
+    """mu(S_i /\\ S) for the term element theta_i = theta_{S_i}^c and the
+    sublocale S with keep-mask `over`: S_i keeps the complement of theta_i's
+    keep-mask q_i, and a meet of sublocales keeps the intersection, so the
+    value sits at the keep-mask ~q_i & over."""
+    frame = measure.view.frame
+    q_i = frame.congruences[frame.as_lattice().index(element)].keep
+    return measure.value_by_index(frame._pos[~q_i & over])
 
 
-def _nonneg_sum(g: SimpleFunction, measure: Measure, over: Congruence) -> ExtValue:
+def _nonneg_sum(g: SimpleFunction, measure: Measure, over: int) -> ExtValue:
     """sum_i r_i mu(S_i /\\ S) for canonical nonnegative g (0 * inf = 0)."""
-    view = measure.view
     total: ExtValue = Fraction(0)
     for r, element in g.terms:
-        s_i = sublocale_of_term(view, element)
-        total = ext_add(total, ext_scale(r, measure.value(view.meet(s_i, over))))
+        total = ext_add(total, ext_scale(r, _term_measure(measure, element, over)))
     return total
 
 
 def summability(g: SimpleFunction, measure: Measure,
                 over: Optional[Congruence] = None) -> SummabilityReport:
     """Part-wise integrals and classification; never raises for defined input."""
-    _check_carriers(g, measure)
-    if over is None:
-        over = measure.view.top
-    pos = _nonneg_sum(positive_part(g), measure, over)
-    neg = _nonneg_sum(negative_part(g), measure, over)
+    check_same_carrier(g.carrier, measure.view.frame.as_lattice(), _SIMPLE_OFF_FRAME)
+    q = _keep_of(measure, over)
+    pos = _nonneg_sum(positive_part(g), measure, q)
+    neg = _nonneg_sum(negative_part(g), measure, q)
     return classify(pos, neg)
 
 
@@ -132,8 +137,7 @@ def integral_of_representation(view: SublocaleView,
                                over: Optional[Congruence] = None) -> ExtValue:
     """Direct sum over any pairwise-disjoint representation; must agree with
     the canonical value for integrable functions."""
-    if over is None:
-        over = measure.view.top
+    q = _keep_of(measure, over)
     lat = view.frame.as_lattice()
     for i, (_, a) in enumerate(terms):
         for _, b in terms[i + 1:]:
@@ -144,8 +148,7 @@ def integral_of_representation(view: SublocaleView,
     neg: ExtValue = Fraction(0)
     for r, element in terms:
         r = Fraction(r)
-        s_i = sublocale_of_term(view, element)
-        contribution = ext_scale(abs(r), measure.value(view.meet(s_i, over)))
+        contribution = ext_scale(abs(r), _term_measure(measure, element, q))
         if r >= 0:
             pos = ext_add(pos, contribution)
         else:
@@ -178,9 +181,9 @@ def indefinite_integral(g: SimpleFunction, measure: Measure) -> Measure:
     """S |-> integral of g over S; a measure on S(L) for nonnegative g."""
     if not g.is_nonnegative():
         raise NotNonnegative("the indefinite integral needs a nonnegative function")
-    _check_carriers(g, measure)
+    check_same_carrier(g.carrier, measure.view.frame.as_lattice(), _SIMPLE_OFF_FRAME)
     view = measure.view
-    values = {s: _nonneg_sum(g, measure, s) for s in view.sublocales}
+    values = {s: _nonneg_sum(g, measure, s.keep) for s in view.sublocales}
     return validate_measure(view, values)
 
 
@@ -188,7 +191,7 @@ def nonnegativity_certificate(g: SimpleFunction, measure: Measure,
                               s: Congruence) -> bool:
     """Check theta_S^c /\\ g(-,0) = 0; when it holds the integral over S is
     asserted to be nonnegative and True is returned."""
-    _check_carriers(g, measure)
+    check_same_carrier(g.carrier, measure.view.frame.as_lattice(), _SIMPLE_OFF_FRAME)
     frame = measure.view.frame
     comp = frame.complement(s)
     facade = frame.as_lattice()
@@ -206,7 +209,7 @@ def nonnegativity_certificate(g: SimpleFunction, measure: Measure,
 # -- the general integral ------------------------------------------------------------
 
 
-def _nonneg_general(f: CutFunction, measure: Measure, over: Congruence) -> ExtValue:
+def _nonneg_general(f: CutFunction, measure: Measure, over: int) -> ExtValue:
     """Supremum of integrals of simple minorants of a nonnegative f.
 
     The integrand is a rational step function, so the supremum is attained
@@ -215,19 +218,16 @@ def _nonneg_general(f: CutFunction, measure: Measure, over: Congruence) -> ExtVa
     upper ladder never drops to bottom contributes +inf exactly when it
     meets `over` in positive measure (minorants put arbitrarily large
     constants there)."""
-    view = measure.view
     lat = f.carrier
     total: ExtValue = Fraction(0)
     for j, r in enumerate(f.breakpoints):
         cell = lat.meet(f.upper[j], f.lower[j + 1])
         if cell == lat.bottom:
             continue
-        s_cell = sublocale_of_term(view, cell)
-        total = ext_add(total, ext_scale(r, measure.value(view.meet(s_cell, over))))
+        total = ext_add(total, ext_scale(r, _term_measure(measure, cell, over)))
     inf_region = f.upper[-1]
     if inf_region != lat.bottom:
-        s_inf = sublocale_of_term(view, inf_region)
-        if measure.value(view.meet(s_inf, over)) != Fraction(0):
+        if _term_measure(measure, inf_region, over) != Fraction(0):
             total = POS_INF
     return total
 
@@ -236,15 +236,12 @@ def integrate_general(f: CutFunction, measure: Measure,
                       over: Optional[Congruence] = None) -> ExtValue:
     """Integral of an arbitrary (possibly extended) function over C(L),
     defined through the parts f+ = f \\/ 0 and f- = (-f) \\/ 0."""
-    facade = measure.view.frame.as_lattice()
-    if f.carrier is not facade and f.carrier != facade:
-        raise CarrierMismatch(
-            "the function does not live on the measure's congruence frame")
-    if over is None:
-        over = measure.view.top
+    check_same_carrier(f.carrier, measure.view.frame.as_lattice(),
+                       "the function does not live on the measure's congruence frame")
+    q = _keep_of(measure, over)
     zero_fn = constant(Fraction(0), f.carrier)
     f_plus = join_meet(f, zero_fn)[0]
     f_minus = join_meet(negate(f), zero_fn)[0]
-    pos = _nonneg_general(f_plus, measure, over)
-    neg = _nonneg_general(f_minus, measure, over)
+    pos = _nonneg_general(f_plus, measure, q)
+    neg = _nonneg_general(f_minus, measure, q)
     return report_value(classify(pos, neg))

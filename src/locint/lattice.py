@@ -4,7 +4,9 @@ Elements are opaque strings and the order is given extensionally.  All
 derived structure (meet/join tables, bounds, complements) is computed and
 validated at construction: partial order axioms, existence of every binary
 meet and join, and distributivity.  Instances are immutable after
-construction and safe to share between threads.
+construction and safe to share between threads; the congruence frame is
+built on first use, and threads racing on it may each build a copy, whose
+congruences compare equal.
 
 Construction also finds the join-irreducibles J(L) and, for each element x,
 the set J(x) of join-irreducibles below it (a bitmask).  These give the
@@ -22,6 +24,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Optional, Sequence, Tuple
 
 from .errors import (
+    CarrierMismatch,
     ConsistencyError,
     MalformedDocument,
     NotALattice,
@@ -263,6 +266,12 @@ class FiniteLattice:
 
     def __repr__(self) -> str:
         return f"FiniteLattice({len(self.elements)} elements, bottom={self.bottom!r}, top={self.top!r})"
+
+
+def check_same_carrier(a: FiniteLattice, b: FiniteLattice, message: str) -> None:
+    """Raise CarrierMismatch with the message unless a and b are equal."""
+    if a is not b and a != b:
+        raise CarrierMismatch(message)
 
 
 # -- factories ----------------------------------------------------------------

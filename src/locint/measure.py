@@ -97,7 +97,7 @@ def is_additive(view: SublocaleView, table: Sequence[ExtValue]) -> bool:
     compares the table with the subset sums of its atom values: O(|C|)."""
     pos = view.frame._pos
     sums = subset_sums([table[pos[1 << k]] for k in range(view.frame._full.bit_length())])
-    return all(table[i] == sums[q] for i, q in enumerate(view.frame.masks))
+    return all(table[i] == sums[s.keep] for i, s in enumerate(view.sublocales))
 
 
 def additive_measure(view: SublocaleView, bit_weights: Sequence[ExtValue]) -> Measure:
@@ -110,7 +110,7 @@ def additive_measure(view: SublocaleView, bit_weights: Sequence[ExtValue]) -> Me
     for w in bit_weights:
         check_measure_value(w)
     sums = subset_sums(bit_weights)
-    return Measure(view, tuple(sums[q] for q in view.frame.masks))
+    return Measure(view, tuple(sums[s.keep] for s in view.sublocales))
 
 
 def check_axioms(view: SublocaleView, table: Sequence[ExtValue]) -> None:

@@ -18,7 +18,6 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .cutfunction import CutFunction
 from .errors import (
-    CarrierMismatch,
     ComplementationFailure,
     ConsistencyError,
     InvalidArgument,
@@ -26,7 +25,7 @@ from .errors import (
     NotFinite,
     NotNonnegative,
 )
-from .lattice import FiniteLattice
+from .lattice import FiniteLattice, check_same_carrier
 
 
 class SimpleFunction:
@@ -166,15 +165,11 @@ def characteristic_simple(a: str, carrier: FiniteLattice) -> SimpleFunction:
 # -- ring structure ------------------------------------------------------------------
 
 
-def _same_carrier(g: SimpleFunction, h: SimpleFunction) -> None:
-    if g.carrier is not h.carrier and g.carrier != h.carrier:
-        raise CarrierMismatch("the two simple functions live on different carriers")
-
-
 def _on_refinement(g: SimpleFunction, h: SimpleFunction,
                    op: Callable[[Fraction, Fraction], Fraction]) -> SimpleFunction:
     """op(r_i, s_j) on each nonzero cell a_i /\\ b_j of the common refinement."""
-    _same_carrier(g, h)
+    check_same_carrier(g.carrier, h.carrier,
+                       "the two simple functions live on different carriers")
     lat = g.carrier
     cells: Dict[str, Fraction] = {}
     for r, a in g.terms:

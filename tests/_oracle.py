@@ -1,6 +1,6 @@
 """Brute-force oracles: pointwise arithmetic over powerset carriers,
-congruences by union-find closure, and measure tables built sublocale by
-sublocale.
+congruences by union-find closure, the refinement order and meet of
+partitions, and measure tables built sublocale by sublocale.
 
 Everything here is computed independently of the library's ladder,
 canonical-form and keep-mask algebra (plain set/dict comprehensions on the
@@ -71,7 +71,36 @@ def pmeet(u, v):
 # congruences it contains, and the smallest congruence containing a set of
 # pairs is their union-find closure under z |-> (x/\z, y/\z) and
 # (x\/z, y\/z).  It knows nothing of J(L), which makes it the brute-force
-# oracle for the Birkhoff keep-mask construction.
+# oracle for the Birkhoff keep-mask construction.  Its partitions enter the
+# library through Congruence.from_blocks, which accepts a partition only if
+# it is the congruence read off its keep-mask.
+
+
+def canonical(labels) -> tuple:
+    """Block labels renumbered in order of first occurrence."""
+    relabel = {}
+    return tuple(relabel.setdefault(b, len(relabel)) for b in labels)
+
+
+def congruence_of(lattice: FiniteLattice, labels) -> Congruence:
+    """The congruence with the given block labels, one per element."""
+    blocks = {}
+    for e, b in zip(lattice.elements, labels):
+        blocks.setdefault(b, []).append(e)
+    return Congruence.from_blocks(lattice, blocks.values())
+
+
+def refines(c: Congruence, d: Congruence) -> bool:
+    """c <= d in C(L): every c-block sits inside a d-block."""
+    seen = {}
+    return all(seen.setdefault(mine, theirs) == theirs
+               for mine, theirs in zip(c.block_of, d.block_of))
+
+
+def refinement_meet(c: Congruence, d: Congruence) -> tuple:
+    """Block labels of the intersection of the two relations: the common
+    refinement of the partitions."""
+    return canonical(zip(c.block_of, d.block_of))
 
 
 def closure(lattice: FiniteLattice, merges) -> tuple:
@@ -114,7 +143,7 @@ def closure_join(c: Congruence, d: Congruence) -> Congruence:
                 merges.append((first[b], i))
             else:
                 first[b] = i
-    return Congruence(c.lattice, closure(c.lattice, merges))
+    return congruence_of(c.lattice, closure(c.lattice, merges))
 
 
 def closure_congruences(lattice: FiniteLattice) -> list:
@@ -127,7 +156,7 @@ def closure_congruences(lattice: FiniteLattice) -> list:
     n = lattice.size
     for i in range(n):
         for j in range(i + 1, n):
-            c = Congruence(lattice, closure(lattice, [(i, j)]))
+            c = congruence_of(lattice, closure(lattice, [(i, j)]))
             if c.block_of not in found:
                 found[c.block_of] = c
                 stack.append(c)

@@ -11,12 +11,16 @@ from random import Random
 import pytest
 
 from _oracle import (
+    canonical,
     closure,
     closure_congruences,
     closure_join,
+    congruence_of,
     downset_lattice,
     first_distributivity_failure,
     random_table,
+    refinement_meet,
+    refines,
     space_table,
     weights_table,
 )
@@ -28,7 +32,7 @@ from locint.congruence import (
     principal_congruence,
 )
 from locint.corpus import corpus_lattices, divisor_lattice, random_measure, random_weight
-from locint.errors import AxiomViolation, NotDistributive
+from locint.errors import AxiomViolation, MalformedDocument, NotDistributive
 from locint.lattice import chain_lattice, lattice_from_order, powerset_lattice
 from locint.measure import check_axioms, is_additive, measure_from_weights, validate_measure
 from locint.rationals import POS_INF
@@ -94,12 +98,12 @@ def test_meet_join_complement_match_closure(name):
     for i, j in pairs_to_check(name, frame):
         c, d = cons[i], cons[j]
         expected_join = closure_join(c, d)
-        assert frame.meet(c, d) == congruence_meet(c, d)
+        assert frame.meet(c, d).block_of == congruence_meet(c, d).block_of == refinement_meet(c, d)
         assert frame.join(c, d) == expected_join
         assert congruence_join(c, d) == expected_join
     for c in cons:
         comp = frame.complement(c)
-        assert congruence_meet(c, comp) == eq
+        assert congruence_meet(c, comp).block_of == refinement_meet(c, comp) == eq.block_of
         assert closure_join(c, comp) == everything
 
 
@@ -108,8 +112,8 @@ def test_principal_congruences_match_closure(name):
     lat = lattice(name)
     for i, a in enumerate(lat.elements):
         for j, b in enumerate(lat.elements):
-            expected = Congruence(lat, closure(lat, [(i, j)]))
-            assert principal_congruence(lat, a, b) == expected
+            expected = canonical(closure(lat, [(i, j)]))
+            assert principal_congruence(lat, a, b).block_of == expected
 
 
 @pytest.mark.parametrize("name", SMALL + ["b32", "div360"])
@@ -118,15 +122,17 @@ def test_view_tables_match_partition_order(name):
     subs = view.sublocales
     n = len(subs)
     order = [(i, j) for i in range(n) for j in range(n)
-             if i != j and subs[j].refines(subs[i])]
+             if i != j and refines(subs[j], subs[i])]
     assert view.order_pairs() == order
+    assert [(i, j) for i in range(n) for j in range(n)
+            if i != j and view.leq(subs[i], subs[j])] == order
     atoms = [s for s in subs if s != view.bottom
              and all(t == view.bottom or t == s or not view.leq(t, s) for t in subs)]
     assert list(view.atoms()) == atoms
     index = {s.block_of: k for k, s in enumerate(subs)}
     for i, j, m, jn in view.modularity_pairs()[:400]:
         assert index[closure_join(subs[i], subs[j]).block_of] == m
-        assert index[congruence_meet(subs[i], subs[j]).block_of] == jn
+        assert index[refinement_meet(subs[i], subs[j])] == jn
 
 
 def test_facade_is_the_inclusion_order():
@@ -135,7 +141,7 @@ def test_facade_is_the_inclusion_order():
         facade = frame.as_lattice()
         for c in frame.congruences:
             for d in frame.congruences:
-                assert facade.leq(c.partition_name(), d.partition_name()) == c.refines(d)
+                assert facade.leq(c.partition_name(), d.partition_name()) == refines(c, d)
 
 
 # -- additive measure check versus the exhaustive sweep ----------------------------
@@ -295,3 +301,75 @@ def test_distributive_corpus_passes_the_triple_sweep(name):
             lambda x, y: idx(lat.meet(lat.elements[x], lat.elements[y])),
             lambda x, y: idx(lat.join(lat.elements[x], lat.elements[y]))) is None
     assert lat.congruence_frame().as_lattice().is_boolean()
+
+
+# -- partitions entering through from_blocks versus the closure ---------------------
+
+
+def all_partitions(n):
+    """Every partition of range(n) as block labels (restricted growth strings)."""
+    if n == 0:
+        yield ()
+        return
+    for labels in all_partitions(n - 1):
+        for b in range(max(labels, default=-1) + 2):
+            yield labels + (b,)
+
+
+def from_blocks_outcome(lat, labels):
+    """from_blocks on the partition with these labels: its block_of, or
+    the error message."""
+    try:
+        return congruence_of(lat, labels).block_of
+    except MalformedDocument as exc:
+        return str(exc)
+
+
+def closure_outcome(lat, labels):
+    """The partition itself if the closure of its own pairs leaves it
+    unchanged, else the message from_blocks must raise."""
+    first = {}
+    merges = [(first.setdefault(b, i), i) for i, b in enumerate(labels)]
+    if canonical(closure(lat, merges)) == canonical(labels):
+        return canonical(labels)
+    blocks = {}
+    for e, b in zip(lat.elements, labels):
+        blocks.setdefault(b, []).append(e)
+    name = "{" + "|".join(",".join(b) for b in blocks.values()) + "}"
+    return f"{name} is not a congruence of this lattice"
+
+
+PARTITIONED = {
+    "c3": lambda: chain_lattice(["0", "m", "1"]),
+    "b4": lambda: powerset_lattice(["x", "y"]),
+    "b8": lambda: powerset_lattice(["x", "y", "z"]),
+    "div12": lambda: divisor_lattice(12),
+    "chain4": lambda: chain_lattice(["0", "a", "b", "1"]),
+    "chain5": lambda: chain_lattice(["0", "a", "b", "c", "1"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PARTITIONED))
+def test_from_blocks_accepts_exactly_the_closed_partitions(name):
+    lat = PARTITIONED[name]()
+    accepted = 0
+    for labels in all_partitions(lat.size):
+        outcome = from_blocks_outcome(lat, labels)
+        assert outcome == closure_outcome(lat, labels), labels
+        accepted += isinstance(outcome, tuple)
+    assert accepted == lat.congruence_frame().size
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_from_blocks_on_random_partitions_of_downset_lattices(seed):
+    rng = Random(seed)
+    lat = downset_lattice(rng, rng.randint(2, 6))
+    n = lat.size
+    for _ in range(40):
+        k = rng.randint(1, n)
+        labels = tuple(rng.randrange(k) for _ in range(n))
+        assert from_blocks_outcome(lat, labels) == closure_outcome(lat, labels)
+        # the congruence generated by a few random pairs is accepted as it is
+        merges = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 2))]
+        generated = canonical(closure(lat, merges))
+        assert from_blocks_outcome(lat, generated) == generated

@@ -15,7 +15,7 @@ from locint.bridge import (
     from_localic,
     to_localic,
 )
-from locint.errors import AxiomViolation, MalformedDocument, NotIntegrable
+from locint.errors import AxiomViolation, MalformedDocument, NotIntegrable, SizeLimitExceeded
 from locint.integrate import INTEGRABLE_NOT_SUMMABLE, SUMMABLE
 from locint.rationals import NEG_INF, POS_INF
 from locint.simple import sf_add, sf_mul, sf_scale, to_cut_function
@@ -168,3 +168,21 @@ def test_unclosed_algebra_names_its_first_set_in_a_fixed_order():
     with pytest.raises(MalformedDocument,
                        match=r"^the algebra is not closed under complement at \['u'\]$"):
         FiniteMeasurableSpace.from_atom_weights(pts, sets, {s: F(1) for s in sets})
+
+
+def test_space_size_cap_boundary():
+    # 64 measurable sets are allowed: the powerset of 6 points, given as
+    # "powerset" or listed set by set; 7 points are beyond the cap
+    six = [f"p{i}" for i in range(6)]
+    space = FiniteMeasurableSpace.powerset(six, {p: F(1) for p in six})
+    assert len(space.algebra) == 64
+    listed = FiniteMeasurableSpace(six, space.algebra, space.lam)
+    assert listed.algebra == space.algebra
+    seven = six + ["p6"]
+    with pytest.raises(SizeLimitExceeded, match="^a powerset over 7 points exceeds the 64-set limit$"):
+        FiniteMeasurableSpace.powerset(seven, {p: F(1) for p in seven})
+    subsets = [frozenset(p for i, p in enumerate(seven) if m >> i & 1) for m in range(1 << 7)]
+    with pytest.raises(SizeLimitExceeded, match="^an algebra of 128 sets exceeds the 64-set limit$"):
+        FiniteMeasurableSpace.from_atom_weights(seven, subsets, {})
+    with pytest.raises(SizeLimitExceeded, match="^an algebra of 128 sets exceeds the 64-set limit$"):
+        FiniteMeasurableSpace(seven, subsets, {s: F(len(s)) for s in subsets})

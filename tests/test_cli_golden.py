@@ -100,6 +100,11 @@ COMMANDS = {
     "not_integrable": ["integrate", "--lattice", B4, "--measure", D + "mu_inf.json",
                        "--function", D + "f_signed.json"],
     "decompose_k0": ["decompose", "--function", "sample_docs/one.json", "--k", "0"],
+    # spaces beyond the 64-set cap
+    "space_powerset7": ["validate", "--space", D + "space_powerset7.json"],
+    "space_algebra65": ["validate", "--space", D + "space_algebra65.json"],
+    "bridge_powerset7": ["bridge", "--space", D + "space_powerset7.json",
+                         "--function", "sample_docs/fclassical.json"],
 }
 
 CASES = {f"{name}.{fmt}": argv + ["--format", fmt]

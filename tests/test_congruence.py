@@ -2,6 +2,7 @@ from itertools import product
 
 import pytest
 
+from _oracle import refines
 from locint.congruence import (
     Congruence,
     congruence_join,
@@ -119,7 +120,7 @@ def test_delta_reverses_order(b8):
     for a in b8.elements:
         for b in b8.elements:
             if b8.leq(a, b):
-                assert delta(b8, b).refines(delta(b8, a))
+                assert refines(delta(b8, b), delta(b8, a))
 
 
 def test_frame_is_boolean_at_this_scale(c3, b4, b8):
@@ -176,9 +177,11 @@ def test_explicit_partition_refs(b4):
 
 
 def test_validate_congruence_rejects_non_congruences(b4):
-    bad = Congruence.from_blocks(b4, [["0", "x"], ["y"], ["1"]])
-    with pytest.raises(MalformedDocument):
-        bad.validate_congruence()
+    # a partition enters only through from_blocks, which rejects it unless
+    # it is a congruence
+    with pytest.raises(MalformedDocument,
+                       match=r"^\{0,x\|y\|1\} is not a congruence of this lattice$"):
+        Congruence.from_blocks(b4, [["0", "x"], ["y"], ["1"]])
 
 
 def test_every_congruence_is_complemented_in_frame(c3, b4, b8):
@@ -216,3 +219,50 @@ def test_ref_names_round_trip_even_without_labels():
     middle = Congruence.from_blocks(c4, [["0"], ["a", "b"], ["1"]])
     assert view.ref_name(middle) == "blocks:0|a,b|1"
     assert view.resolve_ref("blocks:0|a,b|1") == middle
+
+
+def test_threads_racing_on_a_fresh_lattice_agree():
+    # the frame, the facade and the view are built on first use; eight
+    # threads start on a lattice that has built none of them
+    import sys
+    from fractions import Fraction
+    from threading import Barrier, Thread
+
+    from locint.corpus import divisor_lattice
+    from locint.integrate import integrate_simple
+    from locint.measure import validate_measure
+    from locint.simple import canonicalize
+
+    lat = divisor_lattice(60)
+    barrier = Barrier(8)
+    results = [None] * 8
+    errors = []
+
+    def work(k):
+        try:
+            barrier.wait(timeout=60)
+            frame = lat.congruence_frame()
+            facade = frame.as_lattice()
+            view = frame.view()
+            mu = validate_measure(view, {s: Fraction(bin(s.keep).count("1"))
+                                         for s in view.sublocales})
+            g = canonicalize(facade, [(Fraction(2), frame.nabla_of("4").partition_name()),
+                                      (Fraction(-1, 3), frame.delta_of("5").partition_name())])
+            results[k] = (facade.elements, [view.ref_name(s) for s in view.sublocales],
+                          [v for _, v in mu.items()], g.terms, integrate_simple(g, mu))
+        except Exception as exc:  # reported by the assertion below
+            errors.append(exc)
+
+    threads = [Thread(target=work, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert all(r == results[0] for r in results)

@@ -267,3 +267,28 @@ def test_cli_unclosed_algebra_exits_2_before_summing(tmp_path, capsys, monkeypat
     code, out, err = run_cli(capsys, "validate", "--space", space)
     assert code == 2 and out == ""
     assert err.startswith("error: the algebra is not closed under complement at [")
+
+
+@pytest.mark.parametrize("points, algebra, message", [
+    (40, "powerset", "a powerset over 40 points exceeds the 64-set limit"),
+    (7, "powerset", "a powerset over 7 points exceeds the 64-set limit"),
+    (63, "singletons", "an algebra of 65 sets exceeds the 64-set limit"),
+])
+def test_cli_space_cap_exits_2_before_building_any_table(tmp_path, capsys, monkeypatch,
+                                                          points, algebra, message):
+    # the weights are checked just before the powerset's subsets are
+    # built, so without the cap this fails before 2**40 sets are built
+    def beyond_the_cap(*args):
+        raise AssertionError("weights checked or summed for a space beyond the cap")
+
+    monkeypatch.setattr(bridge, "check_measure_value", beyond_the_cap)
+    monkeypatch.setattr(bridge, "subset_sums", beyond_the_cap)
+    names = [f"p{i}" for i in range(points)]
+    doc = {"points": names, "lambda": {p: "1" for p in names},
+           "algebra": "powerset" if algebra == "powerset" else [[p] for p in names]}
+    space = write(tmp_path, "space.json", doc)
+    fun = write(tmp_path, "f.json", {"kind": "classical", "values": {p: "1" for p in names}})
+    for argv in (["validate", "--space", space], ["bridge", "--space", space, "--function", fun]):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
