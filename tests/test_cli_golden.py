@@ -3,6 +3,8 @@ on the sample documents and on the documents in ``tests/golden/docs``.
 
 Each case runs ``cli.main`` in-process from the repository root and
 compares the exit code, stdout and stderr with ``tests/golden/<case>.out``.
+``locint verify --seed 0 --format json`` is recorded too, by its stdout
+alone (its stderr holds per-criterion timings), in ``verify_seed0.json.out``.
 To record the files again after an intended change of output, run
 ``PYTHONPATH=src python tests/test_cli_golden.py`` and review the diff."""
 
@@ -110,9 +112,12 @@ COMMANDS = {
 CASES = {f"{name}.{fmt}": argv + ["--format", fmt]
          for name, argv in COMMANDS.items() for fmt in ("text", "json")}
 
+VERIFY_CASE = "verify_seed0.json"
+VERIFY_ARGV = ["verify", "--seed", "0", "--format", "json"]
 
-def run(argv) -> str:
-    """Exit code, stdout and stderr of one in-process run, as one text."""
+
+def run_streams(argv):
+    """Exit code, stdout and stderr of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(ROOT)
@@ -121,7 +126,19 @@ def run(argv) -> str:
             code = main(list(argv))
     finally:
         os.chdir(cwd)
-    return f"exit: {code}\n--- stdout\n{out.getvalue()}--- stderr\n{err.getvalue()}"
+    return code, out.getvalue(), err.getvalue()
+
+
+def run(argv) -> str:
+    """Exit code, stdout and stderr of one in-process run, as one text."""
+    code, out, err = run_streams(argv)
+    return f"exit: {code}\n--- stdout\n{out}--- stderr\n{err}"
+
+
+def run_verify() -> str:
+    """Exit code and stdout of ``locint verify --seed 0 --format json``."""
+    code, out, _ = run_streams(VERIFY_ARGV)
+    return f"exit: {code}\n--- stdout\n{out}"
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
@@ -130,13 +147,19 @@ def test_cli_output_matches_golden_file(case):
     assert run(CASES[case]) == expected
 
 
+def test_verify_stdout_matches_golden_file():
+    expected = (GOLDEN / f"{VERIFY_CASE}.out").read_text(encoding="utf-8")
+    assert run_verify() == expected
+
+
 def test_every_golden_file_has_a_case():
-    assert sorted(p.stem for p in GOLDEN.glob("*.out")) == sorted(CASES)
+    assert sorted(p.stem for p in GOLDEN.glob("*.out")) == sorted([*CASES, VERIFY_CASE])
 
 
 def record() -> None:
     for case, argv in CASES.items():
         (GOLDEN / f"{case}.out").write_text(run(argv), encoding="utf-8")
+    (GOLDEN / f"{VERIFY_CASE}.out").write_text(run_verify(), encoding="utf-8")
 
 
 if __name__ == "__main__":
