@@ -11,9 +11,10 @@ t_0 < ... < t_{m-1} together with
 The defining relations of the frame of (extended) reals  --  the cuts meet
 to 0 when p >= q and join to 1 when p < q  --  reduce, for step ladders, to
 the two interval values being complements of each other; the constructor
-checks exactly that together with monotonicity, and then normalises away
-breakpoints where nothing changes.  Right-/left-constancy of the interval
-convention discharges the regularity relations.
+checks exactly that together with monotonicity, on the carrier's index
+tables, and then normalises away breakpoints where nothing changes.
+Right-/left-constancy of the interval convention discharges the regularity
+relations.
 
 Suprema over all rationals (in the addition and multiplication formulas)
 are evaluated exactly as finite joins: one operand's cut is constant on
@@ -40,7 +41,14 @@ from .rationals import NEG_INF, POS_INF, ExtValue, Infinite
 
 
 class CutFunction:
-    """An exact step function given by its two cut ladders."""
+    """An exact step function given by its two cut ladders.
+
+    The constructor resolves each ladder value to its element index once
+    (an unknown name raises MalformedDocument) and then checks, in this
+    order and on the carrier's index tables: the ladder lengths, strictly
+    increasing breakpoints, antitone upper and isotone lower ladders (the
+    ``_down`` bits), and the two cut relations on each interval (``_meet``
+    and ``_join``).  The hash is computed on the first ``hash()`` call."""
 
     __slots__ = ("carrier", "breakpoints", "upper", "lower", "_hash")
 
@@ -48,7 +56,7 @@ class CutFunction:
                  breakpoints: Sequence[Fraction],
                  upper: Sequence[str],
                  lower: Sequence[str]):
-        bp = tuple(Fraction(b) for b in breakpoints)
+        bp = tuple(b if isinstance(b, Fraction) else Fraction(b) for b in breakpoints)
         up = tuple(upper)
         lo = tuple(lower)
         if len(up) != len(bp) + 1 or len(lo) != len(bp) + 1:
@@ -56,19 +64,22 @@ class CutFunction:
         for i in range(len(bp) - 1):
             if not bp[i] < bp[i + 1]:
                 raise InvalidScale(f"breakpoints not strictly increasing at {bp[i]}")
-        for v in up + lo:
-            carrier.index(v)
+        index = carrier.index
+        ui = [index(v) for v in up]
+        li = [index(v) for v in lo]
+        down = carrier._down
         for i in range(len(bp)):
-            if not carrier.leq(up[i + 1], up[i]):
+            if not down[ui[i]] >> ui[i + 1] & 1:
                 raise InvalidScale(f"upper ladder is not antitone across {bp[i]}")
-            if not carrier.leq(lo[i], lo[i + 1]):
+            if not down[li[i + 1]] >> li[i] & 1:
                 raise InvalidScale(f"lower ladder is not isotone across {bp[i]}")
-        for i in range(len(bp) + 1):
-            if carrier.meet(up[i], lo[i]) != carrier.bottom:
+        meet, join, bot, top = carrier._meet, carrier._join, carrier._bottom, carrier._top
+        for i, (u, l) in enumerate(zip(ui, li)):
+            if meet[u][l] != bot:
                 raise InvalidScale(
                     f"cut relation (p,-) /\\ (-,q) = 0 fails on interval {i}: "
                     f"{up[i]!r} /\\ {lo[i]!r} != bottom")
-            if carrier.join(up[i], lo[i]) != carrier.top:
+            if join[u][l] != top:
                 raise InvalidScale(
                     f"cut relation (p,-) \\/ (-,q) = 1 fails on interval {i}: "
                     f"{up[i]!r} \\/ {lo[i]!r} != top")
@@ -77,7 +88,7 @@ class CutFunction:
         nup: List[str] = [up[0]]
         nlo: List[str] = [lo[0]]
         for i in range(len(bp)):
-            if up[i + 1] != nup[-1]:
+            if ui[i + 1] != ui[i]:
                 nbp.append(bp[i])
                 nup.append(up[i + 1])
                 nlo.append(lo[i + 1])
@@ -85,7 +96,7 @@ class CutFunction:
         self.breakpoints = tuple(nbp)
         self.upper = tuple(nup)
         self.lower = tuple(nlo)
-        self._hash = hash((self.breakpoints, self.upper))
+        self._hash = None
 
     # -- evaluation -------------------------------------------------------------
 
@@ -126,6 +137,8 @@ class CutFunction:
                 and (self.carrier is other.carrier or self.carrier == other.carrier))
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash((self.breakpoints, self.upper))
         return self._hash
 
     def __repr__(self) -> str:

@@ -182,6 +182,7 @@ def load_space(doc) -> FiniteMeasurableSpace:
         missing = [p for p in points if p not in weights]
         if missing:
             raise MalformedDocument(f"no weight for point(s) {missing!r}")
+        _reject_non_atoms(weights, points)
         return FiniteMeasurableSpace.powerset(points, weights)
     if isinstance(algebra, list):
         sets = []
@@ -198,8 +199,17 @@ def load_space(doc) -> FiniteMeasurableSpace:
             if key not in raw_lam:
                 raise MalformedDocument(f"no weight for atom {key!r}")
             atom_weights[a] = _extended(raw_lam[key], f"lambda[{key!r}]")
+        _reject_non_atoms(raw_lam, [subset_name(a, points) for a in atoms])
         return FiniteMeasurableSpace.from_atom_weights(points, sets, atom_weights)
     raise MalformedDocument('"algebra" must be "powerset" or a list of subsets')
+
+
+def _reject_non_atoms(weights, atoms) -> None:
+    """A lambda key must name an atom of the algebra (a point, for the
+    powerset), as for a measure's ``on_open_weights``."""
+    extra = [k for k in weights if k not in atoms]
+    if extra:
+        raise MalformedDocument(f"weights given for non-atoms {extra!r}")
 
 
 def load_classical_function(doc, space: FiniteMeasurableSpace) -> ClassicalSimpleFunction:

@@ -7,6 +7,15 @@ All ring operations work on the common refinement of the two covers and
 re-canonicalise; arbitrary (overlapping) representations are brought to
 canonical form by splitting the top into the cells of the Boolean
 subalgebra generated by the mentioned elements.
+
+Element names appear only at the boundary.  Inside, terms and cells are
+element indices of the carrier, read through its ``_idx``, ``_meet``,
+``_join`` and ``_comp`` tables: the O(t) canonicity check, the cell split,
+the refinement products and the one routine that groups cells by
+coefficient (``_grouped``), which names each resulting term once.  A term
+list that is canonical already is recognised by that O(t) check and needs
+no cell split.  Every ``SimpleFunction`` is checked for canonicity when it
+is built; its hash is computed on the first ``hash()`` call only.
 """
 
 from __future__ import annotations
@@ -38,16 +47,16 @@ class SimpleFunction:
     __slots__ = ("carrier", "terms", "_hash")
 
     def __init__(self, carrier: FiniteLattice, terms: Sequence[Tuple[Fraction, str]]):
-        if carrier.top == carrier.bottom:
+        if carrier._top == carrier._bottom:
             raise MalformedDocument("simple functions need a carrier with 0 != 1")
-        terms = tuple((r if isinstance(r, Fraction) else Fraction(r), a) for r, a in terms)
+        terms = _coerced(terms)
         if not terms:
             raise ConsistencyError("canonical form cannot be empty; zero is (0, top)")
         if not _is_canonical(carrier, terms):
             _raise_first_violation(carrier, terms)
         self.carrier = carrier
         self.terms = terms
-        self._hash = hash(terms)
+        self._hash = None
 
     def coefficients(self) -> Tuple[Fraction, ...]:
         return tuple(r for r, _ in self.terms)
@@ -67,10 +76,26 @@ class SimpleFunction:
                 and (self.carrier is other.carrier or self.carrier == other.carrier))
 
     def __hash__(self) -> int:
+        if self._hash is None:
+            self._hash = hash(self.terms)
         return self._hash
 
     def __repr__(self) -> str:
         return " + ".join(f"{r}*chi({a})" for r, a in self.terms)
+
+
+def _coerced(terms: Iterable[Tuple[Fraction, str]]) -> Tuple[Tuple[Fraction, str], ...]:
+    return tuple((r if isinstance(r, Fraction) else Fraction(r), a) for r, a in terms)
+
+
+def _checked(carrier: FiniteLattice, terms: Tuple[Tuple[Fraction, str], ...]) -> SimpleFunction:
+    """The function with these coerced terms, which have just passed
+    ``_is_canonical`` on a carrier with 0 != 1, without checking again."""
+    g = object.__new__(SimpleFunction)
+    g.carrier = carrier
+    g.terms = terms
+    g._hash = None
+    return g
 
 
 def _is_canonical(carrier: FiniteLattice, terms: Sequence[Tuple[Fraction, str]]) -> bool:
@@ -114,40 +139,59 @@ def _raise_first_violation(carrier: FiniteLattice, terms: Sequence[Tuple[Fractio
 # -- constructors ------------------------------------------------------------------
 
 
+def _grouped(carrier: FiniteLattice, cells: Iterable[Tuple[int, Fraction]]) -> SimpleFunction:
+    """Canonical form from a disjoint cover given by element index: merge
+    equal-coefficient cells by join, skip the bottom, sort, and name each
+    term once.  ``cells`` yields (cell index, coefficient) pairs."""
+    join, bot = carrier._join, carrier._bottom
+    by_coeff: Dict[Fraction, int] = {}
+    for cell, r in cells:
+        if cell == bot:
+            continue
+        other = by_coeff.setdefault(r, cell)  # one Fraction hash per new cell
+        if other != cell:
+            by_coeff[r] = join[other][cell]
+    if not by_coeff:
+        return zero(carrier)
+    names = carrier.elements
+    return SimpleFunction(carrier, [(r, names[c]) for r, c in sorted(by_coeff.items())])
+
+
 def from_cells(carrier: FiniteLattice, cells: Dict[str, Fraction]) -> SimpleFunction:
     """Canonical form from a disjoint cover: merge equal-coefficient cells
     by join and sort.  ``cells`` maps cell element -> coefficient."""
-    by_coeff: Dict[Fraction, str] = {}
-    for cell, r in cells.items():
-        if cell == carrier.bottom:
-            continue
-        by_coeff[r] = carrier.join(by_coeff[r], cell) if r in by_coeff else cell
-    if not by_coeff:
-        return SimpleFunction(carrier, ((Fraction(0), carrier.top),))
-    return SimpleFunction(carrier, tuple(sorted(by_coeff.items())))
+    return _grouped(carrier, [(carrier.index(cell), r) for cell, r in cells.items()])
 
 
 def canonicalize(carrier: FiniteLattice, terms: Iterable[Tuple[Fraction, str]]) -> SimpleFunction:
     """Canonical form of an arbitrary sum of scaled characteristics.
 
-    The top is split into the cells of the subalgebra generated by the
-    mentioned elements; each term adds its coefficient to the cells below
-    its element, and cells (including the residual coefficient-0 cell)
-    are regrouped by coefficient."""
-    cells: Dict[str, Fraction] = {carrier.top: Fraction(0)}
+    A term list that is canonical already (the O(t) ``_is_canonical``
+    check) is the answer, as the canonical form is unique; it is checked
+    once.  Any other list goes through the cell split: the top is split
+    into the cells of the subalgebra generated by the mentioned elements;
+    each term adds its coefficient to the cells below its element, and
+    cells (including the residual coefficient-0 cell) are regrouped by
+    coefficient.  The split runs on element indices; an unknown element
+    raises MalformedDocument and a non-complemented one NotComplemented."""
+    terms = _coerced(terms)
+    if carrier._top != carrier._bottom and _is_canonical(carrier, terms):
+        return _checked(carrier, terms)
+    idx, meet, bot = carrier._idx, carrier._meet, carrier._bottom
+    cells: Dict[int, Fraction] = {carrier._top: Fraction(0)}
     for r, a in terms:
-        ac = carrier.complement(a)  # NotComplemented for bad terms
-        r = Fraction(r)
-        nxt: Dict[str, Fraction] = {}
+        ac = carrier.complement(a)  # MalformedDocument or NotComplemented for bad terms
+        inside_row, outside_row = meet[idx[a]], meet[idx[ac]]
+        nxt: Dict[int, Fraction] = {}
         for cell, coeff in cells.items():
-            inside = carrier.meet(cell, a)
-            outside = carrier.meet(cell, ac)
-            if inside != carrier.bottom:
+            inside = inside_row[cell]
+            outside = outside_row[cell]
+            if inside != bot:
                 nxt[inside] = coeff + r
-            if outside != carrier.bottom:
+            if outside != bot:
                 nxt[outside] = coeff
         cells = nxt
-    return from_cells(carrier, cells)
+    return _grouped(carrier, cells.items())
 
 
 def zero(carrier: FiniteLattice) -> SimpleFunction:
@@ -171,13 +215,16 @@ def _on_refinement(g: SimpleFunction, h: SimpleFunction,
     check_same_carrier(g.carrier, h.carrier,
                        "the two simple functions live on different carriers")
     lat = g.carrier
-    cells: Dict[str, Fraction] = {}
+    idx, meet, bot = lat._idx, lat._meet, lat._bottom
+    h_terms = [(s, idx[b]) for s, b in h.terms]
+    cells = []
     for r, a in g.terms:
-        for s, b in h.terms:
-            cell = lat.meet(a, b)
-            if cell != lat.bottom:
-                cells[cell] = op(r, s)
-    return from_cells(lat, cells)
+        row = meet[idx[a]]
+        for s, b in h_terms:
+            cell = row[b]
+            if cell != bot:
+                cells.append((cell, op(r, s)))
+    return _grouped(lat, cells)
 
 
 def sf_add(g: SimpleFunction, h: SimpleFunction) -> SimpleFunction:
@@ -206,11 +253,13 @@ def sf_neg(g: SimpleFunction) -> SimpleFunction:
 
 
 def positive_part(g: SimpleFunction) -> SimpleFunction:
-    return from_cells(g.carrier, {a: r if r > 0 else Fraction(0) for r, a in g.terms})
+    idx = g.carrier._idx
+    return _grouped(g.carrier, [(idx[a], r if r > 0 else Fraction(0)) for r, a in g.terms])
 
 
 def negative_part(g: SimpleFunction) -> SimpleFunction:
-    return from_cells(g.carrier, {a: -r if r < 0 else Fraction(0) for r, a in g.terms})
+    idx = g.carrier._idx
+    return _grouped(g.carrier, [(idx[a], -r if r < 0 else Fraction(0)) for r, a in g.terms])
 
 
 def abs_simple(g: SimpleFunction) -> SimpleFunction:
@@ -225,18 +274,16 @@ def to_cut_function(g: SimpleFunction) -> CutFunction:
     step through the prefix joins of the cover at each coefficient, the
     upper cuts through the suffix joins."""
     lat = g.carrier
-    n = len(g.terms)
-    lower = [lat.bottom]
-    acc = lat.bottom
-    for _, a in g.terms:
-        acc = lat.join(acc, a)
-        lower.append(acc)
-    upper = [lat.bottom] * (n + 1)
-    acc = lat.bottom
-    for i in range(n - 1, -1, -1):
-        acc = lat.join(acc, g.terms[i][1])
-        upper[i] = acc
-    return CutFunction(lat, g.coefficients(), upper, lower)
+    idx, join, names = lat._idx, lat._join, lat.elements
+    cover = [idx[a] for _, a in g.terms]
+    lower = [lat._bottom]
+    for i in cover:
+        lower.append(join[lower[-1]][i])
+    upper = [lat._bottom]
+    for i in reversed(cover):
+        upper.append(join[upper[-1]][i])
+    return CutFunction(lat, g.coefficients(), [names[x] for x in reversed(upper)],
+                       [names[x] for x in lower])
 
 
 def cut_to_simple(f: CutFunction) -> SimpleFunction:
@@ -245,11 +292,9 @@ def cut_to_simple(f: CutFunction) -> SimpleFunction:
     if not f.is_finite():
         raise NotFinite("only finite functions are simple")
     lat = f.carrier
-    terms = []
-    for j, r in enumerate(f.breakpoints):
-        cell = lat.meet(f.upper[j], f.lower[j + 1])
-        terms.append((r, cell))
-    return SimpleFunction(lat, terms)
+    idx, meet, names = lat._idx, lat._meet, lat.elements
+    return SimpleFunction(lat, [(r, names[meet[idx[u]][idx[l]]])
+                                for r, u, l in zip(f.breakpoints, f.upper, f.lower[1:])])
 
 
 # -- decomposition of nonnegative functions ----------------------------------------------

@@ -1,6 +1,8 @@
 """Brute-force oracles: pointwise arithmetic over powerset carriers,
 congruences by union-find closure, the refinement order and meet of
-partitions, and measure tables built sublocale by sublocale.
+partitions, measure tables built sublocale by sublocale, and the
+name-based canonical form and ladder checks that the index-native ones
+replaced.
 
 Everything here is computed independently of the library's ladder,
 canonical-form and keep-mask algebra (plain set/dict comprehensions on the
@@ -12,6 +14,7 @@ from fractions import Fraction
 from locint.congruence import Congruence, nabla
 from locint.corpus import random_weight
 from locint.cutfunction import CutFunction
+from locint.errors import InvalidScale
 from locint.lattice import FiniteLattice, subset_name
 from locint.rationals import ext_add
 from locint.simple import SimpleFunction
@@ -253,3 +256,92 @@ def random_table(rng, view, inf_probability: float = 0.0) -> list:
                 total = ext_add(total, w)
         table.append(total)
     return table
+
+
+# -- name-based references for the index-native term and ladder code -----------
+#
+# canonicalize, the refinement products and the CutFunction checks as they
+# were written on element names (the lattice's meet/join/complement/leq by
+# name), before they moved onto the index tables.  The differential tests
+# compare the library with these: the same terms and ladders, or the same
+# exception class and message.
+
+
+def from_cells_by_names(carrier: FiniteLattice, cells) -> SimpleFunction:
+    """Merge equal-coefficient cells (name -> coefficient) by join, sort."""
+    by_coeff = {}
+    for cell, r in cells.items():
+        if cell == carrier.bottom:
+            continue
+        by_coeff[r] = carrier.join(by_coeff[r], cell) if r in by_coeff else cell
+    if not by_coeff:
+        return SimpleFunction(carrier, ((Fraction(0), carrier.top),))
+    return SimpleFunction(carrier, tuple(sorted(by_coeff.items())))
+
+
+def canonicalize_by_names(carrier: FiniteLattice, terms) -> SimpleFunction:
+    """Split the top into the cells of the subalgebra generated by the
+    term elements, add each coefficient to the cells below its element,
+    and regroup; every term goes through the split."""
+    cells = {carrier.top: Fraction(0)}
+    for r, a in terms:
+        ac = carrier.complement(a)
+        r = Fraction(r)
+        nxt = {}
+        for cell, coeff in cells.items():
+            inside = carrier.meet(cell, a)
+            outside = carrier.meet(cell, ac)
+            if inside != carrier.bottom:
+                nxt[inside] = coeff + r
+            if outside != carrier.bottom:
+                nxt[outside] = coeff
+        cells = nxt
+    return from_cells_by_names(carrier, cells)
+
+
+def refinement_by_names(g: SimpleFunction, h: SimpleFunction, op) -> SimpleFunction:
+    """op(r_i, s_j) on each nonzero cell a_i /\\ b_j of the common refinement."""
+    lat = g.carrier
+    cells = {}
+    for r, a in g.terms:
+        for s, b in h.terms:
+            cell = lat.meet(a, b)
+            if cell != lat.bottom:
+                cells[cell] = op(r, s)
+    return from_cells_by_names(lat, cells)
+
+
+def cut_ladders_by_names(carrier: FiniteLattice, breakpoints, upper, lower) -> tuple:
+    """(breakpoints, upper, lower) after the CutFunction checks, in their
+    order and with their messages, and its normalisation."""
+    bp = tuple(Fraction(b) for b in breakpoints)
+    up = tuple(upper)
+    lo = tuple(lower)
+    if len(up) != len(bp) + 1 or len(lo) != len(bp) + 1:
+        raise InvalidScale("each ladder needs exactly one value per interval")
+    for i in range(len(bp) - 1):
+        if not bp[i] < bp[i + 1]:
+            raise InvalidScale(f"breakpoints not strictly increasing at {bp[i]}")
+    for v in up + lo:
+        carrier.index(v)
+    for i in range(len(bp)):
+        if not carrier.leq(up[i + 1], up[i]):
+            raise InvalidScale(f"upper ladder is not antitone across {bp[i]}")
+        if not carrier.leq(lo[i], lo[i + 1]):
+            raise InvalidScale(f"lower ladder is not isotone across {bp[i]}")
+    for i in range(len(bp) + 1):
+        if carrier.meet(up[i], lo[i]) != carrier.bottom:
+            raise InvalidScale(
+                f"cut relation (p,-) /\\ (-,q) = 0 fails on interval {i}: "
+                f"{up[i]!r} /\\ {lo[i]!r} != bottom")
+        if carrier.join(up[i], lo[i]) != carrier.top:
+            raise InvalidScale(
+                f"cut relation (p,-) \\/ (-,q) = 1 fails on interval {i}: "
+                f"{up[i]!r} \\/ {lo[i]!r} != top")
+    nbp, nup, nlo = [], [up[0]], [lo[0]]
+    for i in range(len(bp)):
+        if up[i + 1] != nup[-1]:
+            nbp.append(bp[i])
+            nup.append(up[i + 1])
+            nlo.append(lo[i + 1])
+    return tuple(nbp), tuple(nup), tuple(nlo)

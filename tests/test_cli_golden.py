@@ -102,6 +102,8 @@ COMMANDS = {
     "not_integrable": ["integrate", "--lattice", B4, "--measure", D + "mu_inf.json",
                        "--function", D + "f_signed.json"],
     "decompose_k0": ["decompose", "--function", "sample_docs/one.json", "--k", "0"],
+    "space_powerset_extra": ["validate", "--space", D + "space_powerset_extra.json"],
+    "space_algebra_extra": ["validate", "--space", D + "space_algebra_extra.json"],
     # spaces beyond the 64-set cap
     "space_powerset7": ["validate", "--space", D + "space_powerset7.json"],
     "space_algebra65": ["validate", "--space", D + "space_algebra65.json"],

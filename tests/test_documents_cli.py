@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -83,6 +84,20 @@ def test_load_space_with_explicit_algebra():
                      "lambda": {"{x,y}": "5", "z": "7"}})
     assert len(sp.algebra) == 4
     assert sp.lam[frozenset(["x", "y", "z"])] == 12
+
+
+@pytest.mark.parametrize("algebra", ["powerset", [["x"], ["y"]], [["x", "y"]]])
+def test_load_space_rejects_lambda_keys_naming_no_atom(algebra):
+    atoms = ["x", "y"] if algebra != [["x", "y"]] else ["1"]
+    lam = {a: "1" for a in atoms}
+    load_space({"points": ["x", "y"], "algebra": algebra, "lambda": lam})
+    for extra in ("zzz", "{x,y}", "0"):
+        if extra in atoms:
+            continue
+        message = f"weights given for non-atoms [{extra!r}]"
+        with pytest.raises(MalformedDocument, match="^" + re.escape(message) + "$"):
+            load_space({"points": ["x", "y"], "algebra": algebra,
+                        "lambda": {**lam, extra: "5"}})
 
 
 def run_cli(capsys, *argv):

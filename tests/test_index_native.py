@@ -1,0 +1,197 @@
+"""Differential tests for the index-native term and ladder code.
+
+``canonicalize`` (with its fast path for canonical input), the refinement
+products, the positive and negative parts and the ``CutFunction`` checks
+run on element indices.  Each is compared here with the name-based code it
+replaced, kept in ``_oracle``: the same terms and ladders, or the same
+exception class and message.  Inputs come from the corpus, from seeded
+downset lattices, from congruence-frame facades C(L) and from the
+one-element carrier."""
+
+import operator
+from fractions import Fraction as F
+from random import Random
+
+import pytest
+
+import locint.simple as sf
+from _oracle import (
+    canonicalize_by_names,
+    cut_ladders_by_names,
+    downset_lattice,
+    refinement_by_names,
+)
+from locint.corpus import corpus_lattices, random_rational, random_simple
+from locint.cutfunction import CutFunction, constant
+from locint.lattice import FiniteLattice, chain_lattice
+from locint.rationals import NEG_INF, POS_INF
+
+ONE_POINT = FiniteLattice(["0"], [("0", "0")])
+
+
+def _carriers():
+    out = dict(corpus_lattices())
+    out["chain4"] = chain_lattice(["0", "a", "b", "1"])
+    for name in ("c3", "b4", "b8", "div12", "chain4"):
+        out[f"C({name})"] = out[name].congruence_frame().as_lattice()
+    rng = Random(5)
+    for k in range(8):
+        out[f"downset{k}"] = downset_lattice(rng, 1 + k % 5)
+    return out
+
+
+CARRIERS = _carriers()
+
+
+def outcome(fn, *args):
+    """("ok", value) or ("error", exception class, message)."""
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # the class and message are what is compared
+        return ("error", type(exc), str(exc))
+
+
+def terms_of(fn):
+    return lambda *args: fn(*args).terms
+
+
+def ladders_of(carrier, bp, upper, lower):
+    f = CutFunction(carrier, bp, upper, lower)
+    return f.breakpoints, f.upper, f.lower
+
+
+# -- term lists ----------------------------------------------------------------
+
+
+def _term_lists(rng, lat):
+    """Canonical, permuted, overlapping and broken term lists on lat."""
+    comp = lat.complemented_elements()
+    plain = [e for e in lat.elements if e not in comp]
+    lists = [[]]
+    for _ in range(12):
+        g = random_simple(rng, lat, max_parts=4)
+        lists.append(list(g.terms))
+        shuffled = list(g.terms)
+        rng.shuffle(shuffled)
+        lists.append(shuffled)
+        lists.append([(int(r) if r.denominator == 1 else r, a) for r, a in g.terms])
+    for _ in range(24):
+        terms = [(random_rational(rng, -4, 4), rng.choice(comp))
+                 for _ in range(rng.randint(1, 5))]
+        lists.append(terms)
+        broken = list(terms)
+        bad = "zzz" if not plain or rng.random() < 0.5 else rng.choice(plain)
+        broken.insert(rng.randrange(len(broken) + 1), (F(1), bad))
+        lists.append(broken)
+    # the top with a zero coefficient, the bottom, a repeated element
+    lists.append([(F(0), lat.top)])
+    lists.append([(F(2), lat.bottom), (F(1), lat.top)])
+    lists.append([(F(1), lat.top), (F(1), lat.top)])
+    return lists
+
+
+@pytest.mark.parametrize("name", sorted(CARRIERS))
+def test_canonicalize_matches_the_name_based_split(name):
+    lat = CARRIERS[name]
+    rng = Random(f"canonicalize-{name}")
+    for terms in _term_lists(rng, lat):
+        assert outcome(terms_of(sf.canonicalize), lat, terms) == \
+            outcome(terms_of(canonicalize_by_names), lat, terms), terms
+
+
+def test_canonical_input_comes_back_unchanged():
+    for name, lat in CARRIERS.items():
+        rng = Random(f"fast-{name}")
+        for _ in range(10):
+            g = random_simple(rng, lat, max_parts=4)
+            assert sf.canonicalize(lat, g.terms).terms == g.terms
+
+
+def test_one_element_carrier():
+    for terms in ([], [(F(1), "0")], [(F(1), "zzz")], [(1, "0"), (2, "0")]):
+        assert outcome(terms_of(sf.canonicalize), ONE_POINT, terms) == \
+            outcome(terms_of(canonicalize_by_names), ONE_POINT, terms)
+    for bp, up, lo in (((), ("0",), ("0",)), ((F(1),), ("0", "0"), ("0", "0")),
+                       ((), ("zzz",), ("0",)), ((), ("0", "0"), ("0",))):
+        assert outcome(ladders_of, ONE_POINT, bp, up, lo) == \
+            outcome(cut_ladders_by_names, ONE_POINT, bp, up, lo)
+
+
+@pytest.mark.parametrize("name", sorted(CARRIERS))
+def test_refinement_products_and_parts_match_the_name_based_code(name):
+    lat = CARRIERS[name]
+    rng = Random(f"ring-{name}")
+    for _ in range(20):
+        g, h = random_simple(rng, lat, max_parts=4), random_simple(rng, lat, max_parts=4)
+        assert sf.sf_add(g, h).terms == refinement_by_names(g, h, operator.add).terms
+        assert sf.sf_mul(g, h).terms == refinement_by_names(g, h, operator.mul).terms
+        zero = sf.zero(lat)
+        assert sf.positive_part(g).terms == refinement_by_names(g, zero, max).terms
+        assert sf.negative_part(g).terms == \
+            refinement_by_names(g, zero, lambda r, _: max(-r, F(0))).terms
+
+
+# -- ladders -------------------------------------------------------------------
+
+
+def _valid_ladders(rng, lat):
+    out = []
+    for value in (F(0), POS_INF, NEG_INF):
+        f = constant(value, lat)
+        out.append((f.breakpoints, f.upper, f.lower))
+    for _ in range(10):
+        f = sf.to_cut_function(random_simple(rng, lat, max_parts=4))
+        out.append((f.breakpoints, f.upper, f.lower))
+    return out
+
+
+def _perturbed(rng, lat, bp, up, lo):
+    """Ladders broken in each way the constructor checks, plus a redundant
+    breakpoint that normalisation drops and int breakpoints."""
+    bp, up, lo = list(bp), list(up), list(lo)
+    out = [(bp, up[:-1], lo), (bp, up, lo + [lat.top]),
+           ([int(b) if b.denominator == 1 else b for b in bp], up, lo)]
+    if len(bp) >= 2:
+        i = rng.randrange(len(bp) - 1)
+        swapped = list(bp)
+        swapped[i], swapped[i + 1] = swapped[i + 1], swapped[i]
+        out.append((swapped, up, lo))
+        out.append((bp[:i + 1] + [bp[i]] + bp[i + 2:], up, lo))
+    if bp:
+        j = rng.randrange(len(bp))
+        out.append((bp[:j + 1] + [bp[j] + F(1, 7)] + bp[j + 1:],
+                    up[:j + 1] + [up[j + 1]] + up[j + 1:],
+                    lo[:j + 1] + [lo[j + 1]] + lo[j + 1:]))
+    k = rng.randrange(len(up))
+    out.append((bp, up[:k] + ["zzz"] + up[k + 1:], lo))
+    out.append((bp, up, lo[:k] + ["zzz"] + lo[k + 1:]))
+    out.append((bp, up[:k] + ["zzz"] + up[k + 1:], lo[:k] + ["yyy"] + lo[k + 1:]))
+    for e in lat.elements:
+        out.append((bp, up[:k] + [e] + up[k + 1:], lo))
+        out.append((bp, up, lo[:k] + [e] + lo[k + 1:]))
+    if len(up) >= 2:
+        out.append((bp, list(reversed(up)), lo))
+        out.append((bp, up, list(reversed(lo))))
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(CARRIERS))
+def test_cut_function_checks_match_the_name_based_checks(name):
+    lat = CARRIERS[name]
+    rng = Random(f"ladders-{name}")
+    for bp, up, lo in _valid_ladders(rng, lat):
+        for args in [(bp, up, lo)] + _perturbed(rng, lat, bp, up, lo):
+            assert outcome(ladders_of, lat, *args) == \
+                outcome(cut_ladders_by_names, lat, *args), args
+
+
+def test_hashes_agree_with_equality():
+    lat = CARRIERS["div60"]
+    rng = Random(3)
+    for _ in range(20):
+        g = random_simple(rng, lat, max_parts=4)
+        same = sf.canonicalize(lat, reversed(g.terms))
+        assert same == g and hash(same) == hash(g) == hash(g.terms)
+        f, k = sf.to_cut_function(g), sf.to_cut_function(same)
+        assert f == k and hash(f) == hash(k) == hash((f.breakpoints, f.upper))
+        assert len({g, same}) == 1 and len({f, k}) == 1
