@@ -59,13 +59,10 @@ def cmd_validate(args) -> int:
              f"bottom={lattice.bottom}, top={lattice.top}, "
              f"boolean={'yes' if lattice.is_boolean() else 'no'}"]
     if args.measure:
-        doc = load_json(args.measure)
-        mu = load_measure(doc, view)
-        how = ("M1-M3 by construction from atom weights" if "on_open_weights" in doc
-               else "M1-M3 by the additive check over the atoms of S(L)")
+        mu = load_measure(load_json(args.measure), view)
         report["measure"] = {"sublocales": len(mu.view.sublocales)}
         lines.append(f"measure: valid on {len(mu.view.sublocales)} sublocales "
-                     f"({how}, M4 by finiteness)")
+                     "(M1-M3 by additivity over the atoms of S(L), M4 by finiteness)")
     if args.function:
         fn = load_function(load_json(args.function), lattice, view)
         kind = "finite" if fn.cut.is_finite() else "extended"
@@ -163,7 +160,7 @@ def cmd_indefinite(args) -> int:
     eta = indefinite_integral(fn.as_simple(), mu)
     rows = [(view.ref_name(s), format_extended(v)) for s, v in eta.items()]
     lines = [f"{ref} -> {v}" for ref, v in rows]
-    lines.append("measure axioms: M1 ok, M2 ok, M3 ok (additive check over the atoms of S(L)), "
+    lines.append("measure axioms: M1 ok, M2 ok, M3 ok (by additivity over the atoms of S(L)), "
                  "M4 by finiteness")
     _emit(args, lines, {"values": {ref: v for ref, v in rows}, "valid_measure": True})
     return 0

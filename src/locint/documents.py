@@ -24,7 +24,7 @@ from .congruence import SublocaleView
 from .cutfunction import CutFunction, constant
 from .errors import MalformedDocument, NotFinite
 from .lattice import FiniteLattice, build_lattice, subset_name
-from .measure import Measure, measure_from_weights, validate_measure
+from .measure import Measure, measure_from_weights, reject_non_atoms, validate_measure
 from .rationals import is_finite, parse_extended, parse_rational
 from .simple import (
     SimpleFunction,
@@ -182,7 +182,7 @@ def load_space(doc) -> FiniteMeasurableSpace:
         missing = [p for p in points if p not in weights]
         if missing:
             raise MalformedDocument(f"no weight for point(s) {missing!r}")
-        _reject_non_atoms(weights, points)
+        reject_non_atoms(weights, points)
         return FiniteMeasurableSpace.powerset(points, weights)
     if isinstance(algebra, list):
         sets = []
@@ -199,17 +199,9 @@ def load_space(doc) -> FiniteMeasurableSpace:
             if key not in raw_lam:
                 raise MalformedDocument(f"no weight for atom {key!r}")
             atom_weights[a] = _extended(raw_lam[key], f"lambda[{key!r}]")
-        _reject_non_atoms(raw_lam, [subset_name(a, points) for a in atoms])
+        reject_non_atoms(raw_lam, [subset_name(a, points) for a in atoms])
         return FiniteMeasurableSpace.from_atom_weights(points, sets, atom_weights)
     raise MalformedDocument('"algebra" must be "powerset" or a list of subsets')
-
-
-def _reject_non_atoms(weights, atoms) -> None:
-    """A lambda key must name an atom of the algebra (a point, for the
-    powerset), as for a measure's ``on_open_weights``."""
-    extra = [k for k in weights if k not in atoms]
-    if extra:
-        raise MalformedDocument(f"weights given for non-atoms {extra!r}")
 
 
 def load_classical_function(doc, space: FiniteMeasurableSpace) -> ClassicalSimpleFunction:

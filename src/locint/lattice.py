@@ -98,12 +98,8 @@ class FiniteLattice:
                 common_up = up[a] & up[b]
                 j = self._extreme(common_up, up, elements[a], elements[b], "join")
                 join[a][b] = join[b][a] = j
-        # Rows are bytes while every index fits in one (up to 256 elements,
-        # so every lattice and facade the size caps allow): a bytes row
-        # takes about an eighth of the memory of a tuple row.
-        row = bytes if n <= 256 else tuple
-        self._meet = tuple(row(r) for r in meet)
-        self._join = tuple(row(r) for r in join)
+        self._meet = tuple(tuple(row) for row in meet)
+        self._join = tuple(tuple(row) for row in join)
 
         bot = 0
         top = 0

@@ -18,7 +18,7 @@ test.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, Mapping, Sequence, Tuple
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
 from .congruence import Congruence, SublocaleView
 from .errors import AxiomViolation, ConsistencyError, MalformedDocument, NotBoolean
@@ -147,7 +147,13 @@ def measure_from_weights(view: SublocaleView, weights: Mapping[str, ExtValue]) -
     missing = [a for a in atoms if a not in weights]
     if missing:
         raise MalformedDocument(f"no weight for atom(s) {missing!r}")
+    reject_non_atoms(weights, atoms)
+    return additive_measure(view, [weights[lat.elements[j]] for j in lat._jirr])
+
+
+def reject_non_atoms(weights: Iterable[str], atoms: Sequence[str]) -> None:
+    """Every key of an atom-weight map (a measure's ``on_open_weights``, a
+    space's ``lambda``) must name an atom."""
     extra = [a for a in weights if a not in atoms]
     if extra:
         raise MalformedDocument(f"weights given for non-atoms {extra!r}")
-    return additive_measure(view, [weights[lat.elements[j]] for j in lat._jirr])

@@ -88,16 +88,6 @@ def _coerced(terms: Iterable[Tuple[Fraction, str]]) -> Tuple[Tuple[Fraction, str
     return tuple((r if isinstance(r, Fraction) else Fraction(r), a) for r, a in terms)
 
 
-def _checked(carrier: FiniteLattice, terms: Tuple[Tuple[Fraction, str], ...]) -> SimpleFunction:
-    """The function with these coerced terms, which have just passed
-    ``_is_canonical`` on a carrier with 0 != 1, without checking again."""
-    g = object.__new__(SimpleFunction)
-    g.carrier = carrier
-    g.terms = terms
-    g._hash = None
-    return g
-
-
 def _is_canonical(carrier: FiniteLattice, terms: Sequence[Tuple[Fraction, str]]) -> bool:
     """Fast path, O(t) on the index tables: ascending coefficients, and
     each a_k complemented, nonzero and disjoint from a_1 \\/ ... \\/ a_{k-1}
@@ -167,16 +157,17 @@ def canonicalize(carrier: FiniteLattice, terms: Iterable[Tuple[Fraction, str]]) 
     """Canonical form of an arbitrary sum of scaled characteristics.
 
     A term list that is canonical already (the O(t) ``_is_canonical``
-    check) is the answer, as the canonical form is unique; it is checked
-    once.  Any other list goes through the cell split: the top is split
+    check) is the answer, as the canonical form is unique, and needs no
+    cell split; the constructor checks it as it checks every function.
+    Any other list goes through the cell split: the top is split
     into the cells of the subalgebra generated by the mentioned elements;
     each term adds its coefficient to the cells below its element, and
     cells (including the residual coefficient-0 cell) are regrouped by
     coefficient.  The split runs on element indices; an unknown element
     raises MalformedDocument and a non-complemented one NotComplemented."""
     terms = _coerced(terms)
-    if carrier._top != carrier._bottom and _is_canonical(carrier, terms):
-        return _checked(carrier, terms)
+    if _is_canonical(carrier, terms):
+        return SimpleFunction(carrier, terms)
     idx, meet, bot = carrier._idx, carrier._meet, carrier._bottom
     cells: Dict[int, Fraction] = {carrier._top: Fraction(0)}
     for r, a in terms:

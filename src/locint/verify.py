@@ -184,6 +184,10 @@ def criterion_canonical(seed: int) -> str:
         lat = names[i % len(names)]
         g = random_simple(rng, lat, coeff_lo=-6, coeff_hi=6)
         check(canonicalize(lat, g.terms) == g, "canonicalize is not idempotent")
+        # a zero term on the top makes the list non-canonical, so this runs
+        # the cell split on a canonical cover
+        check(canonicalize(lat, list(g.terms) + [(0, lat.top)]) == g,
+              "the cell split does not keep a canonical form")
         permuted = list(g.terms)
         rng.shuffle(permuted)
         check(canonicalize(lat, permuted) == g,

@@ -10,7 +10,6 @@ from locint.errors import (
 )
 from locint.lattice import (
     build_lattice,
-    chain_lattice,
     lattice_from_order,
     powerset_lattice,
     subset_name,
@@ -122,15 +121,3 @@ def test_powerset_against_set_arithmetic(s, t):
     assert lat.join(ns, nt) == subset_name(s | t, atoms)
     assert lat.leq(ns, nt) == (s <= t)
     assert lat.complement(ns) == subset_name(set(atoms) - s, atoms)
-
-
-@pytest.mark.parametrize("n", [256, 257])
-def test_tables_on_both_sides_of_the_one_byte_row_limit(n):
-    """Rows are bytes up to 256 elements and tuples beyond; the chain's
-    meet and join are min and max either way."""
-    names = [f"e{i}" for i in range(n)]
-    lat = chain_lattice(names)
-    last = n - 1
-    for a, b in ((0, last), (3, 200), (last, last - 1), (255, last)):
-        assert lat.meet(names[a], names[b]) == names[min(a, b)]
-        assert lat.join(names[a], names[b]) == names[max(a, b)]
