@@ -12,9 +12,8 @@ sublocales (open sublocales keep their classical value)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .congruence import SublocaleView
 from .errors import AxiomViolation, ConsistencyError, MalformedDocument, SizeLimitExceeded
@@ -302,8 +301,7 @@ def extend_measure(space: FiniteMeasurableSpace) -> Measure:
     return additive_measure(space.view(), [space.lam[space.algebra[j]] for j in lat._jirr])
 
 
-@dataclass(frozen=True)
-class BridgeReport:
+class BridgeReport(NamedTuple):
     """Both integrals side by side, with their classifications."""
 
     classical_value: Optional[ExtValue]

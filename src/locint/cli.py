@@ -14,7 +14,6 @@ import json
 import sys
 from typing import List, Optional
 
-from . import verify as verify_mod
 from .bridge import bridge_check
 from .documents import (
     load_classical_function,
@@ -214,8 +213,10 @@ def cmd_bridge(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    results = verify_mod.run_all(seed=args.seed)
-    lines = verify_mod.format_lines(results)
+    from .verify import format_lines, run_all  # the suite and its corpus load only here
+
+    results = run_all(seed=args.seed)
+    lines = format_lines(results)
     payload = {"seed": args.seed,
                "criteria": [{"number": r.number, "name": r.name,
                              "passed": r.passed, "detail": r.detail}

@@ -25,19 +25,19 @@ reaches its supremum over that piece at the piece's end.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     ComplementationFailure,
     ConsistencyError,
+    InvalidArgument,
     InvalidScale,
     NegativeOperand,
     NotFinite,
 )
 from .lattice import FiniteLattice, check_same_carrier
-from .rationals import NEG_INF, POS_INF, ExtValue, Infinite
+from .rationals import ExtValue, Infinite
 
 
 class CutFunction:
@@ -114,17 +114,6 @@ class CutFunction:
     def is_nonnegative(self) -> bool:
         """f >= 0, i.e. f(p,-) = 1 for every p < 0."""
         return self.upper[bisect_left(self.breakpoints, Fraction(0))] == self.carrier.top
-
-    def constant_value(self) -> Optional[ExtValue]:
-        """The value if this is a constant function, else None."""
-        lat = self.carrier
-        if not self.breakpoints:
-            if lat.top == lat.bottom:
-                return Fraction(0)
-            return POS_INF if self.upper[0] == lat.top else NEG_INF
-        if len(self.breakpoints) == 1 and self.upper == (lat.top, lat.bottom):
-            return self.breakpoints[0]
-        return None
 
     def to_scale(self) -> "SigmaScale":
         """r |-> f(-,r) as a scale, with the upper cuts as witnesses."""
@@ -365,7 +354,7 @@ def _join_cuts(fs: Sequence[CutFunction], name: str, reps, cut, label: str):
     over the family at each t in reps(grid), and the complement of each."""
     fs = list(fs)
     if not fs:
-        raise ValueError(f"{name} needs at least one function")
+        raise InvalidArgument(f"{name} needs at least one function")
     for g in fs[1:]:
         check_same_carrier(fs[0].carrier, g.carrier, _DIFFERENT_CARRIERS)
     lat = fs[0].carrier
@@ -386,22 +375,26 @@ def _join_cuts(fs: Sequence[CutFunction], name: str, reps, cut, label: str):
 # -- sequences and limits -------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FunctionSequence:
-    """A sequence given by a finite prefix and a declared constant tail;
-    the k-th member is prefix[k] for k below the stabilization index and
-    the tail from there on."""
-
+class _FunctionSequenceFields(NamedTuple):
     prefix: Tuple[CutFunction, ...]
     tail: CutFunction
 
-    def __post_init__(self):
-        for f in self.prefix:
-            check_same_carrier(f.carrier, self.tail.carrier, _DIFFERENT_CARRIERS)
 
-    @property
-    def stabilization_index(self) -> int:
-        return len(self.prefix)
+class FunctionSequence(_FunctionSequenceFields):
+    """A sequence given by a finite prefix and a declared constant tail;
+    the k-th member is prefix[k] for k below len(prefix) and the tail from
+    there on."""
+
+    __slots__ = ()
+
+    def __new__(cls, prefix: Tuple[CutFunction, ...], tail: CutFunction):
+        for f in prefix:
+            check_same_carrier(f.carrier, tail.carrier, _DIFFERENT_CARRIERS)
+        return super().__new__(cls, prefix, tail)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace runs the check as well
+        return cls(*fields)
 
     def at(self, k: int) -> CutFunction:
         return self.prefix[k] if k < len(self.prefix) else self.tail
@@ -421,23 +414,30 @@ def limits(seq: FunctionSequence) -> Tuple[CutFunction, CutFunction, Optional[Cu
 # -- scales ------------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SigmaScale:
-    """A finite-scale map r |-> phi(r) with witnesses c_r, both stored as
-    left-constant step functions over a shared threshold grid: value i
-    applies on the piece (t_{i-1}, t_i]."""
-
+class _SigmaScaleFields(NamedTuple):
     carrier: FiniteLattice
     thresholds: Tuple[Fraction, ...]
     phi: Tuple[str, ...]
     witness: Tuple[str, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "thresholds", tuple(Fraction(t) for t in self.thresholds))
-        object.__setattr__(self, "phi", tuple(self.phi))
-        object.__setattr__(self, "witness", tuple(self.witness))
-        if len(self.phi) != len(self.thresholds) + 1 or len(self.witness) != len(self.phi):
+
+class SigmaScale(_SigmaScaleFields):
+    """A finite-scale map r |-> phi(r) with witnesses c_r, both stored as
+    left-constant step functions over a shared threshold grid: value i
+    applies on the piece (t_{i-1}, t_i]."""
+
+    __slots__ = ()
+
+    def __new__(cls, carrier: FiniteLattice, thresholds, phi, witness):
+        thresholds = tuple(Fraction(t) for t in thresholds)
+        phi, witness = tuple(phi), tuple(witness)
+        if len(phi) != len(thresholds) + 1 or len(witness) != len(phi):
             raise InvalidScale("a scale needs one phi and one witness value per piece")
+        return super().__new__(cls, carrier, thresholds, phi, witness)
+
+    @classmethod
+    def _make(cls, fields):  # so that _replace runs the checks as well
+        return cls(*fields)
 
     def _piece_sample(self, i: int) -> Fraction:
         t = self.thresholds

@@ -12,9 +12,8 @@ of the two definitions is a testable fact rather than an assumption.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .congruence import Congruence, SublocaleView
 from .cutfunction import CutFunction, constant, join_meet, negate
@@ -51,8 +50,7 @@ NOT_INTEGRABLE = "not-integrable"
 _SIMPLE_OFF_FRAME = "the simple function does not live on the measure's congruence frame"
 
 
-@dataclass(frozen=True)
-class SummabilityReport:
+class SummabilityReport(NamedTuple):
     """Integrals of the two parts and the resulting classification."""
 
     positive_part: ExtValue
@@ -60,8 +58,7 @@ class SummabilityReport:
     classification: str
 
 
-@dataclass(frozen=True)
-class RestrictionWitness:
+class RestrictionWitness(NamedTuple):
     """Both sides of the restriction-versus-product identity."""
 
     restricted: ExtValue

@@ -196,12 +196,6 @@ class FiniteLattice:
     def join(self, a: str, b: str) -> str:
         return self.elements[self._join[self.index(a)][self.index(b)]]
 
-    def meet_all(self, items: Iterable[str]) -> str:
-        acc = self._top
-        for x in items:
-            acc = self._meet[acc][self.index(x)]
-        return self.elements[acc]
-
     def join_all(self, items: Iterable[str]) -> str:
         acc = self._bottom
         for x in items:
@@ -366,13 +360,12 @@ def build_lattice(doc) -> FiniteLattice:
             raise MalformedDocument('"elements" must be a list of strings')
         if not isinstance(pairs, list):
             raise MalformedDocument('"leq" must be a list of [a, b] pairs')
-        cleaned = []
         for p in pairs:
-            if not (isinstance(p, (list, tuple)) and len(p) == 2):
+            if not (isinstance(p, (list, tuple)) and len(p) == 2
+                    and isinstance(p[0], str) and isinstance(p[1], str)):
                 raise MalformedDocument(f"bad order pair: {p!r}")
-            cleaned.append((p[0], p[1]))
         if len(elements) > SOFT_SIZE_LIMIT:
             raise SizeLimitExceeded(
                 f"{len(elements)} elements exceeds the {SOFT_SIZE_LIMIT}-element limit")
-        return lattice_from_order(elements, cleaned)
+        return lattice_from_order(elements, pairs)
     raise MalformedDocument(f'unknown lattice kind {kind!r} (expected "powerset" or "poset")')

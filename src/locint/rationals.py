@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Union
 
 
 class UndefinedSum(ArithmeticError):
@@ -81,20 +81,12 @@ def format_extended(v: ExtValue) -> str:
     return repr(v) if isinstance(v, Infinite) else str(v)
 
 
-def ext_neg(v: ExtValue) -> ExtValue:
-    return -v
-
-
 def ext_le(a: ExtValue, b: ExtValue) -> bool:
     if isinstance(a, Infinite):
         return a.sign < 0 or (isinstance(b, Infinite) and b.sign > 0)
     if isinstance(b, Infinite):
         return b.sign > 0
     return a <= b
-
-
-def ext_lt(a: ExtValue, b: ExtValue) -> bool:
-    return ext_le(a, b) and not ext_le(b, a)
 
 
 def ext_add(a: ExtValue, b: ExtValue) -> ExtValue:
@@ -118,10 +110,3 @@ def ext_scale(r: Fraction, v: ExtValue) -> ExtValue:
             return Fraction(0)
         return v if r > 0 else -v
     return r * v
-
-
-def ext_sum(values: Iterable[ExtValue]) -> ExtValue:
-    total: ExtValue = Fraction(0)
-    for v in values:
-        total = ext_add(total, v)
-    return total

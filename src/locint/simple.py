@@ -21,9 +21,8 @@ is built; its hash is computed on the first ``hash()`` call only.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cutfunction import CutFunction
 from .errors import (
@@ -66,9 +65,6 @@ class SimpleFunction:
 
     def is_nonnegative(self) -> bool:
         return self.terms[0][0] >= 0
-
-    def is_zero(self) -> bool:
-        return len(self.terms) == 1 and self.terms[0][0] == 0
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SimpleFunction)
@@ -291,8 +287,7 @@ def cut_to_simple(f: CutFunction) -> SimpleFunction:
 # -- decomposition of nonnegative functions ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class DecompositionStep:
+class DecompositionStep(NamedTuple):
     """One stage of the increasing approximation: the new cell a_k, the
     accumulated stage f_k, and (for finite input) the sup coefficient of
     the residual f - f_k."""

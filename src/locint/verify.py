@@ -10,10 +10,9 @@ lists, never a tolerance.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 from fractions import Fraction
 from random import Random
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List, NamedTuple, Tuple
 
 from . import cutfunction as cf
 from . import simple as sf
@@ -462,8 +461,7 @@ def criterion_general(seed: int) -> str:
 # -- runner ---------------------------------------------------------------------------------------------------
 
 
-@dataclass
-class CriterionResult:
+class CriterionResult(NamedTuple):
     number: int
     name: str
     passed: bool

@@ -109,6 +109,8 @@ COMMANDS = {
     "space_algebra65": ["validate", "--space", D + "space_algebra65.json"],
     "bridge_powerset7": ["bridge", "--space", D + "space_powerset7.json",
                          "--function", "sample_docs/fclassical.json"],
+    # an order pair with a non-string member
+    "leq_nonstring": ["congruences", "--lattice", D + "leq_nonstring.json"],
 }
 
 CASES = {f"{name}.{fmt}": argv + ["--format", fmt]

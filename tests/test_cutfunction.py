@@ -8,9 +8,11 @@ import locint.cutfunction as cf
 from _oracle import cut_from_pointwise, padd, pjoin, pmeet, pmul, pscale
 from locint.errors import (
     CarrierMismatch,
+    InvalidArgument,
     InvalidScale,
     NegativeOperand,
     NotFinite,
+    ValidationFailure,
 )
 from locint.lattice import powerset_lattice
 from locint.rationals import NEG_INF, POS_INF
@@ -137,6 +139,14 @@ def test_seq_inf_sup_examples(b4):
     assert cf.seq_sup(consts) == cf.constant(F(3), b4)
     decreasing = [cf.constant(F(1, n), b4) for n in (1, 2, 3)]
     assert cf.seq_inf(decreasing) == cf.constant(F(1, 3), b4)
+
+
+@pytest.mark.parametrize("fn", [cf.seq_inf, cf.seq_sup])
+def test_seq_inf_sup_reject_an_empty_family(fn):
+    with pytest.raises(InvalidArgument, match=f"^{fn.__name__} needs at least one function$"):
+        fn([])
+    assert issubclass(InvalidArgument, ValidationFailure)
+    assert issubclass(InvalidArgument, ValueError)
 
 
 def test_seq_inf_never_needs_missing_complements_on_frames(b4, c3):

@@ -103,6 +103,13 @@ def test_build_lattice_document_errors():
         build_lattice({"kind": "poset", "elements": ["a"], "leq": [["a", "b"]]})
 
 
+@pytest.mark.parametrize("pair", [["a", ["b"]], [["a"], "b"], ["a", 1], [None, "b"],
+                                  ["a", {"b": 1}]])
+def test_build_lattice_rejects_non_string_pair_members(pair):
+    with pytest.raises(MalformedDocument, match=r"^bad order pair: "):
+        build_lattice({"kind": "poset", "elements": ["a", "b"], "leq": [pair]})
+
+
 def test_atoms_and_booleanness(b8, c3):
     assert set(b8.atoms()) == {"x", "y", "z"}
     assert b8.is_boolean()

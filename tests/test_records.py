@@ -1,0 +1,130 @@
+"""The contract of the library's immutable records: the ``Name(field=value,
+...)`` repr, equality and hash by value, no assignment to a field, and
+the checks and coercions that ``FunctionSequence`` and ``SigmaScale`` run
+at construction."""
+
+from fractions import Fraction as F
+
+import pytest
+
+from locint import cutfunction as cf
+from locint.bridge import BridgeReport
+from locint.errors import CarrierMismatch, InvalidScale
+from locint.integrate import RestrictionWitness, SummabilityReport
+from locint.lattice import powerset_lattice
+from locint.rationals import POS_INF
+from locint.simple import DecompositionStep, constant_simple, decompose_trace
+from locint.verify import CriterionResult
+
+
+def summable(pos=F(1, 2)):
+    return SummabilityReport(pos, F(0), "summable")
+
+
+def records(b4):
+    """One instance of each frozen record, built afresh on every call."""
+    one = cf.constant(F(1), b4)
+    chi_x = cf.characteristic("x", b4)
+    return [
+        summable(),
+        RestrictionWitness(F(3, 4), F(3, 4)),
+        DecompositionStep(1, "x", constant_simple(F(1), b4), None),
+        BridgeReport(F(1, 2), F(1, 2), summable(), summable()),
+        cf.FunctionSequence((chi_x, one), one),
+        cf.SigmaScale(b4, (F(0), F(1)), ("0", "y", "1"), ("1", "x", "0")),
+    ]
+
+
+def test_repr_names_every_field_in_order(b4):
+    rep = summable()
+    assert repr(rep) == ("SummabilityReport(positive_part=Fraction(1, 2), "
+                         "negative_part=Fraction(0, 1), classification='summable')")
+    assert repr(RestrictionWitness(F(3, 4), POS_INF)) == (
+        f"RestrictionWitness(restricted=Fraction(3, 4), multiplied={POS_INF!r})")
+    stage = constant_simple(F(1), b4)
+    assert repr(DecompositionStep(1, "x", stage, None)) == (
+        f"DecompositionStep(k=1, cell='x', stage={stage!r}, residual_sup=None)")
+    assert repr(BridgeReport(F(1, 2), None, rep, rep)) == (
+        f"BridgeReport(classical_value=Fraction(1, 2), localic_value=None, "
+        f"classical={rep!r}, localic={rep!r})")
+    one = cf.constant(F(1), b4)
+    assert repr(cf.FunctionSequence((one,), one)) == (
+        f"FunctionSequence(prefix=({one!r},), tail={one!r})")
+    assert repr(cf.SigmaScale(b4, (F(3),), ("0", "1"), ("1", "0"))) == (
+        f"SigmaScale(carrier={b4!r}, thresholds=(Fraction(3, 1),), "
+        "phi=('0', '1'), witness=('1', '0'))")
+    assert repr(CriterionResult(1, "tables", True, "ok", 0.5)) == (
+        "CriterionResult(number=1, name='tables', passed=True, detail='ok', seconds=0.5)")
+
+
+def test_equality_and_hash_by_value(b4):
+    for a, b in zip(records(b4), records(b4)):
+        assert a is not b
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+    assert summable() != summable(F(1, 3))
+    assert RestrictionWitness(F(1), F(2)) != RestrictionWitness(F(2), F(1))
+    assert len(set(records(b4) + records(b4))) == len(records(b4))
+    passed = CriterionResult(1, "tables", True, "ok", 0.5)
+    assert passed == CriterionResult(1, "tables", True, "ok", 0.5)
+    assert passed != CriterionResult(1, "tables", False, "ok", 0.5)
+
+
+def test_fields_cannot_be_assigned(b4):
+    for rec in records(b4):
+        for field in type(rec).__match_args__ + ("extra",):
+            with pytest.raises(AttributeError):
+                setattr(rec, field, None)
+
+
+def test_library_builds_equal_records(b4):
+    steps = decompose_trace(cf.constant(F(1), b4), 3)
+    assert steps == decompose_trace(cf.constant(F(1), b4), 3)
+    assert steps[1] == DecompositionStep(2, b4.top, constant_simple(F(1, 2), b4), F(1, 2))
+    assert RestrictionWitness(F(1), F(1)).equal
+    assert not RestrictionWitness(F(1), F(2)).equal
+    assert BridgeReport(F(1), F(1), summable(), summable()).equal
+    assert not BridgeReport(F(1), F(2), summable(), summable()).equal
+    assert not BridgeReport(F(1), F(1), summable(),
+                            SummabilityReport(POS_INF, F(0), "integrable-not-summable")).equal
+
+
+def test_function_sequence_rejects_mixed_carriers(b4):
+    other = powerset_lattice(["p", "q"])
+    with pytest.raises(CarrierMismatch, match="^the two functions live on different carriers$"):
+        cf.FunctionSequence((cf.constant(F(1), other),), cf.constant(F(1), b4))
+    seq = cf.FunctionSequence((cf.constant(F(2), b4),), cf.constant(F(1), b4))
+    assert seq.at(0) == cf.constant(F(2), b4)
+    assert seq.at(5) == seq.tail
+
+
+@pytest.mark.parametrize("thresholds, phi, witness", [
+    ((F(0),), ("0",), ("1",)),
+    ((F(0),), ("0", "1", "1"), ("1", "0", "0")),
+    ((F(0),), ("0", "1"), ("1",)),
+    ((), ("0",), ("1", "0")),
+])
+def test_sigma_scale_rejects_wrong_lengths(b4, thresholds, phi, witness):
+    with pytest.raises(InvalidScale,
+                       match="^a scale needs one phi and one witness value per piece$"):
+        cf.SigmaScale(b4, thresholds, phi, witness)
+
+
+def test_sigma_scale_coerces_its_fields(b4):
+    sc = cf.SigmaScale(b4, [0, "1/2"], ["0", "y", "1"], iter(["1", "x", "0"]))
+    assert sc.thresholds == (F(0), F(1, 2))
+    assert all(type(t) is F for t in sc.thresholds)
+    assert sc.phi == ("0", "y", "1")
+    assert sc.witness == ("1", "x", "0")
+    assert sc == cf.SigmaScale(b4, (F(0), F(1, 2)), ("0", "y", "1"), ("1", "x", "0"))
+
+
+def test_replace_runs_the_construction_checks(b4):
+    one = cf.constant(F(1), b4)
+    seq = cf.FunctionSequence((one,), one)
+    with pytest.raises(CarrierMismatch):
+        seq._replace(tail=cf.constant(F(1), powerset_lattice(["p", "q"])))
+    sc = cf.SigmaScale(b4, (F(3),), ("0", "1"), ("1", "0"))
+    assert sc._replace(thresholds=[1]).thresholds == (F(1),)
+    with pytest.raises(InvalidScale):
+        sc._replace(phi=("0",))
