@@ -20,7 +20,7 @@ from .errors import AxiomViolation, ConsistencyError, MalformedDocument, SizeLim
 from .integrate import NOT_INTEGRABLE, SummabilityReport, classify, report_value, summability
 from .lattice import SOFT_SIZE_LIMIT, FiniteLattice, subset_name
 from .measure import Measure, additive_measure, check_measure_value, subset_sums
-from .rationals import ExtValue, ext_add, ext_scale, format_extended
+from .rationals import ExtValue, ext_add, ext_scale, format_extended, parse_rational
 from .simple import SimpleFunction
 
 
@@ -187,7 +187,7 @@ class ClassicalSimpleFunction:
         extra = [p for p in values if p not in space.points]
         if extra:
             raise MalformedDocument(f"values for unknown point(s) {extra!r}")
-        self.values = {p: Fraction(values[p]) for p in space.points}
+        self.values = {p: parse_rational(values[p]) for p in space.points}
         algebra = set(space.algebra)
         for _, level in self.level_sets():
             if level not in algebra:

@@ -19,13 +19,17 @@ relations.
 Suprema over all rationals (in the addition and multiplication formulas)
 are evaluated exactly as finite joins: one operand's cut is constant on
 each piece of the other's grid, and the other operand's monotone cut
-reaches its supremum over that piece at the piece's end.
+reaches its supremum over that piece at the piece's end.  The kernels run
+on ints: the operands' breakpoints go over one common denominator D, the
+grids are merged, sorted and bisected as ints, ladders are read by element
+index, and a ``Fraction`` is built only for each output breakpoint.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import accumulate
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
@@ -37,7 +41,7 @@ from .errors import (
     NotFinite,
 )
 from .lattice import FiniteLattice, check_same_carrier
-from .rationals import ExtValue, Infinite
+from .rationals import ZERO, ExtValue, Infinite, over_common_denominator, parse_rational
 
 
 class CutFunction:
@@ -48,21 +52,23 @@ class CutFunction:
     order and on the carrier's index tables: the ladder lengths, strictly
     increasing breakpoints, antitone upper and isotone lower ladders (the
     ``_down`` bits), and the two cut relations on each interval (``_meet``
-    and ``_join``).  The hash is computed on the first ``hash()`` call."""
+    and ``_join``).  The kernels read the ladders by index (``_up``,
+    ``_lo``).  The hash is computed on the first ``hash()`` call."""
 
-    __slots__ = ("carrier", "breakpoints", "upper", "lower", "_hash")
+    __slots__ = ("carrier", "breakpoints", "upper", "lower", "_up", "_lo", "_hash")
 
     def __init__(self, carrier: FiniteLattice,
                  breakpoints: Sequence[Fraction],
                  upper: Sequence[str],
                  lower: Sequence[str]):
-        bp = tuple(b if isinstance(b, Fraction) else Fraction(b) for b in breakpoints)
+        bp = tuple([b if type(b) is Fraction else parse_rational(b) for b in breakpoints])
         up = tuple(upper)
         lo = tuple(lower)
         if len(up) != len(bp) + 1 or len(lo) != len(bp) + 1:
             raise InvalidScale("each ladder needs exactly one value per interval")
-        for i in range(len(bp) - 1):
-            if not bp[i] < bp[i + 1]:
+        ratios = [b.as_integer_ratio() for b in bp]
+        for i, ((n, d), (n1, d1)) in enumerate(zip(ratios, ratios[1:])):
+            if not n * d1 < n1 * d:
                 raise InvalidScale(f"breakpoints not strictly increasing at {bp[i]}")
         index = carrier.index
         ui = [index(v) for v in up]
@@ -84,18 +90,15 @@ class CutFunction:
                     f"cut relation (p,-) \\/ (-,q) = 1 fails on interval {i}: "
                     f"{up[i]!r} \\/ {lo[i]!r} != top")
         # normalise: drop breakpoints across which nothing changes
-        nbp: List[Fraction] = []
-        nup: List[str] = [up[0]]
-        nlo: List[str] = [lo[0]]
-        for i in range(len(bp)):
-            if ui[i + 1] != ui[i]:
-                nbp.append(bp[i])
-                nup.append(up[i + 1])
-                nlo.append(lo[i + 1])
+        kept = [i for i in range(len(bp)) if ui[i + 1] != ui[i]]
+        if len(kept) < len(bp):
+            pieces = [0] + [i + 1 for i in kept]
+            bp = tuple([bp[i] for i in kept])
+            up, lo = tuple([up[i] for i in pieces]), tuple([lo[i] for i in pieces])
+            ui, li = [ui[i] for i in pieces], [li[i] for i in pieces]
         self.carrier = carrier
-        self.breakpoints = tuple(nbp)
-        self.upper = tuple(nup)
-        self.lower = tuple(nlo)
+        self.breakpoints, self.upper, self.lower = bp, up, lo
+        self._up, self._lo = tuple(ui), tuple(li)
         self._hash = None
 
     # -- evaluation -------------------------------------------------------------
@@ -113,7 +116,7 @@ class CutFunction:
 
     def is_nonnegative(self) -> bool:
         """f >= 0, i.e. f(p,-) = 1 for every p < 0."""
-        return self.upper[bisect_left(self.breakpoints, Fraction(0))] == self.carrier.top
+        return self.upper[bisect_left(self.breakpoints, ZERO)] == self.carrier.top
 
     def to_scale(self) -> "SigmaScale":
         """r |-> f(-,r) as a scale, with the upper cuts as witnesses."""
@@ -135,19 +138,23 @@ class CutFunction:
         return f"CutFunction(upper={self.upper[0]}|{pieces})"
 
 
-# -- grid helpers ---------------------------------------------------------------
+# -- int grids: breakpoints times a common denominator D ----------------------------
 
 
-def _lower_reps(bp: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    if not bp:
-        return (Fraction(0),)
-    return tuple(bp) + (bp[-1] + 1,)
+def _int_grids(fs: Sequence[CutFunction]) -> Tuple[int, List[List[int]], dict]:
+    """(D, each function's breakpoints times D, merged int -> Fraction)."""
+    den, ints = over_common_denominator([b for f in fs for b in f.breakpoints])
+    grids, k = [], 0
+    for f in fs:
+        grids.append(ints[k:k + len(f.breakpoints)])
+        k += len(f.breakpoints)
+    return den, grids, dict(zip(ints, (b for f in fs for b in f.breakpoints)))
 
 
-def _upper_reps(bp: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-    if not bp:
-        return (Fraction(0),)
-    return (bp[0] - 1,) + tuple(bp)
+def _reps(grid: Sequence[int], den: int) -> Tuple[List[int], List[int]]:
+    """One int per piece of the right-constant (upper) and of the
+    left-constant (lower) ladders on a sorted int grid."""
+    return ([grid[0] - den, *grid], [*grid, grid[-1] + den]) if grid else ([0], [0])
 
 
 _DIFFERENT_CARRIERS = "the two functions live on different carriers"
@@ -170,42 +177,45 @@ def characteristic(a: str, carrier: FiniteLattice) -> CutFunction:
     """chi_a for complemented a: 1 on p < 0, a on [0,1), 0 from 1 on."""
     ac = carrier.complement(a)
     top, bot = carrier.top, carrier.bottom
-    return CutFunction(carrier, (Fraction(0), Fraction(1)),
-                       (top, a, bot), (bot, ac, top))
+    return CutFunction(carrier, (ZERO, Fraction(1)), (top, a, bot), (bot, ac, top))
 
 
-# -- order ------------------------------------------------------------------------
+# -- order and lattice operations ---------------------------------------------------
+
+
+def _merged_pieces(f: CutFunction, g: CutFunction):
+    """(merged grid, (f, g) index pairs per upper piece, and per lower piece)."""
+    check_same_carrier(f.carrier, g.carrier, _DIFFERENT_CARRIERS)
+    den, (fb, gb), value = _int_grids((f, g))
+    grid = sorted(value)
+    ur, lr = _reps(grid, den)
+    fu, fl, gu, gl = f._up, f._lo, g._up, g._lo
+    ups = [(fu[bisect_right(fb, p)], gu[bisect_right(gb, p)]) for p in ur]
+    lows = [(fl[bisect_left(fb, q)], gl[bisect_left(gb, q)]) for q in lr]
+    return [value[t] for t in grid], ups, lows
 
 
 def leq(f: CutFunction, g: CutFunction) -> bool:
     """f <= g iff f(p,-) <= g(p,-) everywhere; the dual lower-ladder
     comparison is computed as well and cross-checked."""
-    check_same_carrier(f.carrier, g.carrier, _DIFFERENT_CARRIERS)
-    lat = f.carrier
-    grid = sorted(set(f.breakpoints) | set(g.breakpoints))
-    by_upper = all(lat.leq(f.upper_at(p), g.upper_at(p)) for p in _upper_reps(grid))
-    by_lower = all(lat.leq(g.lower_at(q), f.lower_at(q)) for q in _lower_reps(grid))
+    _, ups, lows = _merged_pieces(f, g)
+    down = f.carrier._down
+    by_upper = all(down[gu] >> fu & 1 for fu, gu in ups)
+    by_lower = all(down[fl] >> gl & 1 for fl, gl in lows)
     if by_upper != by_lower:
         raise ConsistencyError("upper and lower order tests disagree")
     return by_upper
 
 
-# -- lattice operations -------------------------------------------------------------
-
-
 def join_meet(f: CutFunction, g: CutFunction) -> Tuple[CutFunction, CutFunction]:
     """(f \\/ g, f /\\ g) computed pointwise on the merged grid."""
-    check_same_carrier(f.carrier, g.carrier, _DIFFERENT_CARRIERS)
+    grid, ups, lows = _merged_pieces(f, g)
     lat = f.carrier
-    grid = sorted(set(f.breakpoints) | set(g.breakpoints))
-    ur = _upper_reps(grid)
-    lr = _lower_reps(grid)
-    fj = CutFunction(lat, grid,
-                     [lat.join(f.upper_at(p), g.upper_at(p)) for p in ur],
-                     [lat.meet(f.lower_at(q), g.lower_at(q)) for q in lr])
-    fm = CutFunction(lat, grid,
-                     [lat.meet(f.upper_at(p), g.upper_at(p)) for p in ur],
-                     [lat.join(f.lower_at(q), g.lower_at(q)) for q in lr])
+    meet, join, names = lat._meet, lat._join, lat.elements
+    fj = CutFunction(lat, grid, [names[join[a][b]] for a, b in ups],
+                     [names[meet[a][b]] for a, b in lows])
+    fm = CutFunction(lat, grid, [names[meet[a][b]] for a, b in ups],
+                     [names[join[a][b]] for a, b in lows])
     return fj, fm
 
 
@@ -221,10 +231,10 @@ def negate(f: CutFunction) -> CutFunction:
 def scale(lam: Fraction, f: CutFunction) -> CutFunction:
     """lam * f via (lam f)(p,-) = f(p/lam,-) for lam > 0; negation composed
     in for lam < 0; the zero scalar collapses to the constant 0."""
-    lam = Fraction(lam)
-    if lam == 0:
-        return constant(Fraction(0), f.carrier)
-    if lam < 0:
+    lam = parse_rational(lam)
+    if not lam.numerator:
+        return constant(ZERO, f.carrier)
+    if lam.numerator < 0:
         return negate(scale(-lam, f))
     return CutFunction(f.carrier, tuple(lam * b for b in f.breakpoints), f.upper, f.lower)
 
@@ -245,28 +255,26 @@ def add(f: CutFunction, g: CutFunction) -> CutFunction:
     lat = f.carrier
     if not f.breakpoints or not g.breakpoints:
         return f  # only over the one-element carrier
-    meet, join, idx, bot = lat._meet, lat._join, lat._idx, lat._bottom
-    b = g.breakpoints
-    bp = sorted({x + y for x in f.breakpoints for y in b})
-    g_lower = [idx[v] for v in g.lower[1:]]
-    g_upper = [idx[v] for v in g.upper[:-1]]
+    meet, join, names, bot = lat._meet, lat._join, lat.elements, lat._bottom
+    den, (fb, gb), _ = _int_grids((f, g))
+    grid = sorted({x + y for x in fb for y in gb})
+    fu, fl = f._up, f._lo
+    g_lower = list(zip(gb, g._lo[1:]))
+    g_upper = list(zip(gb, g._up))
+    ur, lr = _reps(grid, den)
     lower = []
-    for q in _lower_reps(bp):
+    for q in lr:
         acc = bot
-        for bj, gl in zip(b, g_lower):
-            acc = join[acc][meet[idx[f.lower_at(q - bj)]][gl]]
-        lower.append(lat.elements[acc])
+        for bj, gl in g_lower:
+            acc = join[acc][meet[fl[bisect_left(fb, q - bj)]][gl]]
+        lower.append(names[acc])
     upper = []
-    for p in _upper_reps(bp):
+    for p in ur:
         acc = bot
-        for bj, gu in zip(b, g_upper):
-            acc = join[acc][meet[idx[f.upper_at(p - bj)]][gu]]
-        upper.append(lat.elements[acc])
-    return CutFunction(lat, bp, upper, lower)
-
-
-def sub(f: CutFunction, g: CutFunction) -> CutFunction:
-    return add(f, negate(g))
+        for bj, gu in g_upper:
+            acc = join[acc][meet[fu[bisect_right(fb, p - bj)]][gu]]
+        upper.append(names[acc])
+    return CutFunction(lat, [Fraction(t, den) for t in grid], upper, lower)
 
 
 def mul_nonneg(f: CutFunction, g: CutFunction) -> CutFunction:
@@ -278,7 +286,8 @@ def mul_nonneg(f: CutFunction, g: CutFunction) -> CutFunction:
     meeting (0, +inf), with f sampled once at the end of each piece: at
     q/b_{j-1} for the lower cuts (+inf on the piece reaching down to 0) and
     at p/b_j for the upper cuts (the unbounded piece drops out, as g is
-    finite)."""
+    finite).  The products are ints over D * D, and for an int a of f's
+    grid a < q/b_j iff a < ceil(q/b_j), a <= p/b_j iff a <= floor(p/b_j)."""
     check_same_carrier(f.carrier, g.carrier, _DIFFERENT_CARRIERS)
     if not (f.is_nonnegative() and g.is_nonnegative()):
         raise NegativeOperand("multiplication needs nonnegative operands")
@@ -287,33 +296,34 @@ def mul_nonneg(f: CutFunction, g: CutFunction) -> CutFunction:
     lat = f.carrier
     if not f.breakpoints or not g.breakpoints:
         return f
-    meet, join, idx, bot = lat._meet, lat._join, lat._idx, lat._bottom
-    b = g.breakpoints
-    first = bisect_right(b, Fraction(0))  # the piece of g reaching down to 0
-    pos = b[first:]
-    bp = sorted({Fraction(0)} | {x * y for x in f.breakpoints for y in pos if x > 0})
-    g_lower = [idx[v] for v in g.lower[first:]]
-    g_upper = [idx[v] for v in g.upper[first:-1]]
-    f_at_inf = idx[f.lower[-1]]
+    meet, join, names, bot = lat._meet, lat._join, lat.elements, lat._bottom
+    den, (fb, gb), _ = _int_grids((f, g))
+    first = bisect_right(gb, 0)  # the piece of g reaching down to 0
+    pos = gb[first:]
+    grid = sorted({0} | {x * y for x in fb if x > 0 for y in pos})
+    fu, fl = f._up, f._lo
+    g_lower = g._lo[first:]
+    g_upper = list(zip(pos, g._up[first:]))
+    ur, lr = _reps(grid, den * den)
     lower = []
-    for q in _lower_reps(bp):
+    for q in lr:
         if q <= 0:
             lower.append(lat.bottom)
             continue
-        acc = meet[f_at_inf][g_lower[0]]
+        acc = meet[fl[-1]][g_lower[0]]
         for bj, gl in zip(pos, g_lower[1:]):
-            acc = join[acc][meet[idx[f.lower_at(q / bj)]][gl]]
-        lower.append(lat.elements[acc])
+            acc = join[acc][meet[fl[bisect_left(fb, -(-q // bj))]][gl]]
+        lower.append(names[acc])
     upper = []
-    for p in _upper_reps(bp):
+    for p in ur:
         if p < 0:
             upper.append(lat.top)
             continue
         acc = bot
-        for bj, gu in zip(pos, g_upper):
-            acc = join[acc][meet[idx[f.upper_at(p / bj)]][gu]]
-        upper.append(lat.elements[acc])
-    return CutFunction(lat, bp, upper, lower)
+        for bj, gu in g_upper:
+            acc = join[acc][meet[fu[bisect_right(fb, p // bj)]][gu]]
+        upper.append(names[acc])
+    return CutFunction(lat, [Fraction(t, den * den) for t in grid], upper, lower)
 
 
 def pos_neg_abs(f: CutFunction) -> Tuple[CutFunction, CutFunction, CutFunction]:
@@ -321,7 +331,7 @@ def pos_neg_abs(f: CutFunction) -> Tuple[CutFunction, CutFunction, CutFunction]:
     the decomposition f = f+ - f- is verified before returning."""
     if not f.is_finite():
         raise NotFinite("positive/negative parts need a finite function")
-    zero = constant(Fraction(0), f.carrier)
+    zero = constant(ZERO, f.carrier)
     fp = join_meet(f, zero)[0]
     fn = join_meet(negate(f), zero)[0]
     fa = add(fp, fn)
@@ -337,39 +347,48 @@ def seq_inf(fs: Sequence[CutFunction]) -> CutFunction:
     """Meet of a finite family: the lower cuts are the joins
     sup_n f_n(-,q), which must be complemented; the upper cuts are their
     complements (the value of sup_{r>p} (sup_n f_n(-,r))^c on each interval)."""
-    lat, grid, lower, upper = _join_cuts(fs, "seq_inf", _lower_reps, CutFunction.lower_at,
-                                         "lower cuts at q")
+    lat, grid, lower, upper = _join_cuts(fs, "seq_inf", upper=False)
     return CutFunction(lat, grid, upper, lower)
 
 
 def seq_sup(fs: Sequence[CutFunction]) -> CutFunction:
     """Join of a finite family; dual to seq_inf on the upper ladders."""
-    lat, grid, upper, lower = _join_cuts(fs, "seq_sup", _upper_reps, CutFunction.upper_at,
-                                         "upper cuts at p")
+    lat, grid, upper, lower = _join_cuts(fs, "seq_sup", upper=True)
     return CutFunction(lat, grid, upper, lower)
 
 
-def _join_cuts(fs: Sequence[CutFunction], name: str, reps, cut, label: str):
-    """(carrier, merged grid, joins, complements): the join of cut(f, t)
-    over the family at each t in reps(grid), and the complement of each."""
+def _join_cuts(fs: Sequence[CutFunction], name: str, upper: bool):
+    """(carrier, merged grid, joins, complements): the join over the family
+    of the upper (or lower) cuts at each piece of the merged grid, and the
+    complement of each."""
     fs = list(fs)
     if not fs:
         raise InvalidArgument(f"{name} needs at least one function")
     for g in fs[1:]:
         check_same_carrier(fs[0].carrier, g.carrier, _DIFFERENT_CARRIERS)
     lat = fs[0].carrier
-    grid = sorted(set().union(*(set(f.breakpoints) for f in fs)))
-    joined = []
-    comps = []
-    for t in reps(grid):
-        v = lat.join_all(cut(f, t) for f in fs)
-        c = lat.complement_or_none(v)
+    join, comp, names = lat._join, lat._comp, lat.elements
+    den, grids, value = _int_grids(fs)
+    grid = sorted(value)
+    ur, lr = _reps(grid, den)
+    if upper:
+        reps, cut, label = ur, bisect_right, "upper cuts at p"
+    else:
+        reps, cut, label = lr, bisect_left, "lower cuts at q"
+    family = [(fb, f._up if upper else f._lo) for fb, f in zip(grids, fs)]
+    joined, comps = [], []
+    for t in reps:
+        acc = lat._bottom
+        for fb, ladder in family:
+            acc = join[acc][ladder[cut(fb, t)]]
+        c = comp[acc]
         if c is None:
             raise ComplementationFailure(
-                f"sup of {label}={t} is not complemented (element {v!r})")
-        joined.append(v)
-        comps.append(c)
-    return lat, grid, joined, comps
+                f"sup of {label}={Fraction(t, den)} is not complemented "
+                f"(element {names[acc]!r})")
+        joined.append(names[acc])
+        comps.append(names[c])
+    return lat, [value[t] for t in grid], joined, comps
 
 
 # -- sequences and limits -------------------------------------------------------------
@@ -388,6 +407,7 @@ class FunctionSequence(_FunctionSequenceFields):
     __slots__ = ()
 
     def __new__(cls, prefix: Tuple[CutFunction, ...], tail: CutFunction):
+        prefix = tuple(prefix)
         for f in prefix:
             check_same_carrier(f.carrier, tail.carrier, _DIFFERENT_CARRIERS)
         return super().__new__(cls, prefix, tail)
@@ -429,7 +449,7 @@ class SigmaScale(_SigmaScaleFields):
     __slots__ = ()
 
     def __new__(cls, carrier: FiniteLattice, thresholds, phi, witness):
-        thresholds = tuple(Fraction(t) for t in thresholds)
+        thresholds = tuple(map(parse_rational, thresholds))
         phi, witness = tuple(phi), tuple(witness)
         if len(phi) != len(thresholds) + 1 or len(witness) != len(phi):
             raise InvalidScale("a scale needs one phi and one witness value per piece")
@@ -441,9 +461,7 @@ class SigmaScale(_SigmaScaleFields):
 
     def _piece_sample(self, i: int) -> Fraction:
         t = self.thresholds
-        if not t:
-            return Fraction(0)
-        return t[i] if i < len(t) else t[-1] + 1
+        return t[i] if i < len(t) else t[-1] + 1 if t else ZERO
 
     def validate(self) -> None:
         """Check the two scale laws on the piece grid:
@@ -453,8 +471,6 @@ class SigmaScale(_SigmaScaleFields):
         for i in range(n):
             for j in range(i, n):
                 s, r = self._piece_sample(i), self._piece_sample(j)
-                if i == j:
-                    s = r
                 if lat.meet(self.phi[i], self.witness[j]) != lat.bottom:
                     raise InvalidScale(
                         f"phi({s}) /\\ c({r}) != 0 "
@@ -481,15 +497,6 @@ def from_sigma_scale(scale: SigmaScale) -> CutFunction:
     f(-,q) = sup_{r<q} phi(r) (prefix joins of phi)."""
     scale.validate()
     lat = scale.carrier
-    n = len(scale.phi)
-    lower = []
-    acc = lat.bottom
-    for i in range(n):
-        acc = lat.join(acc, scale.phi[i])
-        lower.append(acc)
-    upper = [None] * n
-    acc = lat.bottom
-    for i in range(n - 1, -1, -1):
-        acc = lat.join(acc, scale.witness[i])
-        upper[i] = acc
+    lower = list(accumulate(scale.phi, lat.join))
+    upper = list(accumulate(reversed(scale.witness), lat.join))[::-1]
     return CutFunction(lat, scale.thresholds, upper, lower)

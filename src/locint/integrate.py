@@ -5,9 +5,13 @@ r_i * chi(theta_i) where each term element theta_i is the complement of
 the congruence of a sublocale S_i; its integral over a sublocale S is
 sum_i r_i * mu(S_i /\\ S) with the 0 * inf = 0 convention.  The signed case
 goes through the positive/negative parts: it is integrable when at least
-one part has finite integral, summable when both do.  The same code path
-serves nonnegative functions (whose negative part is zero), so agreement
-of the two definitions is a testable fact rather than an assumption.
+one part has finite integral, summable when both do.  The parts are summed
+straight from the signed canonical terms (the positive part's terms are
+g's positive terms plus a 0-cell, which adds 0), and each part is one
+integer numerator over the product of the denominators, made a
+``Fraction`` once.  The same code path serves nonnegative functions (whose
+negative part is zero), so agreement of the two definitions is a testable
+fact rather than an assumption.
 """
 
 from __future__ import annotations
@@ -25,23 +29,17 @@ from .errors import (
 from .lattice import check_same_carrier
 from .measure import Measure, validate_measure
 from .rationals import (
-    ExtValue,
     POS_INF,
-    ext_add,
+    ZERO,
+    ExtValue,
+    Infinite,
     ext_le,
-    ext_scale,
     ext_sub,
     format_extended,
     is_finite,
+    parse_rational,
 )
-from .simple import (
-    SimpleFunction,
-    canonicalize,
-    negative_part,
-    positive_part,
-    sf_mul,
-    to_cut_function,
-)
+from .simple import SimpleFunction, canonicalize, sf_mul, to_cut_function
 
 SUMMABLE = "summable"
 INTEGRABLE_NOT_SUMMABLE = "integrable-not-summable"
@@ -103,22 +101,31 @@ def _term_measure(measure: Measure, element: str, over: int) -> ExtValue:
     return measure.value_by_index(frame._pos[~q_i & over])
 
 
-def _nonneg_sum(g: SimpleFunction, measure: Measure, over: int) -> ExtValue:
-    """sum_i r_i mu(S_i /\\ S) for canonical nonnegative g (0 * inf = 0)."""
-    total: ExtValue = Fraction(0)
-    for r, element in g.terms:
-        total = ext_add(total, ext_scale(r, _term_measure(measure, element, over)))
-    return total
+def _signed_sums(terms, measure: Measure, over: int) -> Tuple[ExtValue, ExtValue]:
+    """(sum of r * mu(S_i /\\ S) over the terms with r > 0, sum of -r * mu
+    over those with r < 0), 0 * inf = 0.  A measure value is a Fraction >= 0
+    or +inf, so a part is +inf or an int over the product of denominators."""
+    parts = [[0, 1], [0, 1]]  # numerator and denominator for r > 0, r < 0
+    for r, element in terms:
+        n, d = r.as_integer_ratio()
+        if not n:
+            continue
+        part = parts[n < 0]
+        m = _term_measure(measure, element, over)
+        if isinstance(m, Infinite):
+            part[1] = 0  # +inf, absorbing
+        elif part[1]:
+            mn, md = m.as_integer_ratio()
+            part[0] = part[0] * d * md + abs(n) * mn * part[1]
+            part[1] *= d * md
+    return tuple(Fraction(num, den) if den else POS_INF for num, den in parts)
 
 
 def summability(g: SimpleFunction, measure: Measure,
                 over: Optional[Congruence] = None) -> SummabilityReport:
     """Part-wise integrals and classification; never raises for defined input."""
     check_same_carrier(g.carrier, measure.view.frame.as_lattice(), _SIMPLE_OFF_FRAME)
-    q = _keep_of(measure, over)
-    pos = _nonneg_sum(positive_part(g), measure, q)
-    neg = _nonneg_sum(negative_part(g), measure, q)
-    return classify(pos, neg)
+    return classify(*_signed_sums(g.terms, measure, _keep_of(measure, over)))
 
 
 def integrate_simple(g: SimpleFunction, measure: Measure,
@@ -141,16 +148,8 @@ def integral_of_representation(view: SublocaleView,
             if lat.meet(a, b) != lat.bottom:
                 raise ConsistencyError(
                     f"representation terms {a!r}, {b!r} are not disjoint")
-    pos: ExtValue = Fraction(0)
-    neg: ExtValue = Fraction(0)
-    for r, element in terms:
-        r = Fraction(r)
-        contribution = ext_scale(abs(r), _term_measure(measure, element, q))
-        if r >= 0:
-            pos = ext_add(pos, contribution)
-        else:
-            neg = ext_add(neg, contribution)
-    return report_value(classify(pos, neg))
+    terms = [(parse_rational(r), element) for r, element in terms]
+    return report_value(classify(*_signed_sums(terms, measure, q)))
 
 
 def characteristic_of_sublocale(view: SublocaleView, s: Congruence) -> SimpleFunction:
@@ -180,7 +179,7 @@ def indefinite_integral(g: SimpleFunction, measure: Measure) -> Measure:
         raise NotNonnegative("the indefinite integral needs a nonnegative function")
     check_same_carrier(g.carrier, measure.view.frame.as_lattice(), _SIMPLE_OFF_FRAME)
     view = measure.view
-    values = {s: _nonneg_sum(g, measure, s.keep) for s in view.sublocales}
+    values = {s: _signed_sums(g.terms, measure, s.keep)[0] for s in view.sublocales}
     return validate_measure(view, values)
 
 
@@ -192,12 +191,11 @@ def nonnegativity_certificate(g: SimpleFunction, measure: Measure,
     frame = measure.view.frame
     comp = frame.complement(s)
     facade = frame.as_lattice()
-    side = facade.meet(comp.partition_name(),
-                       to_cut_function(g).lower_at(Fraction(0)))
+    side = facade.meet(comp.partition_name(), to_cut_function(g).lower_at(ZERO))
     if side != facade.bottom:
         return False
     value, _ = integrate_simple(g, measure, s)
-    if not ext_le(Fraction(0), value):
+    if not ext_le(ZERO, value):
         raise ConsistencyError(
             f"certificate held but the integral is {format_extended(value)}")
     return True
@@ -216,17 +214,11 @@ def _nonneg_general(f: CutFunction, measure: Measure, over: int) -> ExtValue:
     meets `over` in positive measure (minorants put arbitrarily large
     constants there)."""
     lat = f.carrier
-    total: ExtValue = Fraction(0)
-    for j, r in enumerate(f.breakpoints):
-        cell = lat.meet(f.upper[j], f.lower[j + 1])
-        if cell == lat.bottom:
-            continue
-        total = ext_add(total, ext_scale(r, _term_measure(measure, cell, over)))
+    cells = [(r, lat.meet(u, l)) for r, u, l in zip(f.breakpoints, f.upper, f.lower[1:])]
     inf_region = f.upper[-1]
-    if inf_region != lat.bottom:
-        if _term_measure(measure, inf_region, over) != Fraction(0):
-            total = POS_INF
-    return total
+    if inf_region != lat.bottom and _term_measure(measure, inf_region, over) != ZERO:
+        return POS_INF
+    return _signed_sums(cells, measure, over)[0]
 
 
 def integrate_general(f: CutFunction, measure: Measure,
@@ -236,7 +228,7 @@ def integrate_general(f: CutFunction, measure: Measure,
     check_same_carrier(f.carrier, measure.view.frame.as_lattice(),
                        "the function does not live on the measure's congruence frame")
     q = _keep_of(measure, over)
-    zero_fn = constant(Fraction(0), f.carrier)
+    zero_fn = constant(ZERO, f.carrier)
     f_plus = join_meet(f, zero_fn)[0]
     f_minus = join_meet(negate(f), zero_fn)[0]
     pos = _nonneg_general(f_plus, measure, q)

@@ -1,7 +1,9 @@
 """Exact rational scalars extended with the two infinities.
 
 Every scalar in the package is a ``fractions.Fraction``; floating point is
-never used.  The extended line adds +inf/-inf endpoints with the usual
+never used.  ``parse_rational`` is the one coercion of the library's entry
+points: floats, bools and Decimals raise ``InvalidArgument``.  The extended
+line adds +inf/-inf endpoints with the usual
 order, absorption under addition, and the ``0 * inf = 0`` convention for
 scalar multiples, which is the convention integration against measures
 with infinite values needs.
@@ -11,10 +13,13 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Union
+from math import lcm
+from typing import List, Sequence, Tuple, Union
+
+from .errors import InvalidArgument, UndefinedOperation
 
 
-class UndefinedSum(ArithmeticError):
+class UndefinedSum(UndefinedOperation, ArithmeticError):
     """Raised for inf + (-inf), which has no value on the extended line."""
 
 
@@ -35,6 +40,7 @@ class Infinite:
 
 POS_INF = Infinite(1)
 NEG_INF = Infinite(-1)
+ZERO = Fraction(0)
 
 ExtValue = Union[Fraction, Infinite]
 
@@ -48,19 +54,29 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 
 def parse_rational(value) -> Fraction:
-    """Parse "p/q" or integer strings (plain ints are accepted too);
-    exponents, decimals and digit separators are rejected."""
-    if isinstance(value, bool):
-        raise ValueError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, Fraction):
+    """A ``Fraction`` as is; a plain int, or a "p/q" or integer string,
+    converted.  Floats, bools, Decimals, exponents, decimal points and digit
+    separators raise InvalidArgument."""
+    if type(value) is Fraction:
         return value
+    if isinstance(value, Fraction):
+        return Fraction(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return Fraction(value)
     if isinstance(value, str):
         text = value.strip()
         if _RATIONAL.fullmatch(text):
             return Fraction(text)
-    raise ValueError(f"not a rational: {value!r}")
+    raise InvalidArgument(f"not a rational: {value!r}")
+
+
+def over_common_denominator(values: Sequence[Fraction]) -> Tuple[int, List[int]]:
+    """(D, [v * D for v in values]) for D the least common denominator of
+    the values: ints that sort, compare, add and subtract as the values do
+    (and multiply to their products times D * D)."""
+    ratios = [v.as_integer_ratio() for v in values]
+    den = lcm(*[d for _, d in ratios])
+    return den, [n * (den // d) for n, d in ratios]
 
 
 def parse_extended(value) -> ExtValue:

@@ -10,18 +10,21 @@ subalgebra generated by the mentioned elements.
 
 Element names appear only at the boundary.  Inside, terms and cells are
 element indices of the carrier, read through its ``_idx``, ``_meet``,
-``_join`` and ``_comp`` tables: the O(t) canonicity check, the cell split,
-the refinement products and the one routine that groups cells by
-coefficient (``_grouped``), which names each resulting term once.  A term
-list that is canonical already is recognised by that O(t) check and needs
-no cell split.  Every ``SimpleFunction`` is checked for canonicity when it
-is built; its hash is computed on the first ``hash()`` call only.
+``_join`` and ``_comp`` tables, and coefficients are ints over a common
+denominator: the cell split and the refinement products add or multiply
+them, and the one routine that groups cells by coefficient (``_grouped``)
+sorts on them and builds one ``Fraction`` per term.  The O(t) canonicity
+check compares coefficients by integer cross-multiplication; a term list
+that is canonical already needs no cell split.  Every ``SimpleFunction``
+is checked for canonicity when it is built; its hash is computed on the
+first ``hash()`` call only.
 """
 
 from __future__ import annotations
 
 import operator
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .cutfunction import CutFunction
@@ -34,6 +37,7 @@ from .errors import (
     NotNonnegative,
 )
 from .lattice import FiniteLattice, check_same_carrier
+from .rationals import ZERO, over_common_denominator, parse_rational
 
 
 class SimpleFunction:
@@ -58,13 +62,13 @@ class SimpleFunction:
         self._hash = None
 
     def coefficients(self) -> Tuple[Fraction, ...]:
-        return tuple(r for r, _ in self.terms)
+        return tuple([r for r, _ in self.terms])
 
     def elements(self) -> Tuple[str, ...]:
         return tuple(a for _, a in self.terms)
 
     def is_nonnegative(self) -> bool:
-        return self.terms[0][0] >= 0
+        return self.terms[0][0].numerator >= 0
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SimpleFunction)
@@ -81,7 +85,7 @@ class SimpleFunction:
 
 
 def _coerced(terms: Iterable[Tuple[Fraction, str]]) -> Tuple[Tuple[Fraction, str], ...]:
-    return tuple((r if isinstance(r, Fraction) else Fraction(r), a) for r, a in terms)
+    return tuple([(r if type(r) is Fraction else parse_rational(r), a) for r, a in terms])
 
 
 def _is_canonical(carrier: FiniteLattice, terms: Sequence[Tuple[Fraction, str]]) -> bool:
@@ -91,14 +95,15 @@ def _is_canonical(carrier: FiniteLattice, terms: Sequence[Tuple[Fraction, str]])
     idx, meet, join, comp = carrier._idx, carrier._meet, carrier._join, carrier._comp
     bot = carrier._bottom
     cover = bot
-    prev = None
+    p, e = -1, 0  # -1/0 is below every n/d: p * d < n * e
     for r, a in terms:
         i = idx.get(a)
+        n, d = r.as_integer_ratio()
         if (i is None or i == bot or comp[i] is None or meet[i][cover] != bot
-                or (prev is not None and not prev < r)):
+                or not p * d < n * e):
             return False
         cover = join[cover][i]
-        prev = r
+        p, e = n, d
     return cover == carrier._top
 
 
@@ -125,28 +130,30 @@ def _raise_first_violation(carrier: FiniteLattice, terms: Sequence[Tuple[Fractio
 # -- constructors ------------------------------------------------------------------
 
 
-def _grouped(carrier: FiniteLattice, cells: Iterable[Tuple[int, Fraction]]) -> SimpleFunction:
+def _grouped(carrier: FiniteLattice, cells: Iterable[Tuple[int, int]], den: int) -> SimpleFunction:
     """Canonical form from a disjoint cover given by element index: merge
-    equal-coefficient cells by join, skip the bottom, sort, and name each
-    term once.  ``cells`` yields (cell index, coefficient) pairs."""
+    equal-coefficient cells by join, skip the bottom, sort, and build each
+    term once.  ``cells`` yields (cell index, coefficient * den) pairs."""
     join, bot = carrier._join, carrier._bottom
-    by_coeff: Dict[Fraction, int] = {}
-    for cell, r in cells:
+    by_coeff: Dict[int, int] = {}
+    for cell, k in cells:
         if cell == bot:
             continue
-        other = by_coeff.setdefault(r, cell)  # one Fraction hash per new cell
+        other = by_coeff.setdefault(k, cell)
         if other != cell:
-            by_coeff[r] = join[other][cell]
+            by_coeff[k] = join[other][cell]
     if not by_coeff:
         return zero(carrier)
     names = carrier.elements
-    return SimpleFunction(carrier, [(r, names[c]) for r, c in sorted(by_coeff.items())])
+    return SimpleFunction(carrier, [(Fraction(k, den), names[c])
+                                    for k, c in sorted(by_coeff.items())])
 
 
 def from_cells(carrier: FiniteLattice, cells: Dict[str, Fraction]) -> SimpleFunction:
     """Canonical form from a disjoint cover: merge equal-coefficient cells
     by join and sort.  ``cells`` maps cell element -> coefficient."""
-    return _grouped(carrier, [(carrier.index(cell), r) for cell, r in cells.items()])
+    den, ks = over_common_denominator([parse_rational(r) for r in cells.values()])
+    return _grouped(carrier, [(carrier.index(cell), k) for cell, k in zip(cells, ks)], den)
 
 
 def canonicalize(carrier: FiniteLattice, terms: Iterable[Tuple[Fraction, str]]) -> SimpleFunction:
@@ -165,11 +172,12 @@ def canonicalize(carrier: FiniteLattice, terms: Iterable[Tuple[Fraction, str]]) 
     if _is_canonical(carrier, terms):
         return SimpleFunction(carrier, terms)
     idx, meet, bot = carrier._idx, carrier._meet, carrier._bottom
-    cells: Dict[int, Fraction] = {carrier._top: Fraction(0)}
-    for r, a in terms:
+    den, ks = over_common_denominator([r for r, _ in terms])
+    cells: Dict[int, int] = {carrier._top: 0}
+    for r, (_, a) in zip(ks, terms):
         ac = carrier.complement(a)  # MalformedDocument or NotComplemented for bad terms
         inside_row, outside_row = meet[idx[a]], meet[idx[ac]]
-        nxt: Dict[int, Fraction] = {}
+        nxt: Dict[int, int] = {}
         for cell, coeff in cells.items():
             inside = inside_row[cell]
             outside = outside_row[cell]
@@ -178,15 +186,15 @@ def canonicalize(carrier: FiniteLattice, terms: Iterable[Tuple[Fraction, str]]) 
             if outside != bot:
                 nxt[outside] = coeff
         cells = nxt
-    return _grouped(carrier, cells.items())
+    return _grouped(carrier, cells.items(), den)
 
 
 def zero(carrier: FiniteLattice) -> SimpleFunction:
-    return SimpleFunction(carrier, ((Fraction(0), carrier.top),))
+    return SimpleFunction(carrier, ((ZERO, carrier.top),))
 
 
 def constant_simple(r: Fraction, carrier: FiniteLattice) -> SimpleFunction:
-    return SimpleFunction(carrier, ((Fraction(r), carrier.top),))
+    return SimpleFunction(carrier, ((r, carrier.top),))
 
 
 def characteristic_simple(a: str, carrier: FiniteLattice) -> SimpleFunction:
@@ -197,21 +205,24 @@ def characteristic_simple(a: str, carrier: FiniteLattice) -> SimpleFunction:
 
 
 def _on_refinement(g: SimpleFunction, h: SimpleFunction,
-                   op: Callable[[Fraction, Fraction], Fraction]) -> SimpleFunction:
-    """op(r_i, s_j) on each nonzero cell a_i /\\ b_j of the common refinement."""
+                   op: Callable[[int, int], int]) -> SimpleFunction:
+    """op(r_i, s_j) on each nonzero cell a_i /\\ b_j of the common refinement,
+    on the coefficients as ints over their common denominator D (so a
+    product is over D * D)."""
     check_same_carrier(g.carrier, h.carrier,
                        "the two simple functions live on different carriers")
     lat = g.carrier
     idx, meet, bot = lat._idx, lat._meet, lat._bottom
-    h_terms = [(s, idx[b]) for s, b in h.terms]
+    den, ks = over_common_denominator([r for r, _ in g.terms + h.terms])
+    h_terms = [(s, idx[b]) for s, (_, b) in zip(ks[len(g.terms):], h.terms)]
     cells = []
-    for r, a in g.terms:
+    for r, (_, a) in zip(ks, g.terms):
         row = meet[idx[a]]
         for s, b in h_terms:
             cell = row[b]
             if cell != bot:
                 cells.append((cell, op(r, s)))
-    return _grouped(lat, cells)
+    return _grouped(lat, cells, den * den if op is operator.mul else den)
 
 
 def sf_add(g: SimpleFunction, h: SimpleFunction) -> SimpleFunction:
@@ -228,25 +239,32 @@ def sf_mul(g: SimpleFunction, h: SimpleFunction) -> SimpleFunction:
 def sf_scale(lam: Fraction, g: SimpleFunction) -> SimpleFunction:
     """lam * g; the scaled terms are canonical already (in reverse order
     when lam < 0), so nothing is regrouped."""
-    lam = Fraction(lam)
-    if lam == 0:
+    lam = parse_rational(lam)
+    if not lam.numerator:
         return zero(g.carrier)
-    terms = [(lam * r, a) for r, a in g.terms]
-    return SimpleFunction(g.carrier, terms if lam > 0 else terms[::-1])
+    n, d = lam.as_integer_ratio()
+    terms = [(Fraction(n * r.numerator, d * r.denominator), a) for r, a in g.terms]
+    return SimpleFunction(g.carrier, terms if n > 0 else terms[::-1])
 
 
 def sf_neg(g: SimpleFunction) -> SimpleFunction:
-    return sf_scale(Fraction(-1), g)
+    return SimpleFunction(g.carrier, [(-r, a) for r, a in reversed(g.terms)])
+
+
+def _clipped(g: SimpleFunction, sign: int) -> SimpleFunction:
+    """max(sign * r, 0) on each cell of g."""
+    den, ks = over_common_denominator(g.coefficients())
+    idx = g.carrier._idx
+    cells = [(idx[a], max(sign * k, 0)) for k, (_, a) in zip(ks, g.terms)]
+    return _grouped(g.carrier, cells, den)
 
 
 def positive_part(g: SimpleFunction) -> SimpleFunction:
-    idx = g.carrier._idx
-    return _grouped(g.carrier, [(idx[a], r if r > 0 else Fraction(0)) for r, a in g.terms])
+    return _clipped(g, 1)
 
 
 def negative_part(g: SimpleFunction) -> SimpleFunction:
-    idx = g.carrier._idx
-    return _grouped(g.carrier, [(idx[a], -r if r < 0 else Fraction(0)) for r, a in g.terms])
+    return _clipped(g, -1)
 
 
 def abs_simple(g: SimpleFunction) -> SimpleFunction:
@@ -345,10 +363,12 @@ def decomposition_grid(k: int) -> Tuple[Fraction, ...]:
     """Witness breakpoint grid for stage k: start from {0, 1}; at stage i a
     point shifted by 1/i subdivides a gap only when it lands strictly
     inside it, and the previous maximum advances by 1/i.  The grid runs
-    from 0 to the k-th harmonic sum with gaps of at most 1/k."""
-    pts = [Fraction(0), Fraction(1)]
+    from 0 to the k-th harmonic sum with gaps of at most 1/k.  The points
+    are ints over D = lcm(1, ..., k), where 1/i is D // i."""
+    den = lcm(*range(1, k + 1))
+    pts = [0, den]
     for i in range(2, k + 1):
-        step = Fraction(1, i)
+        step = den // i
         refined = set(pts)
         for j in range(1, len(pts)):
             candidate = pts[j - 1] + step
@@ -356,7 +376,7 @@ def decomposition_grid(k: int) -> Tuple[Fraction, ...]:
                 refined.add(candidate)
         refined.add(pts[-1] + step)
         pts = sorted(refined)
-    return tuple(pts)
+    return tuple(Fraction(p, den) for p in pts)
 
 
 def stage_table(f: CutFunction, k: int) -> CutFunction:

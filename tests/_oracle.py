@@ -2,22 +2,32 @@
 congruences by union-find closure, the refinement order and meet of
 partitions, measure tables built sublocale by sublocale, and the
 name-based canonical form and ladder checks that the index-native ones
-replaced.
+replaced, and the Fraction ladder kernels and parts-based summability that
+the integer kernels replaced.
 
 Everything here is computed independently of the library's ladder,
 canonical-form and keep-mask algebra (plain set/dict comprehensions on the
 points of a finite set; closure of relations under meets and joins), so
 tests can freeze expected values produced by an unrelated code path."""
 
+from bisect import bisect_right
 from fractions import Fraction
 
 from locint.congruence import Congruence, nabla
 from locint.corpus import random_weight
 from locint.cutfunction import CutFunction
-from locint.errors import InvalidScale
-from locint.lattice import FiniteLattice, subset_name
-from locint.rationals import ext_add
-from locint.simple import SimpleFunction
+from locint.errors import (
+    ComplementationFailure,
+    ConsistencyError,
+    InvalidArgument,
+    InvalidScale,
+    NegativeOperand,
+    NotFinite,
+)
+from locint.integrate import _keep_of, _term_measure, classify
+from locint.lattice import FiniteLattice, check_same_carrier, subset_name
+from locint.rationals import ext_add, ext_scale
+from locint.simple import SimpleFunction, negative_part, positive_part
 
 
 def cut_from_pointwise(lat: FiniteLattice, atoms, values) -> CutFunction:
@@ -345,3 +355,138 @@ def cut_ladders_by_names(carrier: FiniteLattice, breakpoints, upper, lower) -> t
             nup.append(up[i + 1])
             nlo.append(lo[i + 1])
     return tuple(nbp), tuple(nup), tuple(nlo)
+
+
+# -- Fraction ladder kernels and parts-based summability --------------------------
+#
+# add, mul_nonneg, leq, join_meet, seq_inf/seq_sup and summability as they
+# were written on Fractions: grids merged as sets of Fractions, ladders
+# read with upper_at/lower_at, quotients q / b_j formed as Fractions, and
+# the integral split through positive_part and negative_part.  The
+# differential tests compare the integer kernels with these: the same
+# ladders and values, or the same exception class and message.
+
+_DIFFERENT = "the two functions live on different carriers"
+
+
+def _lower_reps(bp):
+    return tuple(bp) + (bp[-1] + 1,) if bp else (Fraction(0),)
+
+
+def _upper_reps(bp):
+    return (bp[0] - 1,) + tuple(bp) if bp else (Fraction(0),)
+
+
+def leq_by_fractions(f, g):
+    check_same_carrier(f.carrier, g.carrier, _DIFFERENT)
+    lat = f.carrier
+    grid = sorted(set(f.breakpoints) | set(g.breakpoints))
+    by_upper = all(lat.leq(f.upper_at(p), g.upper_at(p)) for p in _upper_reps(grid))
+    by_lower = all(lat.leq(g.lower_at(q), f.lower_at(q)) for q in _lower_reps(grid))
+    if by_upper != by_lower:
+        raise ConsistencyError("upper and lower order tests disagree")
+    return by_upper
+
+
+def join_meet_by_fractions(f, g):
+    check_same_carrier(f.carrier, g.carrier, _DIFFERENT)
+    lat = f.carrier
+    grid = sorted(set(f.breakpoints) | set(g.breakpoints))
+    ur, lr = _upper_reps(grid), _lower_reps(grid)
+    fj = CutFunction(lat, grid, [lat.join(f.upper_at(p), g.upper_at(p)) for p in ur],
+                     [lat.meet(f.lower_at(q), g.lower_at(q)) for q in lr])
+    fm = CutFunction(lat, grid, [lat.meet(f.upper_at(p), g.upper_at(p)) for p in ur],
+                     [lat.join(f.lower_at(q), g.lower_at(q)) for q in lr])
+    return fj, fm
+
+
+def add_by_fractions(f, g):
+    check_same_carrier(f.carrier, g.carrier, _DIFFERENT)
+    if not (f.is_finite() and g.is_finite()):
+        raise NotFinite("addition is defined for finite functions only")
+    lat = f.carrier
+    if not f.breakpoints or not g.breakpoints:
+        return f
+    b = g.breakpoints
+    bp = sorted({x + y for x in f.breakpoints for y in b})
+    lower = [lat.join_all(lat.meet(f.lower_at(q - bj), gl) for bj, gl in zip(b, g.lower[1:]))
+             for q in _lower_reps(bp)]
+    upper = [lat.join_all(lat.meet(f.upper_at(p - bj), gu) for bj, gu in zip(b, g.upper[:-1]))
+             for p in _upper_reps(bp)]
+    return CutFunction(lat, bp, upper, lower)
+
+
+def mul_nonneg_by_fractions(f, g):
+    check_same_carrier(f.carrier, g.carrier, _DIFFERENT)
+    if not (f.is_nonnegative() and g.is_nonnegative()):
+        raise NegativeOperand("multiplication needs nonnegative operands")
+    if not (f.is_finite() and g.is_finite()):
+        raise NotFinite("multiplication is defined for finite functions only")
+    lat = f.carrier
+    if not f.breakpoints or not g.breakpoints:
+        return f
+    b = g.breakpoints
+    first = bisect_right(b, Fraction(0))
+    pos = b[first:]
+    bp = sorted({Fraction(0)} | {x * y for x in f.breakpoints for y in pos if x > 0})
+    lower = []
+    for q in _lower_reps(bp):
+        if q <= 0:
+            lower.append(lat.bottom)
+            continue
+        acc = lat.meet(f.lower[-1], g.lower[first])
+        for bj, gl in zip(pos, g.lower[first + 1:]):
+            acc = lat.join(acc, lat.meet(f.lower_at(q / bj), gl))
+        lower.append(acc)
+    upper = []
+    for p in _upper_reps(bp):
+        upper.append(lat.top if p < 0 else lat.join_all(
+            lat.meet(f.upper_at(p / bj), gu) for bj, gu in zip(pos, g.upper[first:-1])))
+    return CutFunction(lat, bp, upper, lower)
+
+
+def _join_cuts_by_fractions(fs, name, reps, cut, label):
+    fs = list(fs)
+    if not fs:
+        raise InvalidArgument(f"{name} needs at least one function")
+    for g in fs[1:]:
+        check_same_carrier(fs[0].carrier, g.carrier, _DIFFERENT)
+    lat = fs[0].carrier
+    grid = sorted(set().union(*(set(f.breakpoints) for f in fs)))
+    joined, comps = [], []
+    for t in reps(grid):
+        v = lat.join_all(cut(f, t) for f in fs)
+        c = lat.complement_or_none(v)
+        if c is None:
+            raise ComplementationFailure(
+                f"sup of {label}={t} is not complemented (element {v!r})")
+        joined.append(v)
+        comps.append(c)
+    return lat, grid, joined, comps
+
+
+def seq_inf_by_fractions(fs):
+    lat, grid, lower, upper = _join_cuts_by_fractions(
+        fs, "seq_inf", _lower_reps, CutFunction.lower_at, "lower cuts at q")
+    return CutFunction(lat, grid, upper, lower)
+
+
+def seq_sup_by_fractions(fs):
+    lat, grid, upper, lower = _join_cuts_by_fractions(
+        fs, "seq_sup", _upper_reps, CutFunction.upper_at, "upper cuts at p")
+    return CutFunction(lat, grid, upper, lower)
+
+
+def summability_by_parts(g, measure, over=None):
+    """Both parts built as checked simple functions, each summed term by
+    term with the extended-line arithmetic."""
+    check_same_carrier(g.carrier, measure.view.frame.as_lattice(),
+                       "the simple function does not live on the measure's congruence frame")
+    q = _keep_of(measure, over)
+    sums = []
+    for part in (positive_part(g), negative_part(g)):
+        total = Fraction(0)
+        for r, element in part.terms:
+            total = ext_add(total, ext_scale(r, _term_measure(measure, element, q)))
+        sums.append(total)
+    return classify(*sums)

@@ -4,6 +4,7 @@ interpreter must not pull in ``verify`` and its corpus (they load only for
 it, and the package keeps its public names."""
 
 import json
+import re
 import os
 import subprocess
 import sys
@@ -53,3 +54,14 @@ def test_cold_cli_import_loads_only_what_commands_run():
     unwanted = {"dataclasses", "inspect", "locint.verify", "locint.corpus"}
     assert unwanted.isdisjoint(result["loaded"])
     assert result["public"] == PUBLIC
+
+
+def test_no_private_fraction_internals():
+    """``Fraction._numerator``, ``_denominator`` and the ``_normalize``
+    keyword are private (the keyword is gone in Python 3.12), so the
+    package reads only ``numerator``, ``denominator`` and
+    ``as_integer_ratio()``."""
+    private = re.compile(r"(?<![A-Za-z0-9_])_(numerator|denominator|normalize)\b")
+    for path in sorted((SRC / "locint").glob("*.py")):
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            assert not private.search(line), f"{path.name}:{number}: {line.strip()}"

@@ -1,0 +1,188 @@
+"""Differential tests for the integer ladder and integral kernels.
+
+``add``, ``mul_nonneg``, ``leq``, ``join_meet``, ``seq_inf``/``seq_sup``
+and ``summability`` run on ints over a common denominator.  Each is
+compared here with the Fraction code it replaced, kept in ``_oracle``: the
+same ladders and values, or the same exception class and message.  Inputs
+come from the corpus, from seeded downset lattices, from the congruence
+frame facades C(L) of the 8-element chain and of B64, from the one-element
+carrier, and from a hypothesis strategy with coprime and large
+denominators, negative and zero breakpoints and infinite ends."""
+
+from fractions import Fraction as F
+from random import Random
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from _oracle import (
+    add_by_fractions,
+    cut_from_pointwise,
+    downset_lattice,
+    join_meet_by_fractions,
+    leq_by_fractions,
+    mul_nonneg_by_fractions,
+    seq_inf_by_fractions,
+    seq_sup_by_fractions,
+    summability_by_parts,
+)
+from locint.corpus import corpus_lattices, random_measure, random_simple
+from locint.cutfunction import (
+    CutFunction,
+    add,
+    constant,
+    join_meet,
+    leq,
+    mul_nonneg,
+    negate,
+    seq_inf,
+    seq_sup,
+)
+from locint.integrate import summability
+from locint.lattice import FiniteLattice, chain_lattice, powerset_lattice
+from locint.rationals import NEG_INF, POS_INF
+from locint.simple import sf_scale, to_cut_function
+
+ONE_POINT = FiniteLattice(["0"], [("0", "0")])
+
+
+def _carriers():
+    out = dict(corpus_lattices())
+    rng = Random(7)
+    for k in range(8):
+        out[f"downset{k}"] = downset_lattice(rng, 1 + k % 5)
+    out["C(chain8)"] = chain_lattice([f"c{i}" for i in range(8)]).congruence_frame().as_lattice()
+    out["C(b64)"] = powerset_lattice("uvwxyz").congruence_frame().as_lattice()
+    return out
+
+
+CARRIERS = _carriers()
+
+
+def outcome(fn, *args):
+    """("ok", value) or ("error", exception class, message)."""
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # the class and message are what is compared
+        return ("error", type(exc), str(exc))
+
+
+def ladders(f):
+    return f.breakpoints, f.upper, f.lower
+
+
+def with_infinite_ends(f, minus, plus):
+    """f with -inf on the complemented element `minus` and +inf on the
+    complemented `plus` (disjoint from it): the upper cuts meet minus^c and
+    join plus, the lower cuts join minus and meet plus^c."""
+    lat = f.carrier
+    keep, drop = lat.complement(minus), lat.complement(plus)
+    return CutFunction(lat, f.breakpoints,
+                       [lat.join(lat.meet(u, keep), plus) for u in f.upper],
+                       [lat.meet(lat.join(v, minus), drop) for v in f.lower])
+
+
+def compare_pair(f, g):
+    """Every two-argument kernel on (f, g) against its Fraction version."""
+    for mine, theirs in ((leq, leq_by_fractions), (add, add_by_fractions),
+                         (mul_nonneg, mul_nonneg_by_fractions)):
+        for a, b in ((f, g), (g, f)):
+            got, want = outcome(mine, a, b), outcome(theirs, a, b)
+            if got[0] == "ok" and isinstance(got[1], CutFunction):
+                got, want = ("ok", ladders(got[1])), ("ok", ladders(want[1]))
+            assert got == want, (mine.__name__, a, b)
+    got, want = outcome(join_meet, f, g), outcome(join_meet_by_fractions, f, g)
+    if got[0] == "ok":
+        got = ("ok", [ladders(h) for h in got[1]])
+        want = ("ok", [ladders(h) for h in want[1]])
+    assert got == want, ("join_meet", f, g)
+
+
+def compare_family(fs):
+    for mine, theirs in ((seq_inf, seq_inf_by_fractions), (seq_sup, seq_sup_by_fractions)):
+        got, want = outcome(mine, fs), outcome(theirs, fs)
+        if got[0] == "ok":
+            got, want = ("ok", ladders(got[1])), ("ok", ladders(want[1]))
+        assert got == want, (mine.__name__, fs)
+
+
+def _functions(rng, lat):
+    """Finite, nonnegative, constant and extended functions on lat."""
+    fs = [constant(v, lat) for v in (F(0), F(-2, 3), POS_INF, NEG_INF)]
+    for _ in range(6):
+        fs.append(to_cut_function(random_simple(rng, lat, max_parts=4)))
+        fs.append(to_cut_function(random_simple(rng, lat, nonneg=True, max_parts=4,
+                                                 denominators=(1, 7, 11))))
+    comp = [c for c in lat.complemented_elements() if c != lat.top]
+    for f in fs[4:8]:
+        minus = rng.choice(comp)
+        plus = rng.choice([c for c in comp if lat.meet(c, minus) == lat.bottom])
+        fs.append(with_infinite_ends(f, minus, plus))
+    return fs
+
+
+@pytest.mark.parametrize("name", sorted(CARRIERS))
+def test_ladder_kernels_match_the_fraction_kernels(name):
+    lat = CARRIERS[name]
+    rng = Random(f"int-kernels-{name}")
+    fs = _functions(rng, lat)
+    for _ in range(40):
+        compare_pair(rng.choice(fs), rng.choice(fs))
+    for _ in range(10):
+        compare_family(rng.sample(fs, rng.randint(1, 4)))
+    compare_family([])
+
+
+def test_one_element_carrier():
+    flat = CutFunction(ONE_POINT, (), ("0",), ("0",))
+    fs = [flat, constant(F(3), ONE_POINT), constant(POS_INF, ONE_POINT)]
+    for f in fs:
+        for g in fs:
+            compare_pair(f, g)
+    compare_family(fs)
+    other = constant(F(0), CARRIERS["b4"])
+    compare_pair(flat, other)  # different carriers
+    compare_family([flat, other])
+
+
+@pytest.mark.parametrize("name", ["b4", "b8", "div12", "c3"])
+def test_summability_matches_the_parts(name):
+    frame = corpus_lattices()[name].congruence_frame()
+    view, facade = frame.view(), frame.as_lattice()
+    rng = Random(f"summability-{name}")
+    measures = [random_measure(rng, view, inf_probability=p) for p in (0.0, 0.3, 0.6)]
+    subs = [None] + list(view.sublocales)
+    for _ in range(60):
+        g = random_simple(rng, facade, max_parts=4, denominators=(1, 7, 11, 10**9 + 7))
+        if rng.random() < 0.3:
+            g = sf_scale(F(-1, 10**9 + 7), g)
+        mu, over = rng.choice(measures), rng.choice(subs)
+        assert summability(g, mu, over) == summability_by_parts(g, mu, over), (g, over)
+
+
+# -- coprime and large denominators ----------------------------------------------
+
+ATOMS = ("x", "y", "z")
+B8 = powerset_lattice(ATOMS)
+DENOMINATORS = (1, 7, 11, 10**9 + 7)
+values = st.builds(F, st.integers(-40, 40), st.sampled_from(DENOMINATORS))
+pointwise = st.fixed_dictionaries({a: values for a in ATOMS})
+ends = st.sampled_from([("0", "0"), ("x", "0"), ("0", "y"), ("x", "{y,z}"), ("z", "x")])
+
+
+def _function(point_values, end):
+    f = cut_from_pointwise(B8, ATOMS, point_values)
+    return with_infinite_ends(f, *end)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(pointwise, pointwise, ends, ends, st.booleans())
+def test_kernels_on_coprime_and_large_denominators(u, v, end_u, end_v, mirror):
+    f, g = _function(u, end_u), _function(v, end_v)
+    if mirror:
+        g = negate(g)
+    compare_pair(f, g)
+    compare_pair(cut_from_pointwise(B8, ATOMS, {a: abs(r) for a, r in u.items()}),
+                 cut_from_pointwise(B8, ATOMS, {a: abs(r) for a, r in v.items()}))
+    compare_family([f, g, negate(f)])

@@ -1,9 +1,16 @@
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locint import cli
+from locint import cutfunction as cf
+from locint import simple as sf
+from locint.bridge import ClassicalSimpleFunction, FiniteMeasurableSpace
+from locint.errors import InvalidArgument, UndefinedOperation
+from locint.lattice import powerset_lattice
 from locint.rationals import (
     NEG_INF,
     POS_INF,
@@ -42,9 +49,45 @@ def test_parse_rational_accepts_only_the_documented_grammar():
         parse_extended("1e5")
 
 
+def test_parse_rational_passes_fractions_and_rejects_other_numbers():
+    q = Fraction(3, 4)
+    assert parse_rational(q) is q
+    assert parse_rational(7) == 7 and type(parse_rational(7)) is Fraction
+    for value in (0.5, 0.1, float("inf"), True, False, Decimal("0.5"), 1j, None, [1]):
+        with pytest.raises(InvalidArgument, match="^not a rational: "):
+            parse_rational(value)
+    assert issubclass(InvalidArgument, ValueError)
+
+
+def test_library_entry_points_reject_floats():
+    lat = powerset_lattice(["x", "y"])
+    g = sf.canonicalize(lat, [(Fraction(1), "x")])
+    f = cf.constant(Fraction(1), lat)
+    space = FiniteMeasurableSpace.powerset(["p"], {"p": Fraction(1)})
+    calls = [
+        lambda: sf.canonicalize(lat, [(0.1, "1")]),
+        lambda: sf.SimpleFunction(lat, [(0.5, "1")]),
+        lambda: sf.constant_simple(0.5, lat),
+        lambda: sf.from_cells(lat, {"1": 0.5}),
+        lambda: sf.sf_scale(0.1, g),
+        lambda: sf.sf_scale(True, g),
+        lambda: cf.scale(0.1, f),
+        lambda: cf.constant(0.5, lat),
+        lambda: cf.CutFunction(lat, (0.5,), ("1", "0"), ("0", "1")),
+        lambda: cf.SigmaScale(lat, (0.5,), ("0", "1"), ("1", "0")),
+        lambda: ClassicalSimpleFunction(space, {"p": 0.5}),
+    ]
+    for call in calls:
+        with pytest.raises(InvalidArgument, match="^not a rational: "):
+            call()
+    assert sf.sf_scale("3/2", g) == sf.canonicalize(lat, [(Fraction(3, 2), "x")])
+
+
 def test_undefined_sum():
     with pytest.raises(UndefinedSum):
         ext_add(POS_INF, NEG_INF)
+    assert issubclass(UndefinedSum, UndefinedOperation)
+    assert issubclass(UndefinedSum, ArithmeticError)
     assert ext_add(POS_INF, POS_INF) is POS_INF
     assert ext_sub(Fraction(1), NEG_INF) is POS_INF
 
@@ -72,3 +115,12 @@ def test_order_is_transitive(a, b, c):
 @given(rationals, extended)
 def test_addition_monotone_in_extended_arg(q, v):
     assert ext_le(ext_add(q, v), ext_add(q + 1, v)) or v is POS_INF
+
+
+def test_undefined_sum_exits_3_with_a_message(monkeypatch, capsys):
+    def undefined(args):
+        return ext_add(POS_INF, NEG_INF)
+
+    monkeypatch.setattr(cli, "cmd_verify", undefined)
+    assert cli.main(["verify"]) == 3
+    assert capsys.readouterr().err == "error: inf + -inf is undefined\n"

@@ -128,3 +128,14 @@ def test_replace_runs_the_construction_checks(b4):
     assert sc._replace(thresholds=[1]).thresholds == (F(1),)
     with pytest.raises(InvalidScale):
         sc._replace(phi=("0",))
+
+
+def test_function_sequence_keeps_a_list_prefix_as_a_tuple(b4):
+    one, chi_x = cf.constant(F(1), b4), cf.characteristic("x", b4)
+    seq = cf.FunctionSequence([chi_x, one], one)
+    assert type(seq.prefix) is tuple
+    assert seq == cf.FunctionSequence((chi_x, one), one)
+    assert hash(seq) == hash(cf.FunctionSequence((chi_x, one), one))
+    assert repr(seq) == f"FunctionSequence(prefix=({chi_x!r}, {one!r}), tail={one!r})"
+    replaced = seq._replace(prefix=[one])
+    assert replaced.prefix == (one,) and hash(replaced) == hash(((one,), one))
