@@ -200,12 +200,6 @@ class ClassicalSimpleFunction:
             by_value.setdefault(v, set()).add(p)
         return tuple((v, frozenset(s)) for v, s in sorted(by_value.items()))
 
-    def preimage_below(self, r: Fraction) -> FrozenSet[str]:
-        return frozenset(p for p, v in self.values.items() if v < r)
-
-    def preimage_above(self, r: Fraction) -> FrozenSet[str]:
-        return frozenset(p for p, v in self.values.items() if v > r)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, ClassicalSimpleFunction)
                 and self.values == other.values
@@ -217,18 +211,6 @@ class ClassicalSimpleFunction:
     def __repr__(self) -> str:
         return "ClassicalSimpleFunction(" + ", ".join(
             f"{p}={v}" for p, v in self.values.items()) + ")"
-
-
-def classical_add(f: ClassicalSimpleFunction, g: ClassicalSimpleFunction) -> ClassicalSimpleFunction:
-    return ClassicalSimpleFunction(f.space, {p: f.values[p] + g.values[p] for p in f.space.points})
-
-
-def classical_mul(f: ClassicalSimpleFunction, g: ClassicalSimpleFunction) -> ClassicalSimpleFunction:
-    return ClassicalSimpleFunction(f.space, {p: f.values[p] * g.values[p] for p in f.space.points})
-
-
-def classical_scale(lam: Fraction, f: ClassicalSimpleFunction) -> ClassicalSimpleFunction:
-    return ClassicalSimpleFunction(f.space, {p: lam * v for p, v in f.values.items()})
 
 
 def classical_summability(f: ClassicalSimpleFunction,

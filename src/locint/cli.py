@@ -4,7 +4,9 @@ Exit codes: 0 on success, 2 for document or axiom validation failures,
 3 for operations undefined on the given inputs (missing complement,
 non-integrable function, complementation failure).  Output is
 deterministic for identical inputs and seed; rationals are printed fully
-reduced as "p/q" or integers, extended values as "inf"/"-inf".
+reduced as "p/q" or integers, extended values as "inf"/"-inf".  Each
+command imports the layers it runs, so a cold start loads (and, with no
+bytecode cache, compiles) only that command's closure.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import json
 import sys
 from typing import List, Optional
 
-from .bridge import bridge_check
 from .documents import (
     load_classical_function,
     load_function,
@@ -24,10 +25,7 @@ from .documents import (
     load_space,
 )
 from .errors import LocintError, UndefinedOperation, ValidationFailure
-from .integrate import indefinite_integral, integrate_general, integrate_simple
 from .lattice import chain_lattice
-from .rationals import format_extended, format_rational
-from .simple import decompose_trace
 
 
 def _carrier_parts(args, need_view: bool):
@@ -63,6 +61,8 @@ def cmd_validate(args) -> int:
         lines.append(f"measure: valid on {len(mu.view.sublocales)} sublocales "
                      "(M1-M3 by additivity over the atoms of S(L), M4 by finiteness)")
     if args.function:
+        from .rationals import format_rational
+
         fn = load_function(load_json(args.function), lattice, view)
         kind = "finite" if fn.cut.is_finite() else "extended"
         report["function"] = {"kind": kind,
@@ -101,6 +101,8 @@ def cmd_congruences(args) -> int:
 
 
 def cmd_canonicalize(args) -> int:
+    from .rationals import format_rational
+
     lattice, view = _carrier_parts(args, need_view=False)
     fn = load_function(load_json(args.function), lattice, view)
     g = fn.as_simple()
@@ -111,9 +113,11 @@ def cmd_canonicalize(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    from .rationals import format_rational
+
     lattice, view = _carrier_parts(args, need_view=False)
     fn = load_function(load_json(args.function), lattice, view)
-    cut = fn.as_cut()
+    cut = fn.cut
     bp = [format_rational(b) for b in cut.breakpoints]
     lines = ["breakpoints: " + (" ".join(bp) if bp else "(none)")]
     if cut.breakpoints:
@@ -133,6 +137,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_integrate(args) -> int:
+    from .integrate import integrate_general, integrate_simple
+    from .rationals import format_extended
+
     lattice, view = _carrier_parts(args, need_view=True)
     fn = load_function(load_json(args.function), lattice, view)
     mu = load_measure(load_json(args.measure), view)
@@ -153,6 +160,9 @@ def cmd_integrate(args) -> int:
 
 
 def cmd_indefinite(args) -> int:
+    from .integrate import indefinite_integral
+    from .rationals import format_extended
+
     lattice, view = _carrier_parts(args, need_view=True)
     fn = load_function(load_json(args.function), lattice, view)
     mu = load_measure(load_json(args.measure), view)
@@ -166,9 +176,12 @@ def cmd_indefinite(args) -> int:
 
 
 def cmd_decompose(args) -> int:
+    from .rationals import format_rational
+    from .simple import decompose_trace
+
     lattice, view = _carrier_parts(args, need_view=False)
     fn = load_function(load_json(args.function), lattice, view)
-    trace = decompose_trace(fn.as_cut(), args.k)
+    trace = decompose_trace(fn.cut, args.k)
     lines = []
     rows = []
     for step in trace:
@@ -195,6 +208,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_bridge(args) -> int:
+    from .bridge import bridge_check
+    from .rationals import format_extended
+
     space = load_space(load_json(args.space))
     f = load_classical_function(load_json(args.function), space)
     over = space.subset_of_name(args.over) if args.over else None

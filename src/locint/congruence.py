@@ -54,10 +54,6 @@ class Congruence:
         return cls(lattice, _full(lattice))
 
     @classmethod
-    def all_pairs(cls, lattice: FiniteLattice) -> "Congruence":
-        return cls(lattice, 0)
-
-    @classmethod
     def from_blocks(cls, lattice: FiniteLattice, blocks: Iterable[Iterable[str]]) -> "Congruence":
         """The congruence with the given blocks.  Its keep-mask is read off
         the partition (j is kept iff j and its lower cover lie in different
@@ -87,9 +83,6 @@ class Congruence:
 
     def blocks(self) -> Tuple[Tuple[str, ...], ...]:
         return _blocks(self.lattice, self.block_of)
-
-    def block_containing(self, a: str) -> Tuple[str, ...]:
-        return self.blocks()[self.block_of[self.lattice.index(a)]]
 
     def partition_name(self) -> str:
         return _partition_name(self.lattice, self.block_of)

@@ -9,8 +9,10 @@ atoms, and two non-Boolean distributive lattices (the divisor lattices of
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from random import Random
-from typing import Dict, List, Sequence, Tuple
+from types import MappingProxyType
+from typing import List, Mapping, Sequence, Tuple
 
 from .congruence import SublocaleView
 from .lattice import FiniteLattice, chain_lattice, lattice_from_order, powerset_lattice
@@ -26,26 +28,29 @@ def divisor_lattice(n: int) -> FiniteLattice:
     return lattice_from_order(names, pairs)
 
 
-def corpus_lattices() -> Dict[str, FiniteLattice]:
-    return {
+@cache
+def corpus_lattices() -> Mapping[str, FiniteLattice]:
+    """The reference lattices, built once and shared read-only (so their
+    congruence frames are built once too)."""
+    return MappingProxyType({
         "c3": chain_lattice(["0", "m", "1"]),
         "b4": powerset_lattice(["x", "y"]),
         "b8": powerset_lattice(["x", "y", "z"]),
         "b16": powerset_lattice(["w", "x", "y", "z"]),
         "div12": divisor_lattice(12),
         "div60": divisor_lattice(60),
-    }
+    })
 
 
 def boolean_atoms(lattice: FiniteLattice) -> Tuple[str, ...]:
     """Atoms of the Boolean sublattice of complemented elements; they are
-    pairwise disjoint and join to the top."""
-    complemented = [a for a in lattice.complemented_elements() if a != lattice.bottom]
-    atoms = []
-    for a in complemented:
-        if not any(b != a and lattice.leq(b, a) for b in complemented):
-            atoms.append(a)
-    return tuple(atoms)
+    pairwise disjoint and join to the top.  Read off the bit masks: a
+    nonzero complemented a is an atom when no other nonzero complemented
+    element lies in its down-set ``_down[a]``."""
+    complemented = sum(1 << i for i, c in enumerate(lattice._comp)
+                       if c is not None and i != lattice._bottom)
+    return tuple(e for i, e in enumerate(lattice.elements)
+                 if complemented >> i & 1 and lattice._down[i] & complemented == 1 << i)
 
 
 def random_rational(rng: Random, lo: int = -12, hi: int = 12,

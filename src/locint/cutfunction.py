@@ -118,10 +118,6 @@ class CutFunction:
         """f >= 0, i.e. f(p,-) = 1 for every p < 0."""
         return self.upper[bisect_left(self.breakpoints, ZERO)] == self.carrier.top
 
-    def to_scale(self) -> "SigmaScale":
-        """r |-> f(-,r) as a scale, with the upper cuts as witnesses."""
-        return SigmaScale(self.carrier, self.breakpoints, self.lower, self.upper)
-
     def __eq__(self, other) -> bool:
         return (isinstance(other, CutFunction)
                 and self.breakpoints == other.breakpoints

@@ -11,28 +11,28 @@ Over the plain lattice a term/ladder ref is an element name.  Over the
 congruence frame a simple term names a sublocale ("L", "void", "open:a",
 "closed:a" or "blocks:..."), contributing r * chi_S = r * chi(theta_S^c),
 while cut ladder values name the congruences themselves via the same refs.
+
+Each loader imports its own layer (functions: simple, and cutfunction for
+ladders and infinite constants; measures: measure; spaces and classical
+functions: bridge), so loading a lattice loads none of them.
 """
 
 from __future__ import annotations
 
 import json
-from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
-from .bridge import ClassicalSimpleFunction, FiniteMeasurableSpace, _atoms_of
-from .congruence import SublocaleView
-from .cutfunction import CutFunction, constant
 from .errors import MalformedDocument, NotFinite
 from .lattice import FiniteLattice, build_lattice, subset_name
-from .measure import Measure, measure_from_weights, reject_non_atoms, validate_measure
-from .rationals import is_finite, parse_extended, parse_rational
-from .simple import (
-    SimpleFunction,
-    canonicalize,
-    constant_simple,
-    cut_to_simple,
-    to_cut_function,
-)
+
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .bridge import ClassicalSimpleFunction, FiniteMeasurableSpace
+    from .congruence import SublocaleView
+    from .cutfunction import CutFunction
+    from .measure import Measure
+    from .simple import SimpleFunction
 
 
 def load_json(path: str):
@@ -50,6 +50,8 @@ def load_lattice(doc) -> FiniteLattice:
 
 
 def _rational(value, what: str) -> Fraction:
+    from .rationals import parse_rational
+
     try:
         return parse_rational(value)
     except (ValueError, ZeroDivisionError) as exc:
@@ -57,6 +59,8 @@ def _rational(value, what: str) -> Fraction:
 
 
 def _extended(value, what: str):
+    from .rationals import parse_extended
+
     try:
         return parse_extended(value)
     except (ValueError, ZeroDivisionError) as exc:
@@ -65,14 +69,24 @@ def _extended(value, what: str):
 
 class LoadedFunction:
     """A function document resolved against a carrier, exposing whichever
-    of the simple/cut views the caller needs."""
+    of the simple/cut views the caller needs.  The cut ladders of a simple
+    function are built on first use (``to_cut_function`` cannot fail on a
+    canonical function), so a caller that needs only the simple view never
+    loads ``cutfunction``."""
 
-    def __init__(self, cut: CutFunction, simple: Optional[SimpleFunction]):
-        self.cut = cut
+    __slots__ = ("_cut", "simple")
+
+    def __init__(self, cut: Optional[CutFunction], simple: Optional[SimpleFunction]):
+        self._cut = cut
         self.simple = simple
 
-    def as_cut(self) -> CutFunction:
-        return self.cut
+    @property
+    def cut(self) -> CutFunction:
+        if self._cut is None:
+            from .simple import to_cut_function
+
+            self._cut = to_cut_function(self.simple)
+        return self._cut
 
     def as_simple(self) -> SimpleFunction:
         if self.simple is None:
@@ -86,13 +100,18 @@ def load_function(doc, lattice: FiniteLattice,
     congruence frame when a sublocale view is supplied."""
     if not isinstance(doc, dict):
         raise MalformedDocument("function document must be a JSON object")
+    from .rationals import is_finite
+    from .simple import canonicalize, constant_simple, cut_to_simple
+
     carrier = view.frame.as_lattice() if view is not None else lattice
     kind = doc.get("kind")
     if kind == "constant":
         value = _extended(doc.get("value"), "constant")
-        cut = constant(value, carrier)
-        simple = constant_simple(value, carrier) if is_finite(value) else None
-        return LoadedFunction(cut, simple)
+        if is_finite(value):
+            return LoadedFunction(None, constant_simple(value, carrier))
+        from .cutfunction import constant
+
+        return LoadedFunction(constant(value, carrier), None)
     if kind == "simple":
         raw = doc.get("terms")
         if not isinstance(raw, list):
@@ -103,9 +122,10 @@ def load_function(doc, lattice: FiniteLattice,
                 raise MalformedDocument(f"bad term: {item!r}")
             r = _rational(item[0], "term")
             terms.append((r, _resolve_term_element(item[1], carrier, view)))
-        simple = canonicalize(carrier, terms)
-        return LoadedFunction(to_cut_function(simple), simple)
+        return LoadedFunction(None, canonicalize(carrier, terms))
     if kind == "cut":
+        from .cutfunction import CutFunction
+
         bps = doc.get("breakpoints")
         upper = doc.get("upper")
         lower = doc.get("lower")
@@ -145,6 +165,8 @@ def _resolve_ladder_element(ref, carrier: FiniteLattice,
 
 
 def load_measure(doc, view: SublocaleView) -> Measure:
+    from .measure import measure_from_weights, validate_measure
+
     if not isinstance(doc, dict):
         raise MalformedDocument("measure document must be a JSON object")
     if "on_open_weights" in doc:
@@ -168,6 +190,9 @@ def load_measure(doc, view: SublocaleView) -> Measure:
 
 
 def load_space(doc) -> FiniteMeasurableSpace:
+    from .bridge import FiniteMeasurableSpace, _atoms_of
+    from .measure import reject_non_atoms
+
     if not isinstance(doc, dict):
         raise MalformedDocument("space document must be a JSON object")
     points = doc.get("points")
@@ -205,6 +230,8 @@ def load_space(doc) -> FiniteMeasurableSpace:
 
 
 def load_classical_function(doc, space: FiniteMeasurableSpace) -> ClassicalSimpleFunction:
+    from .bridge import ClassicalSimpleFunction
+
     if not isinstance(doc, dict) or doc.get("kind") != "classical":
         raise MalformedDocument('a classical function document has kind "classical"')
     raw = doc.get("values")

@@ -17,10 +17,9 @@ fact rather than an assumption.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
 
 from .congruence import Congruence, SublocaleView
-from .cutfunction import CutFunction, constant, join_meet, negate
 from .errors import (
     ConsistencyError,
     NotIntegrable,
@@ -40,6 +39,9 @@ from .rationals import (
     parse_rational,
 )
 from .simple import SimpleFunction, canonicalize, sf_mul, to_cut_function
+
+if TYPE_CHECKING:
+    from .cutfunction import CutFunction
 
 SUMMABLE = "summable"
 INTEGRABLE_NOT_SUMMABLE = "integrable-not-summable"
@@ -225,6 +227,8 @@ def integrate_general(f: CutFunction, measure: Measure,
                       over: Optional[Congruence] = None) -> ExtValue:
     """Integral of an arbitrary (possibly extended) function over C(L),
     defined through the parts f+ = f \\/ 0 and f- = (-f) \\/ 0."""
+    from .cutfunction import constant, join_meet, negate
+
     check_same_carrier(f.carrier, measure.view.frame.as_lattice(),
                        "the function does not live on the measure's congruence frame")
     q = _keep_of(measure, over)

@@ -204,10 +204,6 @@ class FiniteLattice:
 
     # -- complements ----------------------------------------------------------
 
-    def complement_or_none(self, a: str) -> Optional[str]:
-        c = self._comp[self.index(a)]
-        return None if c is None else self.elements[c]
-
     def complement(self, a: str) -> str:
         c = self._comp[self.index(a)]
         if c is None:
@@ -219,15 +215,6 @@ class FiniteLattice:
 
     def complemented_elements(self) -> Tuple[str, ...]:
         return tuple(e for e, c in zip(self.elements, self._comp) if c is not None)
-
-    def pseudocomplement(self, a: str) -> str:
-        """Largest x with a /\\ x = 0; always exists by distributivity."""
-        ia = self.index(a)
-        acc = self._bottom
-        for x in range(len(self.elements)):
-            if self._meet[ia][x] == self._bottom:
-                acc = self._join[acc][x]
-        return self.elements[acc]
 
     def is_boolean(self) -> bool:
         return all(c is not None for c in self._comp)

@@ -54,15 +54,6 @@ from .simple import (
     zero,
 )
 
-_corpus: Dict[str, FiniteLattice] = {}
-
-
-def corpus() -> Dict[str, FiniteLattice]:
-    if not _corpus:
-        _corpus.update(corpus_lattices())
-    return _corpus
-
-
 def check(condition: bool, message: str) -> None:
     if not condition:
         raise AssertionError(message)
@@ -98,7 +89,7 @@ def criterion_indefinite(seed: int) -> str:
     rng = Random(seed)
     per_lattice = 100
     total = 0
-    for lat in corpus().values():
+    for lat in corpus_lattices().values():
         view = lat.congruence_frame().view()
         facade = view.frame.as_lattice()
         for _ in range(per_lattice):
@@ -116,7 +107,7 @@ def criterion_indefinite(seed: int) -> str:
 def criterion_subring(seed: int) -> str:
     rng = Random(seed)
     per_lattice = 500
-    for lat in corpus().values():
+    for lat in corpus_lattices().values():
         one = sf.constant_simple(Fraction(1), lat)
         nil = zero(lat)
         for _ in range(per_lattice):
@@ -178,7 +169,7 @@ def _messy_representation(rng: Random, g: SimpleFunction) -> List[Tuple[Fraction
 def criterion_canonical(seed: int) -> str:
     rng = Random(seed)
     cases = 500
-    names = list(corpus().values())
+    names = list(corpus_lattices().values())
     for i in range(cases):
         lat = names[i % len(names)]
         g = random_simple(rng, lat, coeff_lo=-6, coeff_hi=6)
@@ -202,7 +193,7 @@ def criterion_canonical(seed: int) -> str:
 def criterion_tables(seed: int) -> str:
     rng = Random(seed)
     cases = 200
-    names = list(corpus().values())
+    names = list(corpus_lattices().values())
     for i in range(cases):
         lat = names[i % len(names)]
         g = random_simple(rng, lat, coeff_lo=-6, coeff_hi=6)
@@ -249,7 +240,7 @@ def criterion_decompose(seed: int) -> str:
               f"grid gaps exceed 1/{k}")
     count = 0
     milestones = {1: Fraction(0), 2: Fraction(1, 2), 3: Fraction(5, 6), 7: Fraction(41, 42)}
-    for name, lat in corpus().items():
+    for name, lat in corpus_lattices().items():
         for f in _decompose_corpus(rng, lat):
             trace = decompose_trace(f, horizon)
             stages = [to_cut_function(step.stage) for step in trace]
@@ -280,7 +271,7 @@ def criterion_integral_props(seed: int) -> str:
     rng = Random(seed)
     per_lattice = 60
     checked = 0
-    for lat in corpus().values():
+    for lat in corpus_lattices().values():
         view = lat.congruence_frame().view()
         facade = view.frame.as_lattice()
         subs = view.sublocales
@@ -387,7 +378,8 @@ def criterion_integral_props(seed: int) -> str:
 def criterion_limits(seed: int) -> str:
     rng = Random(seed)
     cases = 200
-    lattices = [corpus()["b4"], corpus()["b8"], corpus()["div12"]]
+    corpus = corpus_lattices()
+    lattices = [corpus["b4"], corpus["b8"], corpus["div12"]]
     for i in range(cases):
         lat = lattices[i % len(lattices)]
         carrier = lat.congruence_frame().as_lattice() if i % 2 else lat
@@ -400,7 +392,7 @@ def criterion_limits(seed: int) -> str:
         check(limit is not None and limit == tail,
               "an eventually constant sequence must converge to its tail")
     # the harmonic example: 1, 1/2, ..., 1/12, then the declared tail 0
-    for lat in (corpus()["b4"], corpus()["div60"]):
+    for lat in (corpus["b4"], corpus["div60"]):
         carrier = lat.congruence_frame().as_lattice()
         prefix = tuple(cf.constant(Fraction(1, n), carrier) for n in range(1, 13))
         _, _, limit = cf.limits(cf.FunctionSequence(prefix, cf.constant(Fraction(0), carrier)))
@@ -433,7 +425,7 @@ def criterion_general(seed: int) -> str:
     rng = Random(seed)
     per_lattice = 50
     count = 0
-    for lat in corpus().values():
+    for lat in corpus_lattices().values():
         view = lat.congruence_frame().view()
         facade = view.frame.as_lattice()
         for _ in range(per_lattice):

@@ -13,9 +13,10 @@ tests can freeze expected values produced by an unrelated code path."""
 from bisect import bisect_right
 from fractions import Fraction
 
+from locint.bridge import ClassicalSimpleFunction
 from locint.congruence import Congruence, nabla
 from locint.corpus import random_weight
-from locint.cutfunction import CutFunction
+from locint.cutfunction import CutFunction, SigmaScale
 from locint.errors import (
     ComplementationFailure,
     ConsistencyError,
@@ -101,6 +102,16 @@ def congruence_of(lattice: FiniteLattice, labels) -> Congruence:
     for e, b in zip(lattice.elements, labels):
         blocks.setdefault(b, []).append(e)
     return Congruence.from_blocks(lattice, blocks.values())
+
+
+def all_pairs(lattice: FiniteLattice) -> Congruence:
+    """The all-pairs relation 1_C: one block holding every element."""
+    return congruence_of(lattice, [0] * lattice.size)
+
+
+def block_containing(theta: Congruence, a: str) -> tuple:
+    """The block of theta that holds the element a."""
+    return theta.blocks()[theta.block_of[theta.lattice.index(a)]]
 
 
 def refines(c: Congruence, d: Congruence) -> bool:
@@ -230,7 +241,7 @@ def weights_table(view, weights) -> list:
     atoms = lat.atoms()
     table = []
     for theta in view.sublocales:
-        b = lat.join_all(theta.block_containing(lat.bottom))
+        b = lat.join_all(block_containing(theta, lat.bottom))
         assert theta == nabla(lat, b), "the carrier is not Boolean"
         bc = lat.complement(b)
         total = Fraction(0)
@@ -247,7 +258,7 @@ def space_table(space) -> list:
     lat = space.lattice()
     table = []
     for theta in lat.congruence_frame().congruences:
-        b = space.subset_of_name(lat.join_all(theta.block_containing(lat.bottom)))
+        b = space.subset_of_name(lat.join_all(block_containing(theta, lat.bottom)))
         table.append(space.lam[frozenset(space.points) - b])
     return table
 
@@ -456,12 +467,11 @@ def _join_cuts_by_fractions(fs, name, reps, cut, label):
     joined, comps = [], []
     for t in reps(grid):
         v = lat.join_all(cut(f, t) for f in fs)
-        c = lat.complement_or_none(v)
-        if c is None:
+        if not lat.is_complemented(v):
             raise ComplementationFailure(
                 f"sup of {label}={t} is not complemented (element {v!r})")
         joined.append(v)
-        comps.append(c)
+        comps.append(lat.complement(v))
     return lat, grid, joined, comps
 
 
@@ -490,3 +500,35 @@ def summability_by_parts(g, measure, over=None):
             total = ext_add(total, ext_scale(r, _term_measure(measure, element, q)))
         sums.append(total)
     return classify(*sums)
+
+
+# -- the scale of a function, classical preimages and the classical ring ----------------
+#
+# Pointwise definitions on the points of a classical space, and the scale
+# read straight off a function's two ladders: references for the ladder
+# generation (from_sigma_scale) and for the bridge to the pointfree side.
+
+
+def scale_of(f: CutFunction) -> SigmaScale:
+    """r |-> f(-,r) as a scale, with the upper cuts as witnesses."""
+    return SigmaScale(f.carrier, f.breakpoints, f.lower, f.upper)
+
+
+def preimage_below(f: ClassicalSimpleFunction, r) -> frozenset:
+    return frozenset(p for p, v in f.values.items() if v < r)
+
+
+def preimage_above(f: ClassicalSimpleFunction, r) -> frozenset:
+    return frozenset(p for p, v in f.values.items() if v > r)
+
+
+def classical_add(f: ClassicalSimpleFunction, g: ClassicalSimpleFunction) -> ClassicalSimpleFunction:
+    return ClassicalSimpleFunction(f.space, {p: f.values[p] + g.values[p] for p in f.space.points})
+
+
+def classical_mul(f: ClassicalSimpleFunction, g: ClassicalSimpleFunction) -> ClassicalSimpleFunction:
+    return ClassicalSimpleFunction(f.space, {p: f.values[p] * g.values[p] for p in f.space.points})
+
+
+def classical_scale(lam, f: ClassicalSimpleFunction) -> ClassicalSimpleFunction:
+    return ClassicalSimpleFunction(f.space, {p: lam * v for p, v in f.values.items()})

@@ -3,14 +3,12 @@ from random import Random
 
 import pytest
 
+from _oracle import classical_add, classical_mul, classical_scale, preimage_above, preimage_below
 from locint.bridge import (
     ClassicalSimpleFunction,
     FiniteMeasurableSpace,
     bridge_check,
-    classical_add,
     classical_integral,
-    classical_mul,
-    classical_scale,
     extend_measure,
     from_localic,
     to_localic,
@@ -49,10 +47,10 @@ def test_to_localic_terms_and_preimage_table(space_xy):
     frame = space_xy.lattice().congruence_frame()
     # f(-,q) must be nabla of the strict sublevel set, at every grid rational
     for q in (F(0), F(2), F(5, 2), F(3), F(7, 2), F(100)):
-        expected = frame.nabla_of(space_xy.name_of(f.preimage_below(q))).partition_name()
+        expected = frame.nabla_of(space_xy.name_of(preimage_below(f, q))).partition_name()
         assert cut.lower_at(q) == expected
     for p in (F(-1), F(2), F(5, 2), F(3), F(100)):
-        expected = frame.nabla_of(space_xy.name_of(f.preimage_above(p))).partition_name()
+        expected = frame.nabla_of(space_xy.name_of(preimage_above(f, p))).partition_name()
         assert cut.upper_at(p) == expected
 
 

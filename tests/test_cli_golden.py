@@ -102,6 +102,7 @@ COMMANDS = {
     "not_integrable": ["integrate", "--lattice", B4, "--measure", D + "mu_inf.json",
                        "--function", D + "f_signed.json"],
     "decompose_k0": ["decompose", "--function", "sample_docs/one.json", "--k", "0"],
+    "decompose_k_cap": ["decompose", "--function", "sample_docs/one.json", "--k", "100000000"],
     "space_powerset_extra": ["validate", "--space", D + "space_powerset_extra.json"],
     "space_algebra_extra": ["validate", "--space", D + "space_algebra_extra.json"],
     # spaces beyond the 64-set cap

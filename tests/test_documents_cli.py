@@ -47,14 +47,14 @@ def test_load_lattice_and_poset_closure():
 def test_load_function_kinds(b4):
     view = b4.congruence_frame().view()
     fn = load_function({"kind": "constant", "value": "3/2"}, b4)
-    assert fn.as_cut() == cf.constant(F(3, 2), b4)
+    assert fn.cut == cf.constant(F(3, 2), b4)
     fn = load_function({"kind": "constant", "value": "inf"}, b4)
-    assert not fn.as_cut().is_finite()
+    assert not fn.cut.is_finite()
     fn = load_function({"kind": "simple", "terms": [["1", "x"], ["1", "1"]]}, b4)
     assert fn.as_simple().terms == ((F(1), "y"), (F(2), "x"))
     fn = load_function({"kind": "cut", "breakpoints": ["0", "1"],
                         "upper": ["1", "x", "0"], "lower": ["0", "y", "1"]}, b4)
-    assert fn.as_cut() == cf.characteristic("x", b4)
+    assert fn.cut == cf.characteristic("x", b4)
     fn = load_function({"kind": "simple", "terms": [["2", "open:x"]]}, b4, view)
     assert fn.as_simple().carrier == b4.congruence_frame().as_lattice()
 

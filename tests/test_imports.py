@@ -1,26 +1,50 @@
-"""What a cold command line loads: ``import locint.cli`` in a fresh
-interpreter must not pull in ``verify`` and its corpus (they load only for
-``locint verify``) nor ``dataclasses`` and the ``inspect`` machinery behind
-it, and the package keeps its public names."""
+"""What a cold command line loads.  ``import locint`` loads no layer: the
+package resolves its public names on first access.  Each command, run as
+``python -m locint ...`` in a fresh interpreter, loads exactly the locint
+modules of its own closure (``verify`` and its corpus only for ``locint
+verify``, ``bridge`` only for ``bridge`` and ``validate --space``), never
+``dataclasses`` and the ``inspect`` machinery behind it, and prints what
+its golden file holds."""
 
 import json
-import re
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+from test_cli_golden import CASES, GOLDEN, ROOT, VERIFY_ARGV, VERIFY_CASE
+
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 PROBE = """
-import json, sys, types
+import json, sys
 before = set(sys.modules)
-import locint.cli
 import locint
+package_only = sorted(set(sys.modules) - before)
+import locint.cli
+cli_loaded = sorted(set(sys.modules) - before)
+names = {}
+exec("from locint import *", names)
+resolved = {}
+for name in locint.__all__:
+    module = __import__("locint." + locint._MODULE_OF[name], fromlist=["_"])
+    resolved[name] = getattr(locint, name) is getattr(module, name)
+try:
+    locint.no_such_name
+    missing = "resolved"
+except AttributeError:
+    missing = "AttributeError"
 print(json.dumps({
-    "loaded": sorted(set(sys.modules) - before),
-    "public": sorted(n for n, v in vars(locint).items()
-                     if not n.startswith("_") and not isinstance(v, types.ModuleType)),
+    "package_only": package_only,
+    "cli_loaded": cli_loaded,
+    "all": locint.__all__,
+    "dir": [n for n in dir(locint) if not n.startswith("_")],
+    "star": sorted(n for n in names if n != "__builtins__"),
+    "resolved": resolved,
+    "missing": missing,
 }))
 """
 
@@ -40,20 +64,84 @@ PUBLIC = [
     "to_cut_function", "to_localic", "validate_measure", "zero",
 ]
 
+# Every command loads these; the closures below add the layers it runs.
+FRONT = {"locint", "locint.cli", "locint.documents", "locint.errors", "locint.lattice"}
+SIMPLE = {"locint.rationals", "locint.simple"}
+MEASURED = {"locint.congruence", "locint.measure", "locint.integrate", *SIMPLE}
+
+# golden case -> the locint modules a cold run of it loads
+CLOSURES = {
+    "congruences_b4.text": FRONT | {"locint.congruence"},
+    "canonicalize_b4.text": FRONT | {"locint.congruence"} | SIMPLE,
+    "eval_b4_lattice.text": FRONT | SIMPLE | {"locint.cutfunction"},
+    "integrate_b4.text": FRONT | MEASURED,
+    "indefinite_b4.json": FRONT | MEASURED,
+    "decompose_one.text": FRONT | SIMPLE | {"locint.cutfunction"},
+    "bridge_samples.text": FRONT | MEASURED | {"locint.bridge"},
+    "validate_samples.text": FRONT | MEASURED | {"locint.bridge", "locint.cutfunction"},
+    VERIFY_CASE: FRONT | MEASURED | {"locint.bridge", "locint.cutfunction",
+                                     "locint.corpus", "locint.verify"},
+}
+
+NEVER = {"dataclasses", "inspect"}
+
+
+def env():
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return dict(os.environ, PYTHONPATH=path)
+
 
 def probe():
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", PROBE], check=True, capture_output=True,
-                         text=True, env=dict(os.environ, PYTHONPATH=path)).stdout
+                         text=True, env=env()).stdout
     return json.loads(out)
 
 
 def test_cold_cli_import_loads_only_what_commands_run():
     result = probe()
-    assert "locint.cli" in result["loaded"]
-    unwanted = {"dataclasses", "inspect", "locint.verify", "locint.corpus"}
-    assert unwanted.isdisjoint(result["loaded"])
-    assert result["public"] == PUBLIC
+    assert result["package_only"] == ["locint"]
+    assert "locint.cli" in result["cli_loaded"]
+    assert {"locint.verify", "locint.corpus", "locint.bridge", *NEVER}.isdisjoint(
+        result["cli_loaded"])
+
+
+def test_public_names_resolve_to_their_defining_module():
+    result = probe()
+    assert result["all"] == PUBLIC
+    assert result["star"] == PUBLIC
+    assert set(PUBLIC) <= set(result["dir"])
+    assert result["resolved"] == {name: True for name in PUBLIC}
+    assert result["missing"] == "AttributeError"
+
+
+def cold_run(argv):
+    """Exit code, stdout, stderr without the import lines, and the set of
+    modules a fresh ``python -X importtime -m locint`` imported."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "locint", *argv],
+                          capture_output=True, text=True, cwd=ROOT, env=env(), timeout=300)
+    loaded, err = set(), []
+    for line in proc.stderr.splitlines(keepends=True):
+        if line.startswith("import time:"):
+            loaded.add(line.rsplit("|", 1)[1].strip())
+        else:
+            err.append(line)
+    return proc.returncode, proc.stdout, "".join(err), loaded
+
+
+@pytest.mark.parametrize("case", sorted(CLOSURES))
+def test_cold_command_loads_its_closure_and_matches_golden(case):
+    argv = VERIFY_ARGV if case == VERIFY_CASE else CASES[case]
+    code, out, err, loaded = cold_run(argv)
+    golden = (GOLDEN / f"{case}.out").read_text(encoding="utf-8")
+    head, rest = golden.split("\n--- stdout\n", 1)
+    expected_out, _, expected_err = rest.partition("--- stderr\n")
+    assert (f"exit: {code}", out) == (head, expected_out)
+    if case != VERIFY_CASE:  # verify's stderr holds its timings
+        assert err == expected_err
+    assert {m for m in loaded if m.split(".")[0] == "locint"} == CLOSURES[case]
+    assert NEVER.isdisjoint(loaded)
+    if case.startswith("congruences"):
+        assert "fractions" not in loaded
 
 
 def test_no_private_fraction_internals():

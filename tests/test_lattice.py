@@ -49,17 +49,6 @@ def test_complement_examples(b4, c3):
         c3.complement("m")
 
 
-def test_pseudocomplement_examples(b4, c3):
-    assert c3.pseudocomplement("m") == "0"
-    assert b4.pseudocomplement("x") == "y"
-    assert c3.pseudocomplement("1") == "0"
-
-
-def test_pseudocomplement_agrees_on_complemented_elements(b8):
-    for a in b8.complemented_elements():
-        assert b8.pseudocomplement(a) == b8.complement(a)
-
-
 def test_complement_is_involutive(b8):
     for a in b8.complemented_elements():
         assert b8.complement(b8.complement(a)) == a
