@@ -64,11 +64,12 @@ def cmd_validate(args) -> int:
         from .rationals import format_rational
 
         fn = load_function(load_json(args.function), lattice, view)
-        kind = "finite" if fn.cut.is_finite() else "extended"
+        # a function is simple iff it is finite, and its ladders break at its coefficients
+        kind = "extended" if fn.simple is None else "finite"
+        breakpoints = fn.cut.breakpoints if fn.simple is None else fn.simple.coefficients()
         report["function"] = {"kind": kind,
-                              "breakpoints": [format_rational(b) for b in fn.cut.breakpoints]}
-        lines.append(f"function: valid, {kind}, "
-                     f"{len(fn.cut.breakpoints)} breakpoints")
+                              "breakpoints": [format_rational(b) for b in breakpoints]}
+        lines.append(f"function: valid, {kind}, {len(breakpoints)} breakpoints")
     if args.space:
         space = load_space(load_json(args.space))
         report["space"] = {"points": len(space.points), "algebra": len(space.algebra)}

@@ -51,7 +51,7 @@ class Congruence:
 
     @classmethod
     def equality(cls, lattice: FiniteLattice) -> "Congruence":
-        return cls(lattice, _full(lattice))
+        return cls(lattice, lattice._full)
 
     @classmethod
     def from_blocks(cls, lattice: FiniteLattice, blocks: Iterable[Iterable[str]]) -> "Congruence":
@@ -69,8 +69,11 @@ class Congruence:
         if -1 in block_of:
             missing = lattice.elements[block_of.index(-1)]
             raise MalformedDocument(f"element {missing!r} is not covered by the partition")
-        keep = sum(1 << k for k, (j, c) in enumerate(zip(lattice._jirr, lattice._jcover))
-                   if block_of[j] != block_of[c])
+        # the lower cover of the k-th j has the mask J(j) minus bit k
+        jmask = lattice._jmask
+        block_at = dict(zip(jmask, block_of))
+        keep = sum(1 << k for k, j in enumerate(lattice._jirr)
+                   if block_of[j] != block_at[jmask[j] ^ (1 << k)])
         theta, given = cls(lattice, keep), _canonical(block_of)
         if theta.block_of != given:
             raise MalformedDocument(
@@ -116,11 +119,6 @@ def _partition_name(lattice: FiniteLattice, block_of: Sequence[int]) -> str:
     return "{" + "|".join(",".join(b) for b in _blocks(lattice, block_of)) + "}"
 
 
-def _full(lattice: FiniteLattice) -> int:
-    """The keep-mask of every join-irreducible: the equality relation."""
-    return (1 << len(lattice._jirr)) - 1
-
-
 # -- construction of particular congruences ------------------------------------
 
 
@@ -128,13 +126,13 @@ def principal_congruence(lattice: FiniteLattice, a: str, b: str) -> Congruence:
     """Smallest congruence identifying a and b: it collapses exactly the
     join-irreducibles in J(a) symmetric-difference J(b)."""
     collapsed = lattice._jmask[lattice.index(a)] ^ lattice._jmask[lattice.index(b)]
-    return Congruence(lattice, _full(lattice) & ~collapsed)
+    return Congruence(lattice, lattice._full & ~collapsed)
 
 
 def nabla(lattice: FiniteLattice, a: str) -> Congruence:
     """The closed congruence x ~ y iff x \\/ a = y \\/ a: it keeps J(L)
     minus J(a)."""
-    return Congruence(lattice, _full(lattice) & ~lattice._jmask[lattice.index(a)])
+    return Congruence(lattice, lattice._full & ~lattice._jmask[lattice.index(a)])
 
 
 def delta(lattice: FiniteLattice, a: str) -> Congruence:
@@ -159,17 +157,15 @@ def congruence_join(c: Congruence, d: Congruence) -> Congruence:
 
 
 def quotient(lattice: FiniteLattice, theta: Congruence) -> FiniteLattice:
-    """The quotient lattice of blocks with the induced order."""
+    """The quotient lattice of blocks with the induced order: a block lies
+    below another iff its kept join-irreducibles are a subset of the
+    other's."""
     blocks = theta.blocks()
     names = [block_name(b) for b in blocks]
-    reps = [lattice.index(b[0]) for b in blocks]
-    pairs = []
-    for i, ri in enumerate(reps):
-        for j, rj in enumerate(reps):
-            m = lattice._meet[ri][rj]
-            if theta.block_of[m] == theta.block_of[ri]:
-                pairs.append((names[i], names[j]))
-    return FiniteLattice(names, pairs)
+    kept = [lattice._jmask[lattice.index(b[0])] & theta.keep for b in blocks]
+    return FiniteLattice(names, [(names[i], names[j])
+                                 for i, qi in enumerate(kept)
+                                 for j, qj in enumerate(kept) if not qi & ~qj])
 
 
 def block_name(members: Sequence[str]) -> str:
@@ -198,13 +194,13 @@ class CongruenceFrame:
 
     ``_pos`` maps each keep-mask to the congruence's index in frame order;
     on keep-masks the frame meet is ``|``, the join ``&`` and the
-    complement ``~``.  ``as_lattice`` exposes the frame as a FiniteLattice
-    over canonical partition names so that functions and simple functions
-    can use it as a carrier.
+    complement ``~``.  ``as_lattice`` gives the frame as a FiniteLattice
+    over canonical partition names, the carrier of functions and simple
+    functions over C(L).
     """
 
     __slots__ = ("lattice", "congruences", "_full", "_pos",
-                 "_facade", "_view", "_nabla", "_delta")
+                 "_carrier", "_view", "_nabla", "_delta")
 
     def __init__(self, lattice: FiniteLattice, congruences: Tuple[Congruence, ...]):
         self.lattice = lattice
@@ -214,7 +210,7 @@ class CongruenceFrame:
         for i, c in enumerate(congruences):
             pos[c.keep] = i
         self._pos = tuple(pos)
-        self._facade: Optional[FiniteLattice] = None
+        self._carrier: Optional[FiniteLattice] = None
         jmask = lattice._jmask
         self._nabla = {a: pos[self._full & ~jmask[i]] for i, a in enumerate(lattice.elements)}
         self._delta = {a: pos[jmask[i]] for i, a in enumerate(lattice.elements)}
@@ -256,17 +252,16 @@ class CongruenceFrame:
         return self.congruences[self._pos[self._full & ~theta.keep]]
 
     def as_lattice(self) -> FiniteLattice:
-        """The facade, built on first use; two threads racing here may each
-        build it, and the copies compare equal."""
-        if self._facade is None:
-            names = [c.partition_name() for c in self.congruences]
-            masks = [c.keep for c in self.congruences]
-            # theta_i <= theta_j in C(L) iff the keep-mask of i contains j's
-            pairs = [(names[i], names[j])
-                     for i, qi in enumerate(masks)
-                     for j, qj in enumerate(masks) if qi & qj == qj]
-            self._facade = FiniteLattice(names, pairs)
-        return self._facade
+        """C(L) as a carrier: the Boolean lattice over the partition names in
+        frame order, where a congruence's mask is the set of
+        join-irreducibles it collapses (theta <= phi iff theta collapses no
+        more than phi).  Built on first use; two threads racing here may
+        each build it, and the copies compare equal."""
+        if self._carrier is None:
+            self._carrier = FiniteLattice._from_masks(
+                [c.partition_name() for c in self.congruences],
+                [self._full ^ c.keep for c in self.congruences])
+        return self._carrier
 
     def congruence_of_element(self, name: str) -> Congruence:
         return self.congruences[self.as_lattice().index(name)]

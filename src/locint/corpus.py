@@ -44,13 +44,16 @@ def corpus_lattices() -> Mapping[str, FiniteLattice]:
 
 def boolean_atoms(lattice: FiniteLattice) -> Tuple[str, ...]:
     """Atoms of the Boolean sublattice of complemented elements; they are
-    pairwise disjoint and join to the top.  Read off the bit masks: a
-    nonzero complemented a is an atom when no other nonzero complemented
-    element lies in its down-set ``_down[a]``."""
-    complemented = sum(1 << i for i, c in enumerate(lattice._comp)
-                       if c is not None and i != lattice._bottom)
-    return tuple(e for i, e in enumerate(lattice.elements)
-                 if complemented >> i & 1 and lattice._down[i] & complemented == 1 << i)
+    pairwise disjoint and join to the top.  Read off the J-masks: each
+    nonzero complemented mask is a disjoint union of atoms, so taken by
+    increasing size, one is an atom iff it misses every atom found before."""
+    at, full = lattice._at, lattice._full
+    atoms, found = set(), 0
+    for m in sorted((m for m in at if m and (full ^ m) in at), key=int.bit_count):
+        if not m & found:
+            atoms.add(m)
+            found |= m
+    return tuple(e for e, m in zip(lattice.elements, lattice._jmask) if m in atoms)
 
 
 def random_rational(rng: Random, lo: int = -12, hi: int = 12,

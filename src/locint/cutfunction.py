@@ -11,8 +11,8 @@ t_0 < ... < t_{m-1} together with
 The defining relations of the frame of (extended) reals  --  the cuts meet
 to 0 when p >= q and join to 1 when p < q  --  reduce, for step ladders, to
 the two interval values being complements of each other; the constructor
-checks exactly that together with monotonicity, on the carrier's index
-tables, and then normalises away breakpoints where nothing changes.
+checks exactly that together with monotonicity, on the carrier's J-masks,
+and then normalises away breakpoints where nothing changes.
 Right-/left-constancy of the interval convention discharges the regularity
 relations.
 
@@ -21,8 +21,9 @@ are evaluated exactly as finite joins: one operand's cut is constant on
 each piece of the other's grid, and the other operand's monotone cut
 reaches its supremum over that piece at the piece's end.  The kernels run
 on ints: the operands' breakpoints go over one common denominator D, the
-grids are merged, sorted and bisected as ints, ladders are read by element
-index, and a ``Fraction`` is built only for each output breakpoint.
+grids are merged, sorted and bisected as ints, ladders are read as J-masks
+(meet ``&``, join ``|``, names looked up in the carrier's ``_at``), and a
+``Fraction`` is built only for each output breakpoint.
 """
 
 from __future__ import annotations
@@ -47,13 +48,13 @@ from .rationals import ZERO, ExtValue, Infinite, over_common_denominator, parse_
 class CutFunction:
     """An exact step function given by its two cut ladders.
 
-    The constructor resolves each ladder value to its element index once
-    (an unknown name raises MalformedDocument) and then checks, in this
-    order and on the carrier's index tables: the ladder lengths, strictly
-    increasing breakpoints, antitone upper and isotone lower ladders (the
-    ``_down`` bits), and the two cut relations on each interval (``_meet``
-    and ``_join``).  The kernels read the ladders by index (``_up``,
-    ``_lo``).  The hash is computed on the first ``hash()`` call."""
+    The constructor resolves each ladder value to its J-mask once (an
+    unknown name raises MalformedDocument) and then checks, in this order
+    and on the masks: the ladder lengths, strictly increasing breakpoints,
+    antitone upper and isotone lower ladders (mask inclusion), and the two
+    cut relations on each interval (the masks are disjoint and their union
+    is J(L)).  The kernels read the ladders as masks (``_up``, ``_lo``).
+    The hash is computed on the first ``hash()`` call."""
 
     __slots__ = ("carrier", "breakpoints", "upper", "lower", "_up", "_lo", "_hash")
 
@@ -70,22 +71,21 @@ class CutFunction:
         for i, ((n, d), (n1, d1)) in enumerate(zip(ratios, ratios[1:])):
             if not n * d1 < n1 * d:
                 raise InvalidScale(f"breakpoints not strictly increasing at {bp[i]}")
-        index = carrier.index
-        ui = [index(v) for v in up]
-        li = [index(v) for v in lo]
-        down = carrier._down
+        jmask = carrier.jmask
+        ui = [jmask(v) for v in up]
+        li = [jmask(v) for v in lo]
         for i in range(len(bp)):
-            if not down[ui[i]] >> ui[i + 1] & 1:
+            if ui[i + 1] & ~ui[i]:
                 raise InvalidScale(f"upper ladder is not antitone across {bp[i]}")
-            if not down[li[i + 1]] >> li[i] & 1:
+            if li[i] & ~li[i + 1]:
                 raise InvalidScale(f"lower ladder is not isotone across {bp[i]}")
-        meet, join, bot, top = carrier._meet, carrier._join, carrier._bottom, carrier._top
+        full = carrier._full
         for i, (u, l) in enumerate(zip(ui, li)):
-            if meet[u][l] != bot:
+            if u & l:
                 raise InvalidScale(
                     f"cut relation (p,-) /\\ (-,q) = 0 fails on interval {i}: "
                     f"{up[i]!r} /\\ {lo[i]!r} != bottom")
-            if join[u][l] != top:
+            if u | l != full:
                 raise InvalidScale(
                     f"cut relation (p,-) \\/ (-,q) = 1 fails on interval {i}: "
                     f"{up[i]!r} \\/ {lo[i]!r} != top")
@@ -180,7 +180,7 @@ def characteristic(a: str, carrier: FiniteLattice) -> CutFunction:
 
 
 def _merged_pieces(f: CutFunction, g: CutFunction):
-    """(merged grid, (f, g) index pairs per upper piece, and per lower piece)."""
+    """(merged grid, (f, g) mask pairs per upper piece, and per lower piece)."""
     check_same_carrier(f.carrier, g.carrier, _DIFFERENT_CARRIERS)
     den, (fb, gb), value = _int_grids((f, g))
     grid = sorted(value)
@@ -195,9 +195,8 @@ def leq(f: CutFunction, g: CutFunction) -> bool:
     """f <= g iff f(p,-) <= g(p,-) everywhere; the dual lower-ladder
     comparison is computed as well and cross-checked."""
     _, ups, lows = _merged_pieces(f, g)
-    down = f.carrier._down
-    by_upper = all(down[gu] >> fu & 1 for fu, gu in ups)
-    by_lower = all(down[fl] >> gl & 1 for fl, gl in lows)
+    by_upper = all(not fu & ~gu for fu, gu in ups)
+    by_lower = all(not gl & ~fl for fl, gl in lows)
     if by_upper != by_lower:
         raise ConsistencyError("upper and lower order tests disagree")
     return by_upper
@@ -207,11 +206,9 @@ def join_meet(f: CutFunction, g: CutFunction) -> Tuple[CutFunction, CutFunction]
     """(f \\/ g, f /\\ g) computed pointwise on the merged grid."""
     grid, ups, lows = _merged_pieces(f, g)
     lat = f.carrier
-    meet, join, names = lat._meet, lat._join, lat.elements
-    fj = CutFunction(lat, grid, [names[join[a][b]] for a, b in ups],
-                     [names[meet[a][b]] for a, b in lows])
-    fm = CutFunction(lat, grid, [names[meet[a][b]] for a, b in ups],
-                     [names[join[a][b]] for a, b in lows])
+    at = lat._at
+    fj = CutFunction(lat, grid, [at[a | b] for a, b in ups], [at[a & b] for a, b in lows])
+    fm = CutFunction(lat, grid, [at[a & b] for a, b in ups], [at[a | b] for a, b in lows])
     return fj, fm
 
 
@@ -251,7 +248,7 @@ def add(f: CutFunction, g: CutFunction) -> CutFunction:
     lat = f.carrier
     if not f.breakpoints or not g.breakpoints:
         return f  # only over the one-element carrier
-    meet, join, names, bot = lat._meet, lat._join, lat.elements, lat._bottom
+    at = lat._at
     den, (fb, gb), _ = _int_grids((f, g))
     grid = sorted({x + y for x in fb for y in gb})
     fu, fl = f._up, f._lo
@@ -260,16 +257,16 @@ def add(f: CutFunction, g: CutFunction) -> CutFunction:
     ur, lr = _reps(grid, den)
     lower = []
     for q in lr:
-        acc = bot
+        acc = 0
         for bj, gl in g_lower:
-            acc = join[acc][meet[fl[bisect_left(fb, q - bj)]][gl]]
-        lower.append(names[acc])
+            acc |= fl[bisect_left(fb, q - bj)] & gl
+        lower.append(at[acc])
     upper = []
     for p in ur:
-        acc = bot
+        acc = 0
         for bj, gu in g_upper:
-            acc = join[acc][meet[fu[bisect_right(fb, p - bj)]][gu]]
-        upper.append(names[acc])
+            acc |= fu[bisect_right(fb, p - bj)] & gu
+        upper.append(at[acc])
     return CutFunction(lat, [Fraction(t, den) for t in grid], upper, lower)
 
 
@@ -292,7 +289,7 @@ def mul_nonneg(f: CutFunction, g: CutFunction) -> CutFunction:
     lat = f.carrier
     if not f.breakpoints or not g.breakpoints:
         return f
-    meet, join, names, bot = lat._meet, lat._join, lat.elements, lat._bottom
+    at = lat._at
     den, (fb, gb), _ = _int_grids((f, g))
     first = bisect_right(gb, 0)  # the piece of g reaching down to 0
     pos = gb[first:]
@@ -306,19 +303,19 @@ def mul_nonneg(f: CutFunction, g: CutFunction) -> CutFunction:
         if q <= 0:
             lower.append(lat.bottom)
             continue
-        acc = meet[fl[-1]][g_lower[0]]
+        acc = fl[-1] & g_lower[0]
         for bj, gl in zip(pos, g_lower[1:]):
-            acc = join[acc][meet[fl[bisect_left(fb, -(-q // bj))]][gl]]
-        lower.append(names[acc])
+            acc |= fl[bisect_left(fb, -(-q // bj))] & gl
+        lower.append(at[acc])
     upper = []
     for p in ur:
         if p < 0:
             upper.append(lat.top)
             continue
-        acc = bot
+        acc = 0
         for bj, gu in g_upper:
-            acc = join[acc][meet[fu[bisect_right(fb, p // bj)]][gu]]
-        upper.append(names[acc])
+            acc |= fu[bisect_right(fb, p // bj)] & gu
+        upper.append(at[acc])
     return CutFunction(lat, [Fraction(t, den * den) for t in grid], upper, lower)
 
 
@@ -363,7 +360,7 @@ def _join_cuts(fs: Sequence[CutFunction], name: str, upper: bool):
     for g in fs[1:]:
         check_same_carrier(fs[0].carrier, g.carrier, _DIFFERENT_CARRIERS)
     lat = fs[0].carrier
-    join, comp, names = lat._join, lat._comp, lat.elements
+    at, full = lat._at, lat._full
     den, grids, value = _int_grids(fs)
     grid = sorted(value)
     ur, lr = _reps(grid, den)
@@ -374,16 +371,16 @@ def _join_cuts(fs: Sequence[CutFunction], name: str, upper: bool):
     family = [(fb, f._up if upper else f._lo) for fb, f in zip(grids, fs)]
     joined, comps = [], []
     for t in reps:
-        acc = lat._bottom
+        acc = 0
         for fb, ladder in family:
-            acc = join[acc][ladder[cut(fb, t)]]
-        c = comp[acc]
+            acc |= ladder[cut(fb, t)]
+        c = at.get(full ^ acc)
         if c is None:
             raise ComplementationFailure(
                 f"sup of {label}={Fraction(t, den)} is not complemented "
-                f"(element {names[acc]!r})")
-        joined.append(names[acc])
-        comps.append(names[c])
+                f"(element {at[acc]!r})")
+        joined.append(at[acc])
+        comps.append(c)
     return lat, [value[t] for t in grid], joined, comps
 
 

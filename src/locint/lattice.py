@@ -1,27 +1,33 @@
-"""Finite bounded distributive lattices with exact meet/join/complement tables.
+"""Finite bounded distributive lattices, held as their Birkhoff J-masks.
 
-Elements are opaque strings and the order is given extensionally.  All
-derived structure (meet/join tables, bounds, complements) is computed and
-validated at construction: partial order axioms, existence of every binary
-meet and join, and distributivity.  Instances are immutable after
-construction and safe to share between threads; the congruence frame is
-built on first use, and threads racing on it may each build a copy, whose
-congruences compare equal.
+Elements are opaque strings and the order is given extensionally.  The
+constructor validates it (partial order axioms, every binary meet and join,
+distributivity) on meet/join tables that it then drops, and keeps for each
+element x the set J(x) of join-irreducibles below it as a bitmask (bit k:
+the k-th join-irreducible in element order).  By Birkhoff's representation
+the masks are the lattice: J(x /\\ y) = J(x) & J(y), J(x \\/ y) = J(x) | J(y),
+x <= y iff J(x) is a subset of J(y), and a complemented x has
+J(x') = J(L) minus J(x), as every join-irreducible is join-prime.  So meet,
+join, order and complement are bit operations, names are looked up only at
+the boundary, and nothing is stored per pair.
 
-Construction also finds the join-irreducibles J(L) and, for each element x,
-the set J(x) of join-irreducibles below it (a bitmask).  These give the
-fast distributivity check, O(n^2): L is distributive iff
-J(x \\/ y) = J(x) | J(y) for all x, y.  Only a lattice that fails it goes
-through the O(n^3) sweep over all triples, which names the first failing
-triple.  The congruence frame is built from the same masks.
+Distributivity is checked in O(n^2), as J(x \\/ y) = J(x) | J(y) for all
+x, y; only a lattice that fails it goes through the O(n^3) sweep over all
+triples, which names the first failing triple.  Powersets and the carriers
+of congruence frames, whose masks form a whole powerset, are built straight
+from their masks.  A lattice built from an order has at most
+``SOFT_SIZE_LIMIT`` elements.
 
-At this scale every countable join is a finite join, so a finite
-distributive lattice serves as a sigma-frame.
+Instances are immutable after construction and safe to share between
+threads; the congruence frame is built on first use, and threads racing on
+it may each build a copy, whose congruences compare equal.  At this scale
+every countable join is a finite join, so a finite distributive lattice
+serves as a sigma-frame.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 from .errors import (
     CarrierMismatch,
@@ -33,12 +39,22 @@ from .errors import (
     SizeLimitExceeded,
 )
 
-#: Soft size bound on lattices (and on the carriers of congruence frames).
+#: Soft size bound on lattices built from an order (and on the carriers of
+#: congruence frames).
 SOFT_SIZE_LIMIT = 64
+
+
+def _check_size(n: int) -> None:
+    if n > SOFT_SIZE_LIMIT:
+        raise SizeLimitExceeded(f"{n} elements exceeds the {SOFT_SIZE_LIMIT}-element limit")
 
 
 class FiniteLattice:
     """A validated finite bounded distributive lattice.
+
+    ``_jmask[i]`` is J(x) for the i-th element x, ``_mask`` maps x to it and
+    ``_at`` maps it back.  The bottom's mask is 0, the top's ``_full`` = J(L),
+    and ``_jirr`` holds the element indices of J(L) in bit order.
 
     The constructor expects the order relation to be reflexively and
     transitively closed already; use the factories in this module
@@ -46,24 +62,24 @@ class FiniteLattice:
     rather than calling it directly.
     """
 
-    __slots__ = ("elements", "_idx", "_down", "_meet", "_join", "_bottom",
-                 "_top", "_comp", "_jirr", "_jcover", "_jmask", "_hash", "_frame_cache")
+    __slots__ = ("elements", "_idx", "_jmask", "_mask", "_at", "_full", "_jirr",
+                 "_hash", "_frame_cache")
 
     def __init__(self, elements: Sequence[str], leq_pairs: Iterable[Tuple[str, str]]):
         elements = tuple(elements)
+        _check_size(len(elements))
         if not elements:
             raise MalformedDocument("a lattice needs at least one element")
         if len(set(elements)) != len(elements):
             raise MalformedDocument("duplicate element names")
-        self.elements = elements
-        self._idx: Dict[str, int] = {e: i for i, e in enumerate(elements)}
+        idx = {e: i for i, e in enumerate(elements)}
         n = len(elements)
 
         # down[b] = bitmask of all a with a <= b
         down = [0] * n
         for a, b in leq_pairs:
-            ia = self._idx.get(a)
-            ib = self._idx.get(b)
+            ia = idx.get(a)
+            ib = idx.get(b)
             if ia is None or ib is None:
                 raise MalformedDocument(f"order pair ({a!r}, {b!r}) mentions an unknown element")
             down[ib] |= 1 << ia
@@ -78,7 +94,6 @@ class FiniteLattice:
                     if a != b and down[a] >> b & 1:
                         raise NotALattice(
                             f"order is not antisymmetric on ({elements[a]!r}, {elements[b]!r})")
-        self._down = tuple(down)
 
         up = [0] * n
         for b in range(n):
@@ -88,43 +103,28 @@ class FiniteLattice:
                 up[low.bit_length() - 1] |= 1 << b
                 mask ^= low
 
+        # the meet of a and b is the element whose down-set is the set of
+        # their common lower bounds, and dually for the join
+        down_of = {d: i for i, d in enumerate(down)}
+        up_of = {u: i for i, u in enumerate(up)}
         meet = [[0] * n for _ in range(n)]
         join = [[0] * n for _ in range(n)]
         for a in range(n):
             for b in range(a, n):
-                common = down[a] & down[b]
-                m = self._extreme(common, down, elements[a], elements[b], "meet")
+                m = down_of.get(down[a] & down[b])
+                if m is None:
+                    raise NotALattice(f"elements {elements[a]!r} and {elements[b]!r} have no meet")
+                j = up_of.get(up[a] & up[b])
+                if j is None:
+                    raise NotALattice(f"elements {elements[a]!r} and {elements[b]!r} have no join")
                 meet[a][b] = meet[b][a] = m
-                common_up = up[a] & up[b]
-                j = self._extreme(common_up, up, elements[a], elements[b], "join")
                 join[a][b] = join[b][a] = j
-        self._meet = tuple(tuple(row) for row in meet)
-        self._join = tuple(tuple(row) for row in join)
 
-        bot = 0
-        top = 0
-        for i in range(n):
-            bot = meet[bot][i]
-            top = join[top][i]
-        self._bottom = bot
-        self._top = top
-
-        # J(L): x is join-irreducible iff the join of everything strictly
-        # below x is not x (for x = 0 that join is empty, so 0 is not in
-        # J(L)); jcover[k] is that join for the k-th j, and jmask[x] is the
-        # set of j <= x.
-        jirr = []
-        jcover = []
-        for x in range(n):
-            below = bot
-            mask = down[x] & ~(1 << x)
-            while mask:
-                low = mask & -mask
-                below = join[below][low.bit_length() - 1]
-                mask ^= low
-            if below != x:
-                jirr.append(x)
-                jcover.append(below)
+        # J(L): x is join-irreducible iff the elements strictly below x have
+        # a greatest element, i.e. its strict down-set is some element's
+        # down-set (the bottom's is empty, so it is not in J(L)); jmask[x] is
+        # the set of j <= x.
+        jirr = [x for x in range(n) if down[x] ^ (1 << x) in down_of]
         jmask = [sum(1 << k for k, j in enumerate(jirr) if down[x] >> j & 1) for x in range(n)]
 
         # Fast path: L is distributive iff J(x \/ y) = J(x) | J(y) for all x, y
@@ -140,32 +140,37 @@ class FiniteLattice:
                                 "distributivity fails on the triple "
                                 f"({elements[a]!r}, {elements[b]!r}, {elements[c]!r})")
             raise ConsistencyError("join-primality and the triple sweep disagree")
-        self._jirr = tuple(jirr)
-        self._jcover = tuple(jcover)
+        self._set(elements, jmask, jirr)
+
+    @classmethod
+    def _from_masks(cls, elements: Sequence[str], masks: Iterable[int]) -> "FiniteLattice":
+        """The Boolean lattice on `elements` ordered by inclusion of `masks`,
+        which are the 2^k masks over k bits, one per element.  The bits are
+        renumbered so that bit i stands for the i-th atom in element order,
+        the numbering the constructor gives, so equal orders compare equal."""
+        elements, masks = tuple(elements), tuple(masks)
+        if len(set(elements)) != len(elements):
+            raise MalformedDocument("duplicate element names")
+        atoms = [i for i, m in enumerate(masks) if m and not m & (m - 1)]
+        bit = {masks[i]: 1 << k for k, i in enumerate(atoms)}
+        renumbered = [0] * len(masks)
+        for m in range(1, len(masks)):
+            low = m & -m
+            renumbered[m] = renumbered[m ^ low] | bit[low]
+        lattice = cls.__new__(cls)
+        lattice._set(elements, [renumbered[m] for m in masks], atoms)
+        return lattice
+
+    def _set(self, elements: Tuple[str, ...], jmask: Sequence[int], jirr: Sequence[int]) -> None:
+        self.elements = elements
+        self._idx: Dict[str, int] = {e: i for i, e in enumerate(elements)}
         self._jmask = tuple(jmask)
-
-        comp: list[Optional[int]] = [None] * n
-        for a in range(n):
-            for c in range(n):
-                if meet[a][c] == bot and join[a][c] == top:
-                    # complements are unique in a distributive lattice
-                    comp[a] = c
-                    break
-        self._comp = tuple(comp)
-        self._hash = hash((self.elements, self._down))
+        self._mask: Dict[str, int] = dict(zip(elements, self._jmask))
+        self._at: Dict[int, str] = dict(zip(self._jmask, elements))
+        self._full = (1 << len(jirr)) - 1
+        self._jirr = tuple(jirr)
+        self._hash = hash((elements, self._jmask))
         self._frame_cache = None
-
-    @staticmethod
-    def _extreme(candidates: int, cones: Sequence[int], na: str, nb: str, what: str) -> int:
-        """The unique m among `candidates` whose cone contains all of them."""
-        mask = candidates
-        while mask:
-            low = mask & -mask
-            m = low.bit_length() - 1
-            if candidates & ~cones[m] == 0:
-                return m
-            mask ^= low
-        raise NotALattice(f"elements {na!r} and {nb!r} have no {what}")
 
     # -- basic queries -------------------------------------------------------
 
@@ -175,11 +180,11 @@ class FiniteLattice:
 
     @property
     def bottom(self) -> str:
-        return self.elements[self._bottom]
+        return self._at[0]
 
     @property
     def top(self) -> str:
-        return self.elements[self._top]
+        return self._at[self._full]
 
     def index(self, name: str) -> int:
         try:
@@ -187,44 +192,49 @@ class FiniteLattice:
         except KeyError:
             raise MalformedDocument(f"unknown lattice element {name!r}") from None
 
+    def jmask(self, name: str) -> int:
+        """J(name), the join-irreducibles below the element, as a bitmask."""
+        try:
+            return self._mask[name]
+        except KeyError:
+            raise MalformedDocument(f"unknown lattice element {name!r}") from None
+
     def leq(self, a: str, b: str) -> bool:
-        return bool(self._down[self.index(b)] >> self.index(a) & 1)
+        return not ~self.jmask(b) & self.jmask(a)  # b is looked up first
 
     def meet(self, a: str, b: str) -> str:
-        return self.elements[self._meet[self.index(a)][self.index(b)]]
+        return self._at[self.jmask(a) & self.jmask(b)]
 
     def join(self, a: str, b: str) -> str:
-        return self.elements[self._join[self.index(a)][self.index(b)]]
+        return self._at[self.jmask(a) | self.jmask(b)]
 
     def join_all(self, items: Iterable[str]) -> str:
-        acc = self._bottom
+        acc = 0
         for x in items:
-            acc = self._join[acc][self.index(x)]
-        return self.elements[acc]
+            acc |= self.jmask(x)
+        return self._at[acc]
 
     # -- complements ----------------------------------------------------------
 
     def complement(self, a: str) -> str:
-        c = self._comp[self.index(a)]
+        c = self._at.get(self._full ^ self.jmask(a))
         if c is None:
             raise NotComplemented(f"{a!r} is not complemented in this lattice")
-        return self.elements[c]
+        return c
 
     def is_complemented(self, a: str) -> bool:
-        return self._comp[self.index(a)] is not None
+        return (self._full ^ self.jmask(a)) in self._at
 
     def complemented_elements(self) -> Tuple[str, ...]:
-        return tuple(e for e, c in zip(self.elements, self._comp) if c is not None)
+        return tuple(e for e, m in zip(self.elements, self._jmask)
+                     if (self._full ^ m) in self._at)
 
     def is_boolean(self) -> bool:
-        return all(c is not None for c in self._comp)
+        return len(self.elements) == self._full + 1
 
     def atoms(self) -> Tuple[str, ...]:
-        out = []
-        for i, e in enumerate(self.elements):
-            if i != self._bottom and self._down[i] == (1 << i) | (1 << self._bottom):
-                out.append(e)
-        return tuple(out)
+        """The elements covering the bottom: those whose mask is one bit."""
+        return tuple(e for e, m in zip(self.elements, self._jmask) if m and not m & (m - 1))
 
     def congruence_frame(self):
         """The frame of all congruences; cached per lattice."""
@@ -240,7 +250,7 @@ class FiniteLattice:
             return True
         return (isinstance(other, FiniteLattice)
                 and self.elements == other.elements
-                and self._down == other._down)
+                and self._jmask == other._jmask)
 
     def __hash__(self) -> int:
         return self._hash
@@ -278,23 +288,17 @@ def powerset_lattice(atoms: Sequence[str]) -> FiniteLattice:
     if 2 ** len(atoms) > SOFT_SIZE_LIMIT:
         raise SizeLimitExceeded(
             f"powerset over {len(atoms)} atoms exceeds the {SOFT_SIZE_LIMIT}-element limit")
-    k = len(atoms)
-    subsets = []
-    for mask in range(1 << k):
-        subsets.append(frozenset(atoms[i] for i in range(k) if mask >> i & 1))
-    names = [subset_name(s, atoms) for s in subsets]
-    pairs = []
-    for i, s in enumerate(subsets):
-        for j, t in enumerate(subsets):
-            if s <= t:
-                pairs.append((names[i], names[j]))
-    return FiniteLattice(names, pairs)
+    # the subset with bitmask m holds atoms[i] for each bit i of m
+    masks = range(1 << len(atoms))
+    names = [subset_name([a for i, a in enumerate(atoms) if m >> i & 1], atoms) for m in masks]
+    return FiniteLattice._from_masks(names, masks)
 
 
 def lattice_from_order(elements: Sequence[str], pairs: Iterable[Tuple[str, str]]) -> FiniteLattice:
     """Build from any generating set of order pairs; the reflexive-transitive
     closure is applied here."""
     elements = tuple(elements)
+    _check_size(len(elements))
     idx = {e: i for i, e in enumerate(elements)}
     n = len(elements)
     down = [1 << i for i in range(n)]
@@ -351,8 +355,5 @@ def build_lattice(doc) -> FiniteLattice:
             if not (isinstance(p, (list, tuple)) and len(p) == 2
                     and isinstance(p[0], str) and isinstance(p[1], str)):
                 raise MalformedDocument(f"bad order pair: {p!r}")
-        if len(elements) > SOFT_SIZE_LIMIT:
-            raise SizeLimitExceeded(
-                f"{len(elements)} elements exceeds the {SOFT_SIZE_LIMIT}-element limit")
         return lattice_from_order(elements, pairs)
     raise MalformedDocument(f'unknown lattice kind {kind!r} (expected "powerset" or "poset")')

@@ -9,15 +9,16 @@ canonical form by splitting the top into the cells of the Boolean
 subalgebra generated by the mentioned elements.
 
 Element names appear only at the boundary.  Inside, terms and cells are
-element indices of the carrier, read through its ``_idx``, ``_meet``,
-``_join`` and ``_comp`` tables, and coefficients are ints over a common
-denominator: the cell split and the refinement products add or multiply
-them, and the one routine that groups cells by coefficient (``_grouped``)
-sorts on them and builds one ``Fraction`` per term.  The O(t) canonicity
-check compares coefficients by integer cross-multiplication; a term list
-that is canonical already needs no cell split.  Every ``SimpleFunction``
-is checked for canonicity when it is built; its hash is computed on the
-first ``hash()`` call only.
+the carrier's J-masks (``_mask`` maps a name to its mask and ``_at`` a
+mask back): a meet is ``&``, a join ``|`` and the complement of a
+complemented mask is its difference from ``_full``.  Coefficients are ints
+over a common denominator: the cell split and the refinement products add
+or multiply them, and the one routine that groups cells by coefficient
+(``_grouped``) sorts on them and builds one ``Fraction`` per term.  The
+O(t) canonicity check compares coefficients by integer cross-multiplication;
+a term list that is canonical already needs no cell split.  Every
+``SimpleFunction`` is checked for canonicity when it is built; its hash is
+computed on the first ``hash()`` call only.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import cache
+from itertools import accumulate
 from math import lcm
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -58,7 +60,7 @@ class SimpleFunction:
     __slots__ = ("carrier", "terms", "_hash")
 
     def __init__(self, carrier: FiniteLattice, terms: Sequence[Tuple[Fraction, str]]):
-        if carrier._top == carrier._bottom:
+        if not carrier._full:
             raise MalformedDocument("simple functions need a carrier with 0 != 1")
         terms = _coerced(terms)
         if not terms:
@@ -97,22 +99,20 @@ def _coerced(terms: Iterable[Tuple[Fraction, str]]) -> Tuple[Tuple[Fraction, str
 
 
 def _is_canonical(carrier: FiniteLattice, terms: Sequence[Tuple[Fraction, str]]) -> bool:
-    """Fast path, O(t) on the index tables: ascending coefficients, and
-    each a_k complemented, nonzero and disjoint from a_1 \\/ ... \\/ a_{k-1}
+    """Fast path, O(t) on the masks: ascending coefficients, and each a_k
+    complemented, nonzero and disjoint from a_1 \\/ ... \\/ a_{k-1}
     (pairwise disjointness, by distributivity), with the join reaching top."""
-    idx, meet, join, comp = carrier._idx, carrier._meet, carrier._join, carrier._comp
-    bot = carrier._bottom
-    cover = bot
+    mask, at, full = carrier._mask, carrier._at, carrier._full
+    cover = 0
     p, e = -1, 0  # -1/0 is below every n/d: p * d < n * e
     for r, a in terms:
-        i = idx.get(a)
+        m = mask.get(a)
         n, d = r.as_integer_ratio()
-        if (i is None or i == bot or comp[i] is None or meet[i][cover] != bot
-                or not p * d < n * e):
-            return False
-        cover = join[cover][i]
+        if not m or (full ^ m) not in at or m & cover or not p * d < n * e:
+            return False  # unknown, bottom, not complemented, overlapping, or not ascending
+        cover |= m
         p, e = n, d
-    return cover == carrier._top
+    return cover == full
 
 
 def _raise_first_violation(carrier: FiniteLattice, terms: Sequence[Tuple[Fraction, str]]) -> None:
@@ -139,21 +139,17 @@ def _raise_first_violation(carrier: FiniteLattice, terms: Sequence[Tuple[Fractio
 
 
 def _grouped(carrier: FiniteLattice, cells: Iterable[Tuple[int, int]], den: int) -> SimpleFunction:
-    """Canonical form from a disjoint cover given by element index: merge
+    """Canonical form from a disjoint cover given by mask: merge
     equal-coefficient cells by join, skip the bottom, sort, and build each
-    term once.  ``cells`` yields (cell index, coefficient * den) pairs."""
-    join, bot = carrier._join, carrier._bottom
+    term once.  ``cells`` yields (cell mask, coefficient * den) pairs."""
     by_coeff: Dict[int, int] = {}
     for cell, k in cells:
-        if cell == bot:
-            continue
-        other = by_coeff.setdefault(k, cell)
-        if other != cell:
-            by_coeff[k] = join[other][cell]
+        if cell:
+            by_coeff[k] = by_coeff.get(k, 0) | cell
     if not by_coeff:
         return zero(carrier)
-    names = carrier.elements
-    return SimpleFunction(carrier, [(Fraction(k, den), names[c])
+    at = carrier._at
+    return SimpleFunction(carrier, [(Fraction(k, den), at[c])
                                     for k, c in sorted(by_coeff.items())])
 
 
@@ -161,7 +157,7 @@ def from_cells(carrier: FiniteLattice, cells: Dict[str, Fraction]) -> SimpleFunc
     """Canonical form from a disjoint cover: merge equal-coefficient cells
     by join and sort.  ``cells`` maps cell element -> coefficient."""
     den, ks = over_common_denominator([parse_rational(r) for r in cells.values()])
-    return _grouped(carrier, [(carrier.index(cell), k) for cell, k in zip(cells, ks)], den)
+    return _grouped(carrier, [(carrier.jmask(cell), k) for cell, k in zip(cells, ks)], den)
 
 
 def canonicalize(carrier: FiniteLattice, terms: Iterable[Tuple[Fraction, str]]) -> SimpleFunction:
@@ -174,24 +170,23 @@ def canonicalize(carrier: FiniteLattice, terms: Iterable[Tuple[Fraction, str]]) 
     into the cells of the subalgebra generated by the mentioned elements;
     each term adds its coefficient to the cells below its element, and
     cells (including the residual coefficient-0 cell) are regrouped by
-    coefficient.  The split runs on element indices; an unknown element
-    raises MalformedDocument and a non-complemented one NotComplemented."""
+    coefficient.  The split runs on masks; an unknown element raises
+    MalformedDocument and a non-complemented one NotComplemented."""
     terms = _coerced(terms)
     if _is_canonical(carrier, terms):
         return SimpleFunction(carrier, terms)
-    idx, meet, bot = carrier._idx, carrier._meet, carrier._bottom
     den, ks = over_common_denominator([r for r, _ in terms])
-    cells: Dict[int, int] = {carrier._top: 0}
+    cells: Dict[int, int] = {carrier._full: 0}
     for r, (_, a) in zip(ks, terms):
-        ac = carrier.complement(a)  # MalformedDocument or NotComplemented for bad terms
-        inside_row, outside_row = meet[idx[a]], meet[idx[ac]]
+        carrier.complement(a)  # MalformedDocument or NotComplemented for bad terms
+        m = carrier._mask[a]
         nxt: Dict[int, int] = {}
         for cell, coeff in cells.items():
-            inside = inside_row[cell]
-            outside = outside_row[cell]
-            if inside != bot:
+            inside = cell & m
+            outside = cell & ~m
+            if inside:
                 nxt[inside] = coeff + r
-            if outside != bot:
+            if outside:
                 nxt[outside] = coeff
         cells = nxt
     return _grouped(carrier, cells.items(), den)
@@ -220,15 +215,15 @@ def _on_refinement(g: SimpleFunction, h: SimpleFunction,
     check_same_carrier(g.carrier, h.carrier,
                        "the two simple functions live on different carriers")
     lat = g.carrier
-    idx, meet, bot = lat._idx, lat._meet, lat._bottom
+    mask = lat._mask
     den, ks = over_common_denominator([r for r, _ in g.terms + h.terms])
-    h_terms = [(s, idx[b]) for s, (_, b) in zip(ks[len(g.terms):], h.terms)]
+    h_terms = [(s, mask[b]) for s, (_, b) in zip(ks[len(g.terms):], h.terms)]
     cells = []
     for r, (_, a) in zip(ks, g.terms):
-        row = meet[idx[a]]
+        m = mask[a]
         for s, b in h_terms:
-            cell = row[b]
-            if cell != bot:
+            cell = m & b
+            if cell:
                 cells.append((cell, op(r, s)))
     return _grouped(lat, cells, den * den if op is operator.mul else den)
 
@@ -262,8 +257,8 @@ def sf_neg(g: SimpleFunction) -> SimpleFunction:
 def _clipped(g: SimpleFunction, sign: int) -> SimpleFunction:
     """max(sign * r, 0) on each cell of g."""
     den, ks = over_common_denominator(g.coefficients())
-    idx = g.carrier._idx
-    cells = [(idx[a], max(sign * k, 0)) for k, (_, a) in zip(ks, g.terms)]
+    mask = g.carrier._mask
+    cells = [(mask[a], max(sign * k, 0)) for k, (_, a) in zip(ks, g.terms)]
     return _grouped(g.carrier, cells, den)
 
 
@@ -296,16 +291,12 @@ def to_cut_function(g: SimpleFunction) -> CutFunction:
     step through the prefix joins of the cover at each coefficient, the
     upper cuts through the suffix joins."""
     lat = g.carrier
-    idx, join, names = lat._idx, lat._join, lat.elements
-    cover = [idx[a] for _, a in g.terms]
-    lower = [lat._bottom]
-    for i in cover:
-        lower.append(join[lower[-1]][i])
-    upper = [lat._bottom]
-    for i in reversed(cover):
-        upper.append(join[upper[-1]][i])
-    return _cut_function_class()(lat, g.coefficients(), [names[x] for x in reversed(upper)],
-                                 [names[x] for x in lower])
+    mask, at = lat._mask, lat._at
+    cover = [mask[a] for _, a in g.terms]
+    lower = list(accumulate(cover, operator.or_, initial=0))
+    upper = list(accumulate(reversed(cover), operator.or_, initial=0))
+    return _cut_function_class()(lat, g.coefficients(), [at[x] for x in reversed(upper)],
+                                 [at[x] for x in lower])
 
 
 def cut_to_simple(f: CutFunction) -> SimpleFunction:
@@ -314,8 +305,8 @@ def cut_to_simple(f: CutFunction) -> SimpleFunction:
     if not f.is_finite():
         raise NotFinite("only finite functions are simple")
     lat = f.carrier
-    idx, meet, names = lat._idx, lat._meet, lat.elements
-    return SimpleFunction(lat, [(r, names[meet[idx[u]][idx[l]]])
+    mask, at = lat._mask, lat._at
+    return SimpleFunction(lat, [(r, at[mask[u] & mask[l]])
                                 for r, u, l in zip(f.breakpoints, f.upper, f.lower[1:])])
 
 

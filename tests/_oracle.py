@@ -1,6 +1,6 @@
-"""Brute-force oracles: pointwise arithmetic over powerset carriers,
-congruences by union-find closure, the refinement order and meet of
-partitions, measure tables built sublocale by sublocale, and the
+"""Brute-force oracles: the table-based lattice, pointwise arithmetic over
+powerset carriers, congruences by union-find closure, the refinement order
+and meet of partitions, measure tables built sublocale by sublocale, and the
 name-based canonical form and ladder checks that the index-native ones
 replaced, and the Fraction ladder kernels and parts-based summability that
 the integer kernels replaced.
@@ -12,6 +12,7 @@ tests can freeze expected values produced by an unrelated code path."""
 
 from bisect import bisect_right
 from fractions import Fraction
+from functools import cache
 
 from locint.bridge import ClassicalSimpleFunction
 from locint.congruence import Congruence, nabla
@@ -23,12 +24,129 @@ from locint.errors import (
     InvalidArgument,
     InvalidScale,
     NegativeOperand,
+    NotALattice,
+    NotComplemented,
     NotFinite,
 )
 from locint.integrate import _keep_of, _term_measure, classify
 from locint.lattice import FiniteLattice, check_same_carrier, subset_name
 from locint.rationals import ext_add, ext_scale
 from locint.simple import SimpleFunction, negative_part, positive_part
+
+
+# -- the lattice as n x n meet and join tables -------------------------------------
+#
+# The representation the library used before it kept only J-masks: down-set
+# bitmasks, meet and join tables found as the unique greatest lower and least
+# upper bounds, and complements found by searching the tables.  It knows
+# nothing of join-irreducibles, which makes it the reference for the mask
+# algebra.
+
+
+class TableLattice:
+    """A finite lattice given by a reflexively and transitively closed
+    order, held as its meet/join tables."""
+
+    def __init__(self, elements, leq_pairs):
+        self.elements = tuple(elements)
+        self._idx = {e: i for i, e in enumerate(self.elements)}
+        n = len(self.elements)
+        down = [1 << i for i in range(n)]  # down[b]: bitmask of all a <= b
+        for a, b in leq_pairs:
+            down[self._idx[b]] |= 1 << self._idx[a]
+        for a in range(n):
+            for b in range(n):
+                if down[b] >> a & 1 and (down[a] & ~down[b] or a != b and down[a] >> b & 1):
+                    raise NotALattice("not a partial order")
+        up = [sum(1 << b for b in range(n) if down[b] >> a & 1) for a in range(n)]
+        self._down = tuple(down)
+        self._meet = tuple(tuple(_extreme(down[a] & down[b], down) for b in range(n))
+                           for a in range(n))
+        self._join = tuple(tuple(_extreme(up[a] & up[b], up) for b in range(n))
+                           for a in range(n))
+        bot = top = 0
+        for i in range(n):
+            bot, top = self._meet[bot][i], self._join[top][i]
+        self._bottom, self._top = bot, top
+        self._comp = tuple(next((c for c in range(n) if self._meet[a][c] == bot
+                                 and self._join[a][c] == top), None) for a in range(n))
+
+    @property
+    def bottom(self):
+        return self.elements[self._bottom]
+
+    @property
+    def top(self):
+        return self.elements[self._top]
+
+    def leq(self, a, b):
+        return bool(self._down[self._idx[b]] >> self._idx[a] & 1)
+
+    def meet(self, a, b):
+        return self.elements[self._meet[self._idx[a]][self._idx[b]]]
+
+    def join(self, a, b):
+        return self.elements[self._join[self._idx[a]][self._idx[b]]]
+
+    def complement(self, a):
+        c = self._comp[self._idx[a]]
+        if c is None:
+            raise NotComplemented(f"{a!r} is not complemented in this lattice")
+        return self.elements[c]
+
+    def is_complemented(self, a):
+        return self._comp[self._idx[a]] is not None
+
+    def complemented_elements(self):
+        return tuple(e for e, c in zip(self.elements, self._comp) if c is not None)
+
+    def is_boolean(self):
+        return all(c is not None for c in self._comp)
+
+    def atoms(self):
+        return tuple(e for i, e in enumerate(self.elements)
+                     if i != self._bottom and self._down[i] == (1 << i) | (1 << self._bottom))
+
+
+def _extreme(candidates, cones):
+    """The unique m among `candidates` whose cone contains all of them."""
+    mask = candidates
+    while mask:
+        low = mask & -mask
+        m = low.bit_length() - 1
+        if candidates & ~cones[m] == 0:
+            return m
+        mask ^= low
+    raise NotALattice("a pair has no meet or no join")
+
+
+def table_boolean_atoms(t: TableLattice) -> tuple:
+    """The nonzero complemented elements with no other nonzero complemented
+    element below them."""
+    complemented = sum(1 << i for i, c in enumerate(t._comp) if c is not None and i != t._bottom)
+    return tuple(e for i, e in enumerate(t.elements)
+                 if complemented >> i & 1 and t._down[i] & complemented == 1 << i)
+
+
+def table_quotient(t: TableLattice, block_of) -> tuple:
+    """(block names, order pairs) of the quotient by the partition: block i
+    lies below block j iff the meet of their first members stays in i."""
+    firsts = {}
+    for i, b in enumerate(block_of):
+        firsts.setdefault(b, i)
+    blocks = [[e for e, b in zip(t.elements, block_of) if b == k] for k in sorted(firsts)]
+    names = [m[0] if len(m) == 1 else "{" + ",".join(m) + "}" for m in blocks]
+    reps = [firsts[k] for k in sorted(firsts)]
+    pairs = [(names[i], names[j]) for i, ri in enumerate(reps) for j, rj in enumerate(reps)
+             if block_of[t._meet[ri][rj]] == block_of[ri]]
+    return names, pairs
+
+
+@cache
+def table_of(lattice: FiniteLattice) -> TableLattice:
+    """The table lattice with the library lattice's elements and order."""
+    els = lattice.elements
+    return TableLattice(els, [(a, b) for a in els for b in els if lattice.leq(a, b)])
 
 
 def cut_from_pointwise(lat: FiniteLattice, atoms, values) -> CutFunction:
@@ -130,8 +248,8 @@ def refinement_meet(c: Congruence, d: Congruence) -> tuple:
 def closure(lattice: FiniteLattice, merges) -> tuple:
     """Block labels of the smallest congruence containing the index pairs."""
     n = lattice.size
-    meet = lattice._meet
-    join = lattice._join
+    table = table_of(lattice)
+    meet, join = table._meet, table._join
     parent = list(range(n))
 
     def find(x):
@@ -213,6 +331,12 @@ def downset_lattice(rng, points: int) -> FiniteLattice:
     """The lattice of downsets of a random poset on `points` points; by
     Birkhoff every finite distributive lattice arises this way, with J(L)
     isomorphic to the poset."""
+    return FiniteLattice(*downset_order(rng, points))
+
+
+def downset_order(rng, points: int) -> tuple:
+    """(elements, order pairs) of ``downset_lattice``: the downsets of the
+    random poset, ordered by inclusion."""
     below = [1 << i for i in range(points)]  # below[i]: bitmask of the points <= i
     for j in range(points):
         for i in range(j):
@@ -223,7 +347,7 @@ def downset_lattice(rng, points: int) -> FiniteLattice:
     # "d" followed by the member points, e.g. "d013"; no commas, so refs parse
     label = {m: "d" + "".join(str(i) for i in range(points) if m >> i & 1) for m in downsets}
     pairs = [(label[s], label[t]) for s in downsets for t in downsets if s & ~t == 0]
-    return FiniteLattice([label[m] for m in downsets], pairs)
+    return [label[m] for m in downsets], pairs
 
 
 # -- measure tables sublocale by sublocale -----------------------------------------

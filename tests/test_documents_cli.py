@@ -180,6 +180,14 @@ def test_cli_exit_code_2_on_bad_documents(tmp_path, capsys):
     assert code == 2 and "(M3)" in err
 
 
+def test_cli_rejects_a_65_element_poset(tmp_path, capsys):
+    names = [f"e{i}" for i in range(65)]
+    chain = write(tmp_path, "chain65.json", {"kind": "poset", "elements": names,
+                                             "leq": [list(p) for p in zip(names, names[1:])]})
+    code, out, err = run_cli(capsys, "validate", "--lattice", chain)
+    assert (code, out, err) == (2, "", "error: 65 elements exceeds the 64-element limit\n")
+
+
 def test_cli_decompose_horizon_zero_exits_2(docs, capsys):
     code, out, err = run_cli(capsys, "decompose", "--function", docs["one"], "--k", "0")
     assert code == 2 and out == ""

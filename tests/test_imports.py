@@ -78,7 +78,7 @@ CLOSURES = {
     "indefinite_b4.json": FRONT | MEASURED,
     "decompose_one.text": FRONT | SIMPLE | {"locint.cutfunction"},
     "bridge_samples.text": FRONT | MEASURED | {"locint.bridge"},
-    "validate_samples.text": FRONT | MEASURED | {"locint.bridge", "locint.cutfunction"},
+    "validate_samples.text": FRONT | MEASURED | {"locint.bridge"},
     VERIFY_CASE: FRONT | MEASURED | {"locint.bridge", "locint.cutfunction",
                                      "locint.corpus", "locint.verify"},
 }
@@ -142,6 +142,15 @@ def test_cold_command_loads_its_closure_and_matches_golden(case):
     assert NEVER.isdisjoint(loaded)
     if case.startswith("congruences"):
         assert "fractions" not in loaded
+
+
+def test_no_meet_or_join_tables():
+    """A lattice is its J-masks: meet, join and order are bit operations, so
+    no module reads or builds ``_meet``/``_join`` tables."""
+    tables = re.compile(r"(?<![A-Za-z0-9_])_(meet|join)\b")
+    for path in sorted((SRC / "locint").glob("*.py")):
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            assert not tables.search(line), f"{path.name}:{number}: {line.strip()}"
 
 
 def test_no_private_fraction_internals():
