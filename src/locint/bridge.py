@@ -8,60 +8,75 @@ congruence frame whose term elements are the closed congruences of its
 level sets; and the classical integral (computed here purely with set
 arithmetic) must agree exactly, classification included, with the
 pointfree integral against the extension of the weight map to all
-sublocales (open sublocales keep their classical value)."""
+sublocales (open sublocales keep their classical value).
+
+Every space goes through one checked constructor.  By Birkhoff a finite
+Boolean algebra of sets is the 2^k unions of its k atoms, and an additive
+lambda is its sum over them, so both are checked in O(|A| * k) on bitmasks;
+the sweeps over all pairs of sets run only to name the first failure.  The
+atoms found are the space's atoms, and its lattice is built from them.
+lambda and a classical function's values are read-only views."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, FrozenSet, Iterable, Mapping, NamedTuple, Optional, Sequence, Tuple
+from types import MappingProxyType
+from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .congruence import SublocaleView
 from .errors import AxiomViolation, ConsistencyError, MalformedDocument, SizeLimitExceeded
 from .integrate import NOT_INTEGRABLE, SummabilityReport, classify, report_value, summability
 from .lattice import SOFT_SIZE_LIMIT, FiniteLattice, subset_name
 from .measure import Measure, additive_measure, check_measure_value, subset_sums
-from .rationals import ExtValue, ext_add, ext_scale, format_extended, parse_rational
+from .rationals import ZERO, ExtValue, ext_add, ext_le, ext_scale, format_extended, parse_rational
 from .simple import SimpleFunction
 
 
 class FiniteMeasurableSpace:
     """A finite point set, a sigma-algebra of subsets and an additive map
     on it.  At this scale countable unions are finite unions, so the
-    algebra is just a Boolean subalgebra of the powerset."""
+    algebra is just a Boolean subalgebra of the powerset.
 
-    __slots__ = ("points", "algebra", "lam", "_lattice", "_atoms")
+    ``lam`` is a read-only view of lambda.  ``_below`` maps each member to
+    the set of atoms below it as a bitmask, bit k standing for the atom
+    with the k-th first point."""
+
+    __slots__ = ("points", "algebra", "lam", "_atoms", "_below", "_lattice", "_measure")
 
     def __init__(self, points: Sequence[str],
                  algebra: Iterable[FrozenSet[str]],
-                 lam: Mapping[FrozenSet[str], ExtValue],
-                 _additive: bool = False):
-        """Validate the algebra and lambda.  The builders below pass
-        `_additive` for a lambda they summed from range-checked weights
-        over an algebra they already checked; such a lambda is additive
-        by construction and skips every check."""
+                 lam: Mapping[FrozenSet[str], ExtValue]):
+        """Check the algebra (``_atoms_below``) and lambda: a weight for
+        every member, lambda(empty) = 0, every value in [0, inf], and
+        additivity.  The last two hold iff the atom values lie in [0, inf]
+        and lambda(s) is their sum over the atoms below s, O(|A|); only a
+        lambda that fails that goes through the check of every value and
+        the sweep over all disjoint pairs, which name the first failure."""
         self.points = tuple(points)
         sets = {frozenset(s) for s in algebra}
-        if not _additive:
-            _check_algebra(self.points, sets)
+        atoms, below = _atoms_below(self.points, sets)
         order = {p: i for i, p in enumerate(self.points)}
         self.algebra = tuple(sorted(sets, key=lambda s: (len(s), sorted(order[p] for p in s))))
-        self.lam: Dict[FrozenSet[str], ExtValue] = dict(lam)
-        if not _additive:
+        self._atoms = tuple(sorted(atoms, key=sorted))
+        self._below = below
+        lam = dict(lam)
+        for s in self.algebra:
+            if s not in lam:
+                raise MalformedDocument(f"no weight for subset {self.name_of(s)!r}")
+        if lam[frozenset()] != ZERO:
+            raise AxiomViolation("lambda(empty) must be 0")
+        if not _sums_over_atoms(lam, atoms, below):
             for s in self.algebra:
-                if s not in self.lam:
-                    raise MalformedDocument(f"no weight for subset {self.name_of(s)!r}")
-            if self.lam[frozenset()] != Fraction(0):
-                raise AxiomViolation("lambda(empty) must be 0")
-            for s in self.algebra:
-                check_measure_value(self.lam[s])
+                check_measure_value(lam[s])
             for s in self.algebra:
                 for t in self.algebra:
-                    if not (s & t):
-                        if ext_add(self.lam[s], self.lam[t]) != self.lam[s | t]:
-                            raise AxiomViolation(
-                                f"lambda is not additive on {self.name_of(s)!r}, {self.name_of(t)!r}")
+                    if not (s & t) and ext_add(lam[s], lam[t]) != lam[s | t]:
+                        raise AxiomViolation(
+                            f"lambda is not additive on {self.name_of(s)!r}, {self.name_of(t)!r}")
+            raise ConsistencyError("the atom sums and the pairwise sweep disagree")
+        self.lam: Mapping[FrozenSet[str], ExtValue] = MappingProxyType(lam)
         self._lattice = None
-        self._atoms = None
+        self._measure = None
 
     @classmethod
     def powerset(cls, points: Sequence[str],
@@ -78,9 +93,11 @@ class FiniteMeasurableSpace:
             check_measure_value(w)
         if len(set(points)) != len(points):
             raise MalformedDocument("duplicate point names")
-        subsets = [frozenset(p for i, p in enumerate(points) if mask >> i & 1)
-                   for mask in range(1 << len(points))]
-        return cls(points, subsets, dict(zip(subsets, subset_sums(weights))), _additive=True)
+        subsets = [frozenset()]  # subsets[m] holds points[i] for each bit i of m
+        for p in points:
+            single = frozenset((p,))
+            subsets += [s | single for s in subsets]
+        return cls(points, subsets, dict(zip(subsets, subset_sums(weights))))
 
     @classmethod
     def from_atom_weights(cls, points: Sequence[str],
@@ -91,16 +108,16 @@ class FiniteMeasurableSpace:
         2**|atoms| members, so the table of sums is no larger than it."""
         points = tuple(points)
         sets = {frozenset(s) for s in algebra}
-        _check_algebra(points, sets)
-        atoms = _atoms_of(sets)
-        for a in atoms:
+        atoms, below = _atoms_below(points, sets)
+        ordered = sorted(atoms, key=sorted)
+        for a in ordered:
             if a not in atom_weights:
                 raise MalformedDocument(f"no weight for atom {sorted(a)!r}")
-        for a in atoms:
+        for a in ordered:
             check_measure_value(atom_weights[a])
         sums = subset_sums([atom_weights[a] for a in atoms])
-        lam = {s: sums[sum(1 << k for k, a in enumerate(atoms) if a <= s)] for s in sets}
-        return cls(points, sets, lam, _additive=True)
+        lam = {s: sums[m] for s, m in below.items()}
+        return cls(points, sets, lam)
 
     def name_of(self, subset: FrozenSet[str]) -> str:
         return subset_name(subset, self.points)
@@ -112,20 +129,16 @@ class FiniteMeasurableSpace:
         raise MalformedDocument(f"{name!r} is not a member of the algebra")
 
     def atoms(self) -> Tuple[FrozenSet[str], ...]:
-        if self._atoms is None:
-            self._atoms = _atoms_of(set(self.algebra))
+        """The atoms found by the algebra check, ordered by their sorted
+        point names."""
         return self._atoms
 
     def lattice(self) -> FiniteLattice:
-        """The algebra as a lattice under inclusion."""
+        """The algebra as a lattice under inclusion, built on first use
+        from the atom masks of its members."""
         if self._lattice is None:
-            names = [self.name_of(s) for s in self.algebra]
-            pairs = []
-            for i, s in enumerate(self.algebra):
-                for j, t in enumerate(self.algebra):
-                    if s <= t:
-                        pairs.append((names[i], names[j]))
-            self._lattice = FiniteLattice(names, pairs)
+            self._lattice = FiniteLattice._from_masks(
+                [self.name_of(s) for s in self.algebra], [self._below[s] for s in self.algebra])
         return self._lattice
 
     def view(self) -> SublocaleView:
@@ -138,6 +151,76 @@ def _check_size(n_sets: int, what: str) -> None:
     and before any sweep over pairs of sets."""
     if n_sets > SOFT_SIZE_LIMIT:
         raise SizeLimitExceeded(f"{what} exceeds the {SOFT_SIZE_LIMIT}-set limit")
+
+
+def _sums_over_atoms(lam, atoms: Sequence[FrozenSet[str]], below) -> bool:
+    """The atom values lie in [0, inf] and lambda(s) is their sum over the
+    atoms below s, for every member s: then every value lies in [0, inf]
+    and lambda is additive."""
+    weights = [lam[a] for a in atoms]
+    if not all(ext_le(ZERO, w) for w in weights):
+        return False
+    sums = subset_sums(weights)
+    return all(lam[s] == sums[m] for s, m in below.items())
+
+
+def algebra_atoms(points: Tuple[str, ...], sets) -> Tuple[FrozenSet[str], ...]:
+    """The atoms of a Boolean algebra of subsets of the points, ordered by
+    their sorted point names; raises unless `sets` is one."""
+    return tuple(sorted(_atoms_below(points, sets)[0], key=sorted))
+
+
+def _atoms_below(points: Tuple[str, ...], sets
+                 ) -> Tuple[List[FrozenSet[str]], Dict[FrozenSet[str], int]]:
+    """The atoms of the algebra `sets`, ordered by their first point, and
+    for each member the atoms below it as a bitmask (bit k: the k-th atom).
+
+    On bitmasks over the points (Birkhoff): the atom of a point is the meet
+    of the members that contain it, and the family is a Boolean algebra iff
+    these atoms partition the points and the members are exactly their 2^k
+    unions, O(|sets| * k).  Only a family that fails it goes through
+    ``_check_algebra``, the sweep over all pairs, to name the first
+    failure."""
+    _check_size(len(sets), f"an algebra of {len(sets)} sets")
+    if len(set(points)) != len(points):
+        raise MalformedDocument("duplicate point names")
+    found = _partition(points, sets)
+    if found is None:
+        _check_algebra(points, sets)
+        raise ConsistencyError("the atom check and the closure sweep disagree")
+    return found
+
+
+def _partition(points: Tuple[str, ...], sets
+               ) -> Optional[Tuple[List[FrozenSet[str]], Dict[FrozenSet[str], int]]]:
+    """``_atoms_below`` if the sets are the unions of a partition of the
+    points, else None; bit i of a point mask stands for points[i]."""
+    universe = frozenset(points)
+    if not all(s <= universe for s in sets):
+        return None
+    bit = {p: 1 << i for i, p in enumerate(points)}
+    member = {sum(map(bit.__getitem__, s)): s for s in sets}
+    full = (1 << len(points)) - 1
+    atoms = []
+    covered = 0
+    while covered != full:
+        point = ~covered & (covered + 1)  # the first point in no atom yet
+        atom = full
+        for m in member:
+            if m & point:
+                atom &= m
+        if atom & covered:
+            return None
+        atoms.append(atom)
+        covered |= atom
+    if len(member) != 1 << len(atoms):  # also bounds the enumeration below
+        return None
+    unions = [0]  # unions[bits]: the union of the atoms in bits
+    for a in atoms:
+        unions += [u | a for u in unions]
+    if member.keys() != set(unions):
+        return None
+    return [member[a] for a in atoms], {member[u]: bits for bits, u in enumerate(unions)}
 
 
 def _check_algebra(points: Tuple[str, ...], sets) -> None:
@@ -167,13 +250,6 @@ def _check_algebra(points: Tuple[str, ...], sets) -> None:
                     f"the algebra is not closed under union at {sorted(s)!r}, {sorted(t)!r}")
 
 
-def _atoms_of(sets) -> Tuple[FrozenSet[str], ...]:
-    _check_size(len(sets), f"an algebra of {len(sets)} sets")
-    nonempty = [s for s in sets if s]
-    atoms = [s for s in nonempty if not any(t < s for t in nonempty)]
-    return tuple(sorted(atoms, key=lambda s: sorted(s)))
-
-
 class ClassicalSimpleFunction:
     """A rational-valued function on the points with measurable level sets."""
 
@@ -187,10 +263,10 @@ class ClassicalSimpleFunction:
         extra = [p for p in values if p not in space.points]
         if extra:
             raise MalformedDocument(f"values for unknown point(s) {extra!r}")
-        self.values = {p: parse_rational(values[p]) for p in space.points}
-        algebra = set(space.algebra)
+        self.values: Mapping[str, Fraction] = MappingProxyType(
+            {p: parse_rational(values[p]) for p in space.points})
         for _, level in self.level_sets():
-            if level not in algebra:
+            if level not in space._below:
                 raise MalformedDocument(
                     f"level set {space.name_of(level)!r} is not in the algebra")
 
@@ -220,11 +296,11 @@ def classical_summability(f: ClassicalSimpleFunction,
     space = f.space
     if over is None:
         over = frozenset(space.points)
-    if over not in set(space.algebra):
+    if over not in space._below:
         raise MalformedDocument(
             f"{space.name_of(over)!r} is not a member of the algebra")
-    pos: ExtValue = Fraction(0)
-    neg: ExtValue = Fraction(0)
+    pos: ExtValue = ZERO
+    neg: ExtValue = ZERO
     for r, level in f.level_sets():
         weight = space.lam[level & over]
         if r > 0:
@@ -249,11 +325,8 @@ def to_localic(f: ClassicalSimpleFunction) -> SimpleFunction:
     space = f.space
     frame = space.lattice().congruence_frame()
     facade = frame.as_lattice()
-    terms = []
-    for r, level in f.level_sets():
-        theta = frame.nabla_of(space.name_of(level))
-        terms.append((r, theta.partition_name()))
-    return SimpleFunction(facade, terms)
+    return SimpleFunction(facade, [(r, facade.elements[frame._nabla[space.name_of(level)]])
+                                   for r, level in f.level_sets()])
 
 
 def from_localic(g: SimpleFunction, space: FiniteMeasurableSpace) -> ClassicalSimpleFunction:
@@ -278,9 +351,12 @@ def extend_measure(space: FiniteMeasurableSpace) -> Measure:
     """The measure on S(A) determined by lambda: every congruence of the
     finite Boolean algebra A is nabla(B) for a unique B, and the quotient
     by nabla(B) is the open sublocale of the complement, so it gets
-    lambda(X minus B), the sum of lambda over the atoms it keeps."""
-    lat = space.lattice()
-    return additive_measure(space.view(), [space.lam[space.algebra[j]] for j in lat._jirr])
+    lambda(X minus B), the sum of lambda over the atoms it keeps.  Built
+    once per space, on first use."""
+    if space._measure is None:
+        space._measure = additive_measure(
+            space.view(), [space.lam[space.algebra[j]] for j in space.lattice()._jirr])
+    return space._measure
 
 
 class BridgeReport(NamedTuple):

@@ -190,7 +190,7 @@ def load_measure(doc, view: SublocaleView) -> Measure:
 
 
 def load_space(doc) -> FiniteMeasurableSpace:
-    from .bridge import FiniteMeasurableSpace, _atoms_of
+    from .bridge import FiniteMeasurableSpace, algebra_atoms
     from .measure import reject_non_atoms
 
     if not isinstance(doc, dict):
@@ -215,9 +215,8 @@ def load_space(doc) -> FiniteMeasurableSpace:
             if not isinstance(s, list):
                 raise MalformedDocument(f"bad subset in algebra: {s!r}")
             sets.append(frozenset(s))
-        universe = frozenset(points)
-        sets = set(sets) | {frozenset(), universe}
-        atoms = _atoms_of(sets)
+        sets = set(sets) | {frozenset(), frozenset(points)}
+        atoms = algebra_atoms(tuple(points), sets)
         atom_weights = {}
         for a in atoms:
             key = subset_name(a, points)

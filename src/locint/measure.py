@@ -17,12 +17,11 @@ test.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Iterable, List, Mapping, Sequence, Tuple
 
 from .congruence import Congruence, SublocaleView
 from .errors import AxiomViolation, ConsistencyError, MalformedDocument, NotBoolean
-from .rationals import ExtValue, ext_add, ext_le, format_extended
+from .rationals import ZERO, ExtValue, ext_add, ext_le, format_extended
 
 
 class Measure:
@@ -75,7 +74,7 @@ def validate_measure(view: SublocaleView, values: Mapping[Congruence, ExtValue])
 
 
 def check_measure_value(v: ExtValue) -> None:
-    if not ext_le(Fraction(0), v):
+    if not ext_le(ZERO, v):
         raise MalformedDocument(
             f"measure values must lie in [0, inf]; got {format_extended(v)}")
 
@@ -84,7 +83,7 @@ def subset_sums(weights: Sequence[ExtValue]) -> List[ExtValue]:
     """sums[m] = the sum of weights[k] over the bits k of m, for every
     m < 2**len(weights); one ext_add per entry, doubling the table bit by
     bit."""
-    sums: List[ExtValue] = [Fraction(0)]
+    sums: List[ExtValue] = [ZERO]
     for w in weights:
         sums += [ext_add(s, w) for s in sums]
     return sums
@@ -117,7 +116,7 @@ def check_axioms(view: SublocaleView, table: Sequence[ExtValue]) -> None:
     """The exhaustive sweep over a total table in frame order: M1, then M2
     on all order pairs, then M3 on all pairs; raises on the first failure."""
     subs = view.sublocales
-    if table[view.index_of(view.bottom)] != Fraction(0):
+    if table[view.index_of(view.bottom)] != ZERO:
         raise AxiomViolation("(M1) fails: the void sublocale must have measure 0")
     for i, j in view.order_pairs():
         if not ext_le(table[i], table[j]):

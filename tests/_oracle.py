@@ -3,7 +3,8 @@ powerset carriers, congruences by union-find closure, the refinement order
 and meet of partitions, measure tables built sublocale by sublocale, and the
 name-based canonical form and ladder checks that the index-native ones
 replaced, and the Fraction ladder kernels and parts-based summability that
-the integer kernels replaced.
+the integer kernels replaced, and the classical space checked by pairwise
+sweeps that the atom-based checks replaced.
 
 Everything here is computed independently of the library's ladder,
 canonical-form and keep-mask algebra (plain set/dict comprehensions on the
@@ -19,17 +20,21 @@ from locint.congruence import Congruence, nabla
 from locint.corpus import random_weight
 from locint.cutfunction import CutFunction, SigmaScale
 from locint.errors import (
+    AxiomViolation,
     ComplementationFailure,
     ConsistencyError,
     InvalidArgument,
     InvalidScale,
+    MalformedDocument,
     NegativeOperand,
     NotALattice,
     NotComplemented,
     NotFinite,
+    SizeLimitExceeded,
 )
 from locint.integrate import _keep_of, _term_measure, classify
-from locint.lattice import FiniteLattice, check_same_carrier, subset_name
+from locint.lattice import SOFT_SIZE_LIMIT, FiniteLattice, check_same_carrier, subset_name
+from locint.measure import check_measure_value
 from locint.rationals import ext_add, ext_scale
 from locint.simple import SimpleFunction, negative_part, positive_part
 
@@ -656,3 +661,77 @@ def classical_mul(f: ClassicalSimpleFunction, g: ClassicalSimpleFunction) -> Cla
 
 def classical_scale(lam, f: ClassicalSimpleFunction) -> ClassicalSimpleFunction:
     return ClassicalSimpleFunction(f.space, {p: lam * v for p, v in f.values.items()})
+
+
+# -- classical spaces checked by sweeps over all pairs -----------------------------
+#
+# The space constructor the bridge used before its checks ran on atoms: closure
+# under complement and union and additivity of lambda checked pair by pair,
+# the atoms found as the minimal nonempty members, and the lattice built from
+# every inclusion pair by the order-validating constructor.
+
+
+class SweepSpace:
+    """``algebra``, ``atoms`` and ``lam`` of a checked space; ``lattice()``
+    builds the algebra's lattice from its inclusion pairs."""
+
+    def __init__(self, points, algebra, lam):
+        self.points = tuple(points)
+        sets = {frozenset(s) for s in algebra}
+        sweep_check_algebra(self.points, sets)
+        order = {p: i for i, p in enumerate(self.points)}
+        self.algebra = tuple(sorted(sets, key=lambda s: (len(s), sorted(order[p] for p in s))))
+        self.lam = dict(lam)
+        for s in self.algebra:
+            if s not in self.lam:
+                raise MalformedDocument(f"no weight for subset {self.name_of(s)!r}")
+        if self.lam[frozenset()] != Fraction(0):
+            raise AxiomViolation("lambda(empty) must be 0")
+        for s in self.algebra:
+            check_measure_value(self.lam[s])
+        for s in self.algebra:
+            for t in self.algebra:
+                if not (s & t):
+                    if ext_add(self.lam[s], self.lam[t]) != self.lam[s | t]:
+                        raise AxiomViolation(
+                            f"lambda is not additive on {self.name_of(s)!r}, {self.name_of(t)!r}")
+        nonempty = [s for s in sets if s]
+        self.atoms = tuple(sorted((s for s in nonempty if not any(t < s for t in nonempty)),
+                                  key=sorted))
+
+    def name_of(self, subset) -> str:
+        return subset_name(subset, self.points)
+
+    def lattice(self) -> FiniteLattice:
+        names = [self.name_of(s) for s in self.algebra]
+        return FiniteLattice(names, [(names[i], names[j])
+                                     for i, s in enumerate(self.algebra)
+                                     for j, t in enumerate(self.algebra) if s <= t])
+
+
+def sweep_check_algebra(points, sets) -> None:
+    """Distinct points; the sets are subsets of them, contain the empty and
+    the whole set and are closed under complement and union, visited in a
+    fixed order."""
+    if len(sets) > SOFT_SIZE_LIMIT:
+        raise SizeLimitExceeded(
+            f"an algebra of {len(sets)} sets exceeds the {SOFT_SIZE_LIMIT}-set limit")
+    if len(set(points)) != len(points):
+        raise MalformedDocument("duplicate point names")
+    universe = frozenset(points)
+    sets = sorted(sets, key=lambda s: (len(s), sorted(s)))
+    for s in sets:
+        if not s <= universe:
+            raise MalformedDocument(f"subset {sorted(s)!r} contains unknown points")
+    members = set(sets)
+    if frozenset() not in members or universe not in members:
+        raise MalformedDocument("the algebra must contain the empty set and the whole set")
+    for s in sets:
+        if universe - s not in members:
+            raise MalformedDocument(
+                f"the algebra is not closed under complement at {sorted(s)!r}")
+    for s in sets:
+        for t in sets:
+            if s | t not in members:
+                raise MalformedDocument(
+                    f"the algebra is not closed under union at {sorted(s)!r}, {sorted(t)!r}")

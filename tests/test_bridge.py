@@ -184,3 +184,16 @@ def test_space_size_cap_boundary():
         FiniteMeasurableSpace.from_atom_weights(seven, subsets, {})
     with pytest.raises(SizeLimitExceeded, match="^an algebra of 128 sets exceeds the 64-set limit$"):
         FiniteMeasurableSpace(seven, subsets, {s: F(len(s)) for s in subsets})
+
+
+def test_lambda_and_values_are_read_only(space_xy):
+    with pytest.raises(TypeError):
+        space_xy.lam[frozenset(["x"])] = F(100)
+    f = ClassicalSimpleFunction(space_xy, {"x": F(2), "y": F(3)})
+    with pytest.raises(TypeError):
+        f.values["x"] = F(7)
+    assert space_xy.lam[frozenset(["x"])] == 2 and f.values["x"] == 2
+
+
+def test_extension_is_built_once_per_space(space_xy):
+    assert extend_measure(space_xy) is extend_measure(space_xy)

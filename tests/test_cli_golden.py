@@ -105,6 +105,10 @@ COMMANDS = {
     "decompose_k_cap": ["decompose", "--function", "sample_docs/one.json", "--k", "100000000"],
     "space_powerset_extra": ["validate", "--space", D + "space_powerset_extra.json"],
     "space_algebra_extra": ["validate", "--space", D + "space_algebra_extra.json"],
+    # an unclosed algebra is named whatever lambda holds
+    "space_unclosed": ["validate", "--space", D + "space_unclosed.json"],
+    "space_unclosed_no_atom": ["validate", "--space", D + "space_unclosed_no_atom.json"],
+    "space_unclosed_extra": ["validate", "--space", D + "space_unclosed_extra.json"],
     # spaces beyond the 64-set cap
     "space_powerset7": ["validate", "--space", D + "space_powerset7.json"],
     "space_algebra65": ["validate", "--space", D + "space_algebra65.json"],

@@ -162,3 +162,34 @@ def test_no_private_fraction_internals():
     for path in sorted((SRC / "locint").glob("*.py")):
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
             assert not private.search(line), f"{path.name}:{number}: {line.strip()}"
+
+
+def test_no_public_callable_takes_a_private_parameter():
+    """No public function, and no constructor, public method or classmethod
+    of a public class, takes a parameter whose name starts with "_": a
+    flag that skips checks or reaches into internals has no place on the
+    public surface.  Runs in-process, so ``inspect`` is loaded here only."""
+    import inspect
+
+    import locint
+
+    offenders = []
+    for name in locint.__all__:
+        obj = getattr(locint, name)
+        if inspect.isclass(obj):
+            members = [("__init__", obj.__init__)]
+            members += [(m, getattr(obj, m)) for m in dir(obj) if not m.startswith("_")]
+        elif inspect.isroutine(obj):
+            members = [(None, obj)]
+        else:
+            continue
+        for member, fn in members:
+            if not callable(fn) or inspect.isclass(fn):
+                continue
+            try:
+                params = inspect.signature(fn).parameters
+            except (TypeError, ValueError):  # a builtin without a signature
+                continue
+            where = name if member is None else f"{name}.{member}"
+            offenders += [f"{where}({p}=...)" for p in params if p.startswith("_")]
+    assert offenders == []
