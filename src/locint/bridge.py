@@ -15,7 +15,9 @@ Boolean algebra of sets is the 2^k unions of its k atoms, and an additive
 lambda is its sum over them, so both are checked in O(|A| * k) on bitmasks;
 the sweeps over all pairs of sets run only to name the first failure.  The
 atoms found are the space's atoms, and its lattice is built from them.
-lambda and a classical function's values are read-only views."""
+Every lambda value is stored as ``check_measure_value`` coerces it, an
+exact rational or +inf.  lambda and a classical function's values are
+read-only views."""
 
 from __future__ import annotations
 
@@ -27,8 +29,8 @@ from .congruence import SublocaleView
 from .errors import AxiomViolation, ConsistencyError, MalformedDocument, SizeLimitExceeded
 from .integrate import NOT_INTEGRABLE, SummabilityReport, classify, report_value, summability
 from .lattice import SOFT_SIZE_LIMIT, FiniteLattice, subset_name
-from .measure import Measure, additive_measure, check_measure_value, subset_sums
-from .rationals import ZERO, ExtValue, ext_add, ext_le, ext_scale, format_extended, parse_rational
+from .measure import Measure, check_measure_value, subset_sums
+from .rationals import ZERO, ExtValue, ext_add, ext_scale, format_extended, parse_rational
 from .simple import SimpleFunction
 
 
@@ -47,11 +49,12 @@ class FiniteMeasurableSpace:
                  algebra: Iterable[FrozenSet[str]],
                  lam: Mapping[FrozenSet[str], ExtValue]):
         """Check the algebra (``_atoms_below``) and lambda: a weight for
-        every member, lambda(empty) = 0, every value in [0, inf], and
-        additivity.  The last two hold iff the atom values lie in [0, inf]
-        and lambda(s) is their sum over the atoms below s, O(|A|); only a
-        lambda that fails that goes through the check of every value and
-        the sweep over all disjoint pairs, which name the first failure."""
+        every member, lambda(empty) = 0, every value a rational in [0, inf]
+        (stored as ``check_measure_value`` coerces it), and additivity.
+        Additivity holds iff lambda(s) is the sum of the atom values over
+        the atoms below s, O(|A|); only a lambda that fails that goes
+        through the sweep over all disjoint pairs, which names the first
+        failure."""
         self.points = tuple(points)
         sets = {frozenset(s) for s in algebra}
         atoms, below = _atoms_below(self.points, sets)
@@ -65,9 +68,10 @@ class FiniteMeasurableSpace:
                 raise MalformedDocument(f"no weight for subset {self.name_of(s)!r}")
         if lam[frozenset()] != ZERO:
             raise AxiomViolation("lambda(empty) must be 0")
-        if not _sums_over_atoms(lam, atoms, below):
-            for s in self.algebra:
-                check_measure_value(lam[s])
+        for s in self.algebra:
+            lam[s] = check_measure_value(lam[s])
+        sums = subset_sums([lam[a] for a in atoms])
+        if any(lam[s] != sums[m] for s, m in below.items()):
             for s in self.algebra:
                 for t in self.algebra:
                     if not (s & t) and ext_add(lam[s], lam[t]) != lam[s | t]:
@@ -88,9 +92,7 @@ class FiniteMeasurableSpace:
         for p in points:
             if p not in point_weights:
                 raise MalformedDocument(f"no weight for point {p!r}")
-        weights = [point_weights[p] for p in points]
-        for w in weights:
-            check_measure_value(w)
+        weights = [check_measure_value(point_weights[p]) for p in points]
         if len(set(points)) != len(points):
             raise MalformedDocument("duplicate point names")
         subsets = [frozenset()]  # subsets[m] holds points[i] for each bit i of m
@@ -113,9 +115,8 @@ class FiniteMeasurableSpace:
         for a in ordered:
             if a not in atom_weights:
                 raise MalformedDocument(f"no weight for atom {sorted(a)!r}")
-        for a in ordered:
-            check_measure_value(atom_weights[a])
-        sums = subset_sums([atom_weights[a] for a in atoms])
+        weights = {a: check_measure_value(atom_weights[a]) for a in ordered}
+        sums = subset_sums([weights[a] for a in atoms])
         lam = {s: sums[m] for s, m in below.items()}
         return cls(points, sets, lam)
 
@@ -151,17 +152,6 @@ def _check_size(n_sets: int, what: str) -> None:
     and before any sweep over pairs of sets."""
     if n_sets > SOFT_SIZE_LIMIT:
         raise SizeLimitExceeded(f"{what} exceeds the {SOFT_SIZE_LIMIT}-set limit")
-
-
-def _sums_over_atoms(lam, atoms: Sequence[FrozenSet[str]], below) -> bool:
-    """The atom values lie in [0, inf] and lambda(s) is their sum over the
-    atoms below s, for every member s: then every value lies in [0, inf]
-    and lambda is additive."""
-    weights = [lam[a] for a in atoms]
-    if not all(ext_le(ZERO, w) for w in weights):
-        return False
-    sums = subset_sums(weights)
-    return all(lam[s] == sums[m] for s, m in below.items())
 
 
 def algebra_atoms(points: Tuple[str, ...], sets) -> Tuple[FrozenSet[str], ...]:
@@ -354,7 +344,7 @@ def extend_measure(space: FiniteMeasurableSpace) -> Measure:
     lambda(X minus B), the sum of lambda over the atoms it keeps.  Built
     once per space, on first use."""
     if space._measure is None:
-        space._measure = additive_measure(
+        space._measure = Measure(
             space.view(), [space.lam[space.algebra[j]] for j in space.lattice()._jirr])
     return space._measure
 

@@ -288,7 +288,8 @@ class SublocaleView:
     theta_T is contained in theta_S, i.e. iff the keep-mask of S is
     contained in that of T.  Meets in S(L) are joins in C(L) and vice
     versa.  The whole lattice L is the quotient by equality and the void
-    sublocale the quotient by the all-pairs relation.
+    sublocale the quotient by the all-pairs relation.  The view holds no
+    pair tables: the measure sweep walks the keep-masks in place.
     """
 
     __slots__ = ("frame",)
@@ -332,8 +333,8 @@ class SublocaleView:
         return self.frame.index_of(s)
 
     def atoms(self) -> Tuple[Congruence, ...]:
-        """Minimal nonvoid sublocales, the single-bit keep-masks; used to
-        seed additive random measures."""
+        """Minimal nonvoid sublocales, the single-bit keep-masks: a measure
+        is given by its values on them (``measure.Measure``)."""
         return tuple(s for s in self.sublocales if s.keep and not s.keep & (s.keep - 1))
 
     # -- naming ---------------------------------------------------------------
@@ -372,24 +373,6 @@ class SublocaleView:
             blocks = [b.split(",") for b in text[7:].split("|")]
             return Congruence.from_blocks(frame.lattice, blocks)
         raise MalformedDocument(f"unknown sublocale reference {ref!r}")
-
-    # -- pair tables for the exhaustive measure sweep --------------------------
-
-    def modularity_pairs(self) -> List[Tuple[int, int, int, int]]:
-        """(i, j, index of S_i /\\ S_j, index of S_i \\/ S_j) for all i < j."""
-        masks = [s.keep for s in self.sublocales]
-        pos = self.frame._pos
-        return [(i, j, pos[masks[i] & masks[j]], pos[masks[i] | masks[j]])
-                for i in range(len(masks)) for j in range(i + 1, len(masks))]
-
-    def order_pairs(self) -> List[Tuple[int, int]]:
-        """(i, j) whenever S_i <= S_j in the sublocale order, i.e. the
-        keep-mask of S_i is contained in that of S_j."""
-        masks = [s.keep for s in self.sublocales]
-        return [(i, j)
-                for i, qi in enumerate(masks)
-                for j, qj in enumerate(masks)
-                if i != j and qi & qj == qi]
 
 
 def _known_element(lattice: FiniteLattice, name: str) -> str:

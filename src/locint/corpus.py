@@ -16,7 +16,7 @@ from typing import List, Mapping, Sequence, Tuple
 
 from .congruence import SublocaleView
 from .lattice import FiniteLattice, chain_lattice, lattice_from_order, powerset_lattice
-from .measure import Measure, additive_measure
+from .measure import Measure
 from .rationals import POS_INF, ExtValue
 from .simple import SimpleFunction, from_cells
 
@@ -99,7 +99,7 @@ def random_measure(rng: Random, view: SublocaleView,
     are drawn in the frame order of the atoms, then put in bit order."""
     masks = [a.keep for a in view.atoms()]
     weights = [random_weight(rng, inf_probability) for _ in masks]
-    return additive_measure(view, [w for _, w in sorted(zip(masks, weights))])
+    return Measure(view, [w for _, w in sorted(zip(masks, weights))])
 
 
 def random_subset(rng: Random, items: Sequence[str]) -> List[str]:

@@ -11,7 +11,9 @@ g's positive terms plus a 0-cell, which adds 0), and each part is one
 integer numerator over the product of the denominators, made a
 ``Fraction`` once.  The same code path serves nonnegative functions (whose
 negative part is zero), so agreement of the two definitions is a testable
-fact rather than an assumption.
+fact rather than an assumption.  The indefinite integral of a nonnegative g
+is additive in S, so it is the ``Measure`` built from the integrals over
+the |J| atoms of S(L).
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .errors import (
     NotNonnegative,
 )
 from .lattice import check_same_carrier
-from .measure import Measure, validate_measure
+from .measure import Measure
 from .rationals import (
     POS_INF,
     ZERO,
@@ -181,8 +183,8 @@ def indefinite_integral(g: SimpleFunction, measure: Measure) -> Measure:
         raise NotNonnegative("the indefinite integral needs a nonnegative function")
     check_same_carrier(g.carrier, measure.view.frame.as_lattice(), _SIMPLE_OFF_FRAME)
     view = measure.view
-    values = {s: _signed_sums(g.terms, measure, s.keep)[0] for s in view.sublocales}
-    return validate_measure(view, values)
+    return Measure(view, [_signed_sums(g.terms, measure, 1 << k)[0]
+                          for k in range(len(view.frame.lattice._jirr))])
 
 
 def nonnegativity_certificate(g: SimpleFunction, measure: Measure,

@@ -3,11 +3,13 @@
 A measure assigns an extended nonnegative rational to every sublocale and
 must satisfy strictness (M1), monotonicity (M2) and modularity (M3).  S(L)
 is Boolean (C(L) is the powerset of J(L)), where M1-M3 together say exactly
-that the measure is additive over the atoms; that O(|C|) check is the fast
-path.  The exhaustive sweep over all pairs is the fallback: it runs only
-when the additive check fails, and reports the first failing axiom.
-Measures given by atom weights are built additively on the keep-masks
-(``additive_measure``), so they are measures by construction.
+that the measure is the sum of its values on the atoms of S(L), the
+single-bit keep-masks.  So a ``Measure`` is built from those |J| atom
+values alone, each in [0, inf], and is a measure by construction.  A table
+given sublocale by sublocale (``validate_measure``) is checked against the
+measure built from its atom entries; only a table that differs goes
+through the sweep over all pairs (``check_axioms``), which names the first
+failing axiom.
 
 Continuity on increasing sequences (M4) is discharged by finiteness of the
 carrier: every increasing sequence stabilises, so its supremum is attained
@@ -17,21 +19,31 @@ test.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Sequence, Tuple
+from typing import Iterable, List, Mapping, Sequence
 
 from .congruence import Congruence, SublocaleView
 from .errors import AxiomViolation, ConsistencyError, MalformedDocument, NotBoolean
-from .rationals import ZERO, ExtValue, ext_add, ext_le, format_extended
+from .rationals import ZERO, ExtValue, Infinite, ext_add, ext_le, format_extended, parse_rational
 
 
 class Measure:
-    """A validated measure on S(L); values are indexed in frame order."""
+    """The measure on S(L) with the given value on each atom of S(L).
+
+    ``atom_values[k]`` is the measure of the atom whose keep-mask is bit k,
+    i.e. of the k-th join-irreducible; the measure of a sublocale is the
+    sum over the bits of its keep-mask.  Values are held in frame order."""
 
     __slots__ = ("view", "_values")
 
-    def __init__(self, view: SublocaleView, values: Tuple[ExtValue, ...]):
+    def __init__(self, view: SublocaleView, atom_values: Sequence[ExtValue]):
+        n_atoms = len(view.frame.lattice._jirr)
+        if len(atom_values) != n_atoms:
+            raise MalformedDocument(
+                f"a measure takes one value per atom of S(L), {n_atoms}; "
+                f"got {len(atom_values)}")
+        sums = subset_sums([check_measure_value(v) for v in atom_values])
         self.view = view
-        self._values = values
+        self._values = tuple(sums[s.keep] for s in view.sublocales)
 
     def value(self, sublocale: Congruence) -> ExtValue:
         return self._values[self.view.index_of(sublocale)]
@@ -51,9 +63,9 @@ class Measure:
 def validate_measure(view: SublocaleView, values: Mapping[Congruence, ExtValue]) -> Measure:
     """Check totality and the axioms M1-M3; M4 holds by finiteness.
 
-    Fast path: S(L) is Boolean, so M1-M3 hold iff the measure is additive
-    over the atoms (``is_additive``).  Only a table that fails it goes
-    through the exhaustive sweep, which names the first failing axiom."""
+    S(L) is Boolean, so M1-M3 hold iff the table is the measure built from
+    its own atom entries.  Only a table that differs goes through the
+    exhaustive sweep, which names the first failing axiom."""
     subs = view.sublocales
     table: list = [None] * len(subs)
     for sub, v in values.items():
@@ -61,22 +73,32 @@ def validate_measure(view: SublocaleView, values: Mapping[Congruence, ExtValue])
         if table[i] is not None:
             raise MalformedDocument(
                 f"two values given for sublocale {view.ref_name(sub)}")
-        check_measure_value(v)
-        table[i] = v
+        table[i] = check_measure_value(v)
     for i, v in enumerate(table):
         if v is None:
             raise MalformedDocument(
                 f"no value for sublocale {view.ref_name(subs[i])}")
-    if not is_additive(view, table):
+    pos = view.frame._pos
+    mu = Measure(view, [table[pos[1 << k]] for k in range(len(view.frame.lattice._jirr))])
+    if list(mu._values) != table:
         check_axioms(view, table)
         raise ConsistencyError("additive check and exhaustive sweep disagree")
-    return Measure(view, tuple(table))
+    return mu
 
 
-def check_measure_value(v: ExtValue) -> None:
-    if not ext_le(ZERO, v):
-        raise MalformedDocument(
-            f"measure values must lie in [0, inf]; got {format_extended(v)}")
+def check_measure_value(v) -> ExtValue:
+    """The one coercion of measure values: an ``Infinite`` as is, anything
+    else through ``parse_rational`` (floats, bools and Decimals raise
+    InvalidArgument); the value must then lie in [0, inf]."""
+    if isinstance(v, Infinite):
+        if v.sign > 0:
+            return v
+    else:
+        v = parse_rational(v)
+        if v.numerator >= 0:
+            return v
+    raise MalformedDocument(
+        f"measure values must lie in [0, inf]; got {format_extended(v)}")
 
 
 def subset_sums(weights: Sequence[ExtValue]) -> List[ExtValue]:
@@ -89,48 +111,29 @@ def subset_sums(weights: Sequence[ExtValue]) -> List[ExtValue]:
     return sums
 
 
-def is_additive(view: SublocaleView, table: Sequence[ExtValue]) -> bool:
-    """mu(S) equals the sum of mu over the atoms below S, for every S.
-
-    On keep-masks the atoms below S are the bits of S's mask, so this
-    compares the table with the subset sums of its atom values: O(|C|)."""
-    pos = view.frame._pos
-    sums = subset_sums([table[pos[1 << k]] for k in range(view.frame._full.bit_length())])
-    return all(table[i] == sums[s.keep] for i, s in enumerate(view.sublocales))
-
-
-def additive_measure(view: SublocaleView, bit_weights: Sequence[ExtValue]) -> Measure:
-    """The measure mu(S) = sum of bit_weights[k] over the bits k of S's
-    keep-mask, i.e. over the atoms of S(L) below S.
-
-    S(L) is Boolean, so an additive table satisfies M1-M3 by construction
-    and needs no sweep; only the weights themselves are range-checked,
-    before anything is summed."""
-    for w in bit_weights:
-        check_measure_value(w)
-    sums = subset_sums(bit_weights)
-    return Measure(view, tuple(sums[s.keep] for s in view.sublocales))
-
-
 def check_axioms(view: SublocaleView, table: Sequence[ExtValue]) -> None:
     """The exhaustive sweep over a total table in frame order: M1, then M2
-    on all order pairs, then M3 on all pairs; raises on the first failure."""
+    on every (i, j) with S_i <= S_j, i != j, then M3 on every i < j, each
+    walking the keep-masks in place; raises on the first failure."""
     subs = view.sublocales
     if table[view.index_of(view.bottom)] != ZERO:
         raise AxiomViolation("(M1) fails: the void sublocale must have measure 0")
-    for i, j in view.order_pairs():
-        if not ext_le(table[i], table[j]):
-            raise AxiomViolation(
-                f"(M2) fails on ({view.ref_name(subs[i])}, {view.ref_name(subs[j])}): "
-                f"{format_extended(table[i])} > {format_extended(table[j])}")
-    for i, j, m, jn in view.modularity_pairs():
-        left = ext_add(table[i], table[j])
-        right = ext_add(table[jn], table[m])
-        if left != right:
-            raise AxiomViolation(
-                f"(M3) fails on ({view.ref_name(subs[i])}, {view.ref_name(subs[j])}): "
-                f"{format_extended(table[i])} + {format_extended(table[j])} != "
-                f"{format_extended(table[jn])} + {format_extended(table[m])}")
+    masks = [s.keep for s in subs]
+    for i, qi in enumerate(masks):
+        for j, qj in enumerate(masks):
+            if i != j and qi & qj == qi and not ext_le(table[i], table[j]):
+                raise AxiomViolation(
+                    f"(M2) fails on ({view.ref_name(subs[i])}, {view.ref_name(subs[j])}): "
+                    f"{format_extended(table[i])} > {format_extended(table[j])}")
+    pos = view.frame._pos
+    for i, qi in enumerate(masks):
+        for j in range(i + 1, len(masks)):
+            m, jn = pos[qi & masks[j]], pos[qi | masks[j]]
+            if ext_add(table[i], table[j]) != ext_add(table[jn], table[m]):
+                raise AxiomViolation(
+                    f"(M3) fails on ({view.ref_name(subs[i])}, {view.ref_name(subs[j])}): "
+                    f"{format_extended(table[i])} + {format_extended(table[j])} != "
+                    f"{format_extended(table[jn])} + {format_extended(table[m])}")
 
 
 def measure_from_weights(view: SublocaleView, weights: Mapping[str, ExtValue]) -> Measure:
@@ -147,7 +150,7 @@ def measure_from_weights(view: SublocaleView, weights: Mapping[str, ExtValue]) -
     if missing:
         raise MalformedDocument(f"no weight for atom(s) {missing!r}")
     reject_non_atoms(weights, atoms)
-    return additive_measure(view, [weights[lat.elements[j]] for j in lat._jirr])
+    return Measure(view, [weights[lat.elements[j]] for j in lat._jirr])
 
 
 def reject_non_atoms(weights: Iterable[str], atoms: Sequence[str]) -> None:

@@ -4,7 +4,8 @@ and meet of partitions, measure tables built sublocale by sublocale, and the
 name-based canonical form and ladder checks that the index-native ones
 replaced, and the Fraction ladder kernels and parts-based summability that
 the integer kernels replaced, and the classical space checked by pairwise
-sweeps that the atom-based checks replaced.
+sweeps that the atom-based checks replaced, and the measure sweep over the
+pair lists that the in-place sweep replaced.
 
 Everything here is computed independently of the library's ladder,
 canonical-form and keep-mask algebra (plain set/dict comprehensions on the
@@ -35,7 +36,7 @@ from locint.errors import (
 from locint.integrate import _keep_of, _term_measure, classify
 from locint.lattice import SOFT_SIZE_LIMIT, FiniteLattice, check_same_carrier, subset_name
 from locint.measure import check_measure_value
-from locint.rationals import ext_add, ext_scale
+from locint.rationals import ext_add, ext_le, ext_scale, format_extended
 from locint.simple import SimpleFunction, negative_part, positive_part
 
 
@@ -406,6 +407,52 @@ def random_table(rng, view, inf_probability: float = 0.0) -> list:
                 total = ext_add(total, w)
         table.append(total)
     return table
+
+
+# -- the measure sweep on pair lists ------------------------------------------------
+#
+# The pair tables the view built for the exhaustive M1-M3 sweep before the
+# sweep walked the keep-masks in place, and that sweep on them: the
+# reference for ``measure.check_axioms``'s pair order and messages.
+
+
+def modularity_pairs(view) -> list:
+    """(i, j, index of S_i /\\ S_j, index of S_i \\/ S_j) for all i < j."""
+    masks = [s.keep for s in view.sublocales]
+    pos = view.frame._pos
+    return [(i, j, pos[masks[i] & masks[j]], pos[masks[i] | masks[j]])
+            for i in range(len(masks)) for j in range(i + 1, len(masks))]
+
+
+def order_pairs(view) -> list:
+    """(i, j) whenever S_i <= S_j in the sublocale order, i.e. the keep-mask
+    of S_i is contained in that of S_j."""
+    masks = [s.keep for s in view.sublocales]
+    return [(i, j)
+            for i, qi in enumerate(masks)
+            for j, qj in enumerate(masks)
+            if i != j and qi & qj == qi]
+
+
+def check_axioms_by_pairs(view, table) -> None:
+    """M1, then M2 over ``order_pairs``, then M3 over ``modularity_pairs``;
+    raises AxiomViolation on the first failure."""
+    subs = view.sublocales
+    if table[view.index_of(view.bottom)] != Fraction(0):
+        raise AxiomViolation("(M1) fails: the void sublocale must have measure 0")
+    for i, j in order_pairs(view):
+        if not ext_le(table[i], table[j]):
+            raise AxiomViolation(
+                f"(M2) fails on ({view.ref_name(subs[i])}, {view.ref_name(subs[j])}): "
+                f"{format_extended(table[i])} > {format_extended(table[j])}")
+    for i, j, m, jn in modularity_pairs(view):
+        left = ext_add(table[i], table[j])
+        right = ext_add(table[jn], table[m])
+        if left != right:
+            raise AxiomViolation(
+                f"(M3) fails on ({view.ref_name(subs[i])}, {view.ref_name(subs[j])}): "
+                f"{format_extended(table[i])} + {format_extended(table[j])} != "
+                f"{format_extended(table[jn])} + {format_extended(table[m])}")
 
 
 # -- name-based references for the index-native term and ladder code -----------

@@ -1,9 +1,11 @@
 """Differential tests for the Birkhoff core: C(L) built from keep-masks
-over J(L) against the union-find closure oracle, the additive measure
-check against the exhaustive M1-M3 sweep, measures summed over keep-masks
-against the per-sublocale formulas, and the join-primality
+over J(L) against the union-find closure oracle, the atom-sum measure
+check against the exhaustive M1-M3 sweep, that sweep walking the
+keep-masks in place against the sweep over pair lists, measures summed
+over keep-masks against the per-sublocale formulas, and the join-primality
 distributivity check against the triple sweep."""
 
+import tracemalloc
 from fractions import Fraction as F
 from functools import lru_cache
 from random import Random
@@ -13,12 +15,15 @@ import pytest
 from _oracle import (
     all_pairs,
     canonical,
+    check_axioms_by_pairs,
     closure,
     closure_congruences,
     closure_join,
     congruence_of,
     downset_lattice,
     first_distributivity_failure,
+    modularity_pairs,
+    order_pairs,
     random_table,
     refinement_meet,
     refines,
@@ -35,7 +40,7 @@ from locint.congruence import (
 from locint.corpus import corpus_lattices, divisor_lattice, random_measure, random_weight
 from locint.errors import AxiomViolation, MalformedDocument, NotDistributive
 from locint.lattice import chain_lattice, lattice_from_order, powerset_lattice
-from locint.measure import check_axioms, is_additive, measure_from_weights, validate_measure
+from locint.measure import Measure, check_axioms, measure_from_weights, validate_measure
 from locint.rationals import POS_INF
 
 SMALL = [f"poset{seed}" for seed in range(14)]
@@ -124,14 +129,14 @@ def test_view_tables_match_partition_order(name):
     n = len(subs)
     order = [(i, j) for i in range(n) for j in range(n)
              if i != j and refines(subs[j], subs[i])]
-    assert view.order_pairs() == order
+    assert order_pairs(view) == order
     assert [(i, j) for i in range(n) for j in range(n)
             if i != j and view.leq(subs[i], subs[j])] == order
     atoms = [s for s in subs if s != view.bottom
              and all(t == view.bottom or t == s or not view.leq(t, s) for t in subs)]
     assert list(view.atoms()) == atoms
     index = {s.block_of: k for k, s in enumerate(subs)}
-    for i, j, m, jn in view.modularity_pairs()[:400]:
+    for i, j, m, jn in modularity_pairs(view)[:400]:
         assert index[closure_join(subs[i], subs[j]).block_of] == m
         assert index[refinement_meet(subs[i], subs[j])] == jn
 
@@ -145,7 +150,7 @@ def test_facade_is_the_inclusion_order():
                 assert facade.leq(c.partition_name(), d.partition_name()) == refines(c, d)
 
 
-# -- additive measure check versus the exhaustive sweep ----------------------------
+# -- atom-sum measure check versus the exhaustive sweep ----------------------------
 
 
 def outcome(fn, *args):
@@ -156,6 +161,13 @@ def outcome(fn, *args):
     return None
 
 
+def is_atom_sum(view, table):
+    """The table is the measure built from its own atom entries."""
+    pos = view.frame._pos
+    mu = Measure(view, [table[pos[1 << k]] for k in range(len(view.frame.lattice._jirr))])
+    return [v for _, v in mu.items()] == table
+
+
 @pytest.mark.parametrize("name", SMALL[:8] + ["div360"])
 def test_additive_check_agrees_with_exhaustive_sweep(name):
     view = lattice(name).congruence_frame().view()
@@ -164,16 +176,79 @@ def test_additive_check_agrees_with_exhaustive_sweep(name):
     for _ in range(12):
         mu = random_measure(rng, view, inf_probability=0.15)
         table = [v for _, v in mu.items()]
-        assert is_additive(view, table) and outcome(check_axioms, view, table) is None
+        assert is_atom_sum(view, table) and outcome(check_axioms, view, table) is None
         valid += 1
         k = rng.randrange(len(table))
         table[k] = rng.choice([F(rng.randint(0, 30), rng.randint(1, 3)), POS_INF, F(0)])
         expected = outcome(check_axioms, view, table)
-        assert is_additive(view, table) == (expected is None)
+        assert is_atom_sum(view, table) == (expected is None)
         values = dict(zip(view.sublocales, table))
         assert outcome(validate_measure, view, values) == expected
         perturbed += expected is not None
     assert valid == 12 and perturbed >= 1
+
+
+def raised(fn, *args):
+    """The class and message of what fn raises, or None."""
+    try:
+        fn(*args)
+    except Exception as exc:  # the class and message are compared
+        return type(exc), str(exc)
+    return None
+
+
+def perturbed_tables(rng, view):
+    """Measure tables broken on purpose: the void sublocale nonzero (M1), a
+    value below an atom under it or above L (M2), L raised alone (M3, on a
+    chain), and values set to +inf or a random rational."""
+    subs = view.sublocales
+    void, top = view.index_of(view.bottom), view.index_of(view.top)
+    for _ in range(6):
+        table = [v for _, v in random_measure(rng, view, rng.choice([0.0, 0.2])).items()]
+        yield table
+        broken = list(table)
+        broken[void] = F(1)
+        yield broken
+        for _ in range(3):
+            k = rng.randrange(len(subs))
+            broken = list(table)
+            broken[k] = rng.choice([F(0), POS_INF, F(rng.randint(0, 40), rng.randint(1, 3))])
+            yield broken
+        if table[top] is not POS_INF:
+            broken = list(table)
+            broken[top] = table[top] + rng.randint(1, 5)
+            yield broken
+
+
+@pytest.mark.parametrize("name", SMALL + ["div360", "chain9"])
+def test_in_place_sweep_matches_pair_list_sweep(name):
+    view = lattice(name).congruence_frame().view()
+    rng = Random(name)
+    seen = set()
+    for table in perturbed_tables(rng, view):
+        expected = raised(check_axioms_by_pairs, view, table)
+        assert raised(check_axioms, view, table) == expected
+        assert raised(validate_measure, view, dict(zip(view.sublocales, table))) == expected
+        seen.add(None if expected is None else expected[1][:4])
+    if name in ("div360", "chain9"):
+        assert {None, "(M1)", "(M2)", "(M3)"} <= seen
+
+
+def test_naming_a_failure_allocates_no_pair_list():
+    # chain9 has 256 sublocales: a list of its pairs takes megabytes
+    view = lattice("chain9").congruence_frame().view()
+    table = [v for _, v in random_measure(Random(9), view).items()]
+    top = view.index_of(view.top)
+    table[top] += 1
+    values = dict(zip(view.sublocales, table))
+    tracemalloc.start()
+    try:
+        with pytest.raises(AxiomViolation, match=r"^\(M3\) fails"):
+            validate_measure(view, values)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
 
 
 # -- measures summed over keep-masks versus the per-sublocale formulas ---------------

@@ -5,6 +5,7 @@ import pytest
 
 import locint.cutfunction as cf
 import locint.simple as sf
+from _oracle import downset_lattice
 from locint.corpus import corpus_lattices, random_measure, random_simple
 from locint.errors import NotIntegrable, NotNonnegative
 from locint.integrate import (
@@ -18,6 +19,7 @@ from locint.integrate import (
     restrict_vs_multiply,
     summability,
 )
+from locint.lattice import chain_lattice
 from locint.measure import measure_from_weights
 from locint.rationals import NEG_INF, POS_INF
 
@@ -102,6 +104,29 @@ def test_indefinite_integral_example(setting):
     eta1 = indefinite_integral(sf.constant_simple(F(1), facade), mu)
     for s in view.sublocales:
         assert eta1.value(s) == mu.value(s)
+
+
+def differential_lattices():
+    yield from corpus_lattices().items()
+    for seed in range(6):
+        rng = Random(seed)
+        yield f"poset{seed}", downset_lattice(rng, rng.randint(1, 6))
+    yield "chain9", chain_lattice([f"e{i}" for i in range(9)])
+
+
+@pytest.mark.parametrize("name, lat", list(differential_lattices()))
+def test_indefinite_integral_is_the_integral_over_each_sublocale(name, lat):
+    # summed from the atoms, checked against the integral over every S;
+    # +inf atom weights and zero coefficients make 0 * inf terms
+    view = lat.congruence_frame().view()
+    facade = view.frame.as_lattice()
+    rng = Random(name)
+    for _ in range(8):
+        mu = random_measure(rng, view, inf_probability=0.3)
+        g = random_simple(rng, facade, nonneg=True, coeff_hi=2, denominators=(1, 2))
+        eta = indefinite_integral(g, mu)
+        for s, v in eta.items():
+            assert v == integrate_simple(g, mu, s)[0]
 
 
 def test_indefinite_needs_nonnegative(setting):

@@ -1,11 +1,14 @@
+from decimal import Decimal
 from fractions import Fraction as F
 
 import pytest
 
+from locint.bridge import FiniteMeasurableSpace
 from locint.corpus import divisor_lattice, random_measure
-from locint.errors import AxiomViolation, MalformedDocument, NotBoolean
-from locint.measure import check_axioms, measure_from_weights, validate_measure
-from locint.rationals import POS_INF
+from locint.errors import AxiomViolation, InvalidArgument, MalformedDocument, NotBoolean
+from locint.lattice import chain_lattice
+from locint.measure import Measure, check_axioms, measure_from_weights, validate_measure
+from locint.rationals import NEG_INF, POS_INF
 
 
 def view_of(lat):
@@ -115,3 +118,70 @@ def test_random_measures_on_non_boolean_carriers():
         for _ in range(10):
             mu = random_measure(rng, view, inf_probability=0.2)
             check_axioms(view, [v for _, v in mu.items()])
+
+
+# -- the constructor: one value per atom of S(L) --------------------------------------
+
+
+def test_constructor_sums_the_atom_values(b4, c3):
+    for lat in (b4, c3, divisor_lattice(12)):
+        view = view_of(lat)
+        atom_values = [F(k + 1, 2) for k in range(len(view.atoms()))]
+        atom_values[0] = POS_INF
+        mu = Measure(view, atom_values)
+        for s, v in mu.items():
+            bits = [w for k, w in enumerate(atom_values) if s.keep >> k & 1]
+            assert v == (POS_INF if POS_INF in bits else sum(bits, F(0)))
+
+
+def test_constructor_rejects_a_wrong_length(b4, c3):
+    # a full table has 2**k values, never the k atom values
+    for lat in (b4, c3, chain_lattice(["a"]), divisor_lattice(60)):
+        view = view_of(lat)
+        k = len(view.atoms())
+        for n in {0, k - 1, k + 1, len(view.sublocales)} - {k, -1}:
+            with pytest.raises(MalformedDocument) as err:
+                Measure(view, [F(1)] * n)
+            assert str(err.value) == (f"a measure takes one value per atom of S(L), {k}; "
+                                      f"got {n}")
+    view = view_of(b4)
+    with pytest.raises(MalformedDocument):
+        Measure(view, (F(-1),) * 4)
+
+
+@pytest.mark.parametrize("bad, shown", [(F(-1), "-1"), (F(-3, 2), "-3/2"), (NEG_INF, "-inf")])
+def test_constructor_range_checks_the_atom_values(b4, bad, shown):
+    with pytest.raises(MalformedDocument) as err:
+        Measure(view_of(b4), [F(1), bad])
+    assert str(err.value) == f"measure values must lie in [0, inf]; got {shown}"
+
+
+@pytest.mark.parametrize("bad", [0.5, True, Decimal("0.5")])
+def test_non_rational_measure_values_raise(b4, bad):
+    view = view_of(b4)
+    pq = [frozenset(), frozenset("p"), frozenset("q"), frozenset("pq")]
+    entry_points = [
+        lambda: Measure(view, [F(1), bad]),
+        lambda: validate_measure(view, {s: bad for s in view.sublocales}),
+        lambda: measure_from_weights(view, {"x": bad, "y": F(1)}),
+        lambda: FiniteMeasurableSpace.powerset(["p"], {"p": bad}),
+        lambda: FiniteMeasurableSpace.from_atom_weights(
+            ["p", "q"], pq, {frozenset("p"): F(1), frozenset("q"): bad}),
+        # a value on a member that is not an atom
+        lambda: FiniteMeasurableSpace(["p", "q"], pq, dict(zip(pq, [F(0), F(1), F(1), bad]))),
+    ]
+    for build in entry_points:
+        with pytest.raises(InvalidArgument):
+            build()
+
+
+def test_measure_and_space_values_are_coerced(b4):
+    view = view_of(b4)
+    mu = validate_measure(view, {s: bin(s.keep).count("1") for s in view.sublocales})
+    assert {type(v) for _, v in mu.items()} == {F}
+    space = FiniteMeasurableSpace.powerset(["p", "q"], {"p": 1, "q": "1/2"})
+    assert dict(space.lam) == {frozenset(): 0, frozenset("p"): 1, frozenset("q"): F(1, 2),
+                               frozenset("pq"): F(3, 2)}
+    assert {type(v) for v in space.lam.values()} == {F}
+    with pytest.raises(InvalidArgument):
+        FiniteMeasurableSpace.powerset(["p"], {"p": "half"})
