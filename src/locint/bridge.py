@@ -10,14 +10,15 @@ arithmetic) must agree exactly, classification included, with the
 pointfree integral against the extension of the weight map to all
 sublocales (open sublocales keep their classical value).
 
-Every space goes through one checked constructor.  By Birkhoff a finite
-Boolean algebra of sets is the 2^k unions of its k atoms, and an additive
-lambda is its sum over them, so both are checked in O(|A| * k) on bitmasks;
-the sweeps over all pairs of sets run only to name the first failure.  The
-atoms found are the space's atoms, and its lattice is built from them.
-Every lambda value is stored as ``check_measure_value`` coerces it, an
-exact rational or +inf.  lambda and a classical function's values are
-read-only views."""
+Every space goes through one checked constructor, which takes the
+algebra and one weight per atom, keyed by the atom's name.  By Birkhoff a
+finite Boolean algebra of sets is the 2^k unions of its k atoms, so it is
+checked in O(|A| * k) on bitmasks; the sweep over all pairs of sets runs
+only to name the first failure.  lambda is the sum of the atom weights
+below each member, so it is additive by construction.  The atoms found are
+the space's atoms, and its lattice is built from them.  Every weight is
+stored as ``check_measure_value`` coerces it, an exact rational or +inf.
+lambda and a classical function's values are read-only views."""
 
 from __future__ import annotations
 
@@ -26,10 +27,10 @@ from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .congruence import SublocaleView
-from .errors import AxiomViolation, ConsistencyError, MalformedDocument, SizeLimitExceeded
+from .errors import ConsistencyError, MalformedDocument, SizeLimitExceeded
 from .integrate import NOT_INTEGRABLE, SummabilityReport, classify, report_value, summability
 from .lattice import SOFT_SIZE_LIMIT, FiniteLattice, subset_name
-from .measure import Measure, check_measure_value, subset_sums
+from .measure import Measure, check_measure_value, reject_non_atoms, subset_sums
 from .rationals import ZERO, ExtValue, ext_add, ext_scale, format_extended, parse_rational
 from .simple import SimpleFunction
 
@@ -39,95 +40,65 @@ class FiniteMeasurableSpace:
     on it.  At this scale countable unions are finite unions, so the
     algebra is just a Boolean subalgebra of the powerset.
 
-    ``lam`` is a read-only view of lambda.  ``_below`` maps each member to
-    the set of atoms below it as a bitmask, bit k standing for the atom
-    with the k-th first point."""
+    ``lam`` is a read-only view of lambda.  ``_names`` holds the name of
+    each member (``name_of``) in algebra order.  ``_below`` maps each
+    member to the set of atoms below it as a bitmask, bit k standing for
+    the atom with the k-th first point."""
 
-    __slots__ = ("points", "algebra", "lam", "_atoms", "_below", "_lattice", "_measure")
+    __slots__ = ("points", "algebra", "lam", "_names", "_atoms", "_below", "_lattice", "_measure")
 
     def __init__(self, points: Sequence[str],
                  algebra: Iterable[FrozenSet[str]],
-                 lam: Mapping[FrozenSet[str], ExtValue]):
-        """Check the algebra (``_atoms_below``) and lambda: a weight for
-        every member, lambda(empty) = 0, every value a rational in [0, inf]
-        (stored as ``check_measure_value`` coerces it), and additivity.
-        Additivity holds iff lambda(s) is the sum of the atom values over
-        the atoms below s, O(|A|); only a lambda that fails that goes
-        through the sweep over all disjoint pairs, which names the first
-        failure."""
+                 atom_weights: Mapping[str, ExtValue]):
+        """Check the algebra (``_atoms_below``), then the weights, keyed
+        by atom name: a weight for every atom, in sorted order, no key
+        that names no atom, and every weight in [0, inf] (stored as
+        ``check_measure_value`` coerces it).  lambda(s) is the sum of the
+        weights of the atoms below s, so it is additive by construction."""
         self.points = tuple(points)
         sets = {frozenset(s) for s in algebra}
         atoms, below = _atoms_below(self.points, sets)
         order = {p: i for i, p in enumerate(self.points)}
         self.algebra = tuple(sorted(sets, key=lambda s: (len(s), sorted(order[p] for p in s))))
+        self._names = tuple(subset_name(s, self.points) for s in self.algebra)
         self._atoms = tuple(sorted(atoms, key=sorted))
         self._below = below
-        lam = dict(lam)
-        for s in self.algebra:
-            if s not in lam:
-                raise MalformedDocument(f"no weight for subset {self.name_of(s)!r}")
-        if lam[frozenset()] != ZERO:
-            raise AxiomViolation("lambda(empty) must be 0")
-        for s in self.algebra:
-            lam[s] = check_measure_value(lam[s])
-        sums = subset_sums([lam[a] for a in atoms])
-        if any(lam[s] != sums[m] for s, m in below.items()):
-            for s in self.algebra:
-                for t in self.algebra:
-                    if not (s & t) and ext_add(lam[s], lam[t]) != lam[s | t]:
-                        raise AxiomViolation(
-                            f"lambda is not additive on {self.name_of(s)!r}, {self.name_of(t)!r}")
-            raise ConsistencyError("the atom sums and the pairwise sweep disagree")
-        self.lam: Mapping[FrozenSet[str], ExtValue] = MappingProxyType(lam)
+        names = [self.name_of(a) for a in self._atoms]
+        for name in names:
+            if name not in atom_weights:
+                raise MalformedDocument(f"no weight for atom {name!r}")
+        reject_non_atoms(atom_weights, names)
+        weights = {a: check_measure_value(atom_weights[name]) for a, name in zip(self._atoms, names)}
+        sums = subset_sums([weights[a] for a in atoms])
+        self.lam: Mapping[FrozenSet[str], ExtValue] = MappingProxyType(
+            {s: sums[below[s]] for s in self.algebra})
         self._lattice = None
         self._measure = None
 
     @classmethod
     def powerset(cls, points: Sequence[str],
                  point_weights: Mapping[str, ExtValue]) -> "FiniteMeasurableSpace":
-        """Full powerset algebra with lambda extended additively from the
-        singleton weights."""
+        """The full powerset algebra, whose atoms are the singletons, with
+        the weight of each point; the size cap is checked first."""
         points = tuple(points)
         _check_size(1 << len(points), f"a powerset over {len(points)} points")
-        for p in points:
-            if p not in point_weights:
-                raise MalformedDocument(f"no weight for point {p!r}")
-        weights = [check_measure_value(point_weights[p]) for p in points]
-        if len(set(points)) != len(points):
-            raise MalformedDocument("duplicate point names")
+        missing = [p for p in points if p not in point_weights]
+        if missing:
+            raise MalformedDocument(f"no weight for point(s) {missing!r}")
+        reject_non_atoms(point_weights, points)
         subsets = [frozenset()]  # subsets[m] holds points[i] for each bit i of m
         for p in points:
             single = frozenset((p,))
             subsets += [s | single for s in subsets]
-        return cls(points, subsets, dict(zip(subsets, subset_sums(weights))))
-
-    @classmethod
-    def from_atom_weights(cls, points: Sequence[str],
-                          algebra: Iterable[FrozenSet[str]],
-                          atom_weights: Mapping[FrozenSet[str], ExtValue]) -> "FiniteMeasurableSpace":
-        """lambda extended additively from weights on the atoms of the
-        algebra, which is checked first: a closed algebra has exactly
-        2**|atoms| members, so the table of sums is no larger than it."""
-        points = tuple(points)
-        sets = {frozenset(s) for s in algebra}
-        atoms, below = _atoms_below(points, sets)
-        ordered = sorted(atoms, key=sorted)
-        for a in ordered:
-            if a not in atom_weights:
-                raise MalformedDocument(f"no weight for atom {sorted(a)!r}")
-        weights = {a: check_measure_value(atom_weights[a]) for a in ordered}
-        sums = subset_sums([weights[a] for a in atoms])
-        lam = {s: sums[m] for s, m in below.items()}
-        return cls(points, sets, lam)
+        return cls(points, subsets, {subset_name((p,), points): point_weights[p] for p in points})
 
     def name_of(self, subset: FrozenSet[str]) -> str:
         return subset_name(subset, self.points)
 
     def subset_of_name(self, name: str) -> FrozenSet[str]:
-        for s in self.algebra:
-            if self.name_of(s) == name:
-                return s
-        raise MalformedDocument(f"{name!r} is not a member of the algebra")
+        if name not in self._names:
+            raise MalformedDocument(f"{name!r} is not a member of the algebra")
+        return self.algebra[self._names.index(name)]
 
     def atoms(self) -> Tuple[FrozenSet[str], ...]:
         """The atoms found by the algebra check, ordered by their sorted
@@ -139,7 +110,7 @@ class FiniteMeasurableSpace:
         from the atom masks of its members."""
         if self._lattice is None:
             self._lattice = FiniteLattice._from_masks(
-                [self.name_of(s) for s in self.algebra], [self._below[s] for s in self.algebra])
+                self._names, [self._below[s] for s in self.algebra])
         return self._lattice
 
     def view(self) -> SublocaleView:
@@ -152,12 +123,6 @@ def _check_size(n_sets: int, what: str) -> None:
     and before any sweep over pairs of sets."""
     if n_sets > SOFT_SIZE_LIMIT:
         raise SizeLimitExceeded(f"{what} exceeds the {SOFT_SIZE_LIMIT}-set limit")
-
-
-def algebra_atoms(points: Tuple[str, ...], sets) -> Tuple[FrozenSet[str], ...]:
-    """The atoms of a Boolean algebra of subsets of the points, ordered by
-    their sorted point names; raises unless `sets` is one."""
-    return tuple(sorted(_atoms_below(points, sets)[0], key=sorted))
 
 
 def _atoms_below(points: Tuple[str, ...], sets
@@ -218,9 +183,6 @@ def _check_algebra(points: Tuple[str, ...], sets) -> None:
     the whole set and are closed under complement and union.  The sets are
     visited in a fixed order, so the first failure named does not depend
     on string hashing."""
-    _check_size(len(sets), f"an algebra of {len(sets)} sets")
-    if len(set(points)) != len(points):
-        raise MalformedDocument("duplicate point names")
     universe = frozenset(points)
     sets = sorted(sets, key=lambda s: (len(s), sorted(s)))
     for s in sets:

@@ -12,6 +12,10 @@ congruence frame a simple term names a sublocale ("L", "void", "open:a",
 "closed:a" or "blocks:..."), contributing r * chi_S = r * chi(theta_S^c),
 while cut ladder values name the congruences themselves via the same refs.
 
+A space document's lambda maps each point of a powerset, or each atom of a
+listed algebra by its name, to a value; the loader reads the document and
+parses every value, and ``bridge`` checks the space in one call.
+
 Each loader imports its own layer (functions: simple, and cutfunction for
 ladders and infinite constants; measures: measure; spaces and classical
 functions: bridge), so loading a lattice loads none of them.
@@ -23,7 +27,7 @@ import json
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .errors import MalformedDocument, NotFinite
-from .lattice import FiniteLattice, build_lattice, subset_name
+from .lattice import FiniteLattice, build_lattice
 
 if TYPE_CHECKING:
     from fractions import Fraction
@@ -190,8 +194,10 @@ def load_measure(doc, view: SublocaleView) -> Measure:
 
 
 def load_space(doc) -> FiniteMeasurableSpace:
-    from .bridge import FiniteMeasurableSpace, algebra_atoms
-    from .measure import reject_non_atoms
+    """Points, an algebra ("powerset", the default, or a list of subsets
+    of strings, to which the empty and the whole set are added) and
+    lambda.  Every lambda value is parsed before the space is checked."""
+    from .bridge import FiniteMeasurableSpace
 
     if not isinstance(doc, dict):
         raise MalformedDocument("space document must be a JSON object")
@@ -202,30 +208,17 @@ def load_space(doc) -> FiniteMeasurableSpace:
     raw_lam = doc.get("lambda")
     if not isinstance(raw_lam, dict):
         raise MalformedDocument('"lambda" must map atoms to values')
-    if algebra == "powerset":
-        weights = {p: _extended(v, f"lambda[{p!r}]") for p, v in raw_lam.items()}
-        missing = [p for p in points if p not in weights]
-        if missing:
-            raise MalformedDocument(f"no weight for point(s) {missing!r}")
-        reject_non_atoms(weights, points)
-        return FiniteMeasurableSpace.powerset(points, weights)
-    if isinstance(algebra, list):
-        sets = []
+    if algebra != "powerset":
+        if not isinstance(algebra, list):
+            raise MalformedDocument('"algebra" must be "powerset" or a list of subsets')
         for s in algebra:
-            if not isinstance(s, list):
+            if not (isinstance(s, list) and all(isinstance(p, str) for p in s)):
                 raise MalformedDocument(f"bad subset in algebra: {s!r}")
-            sets.append(frozenset(s))
-        sets = set(sets) | {frozenset(), frozenset(points)}
-        atoms = algebra_atoms(tuple(points), sets)
-        atom_weights = {}
-        for a in atoms:
-            key = subset_name(a, points)
-            if key not in raw_lam:
-                raise MalformedDocument(f"no weight for atom {key!r}")
-            atom_weights[a] = _extended(raw_lam[key], f"lambda[{key!r}]")
-        reject_non_atoms(raw_lam, [subset_name(a, points) for a in atoms])
-        return FiniteMeasurableSpace.from_atom_weights(points, sets, atom_weights)
-    raise MalformedDocument('"algebra" must be "powerset" or a list of subsets')
+    weights = {k: _extended(v, f"lambda[{k!r}]") for k, v in raw_lam.items()}
+    if algebra == "powerset":
+        return FiniteMeasurableSpace.powerset(points, weights)
+    sets = {frozenset(s) for s in algebra} | {frozenset(), frozenset(points)}
+    return FiniteMeasurableSpace(points, sets, weights)
 
 
 def load_classical_function(doc, space: FiniteMeasurableSpace) -> ClassicalSimpleFunction:

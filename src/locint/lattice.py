@@ -269,13 +269,14 @@ def check_same_carrier(a: FiniteLattice, b: FiniteLattice, message: str) -> None
 
 def subset_name(members: Iterable[str], atom_order: Sequence[str]) -> str:
     """Canonical name of a subset: "0" for empty, "1" for everything,
-    the bare atom for singletons and "{a,b}" otherwise."""
+    the bare atom for singletons and "{a,b}" otherwise.  The atoms in
+    `atom_order` are distinct."""
     members = set(members)
     if not members:
         return "0"
-    if members == set(atom_order):
-        return "1"
     ordered = [a for a in atom_order if a in members]
+    if len(ordered) == len(members) == len(atom_order):
+        return "1"
     if len(ordered) == 1:
         return ordered[0]
     return "{" + ",".join(ordered) + "}"

@@ -39,7 +39,7 @@ from locint.congruence import (
 )
 from locint.corpus import corpus_lattices, divisor_lattice, random_measure, random_weight
 from locint.errors import AxiomViolation, MalformedDocument, NotDistributive
-from locint.lattice import chain_lattice, lattice_from_order, powerset_lattice
+from locint.lattice import chain_lattice, lattice_from_order, powerset_lattice, subset_name
 from locint.measure import Measure, check_axioms, measure_from_weights, validate_measure
 from locint.rationals import POS_INF
 
@@ -295,8 +295,8 @@ def random_space(rng, n):
     atoms = [frozenset(b) for b in blocks.values()]
     algebra = {frozenset().union(*(a for k, a in enumerate(atoms) if m >> k & 1))
                for m in range(1 << len(atoms))}
-    return FiniteMeasurableSpace.from_atom_weights(
-        points, algebra, {a: random_weight(rng, 0.2) for a in atoms})
+    return FiniteMeasurableSpace(
+        points, algebra, {subset_name(a, points): random_weight(rng, 0.2) for a in atoms})
 
 
 @pytest.mark.parametrize("n", range(1, 6))

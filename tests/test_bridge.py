@@ -13,7 +13,7 @@ from locint.bridge import (
     from_localic,
     to_localic,
 )
-from locint.errors import AxiomViolation, MalformedDocument, NotIntegrable, SizeLimitExceeded
+from locint.errors import MalformedDocument, NotIntegrable, SizeLimitExceeded
 from locint.integrate import INTEGRABLE_NOT_SUMMABLE, SUMMABLE
 from locint.rationals import NEG_INF, POS_INF
 from locint.simple import sf_add, sf_mul, sf_scale, to_cut_function
@@ -133,16 +133,14 @@ def test_explicit_algebra_validation():
     with pytest.raises(MalformedDocument):
         FiniteMeasurableSpace(["x", "y"],
                               [frozenset(), frozenset(["x"]), frozenset(["x", "y"])],
-                              {frozenset(): F(0), frozenset(["x"]): F(1),
-                               frozenset(["x", "y"]): F(1)})
+                              {"x": F(1), "y": F(0)})
 
 
 def test_sub_sigma_algebra_bridge():
     # the four-element algebra {0, {x,y}, {z}, X} inside a three-point set
     pts = ["x", "y", "z"]
     sets = [frozenset(), frozenset(["x", "y"]), frozenset(["z"]), frozenset(pts)]
-    sp = FiniteMeasurableSpace.from_atom_weights(
-        pts, sets, {frozenset(["x", "y"]): F(5), frozenset(["z"]): F(7)})
+    sp = FiniteMeasurableSpace(pts, sets, {"{x,y}": F(5), "z": F(7)})
     f = ClassicalSimpleFunction(sp, {"x": F(2), "y": F(2), "z": F(-1)})
     report = bridge_check(sp, f)
     assert report.classical_value == 10 - 7
@@ -151,13 +149,36 @@ def test_sub_sigma_algebra_bridge():
 
 
 def test_explicit_lambda_is_validated():
+    # one weight per atom, keyed by its name; lambda is their sums
     sets = [frozenset(), frozenset(["x"]), frozenset(["y"]), frozenset(["x", "y"])]
-    with pytest.raises(AxiomViolation, match="not additive"):
-        FiniteMeasurableSpace(["x", "y"], sets, dict(zip(sets, [F(0), F(1), F(2), F(4)])))
+    with pytest.raises(MalformedDocument, match=r"^no weight for atom 'y'$"):
+        FiniteMeasurableSpace(["x", "y"], sets, {"x": F(1)})
+    with pytest.raises(MalformedDocument, match=r"^weights given for non-atoms \['1'\]$"):
+        FiniteMeasurableSpace(["x", "y"], sets, {"x": F(1), "y": F(2), "1": F(3)})
     with pytest.raises(MalformedDocument, match=r"\[0, inf\]; got -1"):
-        FiniteMeasurableSpace(["x", "y"], sets, dict(zip(sets, [F(0), F(-1), F(2), F(1)])))
-    sp = FiniteMeasurableSpace(["x", "y"], sets, dict(zip(sets, [F(0), F(1), F(2), F(3)])))
+        FiniteMeasurableSpace(["x", "y"], sets, {"x": F(-1), "y": F(2)})
+    sp = FiniteMeasurableSpace(["x", "y"], sets, {"x": F(1), "y": F(2)})
+    assert dict(sp.lam) == {sets[0]: 0, sets[1]: 1, sets[2]: 2, sets[3]: 3}
     assert sp.lam == FiniteMeasurableSpace.powerset(["x", "y"], {"x": F(1), "y": F(2)}).lam
+
+
+def test_weight_keys_naming_no_member_are_rejected():
+    # a key that names no member of the algebra was once kept in lambda,
+    # unchecked; it is rejected like any key that names no atom
+    with pytest.raises(MalformedDocument, match=r"^weights given for non-atoms \['z'\]$"):
+        FiniteMeasurableSpace(["p"], [frozenset(), frozenset("p")], {"1": F(1), "z": F(1, 2)})
+    with pytest.raises(MalformedDocument, match=r"^weights given for non-atoms \['z'\]$"):
+        FiniteMeasurableSpace.powerset(["p", "q"], {"p": F(1), "q": F(1), "z": F(1, 2)})
+    space = FiniteMeasurableSpace(["p"], [frozenset(), frozenset("p")], {"1": F(1)})
+    assert dict(space.lam) == {frozenset(): 0, frozenset("p"): 1}
+
+
+def test_powerset_names_missing_points_after_the_cap():
+    with pytest.raises(MalformedDocument, match=r"^no weight for point\(s\) \['p', 'r'\]$"):
+        FiniteMeasurableSpace.powerset(["p", "q", "r"], {"q": F(1)})
+    seven = [f"p{i}" for i in range(7)]
+    with pytest.raises(SizeLimitExceeded, match="^a powerset over 7 points exceeds"):
+        FiniteMeasurableSpace.powerset(seven, {"zzz": F(1)})
 
 
 def test_unclosed_algebra_names_its_first_set_in_a_fixed_order():
@@ -165,7 +186,7 @@ def test_unclosed_algebra_names_its_first_set_in_a_fixed_order():
     sets = [frozenset(), frozenset(pts)] + [frozenset([p]) for p in reversed(pts)]
     with pytest.raises(MalformedDocument,
                        match=r"^the algebra is not closed under complement at \['u'\]$"):
-        FiniteMeasurableSpace.from_atom_weights(pts, sets, {s: F(1) for s in sets})
+        FiniteMeasurableSpace(pts, sets, {p: F(1) for p in pts})
 
 
 def test_space_size_cap_boundary():
@@ -174,16 +195,16 @@ def test_space_size_cap_boundary():
     six = [f"p{i}" for i in range(6)]
     space = FiniteMeasurableSpace.powerset(six, {p: F(1) for p in six})
     assert len(space.algebra) == 64
-    listed = FiniteMeasurableSpace(six, space.algebra, space.lam)
-    assert listed.algebra == space.algebra
+    listed = FiniteMeasurableSpace(six, space.algebra, {p: F(1) for p in six})
+    assert listed.algebra == space.algebra and listed.lam == space.lam
     seven = six + ["p6"]
     with pytest.raises(SizeLimitExceeded, match="^a powerset over 7 points exceeds the 64-set limit$"):
         FiniteMeasurableSpace.powerset(seven, {p: F(1) for p in seven})
     subsets = [frozenset(p for i, p in enumerate(seven) if m >> i & 1) for m in range(1 << 7)]
     with pytest.raises(SizeLimitExceeded, match="^an algebra of 128 sets exceeds the 64-set limit$"):
-        FiniteMeasurableSpace.from_atom_weights(seven, subsets, {})
+        FiniteMeasurableSpace(seven, subsets, {})
     with pytest.raises(SizeLimitExceeded, match="^an algebra of 128 sets exceeds the 64-set limit$"):
-        FiniteMeasurableSpace(seven, subsets, {s: F(len(s)) for s in subsets})
+        FiniteMeasurableSpace(seven, subsets, {p: F(1) for p in seven})
 
 
 def test_lambda_and_values_are_read_only(space_xy):

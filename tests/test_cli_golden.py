@@ -116,6 +116,9 @@ COMMANDS = {
                          "--function", "sample_docs/fclassical.json"],
     # an order pair with a non-string member
     "leq_nonstring": ["congruences", "--lattice", D + "leq_nonstring.json"],
+    # listed subsets whose members are not all strings
+    "space_nonstring_member": ["validate", "--space", D + "space_nonstring_member.json"],
+    "space_nested_subset": ["validate", "--space", D + "space_nested_subset.json"],
 }
 
 CASES = {f"{name}.{fmt}": argv + ["--format", fmt]

@@ -165,10 +165,9 @@ def test_non_rational_measure_values_raise(b4, bad):
         lambda: validate_measure(view, {s: bad for s in view.sublocales}),
         lambda: measure_from_weights(view, {"x": bad, "y": F(1)}),
         lambda: FiniteMeasurableSpace.powerset(["p"], {"p": bad}),
-        lambda: FiniteMeasurableSpace.from_atom_weights(
-            ["p", "q"], pq, {frozenset("p"): F(1), frozenset("q"): bad}),
-        # a value on a member that is not an atom
-        lambda: FiniteMeasurableSpace(["p", "q"], pq, dict(zip(pq, [F(0), F(1), F(1), bad]))),
+        lambda: FiniteMeasurableSpace(["p", "q"], pq, {"p": F(1), "q": bad}),
+        # an atom of two points
+        lambda: FiniteMeasurableSpace(["p", "q"], [pq[0], pq[3]], {"1": bad}),
     ]
     for build in entry_points:
         with pytest.raises(InvalidArgument):

@@ -5,7 +5,11 @@ subsets) and lambda, keyed by point (powerset) or by atom name (listed
 algebra).  Each document below has a single fault, in lambda or in the
 algebra, or an unclosed algebra together with one lambda fault; both
 ``load_space`` (exception class and message) and ``locint validate
---space`` (exit code and stderr) must name it as recorded here."""
+--space`` (exit code and stderr) must name it as recorded here.
+Documents with two faults pin the order in which faults are named: every
+lambda value is parsed first; a powerset is capped before its weights are
+checked; then a missing weight, a key that names no atom and a value out
+of range are named in that order."""
 
 import json
 
@@ -13,7 +17,7 @@ import pytest
 
 from locint.cli import main
 from locint.documents import load_space
-from locint.errors import MalformedDocument
+from locint.errors import MalformedDocument, SizeLimitExceeded
 
 PQ = {"points": ["p", "q"], "algebra": "powerset"}
 XYZ = {"points": ["x", "y", "z"], "algebra": [["x"], ["y", "z"]]}
@@ -48,16 +52,52 @@ CASES = {
     "unclosed_negative": (UNCLOSED, {"x": "-1"}, NOT_CLOSED),
 }
 
+SEVEN = {"points": [f"p{i}" for i in range(7)], "algebra": "powerset"}
+CAPPED = "a powerset over 7 points exceeds the 64-set limit"
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_single_fault_space_documents(case, tmp_path, capsys):
-    algebra, lam, message = CASES[case]
-    doc = {**algebra, "lambda": lam}
-    with pytest.raises(MalformedDocument) as info:
+TWO_FAULTS = {
+    # an unparseable value is named first
+    "unclosed_unparseable": (UNCLOSED, {"x": "half"}, MalformedDocument,
+                             "bad extended rational in lambda['x']: 'half'"),
+    "missing_unparseable": (XYZ, {"{y,z}": "half"}, MalformedDocument,
+                            "bad extended rational in lambda['{y,z}']: 'half'"),
+    "non_atom_unparseable": (XYZ, {"x": "1", "{y,z}": "2", "y": "half"}, MalformedDocument,
+                             "bad extended rational in lambda['y']: 'half'"),
+    # then a missing weight, then a key that names no atom, then a value out of range
+    "missing_non_atom": (XYZ, {"x": "1", "y": "2"}, MalformedDocument,
+                         "no weight for atom '{y,z}'"),
+    "missing_negative": (XYZ, {"x": "-1"}, MalformedDocument, "no weight for atom '{y,z}'"),
+    "non_atom_negative": (XYZ, {"x": "-1", "{y,z}": "2", "y": "2"}, MalformedDocument,
+                          "weights given for non-atoms ['y']"),
+    "powerset_missing_non_atom": (PQ, {"p": "1", "zzz": "1"}, MalformedDocument,
+                                  "no weight for point(s) ['q']"),
+    "powerset_non_atom_negative": (PQ, {"p": "-1", "q": "1", "zzz": "1"}, MalformedDocument,
+                                   "weights given for non-atoms ['zzz']"),
+    # a powerset beyond the cap is named before its weights
+    "capped_missing": (SEVEN, {"p0": "1"}, SizeLimitExceeded, CAPPED),
+    "capped_non_atom": (SEVEN, {**{f"p{i}": "1" for i in range(7)}, "zzz": "1"},
+                        SizeLimitExceeded, CAPPED),
+}
+
+
+def assert_named(tmp_path, capsys, doc, error, message):
+    with pytest.raises(error) as info:
         load_space(doc)
-    assert type(info.value) is MalformedDocument and str(info.value) == message
+    assert type(info.value) is error and str(info.value) == message
     path = tmp_path / "space.json"
     path.write_text(json.dumps(doc))
     code = main(["validate", "--space", str(path)])
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_single_fault_space_documents(case, tmp_path, capsys):
+    algebra, lam, message = CASES[case]
+    assert_named(tmp_path, capsys, {**algebra, "lambda": lam}, MalformedDocument, message)
+
+
+@pytest.mark.parametrize("case", sorted(TWO_FAULTS))
+def test_which_of_two_faults_is_named(case, tmp_path, capsys):
+    algebra, lam, error, message = TWO_FAULTS[case]
+    assert_named(tmp_path, capsys, {**algebra, "lambda": lam}, error, message)
