@@ -68,7 +68,8 @@ class FiniteMeasurableSpace:
             if name not in atom_weights:
                 raise MalformedDocument(f"no weight for atom {name!r}")
         reject_non_atoms(atom_weights, names)
-        weights = {a: check_measure_value(atom_weights[name]) for a, name in zip(self._atoms, names)}
+        weights = {a: check_measure_value(atom_weights[name])
+                   for a, name in zip(self._atoms, names)}
         sums = subset_sums([weights[a] for a in atoms])
         self.lam: Mapping[FrozenSet[str], ExtValue] = MappingProxyType(
             {s: sums[below[s]] for s in self.algebra})
@@ -90,6 +91,7 @@ class FiniteMeasurableSpace:
         for p in points:
             single = frozenset((p,))
             subsets += [s | single for s in subsets]
+        # keyed by atom name: the singleton of a lone point is the whole set, "1"
         return cls(points, subsets, {subset_name((p,), points): point_weights[p] for p in points})
 
     def name_of(self, subset: FrozenSet[str]) -> str:

@@ -163,8 +163,8 @@ def test_explicit_lambda_is_validated():
 
 
 def test_weight_keys_naming_no_member_are_rejected():
-    # a key that names no member of the algebra was once kept in lambda,
-    # unchecked; it is rejected like any key that names no atom
+    # a key that names no member of the algebra is rejected like any key
+    # that names no atom, and is not kept in lambda
     with pytest.raises(MalformedDocument, match=r"^weights given for non-atoms \['z'\]$"):
         FiniteMeasurableSpace(["p"], [frozenset(), frozenset("p")], {"1": F(1), "z": F(1, 2)})
     with pytest.raises(MalformedDocument, match=r"^weights given for non-atoms \['z'\]$"):

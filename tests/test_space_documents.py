@@ -1,4 +1,4 @@
-"""The messages of space documents with one fault each.
+"""The messages of faulty space documents.
 
 A space document lists its points, an algebra ("powerset" or a list of
 subsets) and lambda, keyed by point (powerset) or by atom name (listed
@@ -7,9 +7,10 @@ algebra, or an unclosed algebra together with one lambda fault; both
 ``load_space`` (exception class and message) and ``locint validate
 --space`` (exit code and stderr) must name it as recorded here.
 Documents with two faults pin the order in which faults are named: every
-lambda value is parsed first; a powerset is capped before its weights are
-checked; then a missing weight, a key that names no atom and a value out
-of range are named in that order."""
+lambda value is parsed first; then the algebra is checked, except that a
+powerset names missing points and keys that name no point after its size
+cap and before its duplicate points; then a missing weight, a key that
+names no atom and a value out of range, in that order."""
 
 import json
 
@@ -73,6 +74,9 @@ TWO_FAULTS = {
                                   "no weight for point(s) ['q']"),
     "powerset_non_atom_negative": (PQ, {"p": "-1", "q": "1", "zzz": "1"}, MalformedDocument,
                                    "weights given for non-atoms ['zzz']"),
+    # duplicate points are named before a value out of range
+    "duplicate_negative": ({**PQ, "points": ["p", "p"]}, {"p": "-1"}, MalformedDocument,
+                           "duplicate point names"),
     # a powerset beyond the cap is named before its weights
     "capped_missing": (SEVEN, {"p0": "1"}, SizeLimitExceeded, CAPPED),
     "capped_non_atom": (SEVEN, {**{f"p{i}": "1" for i in range(7)}, "zzz": "1"},
