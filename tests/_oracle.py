@@ -5,7 +5,8 @@ name-based canonical form and ladder checks that the index-native ones
 replaced, and the Fraction ladder kernels and parts-based summability that
 the integer kernels replaced, and the classical space checked by pairwise
 sweeps that the atom-based checks replaced, and the measure sweep over the
-pair lists that the in-place sweep replaced.
+pair lists that the in-place sweep replaced, and the frame labels found by
+scanning L that the keep-mask lookups replaced.
 
 Everything here is computed independently of the library's ladder,
 canonical-form and keep-mask algebra (plain set/dict comprehensions on the
@@ -407,6 +408,47 @@ def random_table(rng, view, inf_probability: float = 0.0) -> list:
                 total = ext_add(total, w)
         table.append(total)
     return table
+
+
+# -- frame labels by scanning L ------------------------------------------------------
+#
+# How the frame named congruences before it read the keep-masks: nabla(a)
+# and delta(a) as partitions (x grouped by x \/ a, or by x /\ a), and
+# ``labels_of`` as a scan of every element of L for the ones whose
+# partition is the congruence's.
+
+
+def nabla_by_partition(lattice: FiniteLattice, a: str) -> Congruence:
+    return congruence_of(lattice, [lattice.join(x, a) for x in lattice.elements])
+
+
+def delta_by_partition(lattice: FiniteLattice, a: str) -> Congruence:
+    return congruence_of(lattice, [lattice.meet(x, a) for x in lattice.elements])
+
+
+def labels_by_scan(theta: Congruence) -> dict:
+    """The elements a with theta = nabla(a), and those with theta =
+    delta(a), in element order."""
+    lat = theta.lattice
+
+    def scan(op):
+        return tuple(a for a in lat.elements
+                     if canonical([op(x, a) for x in lat.elements]) == theta.block_of)
+
+    return {"nabla": scan(lat.join), "delta": scan(lat.meet)}
+
+
+def ref_name_by_scan(view, s: Congruence) -> str:
+    if s == view.top:
+        return "L"
+    if s == view.bottom:
+        return "void"
+    labels = labels_by_scan(s)
+    if labels["delta"]:
+        return f"open:{labels['delta'][0]}"
+    if labels["nabla"]:
+        return f"closed:{labels['nabla'][0]}"
+    return "blocks:" + "|".join(",".join(b) for b in s.blocks())
 
 
 # -- the measure sweep on pair lists ------------------------------------------------
