@@ -23,6 +23,7 @@ lambda and a classical function's values are read-only views."""
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
@@ -34,6 +35,9 @@ from .measure import Measure, check_measure_value, reject_non_atoms, subset_sums
 from .rationals import ZERO, ExtValue, ext_add, ext_scale, format_extended, parse_rational
 from .simple import SimpleFunction
 
+#: How many space lattices (and their frames) spaces over equal algebras share.
+SPACE_LATTICE_CACHE = 64
+
 
 class FiniteMeasurableSpace:
     """A finite point set, a sigma-algebra of subsets and an additive map
@@ -41,26 +45,30 @@ class FiniteMeasurableSpace:
     algebra is just a Boolean subalgebra of the powerset.
 
     ``lam`` is a read-only view of lambda.  ``_names`` holds the name of
-    each member (``name_of``) in algebra order.  ``_below`` maps each
-    member to the set of atoms below it as a bitmask, bit k standing for
-    the atom with the k-th first point."""
+    each member (``name_of``) in algebra order, no two alike.  ``_below``
+    maps each member to the set of atoms below it as a bitmask, bit k
+    standing for the atom with the k-th first point."""
 
     __slots__ = ("points", "algebra", "lam", "_names", "_atoms", "_below", "_lattice", "_measure")
 
     def __init__(self, points: Sequence[str],
                  algebra: Iterable[FrozenSet[str]],
                  atom_weights: Mapping[str, ExtValue]):
-        """Check the algebra (``_atoms_below``), then the weights, keyed
-        by atom name: a weight for every atom, in sorted order, no key
-        that names no atom, and every weight in [0, inf] (stored as
-        ``check_measure_value`` coerces it).  lambda(s) is the sum of the
-        weights of the atoms below s, so it is additive by construction."""
+        """Check the algebra (``_atoms_below``), that no two members share
+        a name, then the weights, keyed by atom name: a weight for every
+        atom, in sorted order, no key that names no atom, and every weight
+        in [0, inf] (stored as ``check_measure_value`` coerces it).
+        lambda(s) is the sum of the weights of the atoms below s, so it is
+        additive by construction."""
         self.points = tuple(points)
         sets = {frozenset(s) for s in algebra}
         atoms, below = _atoms_below(self.points, sets)
         order = {p: i for i, p in enumerate(self.points)}
         self.algebra = tuple(sorted(sets, key=lambda s: (len(s), sorted(order[p] for p in s))))
         self._names = tuple(subset_name(s, self.points) for s in self.algebra)
+        if len(set(self._names)) < len(self._names):
+            shared = next(n for i, n in enumerate(self._names) if n in self._names[:i])
+            raise MalformedDocument(f"two members of the algebra are both named {shared!r}")
         self._atoms = tuple(sorted(atoms, key=sorted))
         self._below = below
         names = [self.name_of(a) for a in self._atoms]
@@ -108,15 +116,19 @@ class FiniteMeasurableSpace:
         return self._atoms
 
     def lattice(self) -> FiniteLattice:
-        """The algebra as a lattice under inclusion, built on first use
-        from the atom masks of its members."""
+        """The algebra as a lattice under inclusion, built from the atom
+        masks of its members; spaces over equal algebras share one."""
         if self._lattice is None:
-            self._lattice = FiniteLattice._from_masks(
-                self._names, [self._below[s] for s in self.algebra])
+            self._lattice = _space_lattice(self._names, tuple(map(self._below.get, self.algebra)))
         return self._lattice
 
     def view(self) -> SublocaleView:
         return self.lattice().congruence_frame().view()
+
+
+@lru_cache(maxsize=SPACE_LATTICE_CACHE)
+def _space_lattice(names: Tuple[str, ...], masks: Tuple[int, ...]) -> FiniteLattice:
+    return FiniteLattice._from_masks(names, masks)
 
 
 def _check_size(n_sets: int, what: str) -> None:
@@ -279,8 +291,9 @@ def to_localic(f: ClassicalSimpleFunction) -> SimpleFunction:
     space = f.space
     frame = space.lattice().congruence_frame()
     facade = frame.as_lattice()
-    return SimpleFunction(facade, [(r, facade.elements[frame._nabla[space.name_of(level)]])
-                                   for r, level in f.level_sets()])
+    return SimpleFunction(facade, [
+        (r, facade.elements[frame.index_of(frame.nabla_of(space.name_of(level)))])
+        for r, level in f.level_sets()])
 
 
 def from_localic(g: SimpleFunction, space: FiniteMeasurableSpace) -> ClassicalSimpleFunction:
@@ -289,8 +302,7 @@ def from_localic(g: SimpleFunction, space: FiniteMeasurableSpace) -> ClassicalSi
     frame = space.lattice().congruence_frame()
     values: Dict[str, Fraction] = {}
     for r, element in g.terms:
-        theta = frame.congruence_of_element(element)
-        labels = frame.labels_of(theta)
+        labels = frame.labels_of(frame.congruence_of_element(element))
         if not labels["nabla"]:
             raise MalformedDocument(
                 f"term element {element!r} is not a closed congruence")

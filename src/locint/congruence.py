@@ -193,27 +193,23 @@ class CongruenceFrame:
     """The frame C(L) of all congruences, ordered by inclusion.
 
     ``_pos`` maps each keep-mask to the congruence's index in frame order;
-    on keep-masks the frame meet is ``|``, the join ``&`` and the
-    complement ``~``.  ``as_lattice`` gives the frame as a FiniteLattice
-    over canonical partition names, the carrier of functions and simple
-    functions over C(L).
+    only this module reads it, the other layers use the keep-masks.  On
+    keep-masks the frame meet is ``|``, the join ``&``, the complement
+    ``~``, and nabla(a) / delta(a) keep J(L) minus J(a) / J(a).
+    ``as_lattice`` gives the frame as a FiniteLattice over canonical
+    partition names, the carrier of functions and simple functions over
+    C(L).
     """
 
-    __slots__ = ("lattice", "congruences", "_full", "_pos",
-                 "_carrier", "_view", "_nabla", "_delta")
+    __slots__ = ("lattice", "congruences", "_full", "_pos", "_carrier", "_view")
 
     def __init__(self, lattice: FiniteLattice, congruences: Tuple[Congruence, ...]):
         self.lattice = lattice
         self.congruences = congruences
         self._full = len(congruences) - 1
-        pos = [0] * len(congruences)
-        for i, c in enumerate(congruences):
-            pos[c.keep] = i
-        self._pos = tuple(pos)
+        # the keep-masks are 0 .. |C| - 1, so sorting the indices by them inverts the order
+        self._pos = tuple(sorted(range(len(congruences)), key=lambda i: congruences[i].keep))
         self._carrier: Optional[FiniteLattice] = None
-        jmask = lattice._jmask
-        self._nabla = {a: pos[self._full & ~jmask[i]] for i, a in enumerate(lattice.elements)}
-        self._delta = {a: pos[jmask[i]] for i, a in enumerate(lattice.elements)}
         self._view = SublocaleView(self)
 
     @property
@@ -237,10 +233,10 @@ class CongruenceFrame:
         return self.congruences[-1]
 
     def nabla_of(self, a: str) -> Congruence:
-        return self.congruences[self._nabla[a]]
+        return self.congruences[self._pos[self._full & ~self.lattice.jmask(a)]]
 
     def delta_of(self, a: str) -> Congruence:
-        return self.congruences[self._delta[a]]
+        return self.congruences[self._pos[self.lattice.jmask(a)]]
 
     def meet(self, c: Congruence, d: Congruence) -> Congruence:
         return self.congruences[self._pos[c.keep | d.keep]]
@@ -267,12 +263,13 @@ class CongruenceFrame:
         return self.congruences[self.as_lattice().index(name)]
 
     def labels_of(self, theta: Congruence) -> Dict[str, Tuple[str, ...]]:
-        """Which nabla(a) / delta(a) this congruence equals, if any."""
-        i = self.index_of(theta)
-        return {
-            "nabla": tuple(a for a in self.lattice.elements if self._nabla[a] == i),
-            "delta": tuple(a for a in self.lattice.elements if self._delta[a] == i),
-        }
+        """Which nabla(a) / delta(a) this congruence equals, if any: as J is
+        injective, the one a with J(a) = J(L) minus its keep-mask q, and
+        the one with J(a) = q."""
+        self.index_of(theta)
+        at = self.lattice._at
+        found = {"nabla": at.get(self._full ^ theta.keep), "delta": at.get(theta.keep)}
+        return {label: () if a is None else (a,) for label, a in found.items()}
 
     def view(self) -> "SublocaleView":
         return self._view
@@ -366,15 +363,10 @@ class SublocaleView:
         if text == "void":
             return self.bottom
         if text.startswith("open:"):
-            return self.open_sublocale(_known_element(frame.lattice, text[5:]))
+            return self.open_sublocale(text[5:])
         if text.startswith("closed:"):
-            return self.closed_sublocale(_known_element(frame.lattice, text[7:]))
+            return self.closed_sublocale(text[7:])
         if text.startswith("blocks:"):
             blocks = [b.split(",") for b in text[7:].split("|")]
             return Congruence.from_blocks(frame.lattice, blocks)
         raise MalformedDocument(f"unknown sublocale reference {ref!r}")
-
-
-def _known_element(lattice: FiniteLattice, name: str) -> str:
-    lattice.index(name)
-    return name

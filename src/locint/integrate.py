@@ -13,7 +13,7 @@ integer numerator over the product of the denominators, made a
 negative part is zero), so agreement of the two definitions is a testable
 fact rather than an assumption.  The indefinite integral of a nonnegative g
 is additive in S, so it is the ``Measure`` built from the integrals over
-the |J| atoms of S(L).
+the |J| atoms of S(L).  The measure is read at the keep-mask of S_i /\\ S.
 """
 
 from __future__ import annotations
@@ -101,8 +101,7 @@ def _term_measure(measure: Measure, element: str, over: int) -> ExtValue:
     keep-mask q_i, and a meet of sublocales keeps the intersection, so the
     value sits at the keep-mask ~q_i & over."""
     frame = measure.view.frame
-    q_i = frame.congruences[frame.as_lattice().index(element)].keep
-    return measure.value_by_index(frame._pos[~q_i & over])
+    return measure.value_by_keep(~frame.congruence_of_element(element).keep & over)
 
 
 def _signed_sums(terms, measure: Measure, over: int) -> Tuple[ExtValue, ExtValue]:

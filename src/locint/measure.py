@@ -5,11 +5,11 @@ must satisfy strictness (M1), monotonicity (M2) and modularity (M3).  S(L)
 is Boolean (C(L) is the powerset of J(L)), where M1-M3 together say exactly
 that the measure is the sum of its values on the atoms of S(L), the
 single-bit keep-masks.  So a ``Measure`` is built from those |J| atom
-values alone, each in [0, inf], and is a measure by construction.  A table
-given sublocale by sublocale (``validate_measure``) is checked against the
-measure built from its atom entries; only a table that differs goes
-through the sweep over all pairs (``check_axioms``), which names the first
-failing axiom.
+values alone, each in [0, inf], and is a measure by construction; as S(L)
+is 2^J(L), it holds its values by keep-mask.  A table given sublocale by
+sublocale (``validate_measure``) is checked against the measure built from
+its atom entries; only a table that differs goes through the sweep over
+all pairs (``check_axioms``), which names the first failing axiom.
 
 Continuity on increasing sequences (M4) is discharged by finiteness of the
 carrier: every increasing sequence stabilises, so its supremum is attained
@@ -31,9 +31,9 @@ class Measure:
 
     ``atom_values[k]`` is the measure of the atom whose keep-mask is bit k,
     i.e. of the k-th join-irreducible; the measure of a sublocale is the
-    sum over the bits of its keep-mask.  Values are held in frame order."""
+    sum over the bits of its keep-mask, held at that mask in the table."""
 
-    __slots__ = ("view", "_values")
+    __slots__ = ("view", "_table")
 
     def __init__(self, view: SublocaleView, atom_values: Sequence[ExtValue]):
         n_atoms = len(view.frame.lattice._jirr)
@@ -41,18 +41,20 @@ class Measure:
             raise MalformedDocument(
                 f"a measure takes one value per atom of S(L), {n_atoms}; "
                 f"got {len(atom_values)}")
-        sums = subset_sums([check_measure_value(v) for v in atom_values])
         self.view = view
-        self._values = tuple(sums[s.keep] for s in view.sublocales)
+        self._table = tuple(subset_sums([check_measure_value(v) for v in atom_values]))
 
     def value(self, sublocale: Congruence) -> ExtValue:
-        return self._values[self.view.index_of(sublocale)]
+        self.view.index_of(sublocale)
+        return self._table[sublocale.keep]
 
-    def value_by_index(self, i: int) -> ExtValue:
-        return self._values[i]
+    def value_by_keep(self, keep: int) -> ExtValue:
+        """The measure of the sublocale whose keep-mask is `keep`."""
+        return self._table[keep]
 
     def items(self):
-        return zip(self.view.sublocales, self._values)
+        """(sublocale, value) pairs in frame order."""
+        return ((s, self._table[s.keep]) for s in self.view.sublocales)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{self.view.ref_name(s)}={format_extended(v)}"
@@ -67,21 +69,19 @@ def validate_measure(view: SublocaleView, values: Mapping[Congruence, ExtValue])
     its own atom entries.  Only a table that differs goes through the
     exhaustive sweep, which names the first failing axiom."""
     subs = view.sublocales
-    table: list = [None] * len(subs)
+    table: list = [None] * len(subs)  # by keep-mask
     for sub, v in values.items():
-        i = view.index_of(sub)
-        if table[i] is not None:
+        view.index_of(sub)
+        if table[sub.keep] is not None:
             raise MalformedDocument(
                 f"two values given for sublocale {view.ref_name(sub)}")
-        table[i] = check_measure_value(v)
-    for i, v in enumerate(table):
-        if v is None:
-            raise MalformedDocument(
-                f"no value for sublocale {view.ref_name(subs[i])}")
-    pos = view.frame._pos
-    mu = Measure(view, [table[pos[1 << k]] for k in range(len(view.frame.lattice._jirr))])
-    if list(mu._values) != table:
-        check_axioms(view, table)
+        table[sub.keep] = check_measure_value(v)
+    for s in subs:
+        if table[s.keep] is None:
+            raise MalformedDocument(f"no value for sublocale {view.ref_name(s)}")
+    mu = Measure(view, [table[1 << k] for k in range(len(view.frame.lattice._jirr))])
+    if mu._table != tuple(table):
+        check_axioms(view, [table[s.keep] for s in subs])
         raise ConsistencyError("additive check and exhaustive sweep disagree")
     return mu
 
@@ -125,15 +125,15 @@ def check_axioms(view: SublocaleView, table: Sequence[ExtValue]) -> None:
                 raise AxiomViolation(
                     f"(M2) fails on ({view.ref_name(subs[i])}, {view.ref_name(subs[j])}): "
                     f"{format_extended(table[i])} > {format_extended(table[j])}")
-    pos = view.frame._pos
+    by_keep = dict(zip(masks, table))
     for i, qi in enumerate(masks):
         for j in range(i + 1, len(masks)):
-            m, jn = pos[qi & masks[j]], pos[qi | masks[j]]
-            if ext_add(table[i], table[j]) != ext_add(table[jn], table[m]):
+            m, jn = by_keep[qi & masks[j]], by_keep[qi | masks[j]]
+            if ext_add(table[i], table[j]) != ext_add(jn, m):
                 raise AxiomViolation(
                     f"(M3) fails on ({view.ref_name(subs[i])}, {view.ref_name(subs[j])}): "
                     f"{format_extended(table[i])} + {format_extended(table[j])} != "
-                    f"{format_extended(table[jn])} + {format_extended(table[m])}")
+                    f"{format_extended(jn)} + {format_extended(m)}")
 
 
 def measure_from_weights(view: SublocaleView, weights: Mapping[str, ExtValue]) -> Measure:

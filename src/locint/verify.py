@@ -12,7 +12,7 @@ from __future__ import annotations
 import time
 from fractions import Fraction
 from random import Random
-from typing import Callable, Dict, List, NamedTuple, Tuple
+from typing import Callable, List, NamedTuple, Tuple
 
 from . import cutfunction as cf
 from . import simple as sf
@@ -65,16 +65,11 @@ def check(condition: bool, message: str) -> None:
 def criterion_bridge(seed: int) -> str:
     rng = Random(seed)
     cases = 1000
-    lattices: Dict[int, object] = {}
     for _ in range(cases):
         size = rng.randint(1, 5)
         points = [f"p{i}" for i in range(size)]
         weights = {p: random_weight(rng, inf_probability=0.12) for p in points}
         space = FiniteMeasurableSpace.powerset(points, weights)
-        if size in lattices:
-            space._lattice = lattices[size]
-        else:
-            lattices[size] = space.lattice()
         f = ClassicalSimpleFunction(
             space, {p: random_rational(rng, -8, 8, (1, 2, 3)) for p in points})
         a_sub = frozenset(random_subset(rng, points))

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction as F
 from random import Random
 
@@ -218,3 +219,27 @@ def test_lambda_and_values_are_read_only(space_xy):
 
 def test_extension_is_built_once_per_space(space_xy):
     assert extend_measure(space_xy) is extend_measure(space_xy)
+
+
+@pytest.mark.parametrize("points, algebra, weights, shared", [
+    # a point named like the subset {x,y}
+    (["x", "y", "{x,y}"], [{"x", "y"}, {"{x,y}"}, set(), {"x", "y", "{x,y}"}],
+     {"{x,y}": F(1)}, "{x,y}"),
+    # a point named like the empty set, with a weight fault as well
+    (["0", "a"], [set(), {"0"}, {"a"}, {"0", "a"}], {"0": F(-1)}, "0"),
+])
+def test_members_named_alike_are_rejected_before_the_weights(points, algebra, weights, shared):
+    with pytest.raises(MalformedDocument,
+                       match=rf"^two members of the algebra are both named '{re.escape(shared)}'$"):
+        FiniteMeasurableSpace(points, [frozenset(s) for s in algebra], weights)
+
+
+def test_spaces_over_equal_algebras_share_one_lattice():
+    points = ["p0", "p1", "p2"]
+    a = FiniteMeasurableSpace.powerset(points, {"p0": F(1), "p1": F(2), "p2": F(3)})
+    b = FiniteMeasurableSpace.powerset(points, {"p0": F(5), "p1": POS_INF, "p2": F(0)})
+    assert a.lattice() is b.lattice() and a.view() is b.view()
+    top = a.view().top
+    assert (extend_measure(a).value(top), extend_measure(b).value(top)) == (F(6), POS_INF)
+    other = FiniteMeasurableSpace.powerset(["q0", "q1", "q2"], {"q0": 1, "q1": 1, "q2": 1})
+    assert other.lattice() is not a.lattice()

@@ -119,6 +119,13 @@ COMMANDS = {
     # listed subsets whose members are not all strings
     "space_nonstring_member": ["validate", "--space", D + "space_nonstring_member.json"],
     "space_nested_subset": ["validate", "--space", D + "space_nested_subset.json"],
+    # two members of the algebra with one name: a point named "{x,y}" or "0"
+    "space_shared_name_braces": ["validate", "--space", D + "space_shared_name_braces.json"],
+    "space_shared_name_zero": ["validate", "--space", D + "space_shared_name_zero.json"],
+    "bridge_shared_name_braces": ["bridge", "--space", D + "space_shared_name_braces.json",
+                                  "--function", D + "fclassical_shared_name_braces.json"],
+    "bridge_shared_name_zero": ["bridge", "--space", D + "space_shared_name_zero.json",
+                                "--function", D + "fclassical_shared_name_zero.json"],
 }
 
 CASES = {f"{name}.{fmt}": argv + ["--format", fmt]

@@ -17,6 +17,7 @@ from _oracle import (
 )
 from locint.bridge import FiniteMeasurableSpace
 from locint.corpus import corpus_lattices
+from locint.errors import MalformedDocument
 from locint.lattice import chain_lattice
 from locint.measure import Measure, validate_measure
 
@@ -55,6 +56,13 @@ def test_an_element_named_empty_is_a_label():
     assert frame.labels_of(middle)["nabla"] == ("",)
     assert frame.labels_of(frame.delta_of(""))["delta"] == ("",)
     assert frame.view().ref_name(frame.delta_of("")) == "open:"
+
+
+def test_unknown_element_is_malformed(b4):
+    frame = b4.congruence_frame()
+    for label in (frame.nabla_of, frame.delta_of):
+        with pytest.raises(MalformedDocument, match="unknown lattice element"):
+            label("nope")
 
 
 @pytest.mark.parametrize("name", sorted(LATTICES))

@@ -9,8 +9,9 @@ algebra, or an unclosed algebra together with one lambda fault; both
 Documents with two faults pin the order in which faults are named: every
 lambda value is parsed first; then the algebra is checked, except that a
 powerset names missing points and keys that name no point after its size
-cap and before its duplicate points; then a missing weight, a key that
-names no atom and a value out of range, in that order."""
+cap and before its duplicate points; then two members of the algebra with
+one name; then a missing weight, a key that names no atom and a value out
+of range, in that order."""
 
 import json
 
@@ -77,6 +78,13 @@ TWO_FAULTS = {
     # duplicate points are named before a value out of range
     "duplicate_negative": ({**PQ, "points": ["p", "p"]}, {"p": "-1"}, MalformedDocument,
                            "duplicate point names"),
+    # two members with one name are named before a missing weight or a value
+    # out of range
+    "shared_name_missing": ({"points": ["x", "y", "{x,y}"], "algebra": [["x", "y"], ["{x,y}"]]},
+                            {}, MalformedDocument,
+                            "two members of the algebra are both named '{x,y}'"),
+    "shared_name_negative": ({"points": ["0", "a"], "algebra": "powerset"}, {"0": "-1", "a": "1"},
+                             MalformedDocument, "two members of the algebra are both named '0'"),
     # a powerset beyond the cap is named before its weights
     "capped_missing": (SEVEN, {"p0": "1"}, SizeLimitExceeded, CAPPED),
     "capped_non_atom": (SEVEN, {**{f"p{i}": "1" for i in range(7)}, "zzz": "1"},
