@@ -302,7 +302,8 @@ def from_localic(g: SimpleFunction, space: FiniteMeasurableSpace) -> ClassicalSi
     frame = space.lattice().congruence_frame()
     values: Dict[str, Fraction] = {}
     for r, element in g.terms:
-        labels = frame.labels_of(frame.congruence_of_element(element))
+        theta = frame.congruence_of_element(element)
+        labels = frame.labels_of(theta)
         if not labels["nabla"]:
             raise MalformedDocument(
                 f"term element {element!r} is not a closed congruence")

@@ -194,11 +194,10 @@ class CongruenceFrame:
 
     ``_pos`` maps each keep-mask to the congruence's index in frame order;
     only this module reads it, the other layers use the keep-masks.  On
-    keep-masks the frame meet is ``|``, the join ``&``, the complement
-    ``~``, and nabla(a) / delta(a) keep J(L) minus J(a) / J(a).
-    ``as_lattice`` gives the frame as a FiniteLattice over canonical
-    partition names, the carrier of functions and simple functions over
-    C(L).
+    keep-masks the frame meet is ``|``, the join ``&`` and the complement
+    ``~``.  ``as_lattice`` gives the frame as a FiniteLattice over
+    canonical partition names, the carrier of functions and simple
+    functions over C(L).
     """
 
     __slots__ = ("lattice", "congruences", "_full", "_pos", "_carrier", "_view")
@@ -207,8 +206,10 @@ class CongruenceFrame:
         self.lattice = lattice
         self.congruences = congruences
         self._full = len(congruences) - 1
-        # the keep-masks are 0 .. |C| - 1, so sorting the indices by them inverts the order
-        self._pos = tuple(sorted(range(len(congruences)), key=lambda i: congruences[i].keep))
+        pos = [0] * len(congruences)
+        for i, c in enumerate(congruences):
+            pos[c.keep] = i
+        self._pos = tuple(pos)
         self._carrier: Optional[FiniteLattice] = None
         self._view = SublocaleView(self)
 
@@ -263,9 +264,8 @@ class CongruenceFrame:
         return self.congruences[self.as_lattice().index(name)]
 
     def labels_of(self, theta: Congruence) -> Dict[str, Tuple[str, ...]]:
-        """Which nabla(a) / delta(a) this congruence equals, if any: as J is
-        injective, the one a with J(a) = J(L) minus its keep-mask q, and
-        the one with J(a) = q."""
+        """Which nabla(a) / delta(a) this congruence equals, if any: J is
+        injective, so only the a with J(a) = J(L) minus keep, or = keep."""
         self.index_of(theta)
         at = self.lattice._at
         found = {"nabla": at.get(self._full ^ theta.keep), "delta": at.get(theta.keep)}
