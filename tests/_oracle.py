@@ -6,7 +6,8 @@ replaced, and the Fraction ladder kernels and parts-based summability that
 the integer kernels replaced, and the classical space checked by pairwise
 sweeps that the atom-based checks replaced, and the measure sweep over the
 pair lists that the in-place sweep replaced, and the frame labels found by
-scanning L that the keep-mask lookups replaced.
+scanning L that the keep-mask lookups replaced, and the lattice builder
+that closed an order into a list of name pairs and parsed it back.
 
 Everything here is computed independently of the library's ladder,
 canonical-form and keep-mask algebra (plain set/dict comprehensions on the
@@ -31,6 +32,7 @@ from locint.errors import (
     NegativeOperand,
     NotALattice,
     NotComplemented,
+    NotDistributive,
     NotFinite,
     SizeLimitExceeded,
 )
@@ -113,6 +115,100 @@ class TableLattice:
     def atoms(self):
         return tuple(e for i, e in enumerate(self.elements)
                      if i != self._bottom and self._down[i] == (1 << i) | (1 << self._bottom))
+
+
+# -- the builder that parsed a closed pair list back into down-sets ---------------
+#
+# ``lattice_from_order`` used to close the order by a fixpoint loop, write it
+# out as a list of closed name pairs and hand that to the constructor, which
+# parsed it back, checked it and validated meets, joins and distributivity on
+# n x n tables.  Both return (elements, J-masks, J(L)) or raise as the library
+# did; they are the reference for the one parse and one validator.
+
+
+def reference_lattice(elements, leq_pairs) -> tuple:
+    """(elements, J-masks, J(L)) of the lattice the closed order describes."""
+    elements = tuple(elements)
+    if len(elements) > SOFT_SIZE_LIMIT:
+        raise SizeLimitExceeded(
+            f"{len(elements)} elements exceeds the {SOFT_SIZE_LIMIT}-element limit")
+    if not elements:
+        raise MalformedDocument("a lattice needs at least one element")
+    if len(set(elements)) != len(elements):
+        raise MalformedDocument("duplicate element names")
+    idx = {e: i for i, e in enumerate(elements)}
+    n = len(elements)
+    down = [0] * n
+    for a, b in leq_pairs:
+        ia = idx.get(a)
+        ib = idx.get(b)
+        if ia is None or ib is None:
+            raise MalformedDocument(f"order pair ({a!r}, {b!r}) mentions an unknown element")
+        down[ib] |= 1 << ia
+    for i in range(n):
+        down[i] |= 1 << i
+    for a in range(n):
+        for b in range(n):
+            if down[b] >> a & 1:
+                if down[a] & ~down[b]:
+                    raise NotALattice("order relation is not transitively closed")
+                if a != b and down[a] >> b & 1:
+                    raise NotALattice(
+                        f"order is not antisymmetric on ({elements[a]!r}, {elements[b]!r})")
+    up = [sum(1 << b for b in range(n) if down[b] >> a & 1) for a in range(n)]
+    down_of = {d: i for i, d in enumerate(down)}
+    up_of = {u: i for i, u in enumerate(up)}
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            m = down_of.get(down[a] & down[b])
+            if m is None:
+                raise NotALattice(f"elements {elements[a]!r} and {elements[b]!r} have no meet")
+            j = up_of.get(up[a] & up[b])
+            if j is None:
+                raise NotALattice(f"elements {elements[a]!r} and {elements[b]!r} have no join")
+            meet[a][b] = meet[b][a] = m
+            join[a][b] = join[b][a] = j
+    jirr = [x for x in range(n) if down[x] ^ (1 << x) in down_of]
+    jmask = [sum(1 << k for k, j in enumerate(jirr) if down[x] >> j & 1) for x in range(n)]
+    if any(jmask[join[a][b]] != jmask[a] | jmask[b] for a in range(n) for b in range(a + 1, n)):
+        triple = first_distributivity_failure(elements, lambda a, b: meet[a][b],
+                                              lambda a, b: join[a][b])
+        if triple is None:
+            raise ConsistencyError("join-primality and the triple sweep disagree")
+        raise NotDistributive("distributivity fails on the triple "
+                              f"({triple[0]!r}, {triple[1]!r}, {triple[2]!r})")
+    return elements, tuple(jmask), tuple(jirr)
+
+
+def reference_lattice_from_order(elements, pairs) -> tuple:
+    """``reference_lattice`` of the reflexive-transitive closure of the pairs,
+    closed by a fixpoint loop and passed on as a list of name pairs."""
+    elements = tuple(elements)
+    if len(elements) > SOFT_SIZE_LIMIT:
+        raise SizeLimitExceeded(
+            f"{len(elements)} elements exceeds the {SOFT_SIZE_LIMIT}-element limit")
+    idx = {e: i for i, e in enumerate(elements)}
+    n = len(elements)
+    down = [1 << i for i in range(n)]
+    for a, b in pairs:
+        if a not in idx or b not in idx:
+            raise MalformedDocument(f"order pair ({a!r}, {b!r}) mentions an unknown element")
+        down[idx[b]] |= 1 << idx[a]
+    changed = True
+    while changed:
+        changed = False
+        for b in range(n):
+            acc = down[b]
+            for a in range(n):
+                if down[b] >> a & 1:
+                    acc |= down[a]
+            if acc != down[b]:
+                down[b] = acc
+                changed = True
+    closed = [(elements[a], elements[b]) for b in range(n) for a in range(n) if down[b] >> a & 1]
+    return reference_lattice(elements, closed)
 
 
 def _extreme(candidates, cones):
