@@ -1,22 +1,25 @@
 """Finite bounded distributive lattices, held as their Birkhoff J-masks.
 
-Elements are opaque strings and the order is given extensionally.  The
-constructor validates it (partial order axioms, every binary meet and join,
-distributivity) on meet/join tables that it then drops, and keeps for each
-element x the set J(x) of join-irreducibles below it as a bitmask (bit k:
-the k-th join-irreducible in element order).  By Birkhoff's representation
-the masks are the lattice: J(x /\\ y) = J(x) & J(y), J(x \\/ y) = J(x) | J(y),
-x <= y iff J(x) is a subset of J(y), and a complemented x has
-J(x') = J(L) minus J(x), as every join-irreducible is join-prime.  So meet,
-join, order and complement are bit operations, names are looked up only at
-the boundary, and nothing is stored per pair.
+Elements are opaque strings and the order is given extensionally.  One
+parse turns the order pairs into down-set bitmasks; ``lattice_from_order``
+closes them by Warshall's algorithm, the constructor takes them as closed.
+One validator then checks them (partial order axioms, every binary meet and
+join, distributivity) and keeps for each element x the set J(x) of
+join-irreducibles below it as a bitmask (bit k: the k-th join-irreducible
+in element order).  By Birkhoff's representation the masks are the
+lattice: J(x /\\ y) = J(x) & J(y), J(x \\/ y) = J(x) | J(y), x <= y iff J(x)
+is a subset of J(y), and a complemented x has J(x') = J(L) minus J(x), as
+every join-irreducible is join-prime.  So meet, join, order and complement
+are bit operations, names are looked up only at the boundary, and nothing
+is stored per pair.
 
 Distributivity is checked in O(n^2), as J(x \\/ y) = J(x) | J(y) for all
-x, y; only a lattice that fails it goes through the O(n^3) sweep over all
-triples, which names the first failing triple.  Powersets and the carriers
-of congruence frames, whose masks form a whole powerset, are built straight
-from their masks.  A lattice built from an order has at most
-``SOFT_SIZE_LIMIT`` elements.
+x, y, in the pass that looks up every meet and join among the down-sets
+and up-sets; only a lattice that fails it gets meet and join tables, for
+the O(n^3) sweep over all triples that names the first failing triple.
+Powersets and the carriers of congruence frames, whose masks form a whole
+powerset, are built straight from their masks.  A lattice built from an
+order has at most ``SOFT_SIZE_LIMIT`` elements.
 
 Instances are immutable after construction and safe to share between
 threads; the congruence frame is built on first use, and threads racing on
@@ -27,7 +30,7 @@ serves as a sigma-frame.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import (
     CarrierMismatch,
@@ -44,9 +47,81 @@ from .errors import (
 SOFT_SIZE_LIMIT = 64
 
 
-def _check_size(n: int) -> None:
-    if n > SOFT_SIZE_LIMIT:
-        raise SizeLimitExceeded(f"{n} elements exceeds the {SOFT_SIZE_LIMIT}-element limit")
+def _down_sets(elements: Sequence[str],
+               pairs: Iterable[Tuple[str, str]]) -> Tuple[Tuple[str, ...], List[int]]:
+    """Parse an order: the elements and, for each, the bitmask of the
+    elements that the pairs put directly below it, itself included.  The
+    faults are named in this order: more than ``SOFT_SIZE_LIMIT`` elements,
+    a pair naming an unknown element, no elements, duplicate names."""
+    elements = tuple(elements)
+    if len(elements) > SOFT_SIZE_LIMIT:
+        raise SizeLimitExceeded(
+            f"{len(elements)} elements exceeds the {SOFT_SIZE_LIMIT}-element limit")
+    idx = {e: i for i, e in enumerate(elements)}
+    down = [1 << i for i in range(len(elements))]
+    for a, b in pairs:
+        ia, ib = idx.get(a), idx.get(b)
+        if ia is None or ib is None:
+            raise MalformedDocument(f"order pair ({a!r}, {b!r}) mentions an unknown element")
+        down[ib] |= 1 << ia
+    if not elements:
+        raise MalformedDocument("a lattice needs at least one element")
+    if len(idx) != len(elements):
+        raise MalformedDocument("duplicate element names")
+    return elements, down
+
+
+def _checked(elements: Tuple[str, ...], down: List[int]) -> Tuple[List[int], List[int]]:
+    """Validate the order with the down-sets `down` as a distributive
+    lattice; return its J-masks and J(L)."""
+    n = len(elements)
+    up = [0] * n  # up[a] = bitmask of all b with a <= b
+    for a in range(n):
+        for b in range(n):
+            if down[b] >> a & 1:
+                if down[a] & ~down[b]:
+                    raise NotALattice("order relation is not transitively closed")
+                if a != b and down[a] >> b & 1:
+                    raise NotALattice(
+                        f"order is not antisymmetric on ({elements[a]!r}, {elements[b]!r})")
+                up[a] |= 1 << b
+    down_of = {d: i for i, d in enumerate(down)}
+    up_of = {u: i for i, u in enumerate(up)}
+
+    # J(L): x is join-irreducible iff the elements strictly below x have
+    # a greatest element, i.e. its strict down-set is some element's
+    # down-set (the bottom's is empty, so it is not in J(L)); jmask[x] is
+    # the set of j <= x.
+    jirr = [x for x in range(n) if down[x] ^ (1 << x) in down_of]
+    jmask = [sum(1 << k for k, j in enumerate(jirr) if down[x] >> j & 1) for x in range(n)]
+
+    # The meet of a and b is the element whose down-set is the set of their
+    # common lower bounds, and dually for the join.  L is distributive iff
+    # J(x \/ y) = J(x) | J(y) for all x, y (every join-irreducible is
+    # join-prime), so only when that fails are the meet and join tables
+    # built, for the O(n^3) sweep over all triples that names the first
+    # failing triple.
+    prime = True
+    for a in range(n):
+        for b in range(a, n):
+            if down[a] & down[b] not in down_of:
+                raise NotALattice(f"elements {elements[a]!r} and {elements[b]!r} have no meet")
+            j = up_of.get(up[a] & up[b])
+            if j is None:
+                raise NotALattice(f"elements {elements[a]!r} and {elements[b]!r} have no join")
+            prime = prime and jmask[j] == jmask[a] | jmask[b]
+    if prime:
+        return jmask, jirr
+    meet = [[down_of[x & y] for y in down] for x in down]
+    join = [[up_of[x & y] for y in up] for x in up]
+    for a, meet_a in enumerate(meet):
+        for b, join_b in enumerate(join):
+            for c in range(n):
+                if meet_a[join_b[c]] != join[meet_a[b]][meet_a[c]]:
+                    raise NotDistributive(
+                        "distributivity fails on the triple "
+                        f"({elements[a]!r}, {elements[b]!r}, {elements[c]!r})")
+    raise ConsistencyError("join-primality and the triple sweep disagree")
 
 
 class FiniteLattice:
@@ -57,90 +132,17 @@ class FiniteLattice:
     and ``_jirr`` holds the element indices of J(L) in bit order.
 
     The constructor expects the order relation to be reflexively and
-    transitively closed already; use the factories in this module
-    (``powerset_lattice``, ``lattice_from_order``, ``build_lattice``)
-    rather than calling it directly.
+    transitively closed already, and checks that it is; use the factories
+    in this module (``powerset_lattice``, ``lattice_from_order``,
+    ``build_lattice``) rather than calling it directly.
     """
 
     __slots__ = ("elements", "_idx", "_jmask", "_mask", "_at", "_full", "_jirr",
                  "_hash", "_frame_cache")
 
     def __init__(self, elements: Sequence[str], leq_pairs: Iterable[Tuple[str, str]]):
-        elements = tuple(elements)
-        _check_size(len(elements))
-        if not elements:
-            raise MalformedDocument("a lattice needs at least one element")
-        if len(set(elements)) != len(elements):
-            raise MalformedDocument("duplicate element names")
-        idx = {e: i for i, e in enumerate(elements)}
-        n = len(elements)
-
-        # down[b] = bitmask of all a with a <= b
-        down = [0] * n
-        for a, b in leq_pairs:
-            ia = idx.get(a)
-            ib = idx.get(b)
-            if ia is None or ib is None:
-                raise MalformedDocument(f"order pair ({a!r}, {b!r}) mentions an unknown element")
-            down[ib] |= 1 << ia
-        for i in range(n):
-            down[i] |= 1 << i
-
-        for a in range(n):
-            for b in range(n):
-                if down[b] >> a & 1:
-                    if down[a] & ~down[b]:
-                        raise NotALattice("order relation is not transitively closed")
-                    if a != b and down[a] >> b & 1:
-                        raise NotALattice(
-                            f"order is not antisymmetric on ({elements[a]!r}, {elements[b]!r})")
-
-        up = [0] * n
-        for b in range(n):
-            mask = down[b]
-            while mask:
-                low = mask & -mask
-                up[low.bit_length() - 1] |= 1 << b
-                mask ^= low
-
-        # the meet of a and b is the element whose down-set is the set of
-        # their common lower bounds, and dually for the join
-        down_of = {d: i for i, d in enumerate(down)}
-        up_of = {u: i for i, u in enumerate(up)}
-        meet = [[0] * n for _ in range(n)]
-        join = [[0] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(a, n):
-                m = down_of.get(down[a] & down[b])
-                if m is None:
-                    raise NotALattice(f"elements {elements[a]!r} and {elements[b]!r} have no meet")
-                j = up_of.get(up[a] & up[b])
-                if j is None:
-                    raise NotALattice(f"elements {elements[a]!r} and {elements[b]!r} have no join")
-                meet[a][b] = meet[b][a] = m
-                join[a][b] = join[b][a] = j
-
-        # J(L): x is join-irreducible iff the elements strictly below x have
-        # a greatest element, i.e. its strict down-set is some element's
-        # down-set (the bottom's is empty, so it is not in J(L)); jmask[x] is
-        # the set of j <= x.
-        jirr = [x for x in range(n) if down[x] ^ (1 << x) in down_of]
-        jmask = [sum(1 << k for k, j in enumerate(jirr) if down[x] >> j & 1) for x in range(n)]
-
-        # Fast path: L is distributive iff J(x \/ y) = J(x) | J(y) for all x, y
-        # (every join-irreducible is join-prime).  Only when that fails does the
-        # O(n^3) triple sweep run, to name the first failing triple.
-        if any(jmask[join[a][b]] != jmask[a] | jmask[b]
-               for a in range(n) for b in range(a + 1, n)):
-            for a in range(n):
-                for b in range(n):
-                    for c in range(n):
-                        if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
-                            raise NotDistributive(
-                                "distributivity fails on the triple "
-                                f"({elements[a]!r}, {elements[b]!r}, {elements[c]!r})")
-            raise ConsistencyError("join-primality and the triple sweep disagree")
-        self._set(elements, jmask, jirr)
+        elements, down = _down_sets(elements, leq_pairs)
+        self._set(elements, *_checked(elements, down))
 
     @classmethod
     def _from_masks(cls, elements: Sequence[str], masks: Iterable[int]) -> "FiniteLattice":
@@ -296,38 +298,16 @@ def powerset_lattice(atoms: Sequence[str]) -> FiniteLattice:
 
 
 def lattice_from_order(elements: Sequence[str], pairs: Iterable[Tuple[str, str]]) -> FiniteLattice:
-    """Build from any generating set of order pairs; the reflexive-transitive
-    closure is applied here."""
-    elements = tuple(elements)
-    _check_size(len(elements))
-    idx = {e: i for i, e in enumerate(elements)}
-    n = len(elements)
-    down = [1 << i for i in range(n)]
-    for a, b in pairs:
-        if a not in idx or b not in idx:
-            raise MalformedDocument(f"order pair ({a!r}, {b!r}) mentions an unknown element")
-        down[idx[b]] |= 1 << idx[a]
-    changed = True
-    while changed:
-        changed = False
-        for b in range(n):
-            mask = down[b]
-            acc = mask
-            while mask:
-                low = mask & -mask
-                acc |= down[low.bit_length() - 1]
-                mask ^= low
-            if acc != down[b]:
-                down[b] = acc
-                changed = True
-    closed = []
-    for b in range(n):
-        mask = down[b]
-        while mask:
-            low = mask & -mask
-            closed.append((elements[low.bit_length() - 1], elements[b]))
-            mask ^= low
-    return FiniteLattice(elements, closed)
+    """Build from any generating set of order pairs; Warshall's algorithm
+    closes the down-sets reflexively and transitively before validation."""
+    elements, down = _down_sets(elements, pairs)
+    for k in range(len(down)):
+        for i, d in enumerate(down):
+            if d >> k & 1:
+                down[i] = d | down[k]
+    lattice = FiniteLattice.__new__(FiniteLattice)
+    lattice._set(elements, *_checked(elements, down))
+    return lattice
 
 
 def chain_lattice(names: Sequence[str]) -> FiniteLattice:

@@ -39,7 +39,13 @@ from locint.congruence import (
 )
 from locint.corpus import corpus_lattices, divisor_lattice, random_measure, random_weight
 from locint.errors import AxiomViolation, MalformedDocument, NotDistributive
-from locint.lattice import chain_lattice, lattice_from_order, powerset_lattice, subset_name
+from locint.lattice import (
+    FiniteLattice,
+    chain_lattice,
+    lattice_from_order,
+    powerset_lattice,
+    subset_name,
+)
 from locint.measure import Measure, check_axioms, measure_from_weights, validate_measure
 from locint.rationals import POS_INF
 
@@ -249,6 +255,24 @@ def test_naming_a_failure_allocates_no_pair_list():
     finally:
         tracemalloc.stop()
     assert peak < 500_000
+
+
+def peak_bytes(build) -> int:
+    tracemalloc.start()
+    try:
+        build()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_building_a_lattice_allocates_no_pair_list_or_tables():
+    # a closed pair list of the 64-chain has 2080 pairs, and n x n tables 4096 cells
+    chain = [f"c{i}" for i in range(64)]
+    assert peak_bytes(lambda: lattice_from_order(chain, list(zip(chain, chain[1:])))) < 32 * 1024
+    b64 = powerset_lattice("abcdef")
+    closed = [(a, b) for a in b64.elements for b in b64.elements if b64.leq(a, b)]
+    assert peak_bytes(lambda: FiniteLattice(b64.elements, closed)) < 32 * 1024
 
 
 # -- measures summed over keep-masks versus the per-sublocale formulas ---------------

@@ -9,6 +9,7 @@ from locint.errors import (
     NotDistributive,
 )
 from locint.lattice import (
+    FiniteLattice,
     build_lattice,
     lattice_from_order,
     powerset_lattice,
@@ -90,6 +91,15 @@ def test_build_lattice_document_errors():
         build_lattice({"kind": "powerset", "atoms": ["x", "x"]})
     with pytest.raises(MalformedDocument):
         build_lattice({"kind": "poset", "elements": ["a"], "leq": [["a", "b"]]})
+
+
+@pytest.mark.parametrize("elements", [[], ["a", "a"]])
+def test_constructor_names_an_unknown_pair_before_the_element_list(elements):
+    # as lattice_from_order does; an empty or duplicate list comes next
+    with pytest.raises(MalformedDocument, match=r"^order pair \('a', 'z'\) mentions an unknown"):
+        FiniteLattice(elements, [("a", "z")])
+    with pytest.raises(MalformedDocument, match=r"^(a lattice needs|duplicate element names)"):
+        FiniteLattice(elements, [("a", "a")] if elements else [])
 
 
 @pytest.mark.parametrize("pair", [["a", ["b"]], [["a"], "b"], ["a", 1], [None, "b"],
