@@ -352,7 +352,8 @@ class SublocaleView:
         frame = self.frame
         if isinstance(ref, dict):
             blocks = ref.get("blocks")
-            if not isinstance(blocks, list):
+            if not (isinstance(blocks, list) and all(
+                    isinstance(b, list) and all(isinstance(e, str) for e in b) for b in blocks)):
                 raise MalformedDocument(f"bad sublocale reference: {ref!r}")
             return Congruence.from_blocks(frame.lattice, blocks)
         if not isinstance(ref, str):

@@ -45,8 +45,10 @@ def load_json(path: str):
             return json.load(handle)
     except OSError as exc:
         raise MalformedDocument(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise MalformedDocument(f"{path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise MalformedDocument(f"{path} nests too deeply to read") from exc
 
 
 def load_lattice(doc) -> FiniteLattice:

@@ -126,6 +126,13 @@ COMMANDS = {
                                   "--function", D + "fclassical_shared_name_braces.json"],
     "bridge_shared_name_zero": ["bridge", "--space", D + "space_shared_name_zero.json",
                                 "--function", D + "fclassical_shared_name_zero.json"],
+    # a blocks ref with a member that is not a string, or blocks that are not lists
+    "blocks_int_member": ["canonicalize", "--lattice", CHAIN4, "--carrier", "congruence",
+                          "--function", D + "f_blocks_int.json"],
+    "blocks_string_blocks": ["canonicalize", "--lattice", CHAIN4, "--carrier", "congruence",
+                             "--function", D + "f_blocks_strings.json"],
+    # a document saved as Latin-1, not UTF-8
+    "lattice_latin1": ["congruences", "--lattice", D + "powerset_latin1.json"],
 }
 
 CASES = {f"{name}.{fmt}": argv + ["--format", fmt]

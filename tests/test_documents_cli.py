@@ -188,6 +188,14 @@ def test_cli_rejects_a_65_element_poset(tmp_path, capsys):
     assert (code, out, err) == (2, "", "error: 65 elements exceeds the 64-element limit\n")
 
 
+def test_cli_rejects_a_deeply_nested_document(tmp_path, capsys):
+    # the JSON decoder recurses once per level, so this exceeds any recursion limit
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "congruences", "--lattice", str(path))
+    assert (code, out, err) == (2, "", f"error: {path} nests too deeply to read\n")
+
+
 def test_cli_decompose_horizon_zero_exits_2(docs, capsys):
     code, out, err = run_cli(capsys, "decompose", "--function", docs["one"], "--k", "0")
     assert code == 2 and out == ""
