@@ -127,7 +127,9 @@ def load_function(doc, lattice: FiniteLattice,
             if not (isinstance(item, (list, tuple)) and len(item) == 2):
                 raise MalformedDocument(f"bad term: {item!r}")
             r = _rational(item[0], "term")
-            terms.append((r, _resolve_term_element(item[1], carrier, view)))
+            element = _resolve_element(item[1], carrier, view)
+            # over C(L) the term names S, and chi_S = chi(theta_S^c); C(L) is Boolean
+            terms.append((r, element if view is None else carrier.complement(element)))
         return LoadedFunction(None, canonicalize(carrier, terms))
     if kind == "cut":
         from .cutfunction import CutFunction
@@ -138,8 +140,8 @@ def load_function(doc, lattice: FiniteLattice,
         if not all(isinstance(x, list) for x in (bps, upper, lower)):
             raise MalformedDocument('"breakpoints", "upper" and "lower" must be lists')
         breakpoints = [_rational(b, "breakpoints") for b in bps]
-        up = [_resolve_ladder_element(e, carrier, view) for e in upper]
-        lo = [_resolve_ladder_element(e, carrier, view) for e in lower]
+        up = [_resolve_element(e, carrier, view) for e in upper]
+        lo = [_resolve_element(e, carrier, view) for e in lower]
         cut = CutFunction(carrier, breakpoints, up, lo)
         simple = cut_to_simple(cut) if cut.is_finite() else None
         return LoadedFunction(cut, simple)
@@ -147,21 +149,9 @@ def load_function(doc, lattice: FiniteLattice,
         f'unknown function kind {kind!r} (expected "constant", "simple" or "cut")')
 
 
-def _resolve_term_element(ref, carrier: FiniteLattice,
-                          view: Optional[SublocaleView]) -> str:
-    """A simple-function term names an element of the carrier, or, over the
-    congruence frame, the sublocale S it is the characteristic of; the term
-    element is then theta_S^c."""
-    if view is None:
-        if not isinstance(ref, str):
-            raise MalformedDocument(f"bad element reference: {ref!r}")
-        carrier.index(ref)
-        return ref
-    return view.complement(view.resolve_ref(ref)).partition_name()
-
-
-def _resolve_ladder_element(ref, carrier: FiniteLattice,
-                            view: Optional[SublocaleView]) -> str:
+def _resolve_element(ref, carrier: FiniteLattice, view: Optional[SublocaleView]) -> str:
+    """An element of the carrier, named directly or, over the congruence
+    frame, by a sublocale reference to the congruence."""
     if view is None:
         if not isinstance(ref, str):
             raise MalformedDocument(f"bad element reference: {ref!r}")
