@@ -103,7 +103,7 @@ def _checked(elements: Tuple[str, ...], down: List[int]) -> Tuple[List[int], Lis
     # failing triple.
     prime = True
     for a in range(n):
-        for b in range(a, n):
+        for b in range(a + 1, n):
             if down[a] & down[b] not in down_of:
                 raise NotALattice(f"elements {elements[a]!r} and {elements[b]!r} have no meet")
             j = up_of.get(up[a] & up[b])

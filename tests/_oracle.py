@@ -173,12 +173,14 @@ def reference_lattice(elements, leq_pairs) -> tuple:
     jirr = [x for x in range(n) if down[x] ^ (1 << x) in down_of]
     jmask = [sum(1 << k for k, j in enumerate(jirr) if down[x] >> j & 1) for x in range(n)]
     if any(jmask[join[a][b]] != jmask[a] | jmask[b] for a in range(n) for b in range(a + 1, n)):
-        triple = first_distributivity_failure(elements, lambda a, b: meet[a][b],
-                                              lambda a, b: join[a][b])
-        if triple is None:
-            raise ConsistencyError("join-primality and the triple sweep disagree")
-        raise NotDistributive("distributivity fails on the triple "
-                              f"({triple[0]!r}, {triple[1]!r}, {triple[2]!r})")
+        for a in range(n):
+            for b in range(n):
+                for c in range(n):
+                    if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
+                        raise NotDistributive(
+                            "distributivity fails on the triple "
+                            f"({elements[a]!r}, {elements[b]!r}, {elements[c]!r})")
+        raise ConsistencyError("join-primality and the triple sweep disagree")
     return elements, tuple(jmask), tuple(jirr)
 
 

@@ -91,7 +91,7 @@ def document(tmp_path_factory) -> Path:
     return tmp_path_factory.mktemp("fuzz") / "document.json"
 
 
-@settings(max_examples=120, deadline=2000, derandomize=True)
+@settings(max_examples=100, deadline=2000, derandomize=True)
 @given(case=cases())
 @example(case=simple_term({"blocks": [["0", "a"], 5, ["b", "1"]]}))
 @example(case=simple_term({"blocks": [["0", ["a"]], ["b", "1"]]}))
