@@ -44,16 +44,8 @@ def corpus_lattices() -> Mapping[str, FiniteLattice]:
 
 def boolean_atoms(lattice: FiniteLattice) -> Tuple[str, ...]:
     """Atoms of the Boolean sublattice of complemented elements; they are
-    pairwise disjoint and join to the top.  Read off the J-masks: each
-    nonzero complemented mask is a disjoint union of atoms, so taken by
-    increasing size, one is an atom iff it misses every atom found before."""
-    at, full = lattice._at, lattice._full
-    atoms, found = set(), 0
-    for m in sorted((m for m in at if m and (full ^ m) in at), key=int.bit_count):
-        if not m & found:
-            atoms.add(m)
-            found |= m
-    return tuple(e for e, m in zip(lattice.elements, lattice._jmask) if m in atoms)
+    pairwise disjoint and join to the top."""
+    return tuple(lattice._at[m] for m in lattice._centre_atoms())
 
 
 def random_rational(rng: Random, lo: int = -12, hi: int = 12,

@@ -165,6 +165,8 @@ def load_measure(doc, view: SublocaleView) -> Measure:
 
     if not isinstance(doc, dict):
         raise MalformedDocument("measure document must be a JSON object")
+    if "on_open_weights" in doc and "values" in doc:
+        raise MalformedDocument('measure document takes "values" or "on_open_weights", not both')
     if "on_open_weights" in doc:
         raw = doc["on_open_weights"]
         if not isinstance(raw, dict):

@@ -22,14 +22,17 @@ powerset, are built straight from their masks.  A lattice built from an
 order has at most ``SOFT_SIZE_LIMIT`` elements.
 
 Instances are immutable after construction and safe to share between
-threads; the congruence frame is built on first use, and threads racing on
-it may each build a copy, whose congruences compare equal.  At this scale
-every countable join is a finite join, so a finite distributive lattice
-serves as a sigma-frame.
+threads; the congruence frame and the atoms of the Boolean centre are
+built on first use, and threads racing on one may each build a copy: the
+frames' congruences compare equal, and the centre atoms are equal.  At
+this scale every countable join is a finite join, so a finite distributive
+lattice serves as a sigma-frame.
 """
 
 from __future__ import annotations
 
+from functools import reduce
+from operator import and_
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .errors import (
@@ -138,7 +141,7 @@ class FiniteLattice:
     """
 
     __slots__ = ("elements", "_idx", "_jmask", "_mask", "_at", "_full", "_jirr",
-                 "_hash", "_frame_cache")
+                 "_hash", "_frame_cache", "_centre")
 
     def __init__(self, elements: Sequence[str], leq_pairs: Iterable[Tuple[str, str]]):
         elements, down = _down_sets(elements, leq_pairs)
@@ -173,6 +176,7 @@ class FiniteLattice:
         self._jirr = tuple(jirr)
         self._hash = hash((elements, self._jmask))
         self._frame_cache = None
+        self._centre = None
 
     # -- basic queries -------------------------------------------------------
 
@@ -237,6 +241,17 @@ class FiniteLattice:
     def atoms(self) -> Tuple[str, ...]:
         """The elements covering the bottom: those whose mask is one bit."""
         return tuple(e for e, m in zip(self.elements, self._jmask) if m and not m & (m - 1))
+
+    def _centre_atoms(self) -> Tuple[int, ...]:
+        """The masks of the atoms of the Boolean centre Z(L) (the complemented
+        elements) in element order, built on first use: the atom holding a
+        join-irreducible j is the meet of the complemented elements above j.
+        Each complemented element is the join of the atoms below it."""
+        if self._centre is None:
+            comp = [m for m in self._jmask if (self._full ^ m) in self._at]
+            atoms = {reduce(and_, [m for m in comp if m >> j & 1]) for j in range(len(self._jirr))}
+            self._centre = tuple(m for m in comp if m in atoms)
+        return self._centre
 
     def congruence_frame(self):
         """The frame of all congruences; cached per lattice."""

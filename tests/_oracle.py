@@ -1,5 +1,5 @@
-"""Brute-force oracles: the table-based lattice, pointwise arithmetic over
-powerset carriers, congruences by union-find closure, the refinement order
+"""Brute-force oracles: the table-based lattice, pointwise arithmetic on
+the atoms of a carrier's Boolean centre, congruences by union-find closure, the refinement order
 and meet of partitions, measure tables built sublocale by sublocale, and the
 name-based canonical form and ladder checks that the index-native ones
 replaced, and the Fraction ladder kernels and parts-based summability that
@@ -16,7 +16,7 @@ tests can freeze expected values produced by an unrelated code path."""
 
 from bisect import bisect_right
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 
 from locint.bridge import ClassicalSimpleFunction
 from locint.congruence import Congruence, nabla
@@ -266,10 +266,12 @@ def cut_from_pointwise(lat: FiniteLattice, atoms, values) -> CutFunction:
 
 
 def simple_from_pointwise(lat: FiniteLattice, atoms, values) -> SimpleFunction:
-    """Canonical terms straight from the level sets."""
+    """Canonical terms straight from the level sets, each joined in the
+    table lattice; ``atoms`` is a disjoint complemented cover of the top."""
+    t = table_of(lat)
     terms = []
     for v in sorted(set(values.values())):
-        terms.append((v, subset_name({x for x in atoms if values[x] == v}, atoms)))
+        terms.append((v, reduce(t.join, [x for x in atoms if values[x] == v], t.bottom)))
     return SimpleFunction(lat, terms)
 
 

@@ -97,6 +97,8 @@ COMMANDS = {
     "measure_m2": ["validate", "--lattice", B4, "--measure", D + "mu_m2.json"],
     "measure_m3": ["validate", "--lattice", B4, "--measure", D + "mu_m3.json"],
     "weights_not_boolean": ["validate", "--lattice", DIV12, "--measure", D + "weights_div12.json"],
+    # both measure keys: the non-total "values" table is not skipped
+    "measure_both_keys": ["validate", "--lattice", B4, "--measure", D + "mu_both.json"],
     "indefinite_signed": ["indefinite", "--lattice", CHAIN4, "--measure", D + "mu_chain4.json",
                           "--function", D + "f_chain4.json"],
     "not_integrable": ["integrate", "--lattice", B4, "--measure", D + "mu_inf.json",

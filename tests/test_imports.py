@@ -167,6 +167,17 @@ def test_only_congruence_reads_the_frame_numbering():
             assert path.name == "bridge.py" or not lattice_write.search(line), where
 
 
+def test_only_simple_reads_the_value_vector():
+    """A simple function is its value vector on the centre atoms: no module
+    but ``simple.py`` reads its ``_vec`` slot, its ``_vector()`` or its
+    cached ``_terms``, so the storage format is decided in one module."""
+    vector = re.compile(r"\._(vec|vector|terms)\b")
+    for path in sorted((SRC / "locint").glob("*.py")):
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            where = f"{path.name}:{number}: {line.strip()}"
+            assert path.name == "simple.py" or not vector.search(line), where
+
+
 def test_no_private_fraction_internals():
     """``Fraction._numerator``, ``_denominator`` and the ``_normalize``
     keyword are private (the keyword is gone in Python 3.12), so the

@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +8,17 @@ from hypothesis import strategies as st
 
 import locint.cutfunction as cf
 import locint.simple as sf
-from _oracle import padd, pmul, pointwise_of_simple, pscale, simple_from_pointwise
+from _oracle import (
+    downset_lattice,
+    padd,
+    pmul,
+    pointwise_of_simple,
+    pscale,
+    simple_from_pointwise,
+    table_boolean_atoms,
+    table_of,
+)
+from locint.corpus import corpus_lattices
 from locint.errors import (
     ConsistencyError,
     NotComplemented,
@@ -15,7 +26,7 @@ from locint.errors import (
     NotNonnegative,
     ValidationFailure,
 )
-from locint.lattice import powerset_lattice
+from locint.lattice import chain_lattice, powerset_lattice
 
 ATOMS = ["x", "y", "z"]
 B8 = powerset_lattice(ATOMS)
@@ -239,3 +250,45 @@ def test_canonicalize_invariant_under_refinement(u):
                 refined.append((r, piece))
     refined.reverse()
     assert sf.canonicalize(B8, refined) == g
+
+
+# -- the same comparisons on the atoms of a Boolean centre beyond B8 --------------------
+#
+# The points are the centre atoms as the table lattice finds them: {2,4},
+# {3} and {5} in div60's J(L), only the top in the 4-chain, the 8 atoms of
+# C(chain9) at the 256-congruence cap, and four atoms of a seeded down-set
+# lattice, one of them two join-irreducibles.
+
+CENTRED = {
+    "div60": corpus_lattices()["div60"],
+    "chain4": chain_lattice(["0", "a", "b", "1"]),
+    "C(chain9)": chain_lattice([str(i) for i in range(9)]).congruence_frame().as_lattice(),
+    "downset": downset_lattice(Random(5), 5),
+}
+POINTS = {name: table_boolean_atoms(table_of(lat)) for name, lat in CENTRED.items()}
+
+# st.fractions is slow to draw from; these are the same values, ints over 1..4
+coeffs = st.builds(F, st.integers(-20, 20), st.sampled_from([1, 2, 3, 4]))
+vectors = st.lists(coeffs, min_size=8, max_size=8)
+
+
+@pytest.mark.parametrize("name", sorted(CENTRED))
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(vectors, vectors, st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2])))
+def test_ring_and_parts_match_pointwise_on_the_centre_atoms(name, u, v, lam):
+    lat, pts = CENTRED[name], POINTS[name]
+    u, v = dict(zip(pts, u)), dict(zip(pts, v))
+
+    def pointwise(values):
+        return simple_from_pointwise(lat, pts, values)
+
+    g, h = pointwise(u), pointwise(v)
+    assert pointwise_of_simple(g, pts) == u
+    assert sf.canonicalize(lat, g.terms) == g
+    assert sf.canonicalize(lat, [(r, x) for x, r in reversed(u.items())]) == g
+    assert sf.sf_add(g, h) == pointwise(padd(u, v))
+    assert sf.sf_mul(g, h) == pointwise(pmul(u, v))
+    assert sf.sf_scale(lam, g) == pointwise(pscale(lam, u))
+    assert sf.positive_part(g) == pointwise({x: max(r, 0) for x, r in u.items()})
+    assert sf.negative_part(g) == pointwise({x: max(-r, 0) for x, r in u.items()})
+    assert sf.abs_simple(g) == pointwise({x: abs(r) for x, r in u.items()})
