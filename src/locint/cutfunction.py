@@ -10,20 +10,26 @@ t_0 < ... < t_{m-1} together with
 
 The defining relations of the frame of (extended) reals  --  the cuts meet
 to 0 when p >= q and join to 1 when p < q  --  reduce, for step ladders, to
-the two interval values being complements of each other; the constructor
-checks exactly that together with monotonicity, on the carrier's J-masks,
-and then normalises away breakpoints where nothing changes.
-Right-/left-constancy of the interval convention discharges the regularity
-relations.
+the two interval values being complements of each other; one checker tests
+exactly that together with monotonicity, and then normalises away
+breakpoints where nothing changes.  Right-/left-constancy of the interval
+convention discharges the regularity relations.
+
+Inside, a function is ints: the breakpoints are an ascending int grid over
+one denominator D, reduced so that the pair is unique, and the ladders are
+tuples of the carrier's J-masks (meet ``&``, join ``|``).  The breakpoints
+as ``Fraction``s and the ladders as element names are views built on first
+read.  The public constructor resolves names to masks and puts the
+breakpoints over one denominator; the kernels hand their int grids and
+masks to the same checker, and build a ``Fraction`` or a name only to word
+an error.
 
 Suprema over all rationals (in the addition and multiplication formulas)
 are evaluated exactly as finite joins: one operand's cut is constant on
 each piece of the other's grid, and the other operand's monotone cut
-reaches its supremum over that piece at the piece's end.  The kernels run
-on ints: the operands' breakpoints go over one common denominator D, the
-grids are merged, sorted and bisected as ints, ladders are read as J-masks
-(meet ``&``, join ``|``, names looked up in the carrier's ``_at``), and a
-``Fraction`` is built only for each output breakpoint.
+reaches its supremum over that piece at the piece's end.  The operands'
+grids go over a common denominator and are merged, sorted and bisected as
+ints.
 """
 
 from __future__ import annotations
@@ -31,6 +37,8 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd, lcm
+from operator import eq, lt, or_
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
@@ -48,80 +56,124 @@ from .rationals import ZERO, ExtValue, Infinite, over_common_denominator, parse_
 class CutFunction:
     """An exact step function given by its two cut ladders.
 
-    The constructor resolves each ladder value to its J-mask once (an
-    unknown name raises MalformedDocument) and then checks, in this order
-    and on the masks: the ladder lengths, strictly increasing breakpoints,
-    antitone upper and isotone lower ladders (mask inclusion), and the two
-    cut relations on each interval (the masks are disjoint and their union
-    is J(L)).  The kernels read the ladders as masks (``_up``, ``_lo``).
-    The hash is computed on the first ``hash()`` call."""
+    It holds its carrier, the breakpoints as ints ``_grid`` over a
+    denominator ``_den`` and the ladders as J-masks ``_up`` and ``_lo``;
+    ``breakpoints``, ``upper`` and ``lower`` are built from them on first
+    read (racing threads build equal tuples).  The constructor coerces the
+    breakpoints and resolves each ladder value to its J-mask; an unknown
+    name raises MalformedDocument, after the ladder lengths and the
+    breakpoint order have been checked.  It then runs ``_fill``, the one
+    checker, which the kernels reach through ``_from_grid`` with their int
+    grids and masks.  The hash is computed on the first ``hash()`` call."""
 
-    __slots__ = ("carrier", "breakpoints", "upper", "lower", "_up", "_lo", "_hash")
+    __slots__ = ("carrier", "_den", "_grid", "_up", "_lo", "_bp", "_upper", "_lower", "_hash")
 
     def __init__(self, carrier: FiniteLattice,
                  breakpoints: Sequence[Fraction],
                  upper: Sequence[str],
                  lower: Sequence[str]):
-        bp = tuple([b if type(b) is Fraction else parse_rational(b) for b in breakpoints])
-        up = tuple(upper)
-        lo = tuple(lower)
-        if len(up) != len(bp) + 1 or len(lo) != len(bp) + 1:
-            raise InvalidScale("each ladder needs exactly one value per interval")
-        ratios = [b.as_integer_ratio() for b in bp]
-        for i, ((n, d), (n1, d1)) in enumerate(zip(ratios, ratios[1:])):
-            if not n * d1 < n1 * d:
-                raise InvalidScale(f"breakpoints not strictly increasing at {bp[i]}")
-        jmask = carrier.jmask
-        ui = [jmask(v) for v in up]
-        li = [jmask(v) for v in lo]
-        for i in range(len(bp)):
-            if ui[i + 1] & ~ui[i]:
-                raise InvalidScale(f"upper ladder is not antitone across {bp[i]}")
-            if li[i] & ~li[i + 1]:
-                raise InvalidScale(f"lower ladder is not isotone across {bp[i]}")
-        full = carrier._full
-        for i, (u, l) in enumerate(zip(ui, li)):
-            if u & l:
-                raise InvalidScale(
-                    f"cut relation (p,-) /\\ (-,q) = 0 fails on interval {i}: "
-                    f"{up[i]!r} /\\ {lo[i]!r} != bottom")
-            if u | l != full:
-                raise InvalidScale(
-                    f"cut relation (p,-) \\/ (-,q) = 1 fails on interval {i}: "
-                    f"{up[i]!r} \\/ {lo[i]!r} != top")
-        # normalise: drop breakpoints across which nothing changes
-        kept = [i for i in range(len(bp)) if ui[i + 1] != ui[i]]
-        if len(kept) < len(bp):
+        den, grid = over_common_denominator(
+            [b if type(b) is Fraction else parse_rational(b) for b in breakpoints])
+        upper, lower = tuple(upper), tuple(lower)
+        mask = carrier._mask
+        try:
+            up, lo = [mask[v] for v in upper], [mask[v] for v in lower]
+        except (KeyError, TypeError):  # an unknown name is reported after the shape
+            _check_grid(den, grid, len(upper), len(lower))
+            up, lo = [carrier.jmask(v) for v in upper], [carrier.jmask(v) for v in lower]
+        self._fill(carrier, den, grid, up, lo)
+
+    def _fill(self, carrier: FiniteLattice, den: int, grid: Sequence[int],
+              up: Sequence[int], lo: Sequence[int]) -> None:
+        """Check, in this order: the ladder lengths, strictly increasing
+        breakpoints, antitone upper and isotone lower ladders (mask
+        inclusion), and the two cut relations on each interval (the masks
+        are disjoint and their union is J(L)).  On the carrier's masks all
+        of that holds iff each lower mask is the complement of the upper one
+        and the upper ladder is antitone, which is tested first; the loops
+        find the first violation.  Then drop the breakpoints across which
+        nothing changes and reduce the denominator."""
+        _check_grid(den, grid, len(up), len(lo))
+        up, lo, full = tuple(up), tuple(lo), carrier._full
+        if lo != tuple([full ^ u for u in up]) or not all(map(eq, map(or_, up, up[1:]), up)):
+            for i, t in enumerate(grid):
+                if up[i + 1] & ~up[i]:
+                    raise InvalidScale(f"upper ladder is not antitone across {Fraction(t, den)}")
+                if lo[i] & ~lo[i + 1]:
+                    raise InvalidScale(f"lower ladder is not isotone across {Fraction(t, den)}")
+            at = carrier._at
+            for i, (u, l) in enumerate(zip(up, lo)):
+                if u & l:
+                    raise InvalidScale(
+                        f"cut relation (p,-) /\\ (-,q) = 0 fails on interval {i}: "
+                        f"{at[u]!r} /\\ {at[l]!r} != bottom")
+                if u | l != full:
+                    raise InvalidScale(
+                        f"cut relation (p,-) \\/ (-,q) = 1 fails on interval {i}: "
+                        f"{at[u]!r} \\/ {at[l]!r} != top")
+        kept = [i for i in range(len(grid)) if up[i + 1] != up[i]]
+        if len(kept) < len(grid):
             pieces = [0] + [i + 1 for i in kept]
-            bp = tuple([bp[i] for i in kept])
+            grid = [grid[i] for i in kept]
             up, lo = tuple([up[i] for i in pieces]), tuple([lo[i] for i in pieces])
-            ui, li = [ui[i] for i in pieces], [li[i] for i in pieces]
-        self.carrier = carrier
-        self.breakpoints, self.upper, self.lower = bp, up, lo
-        self._up, self._lo = tuple(ui), tuple(li)
-        self._hash = None
+        common = gcd(den, *grid)
+        self.carrier, self._den = carrier, den // common
+        self._grid = tuple(grid) if common == 1 else tuple([t // common for t in grid])
+        self._up, self._lo = up, lo
+        self._bp = self._upper = self._lower = self._hash = None
+
+    # -- views ------------------------------------------------------------------
+
+    @property
+    def breakpoints(self) -> Tuple[Fraction, ...]:
+        if self._bp is None:
+            self._bp = tuple([Fraction(t, self._den) for t in self._grid])
+        return self._bp
+
+    @property
+    def upper(self) -> Tuple[str, ...]:
+        if self._upper is None:
+            self._upper = tuple(map(self.carrier._at.__getitem__, self._up))
+        return self._upper
+
+    @property
+    def lower(self) -> Tuple[str, ...]:
+        if self._lower is None:
+            self._lower = tuple(map(self.carrier._at.__getitem__, self._lo))
+        return self._lower
 
     # -- evaluation -------------------------------------------------------------
 
     def upper_at(self, p: Fraction) -> str:
         """f(p,-); right-constant in p."""
-        return self.upper[bisect_right(self.breakpoints, p)]
+        return self.carrier._at[self._upper_mask_at(*p.as_integer_ratio())]
 
     def lower_at(self, q: Fraction) -> str:
-        """f(-,q); left-constant in q."""
-        return self.lower[bisect_left(self.breakpoints, q)]
+        """f(-,q); left-constant in q: the breakpoints t with t < n/d are
+        the ints below ceil(n * D / d)."""
+        n, d = q.as_integer_ratio()
+        return self.carrier._at[self._lo[bisect_left(self._grid, -(-n * self._den // d))]]
+
+    def _upper_mask_at(self, n: int, d: int) -> int:
+        """The mask of f(n/d,-) for d > 0: the breakpoints t with t <= n/d
+        are the ints up to floor(n * D / d)."""
+        return self._up[bisect_right(self._grid, n * self._den // d)]
+
+    def _cells(self) -> List[int]:
+        """The mask of each level cell: where f equals its j-th breakpoint,
+        upper[j] /\\ lower[j+1], and last where f is +inf, upper[-1]."""
+        return [u & l for u, l in zip(self._up, self._lo[1:])] + [self._up[-1]]
 
     def is_finite(self) -> bool:
-        return self.upper[0] == self.carrier.top and self.lower[-1] == self.carrier.top
+        return self._up[0] == self._lo[-1] == self.carrier._full
 
     def is_nonnegative(self) -> bool:
         """f >= 0, i.e. f(p,-) = 1 for every p < 0."""
-        return self.upper[bisect_left(self.breakpoints, ZERO)] == self.carrier.top
+        return self._up[bisect_left(self._grid, 0)] == self.carrier._full
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CutFunction)
-                and self.breakpoints == other.breakpoints
-                and self.upper == other.upper
+                and (self._den, self._grid, self._up) == (other._den, other._grid, other._up)
                 and (self.carrier is other.carrier or self.carrier == other.carrier))
 
     def __hash__(self) -> int:
@@ -134,17 +186,33 @@ class CutFunction:
         return f"CutFunction(upper={self.upper[0]}|{pieces})"
 
 
+def _check_grid(den: int, grid: Sequence[int], n_up: int, n_lo: int) -> None:
+    """The ladder lengths, then strictly increasing breakpoints."""
+    if n_up != len(grid) + 1 or n_lo != len(grid) + 1:
+        raise InvalidScale("each ladder needs exactly one value per interval")
+    if not all(map(lt, grid, grid[1:])):
+        i = next(i for i in range(len(grid) - 1) if not grid[i] < grid[i + 1])
+        raise InvalidScale(f"breakpoints not strictly increasing at {Fraction(grid[i], den)}")
+
+
+def _from_grid(carrier: FiniteLattice, den: int, grid: Sequence[int],
+               up: Sequence[int], lo: Sequence[int]) -> CutFunction:
+    """The function with breakpoints grid[i] / den (den > 0) and ladders of
+    J-masks, through the constructor's checks."""
+    f = CutFunction.__new__(CutFunction)
+    f._fill(carrier, den, grid, up, lo)
+    return f
+
+
 # -- int grids: breakpoints times a common denominator D ----------------------------
 
 
-def _int_grids(fs: Sequence[CutFunction]) -> Tuple[int, List[List[int]], dict]:
-    """(D, each function's breakpoints times D, merged int -> Fraction)."""
-    den, ints = over_common_denominator([b for f in fs for b in f.breakpoints])
-    grids, k = [], 0
-    for f in fs:
-        grids.append(ints[k:k + len(f.breakpoints)])
-        k += len(f.breakpoints)
-    return den, grids, dict(zip(ints, (b for f in fs for b in f.breakpoints)))
+def _int_grids(fs: Sequence[CutFunction]) -> Tuple[int, List[Sequence[int]]]:
+    """(D, each function's breakpoints times D), D the least common multiple
+    of the functions' denominators."""
+    den = lcm(*[f._den for f in fs])
+    return den, [f._grid if f._den == den else [t * (den // f._den) for t in f._grid]
+                 for f in fs]
 
 
 def _reps(grid: Sequence[int], den: int) -> Tuple[List[int], List[int]]:
@@ -161,40 +229,41 @@ _DIFFERENT_CARRIERS = "the two functions live on different carriers"
 
 def constant(value: ExtValue, carrier: FiniteLattice) -> CutFunction:
     """The (extended) constant function: (p,-) is top iff p < value."""
-    top, bot = carrier.top, carrier.bottom
+    full = carrier._full
     if isinstance(value, Infinite):
-        if value.sign > 0:
-            return CutFunction(carrier, (), (top,), (bot,))
-        return CutFunction(carrier, (), (bot,), (top,))
-    return CutFunction(carrier, (value,), (top, bot), (bot, top))
+        up = full if value.sign > 0 else 0
+        return _from_grid(carrier, 1, (), (up,), (full ^ up,))
+    n, d = parse_rational(value).as_integer_ratio()
+    return _from_grid(carrier, d, (n,), (full, 0), (0, full))
 
 
 def characteristic(a: str, carrier: FiniteLattice) -> CutFunction:
     """chi_a for complemented a: 1 on p < 0, a on [0,1), 0 from 1 on."""
-    ac = carrier.complement(a)
-    top, bot = carrier.top, carrier.bottom
-    return CutFunction(carrier, (ZERO, Fraction(1)), (top, a, bot), (bot, ac, top))
+    ac = carrier.jmask(carrier.complement(a))
+    full = carrier._full
+    return _from_grid(carrier, 1, (0, 1), (full, full ^ ac, 0), (0, ac, full))
 
 
 # -- order and lattice operations ---------------------------------------------------
 
 
 def _merged_pieces(f: CutFunction, g: CutFunction):
-    """(merged grid, (f, g) mask pairs per upper piece, and per lower piece)."""
+    """(D, merged int grid, (f, g) mask pairs per upper piece, and per
+    lower piece)."""
     check_same_carrier(f.carrier, g.carrier, _DIFFERENT_CARRIERS)
-    den, (fb, gb), value = _int_grids((f, g))
-    grid = sorted(value)
+    den, (fb, gb) = _int_grids((f, g))
+    grid = sorted({*fb, *gb})
     ur, lr = _reps(grid, den)
     fu, fl, gu, gl = f._up, f._lo, g._up, g._lo
     ups = [(fu[bisect_right(fb, p)], gu[bisect_right(gb, p)]) for p in ur]
     lows = [(fl[bisect_left(fb, q)], gl[bisect_left(gb, q)]) for q in lr]
-    return [value[t] for t in grid], ups, lows
+    return den, grid, ups, lows
 
 
 def leq(f: CutFunction, g: CutFunction) -> bool:
     """f <= g iff f(p,-) <= g(p,-) everywhere; the dual lower-ladder
     comparison is computed as well and cross-checked."""
-    _, ups, lows = _merged_pieces(f, g)
+    _, _, ups, lows = _merged_pieces(f, g)
     by_upper = all(not fu & ~gu for fu, gu in ups)
     by_lower = all(not gl & ~fl for fl, gl in lows)
     if by_upper != by_lower:
@@ -204,11 +273,10 @@ def leq(f: CutFunction, g: CutFunction) -> bool:
 
 def join_meet(f: CutFunction, g: CutFunction) -> Tuple[CutFunction, CutFunction]:
     """(f \\/ g, f /\\ g) computed pointwise on the merged grid."""
-    grid, ups, lows = _merged_pieces(f, g)
+    den, grid, ups, lows = _merged_pieces(f, g)
     lat = f.carrier
-    at = lat._at
-    fj = CutFunction(lat, grid, [at[a | b] for a, b in ups], [at[a & b] for a, b in lows])
-    fm = CutFunction(lat, grid, [at[a & b] for a, b in ups], [at[a | b] for a, b in lows])
+    fj = _from_grid(lat, den, grid, [a | b for a, b in ups], [a & b for a, b in lows])
+    fm = _from_grid(lat, den, grid, [a & b for a, b in ups], [a | b for a, b in lows])
     return fj, fm
 
 
@@ -217,19 +285,17 @@ def join_meet(f: CutFunction, g: CutFunction) -> Tuple[CutFunction, CutFunction]
 
 def negate(f: CutFunction) -> CutFunction:
     """(-f)(p,-) = f(-,-p): mirror the grid and swap the ladders."""
-    bp = tuple(-b for b in reversed(f.breakpoints))
-    return CutFunction(f.carrier, bp, tuple(reversed(f.lower)), tuple(reversed(f.upper)))
+    return _from_grid(f.carrier, f._den, [-t for t in f._grid[::-1]], f._lo[::-1], f._up[::-1])
 
 
 def scale(lam: Fraction, f: CutFunction) -> CutFunction:
     """lam * f via (lam f)(p,-) = f(p/lam,-) for lam > 0; negation composed
     in for lam < 0; the zero scalar collapses to the constant 0."""
-    lam = parse_rational(lam)
-    if not lam.numerator:
+    n, d = parse_rational(lam).as_integer_ratio()
+    if not n:
         return constant(ZERO, f.carrier)
-    if lam.numerator < 0:
-        return negate(scale(-lam, f))
-    return CutFunction(f.carrier, tuple(lam * b for b in f.breakpoints), f.upper, f.lower)
+    g = _from_grid(f.carrier, f._den * d, [t * abs(n) for t in f._grid], f._up, f._lo)
+    return g if n > 0 else negate(g)
 
 
 def add(f: CutFunction, g: CutFunction) -> CutFunction:
@@ -245,11 +311,9 @@ def add(f: CutFunction, g: CutFunction) -> CutFunction:
     check_same_carrier(f.carrier, g.carrier, _DIFFERENT_CARRIERS)
     if not (f.is_finite() and g.is_finite()):
         raise NotFinite("addition is defined for finite functions only")
-    lat = f.carrier
-    if not f.breakpoints or not g.breakpoints:
+    if not f._grid or not g._grid:
         return f  # only over the one-element carrier
-    at = lat._at
-    den, (fb, gb), _ = _int_grids((f, g))
+    den, (fb, gb) = _int_grids((f, g))
     grid = sorted({x + y for x in fb for y in gb})
     fu, fl = f._up, f._lo
     g_lower = list(zip(gb, g._lo[1:]))
@@ -260,14 +324,14 @@ def add(f: CutFunction, g: CutFunction) -> CutFunction:
         acc = 0
         for bj, gl in g_lower:
             acc |= fl[bisect_left(fb, q - bj)] & gl
-        lower.append(at[acc])
+        lower.append(acc)
     upper = []
     for p in ur:
         acc = 0
         for bj, gu in g_upper:
             acc |= fu[bisect_right(fb, p - bj)] & gu
-        upper.append(at[acc])
-    return CutFunction(lat, [Fraction(t, den) for t in grid], upper, lower)
+        upper.append(acc)
+    return _from_grid(f.carrier, den, grid, upper, lower)
 
 
 def mul_nonneg(f: CutFunction, g: CutFunction) -> CutFunction:
@@ -286,11 +350,9 @@ def mul_nonneg(f: CutFunction, g: CutFunction) -> CutFunction:
         raise NegativeOperand("multiplication needs nonnegative operands")
     if not (f.is_finite() and g.is_finite()):
         raise NotFinite("multiplication is defined for finite functions only")
-    lat = f.carrier
-    if not f.breakpoints or not g.breakpoints:
+    if not f._grid or not g._grid:
         return f
-    at = lat._at
-    den, (fb, gb), _ = _int_grids((f, g))
+    den, (fb, gb) = _int_grids((f, g))
     first = bisect_right(gb, 0)  # the piece of g reaching down to 0
     pos = gb[first:]
     grid = sorted({0} | {x * y for x in fb if x > 0 for y in pos})
@@ -301,22 +363,23 @@ def mul_nonneg(f: CutFunction, g: CutFunction) -> CutFunction:
     lower = []
     for q in lr:
         if q <= 0:
-            lower.append(lat.bottom)
+            lower.append(0)
             continue
         acc = fl[-1] & g_lower[0]
         for bj, gl in zip(pos, g_lower[1:]):
             acc |= fl[bisect_left(fb, -(-q // bj))] & gl
-        lower.append(at[acc])
+        lower.append(acc)
+    full = f.carrier._full
     upper = []
     for p in ur:
         if p < 0:
-            upper.append(lat.top)
+            upper.append(full)
             continue
         acc = 0
         for bj, gu in g_upper:
             acc |= fu[bisect_right(fb, p // bj)] & gu
-        upper.append(at[acc])
-    return CutFunction(lat, [Fraction(t, den * den) for t in grid], upper, lower)
+        upper.append(acc)
+    return _from_grid(f.carrier, den * den, grid, upper, lower)
 
 
 def pos_neg_abs(f: CutFunction) -> Tuple[CutFunction, CutFunction, CutFunction]:
@@ -340,20 +403,20 @@ def seq_inf(fs: Sequence[CutFunction]) -> CutFunction:
     """Meet of a finite family: the lower cuts are the joins
     sup_n f_n(-,q), which must be complemented; the upper cuts are their
     complements (the value of sup_{r>p} (sup_n f_n(-,r))^c on each interval)."""
-    lat, grid, lower, upper = _join_cuts(fs, "seq_inf", upper=False)
-    return CutFunction(lat, grid, upper, lower)
+    lat, den, grid, lower, upper = _join_cuts(fs, "seq_inf", upper=False)
+    return _from_grid(lat, den, grid, upper, lower)
 
 
 def seq_sup(fs: Sequence[CutFunction]) -> CutFunction:
     """Join of a finite family; dual to seq_inf on the upper ladders."""
-    lat, grid, upper, lower = _join_cuts(fs, "seq_sup", upper=True)
-    return CutFunction(lat, grid, upper, lower)
+    lat, den, grid, upper, lower = _join_cuts(fs, "seq_sup", upper=True)
+    return _from_grid(lat, den, grid, upper, lower)
 
 
 def _join_cuts(fs: Sequence[CutFunction], name: str, upper: bool):
-    """(carrier, merged grid, joins, complements): the join over the family
-    of the upper (or lower) cuts at each piece of the merged grid, and the
-    complement of each."""
+    """(carrier, D, merged int grid, joins, complements): the join over the
+    family of the upper (or lower) cuts at each piece of the merged grid,
+    and the complement of each, as masks."""
     fs = list(fs)
     if not fs:
         raise InvalidArgument(f"{name} needs at least one function")
@@ -361,27 +424,25 @@ def _join_cuts(fs: Sequence[CutFunction], name: str, upper: bool):
         check_same_carrier(fs[0].carrier, g.carrier, _DIFFERENT_CARRIERS)
     lat = fs[0].carrier
     at, full = lat._at, lat._full
-    den, grids, value = _int_grids(fs)
-    grid = sorted(value)
+    den, grids = _int_grids(fs)
+    grid = sorted({t for fb in grids for t in fb})
     ur, lr = _reps(grid, den)
     if upper:
         reps, cut, label = ur, bisect_right, "upper cuts at p"
     else:
         reps, cut, label = lr, bisect_left, "lower cuts at q"
     family = [(fb, f._up if upper else f._lo) for fb, f in zip(grids, fs)]
-    joined, comps = [], []
+    joined = []
     for t in reps:
         acc = 0
         for fb, ladder in family:
             acc |= ladder[cut(fb, t)]
-        c = at.get(full ^ acc)
-        if c is None:
+        if (full ^ acc) not in at:
             raise ComplementationFailure(
                 f"sup of {label}={Fraction(t, den)} is not complemented "
                 f"(element {at[acc]!r})")
-        joined.append(at[acc])
-        comps.append(c)
-    return lat, [value[t] for t in grid], joined, comps
+        joined.append(acc)
+    return lat, den, grid, joined, [full ^ m for m in joined]
 
 
 # -- sequences and limits -------------------------------------------------------------

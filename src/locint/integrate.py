@@ -216,12 +216,11 @@ def _nonneg_general(f: CutFunction, measure: Measure, over: int) -> ExtValue:
     upper ladder never drops to bottom contributes +inf exactly when it
     meets `over` in positive measure (minorants put arbitrarily large
     constants there)."""
-    lat = f.carrier
-    cells = [(r, lat.meet(u, l)) for r, u, l in zip(f.breakpoints, f.upper, f.lower[1:])]
-    inf_region = f.upper[-1]
-    if inf_region != lat.bottom and _term_measure(measure, inf_region, over) != ZERO:
+    at = f.carrier._at
+    *cells, inf_region = f._cells()
+    if inf_region and _term_measure(measure, at[inf_region], over) != ZERO:
         return POS_INF
-    return _signed_sums(cells, measure, over)[0]
+    return _signed_sums(zip(f.breakpoints, map(at.__getitem__, cells)), measure, over)[0]
 
 
 def integrate_general(f: CutFunction, measure: Measure,

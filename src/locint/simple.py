@@ -27,7 +27,6 @@ from math import gcd, lcm
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
-    ComplementationFailure,
     ConsistencyError,
     InvalidArgument,
     MalformedDocument,
@@ -36,14 +35,13 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .lattice import FiniteLattice, check_same_carrier
-from .rationals import ZERO, parse_rational
+from .rationals import ZERO, over_common_denominator, parse_rational
 
 if TYPE_CHECKING:
     from .cutfunction import CutFunction
 
 #: Longest decomposition horizon: each step keeps its stage, and 10^4 steps
-#: of a one-term function take about a quarter of a second (Python 3.11 on
-#: a 2-CPU Xeon).
+#: of a one-term function take about 0.15 s (Python 3.11 on a 2-CPU Xeon).
 DECOMPOSITION_LIMIT = 10_000
 
 
@@ -78,11 +76,9 @@ class SimpleFunction:
         """The level sets of the value vector, by ascending value."""
         if self._terms is None:
             den, vals = self._vec
-            level: Dict[int, int] = {}
-            for atom, v in zip(self.carrier._centre_atoms(), vals):
-                level[v] = level.get(v, 0) | atom
             at = self.carrier._at
-            self._terms = tuple([(Fraction(v, den), at[m]) for v, m in sorted(level.items())])
+            self._terms = tuple([(Fraction(v, den), at[m])
+                                 for v, m in sorted(_levels(self.carrier, vals).items())])
         return self._terms
 
     def coefficients(self) -> Tuple[Fraction, ...]:
@@ -163,6 +159,14 @@ def _atom_sums(carrier: FiniteLattice, terms: Sequence[Tuple[Fraction, str]]) ->
             if atom & m:
                 vals[i] += k
     return den, tuple(vals)
+
+
+def _levels(carrier: FiniteLattice, vals: Sequence[int]) -> Dict[int, int]:
+    """{value: the join of the centre atoms carrying it}."""
+    level: Dict[int, int] = {}
+    for atom, v in zip(carrier._centre_atoms(), vals):
+        level[v] = level.get(v, 0) | atom
+    return level
 
 
 def _built(carrier: FiniteLattice, vec: Optional[tuple], terms: Optional[tuple]) -> SimpleFunction:
@@ -268,25 +272,33 @@ def _each(g: SimpleFunction, op: Callable[[int], int]) -> SimpleFunction:
 
 
 @cache
-def _cut_function_class():
-    """``CutFunction``, imported on first use and cached: an import statement
-    costs about 2 us per call, a fifth of ``to_cut_function`` (Python 3.11)."""
-    from .cutfunction import CutFunction
+def _cutfunction():
+    """The ``cutfunction`` module, imported on first use and cached: an import
+    statement costs about 2 us per call, a fifth of ``to_cut_function``
+    (Python 3.11)."""
+    from . import cutfunction
 
-    return CutFunction
+    return cutfunction
 
 
 def to_cut_function(g: SimpleFunction) -> CutFunction:
     """Closed-form ladders of a canonical simple function: the lower cuts
     step through the prefix joins of the cover at each coefficient, the
-    upper cuts through the suffix joins."""
+    upper cuts through the suffix joins.  The coefficients and the cover
+    are read as ints and masks, from the terms if the function holds them
+    and otherwise from the level sets of its vector."""
     lat = g.carrier
-    mask, at = lat._mask, lat._at
-    cover = [mask[a] for _, a in g.terms]
+    if g._terms is None:
+        den, vals = g._vec
+        level = _levels(lat, vals)
+        grid = sorted(level)
+        cover = [level[v] for v in grid]
+    else:
+        den, grid = over_common_denominator([r for r, _ in g._terms])
+        cover = [lat._mask[a] for _, a in g._terms]
     lower = list(accumulate(cover, operator.or_, initial=0))
-    upper = list(accumulate(reversed(cover), operator.or_, initial=0))
-    return _cut_function_class()(lat, g.coefficients(), [at[x] for x in reversed(upper)],
-                                 [at[x] for x in lower])
+    upper = list(accumulate(reversed(cover), operator.or_, initial=0))[::-1]
+    return _cutfunction()._from_grid(lat, den, grid, upper, lower)
 
 
 def cut_to_simple(f: CutFunction) -> SimpleFunction:
@@ -294,10 +306,8 @@ def cut_to_simple(f: CutFunction) -> SimpleFunction:
     breakpoint is upper[j] /\\ lower[j+1].  Total on finite functions."""
     if not f.is_finite():
         raise NotFinite("only finite functions are simple")
-    lat = f.carrier
-    mask, at = lat._mask, lat._at
-    return SimpleFunction(lat, [(r, at[mask[u] & mask[l]])
-                                for r, u, l in zip(f.breakpoints, f.upper, f.lower[1:])])
+    at = f.carrier._at
+    return SimpleFunction(f.carrier, [(r, at[m]) for r, m in zip(f.breakpoints, f._cells())])
 
 
 # -- decomposition of nonnegative functions ----------------------------------------------
@@ -314,15 +324,16 @@ class DecompositionStep(NamedTuple):
     residual_sup: Optional[Fraction]
 
 
-def _difference_upper_at(f: CutFunction, g: CutFunction, c: Fraction) -> str:
-    """(f - g)(c,-) evaluated without forming f - g, so it also applies to
-    extended f: sup_t f(t,-) /\\ g(-, t - c), a join over the pieces of g
-    with f's antitone cut sampled at each piece's lower end b_{j-1} + c.
-    The finite g has g.lower[0] = 0, so the piece below b_0 drops out."""
-    lat = f.carrier
-    acc = lat.bottom
-    for bj, gl in zip(g.breakpoints, g.lower[1:]):
-        acc = lat.join(acc, lat.meet(f.upper_at(bj + c), gl))
+def _difference_upper_at(f: CutFunction, g: SimpleFunction, k: int) -> int:
+    """The mask of (f - g)(1/k,-), evaluated without forming f - g, so it
+    also applies to extended f.  The ladder formula sup_t f(t,-) /\\
+    g(-, t - 1/k) is a join over the pieces of g's ladder; by
+    distributivity and as f's cut is antitone, it is the join over the
+    centre atoms of atom /\\ f(v + 1/k,-), for v the value of g there."""
+    den, vals = g._vector()
+    acc = 0
+    for atom, v in zip(g.carrier._centre_atoms(), vals):
+        acc |= atom & f._upper_mask_at(v * k + den, den * k)
     return acc
 
 
@@ -337,19 +348,16 @@ def decompose_trace(f: CutFunction, horizon: int = 12) -> List[DecompositionStep
             f"horizon {horizon} exceeds the {DECOMPOSITION_LIMIT}-step limit")
     if not f.is_nonnegative():
         raise NotNonnegative("the decomposition needs a nonnegative function")
+    # Each upper cut value is complemented: the cut relations make the
+    # lower cut on the same interval its complement.
     lat = f.carrier
-    for v in f.upper:
-        if not lat.is_complemented(v):
-            raise ComplementationFailure(f"upper cut value {v!r} is not complemented")
     f_simple = cut_to_simple(f) if f.is_finite() else None
     steps: List[DecompositionStep] = []
     fk = zero(lat)
-    gk = to_cut_function(fk)
     for k in range(1, horizon + 1):
-        cell = _difference_upper_at(f, gk, Fraction(1, k))
+        cell = lat._at[_difference_upper_at(f, fk, k)]
         if cell != lat.bottom:
             fk = sf_add(fk, sf_scale(Fraction(1, k), characteristic_simple(cell, lat)))
-            gk = to_cut_function(fk)
         residual = None
         if f_simple is not None:
             residual = sf_add(f_simple, sf_neg(fk)).coefficients()[-1]
@@ -365,8 +373,14 @@ def decomposition_grid(k: int) -> Tuple[Fraction, ...]:
     """Witness breakpoint grid for stage k: start from {0, 1}; at stage i a
     point shifted by 1/i subdivides a gap only when it lands strictly
     inside it, and the previous maximum advances by 1/i.  The grid runs
-    from 0 to the k-th harmonic sum with gaps of at most 1/k.  The points
-    are ints over D = lcm(1, ..., k), where 1/i is D // i."""
+    from 0 to the k-th harmonic sum with gaps of at most 1/k."""
+    den, pts = _decomposition_ints(k)
+    return tuple(Fraction(p, den) for p in pts)
+
+
+def _decomposition_ints(k: int) -> Tuple[int, List[int]]:
+    """(D, the witness grid times D) for D = lcm(1, ..., k), where 1/i is
+    D // i."""
     den = lcm(*range(1, k + 1))
     pts = [0, den]
     for i in range(2, k + 1):
@@ -378,14 +392,13 @@ def decomposition_grid(k: int) -> Tuple[Fraction, ...]:
                 refined.add(candidate)
         refined.add(pts[-1] + step)
         pts = sorted(refined)
-    return tuple(Fraction(p, den) for p in pts)
+    return den, pts
 
 
 def stage_table(f: CutFunction, k: int) -> CutFunction:
     """Expected ladders of stage k read off the witness grid: the value on
     [t_{j-1}, t_j) is f(t_j,-), with complements below."""
     lat = f.carrier
-    grid = decomposition_grid(k)
-    upper = [lat.top] + [f.upper_at(t) for t in grid[1:]] + [lat.bottom]
-    lower = [lat.bottom] + [lat.complement(f.upper_at(t)) for t in grid[1:]] + [lat.top]
-    return _cut_function_class()(lat, grid, upper, lower)
+    den, grid = _decomposition_ints(k)
+    upper = [lat._full] + [f._upper_mask_at(t, den) for t in grid[1:]] + [0]
+    return _cutfunction()._from_grid(lat, den, grid, upper, [lat._full ^ m for m in upper])

@@ -284,6 +284,14 @@ def pointwise_of_simple(g: SimpleFunction, atoms) -> dict:
     return out
 
 
+def fractions_upto(low: int, high: int, max_denominator: int) -> list:
+    """Every n/d in [low, high] with d <= max_denominator, the values that
+    ``st.fractions(low, high, max_denominator=...)`` draws, nearest to 0
+    first so that ``st.sampled_from`` over them shrinks toward 0."""
+    return sorted({Fraction(n, d) for d in range(1, max_denominator + 1)
+                   for n in range(low * d, high * d + 1)}, key=lambda v: (abs(v), v))
+
+
 def padd(u, v):
     return {x: u[x] + v[x] for x in u}
 
@@ -688,10 +696,12 @@ def cut_ladders_by_names(carrier: FiniteLattice, breakpoints, upper, lower) -> t
 
 # -- Fraction ladder kernels and parts-based summability --------------------------
 #
-# add, mul_nonneg, leq, join_meet, seq_inf/seq_sup and summability as they
-# were written on Fractions: grids merged as sets of Fractions, ladders
-# read with upper_at/lower_at, quotients q / b_j formed as Fractions, and
-# the integral split through positive_part and negative_part.  The
+# add, mul_nonneg, leq, join_meet, seq_inf/seq_sup, negate, scale, limits,
+# the two bridges between ladders and terms, and summability as they were
+# written on Fractions and names: grids merged as sets of Fractions,
+# ladders read with upper_at/lower_at, quotients q / b_j formed as
+# Fractions, covers joined and cells met by name, and the integral split
+# through positive_part and negative_part.  The
 # differential tests compare the integer kernels with these: the same
 # ladders and values, or the same exception class and message.
 
@@ -803,6 +813,45 @@ def seq_sup_by_fractions(fs):
     lat, grid, upper, lower = _join_cuts_by_fractions(
         fs, "seq_sup", _upper_reps, CutFunction.upper_at, "upper cuts at p")
     return CutFunction(lat, grid, upper, lower)
+
+
+def negate_by_fractions(f):
+    return CutFunction(f.carrier, [-b for b in reversed(f.breakpoints)],
+                       f.lower[::-1], f.upper[::-1])
+
+
+def scale_by_fractions(lam, f):
+    lat = f.carrier
+    if lam == 0:
+        return CutFunction(lat, (Fraction(0),), (lat.top, lat.bottom), (lat.bottom, lat.top))
+    if lam < 0:
+        return negate_by_fractions(scale_by_fractions(-lam, f))
+    return CutFunction(lat, [lam * b for b in f.breakpoints], f.upper, f.lower)
+
+
+def limits_by_fractions(prefix, tail):
+    tails = [list(prefix[n:]) + [tail] for n in range(len(prefix) + 1)]
+    liminf = seq_sup_by_fractions([seq_inf_by_fractions(fam) for fam in tails])
+    limsup = seq_inf_by_fractions([seq_sup_by_fractions(fam) for fam in tails])
+    same = (liminf.breakpoints, liminf.upper) == (limsup.breakpoints, limsup.upper)
+    return liminf, limsup, liminf if same else None
+
+
+def to_cut_function_by_names(g):
+    """The prefix and suffix joins of the cover, joined by name."""
+    lat = g.carrier
+    cover = [a for _, a in g.terms]
+    return CutFunction(lat, [r for r, _ in g.terms],
+                       [lat.join_all(cover[j:]) for j in range(len(cover) + 1)],
+                       [lat.join_all(cover[:j]) for j in range(len(cover) + 1)])
+
+
+def cut_to_simple_by_names(f):
+    if not f.is_finite():
+        raise NotFinite("only finite functions are simple")
+    lat = f.carrier
+    return SimpleFunction(lat, [(r, lat.meet(u, l))
+                                for r, u, l in zip(f.breakpoints, f.upper, f.lower[1:])])
 
 
 def summability_by_parts(g, measure, over=None):

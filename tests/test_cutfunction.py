@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import locint.cutfunction as cf
-from _oracle import cut_from_pointwise, padd, pjoin, pmeet, pmul, pscale, scale_of
+from _oracle import cut_from_pointwise, fractions_upto, padd, pjoin, pmeet, pmul, pscale, scale_of
 from locint.errors import (
     CarrierMismatch,
     InvalidArgument,
@@ -20,10 +20,10 @@ from locint.rationals import NEG_INF, POS_INF
 ATOMS3 = ["x", "y", "z"]
 B8 = powerset_lattice(ATOMS3)
 
-small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+small_rationals = st.sampled_from(fractions_upto(-6, 6, 4))
 pointwise3 = st.fixed_dictionaries({a: small_rationals for a in ATOMS3})
 nonneg_pointwise3 = st.fixed_dictionaries(
-    {a: st.fractions(min_value=0, max_value=6, max_denominator=4) for a in ATOMS3})
+    {a: st.sampled_from(fractions_upto(0, 6, 4)) for a in ATOMS3})
 
 
 def test_characteristic_table(b4):
@@ -251,7 +251,7 @@ def test_leq_matches_pointwise_oracle(u, v):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(pointwise3, st.fractions(min_value=-4, max_value=4, max_denominator=3))
+@given(pointwise3, st.sampled_from(fractions_upto(-4, 4, 3)))
 def test_scale_matches_pointwise_oracle(u, lam):
     f = cut_from_pointwise(B8, ATOMS3, u)
     assert cf.scale(lam, f) == cut_from_pointwise(B8, ATOMS3, pscale(lam, u))

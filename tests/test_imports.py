@@ -178,6 +178,20 @@ def test_only_simple_reads_the_value_vector():
             assert path.name == "simple.py" or not vector.search(line), where
 
 
+def test_only_cutfunction_reads_the_ladder_ints():
+    """A cut function is its int grid over a denominator and its two J-mask
+    ladders: no module but ``cutfunction.py`` reads or writes its ``_den``,
+    ``_grid``, ``_up`` or ``_lo`` slots or calls its ``_fill`` check, and
+    only ``simple.py`` calls the builder ``_from_grid`` from outside it."""
+    slots = re.compile(r"\._(den|grid|up|lo|fill)\b")
+    builder = re.compile(r"(?<![A-Za-z0-9_])_from_grid\b")
+    for path in sorted((SRC / "locint").glob("*.py")):
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+            where = f"{path.name}:{number}: {line.strip()}"
+            assert path.name == "cutfunction.py" or not slots.search(line), where
+            assert path.name in ("cutfunction.py", "simple.py") or not builder.search(line), where
+
+
 def test_no_private_fraction_internals():
     """``Fraction._numerator``, ``_denominator`` and the ``_normalize``
     keyword are private (the keyword is gone in Python 3.12), so the

@@ -4,7 +4,9 @@
 products, the positive and negative parts and the ``CutFunction`` checks
 run on element indices.  Each is compared here with the name-based code it
 replaced, kept in ``_oracle``: the same terms and ladders, or the same
-exception class and message.  Inputs come from the corpus, from seeded
+exception class and message.  The ladder checks are run twice: through the
+public constructor on names and Fractions, and through the private builder
+``_from_grid`` on the same ladders as an int grid and J-masks.  Inputs come from the corpus, from seeded
 downset lattices, from congruence-frame facades C(L) and from the
 one-element carrier."""
 
@@ -22,9 +24,9 @@ from _oracle import (
     refinement_by_names,
 )
 from locint.corpus import corpus_lattices, random_rational, random_simple
-from locint.cutfunction import CutFunction, constant
+from locint.cutfunction import CutFunction, _from_grid, constant
 from locint.lattice import FiniteLattice, chain_lattice
-from locint.rationals import NEG_INF, POS_INF
+from locint.rationals import NEG_INF, POS_INF, over_common_denominator
 
 ONE_POINT = FiniteLattice(["0"], [("0", "0")])
 
@@ -57,6 +59,15 @@ def terms_of(fn):
 
 def ladders_of(carrier, bp, upper, lower):
     f = CutFunction(carrier, bp, upper, lower)
+    return f.breakpoints, f.upper, f.lower
+
+
+def ladders_from_masks(carrier, bp, upper, lower):
+    """The same ladders through the builder, as ints over one denominator
+    and J-masks."""
+    den, grid = over_common_denominator([F(b) for b in bp])
+    f = _from_grid(carrier, den, grid, [carrier.jmask(v) for v in upper],
+                   [carrier.jmask(v) for v in lower])
     return f.breakpoints, f.upper, f.lower
 
 
@@ -183,6 +194,24 @@ def test_cut_function_checks_match_the_name_based_checks(name):
         for args in [(bp, up, lo)] + _perturbed(rng, lat, bp, up, lo):
             assert outcome(ladders_of, lat, *args) == \
                 outcome(cut_ladders_by_names, lat, *args), args
+
+
+@pytest.mark.parametrize("name", sorted(CARRIERS))
+def test_the_builder_checks_what_the_constructor_checks(name):
+    """The same ladders as ints and J-masks; those with an unknown name have
+    no masks and are left to the test above."""
+    lat = CARRIERS[name]
+    rng = Random(f"ladders-{name}")
+    known = set(lat.elements)
+    for bp, up, lo in _valid_ladders(rng, lat):
+        for args in [(bp, up, lo)] + _perturbed(rng, lat, bp, up, lo):
+            if set(args[1]) | set(args[2]) <= known:
+                assert outcome(ladders_from_masks, lat, *args) == \
+                    outcome(cut_ladders_by_names, lat, *args), args
+    for bp, up, lo in (((), ("0",), ("0",)), ((F(1),), ("0", "0"), ("0", "0")),
+                       ((), ("0", "0"), ("0",)), ((F(1), F(1)), ("0",) * 3, ("0",) * 3)):
+        assert outcome(ladders_from_masks, ONE_POINT, bp, up, lo) == \
+            outcome(cut_ladders_by_names, ONE_POINT, bp, up, lo)
 
 
 def test_hashes_agree_with_equality():

@@ -1,9 +1,12 @@
 """Differential tests for the integer ladder and integral kernels.
 
-``add``, ``mul_nonneg``, ``leq``, ``join_meet``, ``seq_inf``/``seq_sup``
-and ``summability`` run on ints over a common denominator.  Each is
-compared here with the Fraction code it replaced, kept in ``_oracle``: the
-same ladders and values, or the same exception class and message.  Inputs
+``add``, ``mul_nonneg``, ``leq``, ``join_meet``, ``seq_inf``/``seq_sup``,
+``negate``, ``scale``, ``limits``, ``to_cut_function``, ``cut_to_simple``
+and ``summability`` run on ints over a common denominator and on J-masks.
+Each is compared here with the Fraction and name code it replaced, kept in
+``_oracle``: the same ladders, terms and values, or the same exception
+class and message.  Each ladder a kernel builds also equals, and hashes
+as, the same ladders built through the public constructor.  Inputs
 come from the corpus, from seeded downset lattices, from the congruence
 frame facades C(L) of the 8-element chain and of B64, from the one-element
 carrier, and from a hypothesis strategy with coprime and large
@@ -19,30 +22,38 @@ from hypothesis import strategies as st
 from _oracle import (
     add_by_fractions,
     cut_from_pointwise,
+    cut_to_simple_by_names,
     downset_lattice,
     join_meet_by_fractions,
     leq_by_fractions,
+    limits_by_fractions,
     mul_nonneg_by_fractions,
+    negate_by_fractions,
+    scale_by_fractions,
     seq_inf_by_fractions,
     seq_sup_by_fractions,
     summability_by_parts,
+    to_cut_function_by_names,
 )
 from locint.corpus import corpus_lattices, random_measure, random_simple
 from locint.cutfunction import (
     CutFunction,
+    FunctionSequence,
     add,
     constant,
     join_meet,
     leq,
+    limits,
     mul_nonneg,
     negate,
+    scale,
     seq_inf,
     seq_sup,
 )
 from locint.integrate import summability
 from locint.lattice import FiniteLattice, chain_lattice, powerset_lattice
 from locint.rationals import NEG_INF, POS_INF
-from locint.simple import sf_scale, to_cut_function
+from locint.simple import SimpleFunction, cut_to_simple, sf_add, sf_scale, to_cut_function
 
 ONE_POINT = FiniteLattice(["0"], [("0", "0")])
 
@@ -70,6 +81,49 @@ def outcome(fn, *args):
 
 def ladders(f):
     return f.breakpoints, f.upper, f.lower
+
+
+def same_as_public(f):
+    """f equals, and hashes as, its ladders built by the public constructor."""
+    k = CutFunction(f.carrier, f.breakpoints, f.upper, f.lower)
+    assert f == k and hash(f) == hash(k) == hash((k.breakpoints, k.upper))
+    assert f.breakpoints == k.breakpoints
+
+
+def shown(result):
+    """A kernel result as ladders and terms, each ladder checked against
+    the public constructor."""
+    if isinstance(result, CutFunction):
+        same_as_public(result)
+        return ladders(result)
+    if isinstance(result, SimpleFunction):
+        return result.terms
+    if isinstance(result, tuple):
+        return tuple(map(shown, result))
+    return result
+
+
+def compare(mine, theirs, *args):
+    got, want = outcome(mine, *args), outcome(theirs, *args)
+    if got[0] == "ok" and want[0] == "ok":
+        got, want = ("ok", shown(got[1])), ("ok", shown(want[1]))
+    assert got == want, (mine.__name__, args)
+
+
+SCALARS = (F(0), F(1), F(-1), F(3, 7), F(-5, 2), F(10**9 + 7, 11))
+
+
+def compare_unary(f):
+    """negate, scale and cut_to_simple on f against their Fraction and
+    name versions."""
+    compare(negate, negate_by_fractions, f)
+    for lam in SCALARS:
+        compare(scale, scale_by_fractions, lam, f)
+    compare(cut_to_simple, cut_to_simple_by_names, f)
+
+
+def compare_limits(prefix, tail):
+    compare(lambda p, t: limits(FunctionSequence(p, t)), limits_by_fractions, prefix, tail)
 
 
 def with_infinite_ends(f, minus, plus):
@@ -134,6 +188,49 @@ def test_ladder_kernels_match_the_fraction_kernels(name):
     compare_family([])
 
 
+@pytest.mark.parametrize("name", sorted(CARRIERS))
+def test_negate_scale_limits_and_cells_match_the_fraction_code(name):
+    lat = CARRIERS[name]
+    rng = Random(f"unary-{name}")
+    fs = _functions(rng, lat)
+    for f in fs:
+        compare_unary(f)
+    for _ in range(6):
+        *prefix, tail = rng.sample(fs, rng.randint(1, 4))
+        compare_limits(prefix, tail)
+
+
+@pytest.mark.parametrize("name", sorted(CARRIERS))
+def test_kernel_results_equal_their_ladders_built_by_name(name):
+    """add, mul_nonneg, join_meet and seq_inf/seq_sup build from ints and
+    masks; each result equals and hashes as its public rebuild."""
+    lat = CARRIERS[name]
+    rng = Random(f"public-{name}")
+    fs = _functions(rng, lat)
+    for _ in range(20):
+        f, g = rng.choice(fs), rng.choice(fs)
+        for kernel in (add, mul_nonneg, join_meet):
+            shown(outcome(kernel, f, g)[1])
+        for kernel in (seq_inf, seq_sup):
+            shown(outcome(kernel, [f, g])[1])
+
+
+@pytest.mark.parametrize("name", sorted(CARRIERS))
+def test_to_cut_function_matches_the_name_based_joins(name):
+    """From the vector of a sum, which holds no terms until they are read,
+    and from the canonical terms of the same function."""
+    lat = CARRIERS[name]
+    rng = Random(f"to-cut-{name}")
+    for _ in range(10):
+        g = random_simple(rng, lat, max_parts=4, denominators=(1, 7, 11, 10**9 + 7))
+        h = random_simple(rng, lat, max_parts=4)
+        from_vector = to_cut_function(sf_add(g, h))  # before anything reads the terms
+        same_as_public(from_vector)
+        total = sf_add(g, h)
+        assert ladders(from_vector) == ladders(to_cut_function_by_names(total))
+        compare(to_cut_function, to_cut_function_by_names, total)
+
+
 def test_one_element_carrier():
     flat = CutFunction(ONE_POINT, (), ("0",), ("0",))
     fs = [flat, constant(F(3), ONE_POINT), constant(POS_INF, ONE_POINT)]
@@ -144,6 +241,15 @@ def test_one_element_carrier():
     other = constant(F(0), CARRIERS["b4"])
     compare_pair(flat, other)  # different carriers
     compare_family([flat, other])
+
+
+def test_unary_kernels_on_the_one_element_carrier():
+    flat = CutFunction(ONE_POINT, (), ("0",), ("0",))
+    fs = [flat, constant(F(3), ONE_POINT), constant(POS_INF, ONE_POINT)]
+    for f in fs:
+        compare_unary(f)
+    compare_limits(fs[:2], fs[2])
+    compare_limits([flat], constant(F(0), CARRIERS["b4"]))  # different carriers
 
 
 @pytest.mark.parametrize("name", ["b4", "b8", "div12", "c3"])

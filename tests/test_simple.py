@@ -10,6 +10,7 @@ import locint.cutfunction as cf
 import locint.simple as sf
 from _oracle import (
     downset_lattice,
+    fractions_upto,
     padd,
     pmul,
     pointwise_of_simple,
@@ -32,7 +33,7 @@ ATOMS = ["x", "y", "z"]
 B8 = powerset_lattice(ATOMS)
 
 values3 = st.fixed_dictionaries(
-    {a: st.fractions(min_value=-5, max_value=5, max_denominator=4) for a in ATOMS})
+    {a: st.sampled_from(fractions_upto(-5, 5, 4)) for a in ATOMS})
 
 
 def test_canonicalize_examples(b4):
@@ -215,7 +216,7 @@ def test_sf_mul_matches_pointwise(u, v):
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
-@given(values3, st.fractions(min_value=-3, max_value=3, max_denominator=2))
+@given(values3, st.sampled_from(fractions_upto(-3, 3, 2)))
 def test_sf_scale_matches_pointwise(u, lam):
     g = simple_from_pointwise(B8, ATOMS, u)
     assert sf.sf_scale(lam, g) == simple_from_pointwise(B8, ATOMS, pscale(lam, u))
