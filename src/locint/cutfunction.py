@@ -50,7 +50,7 @@ from .errors import (
     NotFinite,
 )
 from .lattice import FiniteLattice, check_same_carrier
-from .rationals import ZERO, ExtValue, Infinite, over_common_denominator, parse_rational
+from .rationals import NEG_INF, POS_INF, ZERO, ExtValue, Infinite, over_common_denominator, parse_rational
 
 
 class CutFunction:
@@ -163,6 +163,16 @@ class CutFunction:
         """The mask of each level cell: where f equals its j-th breakpoint,
         upper[j] /\\ lower[j+1], and last where f is +inf, upper[-1]."""
         return [u & l for u, l in zip(self._up, self._lo[1:])] + [self._up[-1]]
+
+    def _point_values(self) -> Tuple[int, List[ExtValue]]:
+        """(D, the value at each bit of the carrier): the breakpoint (times
+        D) of the cell holding the bit, +inf where the upper ladder always
+        holds it and -inf where it never does."""
+        up, vals = self._up, []
+        for b in range(self.carrier._full.bit_length()):
+            k = sum(u >> b & 1 for u in up)  # the ladder is antitone: up[:k] hold b
+            vals.append(NEG_INF if not k else POS_INF if k == len(up) else self._grid[k - 1])
+        return self._den, vals
 
     def is_finite(self) -> bool:
         return self._up[0] == self._lo[-1] == self.carrier._full

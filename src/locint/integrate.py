@@ -1,32 +1,35 @@
-"""The pointfree integral of simple functions against a measure on S(L).
+"""The pointfree integral against a measure on S(L): one signed sum over J(L).
 
-A simple function over the congruence frame has canonical terms
-r_i * chi(theta_i) where each term element theta_i is the complement of
-the congruence of a sublocale S_i; its integral over a sublocale S is
-sum_i r_i * mu(S_i /\\ S) with the 0 * inf = 0 convention.  The signed case
-goes through the positive/negative parts: it is integrable when at least
-one part has finite integral, summable when both do.  The parts are summed
-straight from the signed canonical terms (the positive part's terms are
-g's positive terms plus a 0-cell, which adds 0), and each part is one
-integer numerator over the product of the denominators, made a
-``Fraction`` once.  The same code path serves nonnegative functions (whose
-negative part is zero), so agreement of the two definitions is a testable
-fact rather than an assumption.  The indefinite integral of a nonnegative g
-is additive in S, so it is the ``Measure`` built from the integrals over
-the |J| atoms of S(L).  The measure is read at the keep-mask of S_i /\\ S.
+By Birkhoff duality C(L) is the powerset of the join-irreducibles J(L), so
+a function over C(L) is a value g(j) at each point j of J(L) (carrier bit
+i stands for one j, ``CongruenceFrame.point_keeps``), and a measure is one
+weight mu({j}) per point, the measure of the S(L) atom keeping j alone.
+Every integral here is the one sum
+
+    int_S g dmu = sum over the points j kept by S of g(j) * mu({j}),
+
+with 0 * inf = 0, split into the positive and the negative part: g is
+integrable over S when at least one part is finite, summable when both
+are.  ``summability``/``integrate_simple`` read a simple function's value
+vector, and ``integrate_general`` reads an extended function's value at
+each point (+-inf where its upper ladder always or never holds the point),
+which is the supremum of its simple minorants' integrals, attained on its
+own level cells.  The indefinite integral of a nonnegative g is the
+measure with g(j) * mu({j}) on the atom keeping j, and the nonnegativity
+certificate asks that no point of S hold a negative value.  Only
+``integral_of_representation`` reads names: it takes any disjoint named
+representation sum_i r_i * chi(theta_i), with theta_i the complement of
+the congruence of a sublocale S_i, and sums r_i * mu(S_i /\\ S) term by
+term, an independent check of representation independence.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 
 from .congruence import Congruence, SublocaleView
-from .errors import (
-    ConsistencyError,
-    NotIntegrable,
-    NotNonnegative,
-)
+from .errors import ConsistencyError, NotIntegrable, NotNonnegative
 from .lattice import check_same_carrier
 from .measure import Measure
 from .rationals import (
@@ -34,13 +37,15 @@ from .rationals import (
     ZERO,
     ExtValue,
     Infinite,
+    ext_add,
     ext_le,
+    ext_scale,
     ext_sub,
     format_extended,
     is_finite,
     parse_rational,
 )
-from .simple import SimpleFunction, canonicalize, sf_mul, to_cut_function
+from .simple import SimpleFunction, characteristic_simple, sf_mul
 
 if TYPE_CHECKING:
     from .cutfunction import CutFunction
@@ -95,40 +100,33 @@ def _keep_of(measure: Measure, over: Optional[Congruence]) -> int:
     return over.keep
 
 
-def _term_measure(measure: Measure, element: str, over: int) -> ExtValue:
-    """mu(S_i /\\ S) for the term element theta_i = theta_{S_i}^c and the
-    sublocale S with keep-mask `over`: S_i keeps the complement of theta_i's
-    keep-mask q_i, and a meet of sublocales keeps the intersection, so the
-    value sits at the keep-mask ~q_i & over."""
-    frame = measure.view.frame
-    return measure.value_by_keep(~frame.congruence_of_element(element).keep & over)
-
-
-def _signed_sums(terms, measure: Measure, over: int) -> Tuple[ExtValue, ExtValue]:
-    """(sum of r * mu(S_i /\\ S) over the terms with r > 0, sum of -r * mu
-    over those with r < 0), 0 * inf = 0.  A measure value is a Fraction >= 0
-    or +inf, so a part is +inf or an int over the product of denominators."""
-    parts = [[0, 1], [0, 1]]  # numerator and denominator for r > 0, r < 0
-    for r, element in terms:
-        n, d = r.as_integer_ratio()
-        if not n:
+def _signed_sum(den: int, vals: Sequence, measure: Measure, over: int) -> SummabilityReport:
+    """The one integral: with vals[i] / den the value at carrier bit i (an
+    int, or +-inf) and w_i the measure of the S(L) atom keeping that point
+    if S keeps it (else of the void sublocale, 0), the parts are the sums of
+    v * w_i over v > 0 and of -v * w_i over v < 0, with 0 * inf = 0.  A
+    weight is a Fraction >= 0 or +inf, so a finite part is one int over den
+    times the product of the weights' denominators."""
+    parts = [[0, 1], [0, 1]]  # numerator and denominator for v > 0, v < 0
+    for v, keep in zip(vals, measure.view.frame.point_keeps()):
+        w = measure.value_by_keep(keep & over)
+        if not (v and w):
             continue
-        part = parts[n < 0]
-        m = _term_measure(measure, element, over)
-        if isinstance(m, Infinite):
+        part = parts[v.sign < 0 if isinstance(v, Infinite) else v < 0]
+        if isinstance(v, Infinite) or isinstance(w, Infinite):
             part[1] = 0  # +inf, absorbing
         elif part[1]:
-            mn, md = m.as_integer_ratio()
-            part[0] = part[0] * d * md + abs(n) * mn * part[1]
-            part[1] *= d * md
-    return tuple(Fraction(num, den) if den else POS_INF for num, den in parts)
+            wn, wd = w.as_integer_ratio()
+            part[0] = part[0] * wd + abs(v) * wn * part[1]
+            part[1] *= wd
+    return classify(*[Fraction(n, d * den) if d else POS_INF for n, d in parts])
 
 
 def summability(g: SimpleFunction, measure: Measure,
                 over: Optional[Congruence] = None) -> SummabilityReport:
     """Part-wise integrals and classification; never raises for defined input."""
     check_same_carrier(g.carrier, measure.view.frame.as_lattice(), _SIMPLE_OFF_FRAME)
-    return classify(*_signed_sums(g.terms, measure, _keep_of(measure, over)))
+    return _signed_sum(*g._point_values(), measure, _keep_of(measure, over))
 
 
 def integrate_simple(g: SimpleFunction, measure: Measure,
@@ -138,12 +136,22 @@ def integrate_simple(g: SimpleFunction, measure: Measure,
     return report_value(report), report
 
 
+def _term_measure(measure: Measure, element: str, over: int) -> ExtValue:
+    """mu(S_i /\\ S) for the term element theta_i = theta_{S_i}^c and the
+    sublocale S with keep-mask `over`: S_i keeps the complement of theta_i's
+    keep-mask q_i, and a meet of sublocales keeps the intersection, so the
+    value sits at the keep-mask ~q_i & over."""
+    frame = measure.view.frame
+    return measure.value_by_keep(~frame.congruence_of_element(element).keep & over)
+
+
 def integral_of_representation(view: SublocaleView,
                                terms: List[Tuple[Fraction, str]],
                                measure: Measure,
                                over: Optional[Congruence] = None) -> ExtValue:
-    """Direct sum over any pairwise-disjoint representation; must agree with
-    the canonical value for integrable functions."""
+    """Direct sum over any pairwise-disjoint representation, term by term
+    on the extended line; must agree with the canonical value for
+    integrable functions."""
     q = _keep_of(measure, over)
     lat = view.frame.as_lattice()
     for i, (_, a) in enumerate(terms):
@@ -151,15 +159,16 @@ def integral_of_representation(view: SublocaleView,
             if lat.meet(a, b) != lat.bottom:
                 raise ConsistencyError(
                     f"representation terms {a!r}, {b!r} are not disjoint")
-    terms = [(parse_rational(r), element) for r, element in terms]
-    return report_value(classify(*_signed_sums(terms, measure, q)))
+    parts = [ZERO, ZERO]  # r >= 0, r < 0
+    for r, element in terms:
+        r = parse_rational(r)
+        parts[r < 0] = ext_add(parts[r < 0], ext_scale(abs(r), _term_measure(measure, element, q)))
+    return report_value(classify(*parts))
 
 
 def characteristic_of_sublocale(view: SublocaleView, s: Congruence) -> SimpleFunction:
     """chi_S = chi(theta_S^c) as a simple function over C(L)."""
-    frame = view.frame
-    comp = frame.complement(s)
-    return canonicalize(frame.as_lattice(), ((Fraction(1), comp.partition_name()),))
+    return characteristic_simple(view.complement(s).partition_name(), view.frame.as_lattice())
 
 
 def restrict_vs_multiply(g: SimpleFunction, measure: Measure,
@@ -177,25 +186,25 @@ def restrict_vs_multiply(g: SimpleFunction, measure: Measure,
 
 
 def indefinite_integral(g: SimpleFunction, measure: Measure) -> Measure:
-    """S |-> integral of g over S; a measure on S(L) for nonnegative g."""
-    if not g.is_nonnegative():
+    """S |-> integral of g over S; a measure on S(L) for nonnegative g, with
+    the value g(j) * mu({j}) on the atom keeping the point j."""
+    den, vals = g._point_values()
+    if min(vals) < 0:
         raise NotNonnegative("the indefinite integral needs a nonnegative function")
     check_same_carrier(g.carrier, measure.view.frame.as_lattice(), _SIMPLE_OFF_FRAME)
-    view = measure.view
-    return Measure(view, [_signed_sums(g.terms, measure, 1 << k)[0]
-                          for k in range(len(view.frame.lattice._jirr))])
+    return Measure(measure.view, [ext_scale(Fraction(v, den), measure.value_by_keep(keep))
+                                  for keep, v in sorted(zip(measure.view.frame.point_keeps(), vals))])
 
 
 def nonnegativity_certificate(g: SimpleFunction, measure: Measure,
                               s: Congruence) -> bool:
-    """Check theta_S^c /\\ g(-,0) = 0; when it holds the integral over S is
+    """Check that no point kept by S holds a negative value of g (that is,
+    theta_S^c /\\ g(-,0) = 0); when it holds the integral over S is
     asserted to be nonnegative and True is returned."""
     check_same_carrier(g.carrier, measure.view.frame.as_lattice(), _SIMPLE_OFF_FRAME)
-    frame = measure.view.frame
-    comp = frame.complement(s)
-    facade = frame.as_lattice()
-    side = facade.meet(comp.partition_name(), to_cut_function(g).lower_at(ZERO))
-    if side != facade.bottom:
+    q = _keep_of(measure, s)
+    _, vals = g._point_values()
+    if any(v < 0 and keep & q for v, keep in zip(vals, measure.view.frame.point_keeps())):
         return False
     value, _ = integrate_simple(g, measure, s)
     if not ext_le(ZERO, value):
@@ -204,37 +213,13 @@ def nonnegativity_certificate(g: SimpleFunction, measure: Measure,
     return True
 
 
-# -- the general integral ------------------------------------------------------------
-
-
-def _nonneg_general(f: CutFunction, measure: Measure, over: int) -> ExtValue:
-    """Supremum of integrals of simple minorants of a nonnegative f.
-
-    The integrand is a rational step function, so the supremum is attained
-    by its own lower staircase: each finite-level cell upper[j] /\\
-    lower[j+1] contributes breakpoint * measure, and the region where the
-    upper ladder never drops to bottom contributes +inf exactly when it
-    meets `over` in positive measure (minorants put arbitrarily large
-    constants there)."""
-    at = f.carrier._at
-    *cells, inf_region = f._cells()
-    if inf_region and _term_measure(measure, at[inf_region], over) != ZERO:
-        return POS_INF
-    return _signed_sums(zip(f.breakpoints, map(at.__getitem__, cells)), measure, over)[0]
-
-
 def integrate_general(f: CutFunction, measure: Measure,
                       over: Optional[Congruence] = None) -> ExtValue:
     """Integral of an arbitrary (possibly extended) function over C(L),
-    defined through the parts f+ = f \\/ 0 and f- = (-f) \\/ 0."""
-    from .cutfunction import constant, join_meet, negate
-
+    through the parts f+ = f \\/ 0 and f- = (-f) \\/ 0: the same signed sum,
+    where a point of value +-inf adds +inf to its part unless its atom has
+    measure 0.  A rational step function attains the supremum over its
+    simple minorants on its own level cells."""
     check_same_carrier(f.carrier, measure.view.frame.as_lattice(),
                        "the function does not live on the measure's congruence frame")
-    q = _keep_of(measure, over)
-    zero_fn = constant(ZERO, f.carrier)
-    f_plus = join_meet(f, zero_fn)[0]
-    f_minus = join_meet(negate(f), zero_fn)[0]
-    pos = _nonneg_general(f_plus, measure, q)
-    neg = _nonneg_general(f_minus, measure, q)
-    return report_value(classify(pos, neg))
+    return report_value(_signed_sum(*f._point_values(), measure, _keep_of(measure, over)))

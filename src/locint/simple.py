@@ -71,6 +71,12 @@ class SimpleFunction:
             self._vec = _atom_sums(self.carrier, self._terms)
         return self._vec
 
+    def _point_values(self) -> Tuple[int, Tuple[int, ...]]:
+        """(den, vals), the one reader of the vector from outside this module
+        (the integrals): on a Boolean carrier the centre atoms are the atoms,
+        so vals[i] / den is the value at carrier bit i."""
+        return self._vector()
+
     @property
     def terms(self) -> Tuple[Tuple[Fraction, str], ...]:
         """The level sets of the value vector, by ascending value."""

@@ -6,8 +6,11 @@ replaced, and the Fraction ladder kernels and parts-based summability that
 the integer kernels replaced, and the classical space checked by pairwise
 sweeps that the atom-based checks replaced, and the measure sweep over the
 pair lists that the in-place sweep replaced, and the frame labels found by
-scanning L that the keep-mask lookups replaced, and the lattice builder
-that closed an order into a list of name pairs and parsed it back.
+scanning L that the keep-mask lookups replaced, the lattice builder
+that closed an order into a list of name pairs and parsed it back, the
+integrals summed by term and cell names that the sum over the points of
+J(L) replaced, and the transport of functions and measures to classical
+ones on J(L), read off partitions.
 
 Everything here is computed independently of the library's ladder,
 canonical-form and keep-mask algebra (plain set/dict comprehensions on the
@@ -18,10 +21,10 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cache, reduce
 
-from locint.bridge import ClassicalSimpleFunction
+from locint.bridge import ClassicalSimpleFunction, FiniteMeasurableSpace
 from locint.congruence import Congruence, nabla
 from locint.corpus import random_weight
-from locint.cutfunction import CutFunction, SigmaScale
+from locint.cutfunction import CutFunction, SigmaScale, constant, join_meet, negate
 from locint.errors import (
     AxiomViolation,
     ComplementationFailure,
@@ -34,13 +37,14 @@ from locint.errors import (
     NotComplemented,
     NotDistributive,
     NotFinite,
+    NotNonnegative,
     SizeLimitExceeded,
 )
-from locint.integrate import _keep_of, _term_measure, classify
+from locint.integrate import _keep_of, _term_measure, classify, integrate_simple, report_value
 from locint.lattice import SOFT_SIZE_LIMIT, FiniteLattice, check_same_carrier, subset_name
-from locint.measure import check_measure_value
-from locint.rationals import ext_add, ext_le, ext_scale, format_extended
-from locint.simple import SimpleFunction, negative_part, positive_part
+from locint.measure import Measure, check_measure_value
+from locint.rationals import POS_INF, ext_add, ext_le, ext_scale, format_extended
+from locint.simple import SimpleFunction, negative_part, positive_part, to_cut_function
 
 
 # -- the lattice as n x n meet and join tables -------------------------------------
@@ -867,6 +871,129 @@ def summability_by_parts(g, measure, over=None):
             total = ext_add(total, ext_scale(r, _term_measure(measure, element, q)))
         sums.append(total)
     return classify(*sums)
+
+
+# -- the integrals by term and cell names ---------------------------------------------
+#
+# How the integrals were summed before they read the value at each point of
+# J(L): term by term over the canonical terms, each term's measure read by
+# mapping its element name to a congruence; the indefinite integral as one
+# such sum per atom of S(L); the general integral through the ladder parts
+# f \/ 0 and (-f) \/ 0 and their level cells, met by name; and the
+# nonnegativity certificate as a meet with the lower cut g(-,0).
+
+
+def _signed_sums_by_names(terms, measure, over):
+    """(sum of r * mu(S_i /\\ S) over the terms with r > 0, sum of -r * mu
+    over those with r < 0), 0 * inf = 0."""
+    parts = [Fraction(0), Fraction(0)]
+    for r, element in terms:
+        if r:
+            m = ext_scale(abs(r), _term_measure(measure, element, over))
+            parts[r < 0] = ext_add(parts[r < 0], m)
+    return tuple(parts)
+
+
+def summability_by_terms(g, measure, over=None):
+    check_same_carrier(g.carrier, measure.view.frame.as_lattice(),
+                       "the simple function does not live on the measure's congruence frame")
+    return classify(*_signed_sums_by_names(g.terms, measure, _keep_of(measure, over)))
+
+
+def indefinite_by_atoms(g, measure):
+    """The positive part of the sum by names over each atom of S(L)."""
+    if not g.is_nonnegative():
+        raise NotNonnegative("the indefinite integral needs a nonnegative function")
+    check_same_carrier(g.carrier, measure.view.frame.as_lattice(),
+                       "the simple function does not live on the measure's congruence frame")
+    return Measure(measure.view, [_signed_sums_by_names(g.terms, measure, a.keep)[0]
+                                  for a in sorted(measure.view.atoms(), key=lambda a: a.keep)])
+
+
+def _nonneg_general_by_names(f, measure, over):
+    """The staircase of a nonnegative f: breakpoint * mu(cell /\\ S) for
+    each level cell upper[j] /\\ lower[j+1], and +inf when the region where
+    the upper ladder never drops, upper[-1], meets S in positive measure."""
+    lat = f.carrier
+    if _term_measure(measure, f.upper[-1], over) != 0:
+        return POS_INF
+    cells = [lat.meet(u, l) for u, l in zip(f.upper, f.lower[1:])]
+    return _signed_sums_by_names(zip(f.breakpoints, cells), measure, over)[0]
+
+
+def integrate_general_by_ladders(f, measure, over=None):
+    check_same_carrier(f.carrier, measure.view.frame.as_lattice(),
+                       "the function does not live on the measure's congruence frame")
+    q = _keep_of(measure, over)
+    zero = constant(Fraction(0), f.carrier)
+    pos = _nonneg_general_by_names(join_meet(f, zero)[0], measure, q)
+    neg = _nonneg_general_by_names(join_meet(negate(f), zero)[0], measure, q)
+    return report_value(classify(pos, neg))
+
+
+def certificate_by_lower_cut(g, measure, s):
+    """theta_S^c /\\ g(-,0) = 0 by name, then the integral's sign."""
+    facade = measure.view.frame.as_lattice()
+    check_same_carrier(g.carrier, facade,
+                       "the simple function does not live on the measure's congruence frame")
+    _keep_of(measure, s)
+    comp = measure.view.complement(s).partition_name()
+    if facade.meet(comp, to_cut_function(g).lower_at(Fraction(0))) != facade.bottom:
+        return False
+    value, _ = integrate_simple(g, measure, s)
+    if not ext_le(Fraction(0), value):
+        raise ConsistencyError(f"certificate held but the integral is {format_extended(value)}")
+    return True
+
+
+# -- the Birkhoff transport to the points of J(L) -----------------------------------
+#
+# S(L) is 2^J(L), so a simple function over C(L) and a measure on S(L) are a
+# classical simple function and measure on the point set J(L).  Everything
+# here is read off partitions: J(L) from lower covers in the table lattice,
+# and a congruence keeps j iff j and its lower cover lie in different
+# blocks.  A term element of C(L) is named by its partition, and the term's
+# sublocale S_i (theta_i = theta_{S_i}^c) keeps the points theta_i collapses.
+
+
+@cache
+def points_with_lower_covers(lattice: FiniteLattice) -> list:
+    """(j, its lower cover) for each element j with exactly one lower cover
+    in the table lattice: the join-irreducibles."""
+    t = table_of(lattice)
+    out = []
+    for x in lattice.elements:
+        below = [y for y in lattice.elements if y != x and t.leq(y, x)]
+        covers = [y for y in below if not any(z != y and t.leq(y, z) for z in below)]
+        if len(covers) == 1:
+            out.append((x, covers[0]))
+    return out
+
+
+def kept_points(blocks, points) -> frozenset:
+    """The names "p<j>" of the points j that the partition keeps."""
+    block = {e: i for i, members in enumerate(blocks) for e in members}
+    return frozenset(f"p{j}" for j, cover in points if block[j] != block[cover])
+
+
+def transport(lattice: FiniteLattice, measure):
+    """(the powerset space over J(L) with lambda({j}) the measure of the
+    sublocale keeping j alone, {sublocale: the points it keeps})."""
+    points = points_with_lower_covers(lattice)
+    kept = {s: kept_points(s.blocks(), points) for s in measure.view.sublocales}
+    weights = {next(iter(k)): measure.value(s) for s, k in kept.items() if len(k) == 1}
+    return FiniteMeasurableSpace.powerset([f"p{j}" for j, _ in points], weights), kept
+
+
+def transported(g: SimpleFunction, lattice: FiniteLattice, space) -> ClassicalSimpleFunction:
+    """f(j) = the sum of r_i over the terms whose sublocale keeps j."""
+    points = points_with_lower_covers(lattice)
+    values = {p: Fraction(0) for p in space.points}
+    for r, element in g.terms:
+        blocks = [b.split(",") for b in element[1:-1].split("|")]
+        for p in values.keys() - kept_points(blocks, points):
+            values[p] += r
+    return ClassicalSimpleFunction(space, values)
 
 
 # -- the scale of a function, classical preimages and the classical ring ----------------

@@ -170,12 +170,18 @@ def test_only_congruence_reads_the_frame_numbering():
 def test_only_simple_reads_the_value_vector():
     """A simple function is its value vector on the centre atoms: no module
     but ``simple.py`` reads its ``_vec`` slot, its ``_vector()`` or its
-    cached ``_terms``, so the storage format is decided in one module."""
+    cached ``_terms``.  The one reader of that layout from outside is
+    ``SimpleFunction._point_values()``, (den, one int per centre atom),
+    which is one int per carrier bit only because the carrier C(L) is
+    Boolean; it and ``CutFunction._point_values()`` are called by
+    ``integrate.py`` alone, the integrals over the points of J(L)."""
     vector = re.compile(r"\._(vec|vector|terms)\b")
+    points = re.compile(r"\._point_values\(")
     for path in sorted((SRC / "locint").glob("*.py")):
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
             where = f"{path.name}:{number}: {line.strip()}"
             assert path.name == "simple.py" or not vector.search(line), where
+            assert path.name == "integrate.py" or not points.search(line), where
 
 
 def test_only_cutfunction_reads_the_ladder_ints():
@@ -190,6 +196,22 @@ def test_only_cutfunction_reads_the_ladder_ints():
             where = f"{path.name}:{number}: {line.strip()}"
             assert path.name == "cutfunction.py" or not slots.search(line), where
             assert path.name in ("cutfunction.py", "simple.py") or not builder.search(line), where
+
+
+def test_the_integrals_read_no_names():
+    """Every integral is one signed sum over the points of J(L), reading
+    the value vector and the atom weights: ``integrate.py`` reads no
+    ``.terms`` or ``.breakpoints``, imports no ladder operation, and maps
+    an element name to a congruence only in ``_term_measure``, the route
+    of ``integral_of_representation``, which takes named terms."""
+    source = (SRC / "locint" / "integrate.py").read_text(encoding="utf-8")
+    assert not re.findall(r"\.(?:terms|breakpoints)\b", source)
+    imported = re.findall(r"^\s*from\s+\S+\s+import\s+(\([^)]*\)|.*)$", source, re.M)
+    names = set(re.findall(r"\w+", " ".join(imported)))
+    assert names.isdisjoint({"join_meet", "negate", "constant", "to_cut_function"})
+    for chunk in re.split(r"\n(?=\S)", source):  # top-level statements
+        if "congruence_of_element" in chunk:
+            assert chunk.startswith("def _term_measure("), chunk.split("\n", 1)[0]
 
 
 def test_no_private_fraction_internals():

@@ -1,9 +1,12 @@
 """Differential tests for the integer ladder and integral kernels.
 
 ``add``, ``mul_nonneg``, ``leq``, ``join_meet``, ``seq_inf``/``seq_sup``,
-``negate``, ``scale``, ``limits``, ``to_cut_function``, ``cut_to_simple``
-and ``summability`` run on ints over a common denominator and on J-masks.
-Each is compared here with the Fraction and name code it replaced, kept in
+``negate``, ``scale``, ``limits``, ``to_cut_function`` and
+``cut_to_simple`` run on ints over a common denominator and on J-masks,
+and the integrals (``summability``, ``integrate_simple``,
+``indefinite_integral``, ``integrate_general`` and
+``nonnegativity_certificate``) on the value at each point of J(L).  Each is
+compared here with the Fraction and name code it replaced, kept in
 ``_oracle``: the same ladders, terms and values, or the same exception
 class and message.  Each ladder a kernel builds also equals, and hashes
 as, the same ladders built through the public constructor.  Inputs
@@ -21,9 +24,12 @@ from hypothesis import strategies as st
 
 from _oracle import (
     add_by_fractions,
+    certificate_by_lower_cut,
     cut_from_pointwise,
     cut_to_simple_by_names,
     downset_lattice,
+    indefinite_by_atoms,
+    integrate_general_by_ladders,
     join_meet_by_fractions,
     leq_by_fractions,
     limits_by_fractions,
@@ -33,6 +39,7 @@ from _oracle import (
     seq_inf_by_fractions,
     seq_sup_by_fractions,
     summability_by_parts,
+    summability_by_terms,
     to_cut_function_by_names,
 )
 from locint.corpus import corpus_lattices, random_measure, random_simple
@@ -50,12 +57,29 @@ from locint.cutfunction import (
     seq_inf,
     seq_sup,
 )
-from locint.integrate import summability
+from locint.integrate import (
+    indefinite_integral,
+    integrate_general,
+    integrate_simple,
+    nonnegativity_certificate,
+    report_value,
+    summability,
+)
 from locint.lattice import FiniteLattice, chain_lattice, powerset_lattice
 from locint.rationals import NEG_INF, POS_INF
-from locint.simple import SimpleFunction, cut_to_simple, sf_add, sf_scale, to_cut_function
+from locint.simple import (
+    SimpleFunction,
+    cut_to_simple,
+    sf_add,
+    sf_scale,
+    to_cut_function,
+)
 
 ONE_POINT = FiniteLattice(["0"], [("0", "0")])
+
+
+FRAMES = {"C(chain8)": chain_lattice([f"c{i}" for i in range(8)]).congruence_frame(),
+          "C(b64)": powerset_lattice("uvwxyz").congruence_frame()}
 
 
 def _carriers():
@@ -63,8 +87,7 @@ def _carriers():
     rng = Random(7)
     for k in range(8):
         out[f"downset{k}"] = downset_lattice(rng, 1 + k % 5)
-    out["C(chain8)"] = chain_lattice([f"c{i}" for i in range(8)]).congruence_frame().as_lattice()
-    out["C(b64)"] = powerset_lattice("uvwxyz").congruence_frame().as_lattice()
+    out.update((name, frame.as_lattice()) for name, frame in FRAMES.items())
     return out
 
 
@@ -265,6 +288,42 @@ def test_summability_matches_the_parts(name):
             g = sf_scale(F(-1, 10**9 + 7), g)
         mu, over = rng.choice(measures), rng.choice(subs)
         assert summability(g, mu, over) == summability_by_parts(g, mu, over), (g, over)
+
+
+INTEGRAL_FRAMES = {**{f"C({n})": lat.congruence_frame() for n, lat in corpus_lattices().items()},
+                   **FRAMES}
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRAL_FRAMES))
+def test_integrals_match_the_sums_by_names(name):
+    """Every integral over every sublocale, against the term, cell and
+    ladder sums by name; signed, vector-held and extended integrands under
+    measures with +inf atoms."""
+    frame = INTEGRAL_FRAMES[name]
+    view, facade = frame.view(), frame.as_lattice()
+    rng = Random(f"integrals-{name}")
+    measures = [random_measure(rng, view, inf_probability=p) for p in (0.0, 0.3, 0.6)]
+    simples = [random_simple(rng, facade, max_parts=4, denominators=(1, 7, 11, 10**9 + 7))
+               for _ in range(4)]
+    simples += [sf_add(g, h) for g, h in zip(simples, simples[1:])]  # vector-held
+    nonneg = [random_simple(rng, facade, nonneg=True, coeff_hi=3) for _ in range(2)]
+    cuts = _functions(rng, facade)
+    for mu in measures:
+        for g in nonneg:
+            eta = indefinite_integral(g, mu)
+            assert list(eta.items()) == list(indefinite_by_atoms(g, mu).items())
+        for s in [None, *view.sublocales]:
+            for g in simples:
+                assert summability(g, mu, s) == summability_by_terms(g, mu, s), (g, s)
+                report = summability_by_terms(g, mu, s)
+                assert outcome(integrate_simple, g, mu, s) == outcome(
+                    lambda: (report_value(report), report))
+                if s is not None:
+                    assert (outcome(nonnegativity_certificate, g, mu, s)
+                            == outcome(certificate_by_lower_cut, g, mu, s))
+            for f in cuts:
+                assert (outcome(integrate_general, f, mu, s)
+                        == outcome(integrate_general_by_ladders, f, mu, s)), (f, s)
 
 
 # -- coprime and large denominators ----------------------------------------------

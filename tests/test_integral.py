@@ -7,7 +7,7 @@ import locint.cutfunction as cf
 import locint.simple as sf
 from _oracle import downset_lattice
 from locint.corpus import corpus_lattices, random_measure, random_simple
-from locint.errors import NotIntegrable, NotNonnegative
+from locint.errors import MalformedDocument, NotIntegrable, NotNonnegative
 from locint.integrate import (
     INTEGRABLE_NOT_SUMMABLE,
     SUMMABLE,
@@ -143,6 +143,16 @@ def test_nonnegativity_certificate_examples(setting):
     gpos = sf.canonicalize(facade, [(F(1), nx), (F(2), ny)])
     assert nonnegativity_certificate(gpos, mu, view.resolve_ref("open:y"))
     assert not nonnegativity_certificate(sf.constant_simple(F(-1), facade), mu, view.top)
+
+
+def test_certificate_rejects_a_sublocale_of_another_lattice(setting, c3):
+    """Every congruence of c3 against a B4 measure raises as
+    ``integrate_simple`` does, whether the certificate would fail or hold."""
+    view, facade, nx, ny, mu = setting
+    for s in c3.congruence_frame().congruences:
+        for g in (sf.constant_simple(F(-1), facade), sf.constant_simple(F(1), facade)):
+            with pytest.raises(MalformedDocument, match="is not a congruence of this lattice"):
+                nonnegativity_certificate(g, mu, s)
 
 
 def test_representation_independence_with_null_negative_terms(setting):

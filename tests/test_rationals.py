@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from _oracle import fractions_upto
 from locint import cli
 from locint import cutfunction as cf
 from locint import simple as sf
@@ -24,7 +25,7 @@ from locint.rationals import (
     parse_rational,
 )
 
-rationals = st.fractions(min_value=-50, max_value=50, max_denominator=24)
+rationals = st.sampled_from(fractions_upto(-50, 50, 24))
 extended = st.one_of(rationals, st.sampled_from([POS_INF, NEG_INF]))
 
 
