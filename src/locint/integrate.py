@@ -168,7 +168,8 @@ def integral_of_representation(view: SublocaleView,
 
 def characteristic_of_sublocale(view: SublocaleView, s: Congruence) -> SimpleFunction:
     """chi_S = chi(theta_S^c) as a simple function over C(L)."""
-    return characteristic_simple(view.complement(s).partition_name(), view.frame.as_lattice())
+    carrier = view.frame.as_lattice()
+    return characteristic_simple(carrier.elements[view.index_of(view.complement(s))], carrier)
 
 
 def restrict_vs_multiply(g: SimpleFunction, measure: Measure,

@@ -4,17 +4,16 @@ A simple function on L is constant on each atom of the Boolean centre Z(L),
 the sublattice of complemented elements, as every complemented element is
 the join of the centre atoms below it.  So a ``SimpleFunction`` is its
 carrier and its values on At(Z(L)) (found once per lattice, in element
-order): ``_vec`` = (den, vals), ints with no common factor.  That vector is
-unique: equality reads it, and the ring operations, the parts and the
-modulus are pointwise on it.  The canonical form ``terms`` is the vector's
-level sets by ascending value: strictly ascending rationals over a
-pairwise-disjoint complemented cover of the top.  A function built from
-canonical terms (checked in O(t), comparing coefficients by integer
-cross-multiplication) keeps them and fills the vector on first use; one
-built from a vector builds its terms on first read.  The hash is that of
-the terms.  ``canonicalize`` adds each term's coefficient to the centre
-atoms below its element.  Names appear only at the boundary; inside,
-elements are the carrier's J-masks.
+order): ``_vec`` = (den, vals), ints with no common factor, filled at
+construction.  That vector is unique: equality reads it, the ring
+operations, the parts and the modulus are pointwise on it, and the bridge
+to cut ladders reads its level sets.  The canonical form ``terms`` is
+those level sets by ascending value: strictly ascending rationals over a
+pairwise-disjoint complemented cover of the top.  It is built on first
+read, or kept from the checked constructor, whose input it is.  The hash
+is that of the terms.  Names enter only through ``canonicalize`` and the
+constructor and leave only through ``terms`` and the cells a
+decomposition records; inside, elements are the carrier's J-masks.
 """
 
 from __future__ import annotations
@@ -35,7 +34,7 @@ from .errors import (
     SizeLimitExceeded,
 )
 from .lattice import FiniteLattice, check_same_carrier
-from .rationals import ZERO, over_common_denominator, parse_rational
+from .rationals import ZERO, parse_rational
 
 if TYPE_CHECKING:
     from .cutfunction import CutFunction
@@ -48,8 +47,9 @@ DECOMPOSITION_LIMIT = 10_000
 class SimpleFunction:
     """A simple function in canonical form.
 
-    The constructor checks canonicity and keeps the terms as the view.  Use
-    ``canonicalize`` (or the arithmetic here) to build from raw term lists.
+    The constructor checks canonicity, fills the vector and keeps the terms
+    as the view.  Use ``canonicalize`` (or the arithmetic here) to build
+    from raw term lists.
     """
 
     __slots__ = ("carrier", "_vec", "_terms", "_hash")
@@ -60,22 +60,20 @@ class SimpleFunction:
         terms = _coerced(terms)
         if not terms:
             raise ConsistencyError("canonical form cannot be empty; zero is (0, top)")
-        if not _is_canonical(carrier, terms):
+        masks = _canonical_masks(carrier, terms)
+        if masks is None:
             _raise_first_violation(carrier, terms)
-        self.carrier, self._vec, self._terms, self._hash = carrier, None, terms, None
-
-    def _vector(self) -> Tuple[int, Tuple[int, ...]]:
-        """(den, vals), vals[i] / den on the i-th centre atom; filled from the
-        terms on first use, when den is their least common denominator."""
-        if self._vec is None:
-            self._vec = _atom_sums(self.carrier, self._terms)
-        return self._vec
+        # reduced as it stands: each coefficient, in lowest terms, is the
+        # value on the centre atoms below its (nonzero) element
+        ratios = [r.as_integer_ratio() for r, _ in terms]
+        self.carrier, self._vec = carrier, _atom_sums(carrier, ratios, masks)
+        self._terms, self._hash = terms, None
 
     def _point_values(self) -> Tuple[int, Tuple[int, ...]]:
         """(den, vals), the one reader of the vector from outside this module
         (the integrals): on a Boolean carrier the centre atoms are the atoms,
         so vals[i] / den is the value at carrier bit i."""
-        return self._vector()
+        return self._vec
 
     @property
     def terms(self) -> Tuple[Tuple[Fraction, str], ...]:
@@ -88,17 +86,18 @@ class SimpleFunction:
         return self._terms
 
     def coefficients(self) -> Tuple[Fraction, ...]:
-        return tuple([r for r, _ in self.terms])
+        den, vals = self._vec
+        return tuple([Fraction(v, den) for v in sorted(set(vals))])
 
     def elements(self) -> Tuple[str, ...]:
         return tuple(a for _, a in self.terms)
 
     def is_nonnegative(self) -> bool:
-        return self.terms[0][0].numerator >= 0
+        return min(self._vec[1]) >= 0
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SimpleFunction)
-                and self._vector() == other._vector()
+                and self._vec == other._vec
                 and (self.carrier is other.carrier or self.carrier == other.carrier))
 
     def __hash__(self) -> int:
@@ -114,21 +113,23 @@ def _coerced(terms: Iterable[Tuple[Fraction, str]]) -> Tuple[Tuple[Fraction, str
     return tuple([(r if type(r) is Fraction else parse_rational(r), a) for r, a in terms])
 
 
-def _is_canonical(carrier: FiniteLattice, terms: Sequence[Tuple[Fraction, str]]) -> bool:
-    """Fast path, O(t) on the masks: ascending coefficients, and each a_k
-    complemented, nonzero and disjoint from a_1 \\/ ... \\/ a_{k-1}
-    (pairwise disjointness, by distributivity), with the join reaching top."""
+def _canonical_masks(carrier: FiniteLattice, terms: Sequence[Tuple[Fraction, str]]) -> Optional[List[int]]:
+    """The term masks if the terms are canonical, else None; O(t) on the
+    masks: ascending coefficients, and each a_k complemented, nonzero and
+    disjoint from a_1 \\/ ... \\/ a_{k-1} (pairwise disjointness, by
+    distributivity), with the join reaching top."""
     mask, at, full = carrier._mask, carrier._at, carrier._full
-    cover = 0
+    masks, cover = [], 0
     p, e = -1, 0  # -1/0 is below every n/d: p * d < n * e
     for r, a in terms:
         m = mask.get(a)
         n, d = r.as_integer_ratio()
         if not m or (full ^ m) not in at or m & cover or not p * d < n * e:
-            return False  # unknown, bottom, not complemented, overlapping, or not ascending
+            return None  # unknown, bottom, not complemented, overlapping, or not ascending
+        masks.append(m)
         cover |= m
         p, e = n, d
-    return cover == full
+    return masks if cover == full else None
 
 
 def _raise_first_violation(carrier: FiniteLattice, terms: Sequence[Tuple[Fraction, str]]) -> None:
@@ -151,16 +152,17 @@ def _raise_first_violation(carrier: FiniteLattice, terms: Sequence[Tuple[Fractio
     raise ConsistencyError("fast and term-by-term canonicity checks disagree")
 
 
-def _atom_sums(carrier: FiniteLattice, terms: Sequence[Tuple[Fraction, str]]) -> Tuple[int, tuple]:
-    """(D, the sum of the terms on each centre atom times D), for D the
-    least common denominator of the coefficients.  Each term element is
-    complemented, so each atom lies below it or is disjoint from it."""
-    centre, mask = carrier._centre_atoms(), carrier._mask
-    den = lcm(*[r.denominator for r, _ in terms])
+def _atom_sums(carrier: FiniteLattice, ratios: Sequence[tuple], masks: Iterable[int]) -> Tuple[int, tuple]:
+    """(D, for each centre atom the sum of the coefficients of the masks
+    above it, times D): ratios[t] = (n, d) gives n/d, the coefficient of
+    masks[t], and D is the least common denominator.  One pass over the
+    masks; each is complemented, so each atom lies below it or is disjoint
+    from it."""
+    den = lcm(*[d for _, d in ratios])
+    centre = carrier._centre_atoms()
     vals = [0] * len(centre)
-    for r, a in terms:
-        k = r.numerator * (den // r.denominator)
-        m = mask[a]
+    for (n, d), m in zip(ratios, masks):
+        k = n * (den // d)
         for i, atom in enumerate(centre):
             if atom & m:
                 vals[i] += k
@@ -175,19 +177,14 @@ def _levels(carrier: FiniteLattice, vals: Sequence[int]) -> Dict[int, int]:
     return level
 
 
-def _built(carrier: FiniteLattice, vec: Optional[tuple], terms: Optional[tuple]) -> SimpleFunction:
-    """A function from its reduced vector or its canonical terms, unchecked;
-    the other view is built on first use."""
-    g = SimpleFunction.__new__(SimpleFunction)
-    g.carrier, g._vec, g._terms, g._hash = carrier, vec, terms, None
-    return g
-
-
 def _from_vector(carrier: FiniteLattice, den: int, vals: Sequence[int]) -> SimpleFunction:
     """The function with value vals[i] / den on the i-th centre atom, with
-    the common factor taken out."""
+    the common factor taken out; unchecked."""
     common = gcd(den, *vals)
-    return _built(carrier, (den // common, tuple([v // common for v in vals])), None)
+    g = SimpleFunction.__new__(SimpleFunction)
+    g.carrier, g._terms, g._hash = carrier, None, None
+    g._vec = (den // common, tuple([v // common for v in vals] if common > 1 else vals))
+    return g
 
 
 # -- constructors ------------------------------------------------------------------
@@ -200,18 +197,16 @@ def from_cells(carrier: FiniteLattice, cells: Dict[str, Fraction]) -> SimpleFunc
 
 def canonicalize(carrier: FiniteLattice, terms: Iterable[Tuple[Fraction, str]]) -> SimpleFunction:
     """Canonical form of an arbitrary sum of scaled characteristics: each
-    term adds its coefficient to the centre atoms below its element.  A
-    list that is canonical already (the O(t) ``_is_canonical``) is kept as
-    the terms view.  In any other, an unknown element raises
-    MalformedDocument and a non-complemented one NotComplemented."""
+    term adds its coefficient to the centre atoms below its element.  An
+    unknown element raises MalformedDocument and a non-complemented one
+    NotComplemented, in reading order."""
     terms = _coerced(terms)
-    if terms and _is_canonical(carrier, terms):
-        return _built(carrier, None, terms)
-    for _, a in terms:
-        carrier.complement(a)  # MalformedDocument or NotComplemented for bad terms
+    # complement raises MalformedDocument or NotComplemented for a bad
+    # element; the mask of a good one is the complement of its complement's
+    masks = [carrier._full ^ carrier._mask[carrier.complement(a)] for _, a in terms]
     if not carrier._full:
         raise MalformedDocument("simple functions need a carrier with 0 != 1")
-    return _from_vector(carrier, *_atom_sums(carrier, terms))
+    return _from_vector(carrier, *_atom_sums(carrier, [r.as_integer_ratio() for r, _ in terms], masks))
 
 
 def zero(carrier: FiniteLattice) -> SimpleFunction:
@@ -233,7 +228,7 @@ def sf_add(g: SimpleFunction, h: SimpleFunction) -> SimpleFunction:
     """Pointwise sum on the centre atoms."""
     check_same_carrier(g.carrier, h.carrier,
                        "the two simple functions live on different carriers")
-    (p, u), (q, v) = g._vector(), h._vector()
+    (p, u), (q, v) = g._vec, h._vec
     return _from_vector(g.carrier, p * q, [a * q + b * p for a, b in zip(u, v)])
 
 
@@ -241,14 +236,14 @@ def sf_mul(g: SimpleFunction, h: SimpleFunction) -> SimpleFunction:
     """Pointwise product on the centre atoms; valid for all signs."""
     check_same_carrier(g.carrier, h.carrier,
                        "the two simple functions live on different carriers")
-    (p, u), (q, v) = g._vector(), h._vector()
+    (p, u), (q, v) = g._vec, h._vec
     return _from_vector(g.carrier, p * q, [a * b for a, b in zip(u, v)])
 
 
 def sf_scale(lam: Fraction, g: SimpleFunction) -> SimpleFunction:
     """lam * g, pointwise on the centre atoms."""
     n, d = parse_rational(lam).as_integer_ratio()
-    den, vals = g._vector()
+    den, vals = g._vec
     return _from_vector(g.carrier, d * den, [n * v for v in vals])
 
 
@@ -270,7 +265,7 @@ def abs_simple(g: SimpleFunction) -> SimpleFunction:
 
 def _each(g: SimpleFunction, op: Callable[[int], int]) -> SimpleFunction:
     """op on each value of g, over the same denominator."""
-    den, vals = g._vector()
+    den, vals = g._vec
     return _from_vector(g.carrier, den, [op(v) for v in vals])
 
 
@@ -288,20 +283,14 @@ def _cutfunction():
 
 
 def to_cut_function(g: SimpleFunction) -> CutFunction:
-    """Closed-form ladders of a canonical simple function: the lower cuts
-    step through the prefix joins of the cover at each coefficient, the
-    upper cuts through the suffix joins.  The coefficients and the cover
-    are read as ints and masks, from the terms if the function holds them
-    and otherwise from the level sets of its vector."""
+    """Closed-form ladders of a simple function, read off the level sets of
+    its vector: the lower cuts step through the prefix joins of the levels
+    at each value, the upper cuts through the suffix joins."""
     lat = g.carrier
-    if g._terms is None:
-        den, vals = g._vec
-        level = _levels(lat, vals)
-        grid = sorted(level)
-        cover = [level[v] for v in grid]
-    else:
-        den, grid = over_common_denominator([r for r, _ in g._terms])
-        cover = [lat._mask[a] for _, a in g._terms]
+    den, vals = g._vec
+    level = _levels(lat, vals)
+    grid = sorted(level)
+    cover = [level[v] for v in grid]
     lower = list(accumulate(cover, operator.or_, initial=0))
     upper = list(accumulate(reversed(cover), operator.or_, initial=0))[::-1]
     return _cutfunction()._from_grid(lat, den, grid, upper, lower)
@@ -309,11 +298,14 @@ def to_cut_function(g: SimpleFunction) -> CutFunction:
 
 def cut_to_simple(f: CutFunction) -> SimpleFunction:
     """Invert the closed-form table: the cell where f equals the j-th
-    breakpoint is upper[j] /\\ lower[j+1].  Total on finite functions."""
+    breakpoint is upper[j] /\\ lower[j+1], so the centre atoms below it take
+    that value.  Total on finite functions."""
     if not f.is_finite():
         raise NotFinite("only finite functions are simple")
-    at = f.carrier._at
-    return SimpleFunction(f.carrier, [(r, at[m]) for r, m in zip(f.breakpoints, f._cells())])
+    lat = f.carrier
+    if not lat._full:
+        raise MalformedDocument("simple functions need a carrier with 0 != 1")
+    return _from_vector(lat, *_atom_sums(lat, [t.as_integer_ratio() for t in f.breakpoints], f._cells()))
 
 
 # -- decomposition of nonnegative functions ----------------------------------------------
@@ -336,7 +328,7 @@ def _difference_upper_at(f: CutFunction, g: SimpleFunction, k: int) -> int:
     g(-, t - 1/k) is a join over the pieces of g's ladder; by
     distributivity and as f's cut is antitone, it is the join over the
     centre atoms of atom /\\ f(v + 1/k,-), for v the value of g there."""
-    den, vals = g._vector()
+    den, vals = g._vec
     acc = 0
     for atom, v in zip(g.carrier._centre_atoms(), vals):
         acc |= atom & f._upper_mask_at(v * k + den, den * k)
@@ -357,17 +349,20 @@ def decompose_trace(f: CutFunction, horizon: int = 12) -> List[DecompositionStep
     # Each upper cut value is complemented: the cut relations make the
     # lower cut on the same interval its complement.
     lat = f.carrier
-    f_simple = cut_to_simple(f) if f.is_finite() else None
+    f_vec = cut_to_simple(f)._vec if f.is_finite() else None
     steps: List[DecompositionStep] = []
     fk = zero(lat)
     for k in range(1, horizon + 1):
-        cell = lat._at[_difference_upper_at(f, fk, k)]
-        if cell != lat.bottom:
-            fk = sf_add(fk, sf_scale(Fraction(1, k), characteristic_simple(cell, lat)))
+        cell = _difference_upper_at(f, fk, k)
+        if cell:  # f_k = f_{k-1} + 1/k on the centre atoms below the cell
+            den, vals = fk._vec
+            fk = _from_vector(lat, den * k, [v * k + den if atom & cell else v * k
+                                             for atom, v in zip(lat._centre_atoms(), vals)])
         residual = None
-        if f_simple is not None:
-            residual = sf_add(f_simple, sf_neg(fk)).coefficients()[-1]
-        steps.append(DecompositionStep(k, cell, fk, residual))
+        if f_vec is not None:  # the largest value of f - f_k
+            (p, u), (q, v) = f_vec, fk._vec
+            residual = Fraction(max([a * q - b * p for a, b in zip(u, v)]), p * q)
+        steps.append(DecompositionStep(k, lat._at[cell], fk, residual))
     return steps
 
 

@@ -44,7 +44,19 @@ from locint.integrate import _keep_of, _term_measure, classify, integrate_simple
 from locint.lattice import SOFT_SIZE_LIMIT, FiniteLattice, check_same_carrier, subset_name
 from locint.measure import Measure, check_measure_value
 from locint.rationals import POS_INF, ext_add, ext_le, ext_scale, format_extended
-from locint.simple import SimpleFunction, negative_part, positive_part, to_cut_function
+from locint.simple import (
+    DECOMPOSITION_LIMIT,
+    DecompositionStep,
+    SimpleFunction,
+    characteristic_simple,
+    negative_part,
+    positive_part,
+    sf_add,
+    sf_neg,
+    sf_scale,
+    to_cut_function,
+    zero,
+)
 
 
 # -- the lattice as n x n meet and join tables -------------------------------------
@@ -856,6 +868,34 @@ def cut_to_simple_by_names(f):
     lat = f.carrier
     return SimpleFunction(lat, [(r, lat.meet(u, l))
                                 for r, u, l in zip(f.breakpoints, f.upper, f.lower[1:])])
+
+
+def decompose_trace_by_names(f, horizon=12):
+    """The decomposition by names and Fractions, as the library ran it
+    before it added 1/k on the centre atoms: the cell a_k is the join over
+    the terms (r, a) of f_{k-1} of a /\\ f(r + 1/k,-), f_k is
+    f_{k-1} + (1/k) chi(a_k) by ``sf_scale`` and ``sf_add``, and the
+    residual is the top coefficient of f + (-f_k)."""
+    if horizon < 1:
+        raise InvalidArgument("horizon must be at least 1")
+    if horizon > DECOMPOSITION_LIMIT:
+        raise SizeLimitExceeded(
+            f"horizon {horizon} exceeds the {DECOMPOSITION_LIMIT}-step limit")
+    if not f.is_nonnegative():
+        raise NotNonnegative("the decomposition needs a nonnegative function")
+    lat = f.carrier
+    f_simple = cut_to_simple_by_names(f) if f.is_finite() else None
+    steps = []
+    fk = zero(lat)
+    for k in range(1, horizon + 1):
+        cell = lat.join_all(lat.meet(a, f.upper_at(r + Fraction(1, k))) for r, a in fk.terms)
+        if cell != lat.bottom:
+            fk = sf_add(fk, sf_scale(Fraction(1, k), characteristic_simple(cell, lat)))
+        residual = None
+        if f_simple is not None:
+            residual = sf_add(f_simple, sf_neg(fk)).coefficients()[-1]
+        steps.append(DecompositionStep(k, cell, fk, residual))
+    return steps
 
 
 def summability_by_parts(g, measure, over=None):

@@ -169,19 +169,27 @@ def test_only_congruence_reads_the_frame_numbering():
 
 def test_only_simple_reads_the_value_vector():
     """A simple function is its value vector on the centre atoms: no module
-    but ``simple.py`` reads its ``_vec`` slot, its ``_vector()`` or its
-    cached ``_terms``.  The one reader of that layout from outside is
+    but ``simple.py`` reads its ``_vec`` slot or its cached ``_terms``.  The
+    one reader of that layout from outside is
     ``SimpleFunction._point_values()``, (den, one int per centre atom),
     which is one int per carrier bit only because the carrier C(L) is
     Boolean; it and ``CutFunction._point_values()`` are called by
-    ``integrate.py`` alone, the integrals over the points of J(L)."""
-    vector = re.compile(r"\._(vec|vector|terms)\b")
+    ``integrate.py`` alone, the integrals over the points of J(L).  The
+    vector is the one state, filled at construction: ``simple.py`` never
+    tests ``_vec is None``, and tests ``_terms is None`` only in the
+    ``terms`` view."""
+    vector = re.compile(r"\._(vec|terms)\b")
     points = re.compile(r"\._point_values\(")
     for path in sorted((SRC / "locint").glob("*.py")):
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
             where = f"{path.name}:{number}: {line.strip()}"
             assert path.name == "simple.py" or not vector.search(line), where
             assert path.name == "integrate.py" or not points.search(line), where
+    source = (SRC / "locint" / "simple.py").read_text(encoding="utf-8")
+    assert not re.search(r"_vec\s+is\s+None", source)
+    view = re.search(r"\n    def terms\(self\).*?(?=\n    \S)", source, re.S)
+    assert view and len(re.findall(r"_terms\s+is\s+None", source)) == \
+        len(re.findall(r"_terms\s+is\s+None", view.group())) == 1
 
 
 def test_only_cutfunction_reads_the_ladder_ints():

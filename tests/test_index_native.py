@@ -8,7 +8,9 @@ exception class and message.  The ladder checks are run twice: through the
 public constructor on names and Fractions, and through the private builder
 ``_from_grid`` on the same ladders as an int grid and J-masks.  Inputs come from the corpus, from seeded
 downset lattices, from congruence-frame facades C(L) and from the
-one-element carrier."""
+one-element carrier.  Every public builder of a simple function is checked
+against ``canonicalize_by_names`` on the terms it stands for: the same
+terms, coefficients, sign and hash."""
 
 import operator
 from fractions import Fraction as F
@@ -23,8 +25,9 @@ from _oracle import (
     downset_lattice,
     refinement_by_names,
 )
+from locint.bridge import ClassicalSimpleFunction, FiniteMeasurableSpace, to_localic
 from locint.corpus import corpus_lattices, random_rational, random_simple
-from locint.cutfunction import CutFunction, _from_grid, constant
+from locint.cutfunction import CutFunction, _from_grid, add, constant
 from locint.lattice import FiniteLattice, chain_lattice
 from locint.rationals import NEG_INF, POS_INF, over_common_denominator
 
@@ -101,6 +104,47 @@ def _term_lists(rng, lat):
     return lists
 
 
+def same_as_by_names(g, terms):
+    """g has the terms, coefficients, sign and hash of the name-based
+    canonical form of terms, and those are read off its terms."""
+    want = canonicalize_by_names(g.carrier, terms).terms
+    assert (g.terms, g.coefficients(), g.is_nonnegative(), hash(g)) == \
+        (want, tuple(r for r, _ in want), want[0][0] >= 0, hash(want)), terms
+
+
+def _builders(rng, lat):
+    """(the result of each public builder, the terms it stands for)."""
+    comp = lat.complemented_elements()
+    out = [(sf.zero(lat), [(F(0), lat.top)])]
+    for r in (F(0), F(-3, 2), F(7)):
+        out.append((sf.constant_simple(r, lat), [(r, lat.top)]))
+    out += [(sf.characteristic_simple(a, lat), [(F(1), a)]) for a in comp]
+    for _ in range(6):
+        g, h = random_simple(rng, lat, max_parts=4), random_simple(rng, lat, max_parts=4)
+        t, u = list(g.terms), list(h.terms)
+        lam = random_rational(rng, -4, 4)
+        out += [
+            (sf.SimpleFunction(lat, t), t),
+            (sf.canonicalize(lat, t[::-1] + u), t + u),
+            (sf.from_cells(lat, {a: r for r, a in t}), t),
+            (sf.cut_to_simple(sf.to_cut_function(g)), t),
+            (sf.cut_to_simple(add(sf.to_cut_function(g), sf.to_cut_function(h))), t + u),
+            (sf.sf_add(g, h), t + u),
+            (sf.sf_mul(g, h), [(r * s, lat.meet(a, b)) for r, a in t for s, b in u]),
+            (sf.sf_scale(lam, g), [(lam * r, a) for r, a in t]),
+            (sf.sf_neg(g), [(-r, a) for r, a in t]),
+            (sf.positive_part(g), [(max(r, F(0)), a) for r, a in t]),
+            (sf.negative_part(g), [(max(-r, F(0)), a) for r, a in t]),
+            (sf.abs_simple(g), [(abs(r), a) for r, a in t]),
+        ]
+        f = sf.to_cut_function(sf.abs_simple(g))
+        steps = []
+        for step in sf.decompose_trace(f, 6):
+            steps.append((F(1, step.k), step.cell))
+            out.append((step.stage, list(steps)))
+    return out
+
+
 @pytest.mark.parametrize("name", sorted(CARRIERS))
 def test_canonicalize_matches_the_name_based_split(name):
     lat = CARRIERS[name]
@@ -108,6 +152,8 @@ def test_canonicalize_matches_the_name_based_split(name):
     for terms in _term_lists(rng, lat):
         assert outcome(terms_of(sf.canonicalize), lat, terms) == \
             outcome(terms_of(canonicalize_by_names), lat, terms), terms
+    for g, terms in _builders(rng, lat):
+        same_as_by_names(g, terms)
 
 
 def test_canonical_input_comes_back_unchanged():
@@ -224,3 +270,12 @@ def test_hashes_agree_with_equality():
         f, k = sf.to_cut_function(g), sf.to_cut_function(same)
         assert f == k and hash(f) == hash(k) == hash((f.breakpoints, f.upper))
         assert len({g, same}) == 1 and len({f, k}) == 1
+    # to_localic, against the nabla of each level set named by its partition
+    for points in (["x"], ["x", "y"], ["p", "q", "r", "s"]):
+        space = FiniteMeasurableSpace.powerset(points, {p: F(1) for p in points})
+        frame = space.lattice().congruence_frame()
+        for _ in range(10):
+            f = ClassicalSimpleFunction(space, {p: random_rational(rng, -3, 3) for p in points})
+            same_as_by_names(to_localic(f), [
+                (r, frame.nabla_of(space.name_of(level)).partition_name())
+                for r, level in f.level_sets()])

@@ -1,9 +1,9 @@
 """Differential tests for the integer ladder and integral kernels.
 
 ``add``, ``mul_nonneg``, ``leq``, ``join_meet``, ``seq_inf``/``seq_sup``,
-``negate``, ``scale``, ``limits``, ``to_cut_function`` and
-``cut_to_simple`` run on ints over a common denominator and on J-masks,
-and the integrals (``summability``, ``integrate_simple``,
+``negate``, ``scale``, ``limits``, ``to_cut_function``, ``cut_to_simple``
+and the ``decompose_trace`` steps run on ints over a common denominator
+and on J-masks, and the integrals (``summability``, ``integrate_simple``,
 ``indefinite_integral``, ``integrate_general`` and
 ``nonnegativity_certificate``) on the value at each point of J(L).  Each is
 compared here with the Fraction and name code it replaced, kept in
@@ -27,6 +27,7 @@ from _oracle import (
     certificate_by_lower_cut,
     cut_from_pointwise,
     cut_to_simple_by_names,
+    decompose_trace_by_names,
     downset_lattice,
     indefinite_by_atoms,
     integrate_general_by_ladders,
@@ -68,8 +69,10 @@ from locint.integrate import (
 from locint.lattice import FiniteLattice, chain_lattice, powerset_lattice
 from locint.rationals import NEG_INF, POS_INF
 from locint.simple import (
+    DECOMPOSITION_LIMIT,
     SimpleFunction,
     cut_to_simple,
+    decompose_trace,
     sf_add,
     sf_scale,
     to_cut_function,
@@ -184,6 +187,26 @@ def compare_family(fs):
         assert got == want, (mine.__name__, fs)
 
 
+def steps_of(trace):
+    return [(s.k, s.cell, s.stage.terms, s.residual_sup) for s in trace]
+
+
+def compare_decompositions(f):
+    """decompose_trace(f, h) for h = 1..12 against the first h steps of the
+    name-based trace, and out-of-range horizons: the same k, cell, stage
+    terms and residual, or the same error."""
+    want = outcome(decompose_trace_by_names, f, 12)
+    for h in range(1, 13):
+        got = outcome(decompose_trace, f, h)
+        if want[0] == "ok":
+            assert got[0] == "ok", (f, h, got)
+            assert steps_of(got[1]) == steps_of(want[1][:h]), (f, h)
+        else:
+            assert got == want, (f, h)
+    for h in (0, -3, DECOMPOSITION_LIMIT + 1):
+        assert outcome(decompose_trace, f, h) == outcome(decompose_trace_by_names, f, h)
+
+
 def _functions(rng, lat):
     """Finite, nonnegative, constant and extended functions on lat."""
     fs = [constant(v, lat) for v in (F(0), F(-2, 3), POS_INF, NEG_INF)]
@@ -240,8 +263,7 @@ def test_kernel_results_equal_their_ladders_built_by_name(name):
 
 @pytest.mark.parametrize("name", sorted(CARRIERS))
 def test_to_cut_function_matches_the_name_based_joins(name):
-    """From the vector of a sum, which holds no terms until they are read,
-    and from the canonical terms of the same function."""
+    """From the vector of a sum, before and after its terms are read."""
     lat = CARRIERS[name]
     rng = Random(f"to-cut-{name}")
     for _ in range(10):
@@ -271,8 +293,26 @@ def test_unary_kernels_on_the_one_element_carrier():
     fs = [flat, constant(F(3), ONE_POINT), constant(POS_INF, ONE_POINT)]
     for f in fs:
         compare_unary(f)
+        compare_decompositions(f)
     compare_limits(fs[:2], fs[2])
     compare_limits([flat], constant(F(0), CARRIERS["b4"]))  # different carriers
+
+
+def _decomposable(rng, lat):
+    """_functions on lat, and nonnegative functions that are +inf on a
+    complemented element."""
+    fs = _functions(rng, lat)
+    comp = lat.complemented_elements()
+    for f in [f for f in fs if f.is_finite() and f.is_nonnegative()][:6]:
+        fs.append(with_infinite_ends(f, lat.bottom, rng.choice(comp)))
+    return fs
+
+
+@pytest.mark.parametrize("name", sorted(CARRIERS))
+def test_decomposition_matches_the_name_based_steps(name):
+    lat = CARRIERS[name]
+    for f in _decomposable(Random(f"decompose-{name}"), lat):
+        compare_decompositions(f)
 
 
 @pytest.mark.parametrize("name", ["b4", "b8", "div12", "c3"])
