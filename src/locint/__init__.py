@@ -16,12 +16,10 @@ _EXPORTS = {
     "bridge": ("BridgeReport", "ClassicalSimpleFunction", "FiniteMeasurableSpace",
                "bridge_check", "classical_integral", "extend_measure", "from_localic",
                "to_localic"),
-    "congruence": ("Congruence", "CongruenceFrame", "SublocaleView", "congruence_join",
-                   "congruence_meet", "delta", "enumerate_congruences", "nabla",
-                   "open_closed", "principal_congruence", "quotient"),
-    "cutfunction": ("CutFunction", "FunctionSequence", "SigmaScale", "add", "characteristic",
-                    "constant", "from_sigma_scale", "join_meet", "leq", "limits",
-                    "mul_nonneg", "negate", "pos_neg_abs", "scale", "seq_inf", "seq_sup"),
+    "congruence": ("Congruence", "CongruenceFrame", "SublocaleView", "enumerate_congruences"),
+    "cutfunction": ("CutFunction", "FunctionSequence", "add", "characteristic", "constant",
+                    "join_meet", "leq", "limits", "mul_nonneg", "negate", "scale", "seq_inf",
+                    "seq_sup"),
     "integrate": ("SummabilityReport", "indefinite_integral", "integrate_general",
                   "integrate_simple", "nonnegativity_certificate", "restrict_vs_multiply",
                   "summability"),
@@ -29,8 +27,8 @@ _EXPORTS = {
     "measure": ("Measure", "measure_from_weights", "validate_measure"),
     "rationals": ("NEG_INF", "POS_INF", "ExtValue", "Infinite"),
     "simple": ("SimpleFunction", "canonicalize", "characteristic_simple", "constant_simple",
-               "cut_to_simple", "decompose", "decompose_trace", "sf_add", "sf_mul", "sf_neg",
-               "sf_scale", "to_cut_function", "zero"),
+               "cut_to_simple", "decompose_trace", "sf_add", "sf_mul", "sf_neg", "sf_scale",
+               "to_cut_function", "zero"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

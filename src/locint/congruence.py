@@ -50,10 +50,6 @@ class Congruence:
         self.block_of = _canonical([m & keep for m in lattice._jmask])
 
     @classmethod
-    def equality(cls, lattice: FiniteLattice) -> "Congruence":
-        return cls(lattice, lattice._full)
-
-    @classmethod
     def from_blocks(cls, lattice: FiniteLattice, blocks: Iterable[Iterable[str]]) -> "Congruence":
         """The congruence with the given blocks.  Its keep-mask is read off
         the partition (j is kept iff j and its lower cover lie in different
@@ -117,59 +113,6 @@ def _blocks(lattice: FiniteLattice, block_of: Sequence[int]) -> Tuple[Tuple[str,
 
 def _partition_name(lattice: FiniteLattice, block_of: Sequence[int]) -> str:
     return "{" + "|".join(",".join(b) for b in _blocks(lattice, block_of)) + "}"
-
-
-# -- construction of particular congruences ------------------------------------
-
-
-def principal_congruence(lattice: FiniteLattice, a: str, b: str) -> Congruence:
-    """Smallest congruence identifying a and b: it collapses exactly the
-    join-irreducibles in J(a) symmetric-difference J(b)."""
-    collapsed = lattice._jmask[lattice.index(a)] ^ lattice._jmask[lattice.index(b)]
-    return Congruence(lattice, lattice._full & ~collapsed)
-
-
-def nabla(lattice: FiniteLattice, a: str) -> Congruence:
-    """The closed congruence x ~ y iff x \\/ a = y \\/ a: it keeps J(L)
-    minus J(a)."""
-    return Congruence(lattice, lattice._full & ~lattice._jmask[lattice.index(a)])
-
-
-def delta(lattice: FiniteLattice, a: str) -> Congruence:
-    """The open congruence x ~ y iff x /\\ a = y /\\ a: it keeps J(a)."""
-    return Congruence(lattice, lattice._jmask[lattice.index(a)])
-
-
-def open_closed(lattice: FiniteLattice, a: str) -> Tuple[Congruence, Congruence]:
-    """The complementary pair (delta(a), nabla(a)) attached to an element."""
-    return delta(lattice, a), nabla(lattice, a)
-
-
-def congruence_meet(c: Congruence, d: Congruence) -> Congruence:
-    """Intersection of relations: keep the join-irreducibles either keeps."""
-    return Congruence(c.lattice, c.keep | d.keep)
-
-
-def congruence_join(c: Congruence, d: Congruence) -> Congruence:
-    """Congruence generated by the union of the two relations: keep only
-    the join-irreducibles both keep."""
-    return Congruence(c.lattice, c.keep & d.keep)
-
-
-def quotient(lattice: FiniteLattice, theta: Congruence) -> FiniteLattice:
-    """The quotient lattice of blocks with the induced order: a block lies
-    below another iff its kept join-irreducibles are a subset of the
-    other's."""
-    blocks = theta.blocks()
-    names = [block_name(b) for b in blocks]
-    kept = [lattice._jmask[lattice.index(b[0])] & theta.keep for b in blocks]
-    return FiniteLattice(names, [(names[i], names[j])
-                                 for i, qi in enumerate(kept)
-                                 for j, qj in enumerate(kept) if not qi & ~qj])
-
-
-def block_name(members: Sequence[str]) -> str:
-    return members[0] if len(members) == 1 else "{" + ",".join(members) + "}"
 
 
 # -- the congruence frame -------------------------------------------------------

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from itertools import accumulate
 from math import gcd, lcm
 from operator import eq, lt, or_
 from typing import List, NamedTuple, Optional, Sequence, Tuple
@@ -392,20 +391,6 @@ def mul_nonneg(f: CutFunction, g: CutFunction) -> CutFunction:
     return _from_grid(f.carrier, den * den, grid, upper, lower)
 
 
-def pos_neg_abs(f: CutFunction) -> Tuple[CutFunction, CutFunction, CutFunction]:
-    """(f+, f-, |f|) with f+ = f \\/ 0, f- = (-f) \\/ 0, |f| = f+ + f-;
-    the decomposition f = f+ - f- is verified before returning."""
-    if not f.is_finite():
-        raise NotFinite("positive/negative parts need a finite function")
-    zero = constant(ZERO, f.carrier)
-    fp = join_meet(f, zero)[0]
-    fn = join_meet(negate(f), zero)[0]
-    fa = add(fp, fn)
-    if add(fp, negate(fn)) != f:
-        raise ConsistencyError("f+ - f- failed to reproduce f")
-    return fp, fn, fa
-
-
 # -- countable (here: finite) lattice operations ----------------------------------------
 
 
@@ -493,74 +478,3 @@ def limits(seq: FunctionSequence) -> Tuple[CutFunction, CutFunction, Optional[Cu
     limsup = seq_inf([seq_sup(fam) for fam in tails])
     lim = liminf if liminf == limsup else None
     return liminf, limsup, lim
-
-
-# -- scales ------------------------------------------------------------------------------
-
-
-class _SigmaScaleFields(NamedTuple):
-    carrier: FiniteLattice
-    thresholds: Tuple[Fraction, ...]
-    phi: Tuple[str, ...]
-    witness: Tuple[str, ...]
-
-
-class SigmaScale(_SigmaScaleFields):
-    """A finite-scale map r |-> phi(r) with witnesses c_r, both stored as
-    left-constant step functions over a shared threshold grid: value i
-    applies on the piece (t_{i-1}, t_i]."""
-
-    __slots__ = ()
-
-    def __new__(cls, carrier: FiniteLattice, thresholds, phi, witness):
-        thresholds = tuple(map(parse_rational, thresholds))
-        phi, witness = tuple(phi), tuple(witness)
-        if len(phi) != len(thresholds) + 1 or len(witness) != len(phi):
-            raise InvalidScale("a scale needs one phi and one witness value per piece")
-        return super().__new__(cls, carrier, thresholds, phi, witness)
-
-    @classmethod
-    def _make(cls, fields):  # so that _replace runs the checks as well
-        return cls(*fields)
-
-    def _piece_sample(self, i: int) -> Fraction:
-        t = self.thresholds
-        return t[i] if i < len(t) else t[-1] + 1 if t else ZERO
-
-    def validate(self) -> None:
-        """Check the two scale laws on the piece grid:
-        phi(s) /\\ c_r = 0 for s <= r  and  c_r \\/ phi(s) = 1 for r < s."""
-        lat = self.carrier
-        n = len(self.phi)
-        for i in range(n):
-            for j in range(i, n):
-                s, r = self._piece_sample(i), self._piece_sample(j)
-                if lat.meet(self.phi[i], self.witness[j]) != lat.bottom:
-                    raise InvalidScale(
-                        f"phi({s}) /\\ c({r}) != 0 "
-                        f"({self.phi[i]!r} /\\ {self.witness[j]!r})")
-        for j in range(n):
-            for i in range(j, n):
-                r, s = self._piece_sample(j), self._piece_sample(i)
-                if i == j:
-                    r = s - Fraction(1, 2)
-                if lat.join(self.witness[j], self.phi[i]) != lat.top:
-                    raise InvalidScale(
-                        f"c({r}) \\/ phi({s}) != 1 "
-                        f"({self.witness[j]!r} \\/ {self.phi[i]!r})")
-
-    def is_finite(self) -> bool:
-        lat = self.carrier
-        return (lat.join_all(self.phi) == lat.top
-                and lat.join_all(self.witness) == lat.top)
-
-
-def from_sigma_scale(scale: SigmaScale) -> CutFunction:
-    """The function generated by a scale:
-    f(p,-) = sup_{r>p} c_r (suffix joins of the witnesses) and
-    f(-,q) = sup_{r<q} phi(r) (prefix joins of phi)."""
-    scale.validate()
-    lat = scale.carrier
-    lower = list(accumulate(scale.phi, lat.join))
-    upper = list(accumulate(reversed(scale.witness), lat.join))[::-1]
-    return CutFunction(lat, scale.thresholds, upper, lower)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
@@ -366,10 +366,6 @@ def decompose_trace(f: CutFunction, horizon: int = 12) -> List[DecompositionStep
     return steps
 
 
-def decompose(f: CutFunction, horizon: int = 12) -> List[SimpleFunction]:
-    return [step.stage for step in decompose_trace(f, horizon)]
-
-
 def decomposition_grid(k: int) -> Tuple[Fraction, ...]:
     """Witness breakpoint grid for stage k: start from {0, 1}; at stage i a
     point shifted by 1/i subdivides a gap only when it lands strictly
@@ -379,9 +375,10 @@ def decomposition_grid(k: int) -> Tuple[Fraction, ...]:
     return tuple(Fraction(p, den) for p in pts)
 
 
-def _decomposition_ints(k: int) -> Tuple[int, List[int]]:
+@lru_cache(maxsize=16)
+def _decomposition_ints(k: int) -> Tuple[int, Tuple[int, ...]]:
     """(D, the witness grid times D) for D = lcm(1, ..., k), where 1/i is
-    D // i."""
+    D // i.  Cached, as each stage k is read once per function checked."""
     den = lcm(*range(1, k + 1))
     pts = [0, den]
     for i in range(2, k + 1):
@@ -393,7 +390,7 @@ def _decomposition_ints(k: int) -> Tuple[int, List[int]]:
                 refined.add(candidate)
         refined.add(pts[-1] + step)
         pts = sorted(refined)
-    return den, pts
+    return den, tuple(pts)
 
 
 def stage_table(f: CutFunction, k: int) -> CutFunction:

@@ -22,9 +22,9 @@ from fractions import Fraction
 from functools import cache, reduce
 
 from locint.bridge import ClassicalSimpleFunction, FiniteMeasurableSpace
-from locint.congruence import Congruence, nabla
+from locint.congruence import Congruence
 from locint.corpus import random_weight
-from locint.cutfunction import CutFunction, SigmaScale, constant, join_meet, negate
+from locint.cutfunction import CutFunction, constant, join_meet, negate
 from locint.errors import (
     AxiomViolation,
     ComplementationFailure,
@@ -353,6 +353,11 @@ def congruence_of(lattice: FiniteLattice, labels) -> Congruence:
     return Congruence.from_blocks(lattice, blocks.values())
 
 
+def equality_relation(lattice: FiniteLattice) -> Congruence:
+    """The equality relation 0_C: every element in a block of its own."""
+    return congruence_of(lattice, range(lattice.size))
+
+
 def all_pairs(lattice: FiniteLattice) -> Congruence:
     """The all-pairs relation 1_C: one block holding every element."""
     return congruence_of(lattice, [0] * lattice.size)
@@ -423,7 +428,7 @@ def closure_congruences(lattice: FiniteLattice) -> list:
     """All congruences as the join-closure of the principal ones, sorted in
     frame order (most blocks first, then by canonical block labels)."""
     found = {}
-    eq = Congruence.equality(lattice)
+    eq = equality_relation(lattice)
     found[eq.block_of] = eq
     stack = [eq]
     n = lattice.size
@@ -497,7 +502,7 @@ def weights_table(view, weights) -> list:
     table = []
     for theta in view.sublocales:
         b = lat.join_all(block_containing(theta, lat.bottom))
-        assert theta == nabla(lat, b), "the carrier is not Boolean"
+        assert theta == nabla_by_partition(lat, b), "the carrier is not Boolean"
         bc = lat.complement(b)
         total = Fraction(0)
         for a in atoms:
@@ -1036,16 +1041,10 @@ def transported(g: SimpleFunction, lattice: FiniteLattice, space) -> ClassicalSi
     return ClassicalSimpleFunction(space, values)
 
 
-# -- the scale of a function, classical preimages and the classical ring ----------------
+# -- classical preimages and the classical ring -----------------------------------------
 #
-# Pointwise definitions on the points of a classical space, and the scale
-# read straight off a function's two ladders: references for the ladder
-# generation (from_sigma_scale) and for the bridge to the pointfree side.
-
-
-def scale_of(f: CutFunction) -> SigmaScale:
-    """r |-> f(-,r) as a scale, with the upper cuts as witnesses."""
-    return SigmaScale(f.carrier, f.breakpoints, f.lower, f.upper)
+# Pointwise definitions on the points of a classical space: references for
+# the bridge to the pointfree side.
 
 
 def preimage_below(f: ClassicalSimpleFunction, r) -> frozenset:

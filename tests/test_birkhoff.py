@@ -31,12 +31,6 @@ from _oracle import (
     weights_table,
 )
 from locint.bridge import FiniteMeasurableSpace, extend_measure
-from locint.congruence import (
-    Congruence,
-    congruence_join,
-    congruence_meet,
-    principal_congruence,
-)
 from locint.corpus import corpus_lattices, divisor_lattice, random_measure, random_weight
 from locint.errors import AxiomViolation, MalformedDocument, NotDistributive
 from locint.lattice import (
@@ -106,26 +100,29 @@ def test_meet_join_complement_match_closure(name):
     lat = lattice(name)
     frame = lat.congruence_frame()
     cons = frame.congruences
-    eq, everything = Congruence.equality(lat), all_pairs(lat)
+    eq, everything = frame.bottom, all_pairs(lat)
+    assert eq.block_of == tuple(range(lat.size))
     for i, j in pairs_to_check(name, frame):
         c, d = cons[i], cons[j]
-        expected_join = closure_join(c, d)
-        assert frame.meet(c, d).block_of == congruence_meet(c, d).block_of == refinement_meet(c, d)
-        assert frame.join(c, d) == expected_join
-        assert congruence_join(c, d) == expected_join
+        assert frame.meet(c, d).block_of == refinement_meet(c, d)
+        assert frame.join(c, d) == closure_join(c, d)
     for c in cons:
         comp = frame.complement(c)
-        assert congruence_meet(c, comp).block_of == refinement_meet(c, comp) == eq.block_of
+        assert frame.meet(c, comp).block_of == refinement_meet(c, comp) == eq.block_of
         assert closure_join(c, comp) == everything
 
 
 @pytest.mark.parametrize("name", SMALL)
 def test_principal_congruences_match_closure(name):
+    # the smallest congruence identifying a and b is the meet in C(L) of the
+    # closed nabla(a \/ b) and the open delta(a /\ b)
     lat = lattice(name)
+    frame = lat.congruence_frame()
     for i, a in enumerate(lat.elements):
         for j, b in enumerate(lat.elements):
             expected = canonical(closure(lat, [(i, j)]))
-            assert principal_congruence(lat, a, b).block_of == expected
+            theta = frame.meet(frame.nabla_of(lat.join(a, b)), frame.delta_of(lat.meet(a, b)))
+            assert theta.block_of == expected
 
 
 @pytest.mark.parametrize("name", SMALL + ["b32", "div360"])

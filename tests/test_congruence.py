@@ -2,17 +2,8 @@ from itertools import product
 
 import pytest
 
-from _oracle import all_pairs, block_containing, refines
-from locint.congruence import (
-    Congruence,
-    congruence_join,
-    congruence_meet,
-    delta,
-    nabla,
-    open_closed,
-    principal_congruence,
-    quotient,
-)
+from _oracle import all_pairs, equality_relation, refines
+from locint.congruence import Congruence
 from locint.errors import MalformedDocument
 
 
@@ -74,53 +65,62 @@ def test_congruence_counts(c3, b4, b8):
 
 
 def test_principal_congruence_examples(c3, b4):
-    assert principal_congruence(c3, "0", "m").blocks() == (("0", "m"), ("1",))
-    assert principal_congruence(c3, "m", "m") == Congruence.equality(c3)
-    assert principal_congruence(b4, "0", "1") == all_pairs(b4)
+    # theta(a, b) = nabla(a \/ b) /\ delta(a /\ b) in C(L)
+    def principal(lat, a, b):
+        frame = lat.congruence_frame()
+        return frame.meet(frame.nabla_of(lat.join(a, b)), frame.delta_of(lat.meet(a, b)))
+
+    assert principal(c3, "0", "m").blocks() == (("0", "m"), ("1",))
+    assert principal(c3, "m", "m") == equality_relation(c3)
+    assert principal(b4, "0", "1") == all_pairs(b4)
+    assert principal(b4, "x", "y") == all_pairs(b4)
 
 
 def test_open_closed_examples(c3, b4):
-    d, n = open_closed(c3, "m")
+    frame = c3.congruence_frame()
+    d, n = frame.delta_of("m"), frame.nabla_of("m")
     assert d.blocks() == (("0",), ("m", "1"))
     assert n.blocks() == (("0", "m"), ("1",))
-    d0, n0 = open_closed(c3, "0")
-    assert d0 == all_pairs(c3)
-    assert n0 == Congruence.equality(c3)
-    assert delta(b4, "x") == nabla(b4, "y")
+    assert frame.delta_of("0") == all_pairs(c3) == frame.top
+    assert frame.nabla_of("0") == equality_relation(c3) == frame.bottom
+    frame = b4.congruence_frame()
+    assert frame.delta_of("x") == frame.nabla_of("y")
 
 
 def test_open_closed_are_complements(c3, b4, b8):
     for lat in (c3, b4, b8):
         frame = lat.congruence_frame()
         for a in lat.elements:
-            d, n = open_closed(lat, a)
-            assert congruence_meet(d, n) == Congruence.equality(lat)
-            assert congruence_join(d, n) == all_pairs(lat)
+            d, n = frame.delta_of(a), frame.nabla_of(a)
+            assert frame.meet(d, n) == frame.bottom == equality_relation(lat)
+            assert frame.join(d, n) == frame.top == all_pairs(lat)
             assert frame.complement(n) == d
 
 
 def test_congruence_complement_examples(c3):
     frame = c3.congruence_frame()
-    assert frame.complement(Congruence.equality(c3)) == all_pairs(c3)
-    d, n = open_closed(c3, "m")
-    assert frame.complement(n) == d
+    assert frame.complement(equality_relation(c3)) == all_pairs(c3)
+    assert frame.complement(frame.nabla_of("m")) == frame.delta_of("m")
 
 
 def test_nabla_is_an_embedding(b8, c3):
     for lat in (b8, c3):
+        frame = lat.congruence_frame()
         for a in lat.elements:
             for b in lat.elements:
-                assert nabla(lat, lat.meet(a, b)) == congruence_meet(nabla(lat, a), nabla(lat, b))
-                assert nabla(lat, lat.join(a, b)) == congruence_join(nabla(lat, a), nabla(lat, b))
+                na, nb = frame.nabla_of(a), frame.nabla_of(b)
+                assert frame.nabla_of(lat.meet(a, b)) == frame.meet(na, nb)
+                assert frame.nabla_of(lat.join(a, b)) == frame.join(na, nb)
                 if a != b:
-                    assert nabla(lat, a) != nabla(lat, b)
+                    assert na != nb
 
 
 def test_delta_reverses_order(b8):
+    frame = b8.congruence_frame()
     for a in b8.elements:
         for b in b8.elements:
             if b8.leq(a, b):
-                assert refines(delta(b8, b), delta(b8, a))
+                assert refines(frame.delta_of(b), frame.delta_of(a))
 
 
 def test_frame_is_boolean_at_this_scale(c3, b4, b8):
@@ -129,28 +129,30 @@ def test_frame_is_boolean_at_this_scale(c3, b4, b8):
 
 
 def test_quotient_examples(c3):
-    _, n = open_closed(c3, "m")
-    q = quotient(c3, n)
-    assert len(q.elements) == 2
-    assert q.bottom == "{0,m}" and q.top == "1"
-    q_eq = quotient(c3, Congruence.equality(c3))
-    assert len(q_eq.elements) == 3
-    q_all = quotient(c3, all_pairs(c3))
-    assert len(q_all.elements) == 1
+    # the quotient L/theta has one element per block
+    frame = c3.congruence_frame()
+    n = frame.nabla_of("m")
+    assert n.n_blocks == 2
+    assert n.blocks()[n.block_of[c3.index("0")]] == ("0", "m")
+    assert n.blocks()[n.block_of[c3.index("1")]] == ("1",)
+    assert frame.bottom.n_blocks == 3
+    assert frame.top.n_blocks == 1
 
 
 def test_quotient_surjection_preserves_operations(b8):
-    theta = nabla(b8, "x")
-    q = quotient(b8, theta)
+    # x |-> J(x) & keep is the projection onto L/theta: it separates
+    # exactly the blocks and preserves meets and joins
+    theta = b8.congruence_frame().nabla_of("x")
 
     def pi(a):
-        from locint.congruence import block_name
-        return block_name(block_containing(theta, a))
+        return b8.jmask(a) & theta.keep
 
     for a in b8.elements:
         for b in b8.elements:
-            assert pi(b8.meet(a, b)) == q.meet(pi(a), pi(b))
-            assert pi(b8.join(a, b)) == q.join(pi(a), pi(b))
+            same = theta.block_of[b8.index(a)] == theta.block_of[b8.index(b)]
+            assert same == (pi(a) == pi(b))
+            assert pi(b8.meet(a, b)) == pi(a) & pi(b)
+            assert pi(b8.join(a, b)) == pi(a) | pi(b)
 
 
 def test_sublocale_view_order_and_refs(b4):
@@ -172,7 +174,7 @@ def test_sublocale_view_order_and_refs(b4):
 def test_explicit_partition_refs(b4):
     view = b4.congruence_frame().view()
     theta = view.resolve_ref({"blocks": [["0", "x"], ["y", "1"]]})
-    assert theta == delta(b4, "y")
+    assert theta == b4.congruence_frame().delta_of("y")
     assert view.resolve_ref("blocks:0,x|y,1") == theta
 
 
@@ -189,8 +191,8 @@ def test_every_congruence_is_complemented_in_frame(c3, b4, b8):
         frame = lat.congruence_frame()
         for theta in frame.congruences:
             comp = frame.complement(theta)
-            assert congruence_meet(theta, comp) == Congruence.equality(lat)
-            assert congruence_join(theta, comp) == all_pairs(lat)
+            assert frame.meet(theta, comp) == frame.bottom == equality_relation(lat)
+            assert frame.join(theta, comp) == frame.top == all_pairs(lat)
 
 
 def test_enumeration_size_guard():

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import locint.cutfunction as cf
-from _oracle import cut_from_pointwise, fractions_upto, padd, pjoin, pmeet, pmul, pscale, scale_of
+from _oracle import cut_from_pointwise, fractions_upto, padd, pjoin, pmeet, pmul, pscale
 from locint.errors import (
     CarrierMismatch,
     InvalidArgument,
@@ -107,29 +107,6 @@ def test_join_meet_examples(b4):
     assert m == cf.constant(F(0), b4)
 
 
-def test_pos_neg_abs_examples(b4):
-    fp, fn, fa = cf.pos_neg_abs(cf.constant(F(-2), b4))
-    assert (fp, fn, fa) == (cf.constant(F(0), b4), cf.constant(F(2), b4), cf.constant(F(2), b4))
-    z = cf.constant(F(0), b4)
-    assert cf.pos_neg_abs(z) == (z, z, z)
-    with pytest.raises(NotFinite):
-        cf.pos_neg_abs(cf.constant(POS_INF, b4))
-
-
-def test_pos_neg_abs_on_congruence_frame(b4):
-    import locint.simple as sf
-    facade = b4.congruence_frame().as_lattice()
-    frame = b4.congruence_frame()
-    nx, ny = frame.nabla_of("x").partition_name(), frame.nabla_of("y").partition_name()
-    g = sf.canonicalize(facade, [(F(2), nx), (F(-3), ny)])
-    f = sf.to_cut_function(g)
-    fp, fn, fa = cf.pos_neg_abs(f)
-    assert fp == sf.to_cut_function(sf.canonicalize(facade, [(F(2), nx)]))
-    assert fn == sf.to_cut_function(sf.canonicalize(facade, [(F(3), ny)]))
-    assert fa == sf.to_cut_function(sf.canonicalize(facade, [(F(2), nx), (F(3), ny)]))
-    assert cf.join_meet(fp, fn)[1] == cf.constant(F(0), facade)
-
-
 def test_seq_inf_sup_examples(b4):
     chi_x, chi_y = cf.characteristic("x", b4), cf.characteristic("y", b4)
     assert cf.seq_inf([chi_x]) == chi_x
@@ -189,32 +166,6 @@ def test_limit_of_harmonic_sequence_is_zero(b4):
     li, ls, lim = cf.limits(cf.FunctionSequence(prefix, cf.constant(F(0), b4)))
     assert lim == cf.constant(F(0), b4)
     assert li == ls
-
-
-def test_sigma_scale_examples(b4):
-    # threshold scale of a constant
-    sc = cf.SigmaScale(b4, (F(3),), ("0", "1"), ("1", "0"))
-    assert cf.from_sigma_scale(sc) == cf.constant(F(3), b4)
-    # characteristic scale
-    sc = cf.SigmaScale(b4, (F(0), F(1)), ("0", "y", "1"), ("1", "x", "0"))
-    assert cf.from_sigma_scale(sc) == cf.characteristic("x", b4)
-    # degenerate scale generating the constant +inf
-    sc = cf.SigmaScale(b4, (), ("0",), ("1",))
-    assert cf.from_sigma_scale(sc) == cf.constant(POS_INF, b4)
-
-
-def test_invalid_scale_reports_pair(b4):
-    sc = cf.SigmaScale(b4, (F(0),), ("x", "1"), ("x", "0"))
-    with pytest.raises(InvalidScale) as err:
-        cf.from_sigma_scale(sc)
-    assert "phi(" in str(err.value)
-
-
-def test_scale_round_trip(b4, b8):
-    for lat, fn in ((b4, cf.characteristic("x", b4)),
-                    (b8, cf.constant(F(5, 3), b8)),
-                    (b4, cf.constant(POS_INF, b4))):
-        assert cf.from_sigma_scale(scale_of(fn)) == fn
 
 
 # -- randomized comparison against the pointwise oracle --------------------------
@@ -292,8 +243,13 @@ def test_scale_preserves_or_reverses_order(u, v):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(pointwise3)
 def test_parts_decomposition_matches_oracle(u):
+    # f+ = f \/ 0, f- = (-f) \/ 0 and |f| = f+ + f-, with f = f+ - f-
     f = cut_from_pointwise(B8, ATOMS3, u)
-    fp, fn, fa = cf.pos_neg_abs(f)
+    zero = cf.constant(F(0), B8)
+    fp, fn = cf.join_meet(f, zero)[0], cf.join_meet(cf.negate(f), zero)[0]
+    fa = cf.add(fp, fn)
+    assert cf.add(fp, cf.negate(fn)) == f
+    assert cf.join_meet(fp, fn)[1] == zero
     assert fp == cut_from_pointwise(B8, ATOMS3, {x: max(v, F(0)) for x, v in u.items()})
     assert fn == cut_from_pointwise(B8, ATOMS3, {x: max(-v, F(0)) for x, v in u.items()})
     assert fa == cut_from_pointwise(B8, ATOMS3, {x: abs(v) for x, v in u.items()})
@@ -302,5 +258,6 @@ def test_parts_decomposition_matches_oracle(u):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(pointwise3)
 def test_generation_round_trip(u):
+    # a function is generated by its two ladders over its breakpoints
     f = cut_from_pointwise(B8, ATOMS3, u)
-    assert cf.from_sigma_scale(scale_of(f)) == f
+    assert cf.CutFunction(B8, f.breakpoints, f.upper, f.lower) == f

@@ -75,7 +75,6 @@ def test_library_entry_points_reject_floats():
         lambda: cf.scale(0.1, f),
         lambda: cf.constant(0.5, lat),
         lambda: cf.CutFunction(lat, (0.5,), ("1", "0"), ("0", "1")),
-        lambda: cf.SigmaScale(lat, (0.5,), ("0", "1"), ("1", "0")),
         lambda: ClassicalSimpleFunction(space, {"p": 0.5}),
     ]
     for call in calls:

@@ -1,7 +1,7 @@
 """The contract of the library's immutable records: the ``Name(field=value,
 ...)`` repr, equality and hash by value, no assignment to a field, and
-the checks and coercions that ``FunctionSequence`` and ``SigmaScale`` run
-at construction."""
+the checks and coercions that ``FunctionSequence`` runs at
+construction."""
 
 from fractions import Fraction as F
 
@@ -9,7 +9,7 @@ import pytest
 
 from locint import cutfunction as cf
 from locint.bridge import BridgeReport
-from locint.errors import CarrierMismatch, InvalidScale
+from locint.errors import CarrierMismatch
 from locint.integrate import RestrictionWitness, SummabilityReport
 from locint.lattice import powerset_lattice
 from locint.rationals import POS_INF
@@ -31,7 +31,6 @@ def records(b4):
         DecompositionStep(1, "x", constant_simple(F(1), b4), None),
         BridgeReport(F(1, 2), F(1, 2), summable(), summable()),
         cf.FunctionSequence((chi_x, one), one),
-        cf.SigmaScale(b4, (F(0), F(1)), ("0", "y", "1"), ("1", "x", "0")),
     ]
 
 
@@ -50,9 +49,6 @@ def test_repr_names_every_field_in_order(b4):
     one = cf.constant(F(1), b4)
     assert repr(cf.FunctionSequence((one,), one)) == (
         f"FunctionSequence(prefix=({one!r},), tail={one!r})")
-    assert repr(cf.SigmaScale(b4, (F(3),), ("0", "1"), ("1", "0"))) == (
-        f"SigmaScale(carrier={b4!r}, thresholds=(Fraction(3, 1),), "
-        "phi=('0', '1'), witness=('1', '0'))")
     assert repr(CriterionResult(1, "tables", True, "ok", 0.5)) == (
         "CriterionResult(number=1, name='tables', passed=True, detail='ok', seconds=0.5)")
 
@@ -98,36 +94,11 @@ def test_function_sequence_rejects_mixed_carriers(b4):
     assert seq.at(5) == seq.tail
 
 
-@pytest.mark.parametrize("thresholds, phi, witness", [
-    ((F(0),), ("0",), ("1",)),
-    ((F(0),), ("0", "1", "1"), ("1", "0", "0")),
-    ((F(0),), ("0", "1"), ("1",)),
-    ((), ("0",), ("1", "0")),
-])
-def test_sigma_scale_rejects_wrong_lengths(b4, thresholds, phi, witness):
-    with pytest.raises(InvalidScale,
-                       match="^a scale needs one phi and one witness value per piece$"):
-        cf.SigmaScale(b4, thresholds, phi, witness)
-
-
-def test_sigma_scale_coerces_its_fields(b4):
-    sc = cf.SigmaScale(b4, [0, "1/2"], ["0", "y", "1"], iter(["1", "x", "0"]))
-    assert sc.thresholds == (F(0), F(1, 2))
-    assert all(type(t) is F for t in sc.thresholds)
-    assert sc.phi == ("0", "y", "1")
-    assert sc.witness == ("1", "x", "0")
-    assert sc == cf.SigmaScale(b4, (F(0), F(1, 2)), ("0", "y", "1"), ("1", "x", "0"))
-
-
 def test_replace_runs_the_construction_checks(b4):
     one = cf.constant(F(1), b4)
     seq = cf.FunctionSequence((one,), one)
     with pytest.raises(CarrierMismatch):
         seq._replace(tail=cf.constant(F(1), powerset_lattice(["p", "q"])))
-    sc = cf.SigmaScale(b4, (F(3),), ("0", "1"), ("1", "0"))
-    assert sc._replace(thresholds=[1]).thresholds == (F(1),)
-    with pytest.raises(InvalidScale):
-        sc._replace(phi=("0",))
 
 
 def test_function_sequence_keeps_a_list_prefix_as_a_tuple(b4):

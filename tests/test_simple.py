@@ -106,7 +106,7 @@ def test_parts_and_modulus(b4):
 
 def test_decompose_milestones(b4):
     one = cf.constant(F(1), b4)
-    stages = sf.decompose(one, 7)
+    stages = [s.stage for s in sf.decompose_trace(one, 7)]
     assert stages[0] == sf.zero(b4)
     assert stages[1] == sf.constant_simple(F(1, 2), b4)
     assert stages[2] == sf.constant_simple(F(5, 6), b4)
@@ -116,29 +116,28 @@ def test_decompose_milestones(b4):
 
 def test_decompose_characteristic(b4):
     chi = cf.characteristic("x", b4)
-    stages = sf.decompose(chi, 3)
+    stages = [s.stage for s in sf.decompose_trace(chi, 3)]
     assert stages[0] == sf.zero(b4)
     assert stages[1] == sf.canonicalize(b4, [(F(1, 2), "x")])
     assert stages[2] == sf.canonicalize(b4, [(F(5, 6), "x")])
 
 
 def test_decompose_zero(b4):
-    for stage in sf.decompose(sf.to_cut_function(sf.zero(b4)), 6):
-        assert stage == sf.zero(b4)
+    for step in sf.decompose_trace(sf.to_cut_function(sf.zero(b4)), 6):
+        assert step.stage == sf.zero(b4)
 
 
 def test_decompose_rejects_negative(b4):
     with pytest.raises(NotNonnegative):
-        sf.decompose(cf.constant(F(-1), b4), 3)
+        sf.decompose_trace(cf.constant(F(-1), b4), 3)
 
 
 def test_decompose_rejects_horizon_below_one(b4):
     # a validation failure for the CLI, still a ValueError for library callers
     for horizon in (0, -3):
-        with pytest.raises(ValidationFailure, match="horizon must be at least 1"):
+        with pytest.raises(ValidationFailure, match="horizon must be at least 1") as err:
             sf.decompose_trace(cf.constant(F(1), b4), horizon)
-        with pytest.raises(ValueError):
-            sf.decompose(cf.constant(F(1), b4), horizon)
+        assert isinstance(err.value, ValueError)
 
 
 def test_constructor_reports_the_first_violation(b8):
@@ -162,7 +161,7 @@ def test_constructor_reports_the_first_violation(b8):
 def test_decompose_monotone_and_dominated(b8):
     g = sf.canonicalize(b8, [(F(1, 2), "x"), (F(2), "{y,z}")])
     f = sf.to_cut_function(g)
-    stages = [sf.to_cut_function(s) for s in sf.decompose(f, 12)]
+    stages = [sf.to_cut_function(s.stage) for s in sf.decompose_trace(f, 12)]
     for a, b in zip(stages, stages[1:]):
         assert cf.leq(a, b)
     for s in stages:
@@ -181,7 +180,7 @@ def test_decompose_table_and_residuals(b8):
 def test_decompose_extended_input(b4):
     # +inf on x, 0 on y: stages climb the harmonic series on x
     inf_on_x = cf.CutFunction(b4, (F(0),), ("1", "x"), ("0", "y"))
-    stages = sf.decompose(inf_on_x, 4)
+    stages = [s.stage for s in sf.decompose_trace(inf_on_x, 4)]
     assert stages[0] == sf.characteristic_simple("x", b4)
     acc = F(1)
     for k, stage in enumerate(stages[1:], start=2):
