@@ -20,10 +20,11 @@ _EXPORTS = {
     "cutfunction": ("CutFunction", "FunctionSequence", "add", "characteristic", "constant",
                     "join_meet", "leq", "limits", "mul_nonneg", "negate", "scale", "seq_inf",
                     "seq_sup"),
+    "documents": ("build_lattice",),
     "integrate": ("SummabilityReport", "indefinite_integral", "integrate_general",
                   "integrate_simple", "nonnegativity_certificate", "restrict_vs_multiply",
                   "summability"),
-    "lattice": ("FiniteLattice", "build_lattice", "chain_lattice", "powerset_lattice"),
+    "lattice": ("FiniteLattice", "chain_lattice", "powerset_lattice"),
     "measure": ("Measure", "measure_from_weights", "validate_measure"),
     "rationals": ("NEG_INF", "POS_INF", "ExtValue", "Infinite"),
     "simple": ("SimpleFunction", "canonicalize", "characteristic_simple", "constant_simple",

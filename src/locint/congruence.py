@@ -306,11 +306,10 @@ class SublocaleView:
 
     def resolve_ref(self, ref) -> Congruence:
         frame = self.frame
-        if isinstance(ref, dict):
-            blocks = ref.get("blocks")
-            if not (isinstance(blocks, list) and all(
-                    isinstance(b, list) and all(isinstance(e, str) for e in b) for b in blocks)):
-                raise MalformedDocument(f"bad sublocale reference: {ref!r}")
+        # {"blocks": [[...], ...]}, a list of lists of element names, and nothing else
+        blocks = ref.get("blocks") if isinstance(ref, dict) and len(ref) == 1 else None
+        if isinstance(blocks, list) and all(
+                isinstance(b, list) and all(isinstance(e, str) for e in b) for b in blocks):
             return Congruence.from_blocks(frame.lattice, blocks)
         if not isinstance(ref, str):
             raise MalformedDocument(f"bad sublocale reference: {ref!r}")

@@ -136,8 +136,8 @@ class FiniteLattice:
 
     The constructor expects the order relation to be reflexively and
     transitively closed already, and checks that it is; use the factories
-    in this module (``powerset_lattice``, ``lattice_from_order``,
-    ``build_lattice``) rather than calling it directly.
+    in this module (``powerset_lattice``, ``lattice_from_order``) or
+    ``documents.build_lattice`` rather than calling it directly.
     """
 
     __slots__ = ("elements", "_idx", "_jmask", "_mask", "_at", "_full", "_jirr",
@@ -195,7 +195,7 @@ class FiniteLattice:
     def index(self, name: str) -> int:
         try:
             return self._idx[name]
-        except KeyError:
+        except (KeyError, TypeError):  # a name that is not a string may be unhashable
             raise MalformedDocument(f"unknown lattice element {name!r}") from None
 
     def jmask(self, name: str) -> int:
@@ -263,11 +263,9 @@ class FiniteLattice:
     # -- value semantics -------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return (isinstance(other, FiniteLattice)
-                and self.elements == other.elements
-                and self._jmask == other._jmask)
+        return self is other or (isinstance(other, FiniteLattice)
+                                 and self.elements == other.elements
+                                 and self._jmask == other._jmask)
 
     def __hash__(self) -> int:
         return self._hash
@@ -328,28 +326,3 @@ def lattice_from_order(elements: Sequence[str], pairs: Iterable[Tuple[str, str]]
 def chain_lattice(names: Sequence[str]) -> FiniteLattice:
     return lattice_from_order(names, [(names[i], names[i + 1]) for i in range(len(names) - 1)])
 
-
-def build_lattice(doc) -> FiniteLattice:
-    """Build a lattice from a document: {"kind": "powerset", "atoms": [...]}
-    or {"kind": "poset", "elements": [...], "leq": [[a, b], ...]}."""
-    if not isinstance(doc, dict):
-        raise MalformedDocument("lattice document must be a JSON object")
-    kind = doc.get("kind")
-    if kind == "powerset":
-        atoms = doc.get("atoms")
-        if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
-            raise MalformedDocument('"atoms" must be a list of strings')
-        return powerset_lattice(atoms)
-    if kind == "poset":
-        elements = doc.get("elements")
-        pairs = doc.get("leq")
-        if not isinstance(elements, list) or not all(isinstance(e, str) for e in elements):
-            raise MalformedDocument('"elements" must be a list of strings')
-        if not isinstance(pairs, list):
-            raise MalformedDocument('"leq" must be a list of [a, b] pairs')
-        for p in pairs:
-            if not (isinstance(p, (list, tuple)) and len(p) == 2
-                    and isinstance(p[0], str) and isinstance(p[1], str)):
-                raise MalformedDocument(f"bad order pair: {p!r}")
-        return lattice_from_order(elements, pairs)
-    raise MalformedDocument(f'unknown lattice kind {kind!r} (expected "powerset" or "poset")')

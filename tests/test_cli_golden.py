@@ -135,6 +135,16 @@ COMMANDS = {
                              "--function", D + "f_blocks_strings.json"],
     # a document saved as Latin-1, not UTF-8
     "lattice_latin1": ["congruences", "--lattice", D + "powerset_latin1.json"],
+    # keys outside the document's kind, and a rational that is a JSON number
+    "lattice_unknown_key": ["congruences", "--lattice", D + "lattice_unknown_key.json"],
+    "constant_with_terms": ["canonicalize", "--lattice", B4,
+                            "--function", D + "f_constant_terms.json"],
+    "classical_extra_key": ["bridge", "--space", "sample_docs/space.json",
+                            "--function", D + "fclassical_extra_key.json"],
+    "blocks_extra_key": ["canonicalize", "--lattice", CHAIN4, "--carrier", "congruence",
+                         "--function", D + "f_blocks_extra_key.json"],
+    "numeric_coefficient": ["integrate", "--lattice", B4, "--measure", "sample_docs/mu.json",
+                            "--function", D + "f_numeric_coefficient.json"],
 }
 
 CASES = {f"{name}.{fmt}": argv + ["--format", fmt]

@@ -178,6 +178,15 @@ def test_explicit_partition_refs(b4):
     assert view.resolve_ref("blocks:0,x|y,1") == theta
 
 
+@pytest.mark.parametrize("ref", [{"blocks": [["0", "x"], ["y", "1"]], "zzz": 1},
+                                 {"blocks": [["0", "x"], ["y", "1"]], "kind": "blocks"},
+                                 {"zzz": [["0", "x"], ["y", "1"]]}, {}])
+def test_dict_refs_hold_blocks_and_nothing_else(b4, ref):
+    view = b4.congruence_frame().view()
+    with pytest.raises(MalformedDocument, match=r"^bad sublocale reference: "):
+        view.resolve_ref(ref)
+
+
 def test_validate_congruence_rejects_non_congruences(b4):
     # a partition enters only through from_blocks, which rejects it unless
     # it is a congruence

@@ -1,6 +1,7 @@
 import json
 import re
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
@@ -8,12 +9,17 @@ import locint.bridge as bridge
 import locint.cutfunction as cf
 from locint.cli import main
 from locint.documents import (
+    GRAMMAR,
+    build_lattice,
+    load_classical_function,
     load_function,
     load_lattice,
     load_measure,
     load_space,
 )
 from locint.errors import MalformedDocument
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def write(tmp_path, name, doc):
@@ -42,6 +48,82 @@ def test_load_lattice_and_poset_closure():
     lat = load_lattice({"kind": "poset", "elements": ["0", "m", "1"],
                         "leq": [["0", "m"], ["m", "1"]]})
     assert lat.leq("0", "1")  # closure applied
+
+
+def test_load_lattice_is_build_lattice():
+    assert load_lattice is build_lattice
+
+
+def document_formats() -> str:
+    text = README.read_text(encoding="utf-8")
+    return text.split("\n## Document formats\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_names_exactly_the_grammar_keys():
+    """README "Document formats" names every key of ``GRAMMAR`` and no
+    other, apart from the key of a dict sublocale reference, which the
+    carrier reads."""
+    named = set(re.findall(r'"([a-z_]{2,})":', document_formats()))
+    keys = {key for grammar in GRAMMAR.values()
+            for rules in grammar["kinds"].values() for key in rules}
+    assert named - {"blocks"} == keys
+    assert "blocks" in named and "blocks" not in keys
+
+
+def test_readme_states_what_lies_outside_the_grammar():
+    section = " ".join(document_formats().split())
+    for claim in ["exits 2 on the first rule it breaks", "has a key outside its kind",
+                  "one of another kind", "given as a JSON number", "is malformed and exits 2"]:
+        assert claim in section
+
+
+@pytest.mark.parametrize("load, doc, message", [
+    (build_lattice, {"kind": "powerset", "atoms": ["x"], "zzz": 1},
+     "unknown key 'zzz' in a powerset lattice document"),
+    (build_lattice, {"kind": ["powerset"], "atoms": ["x"]},
+     "unknown lattice kind ['powerset'] (expected \"powerset\" or \"poset\")"),
+    (build_lattice, {"kind": {"poset": 1}},
+     "unknown lattice kind {'poset': 1} (expected \"powerset\" or \"poset\")"),
+    (build_lattice, {"kind": "poset", "elements": ["a"], "leq": [("a", "a")]},
+     "bad order pair: ('a', 'a')"),
+    (load_space, {"kind": "space", "points": [], "lambda": {}},
+     "unknown key 'kind' in a space document"),
+    (load_space, {"points": [], "algebra": None, "lambda": {}},
+     '"algebra" must be "powerset" or a list of subsets'),
+    (load_space, {"points": ["p"], "lambda": {"p": 1}},
+     "bad extended rational in lambda['p']: 1"),
+])
+def test_documents_outside_the_grammar(load, doc, message):
+    with pytest.raises(MalformedDocument, match="^" + re.escape(message) + "$"):
+        load(doc)
+
+
+def test_function_and_measure_documents_outside_the_grammar(b4):
+    view = b4.congruence_frame().view()
+    cases = [
+        (lambda: load_function({"kind": "constant", "value": 2}, b4),
+         "bad extended rational in constant: 2"),
+        (lambda: load_function({"kind": "cut", "breakpoints": [0], "upper": ["1", "0"],
+                                "lower": ["0", "1"]}, b4),
+         "bad rational in breakpoints: 0"),
+        (lambda: load_function({"kind": "simple", "terms": [["1", "x"]], "value": "1"}, b4),
+         "unknown key 'value' in a simple function document"),
+        (lambda: load_measure({"values": {"L": "1"}, "kind": "values"}, view),
+         "unknown key 'kind' in a measure document"),
+        (lambda: load_measure({"on_open_weights": {"x": 1, "y": "1"}}, view),
+         "bad extended rational in weight of 'x': 1"),
+        (lambda: load_classical_function({"kind": "classical", "values": {"x": 2}}, None),
+         "bad rational in value at 'x': 2"),
+        # refs are left to the carrier: over L a ref that is not a string names no element
+        (lambda: load_function({"kind": "simple", "terms": [["1", 5]]}, b4),
+         "unknown lattice element 5"),
+        (lambda: load_function({"kind": "cut", "breakpoints": [], "upper": [{"blocks": []}],
+                                "lower": ["0"]}, b4),
+         "unknown lattice element {'blocks': []}"),
+    ]
+    for load, message in cases:
+        with pytest.raises(MalformedDocument, match="^" + re.escape(message) + "$"):
+            load()
 
 
 def test_load_function_kinds(b4):

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from locint.documents import build_lattice
 from locint.errors import (
     MalformedDocument,
     NotALattice,
@@ -10,7 +11,6 @@ from locint.errors import (
 )
 from locint.lattice import (
     FiniteLattice,
-    build_lattice,
     lattice_from_order,
     powerset_lattice,
     subset_name,
