@@ -2,7 +2,7 @@
 
 Exit codes: 0 on success, 2 for document or axiom validation failures,
 3 for operations undefined on the given inputs (missing complement,
-non-integrable function, complementation failure).  Output is
+non-integrable function).  Output is
 deterministic for identical inputs and seed; rationals are printed fully
 reduced as "p/q" or integers, extended values as "inf"/"-inf".  Each
 command imports the layers it runs, so a cold start loads (and, with no
@@ -61,14 +61,12 @@ def cmd_validate(args) -> int:
         lines.append(f"measure: valid on {len(mu.view.sublocales)} sublocales "
                      "(M1-M3 by additivity over the atoms of S(L), M4 by finiteness)")
     if args.function:
-        from .rationals import format_rational
-
         fn = load_function(load_json(args.function), lattice, view)
         # a function is simple iff it is finite, and its ladders break at its coefficients
         kind = "extended" if fn.simple is None else "finite"
         breakpoints = fn.cut.breakpoints if fn.simple is None else fn.simple.coefficients()
         report["function"] = {"kind": kind,
-                              "breakpoints": [format_rational(b) for b in breakpoints]}
+                              "breakpoints": [str(b) for b in breakpoints]}
         lines.append(f"function: valid, {kind}, {len(breakpoints)} breakpoints")
     if args.space:
         space = load_space(load_json(args.space))
@@ -102,24 +100,20 @@ def cmd_congruences(args) -> int:
 
 
 def cmd_canonicalize(args) -> int:
-    from .rationals import format_rational
-
     lattice, view = _carrier_parts(args, need_view=False)
     fn = load_function(load_json(args.function), lattice, view)
     g = fn.as_simple()
-    terms = [[format_rational(r), a] for r, a in g.terms]
+    terms = [[str(r), a] for r, a in g.terms]
     lines = ["canonical form: " + " + ".join(f"{t[0]}*chi({t[1]})" for t in terms)]
     _emit(args, lines, {"terms": terms})
     return 0
 
 
 def cmd_eval(args) -> int:
-    from .rationals import format_rational
-
     lattice, view = _carrier_parts(args, need_view=False)
     fn = load_function(load_json(args.function), lattice, view)
     cut = fn.cut
-    bp = [format_rational(b) for b in cut.breakpoints]
+    bp = [str(b) for b in cut.breakpoints]
     lines = ["breakpoints: " + (" ".join(bp) if bp else "(none)")]
     if cut.breakpoints:
         lines.append(f"upper[p < {bp[0]}] = {cut.upper[0]}")
@@ -177,7 +171,6 @@ def cmd_indefinite(args) -> int:
 
 
 def cmd_decompose(args) -> int:
-    from .rationals import format_rational
     from .simple import decompose_trace
 
     lattice, view = _carrier_parts(args, need_view=False)
@@ -186,12 +179,12 @@ def cmd_decompose(args) -> int:
     lines = []
     rows = []
     for step in trace:
-        terms = [[format_rational(r), a] for r, a in step.stage.terms]
+        terms = [[str(r), a] for r, a in step.stage.terms]
         if len(terms) == 1 and terms[0][1] == step.stage.carrier.top:
             rendered = terms[0][0]
         else:
             rendered = " + ".join(f"{t[0]}*chi({t[1]})" for t in terms)
-        residual = None if step.residual_sup is None else format_rational(step.residual_sup)
+        residual = None if step.residual_sup is None else str(step.residual_sup)
         closed = None
         if view is not None:
             # record whether the new cell is a closed congruence nabla(a)

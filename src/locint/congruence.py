@@ -313,16 +313,15 @@ class SublocaleView:
             return Congruence.from_blocks(frame.lattice, blocks)
         if not isinstance(ref, str):
             raise MalformedDocument(f"bad sublocale reference: {ref!r}")
-        text = ref.strip()
-        if text == "L":
+        if ref == "L":
             return self.top
-        if text == "void":
+        if ref == "void":
             return self.bottom
-        if text.startswith("open:"):
-            return self.open_sublocale(text[5:])
-        if text.startswith("closed:"):
-            return self.closed_sublocale(text[7:])
-        if text.startswith("blocks:"):
-            blocks = [b.split(",") for b in text[7:].split("|")]
+        if ref.startswith("open:"):
+            return self.open_sublocale(ref[5:])
+        if ref.startswith("closed:"):
+            return self.closed_sublocale(ref[7:])
+        if ref.startswith("blocks:"):
+            blocks = [b.split(",") for b in ref[7:].split("|")]
             return Congruence.from_blocks(frame.lattice, blocks)
         raise MalformedDocument(f"unknown sublocale reference {ref!r}")

@@ -1,28 +1,29 @@
 """Measurable real and extended-real functions as exact rational step ladders.
 
 A function on a finite carrier is stored by its breakpoint grid
-t_0 < ... < t_{m-1} together with
-
-* the upper ladder: the cut p -> f(p,-), constant on each [t_i, t_{i+1})
-  and on the two unbounded ends (m+1 values, antitone), and
-* the lower ladder: q -> f(-,q), constant on each (t_i, t_{i+1}]
-  (m+1 values, isotone).
+t_0 < ... < t_{m-1} together with its upper ladder: the cut p -> f(p,-),
+constant on each [t_i, t_{i+1}) and on the two unbounded ends (m+1
+values, antitone).
 
 The defining relations of the frame of (extended) reals  --  the cuts meet
 to 0 when p >= q and join to 1 when p < q  --  reduce, for step ladders, to
-the two interval values being complements of each other; one checker tests
-exactly that together with monotonicity, and then normalises away
+each value of the lower ladder q -> f(-,q), constant on each
+(t_i, t_{i+1}], being the complement of the upper value on the same
+interval.  So the lower ladder is not stored: it is a view, the
+complement of the upper ladder, and the public constructor, which takes
+one, checks it against the cut relations.  One checker tests the grid
+and that the upper ladder is antitone, and then normalises away
 breakpoints where nothing changes.  Right-/left-constancy of the interval
 convention discharges the regularity relations.
 
 Inside, a function is ints: the breakpoints are an ascending int grid over
-one denominator D, reduced so that the pair is unique, and the ladders are
-tuples of the carrier's J-masks (meet ``&``, join ``|``).  The breakpoints
-as ``Fraction``s and the ladders as element names are views built on first
-read.  The public constructor resolves names to masks and puts the
-breakpoints over one denominator; the kernels hand their int grids and
-masks to the same checker, and build a ``Fraction`` or a name only to word
-an error.
+one denominator D, reduced so that the pair is unique, and the upper
+ladder is a tuple of the carrier's J-masks (meet ``&``, join ``|``,
+complement ``^`` J(L)).  The breakpoints as ``Fraction``s and the ladders
+as element names are views built on first read.  The public constructor
+resolves names to masks and puts the breakpoints over one denominator; the
+kernels hand their int grids and upper masks to the same checker, and
+build a ``Fraction`` or a name only to word an error.
 
 Suprema over all rationals (in the addition and multiplication formulas)
 are evaluated exactly as finite joins: one operand's cut is constant on
@@ -36,36 +37,36 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from operator import eq, lt, or_
+from operator import and_, eq, lt, or_
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import (
-    ComplementationFailure,
-    ConsistencyError,
-    InvalidArgument,
-    InvalidScale,
-    NegativeOperand,
-    NotFinite,
-)
+from .errors import InvalidArgument, InvalidScale, NegativeOperand, NotFinite
 from .lattice import FiniteLattice, check_same_carrier
 from .rationals import NEG_INF, POS_INF, ZERO, ExtValue, Infinite, over_common_denominator, parse_rational
 
 
 class CutFunction:
-    """An exact step function given by its two cut ladders.
+    """An exact step function given by its upper cut ladder.
 
     It holds its carrier, the breakpoints as ints ``_grid`` over a
-    denominator ``_den`` and the ladders as J-masks ``_up`` and ``_lo``;
-    ``breakpoints``, ``upper`` and ``lower`` are built from them on first
-    read (racing threads build equal tuples).  The constructor coerces the
-    breakpoints and resolves each ladder value to its J-mask; an unknown
-    name raises MalformedDocument, after the ladder lengths and the
-    breakpoint order have been checked.  It then runs ``_fill``, the one
+    denominator ``_den`` and the upper ladder as J-masks ``_up``;
+    ``breakpoints``, ``upper`` and ``lower`` (the complements of the upper
+    values) are built from them on first read (racing threads build equal
+    tuples).  The constructor coerces the breakpoints and resolves each
+    value of both ladders to its J-mask; an unknown name raises
+    MalformedDocument, after the ladder lengths and the breakpoint order
+    have been checked.  A lower ladder that is not the complement of the
+    upper one fails the cut relations, and the constructor names its first
+    fault: the ladder lengths, the breakpoint order, an upper ladder that
+    is not antitone or a lower one that is not isotone, then the two cut
+    relations on each interval.  Otherwise it runs ``_fill``, the one
     checker, which the kernels reach through ``_from_grid`` with their int
-    grids and masks.  The hash is computed on the first ``hash()`` call."""
+    grids and upper masks.  The hash is computed on the first ``hash()``
+    call."""
 
-    __slots__ = ("carrier", "_den", "_grid", "_up", "_lo", "_bp", "_upper", "_lower", "_hash")
+    __slots__ = ("carrier", "_den", "_grid", "_up", "_bp", "_upper", "_lower", "_hash")
 
     def __init__(self, carrier: FiniteLattice,
                  breakpoints: Sequence[Fraction],
@@ -74,27 +75,14 @@ class CutFunction:
         den, grid = over_common_denominator(
             [b if type(b) is Fraction else parse_rational(b) for b in breakpoints])
         upper, lower = tuple(upper), tuple(lower)
-        mask = carrier._mask
+        mask, full = carrier._mask, carrier._full
         try:
             up, lo = [mask[v] for v in upper], [mask[v] for v in lower]
         except (KeyError, TypeError):  # an unknown name is reported after the shape
             _check_grid(den, grid, len(upper), len(lower))
             up, lo = [carrier.jmask(v) for v in upper], [carrier.jmask(v) for v in lower]
-        self._fill(carrier, den, grid, up, lo)
-
-    def _fill(self, carrier: FiniteLattice, den: int, grid: Sequence[int],
-              up: Sequence[int], lo: Sequence[int]) -> None:
-        """Check, in this order: the ladder lengths, strictly increasing
-        breakpoints, antitone upper and isotone lower ladders (mask
-        inclusion), and the two cut relations on each interval (the masks
-        are disjoint and their union is J(L)).  On the carrier's masks all
-        of that holds iff each lower mask is the complement of the upper one
-        and the upper ladder is antitone, which is tested first; the loops
-        find the first violation.  Then drop the breakpoints across which
-        nothing changes and reduce the denominator."""
-        _check_grid(den, grid, len(up), len(lo))
-        up, lo, full = tuple(up), tuple(lo), carrier._full
-        if lo != tuple([full ^ u for u in up]) or not all(map(eq, map(or_, up, up[1:]), up)):
+        if lo != [full ^ u for u in up]:  # some check below fails; name the first
+            _check_grid(den, grid, len(up), len(lo))
             for i, t in enumerate(grid):
                 if up[i + 1] & ~up[i]:
                     raise InvalidScale(f"upper ladder is not antitone across {Fraction(t, den)}")
@@ -110,15 +98,27 @@ class CutFunction:
                     raise InvalidScale(
                         f"cut relation (p,-) \\/ (-,q) = 1 fails on interval {i}: "
                         f"{at[u]!r} \\/ {at[l]!r} != top")
+        self._fill(carrier, den, grid, up)
+
+    def _fill(self, carrier: FiniteLattice, den: int, grid: Sequence[int],
+              up: Sequence[int]) -> None:
+        """Check, in this order: the ladder length, strictly increasing
+        breakpoints and an antitone upper ladder (mask inclusion).  Then
+        drop the breakpoints across which nothing changes and reduce the
+        denominator."""
+        _check_grid(den, grid, len(up))
+        up = tuple(up)
+        if not all(map(eq, map(or_, up, up[1:]), up)):
+            i = next(i for i in range(len(grid)) if up[i + 1] & ~up[i])
+            raise InvalidScale(f"upper ladder is not antitone across {Fraction(grid[i], den)}")
         kept = [i for i in range(len(grid)) if up[i + 1] != up[i]]
         if len(kept) < len(grid):
-            pieces = [0] + [i + 1 for i in kept]
+            up = tuple([up[0]] + [up[i + 1] for i in kept])
             grid = [grid[i] for i in kept]
-            up, lo = tuple([up[i] for i in pieces]), tuple([lo[i] for i in pieces])
         common = gcd(den, *grid)
         self.carrier, self._den = carrier, den // common
         self._grid = tuple(grid) if common == 1 else tuple([t // common for t in grid])
-        self._up, self._lo = up, lo
+        self._up = up
         self._bp = self._upper = self._lower = self._hash = None
 
     # -- views ------------------------------------------------------------------
@@ -137,8 +137,10 @@ class CutFunction:
 
     @property
     def lower(self) -> Tuple[str, ...]:
+        """f(-,q) on each interval: the complement of the upper value there."""
         if self._lower is None:
-            self._lower = tuple(map(self.carrier._at.__getitem__, self._lo))
+            at, full = self.carrier._at, self.carrier._full
+            self._lower = tuple([at[full ^ u] for u in self._up])
         return self._lower
 
     # -- evaluation -------------------------------------------------------------
@@ -148,10 +150,12 @@ class CutFunction:
         return self.carrier._at[self._upper_mask_at(*p.as_integer_ratio())]
 
     def lower_at(self, q: Fraction) -> str:
-        """f(-,q); left-constant in q: the breakpoints t with t < n/d are
-        the ints below ceil(n * D / d)."""
+        """f(-,q), the complement of f(q',-) for q' just below q; left-constant
+        in q: the breakpoints t with t < n/d are the ints below
+        ceil(n * D / d)."""
         n, d = q.as_integer_ratio()
-        return self.carrier._at[self._lo[bisect_left(self._grid, -(-n * self._den // d))]]
+        lat = self.carrier
+        return lat._at[lat._full ^ self._up[bisect_left(self._grid, -(-n * self._den // d))]]
 
     def _upper_mask_at(self, n: int, d: int) -> int:
         """The mask of f(n/d,-) for d > 0: the breakpoints t with t <= n/d
@@ -160,8 +164,10 @@ class CutFunction:
 
     def _cells(self) -> List[int]:
         """The mask of each level cell: where f equals its j-th breakpoint,
-        upper[j] /\\ lower[j+1], and last where f is +inf, upper[-1]."""
-        return [u & l for u, l in zip(self._up, self._lo[1:])] + [self._up[-1]]
+        upper[j] /\\ lower[j+1], lower[j+1] the complement of upper[j+1],
+        and last where f is +inf, upper[-1]."""
+        up, full = self._up, self.carrier._full
+        return [u & (full ^ v) for u, v in zip(up, up[1:])] + [up[-1]]
 
     def _point_values(self) -> Tuple[int, List[ExtValue]]:
         """(D, the value at each bit of the carrier): the breakpoint (times
@@ -174,7 +180,8 @@ class CutFunction:
         return self._den, vals
 
     def is_finite(self) -> bool:
-        return self._up[0] == self._lo[-1] == self.carrier._full
+        """f(p,-) = 1 below the grid and 0 above it, where f(-,q) = 1."""
+        return self._up[0] == self.carrier._full and not self._up[-1]
 
     def is_nonnegative(self) -> bool:
         """f >= 0, i.e. f(p,-) = 1 for every p < 0."""
@@ -195,9 +202,9 @@ class CutFunction:
         return f"CutFunction(upper={self.upper[0]}|{pieces})"
 
 
-def _check_grid(den: int, grid: Sequence[int], n_up: int, n_lo: int) -> None:
+def _check_grid(den: int, grid: Sequence[int], *lengths: int) -> None:
     """The ladder lengths, then strictly increasing breakpoints."""
-    if n_up != len(grid) + 1 or n_lo != len(grid) + 1:
+    if {*lengths} != {len(grid) + 1}:
         raise InvalidScale("each ladder needs exactly one value per interval")
     if not all(map(lt, grid, grid[1:])):
         i = next(i for i in range(len(grid) - 1) if not grid[i] < grid[i + 1])
@@ -205,11 +212,11 @@ def _check_grid(den: int, grid: Sequence[int], n_up: int, n_lo: int) -> None:
 
 
 def _from_grid(carrier: FiniteLattice, den: int, grid: Sequence[int],
-               up: Sequence[int], lo: Sequence[int]) -> CutFunction:
-    """The function with breakpoints grid[i] / den (den > 0) and ladders of
-    J-masks, through the constructor's checks."""
+               up: Sequence[int]) -> CutFunction:
+    """The function with breakpoints grid[i] / den (den > 0) and an upper
+    ladder of J-masks, each complemented, through ``_fill``."""
     f = CutFunction.__new__(CutFunction)
-    f._fill(carrier, den, grid, up, lo)
+    f._fill(carrier, den, grid, up)
     return f
 
 
@@ -224,10 +231,10 @@ def _int_grids(fs: Sequence[CutFunction]) -> Tuple[int, List[Sequence[int]]]:
                  for f in fs]
 
 
-def _reps(grid: Sequence[int], den: int) -> Tuple[List[int], List[int]]:
-    """One int per piece of the right-constant (upper) and of the
-    left-constant (lower) ladders on a sorted int grid."""
-    return ([grid[0] - den, *grid], [*grid, grid[-1] + den]) if grid else ([0], [0])
+def _reps(grid: Sequence[int], den: int) -> List[int]:
+    """One int per piece of a right-constant (upper) ladder on a sorted int
+    grid."""
+    return [grid[0] - den, *grid] if grid else [0]
 
 
 _DIFFERENT_CARRIERS = "the two functions live on different carriers"
@@ -241,60 +248,53 @@ def constant(value: ExtValue, carrier: FiniteLattice) -> CutFunction:
     full = carrier._full
     if isinstance(value, Infinite):
         up = full if value.sign > 0 else 0
-        return _from_grid(carrier, 1, (), (up,), (full ^ up,))
+        return _from_grid(carrier, 1, (), (up,))
     n, d = parse_rational(value).as_integer_ratio()
-    return _from_grid(carrier, d, (n,), (full, 0), (0, full))
+    return _from_grid(carrier, d, (n,), (full, 0))
 
 
 def characteristic(a: str, carrier: FiniteLattice) -> CutFunction:
     """chi_a for complemented a: 1 on p < 0, a on [0,1), 0 from 1 on."""
     ac = carrier.jmask(carrier.complement(a))
     full = carrier._full
-    return _from_grid(carrier, 1, (0, 1), (full, full ^ ac, 0), (0, ac, full))
+    return _from_grid(carrier, 1, (0, 1), (full, full ^ ac, 0))
 
 
 # -- order and lattice operations ---------------------------------------------------
 
 
 def _merged_pieces(f: CutFunction, g: CutFunction):
-    """(D, merged int grid, (f, g) mask pairs per upper piece, and per
-    lower piece)."""
+    """(D, merged int grid, (f, g) upper mask pairs per piece)."""
     check_same_carrier(f.carrier, g.carrier, _DIFFERENT_CARRIERS)
     den, (fb, gb) = _int_grids((f, g))
     grid = sorted({*fb, *gb})
-    ur, lr = _reps(grid, den)
-    fu, fl, gu, gl = f._up, f._lo, g._up, g._lo
-    ups = [(fu[bisect_right(fb, p)], gu[bisect_right(gb, p)]) for p in ur]
-    lows = [(fl[bisect_left(fb, q)], gl[bisect_left(gb, q)]) for q in lr]
-    return den, grid, ups, lows
+    fu, gu = f._up, g._up
+    ups = [(fu[bisect_right(fb, p)], gu[bisect_right(gb, p)]) for p in _reps(grid, den)]
+    return den, grid, ups
 
 
 def leq(f: CutFunction, g: CutFunction) -> bool:
-    """f <= g iff f(p,-) <= g(p,-) everywhere; the dual lower-ladder
-    comparison is computed as well and cross-checked."""
-    _, _, ups, lows = _merged_pieces(f, g)
-    by_upper = all(not fu & ~gu for fu, gu in ups)
-    by_lower = all(not gl & ~fl for fl, gl in lows)
-    if by_upper != by_lower:
-        raise ConsistencyError("upper and lower order tests disagree")
-    return by_upper
+    """f <= g iff f(p,-) <= g(p,-) everywhere."""
+    return all(not fu & ~gu for fu, gu in _merged_pieces(f, g)[2])
 
 
 def join_meet(f: CutFunction, g: CutFunction) -> Tuple[CutFunction, CutFunction]:
     """(f \\/ g, f /\\ g) computed pointwise on the merged grid."""
-    den, grid, ups, lows = _merged_pieces(f, g)
+    den, grid, ups = _merged_pieces(f, g)
     lat = f.carrier
-    fj = _from_grid(lat, den, grid, [a | b for a, b in ups], [a & b for a, b in lows])
-    fm = _from_grid(lat, den, grid, [a & b for a, b in ups], [a | b for a, b in lows])
-    return fj, fm
+    return (_from_grid(lat, den, grid, [a | b for a, b in ups]),
+            _from_grid(lat, den, grid, [a & b for a, b in ups]))
 
 
 # -- ring operations ------------------------------------------------------------------
 
 
 def negate(f: CutFunction) -> CutFunction:
-    """(-f)(p,-) = f(-,-p): mirror the grid and swap the ladders."""
-    return _from_grid(f.carrier, f._den, [-t for t in f._grid[::-1]], f._lo[::-1], f._up[::-1])
+    """(-f)(p,-) = f(-,-p): mirror the grid and the complements of the
+    upper ladder."""
+    full = f.carrier._full
+    return _from_grid(f.carrier, f._den, [-t for t in f._grid[::-1]],
+                      [full ^ u for u in f._up[::-1]])
 
 
 def scale(lam: Fraction, f: CutFunction) -> CutFunction:
@@ -303,20 +303,19 @@ def scale(lam: Fraction, f: CutFunction) -> CutFunction:
     n, d = parse_rational(lam).as_integer_ratio()
     if not n:
         return constant(ZERO, f.carrier)
-    g = _from_grid(f.carrier, f._den * d, [t * abs(n) for t in f._grid], f._up, f._lo)
+    g = _from_grid(f.carrier, f._den * d, [t * abs(n) for t in f._grid], f._up)
     return g if n > 0 else negate(g)
 
 
 def add(f: CutFunction, g: CutFunction) -> CutFunction:
-    """f + g by the convolution formulas
-    (f+g)(-,q) = sup_t f(-,t) /\\ g(-,q-t)  and dually for the upper cuts.
+    """f + g by the convolution formula
+    (f+g)(p,-) = sup_t f(t,-) /\\ g(p-t,-); the lower cuts dually.
 
-    Each supremum is a join over the pieces of g, on which g's cut is
+    The supremum is a join over the pieces of g, on which g's cut is
     constant; f's monotone cut reaches its supremum over a piece at the
     piece's end, so f is sampled there once.  With b the breakpoints of g:
-    (f+g)(-,q) = \\/_j f(-, q - b_{j-1}) /\\ g.lower[j] and
     (f+g)(p,-) = \\/_j f(p - b_j, -) /\\ g.upper[j].  The unbounded end
-    pieces drop out, because g is finite: g.lower[0] = g.upper[-1] = 0."""
+    piece drops out, because g is finite: g.upper[-1] = 0."""
     check_same_carrier(f.carrier, g.carrier, _DIFFERENT_CARRIERS)
     if not (f.is_finite() and g.is_finite()):
         raise NotFinite("addition is defined for finite functions only")
@@ -324,36 +323,27 @@ def add(f: CutFunction, g: CutFunction) -> CutFunction:
         return f  # only over the one-element carrier
     den, (fb, gb) = _int_grids((f, g))
     grid = sorted({x + y for x in fb for y in gb})
-    fu, fl = f._up, f._lo
-    g_lower = list(zip(gb, g._lo[1:]))
+    fu = f._up
     g_upper = list(zip(gb, g._up))
-    ur, lr = _reps(grid, den)
-    lower = []
-    for q in lr:
-        acc = 0
-        for bj, gl in g_lower:
-            acc |= fl[bisect_left(fb, q - bj)] & gl
-        lower.append(acc)
     upper = []
-    for p in ur:
+    for p in _reps(grid, den):
         acc = 0
         for bj, gu in g_upper:
             acc |= fu[bisect_right(fb, p - bj)] & gu
         upper.append(acc)
-    return _from_grid(f.carrier, den, grid, upper, lower)
+    return _from_grid(f.carrier, den, grid, upper)
 
 
 def mul_nonneg(f: CutFunction, g: CutFunction) -> CutFunction:
-    """f * g for nonnegative finite operands, by the case-split formulas:
+    """f * g for nonnegative finite operands, by the case-split formula:
     (fg)(p,-) is top for p < 0 and sup_{s>0} f(s,-) /\\ g(p/s,-) otherwise;
-    (fg)(-,q) is bottom for q <= 0 and sup_{s>0} f(-,s) /\\ g(-,q/s) otherwise.
+    the lower cuts dually.
 
-    As in ``add``, each supremum is a join over the pieces of g, here those
-    meeting (0, +inf), with f sampled once at the end of each piece: at
-    q/b_{j-1} for the lower cuts (+inf on the piece reaching down to 0) and
-    at p/b_j for the upper cuts (the unbounded piece drops out, as g is
-    finite).  The products are ints over D * D, and for an int a of f's
-    grid a < q/b_j iff a < ceil(q/b_j), a <= p/b_j iff a <= floor(p/b_j)."""
+    As in ``add``, the supremum is a join over the pieces of g, here those
+    meeting (0, +inf), with f sampled once at the end of each piece, at
+    p/b_j (the unbounded piece drops out, as g is finite).  The products
+    are ints over D * D, and for an int a of f's grid a <= p/b_j iff
+    a <= floor(p/b_j)."""
     check_same_carrier(f.carrier, g.carrier, _DIFFERENT_CARRIERS)
     if not (f.is_nonnegative() and g.is_nonnegative()):
         raise NegativeOperand("multiplication needs nonnegative operands")
@@ -365,22 +355,10 @@ def mul_nonneg(f: CutFunction, g: CutFunction) -> CutFunction:
     first = bisect_right(gb, 0)  # the piece of g reaching down to 0
     pos = gb[first:]
     grid = sorted({0} | {x * y for x in fb if x > 0 for y in pos})
-    fu, fl = f._up, f._lo
-    g_lower = g._lo[first:]
+    fu, full = f._up, f.carrier._full
     g_upper = list(zip(pos, g._up[first:]))
-    ur, lr = _reps(grid, den * den)
-    lower = []
-    for q in lr:
-        if q <= 0:
-            lower.append(0)
-            continue
-        acc = fl[-1] & g_lower[0]
-        for bj, gl in zip(pos, g_lower[1:]):
-            acc |= fl[bisect_left(fb, -(-q // bj))] & gl
-        lower.append(acc)
-    full = f.carrier._full
     upper = []
-    for p in ur:
+    for p in _reps(grid, den * den):
         if p < 0:
             upper.append(full)
             continue
@@ -388,56 +366,38 @@ def mul_nonneg(f: CutFunction, g: CutFunction) -> CutFunction:
         for bj, gu in g_upper:
             acc |= fu[bisect_right(fb, p // bj)] & gu
         upper.append(acc)
-    return _from_grid(f.carrier, den * den, grid, upper, lower)
+    return _from_grid(f.carrier, den * den, grid, upper)
 
 
 # -- countable (here: finite) lattice operations ----------------------------------------
 
 
 def seq_inf(fs: Sequence[CutFunction]) -> CutFunction:
-    """Meet of a finite family: the lower cuts are the joins
-    sup_n f_n(-,q), which must be complemented; the upper cuts are their
-    complements (the value of sup_{r>p} (sup_n f_n(-,r))^c on each interval)."""
-    lat, den, grid, lower, upper = _join_cuts(fs, "seq_inf", upper=False)
-    return _from_grid(lat, den, grid, upper, lower)
+    """Meet of a finite family: the upper cuts are the meets
+    inf_n f_n(p,-), the complements of the joins sup_n f_n(-,q) of the
+    lower cuts on the same intervals."""
+    return _fold_upper(fs, "seq_inf", and_)
 
 
 def seq_sup(fs: Sequence[CutFunction]) -> CutFunction:
-    """Join of a finite family; dual to seq_inf on the upper ladders."""
-    lat, den, grid, upper, lower = _join_cuts(fs, "seq_sup", upper=True)
-    return _from_grid(lat, den, grid, upper, lower)
+    """Join of a finite family: the upper cuts are the joins sup_n f_n(p,-)."""
+    return _fold_upper(fs, "seq_sup", or_)
 
 
-def _join_cuts(fs: Sequence[CutFunction], name: str, upper: bool):
-    """(carrier, D, merged int grid, joins, complements): the join over the
-    family of the upper (or lower) cuts at each piece of the merged grid,
-    and the complement of each, as masks."""
+def _fold_upper(fs: Sequence[CutFunction], name: str, op) -> CutFunction:
+    """The family's upper cuts folded with op at each piece of the merged
+    grid.  Ladder values are complemented and the complemented elements
+    are a sublattice, so the folds are too."""
     fs = list(fs)
     if not fs:
         raise InvalidArgument(f"{name} needs at least one function")
     for g in fs[1:]:
         check_same_carrier(fs[0].carrier, g.carrier, _DIFFERENT_CARRIERS)
-    lat = fs[0].carrier
-    at, full = lat._at, lat._full
     den, grids = _int_grids(fs)
     grid = sorted({t for fb in grids for t in fb})
-    ur, lr = _reps(grid, den)
-    if upper:
-        reps, cut, label = ur, bisect_right, "upper cuts at p"
-    else:
-        reps, cut, label = lr, bisect_left, "lower cuts at q"
-    family = [(fb, f._up if upper else f._lo) for fb, f in zip(grids, fs)]
-    joined = []
-    for t in reps:
-        acc = 0
-        for fb, ladder in family:
-            acc |= ladder[cut(fb, t)]
-        if (full ^ acc) not in at:
-            raise ComplementationFailure(
-                f"sup of {label}={Fraction(t, den)} is not complemented "
-                f"(element {at[acc]!r})")
-        joined.append(acc)
-    return lat, den, grid, joined, [full ^ m for m in joined]
+    reps = _reps(grid, den)
+    cuts = [[f._up[bisect_right(fb, p)] for p in reps] for fb, f in zip(grids, fs)]
+    return _from_grid(fs[0].carrier, den, grid, [reduce(op, cut) for cut in zip(*cuts)])
 
 
 # -- sequences and limits -------------------------------------------------------------

@@ -76,10 +76,6 @@ class NegativeOperand(UndefinedOperation):
     pass
 
 
-class ComplementationFailure(UndefinedOperation):
-    pass
-
-
 class NotNonnegative(UndefinedOperation):
     pass
 

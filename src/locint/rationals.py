@@ -55,18 +55,16 @@ _RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
 
 def parse_rational(value) -> Fraction:
     """A ``Fraction`` as is; a plain int, or a "p/q" or integer string,
-    converted.  Floats, bools, Decimals, exponents, decimal points and digit
-    separators raise InvalidArgument."""
+    converted.  Floats, bools, Decimals, exponents, decimal points, digit
+    separators and surrounding whitespace raise InvalidArgument."""
     if type(value) is Fraction:
         return value
     if isinstance(value, Fraction):
         return Fraction(value)
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
-    if isinstance(value, str):
-        text = value.strip()
-        if _RATIONAL.fullmatch(text):
-            return Fraction(text)
+    if isinstance(value, str) and _RATIONAL.fullmatch(value):
+        return Fraction(value)
     raise InvalidArgument(f"not a rational: {value!r}")
 
 
@@ -80,17 +78,11 @@ def over_common_denominator(values: Sequence[Fraction]) -> Tuple[int, List[int]]
 
 
 def parse_extended(value) -> ExtValue:
-    if isinstance(value, str):
-        text = value.strip()
-        if text in ("inf", "+inf"):
-            return POS_INF
-        if text == "-inf":
-            return NEG_INF
+    if value in ("inf", "+inf"):
+        return POS_INF
+    if value == "-inf":
+        return NEG_INF
     return parse_rational(value)
-
-
-def format_rational(q: Fraction) -> str:
-    return str(q)
 
 
 def format_extended(v: ExtValue) -> str:

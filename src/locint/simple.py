@@ -283,17 +283,16 @@ def _cutfunction():
 
 
 def to_cut_function(g: SimpleFunction) -> CutFunction:
-    """Closed-form ladders of a simple function, read off the level sets of
-    its vector: the lower cuts step through the prefix joins of the levels
-    at each value, the upper cuts through the suffix joins."""
+    """Closed-form upper ladder of a simple function, read off the level
+    sets of its vector: the upper cuts step through the suffix joins of the
+    levels at each value."""
     lat = g.carrier
     den, vals = g._vec
     level = _levels(lat, vals)
     grid = sorted(level)
     cover = [level[v] for v in grid]
-    lower = list(accumulate(cover, operator.or_, initial=0))
     upper = list(accumulate(reversed(cover), operator.or_, initial=0))[::-1]
-    return _cutfunction()._from_grid(lat, den, grid, upper, lower)
+    return _cutfunction()._from_grid(lat, den, grid, upper)
 
 
 def cut_to_simple(f: CutFunction) -> SimpleFunction:
@@ -394,9 +393,9 @@ def _decomposition_ints(k: int) -> Tuple[int, Tuple[int, ...]]:
 
 
 def stage_table(f: CutFunction, k: int) -> CutFunction:
-    """Expected ladders of stage k read off the witness grid: the value on
-    [t_{j-1}, t_j) is f(t_j,-), with complements below."""
+    """Expected upper ladder of stage k read off the witness grid: the value
+    on [t_{j-1}, t_j) is f(t_j,-)."""
     lat = f.carrier
     den, grid = _decomposition_ints(k)
     upper = [lat._full] + [f._upper_mask_at(t, den) for t in grid[1:]] + [0]
-    return _cutfunction()._from_grid(lat, den, grid, upper, [lat._full ^ m for m in upper])
+    return _cutfunction()._from_grid(lat, den, grid, upper)

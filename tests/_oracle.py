@@ -27,7 +27,6 @@ from locint.corpus import random_weight
 from locint.cutfunction import CutFunction, constant, join_meet, negate
 from locint.errors import (
     AxiomViolation,
-    ComplementationFailure,
     ConsistencyError,
     InvalidArgument,
     InvalidScale,
@@ -817,7 +816,7 @@ def _join_cuts_by_fractions(fs, name, reps, cut, label):
     for t in reps(grid):
         v = lat.join_all(cut(f, t) for f in fs)
         if not lat.is_complemented(v):
-            raise ComplementationFailure(
+            raise ConsistencyError(
                 f"sup of {label}={t} is not complemented (element {v!r})")
         joined.append(v)
         comps.append(lat.complement(v))

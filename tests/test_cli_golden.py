@@ -145,6 +145,9 @@ COMMANDS = {
                          "--function", D + "f_blocks_extra_key.json"],
     "numeric_coefficient": ["integrate", "--lattice", B4, "--measure", "sample_docs/mu.json",
                             "--function", D + "f_numeric_coefficient.json"],
+    # a rational and a ref padded with whitespace
+    "padded_rational": ["integrate", "--lattice", B4, "--measure", "sample_docs/mu.json",
+                        "--function", D + "f_padded_rational.json"],
 }
 
 CASES = {f"{name}.{fmt}": argv + ["--format", fmt]

@@ -187,6 +187,20 @@ def test_dict_refs_hold_blocks_and_nothing_else(b4, ref):
         view.resolve_ref(ref)
 
 
+@pytest.mark.parametrize("ref, message", [
+    (" L", "unknown sublocale reference ' L'"),
+    ("void ", "unknown sublocale reference 'void '"),
+    (" open:x", "unknown sublocale reference ' open:x'"),
+    ("closed:x ", "unknown lattice element 'x '"),
+    ("blocks:0,x|y,1 ", "unknown lattice element '1 '"),
+])
+def test_refs_take_no_surrounding_whitespace(b4, ref, message):
+    view = b4.congruence_frame().view()
+    with pytest.raises(MalformedDocument) as caught:
+        view.resolve_ref(ref)
+    assert str(caught.value) == message
+
+
 def test_validate_congruence_rejects_non_congruences(b4):
     # a partition enters only through from_blocks, which rejects it unless
     # it is a congruence

@@ -239,10 +239,11 @@ def test_only_simple_reads_the_value_vector():
 
 
 def test_only_cutfunction_reads_the_ladder_ints():
-    """A cut function is its int grid over a denominator and its two J-mask
-    ladders: no module but ``cutfunction.py`` reads or writes its ``_den``,
-    ``_grid``, ``_up`` or ``_lo`` slots or calls its ``_fill`` check, and
-    only ``simple.py`` calls the builder ``_from_grid`` from outside it."""
+    """A cut function is its int grid over a denominator and its upper
+    J-mask ladder: no module but ``cutfunction.py`` reads or writes its
+    ``_den``, ``_grid`` or ``_up`` slots (or a ``_lo`` slot for a lower
+    ladder) or calls its ``_fill`` check, and only ``simple.py`` calls the
+    builder ``_from_grid`` from outside it."""
     slots = re.compile(r"\._(den|grid|up|lo|fill)\b")
     builder = re.compile(r"(?<![A-Za-z0-9_])_from_grid\b")
     for path in sorted((SRC / "locint").glob("*.py")):
@@ -250,6 +251,17 @@ def test_only_cutfunction_reads_the_ladder_ints():
             where = f"{path.name}:{number}: {line.strip()}"
             assert path.name == "cutfunction.py" or not slots.search(line), where
             assert path.name in ("cutfunction.py", "simple.py") or not builder.search(line), where
+
+
+def test_a_cut_function_holds_one_ladder():
+    """The lower ladder is the complement of the upper one: no slot stores
+    it, and the builder takes the upper ladder alone."""
+    from locint.cutfunction import CutFunction, _from_grid
+
+    ladders = [s for s in CutFunction.__slots__ if s in ("_up", "_lo")]
+    assert ladders == ["_up"]
+    code = _from_grid.__code__
+    assert code.co_varnames[:code.co_argcount] == ("carrier", "den", "grid", "up")
 
 
 def test_the_integrals_read_no_names():

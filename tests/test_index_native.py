@@ -6,7 +6,8 @@ run on element indices.  Each is compared here with the name-based code it
 replaced, kept in ``_oracle``: the same terms and ladders, or the same
 exception class and message.  The ladder checks are run twice: through the
 public constructor on names and Fractions, and through the private builder
-``_from_grid`` on the same ladders as an int grid and J-masks.  Inputs come from the corpus, from seeded
+``_from_grid`` on the upper ladder alone as an int grid and J-masks, whose
+complement is the lower ladder.  Inputs come from the corpus, from seeded
 downset lattices, from congruence-frame facades C(L) and from the
 one-element carrier.  Every public builder of a simple function is checked
 against ``canonicalize_by_names`` on the terms it stands for: the same
@@ -65,13 +66,17 @@ def ladders_of(carrier, bp, upper, lower):
     return f.breakpoints, f.upper, f.lower
 
 
-def ladders_from_masks(carrier, bp, upper, lower):
-    """The same ladders through the builder, as ints over one denominator
-    and J-masks."""
+def ladders_from_masks(carrier, bp, upper):
+    """The function with this upper ladder through the builder, as ints
+    over one denominator and J-masks."""
     den, grid = over_common_denominator([F(b) for b in bp])
-    f = _from_grid(carrier, den, grid, [carrier.jmask(v) for v in upper],
-                   [carrier.jmask(v) for v in lower])
+    f = _from_grid(carrier, den, grid, [carrier.jmask(v) for v in upper])
     return f.breakpoints, f.upper, f.lower
+
+
+def with_complements(carrier, bp, upper):
+    """The name-based checks on an upper ladder and its complement."""
+    return cut_ladders_by_names(carrier, bp, upper, [carrier.complement(v) for v in upper])
 
 
 # -- term lists ----------------------------------------------------------------
@@ -244,20 +249,23 @@ def test_cut_function_checks_match_the_name_based_checks(name):
 
 @pytest.mark.parametrize("name", sorted(CARRIERS))
 def test_the_builder_checks_what_the_constructor_checks(name):
-    """The same ladders as ints and J-masks; those with an unknown name have
-    no masks and are left to the test above."""
+    """The upper ladder of each case above as ints and J-masks, against the
+    name-based checks on it and its complement.  An upper ladder with a name
+    that is unknown or not complemented has no complement, and a lower
+    ladder that is not the complement of the upper one reaches only the
+    constructor: both are left to the test above."""
     lat = CARRIERS[name]
     rng = Random(f"ladders-{name}")
-    known = set(lat.elements)
+    comp = set(lat.complemented_elements())
     for bp, up, lo in _valid_ladders(rng, lat):
-        for args in [(bp, up, lo)] + _perturbed(rng, lat, bp, up, lo):
-            if set(args[1]) | set(args[2]) <= known:
+        for args in [(bp, up)] + [a[:2] for a in _perturbed(rng, lat, bp, up, lo)]:
+            if set(args[1]) <= comp:
                 assert outcome(ladders_from_masks, lat, *args) == \
-                    outcome(cut_ladders_by_names, lat, *args), args
-    for bp, up, lo in (((), ("0",), ("0",)), ((F(1),), ("0", "0"), ("0", "0")),
-                       ((), ("0", "0"), ("0",)), ((F(1), F(1)), ("0",) * 3, ("0",) * 3)):
-        assert outcome(ladders_from_masks, ONE_POINT, bp, up, lo) == \
-            outcome(cut_ladders_by_names, ONE_POINT, bp, up, lo)
+                    outcome(with_complements, lat, *args), args
+    for args in (((), ("0",)), ((F(1),), ("0", "0")), ((), ("0", "0")),
+                 ((F(1), F(1)), ("0",) * 3)):
+        assert outcome(ladders_from_masks, ONE_POINT, *args) == \
+            outcome(with_complements, ONE_POINT, *args)
 
 
 def test_hashes_agree_with_equality():

@@ -39,15 +39,15 @@ def test_parse_and_format_round_trip():
 
 
 def test_parse_rational_accepts_only_the_documented_grammar():
-    for text, value in [("+2", 2), (" 3/4 ", Fraction(3, 4)), ("-0", 0), ("007", 7),
-                        ("-6/4", Fraction(-3, 2))]:
+    for text, value in [("+2", 2), ("-0", 0), ("007", 7), ("-6/4", Fraction(-3, 2))]:
         assert parse_rational(text) == value
     for text in ["1e5", "0.5", ".5", "1_0", "1/2.0", "1/-2", "", "/2", "1/", "1 / 2",
-                 "- 1", "inf", "nan", "\u0661"]:
+                 "- 1", " 3/4 ", "inf", "nan", "\u0661"]:
         with pytest.raises(ValueError):
             parse_rational(text)
-    with pytest.raises(ValueError):
-        parse_extended("1e5")
+    for text in ["1e5", " inf", "-inf "]:
+        with pytest.raises(ValueError):
+            parse_extended(text)
 
 
 def test_parse_rational_passes_fractions_and_rejects_other_numbers():
