@@ -217,9 +217,10 @@ def _check_algebra(points: Tuple[str, ...], sets) -> None:
 
 
 class ClassicalSimpleFunction:
-    """A rational-valued function on the points with measurable level sets."""
+    """A rational-valued function on the points with measurable level sets,
+    which the constructor builds once (``level_sets``)."""
 
-    __slots__ = ("space", "values")
+    __slots__ = ("space", "values", "_levels")
 
     def __init__(self, space: FiniteMeasurableSpace, values: Mapping[str, Fraction]):
         self.space = space
@@ -231,16 +232,18 @@ class ClassicalSimpleFunction:
             raise MalformedDocument(f"values for unknown point(s) {extra!r}")
         self.values: Mapping[str, Fraction] = MappingProxyType(
             {p: parse_rational(values[p]) for p in space.points})
-        for _, level in self.level_sets():
+        by_value: Dict[Fraction, set] = {}
+        for p, v in self.values.items():
+            by_value.setdefault(v, set()).add(p)
+        self._levels = tuple((v, frozenset(s)) for v, s in sorted(by_value.items()))
+        for _, level in self._levels:
             if level not in space._below:
                 raise MalformedDocument(
                     f"level set {space.name_of(level)!r} is not in the algebra")
 
     def level_sets(self) -> Tuple[Tuple[Fraction, FrozenSet[str]], ...]:
-        by_value: Dict[Fraction, set] = {}
-        for p, v in self.values.items():
-            by_value.setdefault(v, set()).add(p)
-        return tuple((v, frozenset(s)) for v, s in sorted(by_value.items()))
+        """(value, the points taking it) by ascending value."""
+        return self._levels
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, ClassicalSimpleFunction)

@@ -23,7 +23,10 @@ complement ``^`` J(L)).  The breakpoints as ``Fraction``s and the ladders
 as element names are views built on first read.  The public constructor
 resolves names to masks and puts the breakpoints over one denominator; the
 kernels hand their int grids and upper masks to the same checker, and
-build a ``Fraction`` or a name only to word an error.
+build a ``Fraction`` or a name only to word an error.  One builder,
+``_from_reduced``, skips the checker: its one caller,
+``simple.to_cut_function``, passes a grid and ladder that the checker
+would pass unchanged.
 
 Suprema over all rationals (in the addition and multiplication formulas)
 are evaluated exactly as finite joins: one operand's cut is constant on
@@ -63,8 +66,9 @@ class CutFunction:
     is not antitone or a lower one that is not isotone, then the two cut
     relations on each interval.  Otherwise it runs ``_fill``, the one
     checker, which the kernels reach through ``_from_grid`` with their int
-    grids and upper masks.  The hash is computed on the first ``hash()``
-    call."""
+    grids and upper masks; only ``simple.to_cut_function`` builds through
+    ``_from_reduced``, unchecked, as its ladders are valid and reduced by
+    construction.  The hash is computed on the first ``hash()`` call."""
 
     __slots__ = ("carrier", "_den", "_grid", "_up", "_bp", "_upper", "_lower", "_hash")
 
@@ -116,10 +120,7 @@ class CutFunction:
             up = tuple([up[0]] + [up[i + 1] for i in kept])
             grid = [grid[i] for i in kept]
         common = gcd(den, *grid)
-        self.carrier, self._den = carrier, den // common
-        self._grid = tuple(grid) if common == 1 else tuple([t // common for t in grid])
-        self._up = up
-        self._bp = self._upper = self._lower = self._hash = None
+        _put(self, carrier, den // common, grid if common == 1 else [t // common for t in grid], up)
 
     # -- views ------------------------------------------------------------------
 
@@ -217,6 +218,22 @@ def _from_grid(carrier: FiniteLattice, den: int, grid: Sequence[int],
     ladder of J-masks, each complemented, through ``_fill``."""
     f = CutFunction.__new__(CutFunction)
     f._fill(carrier, den, grid, up)
+    return f
+
+
+def _from_reduced(carrier: FiniteLattice, den: int, grid: Sequence[int], up: Sequence[int]) -> CutFunction:
+    """As ``_from_grid``, unchecked, for a grid and ladder that ``_fill``
+    would pass unchanged: a strictly increasing grid with gcd(den, grid)
+    = 1 and a strictly decreasing upper ladder of complemented masks.
+    ``simple.to_cut_function`` alone calls it, with the distinct values of
+    a reduced vector and the top minus the levels of the values passed."""
+    return _put(CutFunction.__new__(CutFunction), carrier, den, grid, up)
+
+
+def _put(f, carrier: FiniteLattice, den: int, grid: Sequence[int], up: Sequence[int]) -> CutFunction:
+    """Fill the slots of f, the views left to be built on first read."""
+    f.carrier, f._den, f._grid, f._up = carrier, den, tuple(grid), tuple(up)
+    f._bp = f._upper = f._lower = f._hash = None
     return f
 
 

@@ -105,21 +105,26 @@ def _signed_sum(den: int, vals: Sequence, measure: Measure, over: int) -> Summab
     int, or +-inf) and w_i the measure of the S(L) atom keeping that point
     if S keeps it (else of the void sublocale, 0), the parts are the sums of
     v * w_i over v > 0 and of -v * w_i over v < 0, with 0 * inf = 0.  A
-    weight is a Fraction >= 0 or +inf, so a finite part is one int over den
-    times the product of the weights' denominators."""
-    parts = [[0, 1], [0, 1]]  # numerator and denominator for v > 0, v < 0
+    weight is a Fraction >= 0 or +inf, so each finite part is kept as an
+    int pair, its numerator over den and over the product of the weights'
+    denominators; the pair (0, 0) stands for +inf, and absorbs.  A part
+    with numerator 0 is ``ZERO``, with no ``Fraction`` built."""
+    value = measure.value_by_keep
+    pn, pd, nn, nd = 0, 1, 0, 1
     for v, keep in zip(vals, measure.view.frame.point_keeps()):
-        w = measure.value_by_keep(keep & over)
-        if not (v and w):
-            continue
-        part = parts[v.sign < 0 if isinstance(v, Infinite) else v < 0]
-        if isinstance(v, Infinite) or isinstance(w, Infinite):
-            part[1] = 0  # +inf, absorbing
-        elif part[1]:
+        w = value(keep & over)
+        if type(v) is int and type(w) is Fraction:  # the finite case
             wn, wd = w.as_integer_ratio()
-            part[0] = part[0] * wd + abs(v) * wn * part[1]
-            part[1] *= wd
-    return classify(*[Fraction(n, d * den) if d else POS_INF for n, d in parts])
+            if v > 0:
+                pn, pd = pn * wd + v * wn * pd, pd * wd
+            elif v < 0:
+                nn, nd = nn * wd - v * wn * nd, nd * wd
+        elif v and w:  # an infinite value or weight, neither 0
+            if (v.sign if isinstance(v, Infinite) else v) > 0:
+                pn = pd = 0
+            else:
+                nn = nd = 0
+    return classify(*[POS_INF if not d else Fraction(n, d * den) if n else ZERO for n, d in ((pn, pd), (nn, nd))])
 
 
 def summability(g: SimpleFunction, measure: Measure,

@@ -22,9 +22,10 @@ powerset, are built straight from their masks.  A lattice built from an
 order has at most ``SOFT_SIZE_LIMIT`` elements.
 
 Instances are immutable after construction and safe to share between
-threads; the congruence frame and the atoms of the Boolean centre are
-built on first use, and threads racing on one may each build a copy: the
-frames' congruences compare equal, and the centre atoms are equal.  At
+threads; the congruence frame and the atoms of the Boolean centre, with
+the row of centre atoms below each complemented element, are built on
+first use, and threads racing on one may each build a copy: the frames'
+congruences compare equal, and the centre atoms and rows are equal.  At
 this scale every countable join is a finite join, so a finite distributive
 lattice serves as a sigma-frame.
 """
@@ -141,7 +142,7 @@ class FiniteLattice:
     """
 
     __slots__ = ("elements", "_idx", "_jmask", "_mask", "_at", "_full", "_jirr",
-                 "_hash", "_frame_cache", "_centre")
+                 "_hash", "_frame_cache", "_centre", "_rows")
 
     def __init__(self, elements: Sequence[str], leq_pairs: Iterable[Tuple[str, str]]):
         elements, down = _down_sets(elements, leq_pairs)
@@ -176,7 +177,7 @@ class FiniteLattice:
         self._jirr = tuple(jirr)
         self._hash = hash((elements, self._jmask))
         self._frame_cache = None
-        self._centre = None
+        self._centre = self._rows = None
 
     # -- basic queries -------------------------------------------------------
 
@@ -246,12 +247,21 @@ class FiniteLattice:
         """The masks of the atoms of the Boolean centre Z(L) (the complemented
         elements) in element order, built on first use: the atom holding a
         join-irreducible j is the meet of the complemented elements above j.
-        Each complemented element is the join of the atoms below it."""
+        Each complemented element is the join of the atoms below it; the
+        rows of ``_centre_rows`` are built beside the atoms."""
         if self._centre is None:
             comp = [m for m in self._jmask if (self._full ^ m) in self._at]
             atoms = {reduce(and_, [m for m in comp if m >> j & 1]) for j in range(len(self._jirr))}
-            self._centre = tuple(m for m in comp if m in atoms)
+            centre = tuple(m for m in comp if m in atoms)
+            self._rows = {self._at[m]: tuple([i for i, a in enumerate(centre) if a & m]) for m in comp}
+            self._centre = centre  # set last: a built centre implies built rows
         return self._centre
+
+    def _centre_rows(self) -> Dict[str, Tuple[int, ...]]:
+        """{each complemented element: the indices, in ``_centre_atoms()``
+        order, of the centre atoms below it}."""
+        self._centre_atoms()
+        return self._rows
 
     def congruence_frame(self):
         """The frame of all congruences; cached per lattice."""

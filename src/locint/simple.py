@@ -21,7 +21,6 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from functools import cache, lru_cache
-from itertools import accumulate
 from math import gcd, lcm
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -60,13 +59,13 @@ class SimpleFunction:
         terms = _coerced(terms)
         if not terms:
             raise ConsistencyError("canonical form cannot be empty; zero is (0, top)")
-        masks = _canonical_masks(carrier, terms)
-        if masks is None:
+        rows = _canonical_rows(carrier, terms)
+        if rows is None:
             _raise_first_violation(carrier, terms)
         # reduced as it stands: each coefficient, in lowest terms, is the
         # value on the centre atoms below its (nonzero) element
         ratios = [r.as_integer_ratio() for r, _ in terms]
-        self.carrier, self._vec = carrier, _atom_sums(carrier, ratios, masks)
+        self.carrier, self._vec = carrier, _atom_sums(carrier, ratios, rows)
         self._terms, self._hash = terms, None
 
     def _point_values(self) -> Tuple[int, Tuple[int, ...]]:
@@ -113,23 +112,24 @@ def _coerced(terms: Iterable[Tuple[Fraction, str]]) -> Tuple[Tuple[Fraction, str
     return tuple([(r if type(r) is Fraction else parse_rational(r), a) for r, a in terms])
 
 
-def _canonical_masks(carrier: FiniteLattice, terms: Sequence[Tuple[Fraction, str]]) -> Optional[List[int]]:
-    """The term masks if the terms are canonical, else None; O(t) on the
-    masks: ascending coefficients, and each a_k complemented, nonzero and
+def _canonical_rows(carrier: FiniteLattice, terms: Sequence[Tuple[Fraction, str]]) -> Optional[List[tuple]]:
+    """The terms' rows of centre atoms (``FiniteLattice._centre_rows``) if
+    the terms are canonical, else None; O(t) on the masks: ascending
+    coefficients, and each a_k complemented (it has a row), nonzero and
     disjoint from a_1 \\/ ... \\/ a_{k-1} (pairwise disjointness, by
     distributivity), with the join reaching top."""
-    mask, at, full = carrier._mask, carrier._at, carrier._full
-    masks, cover = [], 0
+    mask, table = carrier._mask, carrier._centre_rows()
+    rows, cover = [], 0
     p, e = -1, 0  # -1/0 is below every n/d: p * d < n * e
     for r, a in terms:
         m = mask.get(a)
         n, d = r.as_integer_ratio()
-        if not m or (full ^ m) not in at or m & cover or not p * d < n * e:
+        if not m or a not in table or m & cover or not p * d < n * e:
             return None  # unknown, bottom, not complemented, overlapping, or not ascending
-        masks.append(m)
+        rows.append(table[a])
         cover |= m
         p, e = n, d
-    return masks if cover == full else None
+    return rows if cover == carrier._full else None
 
 
 def _raise_first_violation(carrier: FiniteLattice, terms: Sequence[Tuple[Fraction, str]]) -> None:
@@ -152,20 +152,18 @@ def _raise_first_violation(carrier: FiniteLattice, terms: Sequence[Tuple[Fractio
     raise ConsistencyError("fast and term-by-term canonicity checks disagree")
 
 
-def _atom_sums(carrier: FiniteLattice, ratios: Sequence[tuple], masks: Iterable[int]) -> Tuple[int, tuple]:
-    """(D, for each centre atom the sum of the coefficients of the masks
+def _atom_sums(carrier: FiniteLattice, ratios: Sequence[tuple], rows: Iterable[tuple]) -> Tuple[int, tuple]:
+    """(D, for each centre atom the sum of the coefficients of the terms
     above it, times D): ratios[t] = (n, d) gives n/d, the coefficient of
-    masks[t], and D is the least common denominator.  One pass over the
-    masks; each is complemented, so each atom lies below it or is disjoint
-    from it."""
+    the t-th term, rows[t] (from ``FiniteLattice._centre_rows``) the
+    indices of the centre atoms below its element, and D is the least
+    common denominator."""
     den = lcm(*[d for _, d in ratios])
-    centre = carrier._centre_atoms()
-    vals = [0] * len(centre)
-    for (n, d), m in zip(ratios, masks):
+    vals = [0] * len(carrier._centre_atoms())
+    for (n, d), row in zip(ratios, rows):
         k = n * (den // d)
-        for i, atom in enumerate(centre):
-            if atom & m:
-                vals[i] += k
+        for i in row:
+            vals[i] += k
     return den, tuple(vals)
 
 
@@ -201,12 +199,16 @@ def canonicalize(carrier: FiniteLattice, terms: Iterable[Tuple[Fraction, str]]) 
     unknown element raises MalformedDocument and a non-complemented one
     NotComplemented, in reading order."""
     terms = _coerced(terms)
-    # complement raises MalformedDocument or NotComplemented for a bad
-    # element; the mask of a good one is the complement of its complement's
-    masks = [carrier._full ^ carrier._mask[carrier.complement(a)] for _, a in terms]
+    table = carrier._centre_rows()
+    try:  # each complemented element has a row in the table
+        rows = [table[a] for _, a in terms]
+    except (KeyError, TypeError):  # complement names the first bad element
+        for _, a in terms:
+            carrier.complement(a)
+        raise
     if not carrier._full:
         raise MalformedDocument("simple functions need a carrier with 0 != 1")
-    return _from_vector(carrier, *_atom_sums(carrier, [r.as_integer_ratio() for r, _ in terms], masks))
+    return _from_vector(carrier, *_atom_sums(carrier, [r.as_integer_ratio() for r, _ in terms], rows))
 
 
 def zero(carrier: FiniteLattice) -> SimpleFunction:
@@ -284,15 +286,18 @@ def _cutfunction():
 
 def to_cut_function(g: SimpleFunction) -> CutFunction:
     """Closed-form upper ladder of a simple function, read off the level
-    sets of its vector: the upper cuts step through the suffix joins of the
-    levels at each value."""
+    sets of its vector: past each value the upper cut drops that value's
+    level, so the cuts are the top minus the levels of the values passed.
+    The vector is reduced and its levels are nonzero and partition the
+    top, so the grid of distinct values is strictly increasing with no
+    factor common to the denominator, and the ladder falls strictly from
+    the top to 0: the unchecked builder takes them."""
     lat = g.carrier
     den, vals = g._vec
     level = _levels(lat, vals)
     grid = sorted(level)
-    cover = [level[v] for v in grid]
-    upper = list(accumulate(reversed(cover), operator.or_, initial=0))[::-1]
-    return _cutfunction()._from_grid(lat, den, grid, upper)
+    up = lat._full
+    return _cutfunction()._from_reduced(lat, den, grid, [up] + [up := up ^ level[v] for v in grid])
 
 
 def cut_to_simple(f: CutFunction) -> SimpleFunction:
@@ -304,7 +309,8 @@ def cut_to_simple(f: CutFunction) -> SimpleFunction:
     lat = f.carrier
     if not lat._full:
         raise MalformedDocument("simple functions need a carrier with 0 != 1")
-    return _from_vector(lat, *_atom_sums(lat, [t.as_integer_ratio() for t in f.breakpoints], f._cells()))
+    rows = map(lat._centre_rows().__getitem__, map(lat._at.__getitem__, f._cells()))
+    return _from_vector(lat, *_atom_sums(lat, [t.as_integer_ratio() for t in f.breakpoints], rows))
 
 
 # -- decomposition of nonnegative functions ----------------------------------------------

@@ -29,6 +29,7 @@ from _oracle import (
 from locint.bridge import ClassicalSimpleFunction, FiniteMeasurableSpace, to_localic
 from locint.corpus import corpus_lattices, random_rational, random_simple
 from locint.cutfunction import CutFunction, _from_grid, add, constant
+from locint.errors import InvalidArgument, MalformedDocument, NotComplemented
 from locint.lattice import FiniteLattice, chain_lattice
 from locint.rationals import NEG_INF, POS_INF, over_common_denominator
 
@@ -41,8 +42,8 @@ def _carriers():
     for name in ("c3", "b4", "b8", "div12", "chain4"):
         out[f"C({name})"] = out[name].congruence_frame().as_lattice()
     rng = Random(5)
-    for k in range(8):
-        out[f"downset{k}"] = downset_lattice(rng, 1 + k % 5)
+    for k in range(8):  # |J| from 1 to 8
+        out[f"downset{k}"] = downset_lattice(rng, 1 + k)
     return out
 
 
@@ -177,6 +178,23 @@ def test_one_element_carrier():
                        ((), ("zzz",), ("0",)), ((), ("0", "0"), ("0",))):
         assert outcome(ladders_of, ONE_POINT, bp, up, lo) == \
             outcome(cut_ladders_by_names, ONE_POINT, bp, up, lo)
+
+
+CHAIN3 = chain_lattice(["d", "d0", "d01"])  # the down-sets of a 2-chain
+
+
+@pytest.mark.parametrize("terms, error, message", [
+    ([(F(1), "d01"), (F(2), "zzz")], MalformedDocument, "unknown lattice element 'zzz'"),
+    ([(F(1), ["d0"])], TypeError, "unhashable type: 'list'"),
+    ([(F(1), "d01"), (F(2), "d0")], NotComplemented, "'d0' is not complemented in this lattice"),
+    ([(F(1), "d0"), (F(2), "zzz")], NotComplemented, "'d0' is not complemented in this lattice"),
+    ([(F(1), "zzz"), ("x", "d01")], InvalidArgument, "not a rational: 'x'"),
+])
+def test_canonicalize_names_the_first_fault_in_reading_order(terms, error, message):
+    """A name outside the table of complemented elements goes through
+    ``complement``, which names the first bad element; coefficients are
+    checked before any element."""
+    assert outcome(sf.canonicalize, CHAIN3, terms) == ("error", error, message)
 
 
 @pytest.mark.parametrize("name", sorted(CARRIERS))

@@ -47,6 +47,7 @@ from locint.corpus import corpus_lattices, random_measure, random_simple
 from locint.cutfunction import (
     CutFunction,
     FunctionSequence,
+    _from_grid,
     add,
     constant,
     join_meet,
@@ -88,8 +89,8 @@ FRAMES = {"C(chain8)": chain_lattice([f"c{i}" for i in range(8)]).congruence_fra
 def _carriers():
     out = dict(corpus_lattices())
     rng = Random(7)
-    for k in range(8):
-        out[f"downset{k}"] = downset_lattice(rng, 1 + k % 5)
+    for k in range(8):  # |J| from 1 to 8
+        out[f"downset{k}"] = downset_lattice(rng, 1 + k)
     out.update((name, frame.as_lattice()) for name, frame in FRAMES.items())
     return out
 
@@ -262,18 +263,33 @@ def test_kernel_results_equal_their_ladders_built_by_name(name):
 
 
 @pytest.mark.parametrize("name", sorted(CARRIERS))
-def test_to_cut_function_matches_the_name_based_joins(name):
-    """From the vector of a sum, before and after its terms are read."""
+def test_to_cut_function_matches_the_name_based_joins(name, monkeypatch):
+    """From the vector of a sum, before and after its terms are read.  The
+    ladder is built unchecked: it equals the one the checked builder
+    ``_from_grid`` makes of the same grid and ladder, and no conversion
+    calls ``_fill``."""
     lat = CARRIERS[name]
     rng = Random(f"to-cut-{name}")
+    fills = []
+    fill = CutFunction._fill
+    monkeypatch.setattr(CutFunction, "_fill", lambda *args: fills.append(1) or fill(*args))
+
+    def converted(g):
+        before = len(fills)
+        f = to_cut_function(g)
+        assert len(fills) == before
+        assert f == _from_grid(lat, f._den, f._grid, f._up)
+        return f
+
     for _ in range(10):
         g = random_simple(rng, lat, max_parts=4, denominators=(1, 7, 11, 10**9 + 7))
         h = random_simple(rng, lat, max_parts=4)
-        from_vector = to_cut_function(sf_add(g, h))  # before anything reads the terms
+        from_vector = converted(sf_add(g, h))  # before anything reads the terms
         same_as_public(from_vector)
         total = sf_add(g, h)
         assert ladders(from_vector) == ladders(to_cut_function_by_names(total))
-        compare(to_cut_function, to_cut_function_by_names, total)
+        compare(converted, to_cut_function_by_names, total)
+    assert fills  # the counter sees the checked builders
 
 
 def test_one_element_carrier():
