@@ -26,7 +26,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from locint import cutfunction, integrate, lattice, simple, verify  # noqa: E402
+from locint import cutfunction, integrate, lattice, measure, simple, verify  # noqa: E402
 
 # label -> (the module or class that defines it, its name there)
 COUNTED = {
@@ -36,6 +36,8 @@ COUNTED = {
     "simple._from_vector": (simple, "_from_vector"),
     "FiniteLattice.complement": (lattice.FiniteLattice, "complement"),
     "integrate._signed_sum": (integrate, "_signed_sum"),
+    "measure.subset_sums": (measure, "subset_sums"),
+    "measure.check_axioms": (measure, "check_axioms"),
 }
 
 

@@ -141,12 +141,12 @@ class CongruenceFrame:
     ``~``.  ``as_lattice`` gives the frame as a FiniteLattice over
     canonical partition names, the carrier of functions and simple
     functions over C(L).  Each bit of that carrier is an atom of C(L), the
-    congruence collapsing exactly one j; ``point_keeps()`` gives, per bit,
-    the keep-mask of the S(L) atom keeping only that j, so a function's
-    value at a carrier bit is its value at the point j of J(L).
+    congruence collapsing exactly one j; ``point_bits()`` gives, per bit,
+    the bit of that j in the keep-masks, so a function's value at a
+    carrier bit is its value at the point j of J(L).
     """
 
-    __slots__ = ("lattice", "congruences", "_full", "_pos", "_bit_keep", "_carrier", "_view")
+    __slots__ = ("lattice", "congruences", "_full", "_pos", "_point_bits", "_carrier", "_view")
 
     def __init__(self, lattice: FiniteLattice, congruences: Tuple[Congruence, ...]):
         self.lattice = lattice
@@ -156,7 +156,7 @@ class CongruenceFrame:
         for i, c in enumerate(congruences):
             pos[c.keep] = i
         self._pos = tuple(pos)
-        self._bit_keep: Optional[Tuple[int, ...]] = None
+        self._point_bits: Optional[Tuple[int, ...]] = None
         self._carrier: Optional[FiniteLattice] = None
         self._view = SublocaleView(self)
 
@@ -207,14 +207,15 @@ class CongruenceFrame:
                 [self._full ^ c.keep for c in self.congruences])
         return self._carrier
 
-    def point_keeps(self) -> Tuple[int, ...]:
-        """Per bit of the carrier, in bit order, the single-bit keep-mask of
-        the S(L) atom keeping the one j that bit's congruence collapses:
-        read off the carrier's own numbering, built on first use."""
-        if self._bit_keep is None:
-            self._bit_keep = tuple(self._full ^ self.congruences[i].keep
-                                   for i in self.as_lattice()._jirr)
-        return self._bit_keep
+    def point_bits(self) -> Tuple[int, ...]:
+        """Per bit of the carrier, in bit order, the bit k of the one j that
+        bit's congruence collapses, so 1 << k is the keep-mask of the S(L)
+        atom keeping j alone: read off the carrier's own numbering, built
+        on first use."""
+        if self._point_bits is None:
+            self._point_bits = tuple((self._full ^ self.congruences[i].keep).bit_length() - 1
+                                     for i in self.as_lattice()._jirr)
+        return self._point_bits
 
     def congruence_of_element(self, name: str) -> Congruence:
         return self.congruences[self.as_lattice().index(name)]

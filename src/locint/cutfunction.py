@@ -272,9 +272,10 @@ def constant(value: ExtValue, carrier: FiniteLattice) -> CutFunction:
 
 def characteristic(a: str, carrier: FiniteLattice) -> CutFunction:
     """chi_a for complemented a: 1 on p < 0, a on [0,1), 0 from 1 on."""
-    ac = carrier.jmask(carrier.complement(a))
-    full = carrier._full
-    return _from_grid(carrier, 1, (0, 1), (full, full ^ ac, 0))
+    m, full = carrier.jmask(a), carrier._full
+    if full ^ m not in carrier._at:
+        carrier.complement(a)  # raises NotComplemented, naming a
+    return _from_grid(carrier, 1, (0, 1), (full, m, 0))
 
 
 # -- order and lattice operations ---------------------------------------------------

@@ -2,7 +2,7 @@
 
 By Birkhoff duality C(L) is the powerset of the join-irreducibles J(L), so
 a function over C(L) is a value g(j) at each point j of J(L) (carrier bit
-i stands for one j, ``CongruenceFrame.point_keeps``), and a measure is one
+i stands for one j, ``CongruenceFrame.point_bits``), and a measure is one
 weight mu({j}) per point, the measure of the S(L) atom keeping j alone.
 Every integral here is the one sum
 
@@ -10,17 +10,21 @@ Every integral here is the one sum
 
 with 0 * inf = 0, split into the positive and the negative part: g is
 integrable over S when at least one part is finite, summable when both
-are.  ``summability``/``integrate_simple`` read a simple function's value
+are.  Each part is summed on ints, the values over their denominator
+times the measure's int weights over theirs, and made a ``Fraction``
+once; no integral reads the measure's table of sublocale values.
+``summability``/``integrate_simple`` read a simple function's value
 vector, and ``integrate_general`` reads an extended function's value at
 each point (+-inf where its upper ladder always or never holds the point),
 which is the supremum of its simple minorants' integrals, attained on its
 own level cells.  The indefinite integral of a nonnegative g is the
-measure with g(j) * mu({j}) on the atom keeping j, and the nonnegativity
-certificate asks that no point of S hold a negative value.  Only
-``integral_of_representation`` reads names: it takes any disjoint named
-representation sum_i r_i * chi(theta_i), with theta_i the complement of
-the congruence of a sublocale S_i, and sums r_i * mu(S_i /\\ S) term by
-term, an independent check of representation independence.
+measure with g(j) * mu({j}) on the atom keeping j, built from the int
+products, and the nonnegativity certificate asks that no point of S hold
+a negative value.  Only ``integral_of_representation`` reads names and
+the table: it takes any disjoint named representation
+sum_i r_i * chi(theta_i), with theta_i the complement of the congruence of
+a sublocale S_i, and sums r_i * mu(S_i /\\ S) term by term, an
+independent check of representation independence.
 """
 
 from __future__ import annotations
@@ -31,12 +35,11 @@ from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
 from .congruence import Congruence, SublocaleView
 from .errors import ConsistencyError, NotIntegrable, NotNonnegative
 from .lattice import check_same_carrier
-from .measure import Measure
+from .measure import Measure, _from_ints
 from .rationals import (
     POS_INF,
     ZERO,
     ExtValue,
-    Infinite,
     ext_add,
     ext_le,
     ext_scale,
@@ -102,29 +105,32 @@ def _keep_of(measure: Measure, over: Optional[Congruence]) -> int:
 
 def _signed_sum(den: int, vals: Sequence, measure: Measure, over: int) -> SummabilityReport:
     """The one integral: with vals[i] / den the value at carrier bit i (an
-    int, or +-inf) and w_i the measure of the S(L) atom keeping that point
-    if S keeps it (else of the void sublocale, 0), the parts are the sums of
-    v * w_i over v > 0 and of -v * w_i over v < 0, with 0 * inf = 0.  A
-    weight is a Fraction >= 0 or +inf, so each finite part is kept as an
-    int pair, its numerator over den and over the product of the weights'
-    denominators; the pair (0, 0) stands for +inf, and absorbs.  A part
-    with numerator 0 is ``ZERO``, with no ``Fraction`` built."""
-    value = measure.value_by_keep
-    pn, pd, nn, nd = 0, 1, 0, 1
-    for v, keep in zip(vals, measure.view.frame.point_keeps()):
-        w = value(keep & over)
-        if type(v) is int and type(w) is Fraction:  # the finite case
-            wn, wd = w.as_integer_ratio()
-            if v > 0:
-                pn, pd = pn * wd + v * wn * pd, pd * wd
-            elif v < 0:
-                nn, nd = nn * wd - v * wn * nd, nd * wd
-        elif v and w:  # an infinite value or weight, neither 0
-            if (v.sign if isinstance(v, Infinite) else v) > 0:
-                pn = pd = 0
-            else:
-                nn = nd = 0
-    return classify(*[POS_INF if not d else Fraction(n, d * den) if n else ZERO for n, d in ((pn, pd), (nn, nd))])
+    int, or +-inf), k its point's bit in J(L) and w_k / W the measure of
+    the S(L) atom keeping that point (``Measure._weights``, over
+    ``Measure._denom``), the parts are the sums, over the points that S
+    keeps, of v * w_k over v > 0 and of -v * w_k over v < 0, each over
+    den * W, with 0 * inf = 0: a nonzero value on a point of weight +inf,
+    or an infinite value on a point of nonzero weight, makes its part
+    +inf.  A finite part is one int sum, and one ``Fraction`` unless it is
+    0, which is ``ZERO``."""
+    weights, inf = measure._weights, measure._inf
+    pos = neg = 0
+    pos_inf = neg_inf = False
+    for v, k in zip(vals, measure.view.frame.point_bits()):
+        if v and over >> k & 1:
+            if type(v) is int and not inf >> k & 1:  # the finite case
+                if v > 0:
+                    pos += v * weights[k]
+                else:
+                    neg -= v * weights[k]
+            elif weights[k] or inf >> k & 1:  # an infinite value or weight, neither 0
+                if (v if type(v) is int else v.sign) > 0:
+                    pos_inf = True
+                else:
+                    neg_inf = True
+    d = den * measure._denom
+    return classify(POS_INF if pos_inf else Fraction(pos, d) if pos else ZERO,
+                    POS_INF if neg_inf else Fraction(neg, d) if neg else ZERO)
 
 
 def summability(g: SimpleFunction, measure: Measure,
@@ -193,13 +199,21 @@ def restrict_vs_multiply(g: SimpleFunction, measure: Measure,
 
 def indefinite_integral(g: SimpleFunction, measure: Measure) -> Measure:
     """S |-> integral of g over S; a measure on S(L) for nonnegative g, with
-    the value g(j) * mu({j}) on the atom keeping the point j."""
+    the value g(j) * mu({j}) on the atom keeping the point j: the int
+    products of the values and the weights, over the product of their
+    denominators, and +inf where a nonzero value meets an infinite weight."""
     den, vals = g._point_values()
     if min(vals) < 0:
         raise NotNonnegative("the indefinite integral needs a nonnegative function")
     check_same_carrier(g.carrier, measure.view.frame.as_lattice(), _SIMPLE_OFF_FRAME)
-    return Measure(measure.view, [ext_scale(Fraction(v, den), measure.value_by_keep(keep))
-                                  for keep, v in sorted(zip(measure.view.frame.point_keeps(), vals))])
+    weights, inf = list(measure._weights), 0
+    for v, k in zip(vals, measure.view.frame.point_bits()):
+        if measure._inf >> k & 1:
+            if v:  # 0 * inf = 0
+                inf |= 1 << k
+        else:
+            weights[k] *= v
+    return _from_ints(measure.view, den * measure._denom, weights, inf)
 
 
 def nonnegativity_certificate(g: SimpleFunction, measure: Measure,
@@ -210,7 +224,7 @@ def nonnegativity_certificate(g: SimpleFunction, measure: Measure,
     check_same_carrier(g.carrier, measure.view.frame.as_lattice(), _SIMPLE_OFF_FRAME)
     q = _keep_of(measure, s)
     _, vals = g._point_values()
-    if any(v < 0 and keep & q for v, keep in zip(vals, measure.view.frame.point_keeps())):
+    if any(v < 0 and q >> k & 1 for v, k in zip(vals, measure.view.frame.point_bits())):
         return False
     value, _ = integrate_simple(g, measure, s)
     if not ext_le(ZERO, value):

@@ -5,11 +5,15 @@ must satisfy strictness (M1), monotonicity (M2) and modularity (M3).  S(L)
 is Boolean (C(L) is the powerset of J(L)), where M1-M3 together say exactly
 that the measure is the sum of its values on the atoms of S(L), the
 single-bit keep-masks.  So a ``Measure`` is built from those |J| atom
-values alone, each in [0, inf], and is a measure by construction; as S(L)
-is 2^J(L), it holds its values by keep-mask.  A table given sublocale by
-sublocale (``validate_measure``) is checked against the measure built from
-its atom entries; only a table that differs goes through the sweep over
-all pairs (``check_axioms``), which names the first failing axiom.
+values alone, each in [0, inf], and is a measure by construction, in
+O(|J|): it holds them as ints over one denominator with a mask of the
++inf atoms, which is all the integrals read.  As S(L) is 2^J(L), the
+measure of a sublocale is the sum over the bits of its keep-mask; the
+table of all 2^|J| of them (``subset_sums``) is built on the first
+listing or lookup.  A table given sublocale by sublocale
+(``validate_measure``) is checked against the measure built from its atom
+entries; only a table that differs goes through the sweep over all pairs
+(``check_axioms``), which names the first failing axiom.
 
 Continuity on increasing sequences (M4) is discharged by finiteness of the
 carrier: every increasing sequence stabilises, so its supremum is attained
@@ -19,21 +23,37 @@ test.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Mapping, Sequence
+from fractions import Fraction
+from typing import Iterable, List, Mapping, Sequence, Tuple
 
 from .congruence import Congruence, SublocaleView
 from .errors import AxiomViolation, ConsistencyError, MalformedDocument, NotBoolean
-from .rationals import ZERO, ExtValue, Infinite, ext_add, ext_le, format_extended, parse_rational
+from .rationals import (
+    POS_INF,
+    ZERO,
+    ExtValue,
+    Infinite,
+    ext_add,
+    ext_le,
+    format_extended,
+    over_common_denominator,
+    parse_rational,
+)
 
 
 class Measure:
     """The measure on S(L) with the given value on each atom of S(L).
 
     ``atom_values[k]`` is the measure of the atom whose keep-mask is bit k,
-    i.e. of the k-th join-irreducible; the measure of a sublocale is the
-    sum over the bits of its keep-mask, held at that mask in the table."""
+    i.e. of the k-th join-irreducible.  The measure holds those |J| values
+    as ints over one denominator: ``_weights[k]`` is the k-th value times
+    ``_denom`` (0 where it is +inf), and ``_inf`` is the mask of the bits
+    whose value is +inf.  The measure of a sublocale is the sum over the
+    bits of its keep-mask; the table of all 2^|J| sums, by keep-mask, is
+    built on the first read of a value (racing threads build equal
+    tables), and the integrals never read it."""
 
-    __slots__ = ("view", "_table")
+    __slots__ = ("view", "_denom", "_weights", "_inf", "_table")
 
     def __init__(self, view: SublocaleView, atom_values: Sequence[ExtValue]):
         n_atoms = len(view.frame.lattice._jirr)
@@ -41,25 +61,49 @@ class Measure:
             raise MalformedDocument(
                 f"a measure takes one value per atom of S(L), {n_atoms}; "
                 f"got {len(atom_values)}")
-        self.view = view
-        self._table = tuple(subset_sums([check_measure_value(v) for v in atom_values]))
+        values = [check_measure_value(v) for v in atom_values]
+        inf = sum(1 << k for k, v in enumerate(values) if isinstance(v, Infinite))
+        finite = [ZERO if isinstance(v, Infinite) else v for v in values]
+        self._set(view, *over_common_denominator(finite), inf)
+
+    def _set(self, view: SublocaleView, den: int, weights: Sequence[int], inf: int) -> None:
+        self.view, self._denom, self._weights, self._inf = view, den, tuple(weights), inf
+        self._table = None
+
+    def _sums(self) -> Tuple[ExtValue, ...]:
+        """The measure of every sublocale, by keep-mask."""
+        if self._table is None:  # int sums, one Fraction each
+            den, inf = self._denom, self._inf
+            self._table = tuple([POS_INF if keep & inf else Fraction(n, den)
+                                 for keep, n in enumerate(subset_sums(self._weights, 0))])
+        return self._table
 
     def value(self, sublocale: Congruence) -> ExtValue:
         self.view.index_of(sublocale)
-        return self._table[sublocale.keep]
+        return self._sums()[sublocale.keep]
 
     def value_by_keep(self, keep: int) -> ExtValue:
         """The measure of the sublocale whose keep-mask is `keep`."""
-        return self._table[keep]
+        return self._sums()[keep]
 
     def items(self):
         """(sublocale, value) pairs in frame order."""
-        return ((s, self._table[s.keep]) for s in self.view.sublocales)
+        table = self._sums()
+        return ((s, table[s.keep]) for s in self.view.sublocales)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{self.view.ref_name(s)}={format_extended(v)}"
                           for s, v in self.items())
         return f"Measure({inner})"
+
+
+def _from_ints(view: SublocaleView, den: int, weights: Sequence[int], inf: int) -> Measure:
+    """The measure with atom values weights[k] / den, and +inf on the bits
+    of `inf` (where weights[k] is 0); unchecked, for callers whose values
+    lie in [0, inf] by construction (``integrate.indefinite_integral``)."""
+    mu = Measure.__new__(Measure)
+    mu._set(view, den, weights, inf)
+    return mu
 
 
 def validate_measure(view: SublocaleView, values: Mapping[Congruence, ExtValue]) -> Measure:
@@ -80,7 +124,7 @@ def validate_measure(view: SublocaleView, values: Mapping[Congruence, ExtValue])
         if table[s.keep] is None:
             raise MalformedDocument(f"no value for sublocale {view.ref_name(s)}")
     mu = Measure(view, [table[1 << k] for k in range(len(view.frame.lattice._jirr))])
-    if mu._table != tuple(table):
+    if mu._sums() != tuple(table):
         check_axioms(view, [table[s.keep] for s in subs])
         raise ConsistencyError("additive check and exhaustive sweep disagree")
     return mu
@@ -101,11 +145,11 @@ def check_measure_value(v) -> ExtValue:
         f"measure values must lie in [0, inf]; got {format_extended(v)}")
 
 
-def subset_sums(weights: Sequence[ExtValue]) -> List[ExtValue]:
-    """sums[m] = the sum of weights[k] over the bits k of m, for every
-    m < 2**len(weights); one ext_add per entry, doubling the table bit by
-    bit."""
-    sums: List[ExtValue] = [ZERO]
+def subset_sums(weights: Sequence[ExtValue], zero: ExtValue = ZERO) -> List[ExtValue]:
+    """sums[m] = `zero` plus the sum of weights[k] over the bits k of m,
+    for every m < 2**len(weights); one ext_add per entry, doubling the
+    table bit by bit.  Int weights from an int zero give int sums."""
+    sums: List[ExtValue] = [zero]
     for w in weights:
         sums += [ext_add(s, w) for s in sums]
     return sums

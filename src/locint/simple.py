@@ -14,11 +14,15 @@ read, or kept from the checked constructor, whose input it is.  The hash
 is that of the terms.  Names enter only through ``canonicalize`` and the
 constructor and leave only through ``terms`` and the cells a
 decomposition records; inside, elements are the carrier's J-masks.
+``canonicalize`` reads its terms in one pass (each coefficient's int
+ratio, its element's row of centre atoms, the running common
+denominator), then fills and reduces the vector; the ring operations
+build theirs pointwise in one list.  The code that names a fault runs
+only after something has failed.
 """
 
 from __future__ import annotations
 
-import operator
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import gcd, lcm
@@ -59,13 +63,12 @@ class SimpleFunction:
         terms = _coerced(terms)
         if not terms:
             raise ConsistencyError("canonical form cannot be empty; zero is (0, top)")
-        rows = _canonical_rows(carrier, terms)
-        if rows is None:
+        parts = _canonical_parts(carrier, terms)
+        if parts is None:
             _raise_first_violation(carrier, terms)
         # reduced as it stands: each coefficient, in lowest terms, is the
         # value on the centre atoms below its (nonzero) element
-        ratios = [r.as_integer_ratio() for r, _ in terms]
-        self.carrier, self._vec = carrier, _atom_sums(carrier, ratios, rows)
+        self.carrier, self._vec = carrier, _atom_sums(carrier, parts)
         self._terms, self._hash = terms, None
 
     def _point_values(self) -> Tuple[int, Tuple[int, ...]]:
@@ -112,24 +115,25 @@ def _coerced(terms: Iterable[Tuple[Fraction, str]]) -> Tuple[Tuple[Fraction, str
     return tuple([(r if type(r) is Fraction else parse_rational(r), a) for r, a in terms])
 
 
-def _canonical_rows(carrier: FiniteLattice, terms: Sequence[Tuple[Fraction, str]]) -> Optional[List[tuple]]:
-    """The terms' rows of centre atoms (``FiniteLattice._centre_rows``) if
-    the terms are canonical, else None; O(t) on the masks: ascending
-    coefficients, and each a_k complemented (it has a row), nonzero and
-    disjoint from a_1 \\/ ... \\/ a_{k-1} (pairwise disjointness, by
-    distributivity), with the join reaching top."""
+def _canonical_parts(carrier: FiniteLattice, terms: Sequence[Tuple[Fraction, str]]) -> Optional[List[tuple]]:
+    """(n, d, row) per term, for n/d its coefficient and row its element's
+    centre atoms (``FiniteLattice._centre_rows``), if the terms are
+    canonical, else None; O(t) on the masks: ascending coefficients, and
+    each a_k complemented (it has a row), nonzero and disjoint from
+    a_1 \\/ ... \\/ a_{k-1} (pairwise disjointness, by distributivity), with
+    the join reaching top."""
     mask, table = carrier._mask, carrier._centre_rows()
-    rows, cover = [], 0
+    parts, cover = [], 0
     p, e = -1, 0  # -1/0 is below every n/d: p * d < n * e
     for r, a in terms:
         m = mask.get(a)
         n, d = r.as_integer_ratio()
         if not m or a not in table or m & cover or not p * d < n * e:
             return None  # unknown, bottom, not complemented, overlapping, or not ascending
-        rows.append(table[a])
+        parts.append((n, d, table[a]))
         cover |= m
         p, e = n, d
-    return rows if cover == carrier._full else None
+    return parts if cover == carrier._full else None
 
 
 def _raise_first_violation(carrier: FiniteLattice, terms: Sequence[Tuple[Fraction, str]]) -> None:
@@ -152,18 +156,18 @@ def _raise_first_violation(carrier: FiniteLattice, terms: Sequence[Tuple[Fractio
     raise ConsistencyError("fast and term-by-term canonicity checks disagree")
 
 
-def _atom_sums(carrier: FiniteLattice, ratios: Sequence[tuple], rows: Iterable[tuple]) -> Tuple[int, tuple]:
+def _atom_sums(carrier: FiniteLattice, parts: Sequence[tuple]) -> Tuple[int, tuple]:
     """(D, for each centre atom the sum of the coefficients of the terms
-    above it, times D): ratios[t] = (n, d) gives n/d, the coefficient of
-    the t-th term, rows[t] (from ``FiniteLattice._centre_rows``) the
-    indices of the centre atoms below its element, and D is the least
-    common denominator."""
-    den = lcm(*[d for _, d in ratios])
+    above it, times D), for parts (n, d, row): the coefficient n/d of a
+    term and the indices of the centre atoms below its element, and D the
+    least common denominator.  The one builder of the vector from terms
+    known to be valid, the constructor's and ``cut_to_simple``'s."""
+    den = lcm(*[d for _, d, _ in parts])
     vals = [0] * len(carrier._centre_atoms())
-    for (n, d), row in zip(ratios, rows):
-        k = n * (den // d)
+    for n, d, row in parts:
+        n *= den // d
         for i in row:
-            vals[i] += k
+            vals[i] += n
     return den, tuple(vals)
 
 
@@ -181,7 +185,7 @@ def _from_vector(carrier: FiniteLattice, den: int, vals: Sequence[int]) -> Simpl
     common = gcd(den, *vals)
     g = SimpleFunction.__new__(SimpleFunction)
     g.carrier, g._terms, g._hash = carrier, None, None
-    g._vec = (den // common, tuple([v // common for v in vals] if common > 1 else vals))
+    g._vec = (den, tuple(vals)) if common == 1 else (den // common, tuple([v // common for v in vals]))
     return g
 
 
@@ -195,20 +199,41 @@ def from_cells(carrier: FiniteLattice, cells: Dict[str, Fraction]) -> SimpleFunc
 
 def canonicalize(carrier: FiniteLattice, terms: Iterable[Tuple[Fraction, str]]) -> SimpleFunction:
     """Canonical form of an arbitrary sum of scaled characteristics: each
-    term adds its coefficient to the centre atoms below its element.  An
-    unknown element raises MalformedDocument and a non-complemented one
-    NotComplemented, in reading order."""
-    terms = _coerced(terms)
-    table = carrier._centre_rows()
-    try:  # each complemented element has a row in the table
-        rows = [table[a] for _, a in terms]
-    except (KeyError, TypeError):  # complement names the first bad element
-        for _, a in terms:
+    term adds its coefficient to the centre atoms below its element.  One
+    pass reads each coefficient's int ratio and its element's centre row
+    and keeps the running least common denominator D; then each term adds
+    its coefficient times D to the atoms of its row, and the vector is
+    reduced.  On any fault the ordered check names the first: every
+    coefficient before any element, then an unknown element raises
+    MalformedDocument and a non-complemented one NotComplemented, in
+    reading order, and a carrier with 0 = 1 raises last."""
+    if type(terms) is not list and type(terms) is not tuple:
+        terms = tuple(terms)  # read once, so the fallback sees every term
+    rows = carrier._centre_rows()
+    den, parts = 1, []
+    try:
+        for r, a in terms:
+            n, d = (r if type(r) is Fraction else parse_rational(r)).as_integer_ratio()
+            parts.append((n, d, rows[a]))
+            if den % d:
+                den = lcm(den, d)
+    except (KeyError, TypeError, ValueError):  # a bad term, coefficient or element
+        for _, a in _coerced(terms):  # complement names the first bad element
             carrier.complement(a)
         raise
     if not carrier._full:
         raise MalformedDocument("simple functions need a carrier with 0 != 1")
-    return _from_vector(carrier, *_atom_sums(carrier, [r.as_integer_ratio() for r, _ in terms], rows))
+    vals = [0] * len(carrier._centre)
+    for n, d, row in parts:
+        if n:
+            n *= den // d
+            for i in row:
+                vals[i] += n
+    common = gcd(den, *vals)
+    g = SimpleFunction.__new__(SimpleFunction)
+    g.carrier, g._terms, g._hash = carrier, None, None
+    g._vec = (den, tuple(vals)) if common == 1 else (den // common, tuple([v // common for v in vals]))
+    return g
 
 
 def zero(carrier: FiniteLattice) -> SimpleFunction:
@@ -226,18 +251,21 @@ def characteristic_simple(a: str, carrier: FiniteLattice) -> SimpleFunction:
 # -- ring structure: pointwise on the centre atoms ------------------------------------
 
 
+_DIFFERENT_CARRIERS = "the two simple functions live on different carriers"
+
+
 def sf_add(g: SimpleFunction, h: SimpleFunction) -> SimpleFunction:
     """Pointwise sum on the centre atoms."""
-    check_same_carrier(g.carrier, h.carrier,
-                       "the two simple functions live on different carriers")
+    if g.carrier is not h.carrier:
+        check_same_carrier(g.carrier, h.carrier, _DIFFERENT_CARRIERS)
     (p, u), (q, v) = g._vec, h._vec
     return _from_vector(g.carrier, p * q, [a * q + b * p for a, b in zip(u, v)])
 
 
 def sf_mul(g: SimpleFunction, h: SimpleFunction) -> SimpleFunction:
     """Pointwise product on the centre atoms; valid for all signs."""
-    check_same_carrier(g.carrier, h.carrier,
-                       "the two simple functions live on different carriers")
+    if g.carrier is not h.carrier:
+        check_same_carrier(g.carrier, h.carrier, _DIFFERENT_CARRIERS)
     (p, u), (q, v) = g._vec, h._vec
     return _from_vector(g.carrier, p * q, [a * b for a, b in zip(u, v)])
 
@@ -250,7 +278,8 @@ def sf_scale(lam: Fraction, g: SimpleFunction) -> SimpleFunction:
 
 
 def sf_neg(g: SimpleFunction) -> SimpleFunction:
-    return _each(g, operator.neg)
+    den, vals = g._vec
+    return _from_vector(g.carrier, den, [-v for v in vals])
 
 
 def positive_part(g: SimpleFunction) -> SimpleFunction:
@@ -309,8 +338,9 @@ def cut_to_simple(f: CutFunction) -> SimpleFunction:
     lat = f.carrier
     if not lat._full:
         raise MalformedDocument("simple functions need a carrier with 0 != 1")
-    rows = map(lat._centre_rows().__getitem__, map(lat._at.__getitem__, f._cells()))
-    return _from_vector(lat, *_atom_sums(lat, [t.as_integer_ratio() for t in f.breakpoints], rows))
+    rows, at = lat._centre_rows(), lat._at
+    return _from_vector(lat, *_atom_sums(lat, [(*t.as_integer_ratio(), rows[at[c]])
+                                               for t, c in zip(f.breakpoints, f._cells())]))
 
 
 # -- decomposition of nonnegative functions ----------------------------------------------

@@ -146,13 +146,12 @@ def _messy_representation(rng: Random, g: SimpleFunction) -> List[Tuple[Fraction
     """A non-canonical list of terms denoting the same function: refine by
     complemented elements, split coefficients, permute."""
     lat = g.carrier
-    pool = [e for e in lat.complemented_elements()]
+    mask, at = lat._mask, lat._at
+    pool = lat.complemented_elements()
     terms: List[Tuple[Fraction, str]] = []
     for r, a in g.terms:
-        e = rng.choice(pool)
-        inside = lat.meet(a, e)
-        outside = lat.meet(a, lat.complement(e))
-        pieces = [p for p in (inside, outside) if p != lat.bottom]
+        e, m = mask[rng.choice(pool)], mask[a]
+        pieces = [at[q] for q in (m & e, m & ~e) if q]  # a inside e, a outside e
         for p in pieces:
             if r != 0 and rng.random() < 0.3:
                 split = random_rational(rng, -3, 3, (1, 2))
@@ -172,8 +171,7 @@ def criterion_canonical(seed: int) -> str:
         lat = names[i % len(names)]
         g = random_simple(rng, lat, coeff_lo=-6, coeff_hi=6)
         check(canonicalize(lat, g.terms) == g, "canonicalize is not idempotent")
-        # a zero term on the top makes the list non-canonical, so this runs
-        # the cell split on a canonical cover
+        # a zero term on the top adds nothing to any centre atom
         check(canonicalize(lat, list(g.terms) + [(0, lat.top)]) == g,
               "the cell split does not keep a canonical form")
         permuted = list(g.terms)

@@ -189,12 +189,55 @@ CHAIN3 = chain_lattice(["d", "d0", "d01"])  # the down-sets of a 2-chain
     ([(F(1), "d01"), (F(2), "d0")], NotComplemented, "'d0' is not complemented in this lattice"),
     ([(F(1), "d0"), (F(2), "zzz")], NotComplemented, "'d0' is not complemented in this lattice"),
     ([(F(1), "zzz"), ("x", "d01")], InvalidArgument, "not a rational: 'x'"),
+    # mixed faults: the coefficients first, then the names in reading order
+    ([(F(1), "zzz"), (F(1), "d01"), ("1.5", "d0")], InvalidArgument, "not a rational: '1.5'"),
+    ([(F(1), "d0"), (2.5, "zzz")], InvalidArgument, "not a rational: 2.5"),
+    ([(F(1), ["d0"]), (True, "d01")], InvalidArgument, "not a rational: True"),
+    ([(F(1), "zzz"), (F(1), ["d0"])], MalformedDocument, "unknown lattice element 'zzz'"),
+    ([(F(1), ["d0"]), (F(2), "zzz")], TypeError, "unhashable type: 'list'"),
+    ([(F(1), "d01"), (F(1), "d0"), (F(2), ["d0"])], NotComplemented,
+     "'d0' is not complemented in this lattice"),
 ])
 def test_canonicalize_names_the_first_fault_in_reading_order(terms, error, message):
     """A name outside the table of complemented elements goes through
     ``complement``, which names the first bad element; coefficients are
-    checked before any element."""
-    assert outcome(sf.canonicalize, CHAIN3, terms) == ("error", error, message)
+    checked before any element.  An iterator is read once, so the check
+    sees every term."""
+    for form in (list, tuple, iter, lambda t: (term for term in t)):
+        assert outcome(sf.canonicalize, CHAIN3, form(terms)) == ("error", error, message)
+
+
+def _input_forms(terms):
+    """The same sum as a list, a tuple, a generator and a reversed
+    iterator, with Fraction, int (where whole) and string coefficients."""
+    for coerce in (F, lambda r: r.numerator if r.denominator == 1 else r, str):
+        coerced = [(coerce(r), a) for r, a in terms]
+        yield list(coerced)
+        yield tuple(coerced)
+        yield (term for term in coerced)
+        yield reversed(coerced)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_one_pass_canonicalize_on_every_input_form(seed):
+    """On seeded down-set lattices with |J| <= 8, drawn apart from the
+    corpus: every input form gives the name-based canonical form, and every
+    form of a list with one fault appended fails as the list does."""
+    rng = Random(f"one-pass-{seed}")
+    lat = downset_lattice(rng, rng.randint(1, 8))
+    comp = lat.complemented_elements()
+    plain = [e for e in lat.elements if e not in comp] or ["zzz"]
+    for _ in range(12):
+        terms = [(random_rational(rng, -5, 5), rng.choice(comp))
+                 for _ in range(rng.randint(1, 6))]
+        want = canonicalize_by_names(lat, terms).terms
+        for form in _input_forms(terms):
+            assert sf.canonicalize(lat, form).terms == want, terms
+        broken = terms + [(F(1), rng.choice(plain))]
+        want = outcome(terms_of(sf.canonicalize), lat, broken)
+        assert want[0] == "error"
+        for form in _input_forms(broken):  # one fault, so the order does not matter
+            assert outcome(terms_of(sf.canonicalize), lat, form) == want, broken
 
 
 @pytest.mark.parametrize("name", sorted(CARRIERS))

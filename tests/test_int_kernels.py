@@ -68,15 +68,18 @@ from locint.integrate import (
     summability,
 )
 from locint.lattice import FiniteLattice, chain_lattice, powerset_lattice
+from locint.measure import Measure
 from locint.rationals import NEG_INF, POS_INF
 from locint.simple import (
     DECOMPOSITION_LIMIT,
     SimpleFunction,
+    characteristic_simple,
     cut_to_simple,
     decompose_trace,
     sf_add,
     sf_scale,
     to_cut_function,
+    zero,
 )
 
 ONE_POINT = FiniteLattice(["0"], [("0", "0")])
@@ -377,6 +380,41 @@ def test_integrals_match_the_sums_by_names(name):
                 if s is not None:
                     assert (outcome(nonnegativity_certificate, g, mu, s)
                             == outcome(certificate_by_lower_cut, g, mu, s))
+            for f in cuts:
+                assert (outcome(integrate_general, f, mu, s)
+                        == outcome(integrate_general_by_ladders, f, mu, s)), (f, s)
+
+
+def _edge_measures(rng, view):
+    """Measures whose atom values mix 0, +inf and finite values, plus the
+    all-0 and the all-+inf measure."""
+    n = len(view.frame.lattice._jirr)
+    draws = [[rng.choice((F(0), POS_INF, F(rng.randint(1, 9), rng.choice((1, 2, 7)))))
+              for _ in range(n)] for _ in range(4)]
+    return [Measure(view, values) for values in draws + [[F(0)] * n, [POS_INF] * n]]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_int_signed_sum_matches_the_sums_by_names(seed):
+    """The int signed sum against the term sums and the part sums by name,
+    which read the measure's table of subset sums: on seeded down-set
+    lattices beyond the corpus, over every sublocale, under measures with
+    +inf and 0 atoms, for functions that are 0 on some points (0 * inf = 0)
+    and for extended functions with +-inf values."""
+    rng = Random(f"signed-sum-{seed}")
+    frame = downset_lattice(rng, rng.randint(1, 4)).congruence_frame()
+    view, facade = frame.view(), frame.as_lattice()
+    comp = facade.complemented_elements()
+    simples = [zero(facade), characteristic_simple(rng.choice(comp), facade)]
+    simples += [random_simple(rng, facade, max_parts=4, denominators=(1, 3, 7)) for _ in range(4)]
+    cuts = [with_infinite_ends(to_cut_function(g), *ends) for g in simples
+            for ends in ((facade.bottom, facade.bottom), (rng.choice(comp), facade.bottom))]
+    cuts += [with_infinite_ends(to_cut_function(zero(facade)), facade.bottom, a) for a in comp]
+    for mu in _edge_measures(rng, view):
+        for s in [None, *view.sublocales]:
+            for g in simples:
+                report = summability(g, mu, s)
+                assert report == summability_by_terms(g, mu, s) == summability_by_parts(g, mu, s)
             for f in cuts:
                 assert (outcome(integrate_general, f, mu, s)
                         == outcome(integrate_general_by_ladders, f, mu, s)), (f, s)

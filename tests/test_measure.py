@@ -1,14 +1,23 @@
 from decimal import Decimal
 from fractions import Fraction as F
+from random import Random
 
 import pytest
 
 from locint.bridge import FiniteMeasurableSpace
-from locint.corpus import divisor_lattice, random_measure
+from locint.corpus import divisor_lattice, random_measure, random_simple
 from locint.errors import AxiomViolation, InvalidArgument, MalformedDocument, NotBoolean
 from locint.lattice import chain_lattice
-from locint.measure import Measure, check_axioms, measure_from_weights, validate_measure
-from locint.rationals import NEG_INF, POS_INF
+from locint.integrate import (
+    indefinite_integral,
+    integrate_general,
+    integrate_simple,
+    nonnegativity_certificate,
+    summability,
+)
+from locint.measure import Measure, check_axioms, measure_from_weights, subset_sums, validate_measure
+from locint.rationals import NEG_INF, POS_INF, format_extended
+from locint.simple import to_cut_function
 
 
 def view_of(lat):
@@ -111,7 +120,6 @@ def test_bridge_coherence_open_sublocales(b8):
 
 
 def test_random_measures_on_non_boolean_carriers():
-    from random import Random
     rng = Random(7)
     for lat in (divisor_lattice(12), divisor_lattice(60)):
         view = view_of(lat)
@@ -184,3 +192,40 @@ def test_measure_and_space_values_are_coerced(b4):
     assert {type(v) for v in space.lam.values()} == {F}
     with pytest.raises(InvalidArgument):
         FiniteMeasurableSpace.powerset(["p"], {"p": "half"})
+
+
+# -- the table of subset sums, built on first read ---------------------------------------
+
+
+def test_the_table_is_built_on_first_read_as_the_subset_sums(b4, c3):
+    """A measure holds its atom values; the first listing or lookup builds
+    the table of subset sums, and items, repr and value read it.  No
+    integral builds it."""
+    rng = Random(11)
+    for lat in (b4, c3, divisor_lattice(12), divisor_lattice(60)):
+        view = view_of(lat)
+        facade = view.frame.as_lattice()
+        atom_values = [rng.choice((F(0), POS_INF, F(rng.randint(1, 9), rng.randint(1, 4))))
+                       for _ in view.atoms()]
+        sums = subset_sums(atom_values)
+        pairs = [(s, sums[s.keep]) for s in view.sublocales]
+        shown = ", ".join(f"{view.ref_name(s)}={format_extended(v)}" for s, v in pairs)
+        reads = {
+            "items": lambda mu: list(mu.items()) == pairs,
+            "repr": lambda mu: repr(mu) == f"Measure({shown})",
+            "value": lambda mu: [mu.value(s) for s, _ in pairs] == [v for _, v in pairs],
+            "value_by_keep": lambda mu: [mu.value_by_keep(s.keep) for s, _ in pairs]
+            == [v for _, v in pairs],
+        }
+        for name, read in reads.items():
+            mu = Measure(view, atom_values)
+            g = random_simple(rng, facade, nonneg=True)
+            for s in (None, rng.choice(view.sublocales)):
+                summability(g, mu, s)
+                integrate_simple(g, mu, s)
+                integrate_general(to_cut_function(g), mu, s)
+            nonnegativity_certificate(g, mu, view.top)
+            eta = indefinite_integral(g, mu)
+            assert mu._table is None and eta._table is None, name
+            assert read(mu), name
+            assert mu._table == tuple(sums), name
