@@ -33,9 +33,11 @@ COUNTED = {
     "CutFunction._fill": (cutfunction.CutFunction, "_fill"),
     "simple.to_cut_function": (simple, "to_cut_function"),
     "simple.canonicalize": (simple, "canonicalize"),
+    "simple.cut_to_simple": (simple, "cut_to_simple"),
     "simple._from_vector": (simple, "_from_vector"),
     "FiniteLattice.complement": (lattice.FiniteLattice, "complement"),
     "integrate._signed_sum": (integrate, "_signed_sum"),
+    "Measure.value_by_keep": (measure.Measure, "value_by_keep"),
     "measure.subset_sums": (measure, "subset_sums"),
     "measure.check_axioms": (measure, "check_axioms"),
 }

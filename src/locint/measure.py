@@ -7,13 +7,13 @@ that the measure is the sum of its values on the atoms of S(L), the
 single-bit keep-masks.  So a ``Measure`` is built from those |J| atom
 values alone, each in [0, inf], and is a measure by construction, in
 O(|J|): it holds them as ints over one denominator with a mask of the
-+inf atoms, which is all the integrals read.  As S(L) is 2^J(L), the
-measure of a sublocale is the sum over the bits of its keep-mask; the
-table of all 2^|J| of them (``subset_sums``) is built on the first
-listing or lookup.  A table given sublocale by sublocale
-(``validate_measure``) is checked against the measure built from its atom
-entries; only a table that differs goes through the sweep over all pairs
-(``check_axioms``), which names the first failing axiom.
++inf atoms, and keeps nothing else.  As S(L) is 2^J(L), the measure of a
+sublocale is the sum over the bits of its keep-mask, read in O(|J|); a
+listing of every sublocale makes one pass of ``subset_sums``.  A table
+given sublocale by sublocale (``validate_measure``) is checked against the
+measure built from its atom entries; only a table that differs goes
+through the sweep over all pairs (``check_axioms``), which names the
+first failing axiom.
 
 Continuity on increasing sequences (M4) is discharged by finiteness of the
 carrier: every increasing sequence stabilises, so its supremum is attained
@@ -24,7 +24,7 @@ test.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, List, Mapping, Sequence, Tuple
+from typing import Iterable, List, Mapping, Sequence
 
 from .congruence import Congruence, SublocaleView
 from .errors import AxiomViolation, ConsistencyError, MalformedDocument, NotBoolean
@@ -49,11 +49,10 @@ class Measure:
     as ints over one denominator: ``_weights[k]`` is the k-th value times
     ``_denom`` (0 where it is +inf), and ``_inf`` is the mask of the bits
     whose value is +inf.  The measure of a sublocale is the sum over the
-    bits of its keep-mask; the table of all 2^|J| sums, by keep-mask, is
-    built on the first read of a value (racing threads build equal
-    tables), and the integrals never read it."""
+    bits of its keep-mask, O(|J|); only a listing of every sublocale
+    builds all 2^|J| sums."""
 
-    __slots__ = ("view", "_denom", "_weights", "_inf", "_table")
+    __slots__ = ("view", "_denom", "_weights", "_inf")
 
     def __init__(self, view: SublocaleView, atom_values: Sequence[ExtValue]):
         n_atoms = len(view.frame.lattice._jirr)
@@ -68,28 +67,25 @@ class Measure:
 
     def _set(self, view: SublocaleView, den: int, weights: Sequence[int], inf: int) -> None:
         self.view, self._denom, self._weights, self._inf = view, den, tuple(weights), inf
-        self._table = None
-
-    def _sums(self) -> Tuple[ExtValue, ...]:
-        """The measure of every sublocale, by keep-mask."""
-        if self._table is None:  # int sums, one Fraction each
-            den, inf = self._denom, self._inf
-            self._table = tuple([POS_INF if keep & inf else Fraction(n, den)
-                                 for keep, n in enumerate(subset_sums(self._weights, 0))])
-        return self._table
 
     def value(self, sublocale: Congruence) -> ExtValue:
         self.view.index_of(sublocale)
-        return self._sums()[sublocale.keep]
+        return self.value_by_keep(sublocale.keep)
 
     def value_by_keep(self, keep: int) -> ExtValue:
         """The measure of the sublocale whose keep-mask is `keep`."""
-        return self._sums()[keep]
+        if keep & self._inf:
+            return POS_INF
+        return Fraction(sum([w for k, w in enumerate(self._weights) if keep >> k & 1]),
+                        self._denom)
 
     def items(self):
-        """(sublocale, value) pairs in frame order."""
-        table = self._sums()
-        return ((s, table[s.keep]) for s in self.view.sublocales)
+        """(sublocale, value) pairs in frame order, from one table of
+        int sums by keep-mask."""
+        den, inf = self._denom, self._inf
+        sums = subset_sums(self._weights, 0)
+        return ((s, POS_INF if s.keep & inf else Fraction(sums[s.keep], den))
+                for s in self.view.sublocales)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{self.view.ref_name(s)}={format_extended(v)}"
@@ -124,7 +120,7 @@ def validate_measure(view: SublocaleView, values: Mapping[Congruence, ExtValue])
         if table[s.keep] is None:
             raise MalformedDocument(f"no value for sublocale {view.ref_name(s)}")
     mu = Measure(view, [table[1 << k] for k in range(len(view.frame.lattice._jirr))])
-    if mu._sums() != tuple(table):
+    if any(v != table[s.keep] for s, v in mu.items()):
         check_axioms(view, [table[s.keep] for s in subs])
         raise ConsistencyError("additive check and exhaustive sweep disagree")
     return mu

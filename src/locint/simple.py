@@ -4,21 +4,22 @@ A simple function on L is constant on each atom of the Boolean centre Z(L),
 the sublattice of complemented elements, as every complemented element is
 the join of the centre atoms below it.  So a ``SimpleFunction`` is its
 carrier and its values on At(Z(L)) (found once per lattice, in element
-order): ``_vec`` = (den, vals), ints with no common factor, filled at
-construction.  That vector is unique: equality reads it, the ring
-operations, the parts and the modulus are pointwise on it, and the bridge
-to cut ladders reads its level sets.  The canonical form ``terms`` is
-those level sets by ascending value: strictly ascending rationals over a
-pairwise-disjoint complemented cover of the top.  It is built on first
-read, or kept from the checked constructor, whose input it is.  The hash
-is that of the terms.  Names enter only through ``canonicalize`` and the
-constructor and leave only through ``terms`` and the cells a
-decomposition records; inside, elements are the carrier's J-masks.
-``canonicalize`` reads its terms in one pass (each coefficient's int
-ratio, its element's row of centre atoms, the running common
-denominator), then fills and reduces the vector; the ring operations
-build theirs pointwise in one list.  The code that names a fault runs
-only after something has failed.
+order): ``_vec`` = (den, vals), ints with no common factor.  That vector
+is unique: equality reads it, the ring operations, the parts and the
+modulus are pointwise on it, and the bridge to cut ladders reads its
+level sets.  The canonical form ``terms`` is those level sets by
+ascending value: strictly ascending rationals over a pairwise-disjoint
+complemented cover of the top.  It is built on first read, or kept from
+the checked constructor, whose input it is.  The hash is that of the
+terms.  Names enter only through ``canonicalize`` and the constructor and
+leave only through ``terms`` and the cells a decomposition records;
+inside, elements are the carrier's J-masks.  ``canonicalize`` is the one
+builder of a vector from terms, the checked constructor's and
+``cut_to_simple``'s too: it reads its terms in one pass (each
+coefficient's int ratio, its element's row of centre atoms, the running
+common denominator), then fills and reduces the vector; the ring
+operations build theirs pointwise in one list.  The code that names a
+fault runs only after something has failed.
 """
 
 from __future__ import annotations
@@ -50,9 +51,9 @@ DECOMPOSITION_LIMIT = 10_000
 class SimpleFunction:
     """A simple function in canonical form.
 
-    The constructor checks canonicity, fills the vector and keeps the terms
-    as the view.  Use ``canonicalize`` (or the arithmetic here) to build
-    from raw term lists.
+    The constructor checks canonicity, takes the vector from
+    ``canonicalize`` and keeps the terms as the view.  Use ``canonicalize``
+    (or the arithmetic here) to build from raw term lists.
     """
 
     __slots__ = ("carrier", "_vec", "_terms", "_hash")
@@ -63,12 +64,9 @@ class SimpleFunction:
         terms = _coerced(terms)
         if not terms:
             raise ConsistencyError("canonical form cannot be empty; zero is (0, top)")
-        parts = _canonical_parts(carrier, terms)
-        if parts is None:
+        if not _is_canonical(carrier, terms):
             _raise_first_violation(carrier, terms)
-        # reduced as it stands: each coefficient, in lowest terms, is the
-        # value on the centre atoms below its (nonzero) element
-        self.carrier, self._vec = carrier, _atom_sums(carrier, parts)
+        self.carrier, self._vec = carrier, canonicalize(carrier, terms)._vec
         self._terms, self._hash = terms, None
 
     def _point_values(self) -> Tuple[int, Tuple[int, ...]]:
@@ -115,25 +113,22 @@ def _coerced(terms: Iterable[Tuple[Fraction, str]]) -> Tuple[Tuple[Fraction, str
     return tuple([(r if type(r) is Fraction else parse_rational(r), a) for r, a in terms])
 
 
-def _canonical_parts(carrier: FiniteLattice, terms: Sequence[Tuple[Fraction, str]]) -> Optional[List[tuple]]:
-    """(n, d, row) per term, for n/d its coefficient and row its element's
-    centre atoms (``FiniteLattice._centre_rows``), if the terms are
-    canonical, else None; O(t) on the masks: ascending coefficients, and
-    each a_k complemented (it has a row), nonzero and disjoint from
+def _is_canonical(carrier: FiniteLattice, terms: Sequence[Tuple[Fraction, str]]) -> bool:
+    """Whether the terms are canonical, in O(t) on the masks: ascending
+    coefficients, and each a_k complemented, nonzero and disjoint from
     a_1 \\/ ... \\/ a_{k-1} (pairwise disjointness, by distributivity), with
     the join reaching top."""
-    mask, table = carrier._mask, carrier._centre_rows()
-    parts, cover = [], 0
+    mask, rows = carrier._mask, carrier._centre_rows()
+    cover = 0
     p, e = -1, 0  # -1/0 is below every n/d: p * d < n * e
     for r, a in terms:
         m = mask.get(a)
         n, d = r.as_integer_ratio()
-        if not m or a not in table or m & cover or not p * d < n * e:
-            return None  # unknown, bottom, not complemented, overlapping, or not ascending
-        parts.append((n, d, table[a]))
+        if not m or a not in rows or m & cover or not p * d < n * e:
+            return False  # unknown, bottom, not complemented, overlapping, or not ascending
         cover |= m
         p, e = n, d
-    return parts if cover == carrier._full else None
+    return cover == carrier._full
 
 
 def _raise_first_violation(carrier: FiniteLattice, terms: Sequence[Tuple[Fraction, str]]) -> None:
@@ -154,21 +149,6 @@ def _raise_first_violation(carrier: FiniteLattice, terms: Sequence[Tuple[Fractio
     if cover != carrier.top:
         raise ConsistencyError("term elements do not cover the top")
     raise ConsistencyError("fast and term-by-term canonicity checks disagree")
-
-
-def _atom_sums(carrier: FiniteLattice, parts: Sequence[tuple]) -> Tuple[int, tuple]:
-    """(D, for each centre atom the sum of the coefficients of the terms
-    above it, times D), for parts (n, d, row): the coefficient n/d of a
-    term and the indices of the centre atoms below its element, and D the
-    least common denominator.  The one builder of the vector from terms
-    known to be valid, the constructor's and ``cut_to_simple``'s."""
-    den = lcm(*[d for _, d, _ in parts])
-    vals = [0] * len(carrier._centre_atoms())
-    for n, d, row in parts:
-        n *= den // d
-        for i in row:
-            vals[i] += n
-    return den, tuple(vals)
 
 
 def _levels(carrier: FiniteLattice, vals: Sequence[int]) -> Dict[int, int]:
@@ -331,16 +311,12 @@ def to_cut_function(g: SimpleFunction) -> CutFunction:
 
 def cut_to_simple(f: CutFunction) -> SimpleFunction:
     """Invert the closed-form table: the cell where f equals the j-th
-    breakpoint is upper[j] /\\ lower[j+1], so the centre atoms below it take
-    that value.  Total on finite functions."""
+    breakpoint is upper[j] /\\ lower[j+1], so f is the sum of each
+    breakpoint times its cell's characteristic.  Total on finite functions."""
     if not f.is_finite():
         raise NotFinite("only finite functions are simple")
     lat = f.carrier
-    if not lat._full:
-        raise MalformedDocument("simple functions need a carrier with 0 != 1")
-    rows, at = lat._centre_rows(), lat._at
-    return _from_vector(lat, *_atom_sums(lat, [(*t.as_integer_ratio(), rows[at[c]])
-                                               for t, c in zip(f.breakpoints, f._cells())]))
+    return canonicalize(lat, [(t, lat._at[c]) for t, c in zip(f.breakpoints, f._cells())])
 
 
 # -- decomposition of nonnegative functions ----------------------------------------------

@@ -91,8 +91,9 @@ def criterion_indefinite(seed: int) -> str:
             mu = random_measure(rng, view, inf_probability=0.1)
             g = random_simple(rng, facade, nonneg=True)
             eta = indefinite_integral(g, mu)  # summed from the integrals over the atoms
-            check_axioms(view, [v for _, v in eta.items()])  # oracle: M1-M3 over all pairs
-            for s, v in eta.items():  # oracle: the integral over each sublocale
+            pairs = list(eta.items())
+            check_axioms(view, [v for _, v in pairs])  # oracle: M1-M3 over all pairs
+            for s, v in pairs:  # oracle: the integral over each sublocale
                 check(v == integrate_simple(g, mu, s)[0],
                       f"indefinite integral differs at {view.ref_name(s)}")
             total += 1
@@ -173,7 +174,7 @@ def criterion_canonical(seed: int) -> str:
         check(canonicalize(lat, g.terms) == g, "canonicalize is not idempotent")
         # a zero term on the top adds nothing to any centre atom
         check(canonicalize(lat, list(g.terms) + [(0, lat.top)]) == g,
-              "the cell split does not keep a canonical form")
+              "a zero term on the top changes the canonical form")
         permuted = list(g.terms)
         rng.shuffle(permuted)
         check(canonicalize(lat, permuted) == g,

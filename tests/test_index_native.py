@@ -222,7 +222,9 @@ def _input_forms(terms):
 def test_one_pass_canonicalize_on_every_input_form(seed):
     """On seeded down-set lattices with |J| <= 8, drawn apart from the
     corpus: every input form gives the name-based canonical form, and every
-    form of a list with one fault appended fails as the list does."""
+    form of a list with one fault appended fails as the list does.  The
+    checked constructor on the canonical terms, and the way back from the
+    ladder, give the same function."""
     rng = Random(f"one-pass-{seed}")
     lat = downset_lattice(rng, rng.randint(1, 8))
     comp = lat.complemented_elements()
@@ -233,6 +235,9 @@ def test_one_pass_canonicalize_on_every_input_form(seed):
         want = canonicalize_by_names(lat, terms).terms
         for form in _input_forms(terms):
             assert sf.canonicalize(lat, form).terms == want, terms
+        g = sf.canonicalize(lat, terms)
+        assert sf.SimpleFunction(lat, g.terms) == g, terms
+        assert sf.cut_to_simple(sf.to_cut_function(g)) == g, terms
         broken = terms + [(F(1), rng.choice(plain))]
         want = outcome(terms_of(sf.canonicalize), lat, broken)
         assert want[0] == "error"

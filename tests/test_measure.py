@@ -4,6 +4,7 @@ from random import Random
 
 import pytest
 
+from locint import measure
 from locint.bridge import FiniteMeasurableSpace
 from locint.corpus import divisor_lattice, random_measure, random_simple
 from locint.errors import AxiomViolation, InvalidArgument, MalformedDocument, NotBoolean
@@ -15,7 +16,7 @@ from locint.integrate import (
     nonnegativity_certificate,
     summability,
 )
-from locint.measure import Measure, check_axioms, measure_from_weights, subset_sums, validate_measure
+from locint.measure import Measure, check_axioms, measure_from_weights, validate_measure
 from locint.rationals import NEG_INF, POS_INF, format_extended
 from locint.simple import to_cut_function
 
@@ -194,38 +195,43 @@ def test_measure_and_space_values_are_coerced(b4):
         FiniteMeasurableSpace.powerset(["p"], {"p": "half"})
 
 
-# -- the table of subset sums, built on first read ---------------------------------------
+# -- one value is a bit sum; only a listing builds the subset sums -------------------------
 
 
-def test_the_table_is_built_on_first_read_as_the_subset_sums(b4, c3):
-    """A measure holds its atom values; the first listing or lookup builds
-    the table of subset sums, and items, repr and value read it.  No
-    integral builds it."""
+def test_a_value_is_a_bit_sum_and_only_a_listing_builds_the_subset_sums(b4, c3, monkeypatch):
+    """A measure holds its atom values alone: items, repr, value and
+    value_by_keep equal the subset sums of the atom values, 0 and +inf
+    atoms included.  No integral and no single value builds the subset
+    sums; each listing builds them once."""
     rng = Random(11)
+    real_sums, calls = measure.subset_sums, []
+
+    def counted(*args):
+        calls.append(args)
+        return real_sums(*args)
+
+    monkeypatch.setattr(measure, "subset_sums", counted)
     for lat in (b4, c3, divisor_lattice(12), divisor_lattice(60)):
         view = view_of(lat)
         facade = view.frame.as_lattice()
         atom_values = [rng.choice((F(0), POS_INF, F(rng.randint(1, 9), rng.randint(1, 4))))
                        for _ in view.atoms()]
-        sums = subset_sums(atom_values)
+        sums = real_sums(atom_values)
         pairs = [(s, sums[s.keep]) for s in view.sublocales]
         shown = ", ".join(f"{view.ref_name(s)}={format_extended(v)}" for s, v in pairs)
-        reads = {
-            "items": lambda mu: list(mu.items()) == pairs,
-            "repr": lambda mu: repr(mu) == f"Measure({shown})",
-            "value": lambda mu: [mu.value(s) for s, _ in pairs] == [v for _, v in pairs],
-            "value_by_keep": lambda mu: [mu.value_by_keep(s.keep) for s, _ in pairs]
-            == [v for _, v in pairs],
-        }
-        for name, read in reads.items():
-            mu = Measure(view, atom_values)
-            g = random_simple(rng, facade, nonneg=True)
-            for s in (None, rng.choice(view.sublocales)):
-                summability(g, mu, s)
-                integrate_simple(g, mu, s)
-                integrate_general(to_cut_function(g), mu, s)
-            nonnegativity_certificate(g, mu, view.top)
-            eta = indefinite_integral(g, mu)
-            assert mu._table is None and eta._table is None, name
-            assert read(mu), name
-            assert mu._table == tuple(sums), name
+        mu = Measure(view, atom_values)
+        g = random_simple(rng, facade, nonneg=True)
+        for s in (None, rng.choice(view.sublocales)):
+            summability(g, mu, s)
+            integrate_simple(g, mu, s)
+            integrate_general(to_cut_function(g), mu, s)
+        nonnegativity_certificate(g, mu, view.top)
+        indefinite_integral(g, mu)
+        assert [mu.value(s) for s, _ in pairs] == [v for _, v in pairs]
+        assert [mu.value_by_keep(s.keep) for s, _ in pairs] == [v for _, v in pairs]
+        assert not calls
+        assert list(mu.items()) == pairs
+        assert len(calls) == 1
+        assert repr(mu) == f"Measure({shown})"
+        assert len(calls) == 2
+        calls.clear()
