@@ -26,7 +26,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from locint import cutfunction, integrate, lattice, measure, simple, verify  # noqa: E402
+from locint import congruence, cutfunction, integrate, lattice, measure, simple, verify  # noqa: E402
 
 # label -> (the module or class that defines it, its name there)
 COUNTED = {
@@ -36,6 +36,7 @@ COUNTED = {
     "simple.cut_to_simple": (simple, "cut_to_simple"),
     "simple._from_vector": (simple, "_from_vector"),
     "FiniteLattice.complement": (lattice.FiniteLattice, "complement"),
+    "congruence.enumerate_congruences": (congruence, "enumerate_congruences"),
     "integrate._signed_sum": (integrate, "_signed_sum"),
     "Measure.value_by_keep": (measure.Measure, "value_by_keep"),
     "measure.subset_sums": (measure, "subset_sums"),

@@ -16,9 +16,10 @@ finite Boolean algebra of sets is the 2^k unions of its k atoms, so it is
 checked in O(|A| * k) on bitmasks; the sweep over all pairs of sets runs
 only to name the first failure.  lambda is the sum of the atom weights
 below each member, so it is additive by construction.  The atoms found are
-the space's atoms, and its lattice is built from them.  Every weight is
-stored as ``check_measure_value`` coerces it, an exact rational or +inf.
-lambda and a classical function's values are read-only views."""
+the space's atoms, and its lattice and congruence frame are built from
+them.  Every weight is stored as ``check_measure_value`` coerces it, an
+exact rational or +inf.  lambda and a classical function's values are
+read-only views."""
 
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .congruence import SublocaleView
+from .congruence import CongruenceFrame, SublocaleView, enumerate_congruences
 from .errors import ConsistencyError, MalformedDocument, SizeLimitExceeded
 from .integrate import NOT_INTEGRABLE, SummabilityReport, classify, report_value, summability
 from .lattice import SOFT_SIZE_LIMIT, FiniteLattice, subset_name
@@ -35,7 +36,7 @@ from .measure import Measure, check_measure_value, reject_non_atoms, subset_sums
 from .rationals import ZERO, ExtValue, ext_add, ext_scale, format_extended, parse_rational
 from .simple import SimpleFunction
 
-#: How many space lattices (and their frames) spaces over equal algebras share.
+#: How many congruence frames (and so lattices) spaces over equal algebras share.
 SPACE_LATTICE_CACHE = 64
 
 
@@ -49,7 +50,7 @@ class FiniteMeasurableSpace:
     maps each member to the set of atoms below it as a bitmask, bit k
     standing for the atom with the k-th first point."""
 
-    __slots__ = ("points", "algebra", "lam", "_names", "_atoms", "_below", "_lattice", "_measure")
+    __slots__ = ("points", "algebra", "lam", "_names", "_atoms", "_below", "_frame", "_measure")
 
     def __init__(self, points: Sequence[str],
                  algebra: Iterable[FrozenSet[str]],
@@ -81,7 +82,7 @@ class FiniteMeasurableSpace:
         sums = subset_sums([weights[a] for a in atoms])
         self.lam: Mapping[FrozenSet[str], ExtValue] = MappingProxyType(
             {s: sums[below[s]] for s in self.algebra})
-        self._lattice = None
+        self._frame: Optional[CongruenceFrame] = None
         self._measure = None
 
     @classmethod
@@ -118,17 +119,19 @@ class FiniteMeasurableSpace:
     def lattice(self) -> FiniteLattice:
         """The algebra as a lattice under inclusion, built from the atom
         masks of its members; spaces over equal algebras share one."""
-        if self._lattice is None:
-            self._lattice = _space_lattice(self._names, tuple(map(self._below.get, self.algebra)))
-        return self._lattice
+        return self.view().frame.lattice
 
     def view(self) -> SublocaleView:
-        return self.lattice().congruence_frame().view()
+        """S(A) over the congruence frame of the algebra, filled once from
+        the frames that spaces over equal algebras share."""
+        if self._frame is None:
+            self._frame = _space_frame(self._names, tuple(map(self._below.get, self.algebra)))
+        return self._frame.view()
 
 
 @lru_cache(maxsize=SPACE_LATTICE_CACHE)
-def _space_lattice(names: Tuple[str, ...], masks: Tuple[int, ...]) -> FiniteLattice:
-    return FiniteLattice._from_masks(names, masks)
+def _space_frame(names: Tuple[str, ...], masks: Tuple[int, ...]) -> CongruenceFrame:
+    return enumerate_congruences(FiniteLattice._from_masks(names, masks))
 
 
 def _check_size(n_sets: int, what: str) -> None:
@@ -292,7 +295,7 @@ def to_localic(f: ClassicalSimpleFunction) -> SimpleFunction:
     """The pointfree counterpart: sum_i r_i * chi(nabla(A_i)) over the
     congruence frame of the algebra, with A_i the level sets."""
     space = f.space
-    frame = space.lattice().congruence_frame()
+    frame = space.view().frame
     facade = frame.as_lattice()
     return SimpleFunction(facade, [
         (r, facade.elements[frame.index_of(frame.nabla_of(space.name_of(level)))])
@@ -302,7 +305,7 @@ def to_localic(f: ClassicalSimpleFunction) -> SimpleFunction:
 def from_localic(g: SimpleFunction, space: FiniteMeasurableSpace) -> ClassicalSimpleFunction:
     """Inverse of to_localic for functions whose term elements are closed
     congruences of the algebra."""
-    frame = space.lattice().congruence_frame()
+    frame = space.view().frame
     values: Dict[str, Fraction] = {}
     for r, element in g.terms:
         theta = frame.congruence_of_element(element)

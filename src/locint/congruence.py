@@ -19,6 +19,12 @@ where the open sublocale o(a) is the quotient by delta(a) =
 quotient by nabla(a) = {(x,y) | x\\/a = y\\/a} (keep-mask J(L) minus J(a)).
 A partition enters only through ``Congruence.from_blocks``, which reads the
 keep-mask off it and rejects a partition that mask does not reproduce.
+
+References point one way, from what is built to what it is built over:
+a ``SublocaleView`` holds its frame, a frame its lattice, and neither
+the lattice nor the frame holds anything built over it.  ``view()`` makes
+a one-slot adapter per call; the frame keeps only its carrier and point
+bits, which every integral reads.
 """
 
 from __future__ import annotations
@@ -146,19 +152,17 @@ class CongruenceFrame:
     carrier bit is its value at the point j of J(L).
     """
 
-    __slots__ = ("lattice", "congruences", "_full", "_pos", "_point_bits", "_carrier", "_view")
+    __slots__ = ("lattice", "congruences", "_pos", "_point_bits", "_carrier")
 
     def __init__(self, lattice: FiniteLattice, congruences: Tuple[Congruence, ...]):
         self.lattice = lattice
         self.congruences = congruences
-        self._full = len(congruences) - 1
         pos = [0] * len(congruences)
         for i, c in enumerate(congruences):
             pos[c.keep] = i
         self._pos = tuple(pos)
         self._point_bits: Optional[Tuple[int, ...]] = None
         self._carrier: Optional[FiniteLattice] = None
-        self._view = SublocaleView(self)
 
     @property
     def size(self) -> int:
@@ -181,7 +185,7 @@ class CongruenceFrame:
         return self.congruences[-1]
 
     def nabla_of(self, a: str) -> Congruence:
-        return self.congruences[self._pos[self._full & ~self.lattice.jmask(a)]]
+        return self.congruences[self._pos[self.lattice._full & ~self.lattice.jmask(a)]]
 
     def delta_of(self, a: str) -> Congruence:
         return self.congruences[self._pos[self.lattice.jmask(a)]]
@@ -193,7 +197,7 @@ class CongruenceFrame:
         return self.congruences[self._pos[c.keep & d.keep]]
 
     def complement(self, theta: Congruence) -> Congruence:
-        return self.congruences[self._pos[self._full & ~theta.keep]]
+        return self.congruences[self._pos[self.lattice._full & ~theta.keep]]
 
     def as_lattice(self) -> FiniteLattice:
         """C(L) as a carrier: the Boolean lattice over the partition names in
@@ -204,7 +208,7 @@ class CongruenceFrame:
         if self._carrier is None:
             self._carrier = FiniteLattice._from_masks(
                 [c.partition_name() for c in self.congruences],
-                [self._full ^ c.keep for c in self.congruences])
+                [self.lattice._full ^ c.keep for c in self.congruences])
         return self._carrier
 
     def point_bits(self) -> Tuple[int, ...]:
@@ -213,7 +217,7 @@ class CongruenceFrame:
         atom keeping j alone: read off the carrier's own numbering, built
         on first use."""
         if self._point_bits is None:
-            self._point_bits = tuple((self._full ^ self.congruences[i].keep).bit_length() - 1
+            self._point_bits = tuple((self.lattice._full ^ self.congruences[i].keep).bit_length() - 1
                                      for i in self.as_lattice()._jirr)
         return self._point_bits
 
@@ -225,11 +229,12 @@ class CongruenceFrame:
         injective, so only the a with J(a) = J(L) minus keep, or = keep."""
         self.index_of(theta)
         at = self.lattice._at
-        found = {"nabla": at.get(self._full ^ theta.keep), "delta": at.get(theta.keep)}
+        found = {"nabla": at.get(self.lattice._full ^ theta.keep), "delta": at.get(theta.keep)}
         return {label: () if a is None else (a,) for label, a in found.items()}
 
     def view(self) -> "SublocaleView":
-        return self._view
+        """S(L) over this frame, a new adapter per call."""
+        return SublocaleView(self)
 
     def __repr__(self) -> str:
         return f"CongruenceFrame({self.size} congruences on {self.lattice!r})"

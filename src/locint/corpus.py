@@ -30,8 +30,7 @@ def divisor_lattice(n: int) -> FiniteLattice:
 
 @cache
 def corpus_lattices() -> Mapping[str, FiniteLattice]:
-    """The reference lattices, built once and shared read-only (so their
-    congruence frames are built once too)."""
+    """The reference lattices, built once and shared read-only."""
     return MappingProxyType({
         "c3": chain_lattice(["0", "m", "1"]),
         "b4": powerset_lattice(["x", "y"]),

@@ -12,8 +12,7 @@ with 0 * inf = 0, split into the positive and the negative part: g is
 integrable over S when at least one part is finite, summable when both
 are.  Each part is summed on ints, the values over their denominator
 times the measure's int weights over theirs, and made a ``Fraction``
-once; no integral reads the measure's table of sublocale values.
-``summability``/``integrate_simple`` read a simple function's value
+once.  ``summability``/``integrate_simple`` read a simple function's value
 vector, and ``integrate_general`` reads an extended function's value at
 each point (+-inf where its upper ladder always or never holds the point),
 which is the supremum of its simple minorants' integrals, attained on its
@@ -21,10 +20,11 @@ own level cells.  The indefinite integral of a nonnegative g is the
 measure with g(j) * mu({j}) on the atom keeping j, built from the int
 products, and the nonnegativity certificate asks that no point of S hold
 a negative value.  Only ``integral_of_representation`` reads names and
-the table: it takes any disjoint named representation
-sum_i r_i * chi(theta_i), with theta_i the complement of the congruence of
-a sublocale S_i, and sums r_i * mu(S_i /\\ S) term by term, an
-independent check of representation independence.
+the measure's value on a sublocale (``Measure.value_by_keep``): it takes
+any disjoint named representation sum_i r_i * chi(theta_i), with theta_i
+the complement of the congruence of a sublocale S_i, and sums
+r_i * mu(S_i /\\ S) term by term, an independent check of representation
+independence.
 """
 
 from __future__ import annotations

@@ -22,12 +22,14 @@ powerset, are built straight from their masks.  A lattice built from an
 order has at most ``SOFT_SIZE_LIMIT`` elements.
 
 Instances are immutable after construction and safe to share between
-threads; the congruence frame and the atoms of the Boolean centre, with
-the row of centre atoms below each complemented element, are built on
-first use, and threads racing on one may each build a copy: the frames'
-congruences compare equal, and the centre atoms and rows are equal.  At
-this scale every countable join is a finite join, so a finite distributive
-lattice serves as a sigma-frame.
+threads.  A lattice holds no reference to anything built over it:
+``congruence_frame()`` builds a new frame on each call, so the caller holds
+it.  The one table built on first use is the atoms of the Boolean centre,
+with the row of centre atoms below each complemented element, which
+``simple.canonicalize`` reads on every call; threads racing on it may each
+build a copy, and the copies are equal.  At this scale every countable
+join is a finite join, so a finite distributive lattice serves as a
+sigma-frame.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ class FiniteLattice:
     """
 
     __slots__ = ("elements", "_idx", "_jmask", "_mask", "_at", "_full", "_jirr",
-                 "_hash", "_frame_cache", "_centre", "_rows")
+                 "_centre", "_rows")
 
     def __init__(self, elements: Sequence[str], leq_pairs: Iterable[Tuple[str, str]]):
         elements, down = _down_sets(elements, leq_pairs)
@@ -175,8 +177,6 @@ class FiniteLattice:
         self._at: Dict[int, str] = dict(zip(self._jmask, elements))
         self._full = (1 << len(jirr)) - 1
         self._jirr = tuple(jirr)
-        self._hash = hash((elements, self._jmask))
-        self._frame_cache = None
         self._centre = self._rows = None
 
     # -- basic queries -------------------------------------------------------
@@ -264,11 +264,9 @@ class FiniteLattice:
         return self._rows
 
     def congruence_frame(self):
-        """The frame of all congruences; cached per lattice."""
-        if self._frame_cache is None:
-            from .congruence import enumerate_congruences
-            self._frame_cache = enumerate_congruences(self)
-        return self._frame_cache
+        """The frame of all congruences, built on each call: hold it."""
+        from .congruence import enumerate_congruences
+        return enumerate_congruences(self)
 
     # -- value semantics -------------------------------------------------------
 
@@ -278,7 +276,7 @@ class FiniteLattice:
                                  and self._jmask == other._jmask)
 
     def __hash__(self) -> int:
-        return self._hash
+        return hash((self.elements, self._jmask))
 
     def __repr__(self) -> str:
         return f"FiniteLattice({len(self.elements)} elements, bottom={self.bottom!r}, top={self.top!r})"

@@ -89,9 +89,6 @@ class SimpleFunction:
         den, vals = self._vec
         return tuple([Fraction(v, den) for v in sorted(set(vals))])
 
-    def elements(self) -> Tuple[str, ...]:
-        return tuple(a for _, a in self.terms)
-
     def is_nonnegative(self) -> bool:
         return min(self._vec[1]) >= 0
 
@@ -209,11 +206,7 @@ def canonicalize(carrier: FiniteLattice, terms: Iterable[Tuple[Fraction, str]]) 
             n *= den // d
             for i in row:
                 vals[i] += n
-    common = gcd(den, *vals)
-    g = SimpleFunction.__new__(SimpleFunction)
-    g.carrier, g._terms, g._hash = carrier, None, None
-    g._vec = (den, tuple(vals)) if common == 1 else (den // common, tuple([v // common for v in vals]))
-    return g
+    return _from_vector(carrier, den, vals)
 
 
 def zero(carrier: FiniteLattice) -> SimpleFunction:
@@ -285,9 +278,9 @@ def _each(g: SimpleFunction, op: Callable[[int], int]) -> SimpleFunction:
 
 @cache
 def _cutfunction():
-    """The ``cutfunction`` module, imported on first use and cached: an import
-    statement costs about 2 us per call, a fifth of ``to_cut_function``
-    (Python 3.11)."""
+    """The ``cutfunction`` module, imported on first use and cached: a
+    function-level ``from . import cutfunction`` costs about 0.38 us per
+    call, against 0.034 us for this cached accessor (Python 3.11)."""
     from . import cutfunction
 
     return cutfunction

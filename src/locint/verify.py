@@ -377,9 +377,9 @@ def criterion_limits(seed: int) -> str:
     cases = 200
     corpus = corpus_lattices()
     lattices = [corpus["b4"], corpus["b8"], corpus["div12"]]
+    facades = [lat.congruence_frame().as_lattice() for lat in lattices]
     for i in range(cases):
-        lat = lattices[i % len(lattices)]
-        carrier = lat.congruence_frame().as_lattice() if i % 2 else lat
+        carrier = (facades if i % 2 else lattices)[i % len(lattices)]
         members = [to_cut_function(random_simple(rng, carrier, coeff_lo=-4, coeff_hi=4))
                    for _ in range(rng.randint(1, 4))]
         tail = to_cut_function(random_simple(rng, carrier, coeff_lo=-4, coeff_hi=4))

@@ -99,6 +99,10 @@ COMMANDS = {
     "weights_not_boolean": ["validate", "--lattice", DIV12, "--measure", D + "weights_div12.json"],
     # both measure keys: the non-total "values" table is not skipped
     "measure_both_keys": ["validate", "--lattice", B4, "--measure", D + "mu_both.json"],
+    # two refs that resolve to one sublocale: "L" and the blocks of equality
+    "measure_same_sublocale": ["integrate", "--lattice", B4,
+                               "--measure", D + "mu_same_sublocale.json",
+                               "--function", "sample_docs/f.json"],
     "indefinite_signed": ["indefinite", "--lattice", CHAIN4, "--measure", D + "mu_chain4.json",
                           "--function", D + "f_chain4.json"],
     "not_integrable": ["integrate", "--lattice", B4, "--measure", D + "mu_inf.json",

@@ -203,14 +203,14 @@ def test_only_congruence_reads_the_frame_numbering():
     """S(L) is 2^J(L): every layer but ``congruence.py`` speaks of a
     sublocale by its keep-mask, so no other module reads the frame's
     position table ``_pos`` or per-element ``_nabla``/``_delta`` tables,
-    and no module but ``bridge.py`` assigns a space's ``_lattice``."""
+    and no module but ``bridge.py`` assigns a space's ``_frame``."""
     numbering = re.compile(r"(?<![A-Za-z0-9_])_(pos|nabla|delta)\b")
-    lattice_write = re.compile(r"\._lattice\s*=(?!=)")
+    frame_write = re.compile(r"\._frame\s*=(?!=)")
     for path in sorted((SRC / "locint").glob("*.py")):
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
             where = f"{path.name}:{number}: {line.strip()}"
             assert path.name == "congruence.py" or not numbering.search(line), where
-            assert path.name == "bridge.py" or not lattice_write.search(line), where
+            assert path.name == "bridge.py" or not frame_write.search(line), where
 
 
 def test_only_simple_reads_the_value_vector():
