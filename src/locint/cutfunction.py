@@ -42,7 +42,7 @@ from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from operator import and_, eq, lt, or_
+from operator import and_, eq, floordiv, lt, or_, sub
 from typing import List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import InvalidArgument, InvalidScale, NegativeOperand, NotFinite
@@ -281,24 +281,26 @@ def characteristic(a: str, carrier: FiniteLattice) -> CutFunction:
 # -- order and lattice operations ---------------------------------------------------
 
 
-def _merged_pieces(f: CutFunction, g: CutFunction):
-    """(D, merged int grid, (f, g) upper mask pairs per piece)."""
-    check_same_carrier(f.carrier, g.carrier, _DIFFERENT_CARRIERS)
-    den, (fb, gb) = _int_grids((f, g))
-    grid = sorted({*fb, *gb})
-    fu, gu = f._up, g._up
-    ups = [(fu[bisect_right(fb, p)], gu[bisect_right(gb, p)]) for p in _reps(grid, den)]
-    return den, grid, ups
+def _sample(fs: Sequence[CutFunction]) -> Tuple[int, List[int], List[Tuple[int, ...]]]:
+    """(D, the family's merged int grid, per piece the tuple of each
+    function's upper mask there), after the carriers are checked."""
+    for g in fs[1:]:
+        check_same_carrier(fs[0].carrier, g.carrier, _DIFFERENT_CARRIERS)
+    den, grids = _int_grids(fs)
+    grid = sorted({t for fb in grids for t in fb})
+    reps = _reps(grid, den)
+    cuts = [[f._up[bisect_right(fb, p)] for p in reps] for fb, f in zip(grids, fs)]
+    return den, grid, list(zip(*cuts))
 
 
 def leq(f: CutFunction, g: CutFunction) -> bool:
     """f <= g iff f(p,-) <= g(p,-) everywhere."""
-    return all(not fu & ~gu for fu, gu in _merged_pieces(f, g)[2])
+    return all(not fu & ~gu for fu, gu in _sample((f, g))[2])
 
 
 def join_meet(f: CutFunction, g: CutFunction) -> Tuple[CutFunction, CutFunction]:
     """(f \\/ g, f /\\ g) computed pointwise on the merged grid."""
-    den, grid, ups = _merged_pieces(f, g)
+    den, grid, ups = _sample((f, g))
     lat = f.carrier
     return (_from_grid(lat, den, grid, [a | b for a, b in ups]),
             _from_grid(lat, den, grid, [a & b for a, b in ups]))
@@ -325,9 +327,22 @@ def scale(lam: Fraction, f: CutFunction) -> CutFunction:
     return g if n > 0 else negate(g)
 
 
+def _convolve(f: CutFunction, fb: Sequence[int], pieces, reps: Sequence[int], at) -> List[int]:
+    """The upper cut at each p of reps: \\/_j f(at(p, b_j), -) /\\ u_j over
+    the other operand's pieces (b_j, u_j), f's breakpoints being fb."""
+    fu = f._up
+    upper = []
+    for p in reps:
+        acc = 0
+        for bj, gu in pieces:
+            acc |= fu[bisect_right(fb, at(p, bj))] & gu
+        upper.append(acc)
+    return upper
+
+
 def add(f: CutFunction, g: CutFunction) -> CutFunction:
     """f + g by the convolution formula
-    (f+g)(p,-) = sup_t f(t,-) /\\ g(p-t,-); the lower cuts dually.
+    (f+g)(p,-) = sup_t f(t,-) /\\ g(p-t,-).
 
     The supremum is a join over the pieces of g, on which g's cut is
     constant; f's monotone cut reaches its supremum over a piece at the
@@ -341,27 +356,21 @@ def add(f: CutFunction, g: CutFunction) -> CutFunction:
         return f  # only over the one-element carrier
     den, (fb, gb) = _int_grids((f, g))
     grid = sorted({x + y for x in fb for y in gb})
-    fu = f._up
-    g_upper = list(zip(gb, g._up))
-    upper = []
-    for p in _reps(grid, den):
-        acc = 0
-        for bj, gu in g_upper:
-            acc |= fu[bisect_right(fb, p - bj)] & gu
-        upper.append(acc)
+    upper = _convolve(f, fb, list(zip(gb, g._up)), _reps(grid, den), sub)
     return _from_grid(f.carrier, den, grid, upper)
 
 
 def mul_nonneg(f: CutFunction, g: CutFunction) -> CutFunction:
     """f * g for nonnegative finite operands, by the case-split formula:
-    (fg)(p,-) is top for p < 0 and sup_{s>0} f(s,-) /\\ g(p/s,-) otherwise;
-    the lower cuts dually.
+    (fg)(p,-) is top for p < 0 and sup_{s>0} f(s,-) /\\ g(p/s,-) otherwise.
 
     As in ``add``, the supremum is a join over the pieces of g, here those
     meeting (0, +inf), with f sampled once at the end of each piece, at
     p/b_j (the unbounded piece drops out, as g is finite).  The products
     are ints over D * D, and for an int a of f's grid a <= p/b_j iff
-    a <= floor(p/b_j)."""
+    a <= floor(p/b_j).  The grid starts at 0, so its first piece, the one
+    negative piece, is top, and each other piece is sampled at its left
+    end, a grid point."""
     check_same_carrier(f.carrier, g.carrier, _DIFFERENT_CARRIERS)
     if not (f.is_nonnegative() and g.is_nonnegative()):
         raise NegativeOperand("multiplication needs nonnegative operands")
@@ -371,20 +380,9 @@ def mul_nonneg(f: CutFunction, g: CutFunction) -> CutFunction:
         return f
     den, (fb, gb) = _int_grids((f, g))
     first = bisect_right(gb, 0)  # the piece of g reaching down to 0
-    pos = gb[first:]
-    grid = sorted({0} | {x * y for x in fb if x > 0 for y in pos})
-    fu, full = f._up, f.carrier._full
-    g_upper = list(zip(pos, g._up[first:]))
-    upper = []
-    for p in _reps(grid, den * den):
-        if p < 0:
-            upper.append(full)
-            continue
-        acc = 0
-        for bj, gu in g_upper:
-            acc |= fu[bisect_right(fb, p // bj)] & gu
-        upper.append(acc)
-    return _from_grid(f.carrier, den * den, grid, upper)
+    grid = sorted({0} | {x * y for x in fb if x > 0 for y in gb[first:]})
+    upper = _convolve(f, fb, list(zip(gb[first:], g._up[first:])), grid, floordiv)
+    return _from_grid(f.carrier, den * den, grid, [f.carrier._full, *upper])
 
 
 # -- countable (here: finite) lattice operations ----------------------------------------
@@ -409,13 +407,8 @@ def _fold_upper(fs: Sequence[CutFunction], name: str, op) -> CutFunction:
     fs = list(fs)
     if not fs:
         raise InvalidArgument(f"{name} needs at least one function")
-    for g in fs[1:]:
-        check_same_carrier(fs[0].carrier, g.carrier, _DIFFERENT_CARRIERS)
-    den, grids = _int_grids(fs)
-    grid = sorted({t for fb in grids for t in fb})
-    reps = _reps(grid, den)
-    cuts = [[f._up[bisect_right(fb, p)] for p in reps] for fb, f in zip(grids, fs)]
-    return _from_grid(fs[0].carrier, den, grid, [reduce(op, cut) for cut in zip(*cuts)])
+    den, grid, pieces = _sample(fs)
+    return _from_grid(fs[0].carrier, den, grid, [reduce(op, ups) for ups in pieces])
 
 
 # -- sequences and limits -------------------------------------------------------------
@@ -450,9 +443,24 @@ class FunctionSequence(_FunctionSequenceFields):
 def limits(seq: FunctionSequence) -> Tuple[CutFunction, CutFunction, Optional[CutFunction]]:
     """(liminf, limsup, lim or None), computed by the defining formulas
     liminf = sup_n inf_{k>=n} and limsup = inf_n sup_{k>=n}; every inner
-    family is the finite prefix remainder plus the constant tail."""
-    tails = [list(seq.prefix[n:]) + [seq.tail] for n in range(len(seq.prefix) + 1)]
-    liminf = seq_sup([seq_inf(fam) for fam in tails])
-    limsup = seq_inf([seq_sup(fam) for fam in tails])
-    lim = liminf if liminf == limsup else None
-    return liminf, limsup, lim
+    family is the finite prefix remainder plus the constant tail.
+
+    The prefix and the tail are sampled once, on their merged grid.  On
+    each piece the meets inf_{k>=n} and joins sup_{k>=n} fold from the
+    tail leftwards; each meet is joined into liminf and each join met into
+    limsup there, so only those two ladders are built."""
+    fs = [*seq.prefix, seq.tail]
+    den, grid, pieces = _sample(fs)
+    lows, highs = [], []
+    for ups in pieces:
+        inf = sup = low = high = ups[-1]
+        for u in ups[-2::-1]:
+            inf &= u
+            sup |= u
+            low |= inf
+            high &= sup
+        lows.append(low)
+        highs.append(high)
+    lat = fs[0].carrier
+    liminf, limsup = _from_grid(lat, den, grid, lows), _from_grid(lat, den, grid, highs)
+    return liminf, limsup, liminf if liminf == limsup else None

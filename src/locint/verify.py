@@ -104,38 +104,41 @@ def criterion_indefinite(seed: int) -> str:
 
 
 def criterion_subring(seed: int) -> str:
+    """The ring laws on the ladder kernels, which feed their outputs back
+    into each other, and the ladder operations equal to the converted
+    vector operations (closure: a subring of the cut ladders)."""
     rng = Random(seed)
     per_lattice = 500
     for lat in corpus_lattices().values():
-        one = sf.constant_simple(Fraction(1), lat)
-        nil = zero(lat)
+        nil = cf.constant(Fraction(0), lat)
         for _ in range(per_lattice):
             g = random_simple(rng, lat, coeff_lo=-6, coeff_hi=6)
             h = random_simple(rng, lat, coeff_lo=-6, coeff_hi=6)
             k = random_simple(rng, lat, coeff_lo=-6, coeff_hi=6)
-            check(sf_add(g, h) == sf_add(h, g), "addition is not commutative")
-            check(sf_add(sf_add(g, h), k) == sf_add(g, sf_add(h, k)),
-                  "addition is not associative")
-            check(sf_add(g, nil) == g, "zero is not neutral")
-            check(sf_add(g, sf_neg(g)) == nil, "negation is not inverse")
-            check(sf_mul(g, h) == sf_mul(h, g), "multiplication is not commutative")
-            check(sf_mul(sf_mul(g, h), k) == sf_mul(g, sf_mul(h, k)),
-                  "multiplication is not associative")
-            check(sf_mul(g, one) == g, "one is not neutral")
-            check(sf_mul(g, sf_add(h, k)) == sf_add(sf_mul(g, h), sf_mul(g, k)),
-                  "distributivity fails")
+            cg, ch, ck = to_cut_function(g), to_cut_function(h), to_cut_function(k)
+            cgh = cf.add(cg, ch)
+            check(cgh == cf.add(ch, cg), "addition is not commutative")
+            check(cf.add(cgh, ck) == cf.add(cg, cf.add(ch, ck)), "addition is not associative")
+            check(cf.add(cg, nil) == cg, "zero is not neutral")
+            check(cf.add(cg, cf.negate(cg)) == nil, "negation is not inverse")
             lam = random_rational(rng, -4, 4, (1, 2, 3))
-            check(sf_scale(lam, sf_add(g, h)) == sf_add(sf_scale(lam, g), sf_scale(lam, h)),
+            lg = cf.scale(lam, cg)
+            check(cf.scale(lam, cgh) == cf.add(lg, cf.scale(lam, ch)),
                   "scalar action is not additive")
+            gp, hp, kp = sf.abs_simple(g), sf.abs_simple(h), sf.abs_simple(k)
+            cgp, chp, ckp = to_cut_function(gp), to_cut_function(hp), to_cut_function(kp)
+            cgph = cf.mul_nonneg(cgp, chp)
+            check(cgph == cf.mul_nonneg(chp, cgp), "multiplication is not commutative")
+            check(cf.mul_nonneg(cgph, ckp) == cf.mul_nonneg(cgp, cf.mul_nonneg(chp, ckp)),
+                  "multiplication is not associative")
+            check(cf.mul_nonneg(cgp, cf.add(chp, ckp)) == cf.add(cgph, cf.mul_nonneg(cgp, ckp)),
+                  "distributivity fails")
             # the ladder arithmetic agrees with the canonical-term arithmetic
-            cg, ch = to_cut_function(g), to_cut_function(h)
-            check(to_cut_function(sf_add(g, h)) == cf.add(cg, ch),
+            check(to_cut_function(sf_add(g, h)) == cgh,
                   "ladder addition disagrees with term addition")
-            check(to_cut_function(sf_scale(lam, g)) == cf.scale(lam, cg),
+            check(to_cut_function(sf_scale(lam, g)) == lg,
                   "ladder scaling disagrees with term scaling")
-            gp, hp = sf.abs_simple(g), sf.abs_simple(h)
-            check(to_cut_function(sf_mul(gp, hp))
-                  == cf.mul_nonneg(to_cut_function(gp), to_cut_function(hp)),
+            check(to_cut_function(sf_mul(gp, hp)) == cgph,
                   "ladder multiplication disagrees with term multiplication")
     return f"ring axioms and ladder consistency on {per_lattice} triples per lattice"
 
@@ -380,13 +383,13 @@ def criterion_limits(seed: int) -> str:
     facades = [lat.congruence_frame().as_lattice() for lat in lattices]
     for i in range(cases):
         carrier = (facades if i % 2 else lattices)[i % len(lattices)]
-        members = [to_cut_function(random_simple(rng, carrier, coeff_lo=-4, coeff_hi=4))
-                   for _ in range(rng.randint(1, 4))]
-        tail = to_cut_function(random_simple(rng, carrier, coeff_lo=-4, coeff_hi=4))
-        seq = cf.FunctionSequence(tuple(members), tail)
-        liminf, limsup, limit = cf.limits(seq)
+        family = [to_cut_function(random_simple(rng, carrier, coeff_lo=-4, coeff_hi=4))
+                  for _ in range(rng.randint(1, 4) + 1)]  # the members, then the tail
+        liminf, limsup, limit = cf.limits(cf.FunctionSequence(tuple(family[:-1]), family[-1]))
         check(cf.leq(liminf, limsup), "liminf exceeds limsup")
-        check(limit is not None and limit == tail,
+        check(cf.leq(cf.seq_inf(family), liminf) and cf.leq(limsup, cf.seq_sup(family)),
+              "the limits leave the bounds of the sequence")
+        check(limit is not None and limit == family[-1],
               "an eventually constant sequence must converge to its tail")
     # the harmonic example: 1, 1/2, ..., 1/12, then the declared tail 0
     for lat in (corpus["b4"], corpus["div60"]):

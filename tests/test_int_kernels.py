@@ -152,8 +152,25 @@ def compare_unary(f):
     compare(cut_to_simple, cut_to_simple_by_names, f)
 
 
-def compare_limits(prefix, tail):
-    compare(lambda p, t: limits(FunctionSequence(p, t)), limits_by_fractions, prefix, tail)
+def counted_fills(monkeypatch):
+    """A list that grows by one at each ``CutFunction._fill`` call."""
+    fills = []
+    fill = CutFunction._fill
+    monkeypatch.setattr(CutFunction, "_fill", lambda *args: fills.append(1) or fill(*args))
+    return fills
+
+
+def compare_limits(prefix, tail, fills):
+    """limits against its Fraction version.  The sequence is sampled once:
+    a call builds exactly two ladders, liminf and limsup, through
+    ``_fill`` (counted in fills)."""
+    def limits_of(p, t):
+        before = len(fills)
+        result = limits(FunctionSequence(p, t))
+        assert len(fills) == before + 2, (p, t)
+        return result
+
+    compare(limits_of, limits_by_fractions, prefix, tail)
 
 
 def with_infinite_ends(f, minus, plus):
@@ -178,6 +195,7 @@ def compare_pair(f, g):
             assert got == want, (mine.__name__, a, b)
     got, want = outcome(join_meet, f, g), outcome(join_meet_by_fractions, f, g)
     if got[0] == "ok":
+        assert got[1] == (seq_sup([f, g]), seq_inf([f, g])), ("join_meet", f, g)
         got = ("ok", [ladders(h) for h in got[1]])
         want = ("ok", [ladders(h) for h in want[1]])
     assert got == want, ("join_meet", f, g)
@@ -239,15 +257,18 @@ def test_ladder_kernels_match_the_fraction_kernels(name):
 
 
 @pytest.mark.parametrize("name", sorted(CARRIERS))
-def test_negate_scale_limits_and_cells_match_the_fraction_code(name):
+def test_negate_scale_limits_and_cells_match_the_fraction_code(name, monkeypatch):
+    """limits on sequences of 1 to 8 members, finite and extended, repeats
+    allowed."""
     lat = CARRIERS[name]
     rng = Random(f"unary-{name}")
     fs = _functions(rng, lat)
     for f in fs:
         compare_unary(f)
-    for _ in range(6):
-        *prefix, tail = rng.sample(fs, rng.randint(1, 4))
-        compare_limits(prefix, tail)
+    fills = counted_fills(monkeypatch)
+    for _ in range(8):
+        *prefix, tail = rng.choices(fs, k=rng.randint(1, 8))
+        compare_limits(prefix, tail, fills)
 
 
 @pytest.mark.parametrize("name", sorted(CARRIERS))
@@ -273,9 +294,7 @@ def test_to_cut_function_matches_the_name_based_joins(name, monkeypatch):
     calls ``_fill``."""
     lat = CARRIERS[name]
     rng = Random(f"to-cut-{name}")
-    fills = []
-    fill = CutFunction._fill
-    monkeypatch.setattr(CutFunction, "_fill", lambda *args: fills.append(1) or fill(*args))
+    fills = counted_fills(monkeypatch)
 
     def converted(g):
         before = len(fills)
@@ -307,14 +326,18 @@ def test_one_element_carrier():
     compare_family([flat, other])
 
 
-def test_unary_kernels_on_the_one_element_carrier():
+def test_unary_kernels_on_the_one_element_carrier(monkeypatch):
     flat = CutFunction(ONE_POINT, (), ("0",), ("0",))
     fs = [flat, constant(F(3), ONE_POINT), constant(POS_INF, ONE_POINT)]
     for f in fs:
         compare_unary(f)
         compare_decompositions(f)
-    compare_limits(fs[:2], fs[2])
-    compare_limits([flat], constant(F(0), CARRIERS["b4"]))  # different carriers
+    fills = counted_fills(monkeypatch)
+    rng = Random("unary-one-point")
+    for n in range(1, 9):
+        *prefix, tail = rng.choices(fs, k=n)
+        compare_limits(prefix, tail, fills)
+    compare_limits([flat], constant(F(0), CARRIERS["b4"]), fills)  # different carriers
 
 
 def _decomposable(rng, lat):
