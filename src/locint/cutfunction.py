@@ -43,7 +43,7 @@ from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
 from operator import and_, eq, floordiv, lt, or_, sub
-from typing import List, NamedTuple, Optional, Sequence, Tuple
+from typing import List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import InvalidArgument, InvalidScale, NegativeOperand, NotFinite
 from .lattice import FiniteLattice, check_same_carrier
@@ -416,51 +416,50 @@ def _fold_upper(fs: Sequence[CutFunction], name: str, op) -> CutFunction:
 
 class _FunctionSequenceFields(NamedTuple):
     prefix: Tuple[CutFunction, ...]
-    tail: CutFunction
+    tail: Union[CutFunction, Tuple[CutFunction, ...]]
 
 
 class FunctionSequence(_FunctionSequenceFields):
-    """A sequence given by a finite prefix and a declared constant tail;
-    the k-th member is prefix[k] for k below len(prefix) and the tail from
-    there on."""
+    """An eventually periodic sequence: a finite prefix, then a cycle
+    repeated forever.  The tail is one function (a cycle of one: the
+    sequence is eventually constant) or a non-empty tuple of them, the
+    cycle; the k-th member is prefix[k] for k below len(prefix) and
+    cycle[(k - len(prefix)) % len(cycle)] from there on."""
 
     __slots__ = ()
 
-    def __new__(cls, prefix: Tuple[CutFunction, ...], tail: CutFunction):
+    def __new__(cls, prefix: Tuple[CutFunction, ...],
+                tail: Union[CutFunction, Sequence[CutFunction]]):
         prefix = tuple(prefix)
-        for f in prefix:
-            check_same_carrier(f.carrier, tail.carrier, _DIFFERENT_CARRIERS)
-        return super().__new__(cls, prefix, tail)
+        if not isinstance(tail, CutFunction):
+            tail = tuple(tail)
+            if not tail:
+                raise InvalidArgument("the tail cycle needs at least one function")
+        seq = super().__new__(cls, prefix, tail)
+        for f in prefix + seq.cycle:
+            check_same_carrier(f.carrier, seq.cycle[0].carrier, _DIFFERENT_CARRIERS)
+        return seq
 
     @classmethod
-    def _make(cls, fields):  # so that _replace runs the check as well
+    def _make(cls, fields):  # so that _replace runs the checks as well
         return cls(*fields)
 
+    @property
+    def cycle(self) -> Tuple[CutFunction, ...]:
+        """The tail as a tuple: (tail,) for an eventually constant sequence."""
+        return (self.tail,) if isinstance(self.tail, CutFunction) else self.tail
+
     def at(self, k: int) -> CutFunction:
-        return self.prefix[k] if k < len(self.prefix) else self.tail
+        n, cycle = len(self.prefix), self.cycle
+        return self.prefix[k] if k < n else cycle[(k - n) % len(cycle)]
 
 
 def limits(seq: FunctionSequence) -> Tuple[CutFunction, CutFunction, Optional[CutFunction]]:
-    """(liminf, limsup, lim or None), computed by the defining formulas
-    liminf = sup_n inf_{k>=n} and limsup = inf_n sup_{k>=n}; every inner
-    family is the finite prefix remainder plus the constant tail.
-
-    The prefix and the tail are sampled once, on their merged grid.  On
-    each piece the meets inf_{k>=n} and joins sup_{k>=n} fold from the
-    tail leftwards; each meet is joined into liminf and each join met into
-    limsup there, so only those two ladders are built."""
-    fs = [*seq.prefix, seq.tail]
-    den, grid, pieces = _sample(fs)
-    lows, highs = [], []
-    for ups in pieces:
-        inf = sup = low = high = ups[-1]
-        for u in ups[-2::-1]:
-            inf &= u
-            sup |= u
-            low |= inf
-            high &= sup
-        lows.append(low)
-        highs.append(high)
-    lat = fs[0].carrier
-    liminf, limsup = _from_grid(lat, den, grid, lows), _from_grid(lat, den, grid, highs)
+    """(liminf, limsup, lim or None) by the defining formulas liminf =
+    sup_n inf_{k>=n} and limsup = inf_n sup_{k>=n}.  The suffix from any n
+    past the prefix holds exactly the cycle's members, and an earlier
+    suffix holds more, so its meet is lower and its join higher: liminf is
+    the meet of the cycle, limsup its join, and the limit exists iff the
+    two are equal, i.e. iff the cycle is constant."""
+    liminf, limsup = seq_inf(seq.cycle), seq_sup(seq.cycle)
     return liminf, limsup, liminf if liminf == limsup else None

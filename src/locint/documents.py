@@ -69,7 +69,7 @@ def _rational(value, message: str, *key, extended=False):
     from .rationals import parse_extended, parse_rational
 
     if isinstance(value, str):
-        with suppress(ValueError, ZeroDivisionError):
+        with suppress(ValueError):
             return (parse_extended if extended else parse_rational)(value)
     raise MalformedDocument(message.format(*key, value))
 

@@ -49,14 +49,16 @@ def is_finite(v: ExtValue) -> bool:
     return isinstance(v, Fraction)
 
 
-#: The documented grammar: an optional sign, digits, and optionally "/digits".
-_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/[0-9]+)?")
+#: The documented grammar: an optional sign, digits, and optionally "/digits"
+#: naming a nonzero denominator.
+_RATIONAL = re.compile(r"[+-]?[0-9]+(?:/0*[1-9][0-9]*)?")
 
 
 def parse_rational(value) -> Fraction:
     """A ``Fraction`` as is; a plain int, or a "p/q" or integer string,
     converted.  Floats, bools, Decimals, exponents, decimal points, digit
-    separators and surrounding whitespace raise InvalidArgument."""
+    separators, surrounding whitespace and a zero denominator raise
+    InvalidArgument."""
     if type(value) is Fraction:
         return value
     if isinstance(value, Fraction):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from math import lcm
 from random import Random
 from typing import Callable, List, NamedTuple, Tuple
 
@@ -381,38 +382,49 @@ def criterion_limits(seed: int) -> str:
     corpus = corpus_lattices()
     lattices = [corpus["b4"], corpus["b8"], corpus["div12"]]
     facades = [lat.congruence_frame().as_lattice() for lat in lattices]
+
+    def sequence(carrier: FiniteLattice, n: int) -> cf.FunctionSequence:
+        """n members, then a cycle of 1-3 drawn from two more, repeats allowed."""
+        fs = [to_cut_function(random_simple(rng, carrier, coeff_lo=-4, coeff_hi=4))
+              for _ in range(n + 2)]
+        return cf.FunctionSequence(fs[:n], rng.choices(fs[n:], k=rng.randint(1, 3)))
+
     for i in range(cases):
-        carrier = (facades if i % 2 else lattices)[i % len(lattices)]
-        family = [to_cut_function(random_simple(rng, carrier, coeff_lo=-4, coeff_hi=4))
-                  for _ in range(rng.randint(1, 4) + 1)]  # the members, then the tail
-        liminf, limsup, limit = cf.limits(cf.FunctionSequence(tuple(family[:-1]), family[-1]))
+        seq = sequence((facades if i % 2 else lattices)[i % len(lattices)], rng.randint(0, 3))
+        liminf, limsup, limit = cf.limits(seq)
         check(cf.leq(liminf, limsup), "liminf exceeds limsup")
+        family = seq.prefix + seq.cycle
         check(cf.leq(cf.seq_inf(family), liminf) and cf.leq(limsup, cf.seq_sup(family)),
               "the limits leave the bounds of the sequence")
-        check(limit is not None and limit == family[-1],
-              "an eventually constant sequence must converge to its tail")
+        n = len(seq.prefix)
+        check(all(cf.leq(liminf, seq.at(k)) and cf.leq(seq.at(k), limsup)
+                  for k in range(n, n + len(seq.cycle))),
+              "a member that recurs forever lies outside [liminf, limsup]")
+        constant_tail = all(c == seq.cycle[0] for c in seq.cycle)
+        check((limit is not None) == constant_tail and limit in (None, seq.cycle[0]),
+              "a sequence must converge iff its cycle is constant, to that constant")
     # the harmonic example: 1, 1/2, ..., 1/12, then the declared tail 0
     for lat in (corpus["b4"], corpus["div60"]):
         carrier = lat.congruence_frame().as_lattice()
         prefix = tuple(cf.constant(Fraction(1, n), carrier) for n in range(1, 13))
         _, _, limit = cf.limits(cf.FunctionSequence(prefix, cf.constant(Fraction(0), carrier)))
         check(limit == cf.constant(Fraction(0), carrier), "lim 1/n != 0")
-    # super/subadditivity
+    # the alternating example: chi_x, chi_y, chi_x, ... on B4
+    b4 = corpus["b4"]
+    alternating = cf.FunctionSequence((), (cf.characteristic("x", b4), cf.characteristic("y", b4)))
+    check(cf.limits(alternating) == (cf.constant(Fraction(0), b4), cf.constant(Fraction(1), b4), None),
+          "chi_x, chi_y, chi_x, ... must have liminf 0, limsup 1 and no limit")
+    # super/subadditivity over the pointwise sum, whose cycle has length lcm(p, q)
     pairs = 60
     for i in range(pairs):
         lat = lattices[i % len(lattices)]
-        n = rng.randint(1, 3)
-        fs = [to_cut_function(random_simple(rng, lat, coeff_lo=-4, coeff_hi=4))
-              for _ in range(n + 1)]
-        gs = [to_cut_function(random_simple(rng, lat, coeff_lo=-4, coeff_hi=4))
-              for _ in range(n + 1)]
-        seq_f = cf.FunctionSequence(tuple(fs[:n]), fs[n])
-        seq_g = cf.FunctionSequence(tuple(gs[:n]), gs[n])
-        seq_sum = cf.FunctionSequence(tuple(cf.add(fs[k], gs[k]) for k in range(n)),
-                                      cf.add(fs[n], gs[n]))
+        n = rng.randint(0, 2)
+        seq_f, seq_g = sequence(lat, n), sequence(lat, n)
+        sums = [cf.add(seq_f.at(k), seq_g.at(k))
+                for k in range(n + lcm(len(seq_f.cycle), len(seq_g.cycle)))]
         li_f, ls_f, _ = cf.limits(seq_f)
         li_g, ls_g, _ = cf.limits(seq_g)
-        li_s, ls_s, _ = cf.limits(seq_sum)
+        li_s, ls_s, _ = cf.limits(cf.FunctionSequence(sums[:n], sums[n:]))
         check(cf.leq(cf.add(li_f, li_g), li_s), "superadditivity of liminf fails")
         check(cf.leq(ls_s, cf.add(ls_f, ls_g)), "subadditivity of limsup fails")
     return f"{cases} sequences ordered, harmonic example exact, {pairs} additivity pairs"

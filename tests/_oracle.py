@@ -849,10 +849,14 @@ def scale_by_fractions(lam, f):
     return CutFunction(lat, [lam * b for b in f.breakpoints], f.upper, f.lower)
 
 
-def limits_by_fractions(prefix, tail):
-    tails = [list(prefix[n:]) + [tail] for n in range(len(prefix) + 1)]
-    liminf = seq_sup_by_fractions([seq_inf_by_fractions(fam) for fam in tails])
-    limsup = seq_inf_by_fractions([seq_sup_by_fractions(fam) for fam in tails])
+def limits_by_fractions(prefix, cycle):
+    """liminf = sup_n inf_{k>=n} and limsup = inf_n sup_{k>=n} of the
+    prefix followed by the cycle repeated forever: the suffix from n holds
+    prefix[n:] and the cycle for n <= len(prefix), and the cycle alone from
+    there on."""
+    windows = [list(prefix[n:]) + list(cycle) for n in range(len(prefix) + 1)]
+    liminf = seq_sup_by_fractions([seq_inf_by_fractions(fam) for fam in windows])
+    limsup = seq_inf_by_fractions([seq_sup_by_fractions(fam) for fam in windows])
     same = (liminf.breakpoints, liminf.upper) == (limsup.breakpoints, limsup.upper)
     return liminf, limsup, liminf if same else None
 

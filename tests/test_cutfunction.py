@@ -159,6 +159,12 @@ def test_limits_examples(b4):
     two = cf.constant(F(2), b4)
     li, ls, lim = cf.limits(cf.FunctionSequence((chi_x, chi_y, chi_x, chi_y), two))
     assert li == ls == lim == two
+    # chi_x, chi_y, chi_x, ... after the prefix: x /\ y = 0 and x \/ y = 1
+    li, ls, lim = cf.limits(cf.FunctionSequence((two,), (chi_x, chi_y)))
+    assert (li, ls, lim) == (cf.constant(F(0), b4), cf.constant(F(1), b4), None)
+    li, ls, lim = cf.limits(cf.FunctionSequence((), (chi_x, two, chi_x)))
+    assert (li, ls, lim) == (chi_x, two, None)
+    assert cf.limits(cf.FunctionSequence((chi_y,), (two, two)))[2] == two
 
 
 def test_limit_of_harmonic_sequence_is_zero(b4):

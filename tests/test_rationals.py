@@ -45,6 +45,12 @@ def test_parse_rational_accepts_only_the_documented_grammar():
                  "- 1", " 3/4 ", "inf", "nan", "\u0661"]:
         with pytest.raises(ValueError):
             parse_rational(text)
+    for text in ["1/0", "-3/0", "0/00"]:
+        with pytest.raises(InvalidArgument, match=f"^not a rational: '{text}'$"):
+            parse_rational(text)
+        with pytest.raises(InvalidArgument, match=f"^not a rational: '{text}'$"):
+            parse_extended(text)
+    assert parse_rational("3/010") == Fraction(3, 10)
     for text in ["1e5", " inf", "-inf "]:
         with pytest.raises(ValueError):
             parse_extended(text)
@@ -61,6 +67,7 @@ def test_parse_rational_passes_fractions_and_rejects_other_numbers():
 
 
 def test_library_entry_points_reject_floats():
+    """Floats, and strings with a zero denominator, at each entry point."""
     lat = powerset_lattice(["x", "y"])
     g = sf.canonicalize(lat, [(Fraction(1), "x")])
     f = cf.constant(Fraction(1), lat)
@@ -76,6 +83,11 @@ def test_library_entry_points_reject_floats():
         lambda: cf.constant(0.5, lat),
         lambda: cf.CutFunction(lat, (0.5,), ("1", "0"), ("0", "1")),
         lambda: ClassicalSimpleFunction(space, {"p": 0.5}),
+        lambda: sf.canonicalize(lat, [("1/0", "x")]),
+        lambda: sf.sf_scale("1/0", g),
+        lambda: sf.constant_simple("-3/0", lat),
+        lambda: cf.scale("-3/0", f),
+        lambda: cf.constant("1/0", lat),
     ]
     for call in calls:
         with pytest.raises(InvalidArgument, match="^not a rational: "):

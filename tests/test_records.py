@@ -9,7 +9,7 @@ import pytest
 
 from locint import cutfunction as cf
 from locint.bridge import BridgeReport
-from locint.errors import CarrierMismatch
+from locint.errors import CarrierMismatch, InvalidArgument
 from locint.integrate import RestrictionWitness, SummabilityReport
 from locint.lattice import powerset_lattice
 from locint.rationals import POS_INF
@@ -94,11 +94,33 @@ def test_function_sequence_rejects_mixed_carriers(b4):
     assert seq.at(5) == seq.tail
 
 
+def test_function_sequence_repeats_its_cycle(b4):
+    one, two, chi_x = cf.constant(F(1), b4), cf.constant(F(2), b4), cf.characteristic("x", b4)
+    seq = cf.FunctionSequence([chi_x], [one, two, one])
+    assert seq.tail == (one, two, one) and seq.cycle == seq.tail
+    assert [seq.at(k) for k in range(8)] == [chi_x, one, two, one, one, two, one, one]
+    assert seq == cf.FunctionSequence((chi_x,), (one, two, one))
+    assert cf.FunctionSequence((), one).cycle == (one,)
+    with pytest.raises(InvalidArgument, match="^the tail cycle needs at least one function$"):
+        cf.FunctionSequence((one,), [])
+    other = cf.constant(F(1), powerset_lattice(["p", "q"]))
+    with pytest.raises(CarrierMismatch, match="^the two functions live on different carriers$"):
+        cf.FunctionSequence((one,), (one, other))
+    with pytest.raises(CarrierMismatch, match="^the two functions live on different carriers$"):
+        cf.FunctionSequence((), (other, one))
+
+
 def test_replace_runs_the_construction_checks(b4):
     one = cf.constant(F(1), b4)
     seq = cf.FunctionSequence((one,), one)
+    other = cf.constant(F(1), powerset_lattice(["p", "q"]))
     with pytest.raises(CarrierMismatch):
-        seq._replace(tail=cf.constant(F(1), powerset_lattice(["p", "q"])))
+        seq._replace(tail=other)
+    with pytest.raises(CarrierMismatch):
+        seq._replace(tail=(one, other))
+    with pytest.raises(InvalidArgument):
+        seq._replace(tail=())
+    assert seq._replace(tail=[one, one]).tail == (one, one)
 
 
 def test_function_sequence_keeps_a_list_prefix_as_a_tuple(b4):
