@@ -15,7 +15,7 @@ from types import MappingProxyType
 from typing import List, Mapping, Sequence, Tuple
 
 from .congruence import SublocaleView
-from .lattice import FiniteLattice, chain_lattice, lattice_from_order, powerset_lattice
+from .lattice import FiniteLattice, chain_lattice, powerset_lattice
 from .measure import Measure
 from .rationals import POS_INF, ExtValue
 from .simple import SimpleFunction, from_cells
@@ -25,7 +25,7 @@ def divisor_lattice(n: int) -> FiniteLattice:
     divisors = [d for d in range(1, n + 1) if n % d == 0]
     names = [str(d) for d in divisors]
     pairs = [(str(a), str(b)) for a in divisors for b in divisors if b % a == 0]
-    return lattice_from_order(names, pairs)
+    return FiniteLattice(names, pairs)
 
 
 @cache

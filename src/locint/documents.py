@@ -40,7 +40,7 @@ from contextlib import suppress
 from typing import TYPE_CHECKING, Optional
 
 from .errors import MalformedDocument, NotFinite
-from .lattice import FiniteLattice, lattice_from_order, powerset_lattice
+from .lattice import FiniteLattice, powerset_lattice
 
 if TYPE_CHECKING:
     from .bridge import ClassicalSimpleFunction, FiniteMeasurableSpace
@@ -194,7 +194,7 @@ def build_lattice(doc) -> FiniteLattice:
     kind, values = _walk(doc, "lattice")
     if kind == "powerset":
         return powerset_lattice(values["atoms"])
-    return lattice_from_order(values["elements"], values["leq"])
+    return FiniteLattice(values["elements"], values["leq"])
 
 
 load_lattice = build_lattice

@@ -1,17 +1,17 @@
 """Finite bounded distributive lattices, held as their Birkhoff J-masks.
 
-Elements are opaque strings and the order is given extensionally.  One
-parse turns the order pairs into down-set bitmasks; ``lattice_from_order``
-closes them by Warshall's algorithm, the constructor takes them as closed.
-One validator then checks them (partial order axioms, every binary meet and
-join, distributivity) and keeps for each element x the set J(x) of
-join-irreducibles below it as a bitmask (bit k: the k-th join-irreducible
-in element order).  By Birkhoff's representation the masks are the
-lattice: J(x /\\ y) = J(x) & J(y), J(x \\/ y) = J(x) | J(y), x <= y iff J(x)
-is a subset of J(y), and a complemented x has J(x') = J(L) minus J(x), as
-every join-irreducible is join-prime.  So meet, join, order and complement
-are bit operations, names are looked up only at the boundary, and nothing
-is stored per pair.
+Elements are opaque strings and the order is given extensionally, by any
+set of pairs that generates it.  The constructor parses the pairs into
+down-set bitmasks and closes them reflexively and transitively by
+Warshall's algorithm; one validator then checks them (antisymmetry, every
+binary meet and join, distributivity) and keeps for each element x the
+set J(x) of join-irreducibles below it as a bitmask (bit k: the k-th
+join-irreducible in element order).  By Birkhoff's representation the
+masks are the lattice: J(x /\\ y) = J(x) & J(y), J(x \\/ y) = J(x) | J(y),
+x <= y iff J(x) is a subset of J(y), and a complemented x has J(x') = J(L)
+minus J(x), as every join-irreducible is join-prime.  So meet, join, order
+and complement are bit operations, names are looked up only at the
+boundary, and nothing is stored per pair.
 
 Distributivity is checked in O(n^2), as J(x \\/ y) = J(x) | J(y) for all
 x, y, in the pass that looks up every meet and join among the down-sets
@@ -56,9 +56,10 @@ SOFT_SIZE_LIMIT = 64
 def _down_sets(elements: Sequence[str],
                pairs: Iterable[Tuple[str, str]]) -> Tuple[Tuple[str, ...], List[int]]:
     """Parse an order: the elements and, for each, the bitmask of the
-    elements that the pairs put directly below it, itself included.  The
-    faults are named in this order: more than ``SOFT_SIZE_LIMIT`` elements,
-    a pair naming an unknown element, no elements, duplicate names."""
+    elements below it in the reflexive-transitive closure of the pairs,
+    closed by Warshall's algorithm.  The faults are named in this order:
+    more than ``SOFT_SIZE_LIMIT`` elements, a pair naming an unknown
+    element, no elements, duplicate names."""
     elements = tuple(elements)
     if len(elements) > SOFT_SIZE_LIMIT:
         raise SizeLimitExceeded(
@@ -74,19 +75,21 @@ def _down_sets(elements: Sequence[str],
         raise MalformedDocument("a lattice needs at least one element")
     if len(idx) != len(elements):
         raise MalformedDocument("duplicate element names")
+    for k in range(len(down)):
+        for i, d in enumerate(down):
+            if d >> k & 1:
+                down[i] = d | down[k]
     return elements, down
 
 
 def _checked(elements: Tuple[str, ...], down: List[int]) -> Tuple[List[int], List[int]]:
-    """Validate the order with the down-sets `down` as a distributive
-    lattice; return its J-masks and J(L)."""
+    """Validate the order with the closed down-sets `down` as a
+    distributive lattice; return its J-masks and J(L)."""
     n = len(elements)
     up = [0] * n  # up[a] = bitmask of all b with a <= b
     for a in range(n):
         for b in range(n):
             if down[b] >> a & 1:
-                if down[a] & ~down[b]:
-                    raise NotALattice("order relation is not transitively closed")
                 if a != b and down[a] >> b & 1:
                     raise NotALattice(
                         f"order is not antisymmetric on ({elements[a]!r}, {elements[b]!r})")
@@ -137,10 +140,11 @@ class FiniteLattice:
     ``_at`` maps it back.  The bottom's mask is 0, the top's ``_full`` = J(L),
     and ``_jirr`` holds the element indices of J(L) in bit order.
 
-    The constructor expects the order relation to be reflexively and
-    transitively closed already, and checks that it is; use the factories
-    in this module (``powerset_lattice``, ``lattice_from_order``) or
-    ``documents.build_lattice`` rather than calling it directly.
+    The constructor takes the elements and any pairs (a, b), meaning
+    a <= b, that generate the order: it closes them by Warshall's algorithm
+    and checks the result (antisymmetry, every binary meet and join,
+    distributivity).  ``powerset_lattice`` builds a powerset straight from
+    its masks.
     """
 
     __slots__ = ("elements", "_idx", "_jmask", "_mask", "_at", "_full", "_jirr",
@@ -318,19 +322,6 @@ def powerset_lattice(atoms: Sequence[str]) -> FiniteLattice:
     return FiniteLattice._from_masks(names, masks)
 
 
-def lattice_from_order(elements: Sequence[str], pairs: Iterable[Tuple[str, str]]) -> FiniteLattice:
-    """Build from any generating set of order pairs; Warshall's algorithm
-    closes the down-sets reflexively and transitively before validation."""
-    elements, down = _down_sets(elements, pairs)
-    for k in range(len(down)):
-        for i, d in enumerate(down):
-            if d >> k & 1:
-                down[i] = d | down[k]
-    lattice = FiniteLattice.__new__(FiniteLattice)
-    lattice._set(elements, *_checked(elements, down))
-    return lattice
-
-
 def chain_lattice(names: Sequence[str]) -> FiniteLattice:
-    return lattice_from_order(names, [(names[i], names[i + 1]) for i in range(len(names) - 1)])
+    return FiniteLattice(names, [(names[i], names[i + 1]) for i in range(len(names) - 1)])
 

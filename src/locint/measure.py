@@ -111,10 +111,7 @@ def validate_measure(view: SublocaleView, values: Mapping[Congruence, ExtValue])
     subs = view.sublocales
     table: list = [None] * len(subs)  # by keep-mask
     for sub, v in values.items():
-        view.index_of(sub)
-        if table[sub.keep] is not None:
-            raise MalformedDocument(
-                f"two values given for sublocale {view.ref_name(sub)}")
+        view.index_of(sub)  # raises for a congruence of another lattice
         table[sub.keep] = check_measure_value(v)
     for s in subs:
         if table[s.keep] is None:

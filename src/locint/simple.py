@@ -9,15 +9,14 @@ is unique: equality reads it, the ring operations, the parts and the
 modulus are pointwise on it, and the bridge to cut ladders reads its
 level sets.  The canonical form ``terms`` is those level sets by
 ascending value: strictly ascending rationals over a pairwise-disjoint
-complemented cover of the top.  It is built on first read, or kept from
-the checked constructor, whose input it is.  The hash is that of the
-terms.  Names enter only through ``canonicalize`` and the constructor and
-leave only through ``terms`` and the cells a decomposition records;
+complemented cover of the top, built on first read.  The hash is that of
+the terms.  Names enter only through ``canonicalize`` and the constructor
+and leave only through ``terms`` and the cells a decomposition records;
 inside, elements are the carrier's J-masks.  ``canonicalize`` is the one
-builder of a vector from terms, the checked constructor's and
-``cut_to_simple``'s too: it reads its terms in one pass (each
-coefficient's int ratio, its element's row of centre atoms, the running
-common denominator), then fills and reduces the vector; the ring
+builder of a vector from any finite sum of scaled characteristics, the
+constructor's and ``cut_to_simple``'s too: it reads its terms in one pass
+(each coefficient's int ratio, its element's row of centre atoms, the
+running common denominator), then fills and reduces the vector; the ring
 operations build theirs pointwise in one list.  The code that names a
 fault runs only after something has failed.
 """
@@ -30,7 +29,6 @@ from math import gcd, lcm
 from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
-    ConsistencyError,
     InvalidArgument,
     MalformedDocument,
     NotFinite,
@@ -51,25 +49,18 @@ DECOMPOSITION_LIMIT = 10_000
 
 
 class SimpleFunction:
-    """A simple function in canonical form.
+    """A simple function, held as its values on the centre atoms.
 
-    The constructor checks canonicity, takes the vector from
-    ``canonicalize`` and keeps the terms as the view.  Use ``canonicalize``
-    (or the arithmetic here) to build from raw term lists.
+    ``SimpleFunction(carrier, terms)`` takes any finite list of (r, a)
+    with each a complemented, standing for sum r * chi(a), and builds it
+    through ``canonicalize``: the same function, the same faults.
     """
 
     __slots__ = ("carrier", "_vec", "_terms", "_hash")
 
-    def __init__(self, carrier: FiniteLattice, terms: Sequence[Tuple[Fraction, str]]):
-        if not carrier._full:
-            raise MalformedDocument("simple functions need a carrier with 0 != 1")
-        terms = _coerced(terms)
-        if not terms:
-            raise ConsistencyError("canonical form cannot be empty; zero is (0, top)")
-        if not _is_canonical(carrier, terms):
-            _raise_first_violation(carrier, terms)
+    def __init__(self, carrier: FiniteLattice, terms: Iterable[Tuple[Fraction, str]]):
         self.carrier, self._vec = carrier, canonicalize(carrier, terms)._vec
-        self._terms, self._hash = terms, None
+        self._terms = self._hash = None
 
     def _point_values(self) -> Tuple[int, Tuple[int, ...]]:
         """(den, vals), the one reader of the vector from outside this module
@@ -110,44 +101,6 @@ class SimpleFunction:
 
 def _coerced(terms: Iterable[Tuple[Fraction, str]]) -> Tuple[Tuple[Fraction, str], ...]:
     return tuple([(r if type(r) is Fraction else parse_rational(r), a) for r, a in terms])
-
-
-def _is_canonical(carrier: FiniteLattice, terms: Sequence[Tuple[Fraction, str]]) -> bool:
-    """Whether the terms are canonical, in O(t) on the masks: ascending
-    coefficients, and each a_k complemented, nonzero and disjoint from
-    a_1 \\/ ... \\/ a_{k-1} (pairwise disjointness, by distributivity), with
-    the join reaching top."""
-    mask, rows = carrier._mask, carrier._centre_rows()
-    cover = 0
-    p, e = -1, 0  # -1/0 is below every n/d: p * d < n * e
-    for r, a in terms:
-        m = mask.get(a)
-        n, d = r.as_integer_ratio()
-        if not m or a not in rows or m & cover or not p * d < n * e:
-            return False  # unknown, bottom, not complemented, overlapping, or not ascending
-        cover |= m
-        p, e = n, d
-    return cover == carrier._full
-
-
-def _raise_first_violation(carrier: FiniteLattice, terms: Sequence[Tuple[Fraction, str]]) -> None:
-    """Fallback: the term-by-term, pair-by-pair check, so a non-canonical
-    list reports the first violation in reading order."""
-    cover = carrier.bottom
-    for k, (r, a) in enumerate(terms):
-        if k and not terms[k - 1][0] < r:
-            raise ConsistencyError("coefficients must be strictly ascending")
-        if a == carrier.bottom:
-            raise ConsistencyError("canonical terms exclude the bottom element")
-        if not carrier.is_complemented(a):
-            raise ConsistencyError(f"term element {a!r} is not complemented")
-        for _, b in terms[k + 1:]:
-            if carrier.meet(a, b) != carrier.bottom:
-                raise ConsistencyError(f"term elements {a!r}, {b!r} are not disjoint")
-        cover = carrier.join(cover, a)
-    if cover != carrier.top:
-        raise ConsistencyError("term elements do not cover the top")
-    raise ConsistencyError("fast and term-by-term canonicity checks disagree")
 
 
 def _levels(carrier: FiniteLattice, vals: Sequence[int]) -> Dict[int, int]:
@@ -212,11 +165,11 @@ def canonicalize(carrier: FiniteLattice, terms: Iterable[Tuple[Fraction, str]]) 
 
 
 def zero(carrier: FiniteLattice) -> SimpleFunction:
-    return SimpleFunction(carrier, ((ZERO, carrier.top),))
+    return canonicalize(carrier, ((ZERO, carrier.top),))
 
 
 def constant_simple(r: Fraction, carrier: FiniteLattice) -> SimpleFunction:
-    return SimpleFunction(carrier, ((r, carrier.top),))
+    return canonicalize(carrier, ((r, carrier.top),))
 
 
 def characteristic_simple(a: str, carrier: FiniteLattice) -> SimpleFunction:

@@ -134,11 +134,12 @@ class TableLattice:
 
 # -- the builder that parsed a closed pair list back into down-sets ---------------
 #
-# ``lattice_from_order`` used to close the order by a fixpoint loop, write it
+# The lattice builder used to close the order by a fixpoint loop, write it
 # out as a list of closed name pairs and hand that to the constructor, which
 # parsed it back, checked it and validated meets, joins and distributivity on
 # n x n tables.  Both return (elements, J-masks, J(L)) or raise as the library
-# did; they are the reference for the one parse and one validator.
+# did; they are the reference for the constructor's one parse, closure and
+# validator.
 
 
 def reference_lattice(elements, leq_pairs) -> tuple:
@@ -164,12 +165,9 @@ def reference_lattice(elements, leq_pairs) -> tuple:
         down[i] |= 1 << i
     for a in range(n):
         for b in range(n):
-            if down[b] >> a & 1:
-                if down[a] & ~down[b]:
-                    raise NotALattice("order relation is not transitively closed")
-                if a != b and down[a] >> b & 1:
-                    raise NotALattice(
-                        f"order is not antisymmetric on ({elements[a]!r}, {elements[b]!r})")
+            if down[b] >> a & 1 and a != b and down[a] >> b & 1:
+                raise NotALattice(
+                    f"order is not antisymmetric on ({elements[a]!r}, {elements[b]!r})")
     up = [sum(1 << b for b in range(n) if down[b] >> a & 1) for a in range(n)]
     down_of = {d: i for i, d in enumerate(down)}
     up_of = {u: i for i, u in enumerate(up)}
@@ -269,6 +267,16 @@ def table_of(lattice: FiniteLattice) -> TableLattice:
     return TableLattice(els, [(a, b) for a in els for b in els if lattice.leq(a, b)])
 
 
+def certified(carrier: FiniteLattice, terms) -> SimpleFunction:
+    """The function with these terms, which the oracle claims canonical:
+    the constructor takes any term list, and the canonical form is unique,
+    so its terms equal the list only if the claim holds."""
+    terms = tuple(terms)
+    g = SimpleFunction(carrier, terms)
+    assert g.terms == terms, (terms, g.terms)
+    return g
+
+
 def cut_from_pointwise(lat: FiniteLattice, atoms, values) -> CutFunction:
     """The cut ladders of the function with the given point values:
     f(p,-) = {x : values[x] > p} and f(-,q) = {x : values[x] < q}."""
@@ -287,7 +295,7 @@ def simple_from_pointwise(lat: FiniteLattice, atoms, values) -> SimpleFunction:
     terms = []
     for v in sorted(set(values.values())):
         terms.append((v, reduce(t.join, [x for x in atoms if values[x] == v], t.bottom)))
-    return SimpleFunction(lat, terms)
+    return certified(lat, terms)
 
 
 def pointwise_of_simple(g: SimpleFunction, atoms) -> dict:
@@ -642,8 +650,8 @@ def from_cells_by_names(carrier: FiniteLattice, cells) -> SimpleFunction:
             continue
         by_coeff[r] = carrier.join(by_coeff[r], cell) if r in by_coeff else cell
     if not by_coeff:
-        return SimpleFunction(carrier, ((Fraction(0), carrier.top),))
-    return SimpleFunction(carrier, tuple(sorted(by_coeff.items())))
+        return certified(carrier, ((Fraction(0), carrier.top),))
+    return certified(carrier, sorted(by_coeff.items()))
 
 
 def canonicalize_by_names(carrier: FiniteLattice, terms) -> SimpleFunction:
@@ -874,8 +882,8 @@ def cut_to_simple_by_names(f):
     if not f.is_finite():
         raise NotFinite("only finite functions are simple")
     lat = f.carrier
-    return SimpleFunction(lat, [(r, lat.meet(u, l))
-                                for r, u, l in zip(f.breakpoints, f.upper, f.lower[1:])])
+    return certified(lat, [(r, lat.meet(u, l))
+                           for r, u, l in zip(f.breakpoints, f.upper, f.lower[1:])])
 
 
 def decompose_trace_by_names(f, horizon=12):

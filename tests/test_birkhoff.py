@@ -36,7 +36,6 @@ from locint.errors import AxiomViolation, MalformedDocument, NotDistributive
 from locint.lattice import (
     FiniteLattice,
     chain_lattice,
-    lattice_from_order,
     powerset_lattice,
     subset_name,
 )
@@ -266,7 +265,7 @@ def peak_bytes(build) -> int:
 def test_building_a_lattice_allocates_no_pair_list_or_tables():
     # a closed pair list of the 64-chain has 2080 pairs, and n x n tables 4096 cells
     chain = [f"c{i}" for i in range(64)]
-    assert peak_bytes(lambda: lattice_from_order(chain, list(zip(chain, chain[1:])))) < 32 * 1024
+    assert peak_bytes(lambda: FiniteLattice(chain, list(zip(chain, chain[1:])))) < 32 * 1024
     b64 = powerset_lattice("abcdef")
     closed = [(a, b) for a in b64.elements for b in b64.elements if b64.leq(a, b)]
     assert peak_bytes(lambda: FiniteLattice(b64.elements, closed)) < 32 * 1024
@@ -365,7 +364,7 @@ def test_distributivity_failures_name_the_first_triple():
         blocks = [good_block, bad] if rng.random() < 0.5 else [bad, good_block]
         elements, pairs = stacked(rng, blocks)
         with pytest.raises(NotDistributive) as err:
-            lattice_from_order(elements, pairs)
+            FiniteLattice(elements, pairs)
         # the same order, checked as a plain relation
         index = {e: i for i, e in enumerate(elements)}
         leq = {(index[a], index[b]) for a, b in pairs} | {(i, i) for i in range(len(elements))}

@@ -10,6 +10,7 @@ from locint.bridge import (
     FiniteMeasurableSpace,
     bridge_check,
     classical_integral,
+    classical_summability,
     extend_measure,
     from_localic,
     to_localic,
@@ -147,6 +148,11 @@ def test_sub_sigma_algebra_bridge():
     assert report.classical_value == 10 - 7
     with pytest.raises(MalformedDocument):
         ClassicalSimpleFunction(sp, {"x": F(1), "y": F(2), "z": F(3)})
+    assert classical_summability(f, frozenset(["z"])) == (0, 7, SUMMABLE)
+    with pytest.raises(MalformedDocument, match=r"^'x' is not a member of the algebra$"):
+        classical_summability(f, frozenset(["x"]))
+    with pytest.raises(MalformedDocument, match=r"^'\{x,z\}' is not a member of the algebra$"):
+        classical_summability(f, frozenset(["x", "z"]))
 
 
 def test_explicit_lambda_is_validated():

@@ -4,13 +4,17 @@ on the sample documents and on the documents in ``tests/golden/docs``.
 Each case runs ``cli.main`` in-process from the repository root and
 compares the exit code, stdout and stderr with ``tests/golden/<case>.out``.
 ``locint verify --seed 0 --format json`` is recorded too, by its stdout
-alone (its stderr holds per-criterion timings), in ``verify_seed0.json.out``.
+alone (its stderr holds per-criterion timings), in ``verify_seed0.json.out``,
+and so is the stdout of ``scripts/demo_running_example.py``, run as a
+script, in ``demo_running_example.out``.
 To record the files again after an intended change of output, run
 ``PYTHONPATH=src python tests/test_cli_golden.py`` and review the diff."""
 
 import contextlib
 import io
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -145,6 +149,13 @@ COMMANDS = {
                             "--function", D + "f_constant_terms.json"],
     "classical_extra_key": ["bridge", "--space", "sample_docs/space.json",
                             "--function", D + "fclassical_extra_key.json"],
+    # a bridge over a set outside the algebra, and values that miss or add a point
+    "bridge_over_unknown": ["bridge", "--space", "sample_docs/space.json",
+                            "--function", "sample_docs/fclassical.json", "--over", "zzz"],
+    "classical_missing_point": ["bridge", "--space", "sample_docs/space.json",
+                                "--function", D + "fclassical_missing_point.json"],
+    "classical_extra_point": ["bridge", "--space", "sample_docs/space.json",
+                              "--function", D + "fclassical_extra_point.json"],
     "blocks_extra_key": ["canonicalize", "--lattice", CHAIN4, "--carrier", "congruence",
                          "--function", D + "f_blocks_extra_key.json"],
     "numeric_coefficient": ["integrate", "--lattice", B4, "--measure", "sample_docs/mu.json",
@@ -159,6 +170,8 @@ CASES = {f"{name}.{fmt}": argv + ["--format", fmt]
 
 VERIFY_CASE = "verify_seed0.json"
 VERIFY_ARGV = ["verify", "--seed", "0", "--format", "json"]
+DEMO_CASE = "demo_running_example"
+DEMO = ROOT / "scripts" / "demo_running_example.py"
 
 
 def run_streams(argv):
@@ -197,14 +210,27 @@ def test_verify_stdout_matches_golden_file():
     assert run_verify() == expected
 
 
+def run_demo() -> str:
+    """Stdout of the demo script, run in a fresh interpreter."""
+    return subprocess.run([sys.executable, str(DEMO)], check=True, capture_output=True,
+                          text=True, encoding="utf-8").stdout
+
+
+def test_demo_script_matches_golden_file():
+    expected = (GOLDEN / f"{DEMO_CASE}.out").read_text(encoding="utf-8")
+    assert run_demo() == expected
+
+
 def test_every_golden_file_has_a_case():
-    assert sorted(p.stem for p in GOLDEN.glob("*.out")) == sorted([*CASES, VERIFY_CASE])
+    assert sorted(p.stem for p in GOLDEN.glob("*.out")) == \
+        sorted([*CASES, VERIFY_CASE, DEMO_CASE])
 
 
 def record() -> None:
     for case, argv in CASES.items():
         (GOLDEN / f"{case}.out").write_text(run(argv), encoding="utf-8")
     (GOLDEN / f"{VERIFY_CASE}.out").write_text(run_verify(), encoding="utf-8")
+    (GOLDEN / f"{DEMO_CASE}.out").write_text(run_demo(), encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -11,6 +11,7 @@ from locint.errors import (
     InvalidArgument,
     InvalidScale,
     NegativeOperand,
+    NotComplemented,
     NotFinite,
     ValidationFailure,
 )
@@ -33,6 +34,11 @@ def test_characteristic_table(b4):
     assert chi.lower == ("0", "y", "1")
     assert cf.characteristic(b4.top, b4) == cf.constant(F(1), b4)
     assert cf.characteristic(b4.bottom, b4) == cf.constant(F(0), b4)
+
+
+def test_characteristic_needs_a_complemented_element(c3):
+    with pytest.raises(NotComplemented, match="^'m' is not complemented in this lattice$"):
+        cf.characteristic("m", c3)
 
 
 def test_constant_table(b4):

@@ -1,6 +1,6 @@
 """Differential tests for the index-native term and ladder code.
 
-``canonicalize`` (with its fast path for canonical input), the refinement
+``canonicalize`` (and the constructor built on it), the refinement
 products, the positive and negative parts and the ``CutFunction`` checks
 run on element indices.  Each is compared here with the name-based code it
 replaced, kept in ``_oracle``: the same terms and ladders, or the same
@@ -130,7 +130,7 @@ def _builders(rng, lat):
         t, u = list(g.terms), list(h.terms)
         lam = random_rational(rng, -4, 4)
         out += [
-            (sf.SimpleFunction(lat, t), t),
+            (sf.SimpleFunction(lat, u + t[::-1]), t + u),
             (sf.canonicalize(lat, t[::-1] + u), t + u),
             (sf.from_cells(lat, {a: r for r, a in t}), t),
             (sf.cut_to_simple(sf.to_cut_function(g)), t),
@@ -156,8 +156,9 @@ def test_canonicalize_matches_the_name_based_split(name):
     lat = CARRIERS[name]
     rng = Random(f"canonicalize-{name}")
     for terms in _term_lists(rng, lat):
-        assert outcome(terms_of(sf.canonicalize), lat, terms) == \
-            outcome(terms_of(canonicalize_by_names), lat, terms), terms
+        want = outcome(terms_of(canonicalize_by_names), lat, terms)
+        assert outcome(terms_of(sf.canonicalize), lat, terms) == want, terms
+        assert outcome(terms_of(sf.SimpleFunction), lat, terms) == want, terms
     for g, terms in _builders(rng, lat):
         same_as_by_names(g, terms)
 
@@ -172,8 +173,12 @@ def test_canonical_input_comes_back_unchanged():
 
 def test_one_element_carrier():
     for terms in ([], [(F(1), "0")], [(F(1), "zzz")], [(1, "0"), (2, "0")]):
-        assert outcome(terms_of(sf.canonicalize), ONE_POINT, terms) == \
-            outcome(terms_of(canonicalize_by_names), ONE_POINT, terms)
+        want = outcome(terms_of(canonicalize_by_names), ONE_POINT, terms)
+        assert outcome(terms_of(sf.canonicalize), ONE_POINT, terms) == want
+        assert outcome(terms_of(sf.SimpleFunction), ONE_POINT, terms) == want
+    for build in (sf.zero, lambda lat: sf.constant_simple(F(2), lat)):
+        assert outcome(build, ONE_POINT) == ("error", MalformedDocument,
+                                             "simple functions need a carrier with 0 != 1")
     for bp, up, lo in (((), ("0",), ("0",)), ((F(1),), ("0", "0"), ("0", "0")),
                        ((), ("zzz",), ("0",)), ((), ("0", "0"), ("0",))):
         assert outcome(ladders_of, ONE_POINT, bp, up, lo) == \
@@ -202,9 +207,10 @@ def test_canonicalize_names_the_first_fault_in_reading_order(terms, error, messa
     """A name outside the table of complemented elements goes through
     ``complement``, which names the first bad element; coefficients are
     checked before any element.  An iterator is read once, so the check
-    sees every term."""
+    sees every term.  The constructor raises the same."""
     for form in (list, tuple, iter, lambda t: (term for term in t)):
-        assert outcome(sf.canonicalize, CHAIN3, form(terms)) == ("error", error, message)
+        for build in (sf.canonicalize, sf.SimpleFunction):
+            assert outcome(build, CHAIN3, form(terms)) == ("error", error, message)
 
 
 def _input_forms(terms):
@@ -221,10 +227,11 @@ def _input_forms(terms):
 @pytest.mark.parametrize("seed", range(10))
 def test_one_pass_canonicalize_on_every_input_form(seed):
     """On seeded down-set lattices with |J| <= 8, drawn apart from the
-    corpus: every input form gives the name-based canonical form, and every
-    form of a list with one fault appended fails as the list does.  The
-    checked constructor on the canonical terms, and the way back from the
-    ladder, give the same function."""
+    corpus: every input form gives the name-based canonical form through
+    ``canonicalize`` and the constructor, and every form of a list with one
+    fault appended fails as the list does.  The constructor on the
+    canonical terms, and the way back from the ladder, give the same
+    function."""
     rng = Random(f"one-pass-{seed}")
     lat = downset_lattice(rng, rng.randint(1, 8))
     comp = lat.complemented_elements()
@@ -233,8 +240,9 @@ def test_one_pass_canonicalize_on_every_input_form(seed):
         terms = [(random_rational(rng, -5, 5), rng.choice(comp))
                  for _ in range(rng.randint(1, 6))]
         want = canonicalize_by_names(lat, terms).terms
-        for form in _input_forms(terms):
-            assert sf.canonicalize(lat, form).terms == want, terms
+        for build in (sf.canonicalize, sf.SimpleFunction):
+            for form in _input_forms(terms):
+                assert build(lat, form).terms == want, terms
         g = sf.canonicalize(lat, terms)
         assert sf.SimpleFunction(lat, g.terms) == g, terms
         assert sf.cut_to_simple(sf.to_cut_function(g)) == g, terms

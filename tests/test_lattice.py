@@ -11,7 +11,6 @@ from locint.errors import (
 )
 from locint.lattice import (
     FiniteLattice,
-    lattice_from_order,
     powerset_lattice,
     subset_name,
 )
@@ -31,7 +30,7 @@ def test_chain_is_distributive(c3):
 
 def test_diamond_m3_is_rejected():
     with pytest.raises(NotDistributive) as err:
-        lattice_from_order(
+        FiniteLattice(
             ["0", "a", "b", "c", "1"],
             [("0", "a"), ("0", "b"), ("0", "c"), ("a", "1"), ("b", "1"), ("c", "1")])
     assert "triple" in str(err.value)
@@ -40,7 +39,7 @@ def test_diamond_m3_is_rejected():
 def test_missing_meet_is_rejected():
     # two maximal elements: no join
     with pytest.raises(NotALattice):
-        lattice_from_order(["0", "a", "b"], [("0", "a"), ("0", "b")])
+        FiniteLattice(["0", "a", "b"], [("0", "a"), ("0", "b")])
 
 
 def test_complement_examples(b4, c3):
@@ -95,7 +94,7 @@ def test_build_lattice_document_errors():
 
 @pytest.mark.parametrize("elements", [[], ["a", "a"]])
 def test_constructor_names_an_unknown_pair_before_the_element_list(elements):
-    # as lattice_from_order does; an empty or duplicate list comes next
+    # an empty or duplicate list comes next
     with pytest.raises(MalformedDocument, match=r"^order pair \('a', 'z'\) mentions an unknown"):
         FiniteLattice(elements, [("a", "z")])
     with pytest.raises(MalformedDocument, match=r"^(a lattice needs|duplicate element names)"):

@@ -60,6 +60,12 @@ def test_parse_rational_passes_fractions_and_rejects_other_numbers():
     q = Fraction(3, 4)
     assert parse_rational(q) is q
     assert parse_rational(7) == 7 and type(parse_rational(7)) is Fraction
+
+    class Sub(Fraction):
+        pass
+
+    assert parse_rational(Sub(5, 6)) == Fraction(5, 6)
+    assert type(parse_rational(Sub(5, 6))) is Fraction
     for value in (0.5, 0.1, float("inf"), True, False, Decimal("0.5"), 1j, None, [1]):
         with pytest.raises(InvalidArgument, match="^not a rational: "):
             parse_rational(value)

@@ -1,4 +1,3 @@
-import re
 from fractions import Fraction as F
 from random import Random
 
@@ -9,6 +8,7 @@ from hypothesis import strategies as st
 import locint.cutfunction as cf
 import locint.simple as sf
 from _oracle import (
+    canonicalize_by_names,
     downset_lattice,
     fractions_upto,
     padd,
@@ -21,7 +21,7 @@ from _oracle import (
 )
 from locint.corpus import corpus_lattices
 from locint.errors import (
-    ConsistencyError,
+    CarrierMismatch,
     NotComplemented,
     NotFinite,
     NotNonnegative,
@@ -140,22 +140,41 @@ def test_decompose_rejects_horizon_below_one(b4):
         assert isinstance(err.value, ValueError)
 
 
-def test_constructor_reports_the_first_violation(b8):
+def test_constructor_canonicalizes_any_term_list(b8):
+    # unsorted, repeated, overlapping, partial and bottom terms, and no terms
     cases = [
-        ([(F(2), "x"), (F(1), "{y,z}")], "coefficients must be strictly ascending"),
-        ([(F(1), "0"), (F(2), "1")], "canonical terms exclude the bottom element"),
-        ([(F(1), "{x,y}"), (F(2), "y"), (F(3), "z")], "term elements '{x,y}', 'y' are not disjoint"),
-        ([(F(1), "x"), (F(2), "{x,z}"), (F(3), "y")], "term elements 'x', '{x,z}' are not disjoint"),
-        ([(F(1), "x"), (F(2), "y")], "term elements do not cover the top"),
-        # the pair check of the first term runs before the later terms' own checks
-        ([(F(1), "{x,y}"), (F(0), "y")], "term elements '{x,y}', 'y' are not disjoint"),
-        ([(F(1), "{x,y}"), (F(2), "{y,z}"), (F(0), "z")], "not disjoint"),
+        [(F(2), "x"), (F(1), "{y,z}")],
+        [(F(1), "0"), (F(2), "1")],
+        [(F(1), "{x,y}"), (F(2), "y"), (F(3), "z")],
+        [(F(1), "x"), (F(2), "{x,z}"), (F(3), "y")],
+        [(F(1), "x"), (F(2), "y")],
+        [(F(1), "{x,y}"), (F(0), "y")],
+        [(F(1), "{x,y}"), (F(2), "{y,z}"), (F(0), "z")],
+        [(F(1), "x"), (F(-1), "x")],
+        [],
     ]
-    for terms, message in cases:
-        with pytest.raises(ConsistencyError, match=re.escape(message)):
-            sf.SimpleFunction(b8, terms)
+    for terms in cases:
+        g = sf.SimpleFunction(b8, terms)
+        assert g == sf.canonicalize(b8, terms), terms
+        assert g.terms == canonicalize_by_names(b8, terms).terms, terms
+        assert hash(g) == hash(sf.canonicalize(b8, terms)), terms
+    assert sf.SimpleFunction(b8, []) == sf.zero(b8)
     assert sf.SimpleFunction(b8, [(1, "x"), ("3/2", "{y,z}")]).terms == (
         (F(1), "x"), (F(3, 2), "{y,z}"))
+
+
+def test_ring_operations_check_the_carrier(b4, b8):
+    twin = powerset_lattice(["x", "y"])
+    assert twin == b4 and twin is not b4
+    g, h = sf.canonicalize(b4, [(F(2), "x")]), sf.canonicalize(twin, [(F(3), "1")])
+    assert sf.sf_add(g, h) == sf.canonicalize(b4, [(F(5), "x"), (F(3), "y")])
+    assert sf.sf_mul(g, h) == sf.canonicalize(b4, [(F(6), "x")])
+    other = sf.canonicalize(b8, [(F(1), "x")])
+    for op in (sf.sf_add, sf.sf_mul):
+        for a, b in ((g, other), (other, g)):
+            with pytest.raises(CarrierMismatch,
+                               match="^the two simple functions live on different carriers$"):
+                op(a, b)
 
 
 def test_decompose_monotone_and_dominated(b8):
