@@ -42,8 +42,8 @@ def main() -> None:
     print(f"\nmeasure from weights x:2 y:3 -> {mu}")
 
     facade = frame.as_lattice()
-    nx = frame.nabla_of("x").partition_name()
-    ny = frame.nabla_of("y").partition_name()
+    nx = view.closed_sublocale("x").partition_name()
+    ny = view.closed_sublocale("y").partition_name()
     g = sf.canonicalize(facade, [(F(2), nx), (F(3), ny)])
     print(f"\nintegrand g = 2*chi(o(x)) + 3*chi(o(y))")
     for ref in ("L", "open:x", "open:y", "void"):

@@ -14,9 +14,8 @@ from importlib import import_module as _import_module
 
 _EXPORTS = {
     "bridge": ("BridgeReport", "ClassicalSimpleFunction", "FiniteMeasurableSpace",
-               "bridge_check", "classical_integral", "extend_measure", "from_localic",
-               "to_localic"),
-    "congruence": ("Congruence", "CongruenceFrame", "SublocaleView", "enumerate_congruences"),
+               "bridge_check", "classical_integral", "extend_measure", "to_localic"),
+    "congruence": ("Congruence", "CongruenceFrame", "SublocaleView"),
     "cutfunction": ("CutFunction", "FunctionSequence", "add", "characteristic", "constant",
                     "join_meet", "leq", "limits", "mul_nonneg", "negate", "scale", "seq_inf",
                     "seq_sup"),

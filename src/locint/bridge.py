@@ -295,29 +295,11 @@ def to_localic(f: ClassicalSimpleFunction) -> SimpleFunction:
     """The pointfree counterpart: sum_i r_i * chi(nabla(A_i)) over the
     congruence frame of the algebra, with A_i the level sets."""
     space = f.space
-    frame = space.view().frame
-    facade = frame.as_lattice()
+    view = space.view()
+    facade = view.frame.as_lattice()
     return SimpleFunction(facade, [
-        (r, facade.elements[frame.index_of(frame.nabla_of(space.name_of(level)))])
+        (r, facade.elements[view.index_of(view.closed_sublocale(space.name_of(level)))])
         for r, level in f.level_sets()])
-
-
-def from_localic(g: SimpleFunction, space: FiniteMeasurableSpace) -> ClassicalSimpleFunction:
-    """Inverse of to_localic for functions whose term elements are closed
-    congruences of the algebra."""
-    frame = space.view().frame
-    values: Dict[str, Fraction] = {}
-    for r, element in g.terms:
-        theta = frame.congruence_of_element(element)
-        labels = frame.labels_of(theta)
-        if not labels["nabla"]:
-            raise MalformedDocument(
-                f"term element {element!r} is not a closed congruence")
-        for p in space.subset_of_name(labels["nabla"][0]):
-            values[p] = r
-    for p in space.points:
-        values.setdefault(p, Fraction(0))
-    return ClassicalSimpleFunction(space, values)
 
 
 def extend_measure(space: FiniteMeasurableSpace) -> Measure:
@@ -339,11 +321,6 @@ class BridgeReport(NamedTuple):
     localic_value: Optional[ExtValue]
     classical: SummabilityReport
     localic: SummabilityReport
-
-    @property
-    def equal(self) -> bool:
-        return (self.classical_value == self.localic_value
-                and self.classical.classification == self.localic.classification)
 
 
 def bridge_check(space: FiniteMeasurableSpace, f: ClassicalSimpleFunction,

@@ -9,12 +9,14 @@ Congruences come from Birkhoff duality (Birkhoff, "Rings of sets", Duke
 Math. J. 3, 1937): for a finite distributive L, each subset Q of the
 join-irreducibles J(L) gives the congruence x ~ y iff J(x) and J(y) agree
 on Q, and every congruence arises from exactly one Q, its keep-mask.  A
-``Congruence`` is identified by its keep-mask: equality, hashing and every
-frame operation read it, and the partition (``block_of``, the names) is
-derived from it.  So C(L) is the powerset of J(L), built directly with no
-closure computation; on keep-masks the frame meet is ``|``, the join ``&``
-and the complement ``~``.  Its order-dual is the coframe of sublocales,
-where the open sublocale o(a) is the quotient by delta(a) =
+``Congruence`` is identified by its keep-mask: equality and hashing read
+it, and the partition (``block_of``, the names) is derived from it.  So
+C(L) is the powerset of J(L), built directly with no closure computation.
+The frame only numbers and lists it: C(L)'s lattice operations are those
+of its carrier ``as_lattice()``, by partition name.  Its order-dual is the
+coframe of sublocales (``SublocaleView``), which operates on keep-masks:
+the meet is ``&``, the join ``|`` and the complement ``~``.  There the
+open sublocale o(a) is the quotient by delta(a) =
 {(x,y) | x/\\a = y/\\a} (keep-mask J(a)) and the closed sublocale c(a) the
 quotient by nabla(a) = {(x,y) | x\\/a = y\\/a} (keep-mask J(L) minus J(a)).
 A partition enters only through ``Congruence.from_blocks``, which reads the
@@ -142,14 +144,15 @@ class CongruenceFrame:
     """The frame C(L) of all congruences, ordered by inclusion.
 
     ``_pos`` maps each keep-mask to the congruence's index in frame order;
-    only this module reads it, the other layers use the keep-masks.  On
-    keep-masks the frame meet is ``|``, the join ``&`` and the complement
-    ``~``.  ``as_lattice`` gives the frame as a FiniteLattice over
-    canonical partition names, the carrier of functions and simple
-    functions over C(L).  Each bit of that carrier is an atom of C(L), the
-    congruence collapsing exactly one j; ``point_bits()`` gives, per bit,
-    the bit of that j in the keep-masks, so a function's value at a
-    carrier bit is its value at the point j of J(L).
+    only ``index_of`` and ``SublocaleView._sublocale`` read it, the other
+    layers use the keep-masks.  The frame numbers and lists C(L); its
+    lattice operations are those of ``as_lattice``, the Boolean
+    FiniteLattice over canonical partition names, the carrier of
+    functions and simple functions over C(L).  Each bit of that carrier
+    is an atom of C(L), the congruence collapsing exactly one j;
+    ``point_bits()`` gives, per bit, the bit of that j in the keep-masks,
+    so a function's value at a carrier bit is its value at the point j of
+    J(L).
     """
 
     __slots__ = ("lattice", "congruences", "_pos", "_point_bits", "_carrier")
@@ -173,31 +176,6 @@ class CongruenceFrame:
             raise MalformedDocument(
                 f"{theta.partition_name()} is not a congruence of this lattice")
         return self._pos[theta.keep]
-
-    @property
-    def bottom(self) -> Congruence:
-        """The equality relation 0_C = nabla(0) = delta(1)."""
-        return self.congruences[0]
-
-    @property
-    def top(self) -> Congruence:
-        """The all-pairs relation 1_C = nabla(1) = delta(0)."""
-        return self.congruences[-1]
-
-    def nabla_of(self, a: str) -> Congruence:
-        return self.congruences[self._pos[self.lattice._full & ~self.lattice.jmask(a)]]
-
-    def delta_of(self, a: str) -> Congruence:
-        return self.congruences[self._pos[self.lattice.jmask(a)]]
-
-    def meet(self, c: Congruence, d: Congruence) -> Congruence:
-        return self.congruences[self._pos[c.keep | d.keep]]
-
-    def join(self, c: Congruence, d: Congruence) -> Congruence:
-        return self.congruences[self._pos[c.keep & d.keep]]
-
-    def complement(self, theta: Congruence) -> Congruence:
-        return self.congruences[self._pos[self.lattice._full & ~theta.keep]]
 
     def as_lattice(self) -> FiniteLattice:
         """C(L) as a carrier: the Boolean lattice over the partition names in
@@ -245,10 +223,11 @@ class SublocaleView:
 
     A sublocale is identified with its congruence; S <= T holds iff
     theta_T is contained in theta_S, i.e. iff the keep-mask of S is
-    contained in that of T.  Meets in S(L) are joins in C(L) and vice
-    versa.  The whole lattice L is the quotient by equality and the void
-    sublocale the quotient by the all-pairs relation.  The view holds no
-    pair tables: the measure sweep walks the keep-masks in place.
+    contained in that of T, and on keep-masks the meet is ``&``, the join
+    ``|`` and the complement ``~``.  The whole lattice L is the quotient
+    by equality and the void sublocale the quotient by the all-pairs
+    relation.  The view holds no pair tables: the measure sweep walks the
+    keep-masks in place.
     """
 
     __slots__ = ("frame",)
@@ -260,33 +239,42 @@ class SublocaleView:
     def sublocales(self) -> Tuple[Congruence, ...]:
         return self.frame.congruences
 
+    def _sublocale(self, keep: int) -> Congruence:
+        """The frame's congruence with this keep-mask: the one place a
+        keep-mask becomes a sublocale."""
+        frame = self.frame
+        return frame.congruences[frame._pos[keep]]
+
     @property
     def top(self) -> Congruence:
         """1_S(L): the whole lattice (quotient by equality)."""
-        return self.frame.bottom
+        return self._sublocale(self.frame.lattice._full)
 
     @property
     def bottom(self) -> Congruence:
         """0_S(L): the void sublocale (quotient by all pairs)."""
-        return self.frame.top
+        return self._sublocale(0)
 
     def leq(self, s: Congruence, t: Congruence) -> bool:
         return s.keep & ~t.keep == 0
 
     def meet(self, s: Congruence, t: Congruence) -> Congruence:
-        return self.frame.join(s, t)
+        return self._sublocale(s.keep & t.keep)
 
     def join(self, s: Congruence, t: Congruence) -> Congruence:
-        return self.frame.meet(s, t)
+        return self._sublocale(s.keep | t.keep)
 
     def complement(self, s: Congruence) -> Congruence:
-        return self.frame.complement(s)
+        return self._sublocale(self.frame.lattice._full ^ s.keep)
 
     def open_sublocale(self, a: str) -> Congruence:
-        return self.frame.delta_of(a)
+        """o(a), the quotient by delta(a): it keeps J(a)."""
+        return self._sublocale(self.frame.lattice.jmask(a))
 
     def closed_sublocale(self, a: str) -> Congruence:
-        return self.frame.nabla_of(a)
+        """c(a), the quotient by nabla(a): it keeps J(L) minus J(a)."""
+        lattice = self.frame.lattice
+        return self._sublocale(lattice._full ^ lattice.jmask(a))
 
     def index_of(self, s: Congruence) -> int:
         return self.frame.index_of(s)

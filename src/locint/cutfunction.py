@@ -422,23 +422,30 @@ class _FunctionSequenceFields(NamedTuple):
 class FunctionSequence(_FunctionSequenceFields):
     """An eventually periodic sequence: a finite prefix, then a cycle
     repeated forever.  The tail is one function (a cycle of one: the
-    sequence is eventually constant) or a non-empty tuple of them, the
-    cycle; the k-th member is prefix[k] for k below len(prefix) and
-    cycle[(k - len(prefix)) % len(cycle)] from there on."""
+    sequence is eventually constant) or a tuple of two or more, the cycle;
+    the k-th member is prefix[k] for k below len(prefix) and
+    cycle[(k - len(prefix)) % len(cycle)] from there on.
+
+    A sequence is stored in one canonical form, so two sequences with
+    equal members compare and hash equal: the cycle is cut to its shortest
+    period, and trailing prefix members equal to the cycle's last member
+    are rolled into the cycle."""
 
     __slots__ = ()
 
     def __new__(cls, prefix: Tuple[CutFunction, ...],
                 tail: Union[CutFunction, Sequence[CutFunction]]):
         prefix = tuple(prefix)
-        if not isinstance(tail, CutFunction):
-            tail = tuple(tail)
-            if not tail:
-                raise InvalidArgument("the tail cycle needs at least one function")
-        seq = super().__new__(cls, prefix, tail)
-        for f in prefix + seq.cycle:
-            check_same_carrier(f.carrier, seq.cycle[0].carrier, _DIFFERENT_CARRIERS)
-        return seq
+        cycle = (tail,) if isinstance(tail, CutFunction) else tuple(tail)
+        if not cycle:
+            raise InvalidArgument("the tail cycle needs at least one function")
+        for f in prefix + cycle:
+            check_same_carrier(f.carrier, cycle[0].carrier, _DIFFERENT_CARRIERS)
+        n = len(cycle)
+        cycle = cycle[:next(p for p in range(1, n + 1) if n % p == 0 and cycle[p:] == cycle[:-p])]
+        while prefix and prefix[-1] == cycle[-1]:
+            prefix, cycle = prefix[:-1], prefix[-1:] + cycle[:-1]
+        return super().__new__(cls, prefix, cycle[0] if len(cycle) == 1 else cycle)
 
     @classmethod
     def _make(cls, fields):  # so that _replace runs the checks as well

@@ -233,9 +233,6 @@ class FiniteLattice:
             raise NotComplemented(f"{a!r} is not complemented in this lattice")
         return c
 
-    def is_complemented(self, a: str) -> bool:
-        return (self._full ^ self.jmask(a)) in self._at
-
     def complemented_elements(self) -> Tuple[str, ...]:
         return tuple(e for e, m in zip(self.elements, self._jmask)
                      if (self._full ^ m) in self._at)

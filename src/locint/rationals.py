@@ -80,7 +80,8 @@ def over_common_denominator(values: Sequence[Fraction]) -> Tuple[int, List[int]]
 
 
 def parse_extended(value) -> ExtValue:
-    if value in ("inf", "+inf"):
+    """``parse_rational``, or one of exactly "inf" and "-inf"."""
+    if value == "inf":
         return POS_INF
     if value == "-inf":
         return NEG_INF

@@ -313,10 +313,11 @@ def criterion_integral_props(seed: int) -> str:
                       "monotonicity in the integrand fails")
 
             # relaxed monotonicity: add a disturbance vanishing on S
-            chi_off = characteristic_of_sublocale(view, view.complement(s))
+            off = view.complement(s)
+            chi_off = characteristic_of_sublocale(view, off)
             d2 = sf_mul(random_simple(rng, facade, coeff_lo=-5, coeff_hi=5), chi_off)
             h3 = sf_add(g, d2)
-            side = facade.meet(view.frame.complement(s).partition_name(),
+            side = facade.meet(off.partition_name(),
                                to_cut_function(sf_add(h3, sf_neg(g))).lower_at(Fraction(0)))
             check(side == facade.bottom, "constructed disturbance is not off-S")
             if (rep_g.classification != "not-integrable"

@@ -118,9 +118,6 @@ class TableLattice:
             raise NotComplemented(f"{a!r} is not complemented in this lattice")
         return self.elements[c]
 
-    def is_complemented(self, a):
-        return self._comp[self._idx[a]] is not None
-
     def complemented_elements(self):
         return tuple(e for e, c in zip(self.elements, self._comp) if c is not None)
 
@@ -823,11 +820,12 @@ def _join_cuts_by_fractions(fs, name, reps, cut, label):
     joined, comps = [], []
     for t in reps(grid):
         v = lat.join_all(cut(f, t) for f in fs)
-        if not lat.is_complemented(v):
+        try:
+            comps.append(lat.complement(v))
+        except NotComplemented:
             raise ConsistencyError(
-                f"sup of {label}={t} is not complemented (element {v!r})")
+                f"sup of {label}={t} is not complemented (element {v!r})") from None
         joined.append(v)
-        comps.append(lat.complement(v))
     return lat, grid, joined, comps
 
 

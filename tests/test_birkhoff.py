@@ -98,29 +98,33 @@ def test_same_congruences_order_and_names(name):
 def test_meet_join_complement_match_closure(name):
     lat = lattice(name)
     frame = lat.congruence_frame()
+    view = frame.view()
     cons = frame.congruences
-    eq, everything = frame.bottom, all_pairs(lat)
+    eq, everything = view.top, all_pairs(lat)
     assert eq.block_of == tuple(range(lat.size))
+    # S(L) is C(L) read upside down: its join is the meet of congruences
     for i, j in pairs_to_check(name, frame):
         c, d = cons[i], cons[j]
-        assert frame.meet(c, d).block_of == refinement_meet(c, d)
-        assert frame.join(c, d) == closure_join(c, d)
+        assert view.join(c, d).block_of == refinement_meet(c, d)
+        assert view.meet(c, d) == closure_join(c, d)
     for c in cons:
-        comp = frame.complement(c)
-        assert frame.meet(c, comp).block_of == refinement_meet(c, comp) == eq.block_of
+        comp = view.complement(c)
+        assert view.join(c, comp).block_of == refinement_meet(c, comp) == eq.block_of
         assert closure_join(c, comp) == everything
 
 
 @pytest.mark.parametrize("name", SMALL)
 def test_principal_congruences_match_closure(name):
     # the smallest congruence identifying a and b is the meet in C(L) of the
-    # closed nabla(a \/ b) and the open delta(a /\ b)
+    # closed nabla(a \/ b) and the open delta(a /\ b), the join of their
+    # sublocales in S(L)
     lat = lattice(name)
-    frame = lat.congruence_frame()
+    view = lat.congruence_frame().view()
     for i, a in enumerate(lat.elements):
         for j, b in enumerate(lat.elements):
             expected = canonical(closure(lat, [(i, j)]))
-            theta = frame.meet(frame.nabla_of(lat.join(a, b)), frame.delta_of(lat.meet(a, b)))
+            theta = view.join(view.closed_sublocale(lat.join(a, b)),
+                              view.open_sublocale(lat.meet(a, b)))
             assert theta.block_of == expected
 
 

@@ -163,6 +163,8 @@ COMMANDS = {
     # a rational and a ref padded with whitespace
     "padded_rational": ["integrate", "--lattice", B4, "--measure", "sample_docs/mu.json",
                         "--function", D + "f_padded_rational.json"],
+    # an infinity with a sign other than "-"
+    "plus_inf_constant": ["eval", "--lattice", B4, "--function", D + "f_plus_inf.json"],
 }
 
 CASES = {f"{name}.{fmt}": argv + ["--format", fmt]

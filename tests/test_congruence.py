@@ -65,10 +65,11 @@ def test_congruence_counts(c3, b4, b8):
 
 
 def test_principal_congruence_examples(c3, b4):
-    # theta(a, b) = nabla(a \/ b) /\ delta(a /\ b) in C(L)
+    # theta(a, b) = nabla(a \/ b) /\ delta(a /\ b) in C(L), a join in S(L)
     def principal(lat, a, b):
-        frame = lat.congruence_frame()
-        return frame.meet(frame.nabla_of(lat.join(a, b)), frame.delta_of(lat.meet(a, b)))
+        view = lat.congruence_frame().view()
+        return view.join(view.closed_sublocale(lat.join(a, b)),
+                         view.open_sublocale(lat.meet(a, b)))
 
     assert principal(c3, "0", "m").blocks() == (("0", "m"), ("1",))
     assert principal(c3, "m", "m") == equality_relation(c3)
@@ -77,50 +78,55 @@ def test_principal_congruence_examples(c3, b4):
 
 
 def test_open_closed_examples(c3, b4):
-    frame = c3.congruence_frame()
-    d, n = frame.delta_of("m"), frame.nabla_of("m")
+    view = c3.congruence_frame().view()
+    d, n = view.open_sublocale("m"), view.closed_sublocale("m")
     assert d.blocks() == (("0",), ("m", "1"))
     assert n.blocks() == (("0", "m"), ("1",))
-    assert frame.delta_of("0") == all_pairs(c3) == frame.top
-    assert frame.nabla_of("0") == equality_relation(c3) == frame.bottom
-    frame = b4.congruence_frame()
-    assert frame.delta_of("x") == frame.nabla_of("y")
+    assert view.open_sublocale("0") == all_pairs(c3) == view.bottom
+    assert view.closed_sublocale("0") == equality_relation(c3) == view.top
+    view = b4.congruence_frame().view()
+    assert view.open_sublocale("x") == view.closed_sublocale("y")
 
 
 def test_open_closed_are_complements(c3, b4, b8):
     for lat in (c3, b4, b8):
         frame = lat.congruence_frame()
+        view, facade = frame.view(), frame.as_lattice()
         for a in lat.elements:
-            d, n = frame.delta_of(a), frame.nabla_of(a)
-            assert frame.meet(d, n) == frame.bottom == equality_relation(lat)
-            assert frame.join(d, n) == frame.top == all_pairs(lat)
-            assert frame.complement(n) == d
+            d, n = view.open_sublocale(a), view.closed_sublocale(a)
+            assert view.join(d, n) == view.top == equality_relation(lat)
+            assert view.meet(d, n) == view.bottom == all_pairs(lat)
+            assert view.complement(n) == d
+            assert facade.complement(n.partition_name()) == d.partition_name()
 
 
 def test_congruence_complement_examples(c3):
-    frame = c3.congruence_frame()
-    assert frame.complement(equality_relation(c3)) == all_pairs(c3)
-    assert frame.complement(frame.nabla_of("m")) == frame.delta_of("m")
+    view = c3.congruence_frame().view()
+    assert view.complement(equality_relation(c3)) == all_pairs(c3)
+    assert view.complement(view.closed_sublocale("m")) == view.open_sublocale("m")
 
 
 def test_nabla_is_an_embedding(b8, c3):
     for lat in (b8, c3):
         frame = lat.congruence_frame()
+        view, facade = frame.view(), frame.as_lattice()
         for a in lat.elements:
             for b in lat.elements:
-                na, nb = frame.nabla_of(a), frame.nabla_of(b)
-                assert frame.nabla_of(lat.meet(a, b)) == frame.meet(na, nb)
-                assert frame.nabla_of(lat.join(a, b)) == frame.join(na, nb)
+                na, nb = view.closed_sublocale(a), view.closed_sublocale(b)
+                nab = view.closed_sublocale(lat.meet(a, b))
+                assert nab == view.join(na, nb)
+                assert facade.meet(na.partition_name(), nb.partition_name()) == nab.partition_name()
+                assert view.closed_sublocale(lat.join(a, b)) == view.meet(na, nb)
                 if a != b:
                     assert na != nb
 
 
 def test_delta_reverses_order(b8):
-    frame = b8.congruence_frame()
+    view = b8.congruence_frame().view()
     for a in b8.elements:
         for b in b8.elements:
             if b8.leq(a, b):
-                assert refines(frame.delta_of(b), frame.delta_of(a))
+                assert refines(view.open_sublocale(b), view.open_sublocale(a))
 
 
 def test_frame_is_boolean_at_this_scale(c3, b4, b8):
@@ -130,19 +136,19 @@ def test_frame_is_boolean_at_this_scale(c3, b4, b8):
 
 def test_quotient_examples(c3):
     # the quotient L/theta has one element per block
-    frame = c3.congruence_frame()
-    n = frame.nabla_of("m")
+    view = c3.congruence_frame().view()
+    n = view.closed_sublocale("m")
     assert n.n_blocks == 2
     assert n.blocks()[n.block_of[c3.index("0")]] == ("0", "m")
     assert n.blocks()[n.block_of[c3.index("1")]] == ("1",)
-    assert frame.bottom.n_blocks == 3
-    assert frame.top.n_blocks == 1
+    assert view.top.n_blocks == 3
+    assert view.bottom.n_blocks == 1
 
 
 def test_quotient_surjection_preserves_operations(b8):
     # x |-> J(x) & keep is the projection onto L/theta: it separates
     # exactly the blocks and preserves meets and joins
-    theta = b8.congruence_frame().nabla_of("x")
+    theta = b8.congruence_frame().view().closed_sublocale("x")
 
     def pi(a):
         return b8.jmask(a) & theta.keep
@@ -174,7 +180,7 @@ def test_sublocale_view_order_and_refs(b4):
 def test_explicit_partition_refs(b4):
     view = b4.congruence_frame().view()
     theta = view.resolve_ref({"blocks": [["0", "x"], ["y", "1"]]})
-    assert theta == b4.congruence_frame().delta_of("y")
+    assert theta == view.open_sublocale("y")
     assert view.resolve_ref("blocks:0,x|y,1") == theta
 
 
@@ -212,10 +218,12 @@ def test_validate_congruence_rejects_non_congruences(b4):
 def test_every_congruence_is_complemented_in_frame(c3, b4, b8):
     for lat in (c3, b4, b8):
         frame = lat.congruence_frame()
+        view, facade = frame.view(), frame.as_lattice()
         for theta in frame.congruences:
-            comp = frame.complement(theta)
-            assert frame.meet(theta, comp) == frame.bottom == equality_relation(lat)
-            assert frame.join(theta, comp) == frame.top == all_pairs(lat)
+            comp = view.complement(theta)
+            assert view.join(theta, comp) == view.top == equality_relation(lat)
+            assert view.meet(theta, comp) == view.bottom == all_pairs(lat)
+            assert facade.complement(theta.partition_name()) == comp.partition_name()
 
 
 def test_enumeration_size_guard():
@@ -271,8 +279,8 @@ def test_threads_racing_on_a_fresh_lattice_agree():
             view = frame.view()
             mu = validate_measure(view, {s: Fraction(bin(s.keep).count("1"))
                                          for s in view.sublocales})
-            g = canonicalize(facade, [(Fraction(2), frame.nabla_of("4").partition_name()),
-                                      (Fraction(-1, 3), frame.delta_of("5").partition_name())])
+            g = canonicalize(facade, [(Fraction(2), view.closed_sublocale("4").partition_name()),
+                                      (Fraction(-1, 3), view.open_sublocale("5").partition_name())])
             results[k] = (facade.elements, [view.ref_name(s) for s in view.sublocales],
                           [v for _, v in mu.items()], g.terms, integrate_simple(g, mu))
         except Exception as exc:  # reported by the assertion below

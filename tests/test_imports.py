@@ -55,8 +55,8 @@ PUBLIC = [
     "Measure", "NEG_INF", "POS_INF", "SimpleFunction", "SublocaleView", "SummabilityReport",
     "add", "bridge_check", "build_lattice", "canonicalize", "chain_lattice", "characteristic",
     "characteristic_simple", "classical_integral", "constant", "constant_simple",
-    "cut_to_simple", "decompose_trace", "enumerate_congruences", "extend_measure",
-    "from_localic", "indefinite_integral", "integrate_general", "integrate_simple",
+    "cut_to_simple", "decompose_trace", "extend_measure", "indefinite_integral",
+    "integrate_general", "integrate_simple",
     "join_meet", "leq", "limits", "measure_from_weights", "mul_nonneg", "negate",
     "nonnegativity_certificate", "powerset_lattice", "restrict_vs_multiply", "scale",
     "seq_inf", "seq_sup", "sf_add", "sf_mul", "sf_neg", "sf_scale", "summability",
@@ -66,8 +66,8 @@ PUBLIC = [
 # Public names that no module and no benchmark op reaches, kept on purpose:
 # the classical side of the bridge is the independent oracle for the
 # pointfree integral (ROADMAP aim 2), and a planned verify criterion calls
-# classical_integral (ROADMAP item 5).  Drop a name here once code uses it.
-ORACLE_ONLY = {"classical_integral", "from_localic"}
+# classical_integral (ROADMAP item 7).  Drop a name here once code uses it.
+ORACLE_ONLY = {"classical_integral"}
 
 # Every command loads these; the closures below add the layers it runs.
 FRONT = {"locint", "locint.cli", "locint.documents", "locint.errors", "locint.lattice"}
@@ -203,7 +203,14 @@ def test_only_congruence_reads_the_frame_numbering():
     """S(L) is 2^J(L): every layer but ``congruence.py`` speaks of a
     sublocale by its keep-mask, so no other module reads the frame's
     position table ``_pos`` or per-element ``_nabla``/``_delta`` tables,
-    and no module but ``bridge.py`` assigns a space's ``_frame``."""
+    and no module but ``bridge.py`` assigns a space's ``_frame``.
+
+    Inside ``congruence.py`` one helper, ``SublocaleView._sublocale``,
+    turns a keep-mask into the frame's congruence: only it,
+    ``CongruenceFrame.__init__`` and ``CongruenceFrame.index_of`` touch
+    ``_pos``.  The frame only numbers and lists C(L), so it defines none of
+    the Boolean operations: C(L) has them on its carrier, S(L) on the
+    view."""
     numbering = re.compile(r"(?<![A-Za-z0-9_])_(pos|nabla|delta)\b")
     frame_write = re.compile(r"\._frame\s*=(?!=)")
     for path in sorted((SRC / "locint").glob("*.py")):
@@ -211,6 +218,44 @@ def test_only_congruence_reads_the_frame_numbering():
             where = f"{path.name}:{number}: {line.strip()}"
             assert path.name == "congruence.py" or not numbering.search(line), where
             assert path.name == "bridge.py" or not frame_write.search(line), where
+    assert pos_readers(CONGRUENCE_SOURCE) == {("CongruenceFrame", "__init__"),
+                                              ("CongruenceFrame", "index_of"),
+                                              ("SublocaleView", "_sublocale")}
+    assert frame_members(CONGRUENCE_SOURCE).isdisjoint(BOOLEAN_OPERATIONS)
+
+
+CONGRUENCE_SOURCE = (SRC / "locint" / "congruence.py").read_text(encoding="utf-8")
+BOOLEAN_OPERATIONS = {"meet", "join", "complement", "top", "bottom", "nabla_of", "delta_of"}
+
+
+def pos_readers(source):
+    """(class or function, method or None) of every definition touching ``._pos``."""
+    def touches(node):
+        return any(isinstance(n, ast.Attribute) and n.attr == "_pos" for n in ast.walk(node))
+
+    return {(getattr(top, "name", None), getattr(node, "name", None) if node is not top else None)
+            for top in ast.parse(source).body
+            for node in (top.body if isinstance(top, ast.ClassDef) else [top])
+            if touches(node)}
+
+
+def frame_members(source):
+    frame = next(c for c in ast.parse(source).body
+                 if isinstance(c, ast.ClassDef) and c.name == "CongruenceFrame")
+    return {fn.name for fn in frame.body if isinstance(fn, ast.FunctionDef)}
+
+
+def test_the_numbering_guard_sees_a_second_reader():
+    """The guard above fails on a frame that operates on congruences again,
+    or a module function that reads the numbering."""
+    frame_meet = CONGRUENCE_SOURCE.replace(
+        "    def as_lattice(self)",
+        "    def meet(self, c, d):\n        return self.congruences[self._pos[c.keep | d.keep]]\n\n"
+        "    def as_lattice(self)")
+    assert ("CongruenceFrame", "meet") in pos_readers(frame_meet)
+    assert "meet" in frame_members(frame_meet)
+    stray = CONGRUENCE_SOURCE + "\n\ndef stray(frame):\n    return frame._pos\n"
+    assert ("stray", None) in pos_readers(stray)
 
 
 def test_only_simple_reads_the_value_vector():

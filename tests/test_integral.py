@@ -29,8 +29,8 @@ def setting(b4):
     frame = b4.congruence_frame()
     view = frame.view()
     facade = frame.as_lattice()
-    nx = frame.nabla_of("x").partition_name()
-    ny = frame.nabla_of("y").partition_name()
+    nx = view.closed_sublocale("x").partition_name()
+    ny = view.closed_sublocale("y").partition_name()
     mu = measure_from_weights(view, {"x": F(2), "y": F(3)})
     return view, facade, nx, ny, mu
 
@@ -161,7 +161,7 @@ def test_representation_independence_with_null_negative_terms(setting):
     rep = [(F(3), ny), (F(2), nx), (F(-5), facade.bottom)]
     assert integral_of_representation(view, rep, mu) == 13
     # the negative coefficient can only ride on a null part
-    s_bottom = view.frame.complement(view.frame.congruence_of_element(facade.bottom))
+    s_bottom = view.complement(view.frame.congruence_of_element(facade.bottom))
     assert mu.value(s_bottom) == 0
 
 

@@ -1,7 +1,8 @@
-"""Differential tests for the keep-mask lookups of the frame and of a
-measure: ``labels_of``, ``ref_name``, ``nabla_of`` and ``delta_of``
-against scans of every element of L, and a measure's values against the
-table built sublocale by sublocale in frame order."""
+"""Differential tests for the keep-mask lookups of the frame, the S(L)
+view and a measure: ``labels_of``, ``ref_name``, ``closed_sublocale``
+(nabla) and ``open_sublocale`` (delta) against scans of every element of
+L, and a measure's values against the table built sublocale by sublocale
+in frame order."""
 
 from random import Random
 
@@ -46,21 +47,22 @@ def test_labels_and_names_agree_with_the_element_scan(name):
         assert frame.labels_of(theta) == labels_by_scan(theta)
         assert view.ref_name(theta) == ref_name_by_scan(view, theta)
     for a in lat.elements:
-        assert frame.nabla_of(a) == nabla_by_partition(lat, a)
-        assert frame.delta_of(a) == delta_by_partition(lat, a)
+        assert view.closed_sublocale(a) == nabla_by_partition(lat, a)
+        assert view.open_sublocale(a) == delta_by_partition(lat, a)
 
 
 def test_an_element_named_empty_is_a_label():
     frame = LATTICES["empty_name"].congruence_frame()
-    middle = frame.nabla_of("")
+    view = frame.view()
+    middle = view.closed_sublocale("")
     assert frame.labels_of(middle)["nabla"] == ("",)
-    assert frame.labels_of(frame.delta_of(""))["delta"] == ("",)
-    assert frame.view().ref_name(frame.delta_of("")) == "open:"
+    assert frame.labels_of(view.open_sublocale(""))["delta"] == ("",)
+    assert view.ref_name(view.open_sublocale("")) == "open:"
 
 
 def test_unknown_element_is_malformed(b4):
-    frame = b4.congruence_frame()
-    for label in (frame.nabla_of, frame.delta_of):
+    view = b4.congruence_frame().view()
+    for label in (view.closed_sublocale, view.open_sublocale):
         with pytest.raises(MalformedDocument, match="unknown lattice element"):
             label("nope")
 

@@ -51,7 +51,7 @@ def test_parse_rational_accepts_only_the_documented_grammar():
         with pytest.raises(InvalidArgument, match=f"^not a rational: '{text}'$"):
             parse_extended(text)
     assert parse_rational("3/010") == Fraction(3, 10)
-    for text in ["1e5", " inf", "-inf "]:
+    for text in ["1e5", " inf", "-inf ", "+inf"]:
         with pytest.raises(ValueError):
             parse_extended(text)
 

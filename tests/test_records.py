@@ -1,7 +1,7 @@
 """The contract of the library's immutable records: the ``Name(field=value,
 ...)`` repr, equality and hash by value, no assignment to a field, and
-the checks and coercions that ``FunctionSequence`` runs at
-construction."""
+the checks, coercions and canonical form that ``FunctionSequence`` runs
+at construction."""
 
 from fractions import Fraction as F
 
@@ -47,8 +47,9 @@ def test_repr_names_every_field_in_order(b4):
         f"BridgeReport(classical_value=Fraction(1, 2), localic_value=None, "
         f"classical={rep!r}, localic={rep!r})")
     one = cf.constant(F(1), b4)
+    # a prefix member equal to the cycle's last member rolls into the cycle
     assert repr(cf.FunctionSequence((one,), one)) == (
-        f"FunctionSequence(prefix=({one!r},), tail={one!r})")
+        f"FunctionSequence(prefix=(), tail={one!r})")
     assert repr(CriterionResult(1, "tables", True, "ok", 0.5)) == (
         "CriterionResult(number=1, name='tables', passed=True, detail='ok', seconds=0.5)")
 
@@ -79,10 +80,6 @@ def test_library_builds_equal_records(b4):
     assert steps[1] == DecompositionStep(2, b4.top, constant_simple(F(1, 2), b4), F(1, 2))
     assert RestrictionWitness(F(1), F(1)).equal
     assert not RestrictionWitness(F(1), F(2)).equal
-    assert BridgeReport(F(1), F(1), summable(), summable()).equal
-    assert not BridgeReport(F(1), F(2), summable(), summable()).equal
-    assert not BridgeReport(F(1), F(1), summable(),
-                            SummabilityReport(POS_INF, F(0), "integrable-not-summable")).equal
 
 
 def test_function_sequence_rejects_mixed_carriers(b4):
@@ -111,8 +108,8 @@ def test_function_sequence_repeats_its_cycle(b4):
 
 
 def test_replace_runs_the_construction_checks(b4):
-    one = cf.constant(F(1), b4)
-    seq = cf.FunctionSequence((one,), one)
+    one, two = cf.constant(F(1), b4), cf.constant(F(2), b4)
+    seq = cf.FunctionSequence((two,), one)
     other = cf.constant(F(1), powerset_lattice(["p", "q"]))
     with pytest.raises(CarrierMismatch):
         seq._replace(tail=other)
@@ -120,7 +117,8 @@ def test_replace_runs_the_construction_checks(b4):
         seq._replace(tail=(one, other))
     with pytest.raises(InvalidArgument):
         seq._replace(tail=())
-    assert seq._replace(tail=[one, one]).tail == (one, one)
+    assert seq._replace(tail=[one, one]) == (((two,), one))
+    assert seq._replace(tail=[one, two]) == (((), (two, one)))
 
 
 def test_function_sequence_keeps_a_list_prefix_as_a_tuple(b4):
@@ -129,6 +127,25 @@ def test_function_sequence_keeps_a_list_prefix_as_a_tuple(b4):
     assert type(seq.prefix) is tuple
     assert seq == cf.FunctionSequence((chi_x, one), one)
     assert hash(seq) == hash(cf.FunctionSequence((chi_x, one), one))
-    assert repr(seq) == f"FunctionSequence(prefix=({chi_x!r}, {one!r}), tail={one!r})"
+    assert repr(seq) == f"FunctionSequence(prefix=({chi_x!r},), tail={one!r})"
     replaced = seq._replace(prefix=[one])
-    assert replaced.prefix == (one,) and hash(replaced) == hash(((one,), one))
+    assert replaced.prefix == () and hash(replaced) == hash(((), one))
+
+
+def test_function_sequences_with_equal_members_are_equal(b4):
+    """The canonical form: the shortest cycle, with trailing prefix
+    members equal to the cycle's last member rolled into it, and a cycle
+    of one stored as the bare function."""
+    f, g = cf.constant(F(1), b4), cf.characteristic("x", b4)
+    pairs = [
+        (cf.FunctionSequence((), f), cf.FunctionSequence((), (f,))),
+        (cf.FunctionSequence((f,), (g, f)), cf.FunctionSequence((), (f, g))),
+        (cf.FunctionSequence((), (f, f)), cf.FunctionSequence((), f)),
+        (cf.FunctionSequence((g, f, g), (f, g, f, g)), cf.FunctionSequence((), (g, f))),
+    ]
+    for s, t in pairs:
+        assert [s.at(k) for k in range(12)] == [t.at(k) for k in range(12)]
+        assert s == t and hash(s) == hash(t) and s.tail == t.tail and s.prefix == t.prefix
+    assert cf.FunctionSequence((), (f, f)).tail is f
+    assert cf.FunctionSequence((g,), (f, g, f)).cycle == (f, g, f)  # no shorter period
+    assert cf.FunctionSequence((g,), f) != cf.FunctionSequence((), f)

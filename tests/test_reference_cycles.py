@@ -43,7 +43,8 @@ def exercise() -> None:
     space = FiniteMeasurableSpace.powerset(["cycle-p", "cycle-q"],
                                            {"cycle-p": F(1), "cycle-q": F(2)})
     fn = ClassicalSimpleFunction(space, {"cycle-p": F(3), "cycle-q": F(-1)})
-    assert bridge_check(space, fn).equal
+    report = bridge_check(space, fn)
+    assert report.classical_value == report.localic_value == 1
 
 
 def test_dropped_objects_need_no_cycle_collection():

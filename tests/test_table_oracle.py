@@ -101,7 +101,6 @@ def test_masks_agree_with_tables(name):
     assert (lat.bottom, lat.top) == (table.bottom, table.top)
     els = lat.elements
     for a in els:
-        assert lat.is_complemented(a) == table.is_complemented(a)
         assert complement_or_error(lat, a) == complement_or_error(table, a)
         for b in els:
             assert (lat.meet(a, b), lat.join(a, b), lat.leq(a, b)) == \
