@@ -41,6 +41,7 @@ COUNTED = {
     "Measure.value_by_keep": (measure.Measure, "value_by_keep"),
     "measure.subset_sums": (measure, "subset_sums"),
     "measure.check_axioms": (measure, "check_axioms"),
+    "Congruence.__init__": (congruence.Congruence, "__init__"),
 }
 
 

@@ -296,9 +296,9 @@ def to_localic(f: ClassicalSimpleFunction) -> SimpleFunction:
     congruence frame of the algebra, with A_i the level sets."""
     space = f.space
     view = space.view()
-    facade = view.frame.as_lattice()
-    return SimpleFunction(facade, [
-        (r, facade.elements[view.index_of(view.closed_sublocale(space.name_of(level)))])
+    frame = view.frame
+    return SimpleFunction(frame.as_lattice(), [
+        (r, frame.element_of(view.closed_sublocale(space.name_of(level))))
         for r, level in f.level_sets()])
 
 

@@ -10,12 +10,16 @@ Math. J. 3, 1937): for a finite distributive L, each subset Q of the
 join-irreducibles J(L) gives the congruence x ~ y iff J(x) and J(y) agree
 on Q, and every congruence arises from exactly one Q, its keep-mask.  A
 ``Congruence`` is identified by its keep-mask: equality and hashing read
-it, and the partition (``block_of``, the names) is derived from it.  So
-C(L) is the powerset of J(L), built directly with no closure computation.
-The frame only numbers and lists it: C(L)'s lattice operations are those
-of its carrier ``as_lattice()``, by partition name.  Its order-dual is the
-coframe of sublocales (``SublocaleView``), which operates on keep-masks:
-the meet is ``&``, the join ``|`` and the complement ``~``.  There the
+it, and the partition (``block_of``, the names) is derived from it on
+first read.  So C(L) is the powerset of J(L), built directly with no
+closure computation.  The frame only lists it: C(L)'s lattice operations
+are those of its carrier ``as_lattice()``, by partition name.  Its
+order-dual is the coframe of sublocales (``SublocaleView``), which needs
+only the lattice: a sublocale is its keep-mask, the meet is ``&``, the
+join ``|`` and the complement ``~``, and each result is built from the
+lattice and its mask.  Every operand enters through one gate,
+``SublocaleView.keep_of``, which rejects a sublocale of another lattice.
+There the
 open sublocale o(a) is the quotient by delta(a) =
 {(x,y) | x/\\a = y/\\a} (keep-mask J(a)) and the closed sublocale c(a) the
 quotient by nabla(a) = {(x,y) | x\\/a = y\\/a} (keep-mask J(L) minus J(a)).
@@ -46,16 +50,23 @@ class Congruence:
 
     Bit k of ``keep`` is set iff the k-th join-irreducible j is not
     collapsed onto its lower cover, and x ~ y iff J(x) & keep = J(y) & keep.
-    ``block_of`` is derived from the mask, with blocks numbered in order of
-    first occurrence along the carrier's element order.
+    ``block_of`` is derived from the mask on first read, with blocks
+    numbered in order of first occurrence along the carrier's element
+    order.
     """
 
-    __slots__ = ("lattice", "keep", "block_of")
+    __slots__ = ("lattice", "keep", "_block_of")
 
     def __init__(self, lattice: FiniteLattice, keep: int):
         self.lattice = lattice
         self.keep = keep
-        self.block_of = _canonical([m & keep for m in lattice._jmask])
+        self._block_of: Optional[Tuple[int, ...]] = None
+
+    @property
+    def block_of(self) -> Tuple[int, ...]:
+        if self._block_of is None:
+            self._block_of = _canonical([m & self.keep for m in self.lattice._jmask])
+        return self._block_of
 
     @classmethod
     def from_blocks(cls, lattice: FiniteLattice, blocks: Iterable[Iterable[str]]) -> "Congruence":
@@ -143,39 +154,28 @@ def enumerate_congruences(lattice: FiniteLattice) -> "CongruenceFrame":
 class CongruenceFrame:
     """The frame C(L) of all congruences, ordered by inclusion.
 
-    ``_pos`` maps each keep-mask to the congruence's index in frame order;
-    only ``index_of`` and ``SublocaleView._sublocale`` read it, the other
-    layers use the keep-masks.  The frame numbers and lists C(L); its
+    The frame lists C(L) and numbers it only through its carrier: its
     lattice operations are those of ``as_lattice``, the Boolean
     FiniteLattice over canonical partition names, the carrier of
     functions and simple functions over C(L).  Each bit of that carrier
     is an atom of C(L), the congruence collapsing exactly one j;
     ``point_bits()`` gives, per bit, the bit of that j in the keep-masks,
     so a function's value at a carrier bit is its value at the point j of
-    J(L).
+    J(L); ``element_of`` and ``congruence_of_element`` go between a
+    congruence and its carrier element.
     """
 
-    __slots__ = ("lattice", "congruences", "_pos", "_point_bits", "_carrier")
+    __slots__ = ("lattice", "congruences", "_point_bits", "_carrier")
 
     def __init__(self, lattice: FiniteLattice, congruences: Tuple[Congruence, ...]):
         self.lattice = lattice
         self.congruences = congruences
-        pos = [0] * len(congruences)
-        for i, c in enumerate(congruences):
-            pos[c.keep] = i
-        self._pos = tuple(pos)
         self._point_bits: Optional[Tuple[int, ...]] = None
         self._carrier: Optional[FiniteLattice] = None
 
     @property
     def size(self) -> int:
         return len(self.congruences)
-
-    def index_of(self, theta: Congruence) -> int:
-        if theta.lattice is not self.lattice and theta.lattice != self.lattice:
-            raise MalformedDocument(
-                f"{theta.partition_name()} is not a congruence of this lattice")
-        return self._pos[theta.keep]
 
     def as_lattice(self) -> FiniteLattice:
         """C(L) as a carrier: the Boolean lattice over the partition names in
@@ -202,12 +202,23 @@ class CongruenceFrame:
     def congruence_of_element(self, name: str) -> Congruence:
         return self.congruences[self.as_lattice().index(name)]
 
+    def element_of(self, theta: Congruence) -> str:
+        """The carrier element of theta, the inverse of
+        ``congruence_of_element``: carrier bit i is set iff theta collapses
+        the point ``point_bits()[i]``, O(|J|)."""
+        collapsed = self.lattice._full ^ self.view().keep_of(theta)
+        mask = 0
+        for i, k in enumerate(self.point_bits()):
+            if collapsed >> k & 1:
+                mask |= 1 << i
+        return self.as_lattice()._at[mask]
+
     def labels_of(self, theta: Congruence) -> Dict[str, Tuple[str, ...]]:
         """Which nabla(a) / delta(a) this congruence equals, if any: J is
         injective, so only the a with J(a) = J(L) minus keep, or = keep."""
-        self.index_of(theta)
+        keep = self.view().keep_of(theta)
         at = self.lattice._at
-        found = {"nabla": at.get(self.lattice._full ^ theta.keep), "delta": at.get(theta.keep)}
+        found = {"nabla": at.get(self.lattice._full ^ keep), "delta": at.get(keep)}
         return {label: () if a is None else (a,) for label, a in found.items()}
 
     def view(self) -> "SublocaleView":
@@ -224,10 +235,12 @@ class SublocaleView:
     A sublocale is identified with its congruence; S <= T holds iff
     theta_T is contained in theta_S, i.e. iff the keep-mask of S is
     contained in that of T, and on keep-masks the meet is ``&``, the join
-    ``|`` and the complement ``~``.  The whole lattice L is the quotient
-    by equality and the void sublocale the quotient by the all-pairs
-    relation.  The view holds no pair tables: the measure sweep walks the
-    keep-masks in place.
+    ``|`` and the complement ``~``.  Each operation reads its operands'
+    masks through ``keep_of`` and builds its result from the lattice and
+    the mask (``_sublocale``); only ``sublocales`` lists the frame.  The
+    whole lattice L is the quotient by equality and the void sublocale the
+    quotient by the all-pairs relation.  The view holds no pair tables:
+    the measure sweep walks the keep-masks in place.
     """
 
     __slots__ = ("frame",)
@@ -239,11 +252,19 @@ class SublocaleView:
     def sublocales(self) -> Tuple[Congruence, ...]:
         return self.frame.congruences
 
+    def keep_of(self, s: Congruence) -> int:
+        """The keep-mask of a sublocale of this lattice: the one gate every
+        operand of S(L) passes."""
+        lattice = self.frame.lattice
+        if s.lattice is not lattice and s.lattice != lattice:
+            raise MalformedDocument(
+                f"{s.partition_name()} is not a congruence of this lattice")
+        return s.keep
+
     def _sublocale(self, keep: int) -> Congruence:
-        """The frame's congruence with this keep-mask: the one place a
-        keep-mask becomes a sublocale."""
-        frame = self.frame
-        return frame.congruences[frame._pos[keep]]
+        """The sublocale with this keep-mask, built from the lattice alone:
+        the one place a keep-mask becomes a sublocale."""
+        return Congruence(self.frame.lattice, keep)
 
     @property
     def top(self) -> Congruence:
@@ -256,16 +277,16 @@ class SublocaleView:
         return self._sublocale(0)
 
     def leq(self, s: Congruence, t: Congruence) -> bool:
-        return s.keep & ~t.keep == 0
+        return self.keep_of(s) & ~self.keep_of(t) == 0
 
     def meet(self, s: Congruence, t: Congruence) -> Congruence:
-        return self._sublocale(s.keep & t.keep)
+        return self._sublocale(self.keep_of(s) & self.keep_of(t))
 
     def join(self, s: Congruence, t: Congruence) -> Congruence:
-        return self._sublocale(s.keep | t.keep)
+        return self._sublocale(self.keep_of(s) | self.keep_of(t))
 
     def complement(self, s: Congruence) -> Congruence:
-        return self._sublocale(self.frame.lattice._full ^ s.keep)
+        return self._sublocale(self.frame.lattice._full ^ self.keep_of(s))
 
     def open_sublocale(self, a: str) -> Congruence:
         """o(a), the quotient by delta(a): it keeps J(a)."""
@@ -276,9 +297,6 @@ class SublocaleView:
         lattice = self.frame.lattice
         return self._sublocale(lattice._full ^ lattice.jmask(a))
 
-    def index_of(self, s: Congruence) -> int:
-        return self.frame.index_of(s)
-
     def atoms(self) -> Tuple[Congruence, ...]:
         """Minimal nonvoid sublocales, the single-bit keep-masks: a measure
         is given by its values on them (``measure.Measure``)."""
@@ -287,9 +305,10 @@ class SublocaleView:
     # -- naming ---------------------------------------------------------------
 
     def ref_name(self, s: Congruence) -> str:
-        if s == self.top:
+        keep = self.keep_of(s)
+        if keep == self.frame.lattice._full:
             return "L"
-        if s == self.bottom:
+        if keep == 0:
             return "void"
         labels = self.frame.labels_of(s)
         if labels["delta"]:

@@ -18,7 +18,7 @@ from .congruence import SublocaleView
 from .lattice import FiniteLattice, chain_lattice, powerset_lattice
 from .measure import Measure
 from .rationals import POS_INF, ExtValue
-from .simple import SimpleFunction, from_cells
+from .simple import SimpleFunction, canonicalize
 
 
 def divisor_lattice(n: int) -> FiniteLattice:
@@ -77,10 +77,8 @@ def random_simple(rng: Random, lattice: FiniteLattice, *,
                   denominators: Sequence[int] = (1, 2, 3, 4, 6)) -> SimpleFunction:
     cover = random_cover(rng, lattice, max_parts)
     lo = 0 if nonneg else coeff_lo
-    cells = {}
-    for part in cover:
-        cells[part] = random_rational(rng, lo, coeff_hi, denominators)
-    return from_cells(lattice, cells)
+    return canonicalize(lattice, [(random_rational(rng, lo, coeff_hi, denominators), part)
+                                  for part in cover])
 
 
 def random_measure(rng: Random, view: SublocaleView,

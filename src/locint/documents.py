@@ -239,7 +239,7 @@ def load_function(doc, lattice: FiniteLattice,
 
     def element(ref) -> str:
         return (carrier.elements[carrier.index(ref)] if view is None
-                else view.resolve_ref(ref).partition_name())
+                else view.frame.element_of(view.resolve_ref(ref)))
 
     if kind == "constant":
         if is_finite(values["value"]):

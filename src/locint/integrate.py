@@ -74,10 +74,6 @@ class RestrictionWitness(NamedTuple):
     restricted: ExtValue
     multiplied: ExtValue
 
-    @property
-    def equal(self) -> bool:
-        return self.restricted == self.multiplied
-
 
 def classify(pos: ExtValue, neg: ExtValue) -> SummabilityReport:
     if is_finite(pos) and is_finite(neg):
@@ -98,9 +94,8 @@ def _keep_of(measure: Measure, over: Optional[Congruence]) -> int:
     """The keep-mask of the sublocale integrated over (L when None),
     checked to be a sublocale of the measure's lattice."""
     if over is None:
-        return measure.view.top.keep
-    measure.view.index_of(over)
-    return over.keep
+        return measure.view.frame.lattice._full
+    return measure.view.keep_of(over)
 
 
 def _signed_sum(den: int, vals: Sequence, measure: Measure, over: int) -> SummabilityReport:
@@ -156,15 +151,14 @@ def _term_measure(measure: Measure, element: str, over: int) -> ExtValue:
     return measure.value_by_keep(~frame.congruence_of_element(element).keep & over)
 
 
-def integral_of_representation(view: SublocaleView,
-                               terms: List[Tuple[Fraction, str]],
+def integral_of_representation(terms: List[Tuple[Fraction, str]],
                                measure: Measure,
                                over: Optional[Congruence] = None) -> ExtValue:
     """Direct sum over any pairwise-disjoint representation, term by term
     on the extended line; must agree with the canonical value for
     integrable functions."""
     q = _keep_of(measure, over)
-    lat = view.frame.as_lattice()
+    lat = measure.view.frame.as_lattice()
     for i, (_, a) in enumerate(terms):
         for _, b in terms[i + 1:]:
             if lat.meet(a, b) != lat.bottom:
@@ -179,8 +173,8 @@ def integral_of_representation(view: SublocaleView,
 
 def characteristic_of_sublocale(view: SublocaleView, s: Congruence) -> SimpleFunction:
     """chi_S = chi(theta_S^c) as a simple function over C(L)."""
-    carrier = view.frame.as_lattice()
-    return characteristic_simple(carrier.elements[view.index_of(view.complement(s))], carrier)
+    frame = view.frame
+    return characteristic_simple(frame.element_of(view.complement(s)), frame.as_lattice())
 
 
 def restrict_vs_multiply(g: SimpleFunction, measure: Measure,
@@ -190,11 +184,10 @@ def restrict_vs_multiply(g: SimpleFunction, measure: Measure,
     chi_s = characteristic_of_sublocale(measure.view, s)
     left, _ = integrate_simple(g, measure, s)
     right, _ = integrate_simple(sf_mul(g, chi_s), measure, None)
-    witness = RestrictionWitness(left, right)
-    if not witness.equal:
+    if left != right:
         raise ConsistencyError(
             f"restriction {format_extended(left)} != product {format_extended(right)}")
-    return witness
+    return RestrictionWitness(left, right)
 
 
 def indefinite_integral(g: SimpleFunction, measure: Measure) -> Measure:

@@ -69,8 +69,7 @@ class Measure:
         self.view, self._denom, self._weights, self._inf = view, den, tuple(weights), inf
 
     def value(self, sublocale: Congruence) -> ExtValue:
-        self.view.index_of(sublocale)
-        return self.value_by_keep(sublocale.keep)
+        return self.value_by_keep(self.view.keep_of(sublocale))
 
     def value_by_keep(self, keep: int) -> ExtValue:
         """The measure of the sublocale whose keep-mask is `keep`."""
@@ -111,8 +110,8 @@ def validate_measure(view: SublocaleView, values: Mapping[Congruence, ExtValue])
     subs = view.sublocales
     table: list = [None] * len(subs)  # by keep-mask
     for sub, v in values.items():
-        view.index_of(sub)  # raises for a congruence of another lattice
-        table[sub.keep] = check_measure_value(v)
+        keep = view.keep_of(sub)  # the sublocale is checked before its value
+        table[keep] = check_measure_value(v)
     for s in subs:
         if table[s.keep] is None:
             raise MalformedDocument(f"no value for sublocale {view.ref_name(s)}")
@@ -153,16 +152,16 @@ def check_axioms(view: SublocaleView, table: Sequence[ExtValue]) -> None:
     on every (i, j) with S_i <= S_j, i != j, then M3 on every i < j, each
     walking the keep-masks in place; raises on the first failure."""
     subs = view.sublocales
-    if table[view.index_of(view.bottom)] != ZERO:
-        raise AxiomViolation("(M1) fails: the void sublocale must have measure 0")
     masks = [s.keep for s in subs]
+    by_keep = dict(zip(masks, table))
+    if by_keep[0] != ZERO:
+        raise AxiomViolation("(M1) fails: the void sublocale must have measure 0")
     for i, qi in enumerate(masks):
         for j, qj in enumerate(masks):
             if i != j and qi & qj == qi and not ext_le(table[i], table[j]):
                 raise AxiomViolation(
                     f"(M2) fails on ({view.ref_name(subs[i])}, {view.ref_name(subs[j])}): "
                     f"{format_extended(table[i])} > {format_extended(table[j])}")
-    by_keep = dict(zip(masks, table))
     for i, qi in enumerate(masks):
         for j in range(i + 1, len(masks)):
             m, jn = by_keep[qi & masks[j]], by_keep[qi | masks[j]]

@@ -124,11 +124,6 @@ def _from_vector(carrier: FiniteLattice, den: int, vals: Sequence[int]) -> Simpl
 # -- constructors ------------------------------------------------------------------
 
 
-def from_cells(carrier: FiniteLattice, cells: Dict[str, Fraction]) -> SimpleFunction:
-    """Canonical form from a disjoint cover {cell element: coefficient}."""
-    return canonicalize(carrier, [(r, cell) for cell, r in cells.items()])
-
-
 def canonicalize(carrier: FiniteLattice, terms: Iterable[Tuple[Fraction, str]]) -> SimpleFunction:
     """Canonical form of an arbitrary sum of scaled characteristics: each
     term adds its coefficient to the centre atoms below its element.  One

@@ -317,7 +317,7 @@ def criterion_integral_props(seed: int) -> str:
             chi_off = characteristic_of_sublocale(view, off)
             d2 = sf_mul(random_simple(rng, facade, coeff_lo=-5, coeff_hi=5), chi_off)
             h3 = sf_add(g, d2)
-            side = facade.meet(off.partition_name(),
+            side = facade.meet(view.frame.element_of(off),
                                to_cut_function(sf_add(h3, sf_neg(g))).lower_at(Fraction(0)))
             check(side == facade.bottom, "constructed disturbance is not off-S")
             if (rep_g.classification != "not-integrable"
@@ -340,7 +340,7 @@ def criterion_integral_props(seed: int) -> str:
                 messy_disjoint = list(canonicalize(facade, messy).terms)
                 rng.shuffle(messy_disjoint)
                 messy_disjoint.append((Fraction(-7), facade.bottom))
-                check(integral_of_representation(view, messy_disjoint, mu, s)
+                check(integral_of_representation(messy_disjoint, mu, s)
                       == integrate_simple(g, mu, s)[0],
                       "representation independence fails")
 

@@ -591,10 +591,15 @@ def ref_name_by_scan(view, s: Congruence) -> str:
 # reference for ``measure.check_axioms``'s pair order and messages.
 
 
+def positions(view) -> dict:
+    """The index in frame order of each sublocale, by keep-mask."""
+    return {s.keep: i for i, s in enumerate(view.sublocales)}
+
+
 def modularity_pairs(view) -> list:
     """(i, j, index of S_i /\\ S_j, index of S_i \\/ S_j) for all i < j."""
     masks = [s.keep for s in view.sublocales]
-    pos = view.frame._pos
+    pos = positions(view)
     return [(i, j, pos[masks[i] & masks[j]], pos[masks[i] | masks[j]])
             for i in range(len(masks)) for j in range(i + 1, len(masks))]
 
@@ -613,7 +618,7 @@ def check_axioms_by_pairs(view, table) -> None:
     """M1, then M2 over ``order_pairs``, then M3 over ``modularity_pairs``;
     raises AxiomViolation on the first failure."""
     subs = view.sublocales
-    if table[view.index_of(view.bottom)] != Fraction(0):
+    if table[positions(view)[0]] != Fraction(0):
         raise AxiomViolation("(M1) fails: the void sublocale must have measure 0")
     for i, j in order_pairs(view):
         if not ext_le(table[i], table[j]):

@@ -24,6 +24,7 @@ from _oracle import (
     first_distributivity_failure,
     modularity_pairs,
     order_pairs,
+    positions,
     random_table,
     refinement_meet,
     refines,
@@ -169,7 +170,7 @@ def outcome(fn, *args):
 
 def is_atom_sum(view, table):
     """The table is the measure built from its own atom entries."""
-    pos = view.frame._pos
+    pos = positions(view)
     mu = Measure(view, [table[pos[1 << k]] for k in range(len(view.frame.lattice._jirr))])
     return [v for _, v in mu.items()] == table
 
@@ -208,7 +209,8 @@ def perturbed_tables(rng, view):
     value below an atom under it or above L (M2), L raised alone (M3, on a
     chain), and values set to +inf or a random rational."""
     subs = view.sublocales
-    void, top = view.index_of(view.bottom), view.index_of(view.top)
+    pos = positions(view)
+    void, top = pos[0], pos[view.frame.lattice._full]
     for _ in range(6):
         table = [v for _, v in random_measure(rng, view, rng.choice([0.0, 0.2])).items()]
         yield table
@@ -244,7 +246,7 @@ def test_naming_a_failure_allocates_no_pair_list():
     # chain9 has 256 sublocales: a list of its pairs takes megabytes
     view = lattice("chain9").congruence_frame().view()
     table = [v for _, v in random_measure(Random(9), view).items()]
-    top = view.index_of(view.top)
+    top = positions(view)[view.frame.lattice._full]
     table[top] += 1
     values = dict(zip(view.sublocales, table))
     tracemalloc.start()

@@ -1,3 +1,4 @@
+import re
 from itertools import product
 
 import pytest
@@ -299,3 +300,66 @@ def test_threads_racing_on_a_fresh_lattice_agree():
     assert not any(t.is_alive() for t in threads)
     assert errors == []
     assert all(r == results[0] for r in results)
+
+
+def test_every_operand_of_another_lattice_is_rejected(b4, b8):
+    """A sublocale of B8 on the B4 view: every operation and every reader
+    raises the one message, whichever operand is foreign."""
+    from fractions import Fraction
+
+    from locint.integrate import integrate_simple
+    from locint.measure import validate_measure
+    from locint.simple import constant_simple
+
+    view, other = b4.congruence_frame().view(), b8.congruence_frame().view()
+    top = view.top
+    mu = validate_measure(view, {s: Fraction(bin(s.keep).count("1")) for s in view.sublocales})
+    g = constant_simple(Fraction(1), view.frame.as_lattice())
+    for foreign in (other._sublocale(3), other.top, other.bottom):
+        table = dict(zip(view.sublocales, [v for _, v in mu.items()]))
+        table[foreign] = Fraction(-1)  # the sublocale is checked before its value
+        calls = [lambda: view.leq(top, foreign), lambda: view.leq(foreign, top),
+                 lambda: view.meet(top, foreign), lambda: view.meet(foreign, top),
+                 lambda: view.join(top, foreign), lambda: view.join(foreign, top),
+                 lambda: view.complement(foreign), lambda: view.ref_name(foreign),
+                 lambda: view.frame.labels_of(foreign), lambda: view.frame.element_of(foreign),
+                 lambda: mu.value(foreign), lambda: integrate_simple(g, mu, over=foreign),
+                 lambda: validate_measure(view, table)]
+        message = f"^{re.escape(foreign.partition_name())} is not a congruence of this lattice$"
+        for call in calls:
+            with pytest.raises(MalformedDocument, match=message):
+                call()
+
+
+def _mask_lattices():
+    from random import Random
+
+    from _oracle import downset_lattice
+    from locint.corpus import corpus_lattices
+
+    out = dict(corpus_lattices())
+    rng = Random("sublocale-masks")
+    for points in range(1, 9):
+        out[f"downset{points}"] = downset_lattice(rng, points)
+    return out
+
+
+MASK_LATTICES = _mask_lattices()
+
+
+@pytest.mark.parametrize("name", sorted(MASK_LATTICES))
+def test_a_sublocale_built_from_its_mask_is_the_listed_one(name):
+    """For every keep-mask, the sublocale the view builds from the lattice
+    alone is the frame's listed congruence, partition and name included,
+    and ``element_of`` inverts ``congruence_of_element``."""
+    frame = MASK_LATTICES[name].congruence_frame()
+    view = frame.view()
+    assert sorted(theta.keep for theta in frame.congruences) == list(range(frame.size))
+    for theta in frame.congruences:
+        built = view._sublocale(theta.keep)
+        assert built == theta and built is not theta
+        assert built.block_of == theta.block_of
+        assert built.partition_name() == theta.partition_name()
+        assert frame.element_of(theta) == theta.partition_name()
+        assert frame.element_of(built) == theta.partition_name()
+        assert frame.congruence_of_element(frame.element_of(theta)) == theta

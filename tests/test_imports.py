@@ -199,28 +199,26 @@ def test_no_meet_or_join_tables():
             assert not tables.search(line), f"{path.name}:{number}: {line.strip()}"
 
 
-def test_only_congruence_reads_the_frame_numbering():
-    """S(L) is 2^J(L): every layer but ``congruence.py`` speaks of a
-    sublocale by its keep-mask, so no other module reads the frame's
-    position table ``_pos`` or per-element ``_nabla``/``_delta`` tables,
-    and no module but ``bridge.py`` assigns a space's ``_frame``.
+def test_a_sublocale_is_read_through_its_keep_mask():
+    """S(L) is 2^J(L): a sublocale is its keep-mask, so no module reads a
+    frame position table (``_pos``, ``index_of``) or per-element
+    ``_nabla``/``_delta`` tables, and no module but ``bridge.py`` assigns
+    a space's ``_frame``.
 
-    Inside ``congruence.py`` one helper, ``SublocaleView._sublocale``,
-    turns a keep-mask into the frame's congruence: only it,
-    ``CongruenceFrame.__init__`` and ``CongruenceFrame.index_of`` touch
-    ``_pos``.  The frame only numbers and lists C(L), so it defines none of
-    the Boolean operations: C(L) has them on its carrier, S(L) on the
-    view."""
-    numbering = re.compile(r"(?<![A-Za-z0-9_])_(pos|nabla|delta)\b")
+    Inside ``congruence.py`` every ``SublocaleView`` method takes a
+    sublocale argument's mask through the one gate ``keep_of``, which
+    rejects a sublocale of another lattice: no other method reads
+    ``.keep`` off an argument.  The frame only lists C(L), so it defines
+    none of the Boolean operations: C(L) has them on its carrier, S(L) on
+    the view."""
+    numbering = re.compile(r"(?<![A-Za-z0-9_])(_pos|index_of|_nabla|_delta)\b")
     frame_write = re.compile(r"\._frame\s*=(?!=)")
     for path in sorted((SRC / "locint").glob("*.py")):
         for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
             where = f"{path.name}:{number}: {line.strip()}"
-            assert path.name == "congruence.py" or not numbering.search(line), where
+            assert not numbering.search(line), where
             assert path.name == "bridge.py" or not frame_write.search(line), where
-    assert pos_readers(CONGRUENCE_SOURCE) == {("CongruenceFrame", "__init__"),
-                                              ("CongruenceFrame", "index_of"),
-                                              ("SublocaleView", "_sublocale")}
+    assert ungated_keep_readers(CONGRUENCE_SOURCE) == set()
     assert frame_members(CONGRUENCE_SOURCE).isdisjoint(BOOLEAN_OPERATIONS)
 
 
@@ -228,34 +226,42 @@ CONGRUENCE_SOURCE = (SRC / "locint" / "congruence.py").read_text(encoding="utf-8
 BOOLEAN_OPERATIONS = {"meet", "join", "complement", "top", "bottom", "nabla_of", "delta_of"}
 
 
-def pos_readers(source):
-    """(class or function, method or None) of every definition touching ``._pos``."""
-    def touches(node):
-        return any(isinstance(n, ast.Attribute) and n.attr == "_pos" for n in ast.walk(node))
+def class_body(source, name):
+    return next(c for c in ast.parse(source).body
+                if isinstance(c, ast.ClassDef) and c.name == name).body
 
-    return {(getattr(top, "name", None), getattr(node, "name", None) if node is not top else None)
-            for top in ast.parse(source).body
-            for node in (top.body if isinstance(top, ast.ClassDef) else [top])
-            if touches(node)}
+
+def ungated_keep_readers(source):
+    """The ``SublocaleView`` methods other than ``keep_of`` that read
+    ``.keep`` off one of their arguments."""
+    found = set()
+    for fn in class_body(source, "SublocaleView"):
+        if isinstance(fn, ast.FunctionDef) and fn.name != "keep_of":
+            args = {a.arg for a in fn.args.args[1:] + fn.args.kwonlyargs}
+            if any(isinstance(n, ast.Attribute) and n.attr == "keep"
+                   and isinstance(n.value, ast.Name) and n.value.id in args
+                   for n in ast.walk(fn)):
+                found.add(fn.name)
+    return found
 
 
 def frame_members(source):
-    frame = next(c for c in ast.parse(source).body
-                 if isinstance(c, ast.ClassDef) and c.name == "CongruenceFrame")
-    return {fn.name for fn in frame.body if isinstance(fn, ast.FunctionDef)}
+    return {fn.name for fn in class_body(source, "CongruenceFrame")
+            if isinstance(fn, ast.FunctionDef)}
 
 
-def test_the_numbering_guard_sees_a_second_reader():
-    """The guard above fails on a frame that operates on congruences again,
-    or a module function that reads the numbering."""
+def test_the_keep_mask_guard_sees_an_ungated_reader():
+    """The guard above fails on a view ``meet`` that reads its operands'
+    masks directly, or on a frame that operates on congruences again."""
+    gated = "        return self._sublocale(self.keep_of(s) & self.keep_of(t))\n"
+    assert CONGRUENCE_SOURCE.count(gated) == 1
+    direct = CONGRUENCE_SOURCE.replace(gated, "        return self._sublocale(s.keep & t.keep)\n")
+    assert ungated_keep_readers(direct) == {"meet"}
     frame_meet = CONGRUENCE_SOURCE.replace(
         "    def as_lattice(self)",
-        "    def meet(self, c, d):\n        return self.congruences[self._pos[c.keep | d.keep]]\n\n"
+        "    def meet(self, c, d):\n        return Congruence(self.lattice, c.keep | d.keep)\n\n"
         "    def as_lattice(self)")
-    assert ("CongruenceFrame", "meet") in pos_readers(frame_meet)
     assert "meet" in frame_members(frame_meet)
-    stray = CONGRUENCE_SOURCE + "\n\ndef stray(frame):\n    return frame._pos\n"
-    assert ("stray", None) in pos_readers(stray)
 
 
 def test_only_simple_reads_the_value_vector():

@@ -132,7 +132,7 @@ def _builders(rng, lat):
         out += [
             (sf.SimpleFunction(lat, u + t[::-1]), t + u),
             (sf.canonicalize(lat, t[::-1] + u), t + u),
-            (sf.from_cells(lat, {a: r for r, a in t}), t),
+            (sf.canonicalize(lat, t), t),
             (sf.cut_to_simple(sf.to_cut_function(g)), t),
             (sf.cut_to_simple(add(sf.to_cut_function(g), sf.to_cut_function(h))), t + u),
             (sf.sf_add(g, h), t + u),

@@ -82,7 +82,7 @@ def test_library_entry_points_reject_floats():
         lambda: sf.canonicalize(lat, [(0.1, "1")]),
         lambda: sf.SimpleFunction(lat, [(0.5, "1")]),
         lambda: sf.constant_simple(0.5, lat),
-        lambda: sf.from_cells(lat, {"1": 0.5}),
+        lambda: sf.canonicalize(lat, [(Fraction(1), "x"), (0.5, "y")]),
         lambda: sf.sf_scale(0.1, g),
         lambda: sf.sf_scale(True, g),
         lambda: cf.scale(0.1, f),

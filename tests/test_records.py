@@ -78,8 +78,6 @@ def test_library_builds_equal_records(b4):
     steps = decompose_trace(cf.constant(F(1), b4), 3)
     assert steps == decompose_trace(cf.constant(F(1), b4), 3)
     assert steps[1] == DecompositionStep(2, b4.top, constant_simple(F(1, 2), b4), F(1, 2))
-    assert RestrictionWitness(F(1), F(1)).equal
-    assert not RestrictionWitness(F(1), F(2)).equal
 
 
 def test_function_sequence_rejects_mixed_carriers(b4):
