@@ -36,7 +36,7 @@ COUNTED = {
     "simple.cut_to_simple": (simple, "cut_to_simple"),
     "simple._from_vector": (simple, "_from_vector"),
     "FiniteLattice.complement": (lattice.FiniteLattice, "complement"),
-    "congruence.enumerate_congruences": (congruence, "enumerate_congruences"),
+    "CongruenceFrame.__init__": (congruence.CongruenceFrame, "__init__"),
     "integrate._signed_sum": (integrate, "_signed_sum"),
     "Measure.value_by_keep": (measure.Measure, "value_by_keep"),
     "measure.subset_sums": (measure, "subset_sums"),

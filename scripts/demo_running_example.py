@@ -31,23 +31,22 @@ def main() -> None:
     print(f"lattice: {b4.elements}, bottom={b4.bottom}, top={b4.top}")
 
     frame = b4.congruence_frame()
-    view = frame.view()
     print(f"\ncongruence frame: {frame.size} congruences")
     for theta in frame.congruences:
         labels = frame.labels_of(theta)
         tags = [f"nabla:{a}" for a in labels["nabla"]] + [f"delta:{a}" for a in labels["delta"]]
-        print(f"  {theta.partition_name():14} {' '.join(tags):22} -> {view.ref_name(theta)}")
+        print(f"  {theta.partition_name():14} {' '.join(tags):22} -> {frame.ref_name(theta)}")
 
-    mu = measure_from_weights(view, {"x": F(2), "y": F(3)})
+    mu = measure_from_weights(frame, {"x": F(2), "y": F(3)})
     print(f"\nmeasure from weights x:2 y:3 -> {mu}")
 
     facade = frame.as_lattice()
-    nx = view.closed_sublocale("x").partition_name()
-    ny = view.closed_sublocale("y").partition_name()
+    nx = frame.closed_sublocale("x").partition_name()
+    ny = frame.closed_sublocale("y").partition_name()
     g = sf.canonicalize(facade, [(F(2), nx), (F(3), ny)])
     print(f"\nintegrand g = 2*chi(o(x)) + 3*chi(o(y))")
     for ref in ("L", "open:x", "open:y", "void"):
-        value, report = integrate_simple(g, mu, view.resolve_ref(ref))
+        value, report = integrate_simple(g, mu, frame.resolve_ref(ref))
         print(f"  integral over {ref:7} = {format_extended(value)} ({report.classification})")
 
     eta = indefinite_integral(g, mu)

@@ -15,7 +15,7 @@ from importlib import import_module as _import_module
 _EXPORTS = {
     "bridge": ("BridgeReport", "ClassicalSimpleFunction", "FiniteMeasurableSpace",
                "bridge_check", "classical_integral", "extend_measure", "to_localic"),
-    "congruence": ("Congruence", "CongruenceFrame", "SublocaleView"),
+    "congruence": ("Congruence", "CongruenceFrame"),
     "cutfunction": ("CutFunction", "FunctionSequence", "add", "characteristic", "constant",
                     "join_meet", "leq", "limits", "mul_nonneg", "negate", "scale", "seq_inf",
                     "seq_sup"),

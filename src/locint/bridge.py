@@ -28,7 +28,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import Dict, FrozenSet, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
-from .congruence import CongruenceFrame, SublocaleView, enumerate_congruences
+from .congruence import CongruenceFrame
 from .errors import ConsistencyError, MalformedDocument, SizeLimitExceeded
 from .integrate import NOT_INTEGRABLE, SummabilityReport, classify, report_value, summability
 from .lattice import SOFT_SIZE_LIMIT, FiniteLattice, subset_name
@@ -119,19 +119,21 @@ class FiniteMeasurableSpace:
     def lattice(self) -> FiniteLattice:
         """The algebra as a lattice under inclusion, built from the atom
         masks of its members; spaces over equal algebras share one."""
-        return self.view().frame.lattice
+        return self.frame().lattice
 
-    def view(self) -> SublocaleView:
-        """S(A) over the congruence frame of the algebra, filled once from
-        the frames that spaces over equal algebras share."""
+    def frame(self) -> CongruenceFrame:
+        """The congruence frame of the algebra, which also answers for S(A),
+        filled once from the frames that spaces over equal algebras share."""
         if self._frame is None:
             self._frame = _space_frame(self._names, tuple(map(self._below.get, self.algebra)))
-        return self._frame.view()
+        return self._frame
+
+    view = frame  # the name ``perfbench/algebra.py`` builds the frame through
 
 
 @lru_cache(maxsize=SPACE_LATTICE_CACHE)
 def _space_frame(names: Tuple[str, ...], masks: Tuple[int, ...]) -> CongruenceFrame:
-    return enumerate_congruences(FiniteLattice._from_masks(names, masks))
+    return CongruenceFrame(FiniteLattice._from_masks(names, masks))
 
 
 def _check_size(n_sets: int, what: str) -> None:
@@ -295,10 +297,9 @@ def to_localic(f: ClassicalSimpleFunction) -> SimpleFunction:
     """The pointfree counterpart: sum_i r_i * chi(nabla(A_i)) over the
     congruence frame of the algebra, with A_i the level sets."""
     space = f.space
-    view = space.view()
-    frame = view.frame
+    frame = space.frame()
     return SimpleFunction(frame.as_lattice(), [
-        (r, frame.element_of(view.closed_sublocale(space.name_of(level))))
+        (r, frame.element_of(frame.closed_sublocale(space.name_of(level))))
         for r, level in f.level_sets()])
 
 
@@ -310,7 +311,7 @@ def extend_measure(space: FiniteMeasurableSpace) -> Measure:
     once per space, on first use."""
     if space._measure is None:
         space._measure = Measure(
-            space.view(), [space.lam[space.algebra[j]] for j in space.lattice()._jirr])
+            space.frame(), [space.lam[space.algebra[j]] for j in space.lattice()._jirr])
     return space._measure
 
 
@@ -333,7 +334,7 @@ def bridge_check(space: FiniteMeasurableSpace, f: ClassicalSimpleFunction,
     c_report = classical_summability(f, over)
     g = to_localic(f)
     mu = extend_measure(space)
-    l_report = summability(g, mu, mu.view.open_sublocale(space.name_of(over)))
+    l_report = summability(g, mu, mu.frame.open_sublocale(space.name_of(over)))
     report = BridgeReport(_value(c_report), _value(l_report), c_report, l_report)
     if c_report != l_report:
         raise ConsistencyError(

@@ -28,15 +28,15 @@ from .errors import LocintError, UndefinedOperation, ValidationFailure
 from .lattice import chain_lattice
 
 
-def _carrier_parts(args, need_view: bool):
+def _carrier_parts(args, need_frame: bool):
     if getattr(args, "lattice", None):
         lattice = load_lattice(load_json(args.lattice))
     else:
         lattice = chain_lattice(["0", "1"])
-    view = None
-    if need_view or getattr(args, "carrier", "lattice") == "congruence":
-        view = lattice.congruence_frame().view()
-    return lattice, view
+    frame = None
+    if need_frame or getattr(args, "carrier", "lattice") == "congruence":
+        frame = lattice.congruence_frame()
+    return lattice, frame
 
 
 def _emit(args, text_lines: List[str], payload) -> None:
@@ -48,7 +48,7 @@ def _emit(args, text_lines: List[str], payload) -> None:
 
 
 def cmd_validate(args) -> int:
-    lattice, view = _carrier_parts(args, need_view=bool(args.measure))
+    lattice, frame = _carrier_parts(args, need_frame=bool(args.measure))
     report = {"lattice": {"elements": len(lattice.elements),
                           "bottom": lattice.bottom, "top": lattice.top,
                           "boolean": lattice.is_boolean()}}
@@ -56,12 +56,12 @@ def cmd_validate(args) -> int:
              f"bottom={lattice.bottom}, top={lattice.top}, "
              f"boolean={'yes' if lattice.is_boolean() else 'no'}"]
     if args.measure:
-        mu = load_measure(load_json(args.measure), view)
-        report["measure"] = {"sublocales": len(mu.view.sublocales)}
-        lines.append(f"measure: valid on {len(mu.view.sublocales)} sublocales "
+        mu = load_measure(load_json(args.measure), frame)
+        report["measure"] = {"sublocales": mu.frame.size}
+        lines.append(f"measure: valid on {mu.frame.size} sublocales "
                      "(M1-M3 by additivity over the atoms of S(L), M4 by finiteness)")
     if args.function:
-        fn = load_function(load_json(args.function), lattice, view)
+        fn = load_function(load_json(args.function), lattice, frame)
         # a function is simple iff it is finite, and its ladders break at its coefficients
         kind = "extended" if fn.simple is None else "finite"
         breakpoints = fn.cut.breakpoints if fn.simple is None else fn.simple.coefficients()
@@ -80,16 +80,15 @@ def cmd_validate(args) -> int:
 
 
 def cmd_congruences(args) -> int:
-    lattice, _ = _carrier_parts(args, need_view=False)
+    lattice, _ = _carrier_parts(args, need_frame=False)
     frame = lattice.congruence_frame()
-    view = frame.view()
     rows = []
     for theta in frame.congruences:
         labels = frame.labels_of(theta)
         tags = [f"nabla:{a}" for a in labels["nabla"]] + [f"delta:{a}" for a in labels["delta"]]
         rows.append({"partition": theta.partition_name(),
                      "labels": tags,
-                     "sublocale": view.ref_name(theta),
+                     "sublocale": frame.ref_name(theta),
                      "blocks": theta.n_blocks})
     lines = [f"{frame.size} congruences"]
     for row in rows:
@@ -100,8 +99,8 @@ def cmd_congruences(args) -> int:
 
 
 def cmd_canonicalize(args) -> int:
-    lattice, view = _carrier_parts(args, need_view=False)
-    fn = load_function(load_json(args.function), lattice, view)
+    lattice, frame = _carrier_parts(args, need_frame=False)
+    fn = load_function(load_json(args.function), lattice, frame)
     g = fn.as_simple()
     terms = [[str(r), a] for r, a in g.terms]
     lines = ["canonical form: " + " + ".join(f"{t[0]}*chi({t[1]})" for t in terms)]
@@ -110,8 +109,8 @@ def cmd_canonicalize(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    lattice, view = _carrier_parts(args, need_view=False)
-    fn = load_function(load_json(args.function), lattice, view)
+    lattice, frame = _carrier_parts(args, need_frame=False)
+    fn = load_function(load_json(args.function), lattice, frame)
     cut = fn.cut
     bp = [str(b) for b in cut.breakpoints]
     lines = ["breakpoints: " + (" ".join(bp) if bp else "(none)")]
@@ -135,10 +134,10 @@ def cmd_integrate(args) -> int:
     from .integrate import integrate_general, integrate_simple
     from .rationals import format_extended
 
-    lattice, view = _carrier_parts(args, need_view=True)
-    fn = load_function(load_json(args.function), lattice, view)
-    mu = load_measure(load_json(args.measure), view)
-    over = view.resolve_ref(args.over) if args.over else None
+    lattice, frame = _carrier_parts(args, need_frame=True)
+    fn = load_function(load_json(args.function), lattice, frame)
+    mu = load_measure(load_json(args.measure), frame)
+    over = frame.resolve_ref(args.over) if args.over else None
     if fn.simple is None:
         value = integrate_general(fn.cut, mu, over)
         lines = [format_extended(value), "general"]
@@ -158,11 +157,11 @@ def cmd_indefinite(args) -> int:
     from .integrate import indefinite_integral
     from .rationals import format_extended
 
-    lattice, view = _carrier_parts(args, need_view=True)
-    fn = load_function(load_json(args.function), lattice, view)
-    mu = load_measure(load_json(args.measure), view)
+    lattice, frame = _carrier_parts(args, need_frame=True)
+    fn = load_function(load_json(args.function), lattice, frame)
+    mu = load_measure(load_json(args.measure), frame)
     eta = indefinite_integral(fn.as_simple(), mu)
-    rows = [(view.ref_name(s), format_extended(v)) for s, v in eta.items()]
+    rows = [(frame.ref_name(s), format_extended(v)) for s, v in eta.items()]
     lines = [f"{ref} -> {v}" for ref, v in rows]
     lines.append("measure axioms: M1 ok, M2 ok, M3 ok (by additivity over the atoms of S(L)), "
                  "M4 by finiteness")
@@ -173,8 +172,8 @@ def cmd_indefinite(args) -> int:
 def cmd_decompose(args) -> int:
     from .simple import decompose_trace
 
-    lattice, view = _carrier_parts(args, need_view=False)
-    fn = load_function(load_json(args.function), lattice, view)
+    lattice, frame = _carrier_parts(args, need_frame=False)
+    fn = load_function(load_json(args.function), lattice, frame)
     trace = decompose_trace(fn.cut, args.k)
     lines = []
     rows = []
@@ -186,9 +185,9 @@ def cmd_decompose(args) -> int:
             rendered = " + ".join(f"{t[0]}*chi({t[1]})" for t in terms)
         residual = None if step.residual_sup is None else str(step.residual_sup)
         closed = None
-        if view is not None:
+        if frame is not None:
             # record whether the new cell is a closed congruence nabla(a)
-            labels = view.frame.labels_of(view.frame.congruence_of_element(step.cell))
+            labels = frame.labels_of(frame.congruence_of_element(step.cell))
             closed = list(labels["nabla"])
         head = f"k={step.k} a_k={step.cell} residual={residual}"
         if closed is not None:

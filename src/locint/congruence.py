@@ -1,5 +1,5 @@
-"""Congruences on a finite lattice, the congruence frame C(L), and the
-coframe view S(L) of sublocales.
+"""Congruences on a finite lattice and the congruence frame C(L), which
+also answers for its order-dual S(L), the coframe of sublocales.
 
 A congruence is an equivalence relation compatible with meets (C1) and
 joins (C2); at finite scale the countable-join axiom reduces to its binary
@@ -12,25 +12,25 @@ on Q, and every congruence arises from exactly one Q, its keep-mask.  A
 ``Congruence`` is identified by its keep-mask: equality and hashing read
 it, and the partition (``block_of``, the names) is derived from it on
 first read.  So C(L) is the powerset of J(L), built directly with no
-closure computation.  The frame only lists it: C(L)'s lattice operations
-are those of its carrier ``as_lattice()``, by partition name.  Its
-order-dual is the coframe of sublocales (``SublocaleView``), which needs
-only the lattice: a sublocale is its keep-mask, the meet is ``&``, the
-join ``|`` and the complement ``~``, and each result is built from the
-lattice and its mask.  Every operand enters through one gate,
-``SublocaleView.keep_of``, which rejects a sublocale of another lattice.
-There the
-open sublocale o(a) is the quotient by delta(a) =
+closure computation.
+
+One object, ``CongruenceFrame(lattice)``, holds both orders.  It lists
+C(L) in frame order, and C(L)'s lattice operations are those of its
+carrier ``as_lattice()``, by partition name.  S(L) needs only the
+lattice: a sublocale is its keep-mask, the frame's ``meet`` is ``&``, its
+``join`` ``|`` and its ``complement`` ``~``, and each result is built
+from the lattice and its mask.  Every operand enters through one gate,
+``CongruenceFrame.keep_of``, which rejects a sublocale of another
+lattice.  There the open sublocale o(a) is the quotient by delta(a) =
 {(x,y) | x/\\a = y/\\a} (keep-mask J(a)) and the closed sublocale c(a) the
 quotient by nabla(a) = {(x,y) | x\\/a = y\\/a} (keep-mask J(L) minus J(a)).
 A partition enters only through ``Congruence.from_blocks``, which reads the
 keep-mask off it and rejects a partition that mask does not reproduce.
 
 References point one way, from what is built to what it is built over:
-a ``SublocaleView`` holds its frame, a frame its lattice, and neither
-the lattice nor the frame holds anything built over it.  ``view()`` makes
-a one-slot adapter per call; the frame keeps only its carrier and point
-bits, which every integral reads.
+a measure holds its frame, a frame its lattice, and neither the lattice
+nor the frame holds anything built over it.  The frame keeps only its
+carrier and point bits, which every integral reads.
 """
 
 from __future__ import annotations
@@ -137,39 +137,47 @@ def _partition_name(lattice: FiniteLattice, block_of: Sequence[int]) -> str:
 # -- the congruence frame -------------------------------------------------------
 
 
-def enumerate_congruences(lattice: FiniteLattice) -> "CongruenceFrame":
-    """All congruences of the lattice, one per subset Q of J(L), in frame
-    order: most blocks first, then by canonical block labels."""
-    if lattice.size > SOFT_SIZE_LIMIT:
-        raise SizeLimitExceeded(
-            f"congruence enumeration limited to {SOFT_SIZE_LIMIT}-element lattices")
-    if 1 << len(lattice._jirr) > CONGRUENCE_LIMIT:
-        raise SizeLimitExceeded(
-            f"more than {CONGRUENCE_LIMIT} congruences; beyond desk scale")
-    found = [Congruence(lattice, q) for q in range(1 << len(lattice._jirr))]
-    found.sort(key=lambda c: (-c.n_blocks, c.block_of))
-    return CongruenceFrame(lattice, tuple(found))
-
-
 class CongruenceFrame:
-    """The frame C(L) of all congruences, ordered by inclusion.
+    """The frame C(L) of all congruences, ordered by inclusion, which also
+    answers for its order-dual S(L), the coframe of sublocales.
 
-    The frame lists C(L) and numbers it only through its carrier: its
+    ``CongruenceFrame(lattice)`` lists C(L), one congruence per subset Q
+    of J(L), in frame order: most blocks first, then by canonical block
+    labels.  The frame numbers C(L) only through its carrier: C(L)'s
     lattice operations are those of ``as_lattice``, the Boolean
-    FiniteLattice over canonical partition names, the carrier of
-    functions and simple functions over C(L).  Each bit of that carrier
-    is an atom of C(L), the congruence collapsing exactly one j;
-    ``point_bits()`` gives, per bit, the bit of that j in the keep-masks,
-    so a function's value at a carrier bit is its value at the point j of
-    J(L); ``element_of`` and ``congruence_of_element`` go between a
-    congruence and its carrier element.
+    FiniteLattice over canonical partition names, the carrier of functions
+    and simple functions over C(L).  Each bit of that carrier is an atom of
+    C(L), the congruence collapsing exactly one j; ``point_bits()`` gives,
+    per bit, the bit of that j in the keep-masks, so a function's value at
+    a carrier bit is its value at the point j of J(L); ``element_of`` and
+    ``congruence_of_element`` go between a congruence and its carrier
+    element.
+
+    The Boolean operations defined here are those of S(L): a sublocale is
+    identified with its congruence, and S <= T holds iff theta_T is
+    contained in theta_S, i.e. iff the keep-mask of S is contained in that
+    of T.  On keep-masks the meet is ``&``, the join ``|`` and the
+    complement ``~``.  Each operation reads its operands' masks through
+    ``keep_of`` and builds its result from the lattice and the mask
+    (``_sublocale``).  The whole lattice L (``top``) is the quotient by
+    equality and the void sublocale (``bottom``) the quotient by the
+    all-pairs relation.  No pair tables are held: the measure sweep walks
+    the keep-masks in place.
     """
 
     __slots__ = ("lattice", "congruences", "_point_bits", "_carrier")
 
-    def __init__(self, lattice: FiniteLattice, congruences: Tuple[Congruence, ...]):
+    def __init__(self, lattice: FiniteLattice):
+        if lattice.size > SOFT_SIZE_LIMIT:
+            raise SizeLimitExceeded(
+                f"congruence enumeration limited to {SOFT_SIZE_LIMIT}-element lattices")
+        if 1 << len(lattice._jirr) > CONGRUENCE_LIMIT:
+            raise SizeLimitExceeded(
+                f"more than {CONGRUENCE_LIMIT} congruences; beyond desk scale")
+        found = [Congruence(lattice, q) for q in range(1 << len(lattice._jirr))]
+        found.sort(key=lambda c: (-c.n_blocks, c.block_of))
         self.lattice = lattice
-        self.congruences = congruences
+        self.congruences: Tuple[Congruence, ...] = tuple(found)
         self._point_bits: Optional[Tuple[int, ...]] = None
         self._carrier: Optional[FiniteLattice] = None
 
@@ -206,7 +214,7 @@ class CongruenceFrame:
         """The carrier element of theta, the inverse of
         ``congruence_of_element``: carrier bit i is set iff theta collapses
         the point ``point_bits()[i]``, O(|J|)."""
-        collapsed = self.lattice._full ^ self.view().keep_of(theta)
+        collapsed = self.lattice._full ^ self.keep_of(theta)
         mask = 0
         for i, k in enumerate(self.point_bits()):
             if collapsed >> k & 1:
@@ -216,47 +224,25 @@ class CongruenceFrame:
     def labels_of(self, theta: Congruence) -> Dict[str, Tuple[str, ...]]:
         """Which nabla(a) / delta(a) this congruence equals, if any: J is
         injective, so only the a with J(a) = J(L) minus keep, or = keep."""
-        keep = self.view().keep_of(theta)
+        keep = self.keep_of(theta)
         at = self.lattice._at
         found = {"nabla": at.get(self.lattice._full ^ keep), "delta": at.get(keep)}
         return {label: () if a is None else (a,) for label, a in found.items()}
 
-    def view(self) -> "SublocaleView":
-        """S(L) over this frame, a new adapter per call."""
-        return SublocaleView(self)
+    def view(self) -> "CongruenceFrame":
+        """The frame itself, which answers for S(L); kept for callers written
+        against a separate S(L) object (``perfbench/common.py``)."""
+        return self
 
     def __repr__(self) -> str:
         return f"CongruenceFrame({self.size} congruences on {self.lattice!r})"
 
-
-class SublocaleView:
-    """S(L): the congruence list of C(L) with the order reversed.
-
-    A sublocale is identified with its congruence; S <= T holds iff
-    theta_T is contained in theta_S, i.e. iff the keep-mask of S is
-    contained in that of T, and on keep-masks the meet is ``&``, the join
-    ``|`` and the complement ``~``.  Each operation reads its operands'
-    masks through ``keep_of`` and builds its result from the lattice and
-    the mask (``_sublocale``); only ``sublocales`` lists the frame.  The
-    whole lattice L is the quotient by equality and the void sublocale the
-    quotient by the all-pairs relation.  The view holds no pair tables:
-    the measure sweep walks the keep-masks in place.
-    """
-
-    __slots__ = ("frame",)
-
-    def __init__(self, frame: CongruenceFrame):
-        self.frame = frame
-
-    @property
-    def sublocales(self) -> Tuple[Congruence, ...]:
-        return self.frame.congruences
+    # -- S(L) on keep-masks -----------------------------------------------------
 
     def keep_of(self, s: Congruence) -> int:
         """The keep-mask of a sublocale of this lattice: the one gate every
         operand of S(L) passes."""
-        lattice = self.frame.lattice
-        if s.lattice is not lattice and s.lattice != lattice:
+        if s.lattice is not self.lattice and s.lattice != self.lattice:
             raise MalformedDocument(
                 f"{s.partition_name()} is not a congruence of this lattice")
         return s.keep
@@ -264,12 +250,12 @@ class SublocaleView:
     def _sublocale(self, keep: int) -> Congruence:
         """The sublocale with this keep-mask, built from the lattice alone:
         the one place a keep-mask becomes a sublocale."""
-        return Congruence(self.frame.lattice, keep)
+        return Congruence(self.lattice, keep)
 
     @property
     def top(self) -> Congruence:
         """1_S(L): the whole lattice (quotient by equality)."""
-        return self._sublocale(self.frame.lattice._full)
+        return self._sublocale(self.lattice._full)
 
     @property
     def bottom(self) -> Congruence:
@@ -286,31 +272,31 @@ class SublocaleView:
         return self._sublocale(self.keep_of(s) | self.keep_of(t))
 
     def complement(self, s: Congruence) -> Congruence:
-        return self._sublocale(self.frame.lattice._full ^ self.keep_of(s))
+        return self._sublocale(self.lattice._full ^ self.keep_of(s))
 
     def open_sublocale(self, a: str) -> Congruence:
         """o(a), the quotient by delta(a): it keeps J(a)."""
-        return self._sublocale(self.frame.lattice.jmask(a))
+        return self._sublocale(self.lattice.jmask(a))
 
     def closed_sublocale(self, a: str) -> Congruence:
         """c(a), the quotient by nabla(a): it keeps J(L) minus J(a)."""
-        lattice = self.frame.lattice
-        return self._sublocale(lattice._full ^ lattice.jmask(a))
+        return self._sublocale(self.lattice._full ^ self.lattice.jmask(a))
 
     def atoms(self) -> Tuple[Congruence, ...]:
-        """Minimal nonvoid sublocales, the single-bit keep-masks: a measure
-        is given by its values on them (``measure.Measure``)."""
-        return tuple(s for s in self.sublocales if s.keep and not s.keep & (s.keep - 1))
+        """Minimal nonvoid sublocales, the single-bit keep-masks, in frame
+        order: a measure is given by its values on them
+        (``measure.Measure``)."""
+        return tuple(s for s in self.congruences if s.keep and not s.keep & (s.keep - 1))
 
     # -- naming ---------------------------------------------------------------
 
     def ref_name(self, s: Congruence) -> str:
         keep = self.keep_of(s)
-        if keep == self.frame.lattice._full:
+        if keep == self.lattice._full:
             return "L"
         if keep == 0:
             return "void"
-        labels = self.frame.labels_of(s)
+        labels = self.labels_of(s)
         if labels["delta"]:
             return f"open:{labels['delta'][0]}"
         if labels["nabla"]:
@@ -318,12 +304,11 @@ class SublocaleView:
         return "blocks:" + "|".join(",".join(b) for b in s.blocks())
 
     def resolve_ref(self, ref) -> Congruence:
-        frame = self.frame
         # {"blocks": [[...], ...]}, a list of lists of element names, and nothing else
         blocks = ref.get("blocks") if isinstance(ref, dict) and len(ref) == 1 else None
         if isinstance(blocks, list) and all(
                 isinstance(b, list) and all(isinstance(e, str) for e in b) for b in blocks):
-            return Congruence.from_blocks(frame.lattice, blocks)
+            return Congruence.from_blocks(self.lattice, blocks)
         if not isinstance(ref, str):
             raise MalformedDocument(f"bad sublocale reference: {ref!r}")
         if ref == "L":
@@ -336,5 +321,5 @@ class SublocaleView:
             return self.closed_sublocale(ref[7:])
         if ref.startswith("blocks:"):
             blocks = [b.split(",") for b in ref[7:].split("|")]
-            return Congruence.from_blocks(frame.lattice, blocks)
+            return Congruence.from_blocks(self.lattice, blocks)
         raise MalformedDocument(f"unknown sublocale reference {ref!r}")

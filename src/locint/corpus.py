@@ -14,7 +14,7 @@ from random import Random
 from types import MappingProxyType
 from typing import List, Mapping, Sequence, Tuple
 
-from .congruence import SublocaleView
+from .congruence import CongruenceFrame
 from .lattice import FiniteLattice, chain_lattice, powerset_lattice
 from .measure import Measure
 from .rationals import POS_INF, ExtValue
@@ -81,14 +81,14 @@ def random_simple(rng: Random, lattice: FiniteLattice, *,
                                   for part in cover])
 
 
-def random_measure(rng: Random, view: SublocaleView,
+def random_measure(rng: Random, frame: CongruenceFrame,
                    inf_probability: float = 0.0) -> Measure:
     """Additive measure from random weights on the atoms of S(L): the
     measure of S is the weight sum over the atoms below it.  The weights
     are drawn in the frame order of the atoms, then put in bit order."""
-    masks = [a.keep for a in view.atoms()]
+    masks = [a.keep for a in frame.atoms()]
     weights = [random_weight(rng, inf_probability) for _ in masks]
-    return Measure(view, [w for _, w in sorted(zip(masks, weights))])
+    return Measure(frame, [w for _, w in sorted(zip(masks, weights))])
 
 
 def random_subset(rng: Random, items: Sequence[str]) -> List[str]:

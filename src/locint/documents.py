@@ -21,7 +21,7 @@ rational.  Function documents come in three kinds:
 Over the plain lattice a term/ladder ref is an element name.  Over the
 congruence frame a simple term names a sublocale ("L", "void", "open:a",
 "closed:a", "blocks:..." or {"blocks": [...]}, all read by
-``SublocaleView.resolve_ref``), contributing r * chi_S = r * chi(theta_S^c),
+``CongruenceFrame.resolve_ref``), contributing r * chi_S = r * chi(theta_S^c),
 while cut ladder values name the congruences themselves via the same refs.
 
 A measure's kind is the one of its two keys it holds.  A space document's
@@ -44,7 +44,7 @@ from .lattice import FiniteLattice, powerset_lattice
 
 if TYPE_CHECKING:
     from .bridge import ClassicalSimpleFunction, FiniteMeasurableSpace
-    from .congruence import SublocaleView
+    from .congruence import CongruenceFrame
     from .cutfunction import CutFunction
     from .measure import Measure
     from .simple import SimpleFunction
@@ -227,19 +227,19 @@ class LoadedFunction:
 
 
 def load_function(doc, lattice: FiniteLattice,
-                  view: Optional[SublocaleView] = None) -> LoadedFunction:
+                  frame: Optional[CongruenceFrame] = None) -> LoadedFunction:
     """Resolve a function document over the lattice itself, or over the
-    congruence frame when a sublocale view is supplied: there a ref names
-    a sublocale, and an element of C(L) is the congruence it names."""
+    congruence frame when one is supplied: there a ref names a sublocale,
+    and an element of C(L) is the congruence it names."""
     kind, values = _walk(doc, "function")
     from .rationals import is_finite
     from .simple import canonicalize, constant_simple, cut_to_simple
 
-    carrier = view.frame.as_lattice() if view is not None else lattice
+    carrier = frame.as_lattice() if frame is not None else lattice
 
     def element(ref) -> str:
-        return (carrier.elements[carrier.index(ref)] if view is None
-                else view.frame.element_of(view.resolve_ref(ref)))
+        return (carrier.elements[carrier.index(ref)] if frame is None
+                else frame.element_of(frame.resolve_ref(ref)))
 
     if kind == "constant":
         if is_finite(values["value"]):
@@ -249,7 +249,7 @@ def load_function(doc, lattice: FiniteLattice,
         return LoadedFunction(constant(values["value"], carrier), None)
     if kind == "simple":
         # over C(L) a term names S, and chi_S = chi(theta_S^c); C(L) is Boolean
-        named = element if view is None else lambda ref: carrier.complement(element(ref))
+        named = element if frame is None else lambda ref: carrier.complement(element(ref))
         return LoadedFunction(None, canonicalize(carrier, [(r, named(ref))
                                                            for r, ref in values["terms"]]))
     from .cutfunction import CutFunction
@@ -259,19 +259,19 @@ def load_function(doc, lattice: FiniteLattice,
     return LoadedFunction(cut, cut_to_simple(cut) if cut.is_finite() else None)
 
 
-def load_measure(doc, view: SublocaleView) -> Measure:
+def load_measure(doc, frame: CongruenceFrame) -> Measure:
     from .measure import measure_from_weights, validate_measure
 
     kind, parsed = _walk(doc, "measure")
     if kind == "on_open_weights":
-        return measure_from_weights(view, parsed[kind])
+        return measure_from_weights(frame, parsed[kind])
     values = {}
     for ref, v in parsed[kind].items():
-        sub = view.resolve_ref(ref)
+        sub = frame.resolve_ref(ref)
         if sub in values:
             raise MalformedDocument(f"two values resolve to the same sublocale ({ref!r})")
         values[sub] = v
-    return validate_measure(view, values)
+    return validate_measure(frame, values)
 
 
 def load_space(doc) -> FiniteMeasurableSpace:

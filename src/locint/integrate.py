@@ -30,9 +30,9 @@ independence.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Optional, Tuple, Union
 
-from .congruence import Congruence, SublocaleView
+from .congruence import Congruence, CongruenceFrame
 from .errors import ConsistencyError, NotIntegrable, NotNonnegative
 from .lattice import check_same_carrier
 from .measure import Measure, _from_ints
@@ -94,24 +94,34 @@ def _keep_of(measure: Measure, over: Optional[Congruence]) -> int:
     """The keep-mask of the sublocale integrated over (L when None),
     checked to be a sublocale of the measure's lattice."""
     if over is None:
-        return measure.view.frame.lattice._full
-    return measure.view.keep_of(over)
+        return measure.frame.lattice._full
+    return measure.frame.keep_of(over)
 
 
-def _signed_sum(den: int, vals: Sequence, measure: Measure, over: int) -> SummabilityReport:
-    """The one integral: with vals[i] / den the value at carrier bit i (an
-    int, or +-inf), k its point's bit in J(L) and w_k / W the measure of
-    the S(L) atom keeping that point (``Measure._weights``, over
-    ``Measure._denom``), the parts are the sums, over the points that S
-    keeps, of v * w_k over v > 0 and of -v * w_k over v < 0, each over
-    den * W, with 0 * inf = 0: a nonzero value on a point of weight +inf,
-    or an infinite value on a point of nonzero weight, makes its part
-    +inf.  A finite part is one int sum, and one ``Fraction`` unless it is
-    0, which is ``ZERO``."""
+def _by_point(f: Union[SimpleFunction, CutFunction], measure: Measure,
+              message: str = _SIMPLE_OFF_FRAME) -> Tuple[int, Iterable]:
+    """(den, the pairs (v, k)) for a function on the measure's frame, with
+    v / den its value at the point of bit k in J(L) (an int, or +-inf),
+    carrier bit by carrier bit; a function on another carrier raises
+    ``message``."""
+    check_same_carrier(f.carrier, measure.frame.as_lattice(), message)
+    den, vals = f._point_values()
+    return den, zip(vals, measure.frame.point_bits())
+
+
+def _signed_sum(den: int, by_point: Iterable, measure: Measure, over: int) -> SummabilityReport:
+    """The one integral: with (v, k) from ``_by_point``, v / den the value
+    at the point of bit k in J(L) and w_k / W the measure of the S(L) atom
+    keeping that point (``Measure._weights``, over ``Measure._denom``), the
+    parts are the sums, over the points that S keeps, of v * w_k over
+    v > 0 and of -v * w_k over v < 0, each over den * W, with 0 * inf = 0:
+    a nonzero value on a point of weight +inf, or an infinite value on a
+    point of nonzero weight, makes its part +inf.  A finite part is one
+    int sum, and one ``Fraction`` unless it is 0, which is ``ZERO``."""
     weights, inf = measure._weights, measure._inf
     pos = neg = 0
     pos_inf = neg_inf = False
-    for v, k in zip(vals, measure.view.frame.point_bits()):
+    for v, k in by_point:
         if v and over >> k & 1:
             if type(v) is int and not inf >> k & 1:  # the finite case
                 if v > 0:
@@ -131,8 +141,7 @@ def _signed_sum(den: int, vals: Sequence, measure: Measure, over: int) -> Summab
 def summability(g: SimpleFunction, measure: Measure,
                 over: Optional[Congruence] = None) -> SummabilityReport:
     """Part-wise integrals and classification; never raises for defined input."""
-    check_same_carrier(g.carrier, measure.view.frame.as_lattice(), _SIMPLE_OFF_FRAME)
-    return _signed_sum(*g._point_values(), measure, _keep_of(measure, over))
+    return _signed_sum(*_by_point(g, measure), measure, _keep_of(measure, over))
 
 
 def integrate_simple(g: SimpleFunction, measure: Measure,
@@ -147,8 +156,7 @@ def _term_measure(measure: Measure, element: str, over: int) -> ExtValue:
     sublocale S with keep-mask `over`: S_i keeps the complement of theta_i's
     keep-mask q_i, and a meet of sublocales keeps the intersection, so the
     value sits at the keep-mask ~q_i & over."""
-    frame = measure.view.frame
-    return measure.value_by_keep(~frame.congruence_of_element(element).keep & over)
+    return measure.value_by_keep(~measure.frame.congruence_of_element(element).keep & over)
 
 
 def integral_of_representation(terms: List[Tuple[Fraction, str]],
@@ -158,7 +166,7 @@ def integral_of_representation(terms: List[Tuple[Fraction, str]],
     on the extended line; must agree with the canonical value for
     integrable functions."""
     q = _keep_of(measure, over)
-    lat = measure.view.frame.as_lattice()
+    lat = measure.frame.as_lattice()
     for i, (_, a) in enumerate(terms):
         for _, b in terms[i + 1:]:
             if lat.meet(a, b) != lat.bottom:
@@ -171,17 +179,16 @@ def integral_of_representation(terms: List[Tuple[Fraction, str]],
     return report_value(classify(*parts))
 
 
-def characteristic_of_sublocale(view: SublocaleView, s: Congruence) -> SimpleFunction:
+def characteristic_of_sublocale(frame: CongruenceFrame, s: Congruence) -> SimpleFunction:
     """chi_S = chi(theta_S^c) as a simple function over C(L)."""
-    frame = view.frame
-    return characteristic_simple(frame.element_of(view.complement(s)), frame.as_lattice())
+    return characteristic_simple(frame.element_of(frame.complement(s)), frame.as_lattice())
 
 
 def restrict_vs_multiply(g: SimpleFunction, measure: Measure,
                          s: Congruence) -> RestrictionWitness:
     """Integral over a complemented S versus the integral of g * chi_S;
     the two sides are computed independently and must agree exactly."""
-    chi_s = characteristic_of_sublocale(measure.view, s)
+    chi_s = characteristic_of_sublocale(measure.frame, s)
     left, _ = integrate_simple(g, measure, s)
     right, _ = integrate_simple(sf_mul(g, chi_s), measure, None)
     if left != right:
@@ -195,18 +202,17 @@ def indefinite_integral(g: SimpleFunction, measure: Measure) -> Measure:
     the value g(j) * mu({j}) on the atom keeping the point j: the int
     products of the values and the weights, over the product of their
     denominators, and +inf where a nonzero value meets an infinite weight."""
-    den, vals = g._point_values()
-    if min(vals) < 0:
+    if not g.is_nonnegative():
         raise NotNonnegative("the indefinite integral needs a nonnegative function")
-    check_same_carrier(g.carrier, measure.view.frame.as_lattice(), _SIMPLE_OFF_FRAME)
+    den, by_point = _by_point(g, measure)
     weights, inf = list(measure._weights), 0
-    for v, k in zip(vals, measure.view.frame.point_bits()):
+    for v, k in by_point:
         if measure._inf >> k & 1:
             if v:  # 0 * inf = 0
                 inf |= 1 << k
         else:
             weights[k] *= v
-    return _from_ints(measure.view, den * measure._denom, weights, inf)
+    return _from_ints(measure.frame, den * measure._denom, weights, inf)
 
 
 def nonnegativity_certificate(g: SimpleFunction, measure: Measure,
@@ -214,10 +220,9 @@ def nonnegativity_certificate(g: SimpleFunction, measure: Measure,
     """Check that no point kept by S holds a negative value of g (that is,
     theta_S^c /\\ g(-,0) = 0); when it holds the integral over S is
     asserted to be nonnegative and True is returned."""
-    check_same_carrier(g.carrier, measure.view.frame.as_lattice(), _SIMPLE_OFF_FRAME)
+    _, by_point = _by_point(g, measure)
     q = _keep_of(measure, s)
-    _, vals = g._point_values()
-    if any(v < 0 and q >> k & 1 for v, k in zip(vals, measure.view.frame.point_bits())):
+    if any(v < 0 and q >> k & 1 for v, k in by_point):
         return False
     value, _ = integrate_simple(g, measure, s)
     if not ext_le(ZERO, value):
@@ -233,6 +238,6 @@ def integrate_general(f: CutFunction, measure: Measure,
     where a point of value +-inf adds +inf to its part unless its atom has
     measure 0.  A rational step function attains the supremum over its
     simple minorants on its own level cells."""
-    check_same_carrier(f.carrier, measure.view.frame.as_lattice(),
-                       "the function does not live on the measure's congruence frame")
-    return report_value(_signed_sum(*f._point_values(), measure, _keep_of(measure, over)))
+    by_point = _by_point(f, measure,
+                         "the function does not live on the measure's congruence frame")
+    return report_value(_signed_sum(*by_point, measure, _keep_of(measure, over)))

@@ -266,8 +266,8 @@ class FiniteLattice:
 
     def congruence_frame(self):
         """The frame of all congruences, built on each call: hold it."""
-        from .congruence import enumerate_congruences
-        return enumerate_congruences(self)
+        from .congruence import CongruenceFrame
+        return CongruenceFrame(self)
 
     # -- value semantics -------------------------------------------------------
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, List, Mapping, Sequence
 
-from .congruence import Congruence, SublocaleView
+from .congruence import Congruence, CongruenceFrame
 from .errors import AxiomViolation, ConsistencyError, MalformedDocument, NotBoolean
 from .rationals import (
     POS_INF,
@@ -52,10 +52,10 @@ class Measure:
     bits of its keep-mask, O(|J|); only a listing of every sublocale
     builds all 2^|J| sums."""
 
-    __slots__ = ("view", "_denom", "_weights", "_inf")
+    __slots__ = ("frame", "_denom", "_weights", "_inf")
 
-    def __init__(self, view: SublocaleView, atom_values: Sequence[ExtValue]):
-        n_atoms = len(view.frame.lattice._jirr)
+    def __init__(self, frame: CongruenceFrame, atom_values: Sequence[ExtValue]):
+        n_atoms = len(frame.lattice._jirr)
         if len(atom_values) != n_atoms:
             raise MalformedDocument(
                 f"a measure takes one value per atom of S(L), {n_atoms}; "
@@ -63,13 +63,13 @@ class Measure:
         values = [check_measure_value(v) for v in atom_values]
         inf = sum(1 << k for k, v in enumerate(values) if isinstance(v, Infinite))
         finite = [ZERO if isinstance(v, Infinite) else v for v in values]
-        self._set(view, *over_common_denominator(finite), inf)
+        self._set(frame, *over_common_denominator(finite), inf)
 
-    def _set(self, view: SublocaleView, den: int, weights: Sequence[int], inf: int) -> None:
-        self.view, self._denom, self._weights, self._inf = view, den, tuple(weights), inf
+    def _set(self, frame: CongruenceFrame, den: int, weights: Sequence[int], inf: int) -> None:
+        self.frame, self._denom, self._weights, self._inf = frame, den, tuple(weights), inf
 
     def value(self, sublocale: Congruence) -> ExtValue:
-        return self.value_by_keep(self.view.keep_of(sublocale))
+        return self.value_by_keep(self.frame.keep_of(sublocale))
 
     def value_by_keep(self, keep: int) -> ExtValue:
         """The measure of the sublocale whose keep-mask is `keep`."""
@@ -84,40 +84,40 @@ class Measure:
         den, inf = self._denom, self._inf
         sums = subset_sums(self._weights, 0)
         return ((s, POS_INF if s.keep & inf else Fraction(sums[s.keep], den))
-                for s in self.view.sublocales)
+                for s in self.frame.congruences)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{self.view.ref_name(s)}={format_extended(v)}"
+        inner = ", ".join(f"{self.frame.ref_name(s)}={format_extended(v)}"
                           for s, v in self.items())
         return f"Measure({inner})"
 
 
-def _from_ints(view: SublocaleView, den: int, weights: Sequence[int], inf: int) -> Measure:
+def _from_ints(frame: CongruenceFrame, den: int, weights: Sequence[int], inf: int) -> Measure:
     """The measure with atom values weights[k] / den, and +inf on the bits
     of `inf` (where weights[k] is 0); unchecked, for callers whose values
     lie in [0, inf] by construction (``integrate.indefinite_integral``)."""
     mu = Measure.__new__(Measure)
-    mu._set(view, den, weights, inf)
+    mu._set(frame, den, weights, inf)
     return mu
 
 
-def validate_measure(view: SublocaleView, values: Mapping[Congruence, ExtValue]) -> Measure:
+def validate_measure(frame: CongruenceFrame, values: Mapping[Congruence, ExtValue]) -> Measure:
     """Check totality and the axioms M1-M3; M4 holds by finiteness.
 
     S(L) is Boolean, so M1-M3 hold iff the table is the measure built from
     its own atom entries.  Only a table that differs goes through the
     exhaustive sweep, which names the first failing axiom."""
-    subs = view.sublocales
+    subs = frame.congruences
     table: list = [None] * len(subs)  # by keep-mask
     for sub, v in values.items():
-        keep = view.keep_of(sub)  # the sublocale is checked before its value
+        keep = frame.keep_of(sub)  # the sublocale is checked before its value
         table[keep] = check_measure_value(v)
     for s in subs:
         if table[s.keep] is None:
-            raise MalformedDocument(f"no value for sublocale {view.ref_name(s)}")
-    mu = Measure(view, [table[1 << k] for k in range(len(view.frame.lattice._jirr))])
+            raise MalformedDocument(f"no value for sublocale {frame.ref_name(s)}")
+    mu = Measure(frame, [table[1 << k] for k in range(len(frame.lattice._jirr))])
     if any(v != table[s.keep] for s, v in mu.items()):
-        check_axioms(view, [table[s.keep] for s in subs])
+        check_axioms(frame, [table[s.keep] for s in subs])
         raise ConsistencyError("additive check and exhaustive sweep disagree")
     return mu
 
@@ -147,11 +147,11 @@ def subset_sums(weights: Sequence[ExtValue], zero: ExtValue = ZERO) -> List[ExtV
     return sums
 
 
-def check_axioms(view: SublocaleView, table: Sequence[ExtValue]) -> None:
+def check_axioms(frame: CongruenceFrame, table: Sequence[ExtValue]) -> None:
     """The exhaustive sweep over a total table in frame order: M1, then M2
     on every (i, j) with S_i <= S_j, i != j, then M3 on every i < j, each
     walking the keep-masks in place; raises on the first failure."""
-    subs = view.sublocales
+    subs = frame.congruences
     masks = [s.keep for s in subs]
     by_keep = dict(zip(masks, table))
     if by_keep[0] != ZERO:
@@ -160,25 +160,25 @@ def check_axioms(view: SublocaleView, table: Sequence[ExtValue]) -> None:
         for j, qj in enumerate(masks):
             if i != j and qi & qj == qi and not ext_le(table[i], table[j]):
                 raise AxiomViolation(
-                    f"(M2) fails on ({view.ref_name(subs[i])}, {view.ref_name(subs[j])}): "
+                    f"(M2) fails on ({frame.ref_name(subs[i])}, {frame.ref_name(subs[j])}): "
                     f"{format_extended(table[i])} > {format_extended(table[j])}")
     for i, qi in enumerate(masks):
         for j in range(i + 1, len(masks)):
             m, jn = by_keep[qi & masks[j]], by_keep[qi | masks[j]]
             if ext_add(table[i], table[j]) != ext_add(jn, m):
                 raise AxiomViolation(
-                    f"(M3) fails on ({view.ref_name(subs[i])}, {view.ref_name(subs[j])}): "
+                    f"(M3) fails on ({frame.ref_name(subs[i])}, {frame.ref_name(subs[j])}): "
                     f"{format_extended(table[i])} + {format_extended(table[j])} != "
                     f"{format_extended(jn)} + {format_extended(m)}")
 
 
-def measure_from_weights(view: SublocaleView, weights: Mapping[str, ExtValue]) -> Measure:
+def measure_from_weights(frame: CongruenceFrame, weights: Mapping[str, ExtValue]) -> Measure:
     """Additive measure on a Boolean carrier from atom weights.
 
     The atoms of a Boolean L are its join-irreducibles, the bits of the
     keep-masks, and o(a) keeps exactly the atoms below a; so the measure
     of a sublocale is the weight sum over the atoms its congruence keeps."""
-    lat = view.frame.lattice
+    lat = frame.lattice
     if not lat.is_boolean():
         raise NotBoolean("atom weights define a measure only over a Boolean lattice")
     atoms = lat.atoms()
@@ -186,7 +186,7 @@ def measure_from_weights(view: SublocaleView, weights: Mapping[str, ExtValue]) -
     if missing:
         raise MalformedDocument(f"no weight for atom(s) {missing!r}")
     reject_non_atoms(weights, atoms)
-    return Measure(view, [weights[lat.elements[j]] for j in lat._jirr])
+    return Measure(frame, [weights[lat.elements[j]] for j in lat._jirr])
 
 
 def reject_non_atoms(weights: Iterable[str], atoms: Sequence[str]) -> None:

@@ -86,17 +86,17 @@ def criterion_indefinite(seed: int) -> str:
     per_lattice = 100
     total = 0
     for lat in corpus_lattices().values():
-        view = lat.congruence_frame().view()
-        facade = view.frame.as_lattice()
+        frame = lat.congruence_frame()
+        facade = frame.as_lattice()
         for _ in range(per_lattice):
-            mu = random_measure(rng, view, inf_probability=0.1)
+            mu = random_measure(rng, frame, inf_probability=0.1)
             g = random_simple(rng, facade, nonneg=True)
             eta = indefinite_integral(g, mu)  # summed from the integrals over the atoms
             pairs = list(eta.items())
-            check_axioms(view, [v for _, v in pairs])  # oracle: M1-M3 over all pairs
+            check_axioms(frame, [v for _, v in pairs])  # oracle: M1-M3 over all pairs
             for s, v in pairs:  # oracle: the integral over each sublocale
                 check(v == integrate_simple(g, mu, s)[0],
-                      f"indefinite integral differs at {view.ref_name(s)}")
+                      f"indefinite integral differs at {frame.ref_name(s)}")
             total += 1
     return f"{total} indefinite integrals validated as measures (M1-M3 exhaustive)"
 
@@ -273,11 +273,11 @@ def criterion_integral_props(seed: int) -> str:
     per_lattice = 60
     checked = 0
     for lat in corpus_lattices().values():
-        view = lat.congruence_frame().view()
-        facade = view.frame.as_lattice()
-        subs = view.sublocales
+        frame = lat.congruence_frame()
+        facade = frame.as_lattice()
+        subs = frame.congruences
         for _ in range(per_lattice):
-            mu = random_measure(rng, view, inf_probability=0.08)
+            mu = random_measure(rng, frame, inf_probability=0.08)
             g = random_simple(rng, facade, coeff_lo=-6, coeff_hi=6)
             h = random_simple(rng, facade, coeff_lo=-6, coeff_hi=6)
             s = subs[rng.randrange(len(subs))]
@@ -313,11 +313,11 @@ def criterion_integral_props(seed: int) -> str:
                       "monotonicity in the integrand fails")
 
             # relaxed monotonicity: add a disturbance vanishing on S
-            off = view.complement(s)
-            chi_off = characteristic_of_sublocale(view, off)
+            off = frame.complement(s)
+            chi_off = characteristic_of_sublocale(frame, off)
             d2 = sf_mul(random_simple(rng, facade, coeff_lo=-5, coeff_hi=5), chi_off)
             h3 = sf_add(g, d2)
-            side = facade.meet(view.frame.element_of(off),
+            side = facade.meet(frame.element_of(off),
                                to_cut_function(sf_add(h3, sf_neg(g))).lower_at(Fraction(0)))
             check(side == facade.bottom, "constructed disturbance is not off-S")
             if (rep_g.classification != "not-integrable"
@@ -329,7 +329,7 @@ def criterion_integral_props(seed: int) -> str:
             # monotonicity in the sublocale for nonnegative integrands
             gpos = random_simple(rng, facade, nonneg=True, coeff_hi=5)
             t = subs[rng.randrange(len(subs))]
-            if view.leq(s, t):
+            if frame.leq(s, t):
                 check(ext_le(integrate_simple(gpos, mu, s)[0],
                              integrate_simple(gpos, mu, t)[0]),
                       "monotonicity in the sublocale fails")
@@ -352,14 +352,14 @@ def criterion_integral_props(seed: int) -> str:
             if rep_g.classification != "not-integrable":
                 nonnegativity_certificate(g, mu, s)
             gcert = sf_mul(random_simple(rng, facade, coeff_lo=-5, coeff_hi=5),
-                           characteristic_of_sublocale(view, s))
+                           characteristic_of_sublocale(frame, s))
             gcert = sf_add(gcert, random_simple(rng, facade, nonneg=True, coeff_hi=4))
             if summability(gcert, mu, s).classification != "not-integrable":
-                if nonnegativity_certificate(gcert, mu, view.complement(s)):
+                if nonnegativity_certificate(gcert, mu, frame.complement(s)):
                     checked += 1
 
             # summable closure and linearity on summables
-            mu_fin = random_measure(rng, view, inf_probability=0.0)
+            mu_fin = random_measure(rng, frame, inf_probability=0.0)
             check(summability(g, mu_fin, s).classification == SUMMABLE,
                   "finite measures must make every simple function summable")
             check(summability(sf_add(g, h), mu_fin, s).classification == SUMMABLE,
@@ -439,12 +439,12 @@ def criterion_general(seed: int) -> str:
     per_lattice = 50
     count = 0
     for lat in corpus_lattices().values():
-        view = lat.congruence_frame().view()
-        facade = view.frame.as_lattice()
+        frame = lat.congruence_frame()
+        facade = frame.as_lattice()
         for _ in range(per_lattice):
-            mu = random_measure(rng, view, inf_probability=0.08)
+            mu = random_measure(rng, frame, inf_probability=0.08)
             g = random_simple(rng, facade, coeff_lo=-6, coeff_hi=6)
-            s = view.sublocales[rng.randrange(len(view.sublocales))]
+            s = frame.congruences[rng.randrange(len(frame.congruences))]
             try:
                 expected, _ = integrate_simple(g, mu, s)
             except NotIntegrable:
@@ -455,9 +455,9 @@ def criterion_general(seed: int) -> str:
                 got = None
             check(got == expected, "general integral deviates from the simple one")
             count += 1
-        mu_pos = random_measure(rng, view, inf_probability=0.0)
-        while mu_pos.value(view.top) == 0:
-            mu_pos = random_measure(rng, view)
+        mu_pos = random_measure(rng, frame, inf_probability=0.0)
+        while mu_pos.value(frame.top) == 0:
+            mu_pos = random_measure(rng, frame)
         check(integrate_general(cf.constant(POS_INF, facade), mu_pos) == POS_INF,
               "the constant inf must integrate to inf over positive measure")
     return f"{count} simple integrands agree; constant inf handled"

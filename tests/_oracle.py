@@ -497,14 +497,14 @@ def downset_order(rng, points: int) -> tuple:
 # (block of 0, nabla, complements, the refinement order), never a keep-mask.
 
 
-def weights_table(view, weights) -> list:
+def weights_table(frame, weights) -> list:
     """Atom weights on a Boolean L: every congruence is nabla(b) for a unique
     b, its sublocale is the open sublocale o(b^c), so its measure is the
     weight sum over the atoms below b^c."""
-    lat = view.frame.lattice
+    lat = frame.lattice
     atoms = lat.atoms()
     table = []
-    for theta in view.sublocales:
+    for theta in frame.congruences:
         b = lat.join_all(block_containing(theta, lat.bottom))
         assert theta == nabla_by_partition(lat, b), "the carrier is not Boolean"
         bc = lat.complement(b)
@@ -527,17 +527,17 @@ def space_table(space) -> list:
     return table
 
 
-def random_table(rng, view, inf_probability: float = 0.0) -> list:
+def random_table(rng, frame, inf_probability: float = 0.0) -> list:
     """Random weights on the atoms of S(L), drawn in their frame order; the
     measure of S is the weight sum over the atoms below S in the sublocale
     order."""
-    atoms = view.atoms()
+    atoms = frame.atoms()
     weights = [random_weight(rng, inf_probability) for _ in atoms]
     table = []
-    for s in view.sublocales:
+    for s in frame.congruences:
         total = Fraction(0)
         for a, w in zip(atoms, weights):
-            if view.leq(a, s):
+            if frame.leq(a, s):
                 total = ext_add(total, w)
         table.append(total)
     return table
@@ -571,10 +571,10 @@ def labels_by_scan(theta: Congruence) -> dict:
     return {"nabla": scan(lat.join), "delta": scan(lat.meet)}
 
 
-def ref_name_by_scan(view, s: Congruence) -> str:
-    if s == view.top:
+def ref_name_by_scan(frame, s: Congruence) -> str:
+    if s == frame.top:
         return "L"
-    if s == view.bottom:
+    if s == frame.bottom:
         return "void"
     labels = labels_by_scan(s)
     if labels["delta"]:
@@ -586,51 +586,51 @@ def ref_name_by_scan(view, s: Congruence) -> str:
 
 # -- the measure sweep on pair lists ------------------------------------------------
 #
-# The pair tables the view built for the exhaustive M1-M3 sweep before the
+# The pair tables S(L) built for the exhaustive M1-M3 sweep before the
 # sweep walked the keep-masks in place, and that sweep on them: the
 # reference for ``measure.check_axioms``'s pair order and messages.
 
 
-def positions(view) -> dict:
+def positions(frame) -> dict:
     """The index in frame order of each sublocale, by keep-mask."""
-    return {s.keep: i for i, s in enumerate(view.sublocales)}
+    return {s.keep: i for i, s in enumerate(frame.congruences)}
 
 
-def modularity_pairs(view) -> list:
+def modularity_pairs(frame) -> list:
     """(i, j, index of S_i /\\ S_j, index of S_i \\/ S_j) for all i < j."""
-    masks = [s.keep for s in view.sublocales]
-    pos = positions(view)
+    masks = [s.keep for s in frame.congruences]
+    pos = positions(frame)
     return [(i, j, pos[masks[i] & masks[j]], pos[masks[i] | masks[j]])
             for i in range(len(masks)) for j in range(i + 1, len(masks))]
 
 
-def order_pairs(view) -> list:
+def order_pairs(frame) -> list:
     """(i, j) whenever S_i <= S_j in the sublocale order, i.e. the keep-mask
     of S_i is contained in that of S_j."""
-    masks = [s.keep for s in view.sublocales]
+    masks = [s.keep for s in frame.congruences]
     return [(i, j)
             for i, qi in enumerate(masks)
             for j, qj in enumerate(masks)
             if i != j and qi & qj == qi]
 
 
-def check_axioms_by_pairs(view, table) -> None:
+def check_axioms_by_pairs(frame, table) -> None:
     """M1, then M2 over ``order_pairs``, then M3 over ``modularity_pairs``;
     raises AxiomViolation on the first failure."""
-    subs = view.sublocales
-    if table[positions(view)[0]] != Fraction(0):
+    subs = frame.congruences
+    if table[positions(frame)[0]] != Fraction(0):
         raise AxiomViolation("(M1) fails: the void sublocale must have measure 0")
-    for i, j in order_pairs(view):
+    for i, j in order_pairs(frame):
         if not ext_le(table[i], table[j]):
             raise AxiomViolation(
-                f"(M2) fails on ({view.ref_name(subs[i])}, {view.ref_name(subs[j])}): "
+                f"(M2) fails on ({frame.ref_name(subs[i])}, {frame.ref_name(subs[j])}): "
                 f"{format_extended(table[i])} > {format_extended(table[j])}")
-    for i, j, m, jn in modularity_pairs(view):
+    for i, j, m, jn in modularity_pairs(frame):
         left = ext_add(table[i], table[j])
         right = ext_add(table[jn], table[m])
         if left != right:
             raise AxiomViolation(
-                f"(M3) fails on ({view.ref_name(subs[i])}, {view.ref_name(subs[j])}): "
+                f"(M3) fails on ({frame.ref_name(subs[i])}, {frame.ref_name(subs[j])}): "
                 f"{format_extended(table[i])} + {format_extended(table[j])} != "
                 f"{format_extended(table[jn])} + {format_extended(table[m])}")
 
@@ -920,7 +920,7 @@ def decompose_trace_by_names(f, horizon=12):
 def summability_by_parts(g, measure, over=None):
     """Both parts built as checked simple functions, each summed term by
     term with the extended-line arithmetic."""
-    check_same_carrier(g.carrier, measure.view.frame.as_lattice(),
+    check_same_carrier(g.carrier, measure.frame.as_lattice(),
                        "the simple function does not live on the measure's congruence frame")
     q = _keep_of(measure, over)
     sums = []
@@ -954,7 +954,7 @@ def _signed_sums_by_names(terms, measure, over):
 
 
 def summability_by_terms(g, measure, over=None):
-    check_same_carrier(g.carrier, measure.view.frame.as_lattice(),
+    check_same_carrier(g.carrier, measure.frame.as_lattice(),
                        "the simple function does not live on the measure's congruence frame")
     return classify(*_signed_sums_by_names(g.terms, measure, _keep_of(measure, over)))
 
@@ -963,10 +963,10 @@ def indefinite_by_atoms(g, measure):
     """The positive part of the sum by names over each atom of S(L)."""
     if not g.is_nonnegative():
         raise NotNonnegative("the indefinite integral needs a nonnegative function")
-    check_same_carrier(g.carrier, measure.view.frame.as_lattice(),
+    check_same_carrier(g.carrier, measure.frame.as_lattice(),
                        "the simple function does not live on the measure's congruence frame")
-    return Measure(measure.view, [_signed_sums_by_names(g.terms, measure, a.keep)[0]
-                                  for a in sorted(measure.view.atoms(), key=lambda a: a.keep)])
+    return Measure(measure.frame, [_signed_sums_by_names(g.terms, measure, a.keep)[0]
+                                   for a in sorted(measure.frame.atoms(), key=lambda a: a.keep)])
 
 
 def _nonneg_general_by_names(f, measure, over):
@@ -981,7 +981,7 @@ def _nonneg_general_by_names(f, measure, over):
 
 
 def integrate_general_by_ladders(f, measure, over=None):
-    check_same_carrier(f.carrier, measure.view.frame.as_lattice(),
+    check_same_carrier(f.carrier, measure.frame.as_lattice(),
                        "the function does not live on the measure's congruence frame")
     q = _keep_of(measure, over)
     zero = constant(Fraction(0), f.carrier)
@@ -992,11 +992,11 @@ def integrate_general_by_ladders(f, measure, over=None):
 
 def certificate_by_lower_cut(g, measure, s):
     """theta_S^c /\\ g(-,0) = 0 by name, then the integral's sign."""
-    facade = measure.view.frame.as_lattice()
+    facade = measure.frame.as_lattice()
     check_same_carrier(g.carrier, facade,
                        "the simple function does not live on the measure's congruence frame")
     _keep_of(measure, s)
-    comp = measure.view.complement(s).partition_name()
+    comp = measure.frame.complement(s).partition_name()
     if facade.meet(comp, to_cut_function(g).lower_at(Fraction(0))) != facade.bottom:
         return False
     value, _ = integrate_simple(g, measure, s)
@@ -1039,7 +1039,7 @@ def transport(lattice: FiniteLattice, measure):
     """(the powerset space over J(L) with lambda({j}) the measure of the
     sublocale keeping j alone, {sublocale: the points it keeps})."""
     points = points_with_lower_covers(lattice)
-    kept = {s: kept_points(s.blocks(), points) for s in measure.view.sublocales}
+    kept = {s: kept_points(s.blocks(), points) for s in measure.frame.congruences}
     weights = {next(iter(k)): measure.value(s) for s, k in kept.items() if len(k) == 1}
     return FiniteMeasurableSpace.powerset([f"p{j}" for j, _ in points], weights), kept
 

@@ -88,29 +88,27 @@ def test_same_congruences_order_and_names(name):
     assert [c.block_of for c in frame.congruences] == [c.block_of for c in expected]
     assert ([c.partition_name() for c in frame.congruences]
             == [c.partition_name() for c in expected])
-    view = frame.view()
-    names = [view.ref_name(s) for s in view.sublocales]
+    names = [frame.ref_name(s) for s in frame.congruences]
     assert len(set(names)) == len(names)
-    for s, ref in zip(view.sublocales, names):
-        assert view.resolve_ref(ref) == s
+    for s, ref in zip(frame.congruences, names):
+        assert frame.resolve_ref(ref) == s
 
 
 @pytest.mark.parametrize("name", SMALL + LARGE)
 def test_meet_join_complement_match_closure(name):
     lat = lattice(name)
     frame = lat.congruence_frame()
-    view = frame.view()
     cons = frame.congruences
-    eq, everything = view.top, all_pairs(lat)
+    eq, everything = frame.top, all_pairs(lat)
     assert eq.block_of == tuple(range(lat.size))
     # S(L) is C(L) read upside down: its join is the meet of congruences
     for i, j in pairs_to_check(name, frame):
         c, d = cons[i], cons[j]
-        assert view.join(c, d).block_of == refinement_meet(c, d)
-        assert view.meet(c, d) == closure_join(c, d)
+        assert frame.join(c, d).block_of == refinement_meet(c, d)
+        assert frame.meet(c, d) == closure_join(c, d)
     for c in cons:
-        comp = view.complement(c)
-        assert view.join(c, comp).block_of == refinement_meet(c, comp) == eq.block_of
+        comp = frame.complement(c)
+        assert frame.join(c, comp).block_of == refinement_meet(c, comp) == eq.block_of
         assert closure_join(c, comp) == everything
 
 
@@ -120,30 +118,30 @@ def test_principal_congruences_match_closure(name):
     # closed nabla(a \/ b) and the open delta(a /\ b), the join of their
     # sublocales in S(L)
     lat = lattice(name)
-    view = lat.congruence_frame().view()
+    frame = lat.congruence_frame()
     for i, a in enumerate(lat.elements):
         for j, b in enumerate(lat.elements):
             expected = canonical(closure(lat, [(i, j)]))
-            theta = view.join(view.closed_sublocale(lat.join(a, b)),
-                              view.open_sublocale(lat.meet(a, b)))
+            theta = frame.join(frame.closed_sublocale(lat.join(a, b)),
+                               frame.open_sublocale(lat.meet(a, b)))
             assert theta.block_of == expected
 
 
 @pytest.mark.parametrize("name", SMALL + ["b32", "div360"])
 def test_view_tables_match_partition_order(name):
-    view = lattice(name).congruence_frame().view()
-    subs = view.sublocales
+    frame = lattice(name).congruence_frame()
+    subs = frame.congruences
     n = len(subs)
     order = [(i, j) for i in range(n) for j in range(n)
              if i != j and refines(subs[j], subs[i])]
-    assert order_pairs(view) == order
+    assert order_pairs(frame) == order
     assert [(i, j) for i in range(n) for j in range(n)
-            if i != j and view.leq(subs[i], subs[j])] == order
-    atoms = [s for s in subs if s != view.bottom
-             and all(t == view.bottom or t == s or not view.leq(t, s) for t in subs)]
-    assert list(view.atoms()) == atoms
+            if i != j and frame.leq(subs[i], subs[j])] == order
+    atoms = [s for s in subs if s != frame.bottom
+             and all(t == frame.bottom or t == s or not frame.leq(t, s) for t in subs)]
+    assert list(frame.atoms()) == atoms
     index = {s.block_of: k for k, s in enumerate(subs)}
-    for i, j, m, jn in modularity_pairs(view)[:400]:
+    for i, j, m, jn in modularity_pairs(frame)[:400]:
         assert index[closure_join(subs[i], subs[j]).block_of] == m
         assert index[refinement_meet(subs[i], subs[j])] == jn
 
@@ -168,29 +166,29 @@ def outcome(fn, *args):
     return None
 
 
-def is_atom_sum(view, table):
+def is_atom_sum(frame, table):
     """The table is the measure built from its own atom entries."""
-    pos = positions(view)
-    mu = Measure(view, [table[pos[1 << k]] for k in range(len(view.frame.lattice._jirr))])
+    pos = positions(frame)
+    mu = Measure(frame, [table[pos[1 << k]] for k in range(len(frame.lattice._jirr))])
     return [v for _, v in mu.items()] == table
 
 
 @pytest.mark.parametrize("name", SMALL[:8] + ["div360"])
 def test_additive_check_agrees_with_exhaustive_sweep(name):
-    view = lattice(name).congruence_frame().view()
-    rng = Random(len(view.sublocales))
+    frame = lattice(name).congruence_frame()
+    rng = Random(len(frame.congruences))
     valid = perturbed = 0
     for _ in range(12):
-        mu = random_measure(rng, view, inf_probability=0.15)
+        mu = random_measure(rng, frame, inf_probability=0.15)
         table = [v for _, v in mu.items()]
-        assert is_atom_sum(view, table) and outcome(check_axioms, view, table) is None
+        assert is_atom_sum(frame, table) and outcome(check_axioms, frame, table) is None
         valid += 1
         k = rng.randrange(len(table))
         table[k] = rng.choice([F(rng.randint(0, 30), rng.randint(1, 3)), POS_INF, F(0)])
-        expected = outcome(check_axioms, view, table)
-        assert is_atom_sum(view, table) == (expected is None)
-        values = dict(zip(view.sublocales, table))
-        assert outcome(validate_measure, view, values) == expected
+        expected = outcome(check_axioms, frame, table)
+        assert is_atom_sum(frame, table) == (expected is None)
+        values = dict(zip(frame.congruences, table))
+        assert outcome(validate_measure, frame, values) == expected
         perturbed += expected is not None
     assert valid == 12 and perturbed >= 1
 
@@ -204,15 +202,15 @@ def raised(fn, *args):
     return None
 
 
-def perturbed_tables(rng, view):
+def perturbed_tables(rng, frame):
     """Measure tables broken on purpose: the void sublocale nonzero (M1), a
     value below an atom under it or above L (M2), L raised alone (M3, on a
     chain), and values set to +inf or a random rational."""
-    subs = view.sublocales
-    pos = positions(view)
-    void, top = pos[0], pos[view.frame.lattice._full]
+    subs = frame.congruences
+    pos = positions(frame)
+    void, top = pos[0], pos[frame.lattice._full]
     for _ in range(6):
-        table = [v for _, v in random_measure(rng, view, rng.choice([0.0, 0.2])).items()]
+        table = [v for _, v in random_measure(rng, frame, rng.choice([0.0, 0.2])).items()]
         yield table
         broken = list(table)
         broken[void] = F(1)
@@ -230,13 +228,13 @@ def perturbed_tables(rng, view):
 
 @pytest.mark.parametrize("name", SMALL + ["div360", "chain9"])
 def test_in_place_sweep_matches_pair_list_sweep(name):
-    view = lattice(name).congruence_frame().view()
+    frame = lattice(name).congruence_frame()
     rng = Random(name)
     seen = set()
-    for table in perturbed_tables(rng, view):
-        expected = raised(check_axioms_by_pairs, view, table)
-        assert raised(check_axioms, view, table) == expected
-        assert raised(validate_measure, view, dict(zip(view.sublocales, table))) == expected
+    for table in perturbed_tables(rng, frame):
+        expected = raised(check_axioms_by_pairs, frame, table)
+        assert raised(check_axioms, frame, table) == expected
+        assert raised(validate_measure, frame, dict(zip(frame.congruences, table))) == expected
         seen.add(None if expected is None else expected[1][:4])
     if name in ("div360", "chain9"):
         assert {None, "(M1)", "(M2)", "(M3)"} <= seen
@@ -244,15 +242,15 @@ def test_in_place_sweep_matches_pair_list_sweep(name):
 
 def test_naming_a_failure_allocates_no_pair_list():
     # chain9 has 256 sublocales: a list of its pairs takes megabytes
-    view = lattice("chain9").congruence_frame().view()
-    table = [v for _, v in random_measure(Random(9), view).items()]
-    top = positions(view)[view.frame.lattice._full]
+    frame = lattice("chain9").congruence_frame()
+    table = [v for _, v in random_measure(Random(9), frame).items()]
+    top = positions(frame)[frame.lattice._full]
     table[top] += 1
-    values = dict(zip(view.sublocales, table))
+    values = dict(zip(frame.congruences, table))
     tracemalloc.start()
     try:
         with pytest.raises(AxiomViolation, match=r"^\(M3\) fails"):
-            validate_measure(view, values)
+            validate_measure(frame, values)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -282,30 +280,30 @@ def test_building_a_lattice_allocates_no_pair_list_or_tables():
 
 def table_of(mu):
     table = [v for _, v in mu.items()]
-    check_axioms(mu.view, table)
+    check_axioms(mu.frame, table)
     return table
 
 
 @pytest.mark.parametrize("name", sorted(corpus_lattices()) + SMALL + ["b32", "div360"])
 def test_random_measure_matches_per_sublocale_formula(name):
     lat = corpus_lattices()[name] if name in corpus_lattices() else lattice(name)
-    view = lat.congruence_frame().view()
+    frame = lat.congruence_frame()
     for seed in range(6):
         new_rng, old_rng = Random(seed), Random(seed)
         inf_probability = 0.25 if seed % 2 else 0.0
-        assert (table_of(random_measure(new_rng, view, inf_probability))
-                == random_table(old_rng, view, inf_probability))
+        assert (table_of(random_measure(new_rng, frame, inf_probability))
+                == random_table(old_rng, frame, inf_probability))
         assert new_rng.random() == old_rng.random()  # the same draws were made
 
 
 @pytest.mark.parametrize("name", ["b4", "b8", "b16", "b32"])
 def test_weights_measure_matches_per_sublocale_formula(name):
     lat = corpus_lattices().get(name) or lattice(name)
-    view = lat.congruence_frame().view()
+    frame = lat.congruence_frame()
     rng = Random(name)
     for _ in range(6):
         weights = {a: random_weight(rng, 0.25) for a in lat.atoms()}
-        assert table_of(measure_from_weights(view, weights)) == weights_table(view, weights)
+        assert table_of(measure_from_weights(frame, weights)) == weights_table(frame, weights)
 
 
 def random_space(rng, n):
@@ -330,13 +328,13 @@ def test_extend_measure_matches_per_sublocale_formula(n):
     rng = Random(n)
     for _ in range(8):
         space = random_space(rng, n)
-        view = space.view()
+        frame = space.frame()
         table = table_of(extend_measure(space))
         assert table == space_table(space)
         # the same space read as atom weights on its Boolean lattice
         weights = {space.name_of(a): space.lam[a] for a in space.atoms()}
-        assert table == weights_table(view, weights)
-        assert table_of(measure_from_weights(view, weights)) == table
+        assert table == weights_table(frame, weights)
+        assert table_of(measure_from_weights(frame, weights)) == table
 
 
 # -- distributivity: join-primality versus the triple sweep ------------------------

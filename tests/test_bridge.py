@@ -45,13 +45,13 @@ def test_to_localic_terms_and_preimage_table(space_xy):
     f = ClassicalSimpleFunction(space_xy, {"x": F(2), "y": F(3)})
     g = to_localic(f)
     cut = to_cut_function(g)
-    view = space_xy.view()
+    frame = space_xy.frame()
     # f(-,q) must be nabla of the strict sublevel set, at every grid rational
     for q in (F(0), F(2), F(5, 2), F(3), F(7, 2), F(100)):
-        expected = view.closed_sublocale(space_xy.name_of(preimage_below(f, q))).partition_name()
+        expected = frame.closed_sublocale(space_xy.name_of(preimage_below(f, q))).partition_name()
         assert cut.lower_at(q) == expected
     for p in (F(-1), F(2), F(5, 2), F(3), F(100)):
-        expected = view.closed_sublocale(space_xy.name_of(preimage_above(f, p))).partition_name()
+        expected = frame.closed_sublocale(space_xy.name_of(preimage_above(f, p))).partition_name()
         assert cut.upper_at(p) == expected
 
 
@@ -62,7 +62,7 @@ def test_to_localic_of_constants_and_indicators(space_xy):
     assert to_localic(const) == constant_simple(F(7), facade)
     indicator = ClassicalSimpleFunction(space_xy, {"x": F(1), "y": F(0)})
     assert to_localic(indicator) == characteristic_simple(
-        space_xy.view().closed_sublocale("x").partition_name(), facade)
+        space_xy.frame().closed_sublocale("x").partition_name(), facade)
 
 
 def test_to_localic_is_a_ring_homomorphism(space_xy):
@@ -82,11 +82,11 @@ def test_to_localic_is_a_ring_homomorphism(space_xy):
 
 def test_extend_measure_examples(space_xy):
     mu = extend_measure(space_xy)
-    view = space_xy.view()
-    assert mu.value(view.resolve_ref("open:x")) == 2
-    assert mu.value(view.resolve_ref("open:y")) == 3
-    assert mu.value(view.top) == 5
-    assert mu.value(view.bottom) == 0
+    frame = space_xy.frame()
+    assert mu.value(frame.resolve_ref("open:x")) == 2
+    assert mu.value(frame.resolve_ref("open:y")) == 3
+    assert mu.value(frame.top) == 5
+    assert mu.value(frame.bottom) == 0
 
 
 def test_extend_measure_zero_and_infinite():
@@ -94,9 +94,9 @@ def test_extend_measure_zero_and_infinite():
     assert all(v == 0 for _, v in extend_measure(sp0).items())
     spi = FiniteMeasurableSpace.powerset(["x", "y"], {"x": POS_INF, "y": F(3)})
     mu = extend_measure(spi)
-    view = spi.view()
-    assert mu.value(view.resolve_ref("open:x")) is POS_INF
-    assert mu.value(view.top) is POS_INF
+    frame = spi.frame()
+    assert mu.value(frame.resolve_ref("open:x")) is POS_INF
+    assert mu.value(frame.top) is POS_INF
 
 
 def test_bridge_check_examples(space_xy):
@@ -226,8 +226,8 @@ def test_spaces_over_equal_algebras_share_one_lattice():
     points = ["p0", "p1", "p2"]
     a = FiniteMeasurableSpace.powerset(points, {"p0": F(1), "p1": F(2), "p2": F(3)})
     b = FiniteMeasurableSpace.powerset(points, {"p0": F(5), "p1": POS_INF, "p2": F(0)})
-    assert a.lattice() is b.lattice() and a.view().frame is b.view().frame
-    top = a.view().top
+    assert a.lattice() is b.lattice() and a.frame() is b.frame()
+    top = a.frame().top
     assert (extend_measure(a).value(top), extend_measure(b).value(top)) == (F(6), POS_INF)
     other = FiniteMeasurableSpace.powerset(["q0", "q1", "q2"], {"q0": 1, "q1": 1, "q2": 1})
     assert other.lattice() is not a.lattice()

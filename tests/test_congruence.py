@@ -68,9 +68,9 @@ def test_congruence_counts(c3, b4, b8):
 def test_principal_congruence_examples(c3, b4):
     # theta(a, b) = nabla(a \/ b) /\ delta(a /\ b) in C(L), a join in S(L)
     def principal(lat, a, b):
-        view = lat.congruence_frame().view()
-        return view.join(view.closed_sublocale(lat.join(a, b)),
-                         view.open_sublocale(lat.meet(a, b)))
+        frame = lat.congruence_frame()
+        return frame.join(frame.closed_sublocale(lat.join(a, b)),
+                          frame.open_sublocale(lat.meet(a, b)))
 
     assert principal(c3, "0", "m").blocks() == (("0", "m"), ("1",))
     assert principal(c3, "m", "m") == equality_relation(c3)
@@ -79,55 +79,55 @@ def test_principal_congruence_examples(c3, b4):
 
 
 def test_open_closed_examples(c3, b4):
-    view = c3.congruence_frame().view()
-    d, n = view.open_sublocale("m"), view.closed_sublocale("m")
+    frame = c3.congruence_frame()
+    d, n = frame.open_sublocale("m"), frame.closed_sublocale("m")
     assert d.blocks() == (("0",), ("m", "1"))
     assert n.blocks() == (("0", "m"), ("1",))
-    assert view.open_sublocale("0") == all_pairs(c3) == view.bottom
-    assert view.closed_sublocale("0") == equality_relation(c3) == view.top
-    view = b4.congruence_frame().view()
-    assert view.open_sublocale("x") == view.closed_sublocale("y")
+    assert frame.open_sublocale("0") == all_pairs(c3) == frame.bottom
+    assert frame.closed_sublocale("0") == equality_relation(c3) == frame.top
+    frame = b4.congruence_frame()
+    assert frame.open_sublocale("x") == frame.closed_sublocale("y")
 
 
 def test_open_closed_are_complements(c3, b4, b8):
     for lat in (c3, b4, b8):
         frame = lat.congruence_frame()
-        view, facade = frame.view(), frame.as_lattice()
+        facade = frame.as_lattice()
         for a in lat.elements:
-            d, n = view.open_sublocale(a), view.closed_sublocale(a)
-            assert view.join(d, n) == view.top == equality_relation(lat)
-            assert view.meet(d, n) == view.bottom == all_pairs(lat)
-            assert view.complement(n) == d
+            d, n = frame.open_sublocale(a), frame.closed_sublocale(a)
+            assert frame.join(d, n) == frame.top == equality_relation(lat)
+            assert frame.meet(d, n) == frame.bottom == all_pairs(lat)
+            assert frame.complement(n) == d
             assert facade.complement(n.partition_name()) == d.partition_name()
 
 
 def test_congruence_complement_examples(c3):
-    view = c3.congruence_frame().view()
-    assert view.complement(equality_relation(c3)) == all_pairs(c3)
-    assert view.complement(view.closed_sublocale("m")) == view.open_sublocale("m")
+    frame = c3.congruence_frame()
+    assert frame.complement(equality_relation(c3)) == all_pairs(c3)
+    assert frame.complement(frame.closed_sublocale("m")) == frame.open_sublocale("m")
 
 
 def test_nabla_is_an_embedding(b8, c3):
     for lat in (b8, c3):
         frame = lat.congruence_frame()
-        view, facade = frame.view(), frame.as_lattice()
+        facade = frame.as_lattice()
         for a in lat.elements:
             for b in lat.elements:
-                na, nb = view.closed_sublocale(a), view.closed_sublocale(b)
-                nab = view.closed_sublocale(lat.meet(a, b))
-                assert nab == view.join(na, nb)
+                na, nb = frame.closed_sublocale(a), frame.closed_sublocale(b)
+                nab = frame.closed_sublocale(lat.meet(a, b))
+                assert nab == frame.join(na, nb)
                 assert facade.meet(na.partition_name(), nb.partition_name()) == nab.partition_name()
-                assert view.closed_sublocale(lat.join(a, b)) == view.meet(na, nb)
+                assert frame.closed_sublocale(lat.join(a, b)) == frame.meet(na, nb)
                 if a != b:
                     assert na != nb
 
 
 def test_delta_reverses_order(b8):
-    view = b8.congruence_frame().view()
+    frame = b8.congruence_frame()
     for a in b8.elements:
         for b in b8.elements:
             if b8.leq(a, b):
-                assert refines(view.open_sublocale(b), view.open_sublocale(a))
+                assert refines(frame.open_sublocale(b), frame.open_sublocale(a))
 
 
 def test_frame_is_boolean_at_this_scale(c3, b4, b8):
@@ -137,19 +137,19 @@ def test_frame_is_boolean_at_this_scale(c3, b4, b8):
 
 def test_quotient_examples(c3):
     # the quotient L/theta has one element per block
-    view = c3.congruence_frame().view()
-    n = view.closed_sublocale("m")
+    frame = c3.congruence_frame()
+    n = frame.closed_sublocale("m")
     assert n.n_blocks == 2
     assert n.blocks()[n.block_of[c3.index("0")]] == ("0", "m")
     assert n.blocks()[n.block_of[c3.index("1")]] == ("1",)
-    assert view.top.n_blocks == 3
-    assert view.bottom.n_blocks == 1
+    assert frame.top.n_blocks == 3
+    assert frame.bottom.n_blocks == 1
 
 
 def test_quotient_surjection_preserves_operations(b8):
     # x |-> J(x) & keep is the projection onto L/theta: it separates
     # exactly the blocks and preserves meets and joins
-    theta = b8.congruence_frame().view().closed_sublocale("x")
+    theta = b8.congruence_frame().closed_sublocale("x")
 
     def pi(a):
         return b8.jmask(a) & theta.keep
@@ -163,35 +163,35 @@ def test_quotient_surjection_preserves_operations(b8):
 
 
 def test_sublocale_view_order_and_refs(b4):
-    view = b4.congruence_frame().view()
-    assert view.ref_name(view.top) == "L"
-    assert view.ref_name(view.bottom) == "void"
-    ox = view.resolve_ref("open:x")
-    cy = view.resolve_ref("closed:y")
+    frame = b4.congruence_frame()
+    assert frame.ref_name(frame.top) == "L"
+    assert frame.ref_name(frame.bottom) == "void"
+    ox = frame.resolve_ref("open:x")
+    cy = frame.resolve_ref("closed:y")
     assert ox == cy  # delta(x) = nabla(y) in a Boolean algebra
-    assert view.leq(view.bottom, ox) and view.leq(ox, view.top)
-    assert view.meet(ox, view.resolve_ref("open:y")) == view.bottom
-    assert view.join(ox, view.resolve_ref("open:y")) == view.top
+    assert frame.leq(frame.bottom, ox) and frame.leq(ox, frame.top)
+    assert frame.meet(ox, frame.resolve_ref("open:y")) == frame.bottom
+    assert frame.join(ox, frame.resolve_ref("open:y")) == frame.top
     with pytest.raises(MalformedDocument):
-        view.resolve_ref("nonsense")
+        frame.resolve_ref("nonsense")
     with pytest.raises(MalformedDocument):
-        view.resolve_ref({"blocks": [["0", "x"], ["y"], ["1"]]})  # not a congruence
+        frame.resolve_ref({"blocks": [["0", "x"], ["y"], ["1"]]})  # not a congruence
 
 
 def test_explicit_partition_refs(b4):
-    view = b4.congruence_frame().view()
-    theta = view.resolve_ref({"blocks": [["0", "x"], ["y", "1"]]})
-    assert theta == view.open_sublocale("y")
-    assert view.resolve_ref("blocks:0,x|y,1") == theta
+    frame = b4.congruence_frame()
+    theta = frame.resolve_ref({"blocks": [["0", "x"], ["y", "1"]]})
+    assert theta == frame.open_sublocale("y")
+    assert frame.resolve_ref("blocks:0,x|y,1") == theta
 
 
 @pytest.mark.parametrize("ref", [{"blocks": [["0", "x"], ["y", "1"]], "zzz": 1},
                                  {"blocks": [["0", "x"], ["y", "1"]], "kind": "blocks"},
                                  {"zzz": [["0", "x"], ["y", "1"]]}, {}])
 def test_dict_refs_hold_blocks_and_nothing_else(b4, ref):
-    view = b4.congruence_frame().view()
+    frame = b4.congruence_frame()
     with pytest.raises(MalformedDocument, match=r"^bad sublocale reference: "):
-        view.resolve_ref(ref)
+        frame.resolve_ref(ref)
 
 
 @pytest.mark.parametrize("ref, message", [
@@ -202,9 +202,9 @@ def test_dict_refs_hold_blocks_and_nothing_else(b4, ref):
     ("blocks:0,x|y,1 ", "unknown lattice element '1 '"),
 ])
 def test_refs_take_no_surrounding_whitespace(b4, ref, message):
-    view = b4.congruence_frame().view()
+    frame = b4.congruence_frame()
     with pytest.raises(MalformedDocument) as caught:
-        view.resolve_ref(ref)
+        frame.resolve_ref(ref)
     assert str(caught.value) == message
 
 
@@ -219,11 +219,11 @@ def test_validate_congruence_rejects_non_congruences(b4):
 def test_every_congruence_is_complemented_in_frame(c3, b4, b8):
     for lat in (c3, b4, b8):
         frame = lat.congruence_frame()
-        view, facade = frame.view(), frame.as_lattice()
+        facade = frame.as_lattice()
         for theta in frame.congruences:
-            comp = view.complement(theta)
-            assert view.join(theta, comp) == view.top == equality_relation(lat)
-            assert view.meet(theta, comp) == view.bottom == all_pairs(lat)
+            comp = frame.complement(theta)
+            assert frame.join(theta, comp) == frame.top == equality_relation(lat)
+            assert frame.meet(theta, comp) == frame.bottom == all_pairs(lat)
             assert facade.complement(theta.partition_name()) == comp.partition_name()
 
 
@@ -245,18 +245,18 @@ def test_ref_names_round_trip_even_without_labels():
     from locint.corpus import divisor_lattice
     from locint.lattice import chain_lattice
     for lat in (chain_lattice(["0", "a", "b", "1"]), divisor_lattice(60)):
-        view = lat.congruence_frame().view()
-        for s in view.sublocales:
-            assert view.resolve_ref(view.ref_name(s)) == s
+        frame = lat.congruence_frame()
+        for s in frame.congruences:
+            assert frame.resolve_ref(frame.ref_name(s)) == s
     c4 = chain_lattice(["0", "a", "b", "1"])
-    view = c4.congruence_frame().view()
+    frame = c4.congruence_frame()
     middle = Congruence.from_blocks(c4, [["0"], ["a", "b"], ["1"]])
-    assert view.ref_name(middle) == "blocks:0|a,b|1"
-    assert view.resolve_ref("blocks:0|a,b|1") == middle
+    assert frame.ref_name(middle) == "blocks:0|a,b|1"
+    assert frame.resolve_ref("blocks:0|a,b|1") == middle
 
 
 def test_threads_racing_on_a_fresh_lattice_agree():
-    # the frame, the facade and the view are built on first use; eight
+    # the frame, its facade and its point bits are built on first use; eight
     # threads start on a lattice that has built none of them
     import sys
     from fractions import Fraction
@@ -277,12 +277,11 @@ def test_threads_racing_on_a_fresh_lattice_agree():
             barrier.wait(timeout=60)
             frame = lat.congruence_frame()
             facade = frame.as_lattice()
-            view = frame.view()
-            mu = validate_measure(view, {s: Fraction(bin(s.keep).count("1"))
-                                         for s in view.sublocales})
-            g = canonicalize(facade, [(Fraction(2), view.closed_sublocale("4").partition_name()),
-                                      (Fraction(-1, 3), view.open_sublocale("5").partition_name())])
-            results[k] = (facade.elements, [view.ref_name(s) for s in view.sublocales],
+            mu = validate_measure(frame, {s: Fraction(bin(s.keep).count("1"))
+                                          for s in frame.congruences})
+            g = canonicalize(facade, [(Fraction(2), frame.closed_sublocale("4").partition_name()),
+                                      (Fraction(-1, 3), frame.open_sublocale("5").partition_name())])
+            results[k] = (facade.elements, [frame.ref_name(s) for s in frame.congruences],
                           [v for _, v in mu.items()], g.terms, integrate_simple(g, mu))
         except Exception as exc:  # reported by the assertion below
             errors.append(exc)
@@ -303,7 +302,7 @@ def test_threads_racing_on_a_fresh_lattice_agree():
 
 
 def test_every_operand_of_another_lattice_is_rejected(b4, b8):
-    """A sublocale of B8 on the B4 view: every operation and every reader
+    """A sublocale of B8 on the B4 frame: every operation and every reader
     raises the one message, whichever operand is foreign."""
     from fractions import Fraction
 
@@ -311,20 +310,20 @@ def test_every_operand_of_another_lattice_is_rejected(b4, b8):
     from locint.measure import validate_measure
     from locint.simple import constant_simple
 
-    view, other = b4.congruence_frame().view(), b8.congruence_frame().view()
-    top = view.top
-    mu = validate_measure(view, {s: Fraction(bin(s.keep).count("1")) for s in view.sublocales})
-    g = constant_simple(Fraction(1), view.frame.as_lattice())
+    frame, other = b4.congruence_frame(), b8.congruence_frame()
+    top = frame.top
+    mu = validate_measure(frame, {s: Fraction(bin(s.keep).count("1")) for s in frame.congruences})
+    g = constant_simple(Fraction(1), frame.as_lattice())
     for foreign in (other._sublocale(3), other.top, other.bottom):
-        table = dict(zip(view.sublocales, [v for _, v in mu.items()]))
+        table = dict(zip(frame.congruences, [v for _, v in mu.items()]))
         table[foreign] = Fraction(-1)  # the sublocale is checked before its value
-        calls = [lambda: view.leq(top, foreign), lambda: view.leq(foreign, top),
-                 lambda: view.meet(top, foreign), lambda: view.meet(foreign, top),
-                 lambda: view.join(top, foreign), lambda: view.join(foreign, top),
-                 lambda: view.complement(foreign), lambda: view.ref_name(foreign),
-                 lambda: view.frame.labels_of(foreign), lambda: view.frame.element_of(foreign),
+        calls = [lambda: frame.leq(top, foreign), lambda: frame.leq(foreign, top),
+                 lambda: frame.meet(top, foreign), lambda: frame.meet(foreign, top),
+                 lambda: frame.join(top, foreign), lambda: frame.join(foreign, top),
+                 lambda: frame.complement(foreign), lambda: frame.ref_name(foreign),
+                 lambda: frame.labels_of(foreign), lambda: frame.element_of(foreign),
                  lambda: mu.value(foreign), lambda: integrate_simple(g, mu, over=foreign),
-                 lambda: validate_measure(view, table)]
+                 lambda: validate_measure(frame, table)]
         message = f"^{re.escape(foreign.partition_name())} is not a congruence of this lattice$"
         for call in calls:
             with pytest.raises(MalformedDocument, match=message):
@@ -349,14 +348,13 @@ MASK_LATTICES = _mask_lattices()
 
 @pytest.mark.parametrize("name", sorted(MASK_LATTICES))
 def test_a_sublocale_built_from_its_mask_is_the_listed_one(name):
-    """For every keep-mask, the sublocale the view builds from the lattice
+    """For every keep-mask, the sublocale the frame builds from the lattice
     alone is the frame's listed congruence, partition and name included,
     and ``element_of`` inverts ``congruence_of_element``."""
     frame = MASK_LATTICES[name].congruence_frame()
-    view = frame.view()
     assert sorted(theta.keep for theta in frame.congruences) == list(range(frame.size))
     for theta in frame.congruences:
-        built = view._sublocale(theta.keep)
+        built = frame._sublocale(theta.keep)
         assert built == theta and built is not theta
         assert built.block_of == theta.block_of
         assert built.partition_name() == theta.partition_name()

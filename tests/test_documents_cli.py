@@ -99,7 +99,7 @@ def test_documents_outside_the_grammar(load, doc, message):
 
 
 def test_function_and_measure_documents_outside_the_grammar(b4):
-    view = b4.congruence_frame().view()
+    frame = b4.congruence_frame()
     cases = [
         (lambda: load_function({"kind": "constant", "value": 2}, b4),
          "bad extended rational in constant: 2"),
@@ -108,9 +108,9 @@ def test_function_and_measure_documents_outside_the_grammar(b4):
          "bad rational in breakpoints: 0"),
         (lambda: load_function({"kind": "simple", "terms": [["1", "x"]], "value": "1"}, b4),
          "unknown key 'value' in a simple function document"),
-        (lambda: load_measure({"values": {"L": "1"}, "kind": "values"}, view),
+        (lambda: load_measure({"values": {"L": "1"}, "kind": "values"}, frame),
          "unknown key 'kind' in a measure document"),
-        (lambda: load_measure({"on_open_weights": {"x": 1, "y": "1"}}, view),
+        (lambda: load_measure({"on_open_weights": {"x": 1, "y": "1"}}, frame),
          "bad extended rational in weight of 'x': 1"),
         (lambda: load_classical_function({"kind": "classical", "values": {"x": 2}}, None),
          "bad rational in value at 'x': 2"),
@@ -127,7 +127,7 @@ def test_function_and_measure_documents_outside_the_grammar(b4):
 
 
 def test_load_function_kinds(b4):
-    view = b4.congruence_frame().view()
+    frame = b4.congruence_frame()
     fn = load_function({"kind": "constant", "value": "3/2"}, b4)
     assert fn.cut == cf.constant(F(3, 2), b4)
     fn = load_function({"kind": "constant", "value": "inf"}, b4)
@@ -137,7 +137,7 @@ def test_load_function_kinds(b4):
     fn = load_function({"kind": "cut", "breakpoints": ["0", "1"],
                         "upper": ["1", "x", "0"], "lower": ["0", "y", "1"]}, b4)
     assert fn.cut == cf.characteristic("x", b4)
-    fn = load_function({"kind": "simple", "terms": [["2", "open:x"]]}, b4, view)
+    fn = load_function({"kind": "simple", "terms": [["2", "open:x"]]}, b4, frame)
     assert fn.as_simple().carrier == b4.congruence_frame().as_lattice()
 
 
@@ -151,13 +151,13 @@ def test_load_function_errors(b4):
 
 
 def test_load_measure_both_forms(b4):
-    view = b4.congruence_frame().view()
-    mu1 = load_measure({"on_open_weights": {"x": "2", "y": "3"}}, view)
-    mu2 = load_measure({"values": {"L": "5", "void": "0", "open:x": "2", "open:y": "3"}}, view)
-    for s in view.sublocales:
+    frame = b4.congruence_frame()
+    mu1 = load_measure({"on_open_weights": {"x": "2", "y": "3"}}, frame)
+    mu2 = load_measure({"values": {"L": "5", "void": "0", "open:x": "2", "open:y": "3"}}, frame)
+    for s in frame.congruences:
         assert mu1.value(s) == mu2.value(s)
     with pytest.raises(MalformedDocument):
-        load_measure({"values": {"L": "5"}}, view)
+        load_measure({"values": {"L": "5"}}, frame)
 
 
 def test_load_space_with_explicit_algebra():

@@ -355,9 +355,9 @@ def test_hashes_agree_with_equality():
     # to_localic, against the nabla of each level set named by its partition
     for points in (["x"], ["x", "y"], ["p", "q", "r", "s"]):
         space = FiniteMeasurableSpace.powerset(points, {p: F(1) for p in points})
-        view = space.lattice().congruence_frame().view()
+        frame = space.lattice().congruence_frame()
         for _ in range(10):
             f = ClassicalSimpleFunction(space, {p: random_rational(rng, -3, 3) for p in points})
             same_as_by_names(to_localic(f), [
-                (r, view.closed_sublocale(space.name_of(level)).partition_name())
+                (r, frame.closed_sublocale(space.name_of(level)).partition_name())
                 for r, level in f.level_sets()])

@@ -360,10 +360,10 @@ def test_decomposition_matches_the_name_based_steps(name):
 @pytest.mark.parametrize("name", ["b4", "b8", "div12", "c3"])
 def test_summability_matches_the_parts(name):
     frame = corpus_lattices()[name].congruence_frame()
-    view, facade = frame.view(), frame.as_lattice()
+    facade = frame.as_lattice()
     rng = Random(f"summability-{name}")
-    measures = [random_measure(rng, view, inf_probability=p) for p in (0.0, 0.3, 0.6)]
-    subs = [None] + list(view.sublocales)
+    measures = [random_measure(rng, frame, inf_probability=p) for p in (0.0, 0.3, 0.6)]
+    subs = [None] + list(frame.congruences)
     for _ in range(60):
         g = random_simple(rng, facade, max_parts=4, denominators=(1, 7, 11, 10**9 + 7))
         if rng.random() < 0.3:
@@ -382,9 +382,9 @@ def test_integrals_match_the_sums_by_names(name):
     ladder sums by name; signed, vector-held and extended integrands under
     measures with +inf atoms."""
     frame = INTEGRAL_FRAMES[name]
-    view, facade = frame.view(), frame.as_lattice()
+    facade = frame.as_lattice()
     rng = Random(f"integrals-{name}")
-    measures = [random_measure(rng, view, inf_probability=p) for p in (0.0, 0.3, 0.6)]
+    measures = [random_measure(rng, frame, inf_probability=p) for p in (0.0, 0.3, 0.6)]
     simples = [random_simple(rng, facade, max_parts=4, denominators=(1, 7, 11, 10**9 + 7))
                for _ in range(4)]
     simples += [sf_add(g, h) for g, h in zip(simples, simples[1:])]  # vector-held
@@ -394,7 +394,7 @@ def test_integrals_match_the_sums_by_names(name):
         for g in nonneg:
             eta = indefinite_integral(g, mu)
             assert list(eta.items()) == list(indefinite_by_atoms(g, mu).items())
-        for s in [None, *view.sublocales]:
+        for s in [None, *frame.congruences]:
             for g in simples:
                 assert summability(g, mu, s) == summability_by_terms(g, mu, s), (g, s)
                 report = summability_by_terms(g, mu, s)
@@ -408,13 +408,13 @@ def test_integrals_match_the_sums_by_names(name):
                         == outcome(integrate_general_by_ladders, f, mu, s)), (f, s)
 
 
-def _edge_measures(rng, view):
+def _edge_measures(rng, frame):
     """Measures whose atom values mix 0, +inf and finite values, plus the
     all-0 and the all-+inf measure."""
-    n = len(view.frame.lattice._jirr)
+    n = len(frame.lattice._jirr)
     draws = [[rng.choice((F(0), POS_INF, F(rng.randint(1, 9), rng.choice((1, 2, 7)))))
               for _ in range(n)] for _ in range(4)]
-    return [Measure(view, values) for values in draws + [[F(0)] * n, [POS_INF] * n]]
+    return [Measure(frame, values) for values in draws + [[F(0)] * n, [POS_INF] * n]]
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -426,15 +426,15 @@ def test_the_int_signed_sum_matches_the_sums_by_names(seed):
     and for extended functions with +-inf values."""
     rng = Random(f"signed-sum-{seed}")
     frame = downset_lattice(rng, rng.randint(1, 4)).congruence_frame()
-    view, facade = frame.view(), frame.as_lattice()
+    facade = frame.as_lattice()
     comp = facade.complemented_elements()
     simples = [zero(facade), characteristic_simple(rng.choice(comp), facade)]
     simples += [random_simple(rng, facade, max_parts=4, denominators=(1, 3, 7)) for _ in range(4)]
     cuts = [with_infinite_ends(to_cut_function(g), *ends) for g in simples
             for ends in ((facade.bottom, facade.bottom), (rng.choice(comp), facade.bottom))]
     cuts += [with_infinite_ends(to_cut_function(zero(facade)), facade.bottom, a) for a in comp]
-    for mu in _edge_measures(rng, view):
-        for s in [None, *view.sublocales]:
+    for mu in _edge_measures(rng, frame):
+        for s in [None, *frame.congruences]:
             for g in simples:
                 report = summability(g, mu, s)
                 assert report == summability_by_terms(g, mu, s) == summability_by_parts(g, mu, s)

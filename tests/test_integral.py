@@ -27,36 +27,35 @@ from locint.rationals import NEG_INF, POS_INF
 @pytest.fixture(scope="module")
 def setting(b4):
     frame = b4.congruence_frame()
-    view = frame.view()
     facade = frame.as_lattice()
-    nx = view.closed_sublocale("x").partition_name()
-    ny = view.closed_sublocale("y").partition_name()
-    mu = measure_from_weights(view, {"x": F(2), "y": F(3)})
-    return view, facade, nx, ny, mu
+    nx = frame.closed_sublocale("x").partition_name()
+    ny = frame.closed_sublocale("y").partition_name()
+    mu = measure_from_weights(frame, {"x": F(2), "y": F(3)})
+    return frame, facade, nx, ny, mu
 
 
 def test_constant_one_integrates_to_total_mass(setting):
-    view, facade, nx, ny, mu = setting
+    frame, facade, nx, ny, mu = setting
     value, report = integrate_simple(sf.constant_simple(F(1), facade), mu)
     assert value == 5 and report.classification == SUMMABLE
 
 
 def test_zero_integrates_to_zero(setting):
-    view, facade, nx, ny, mu = setting
-    for s in view.sublocales:
+    frame, facade, nx, ny, mu = setting
+    for s in frame.congruences:
         assert integrate_simple(sf.zero(facade), mu, s)[0] == 0
 
 
 def test_weighted_sum_example(setting):
-    view, facade, nx, ny, mu = setting
+    frame, facade, nx, ny, mu = setting
     g = sf.canonicalize(facade, [(F(2), nx), (F(3), ny)])
     assert integrate_simple(g, mu)[0] == 13
-    assert integrate_simple(g, mu, view.resolve_ref("open:x"))[0] == 4
+    assert integrate_simple(g, mu, frame.resolve_ref("open:x"))[0] == 4
 
 
 def test_signed_with_infinite_weight(b4, setting):
-    view, facade, nx, ny, _ = setting
-    mu = measure_from_weights(view, {"x": F(2), "y": POS_INF})
+    frame, facade, nx, ny, _ = setting
+    mu = measure_from_weights(frame, {"x": F(2), "y": POS_INF})
     g = sf.canonicalize(facade, [(F(2), nx), (F(-3), ny)])
     value, report = integrate_simple(g, mu)
     assert value is NEG_INF
@@ -65,8 +64,8 @@ def test_signed_with_infinite_weight(b4, setting):
 
 
 def test_not_integrable_raises(b4, setting):
-    view, facade, nx, ny, _ = setting
-    mu = measure_from_weights(view, {"x": POS_INF, "y": POS_INF})
+    frame, facade, nx, ny, _ = setting
+    mu = measure_from_weights(frame, {"x": POS_INF, "y": POS_INF})
     g = sf.canonicalize(facade, [(F(-1), nx), (F(1), ny)])
     with pytest.raises(NotIntegrable):
         integrate_simple(g, mu)
@@ -74,35 +73,35 @@ def test_not_integrable_raises(b4, setting):
 
 
 def test_zero_times_infinity_in_the_sum(b4, setting):
-    view, facade, nx, ny, _ = setting
-    mu = measure_from_weights(view, {"x": F(2), "y": POS_INF})
+    frame, facade, nx, ny, _ = setting
+    mu = measure_from_weights(frame, {"x": F(2), "y": POS_INF})
     g = sf.canonicalize(facade, [(F(0), ny), (F(2), nx)])
     value, report = integrate_simple(g, mu)
     assert value == 4 and report.classification == SUMMABLE
 
 
 def test_restrict_vs_multiply(setting):
-    view, facade, nx, ny, mu = setting
+    frame, facade, nx, ny, mu = setting
     g = sf.canonicalize(facade, [(F(2), nx), (F(3), ny)])
-    w = restrict_vs_multiply(g, mu, view.resolve_ref("open:x"))
+    w = restrict_vs_multiply(g, mu, frame.resolve_ref("open:x"))
     assert w.restricted == w.multiplied == 4
-    w = restrict_vs_multiply(sf.zero(facade), mu, view.resolve_ref("open:y"))
+    w = restrict_vs_multiply(sf.zero(facade), mu, frame.resolve_ref("open:y"))
     assert w.restricted == w.multiplied == 0
-    w = restrict_vs_multiply(sf.constant_simple(F(1), facade), mu, view.bottom)
+    w = restrict_vs_multiply(sf.constant_simple(F(1), facade), mu, frame.bottom)
     assert w.restricted == w.multiplied == 0
 
 
 def test_indefinite_integral_example(setting):
-    view, facade, nx, ny, mu = setting
+    frame, facade, nx, ny, mu = setting
     g = sf.canonicalize(facade, [(F(2), nx), (F(3), ny)])
     eta = indefinite_integral(g, mu)
-    assert eta.value(view.bottom) == 0
-    assert eta.value(view.resolve_ref("open:x")) == 4
-    assert eta.value(view.resolve_ref("open:y")) == 9
-    assert eta.value(view.top) == 13
-    assert indefinite_integral(sf.zero(facade), mu).value(view.top) == 0
+    assert eta.value(frame.bottom) == 0
+    assert eta.value(frame.resolve_ref("open:x")) == 4
+    assert eta.value(frame.resolve_ref("open:y")) == 9
+    assert eta.value(frame.top) == 13
+    assert indefinite_integral(sf.zero(facade), mu).value(frame.top) == 0
     eta1 = indefinite_integral(sf.constant_simple(F(1), facade), mu)
-    for s in view.sublocales:
+    for s in frame.congruences:
         assert eta1.value(s) == mu.value(s)
 
 
@@ -118,11 +117,11 @@ def differential_lattices():
 def test_indefinite_integral_is_the_integral_over_each_sublocale(name, lat):
     # summed from the atoms, checked against the integral over every S;
     # +inf atom weights and zero coefficients make 0 * inf terms
-    view = lat.congruence_frame().view()
-    facade = view.frame.as_lattice()
+    frame = lat.congruence_frame()
+    facade = frame.as_lattice()
     rng = Random(name)
     for _ in range(8):
-        mu = random_measure(rng, view, inf_probability=0.3)
+        mu = random_measure(rng, frame, inf_probability=0.3)
         g = random_simple(rng, facade, nonneg=True, coeff_hi=2, denominators=(1, 2))
         eta = indefinite_integral(g, mu)
         for s, v in eta.items():
@@ -130,25 +129,25 @@ def test_indefinite_integral_is_the_integral_over_each_sublocale(name, lat):
 
 
 def test_indefinite_needs_nonnegative(setting):
-    view, facade, nx, ny, mu = setting
+    frame, facade, nx, ny, mu = setting
     with pytest.raises(NotNonnegative):
         indefinite_integral(sf.canonicalize(facade, [(F(-1), nx)]), mu)
 
 
 def test_nonnegativity_certificate_examples(setting):
-    view, facade, nx, ny, mu = setting
+    frame, facade, nx, ny, mu = setting
     g = sf.canonicalize(facade, [(F(-1), ny), (F(2), nx)])
-    assert nonnegativity_certificate(g, mu, view.resolve_ref("open:x"))
-    assert integrate_simple(g, mu, view.resolve_ref("open:x"))[0] == 4
+    assert nonnegativity_certificate(g, mu, frame.resolve_ref("open:x"))
+    assert integrate_simple(g, mu, frame.resolve_ref("open:x"))[0] == 4
     gpos = sf.canonicalize(facade, [(F(1), nx), (F(2), ny)])
-    assert nonnegativity_certificate(gpos, mu, view.resolve_ref("open:y"))
-    assert not nonnegativity_certificate(sf.constant_simple(F(-1), facade), mu, view.top)
+    assert nonnegativity_certificate(gpos, mu, frame.resolve_ref("open:y"))
+    assert not nonnegativity_certificate(sf.constant_simple(F(-1), facade), mu, frame.top)
 
 
 def test_certificate_rejects_a_sublocale_of_another_lattice(setting, c3):
     """Every congruence of c3 against a B4 measure raises as
     ``integrate_simple`` does, whether the certificate would fail or hold."""
-    view, facade, nx, ny, mu = setting
+    frame, facade, nx, ny, mu = setting
     for s in c3.congruence_frame().congruences:
         for g in (sf.constant_simple(F(-1), facade), sf.constant_simple(F(1), facade)):
             with pytest.raises(MalformedDocument, match="is not a congruence of this lattice"):
@@ -156,17 +155,17 @@ def test_certificate_rejects_a_sublocale_of_another_lattice(setting, c3):
 
 
 def test_representation_independence_with_null_negative_terms(setting):
-    view, facade, nx, ny, mu = setting
+    frame, facade, nx, ny, mu = setting
     g = sf.canonicalize(facade, [(F(2), nx), (F(3), ny)])
     rep = [(F(3), ny), (F(2), nx), (F(-5), facade.bottom)]
     assert integral_of_representation(rep, mu) == 13
     # the negative coefficient can only ride on a null part
-    s_bottom = view.complement(view.frame.congruence_of_element(facade.bottom))
+    s_bottom = frame.complement(frame.congruence_of_element(facade.bottom))
     assert mu.value(s_bottom) == 0
 
 
 def test_general_integral_consistency(setting):
-    view, facade, nx, ny, mu = setting
+    frame, facade, nx, ny, mu = setting
     g = sf.canonicalize(facade, [(F(2), nx), (F(3), ny)])
     assert integrate_general(sf.to_cut_function(g), mu) == 13
     assert integrate_general(sf.to_cut_function(sf.zero(facade)), mu) == 0
@@ -174,18 +173,18 @@ def test_general_integral_consistency(setting):
 
 
 def test_general_integral_of_partially_infinite_function(setting):
-    view, facade, nx, ny, mu = setting
+    frame, facade, nx, ny, mu = setting
     # +inf on o(x), 1 on o(y)
     f = cf.CutFunction(facade, (F(1),),
                        (facade.top, nx), (facade.bottom, facade.complement(nx)))
     assert integrate_general(f, mu) is POS_INF
     # with a measure that kills o(x), only the finite part remains
-    mu0 = measure_from_weights(view, {"x": F(0), "y": F(3)})
+    mu0 = measure_from_weights(frame, {"x": F(0), "y": F(3)})
     assert integrate_general(f, mu0) == 3
 
 
 def test_general_integral_dominates_minorants(setting):
-    view, facade, nx, ny, mu = setting
+    frame, facade, nx, ny, mu = setting
     rng = Random(11)
     f = sf.to_cut_function(sf.canonicalize(facade, [(F(1), nx), (F(4), ny)]))
     sup = integrate_general(f, mu)
@@ -207,15 +206,15 @@ def test_sigma_continuity_on_stabilizing_chains():
     rng = Random(9)
     from locint.rationals import ext_le
     for name, lat in corpus_lattices().items():
-        view = lat.congruence_frame().view()
+        frame = lat.congruence_frame()
         facade = lat.congruence_frame().as_lattice()
         for _ in range(10):
-            mu = random_measure(rng, view, inf_probability=0.1)
+            mu = random_measure(rng, frame, inf_probability=0.1)
             g = random_simple(rng, facade, nonneg=True, coeff_hi=5)
-            chain = [view.bottom]
+            chain = [frame.bottom]
             for _ in range(3):
-                s = view.sublocales[rng.randrange(len(view.sublocales))]
-                chain.append(view.join(chain[-1], s))
+                s = frame.congruences[rng.randrange(len(frame.congruences))]
+                chain.append(frame.join(chain[-1], s))
             limit_sub = chain[-1]
             values = [integrate_simple(g, mu, s)[0] for s in chain]
             for a, b in zip(values, values[1:]):
@@ -226,10 +225,10 @@ def test_sigma_continuity_on_stabilizing_chains():
 def test_scalar_linearity_and_monotonicity_random():
     rng = Random(5)
     for name, lat in corpus_lattices().items():
-        view = lat.congruence_frame().view()
+        frame = lat.congruence_frame()
         facade = lat.congruence_frame().as_lattice()
         for _ in range(20):
-            mu = random_measure(rng, view)
+            mu = random_measure(rng, frame)
             g = random_simple(rng, facade, coeff_lo=-5, coeff_hi=5)
             lam = F(rng.randint(-6, 6), rng.choice((1, 2, 3)))
             from locint.rationals import ext_scale

@@ -1,5 +1,5 @@
-"""Differential tests for the keep-mask lookups of the frame, the S(L)
-view and a measure: ``labels_of``, ``ref_name``, ``closed_sublocale``
+"""Differential tests for the keep-mask lookups of the frame (for C(L)
+and for S(L)) and a measure: ``labels_of``, ``ref_name``, ``closed_sublocale``
 (nabla) and ``open_sublocale`` (delta) against scans of every element of
 L, and a measure's values against the table built sublocale by sublocale
 in frame order."""
@@ -42,27 +42,25 @@ LATTICES = lattices()
 def test_labels_and_names_agree_with_the_element_scan(name):
     lat = LATTICES[name]
     frame = lat.congruence_frame()
-    view = frame.view()
     for theta in frame.congruences:
         assert frame.labels_of(theta) == labels_by_scan(theta)
-        assert view.ref_name(theta) == ref_name_by_scan(view, theta)
+        assert frame.ref_name(theta) == ref_name_by_scan(frame, theta)
     for a in lat.elements:
-        assert view.closed_sublocale(a) == nabla_by_partition(lat, a)
-        assert view.open_sublocale(a) == delta_by_partition(lat, a)
+        assert frame.closed_sublocale(a) == nabla_by_partition(lat, a)
+        assert frame.open_sublocale(a) == delta_by_partition(lat, a)
 
 
 def test_an_element_named_empty_is_a_label():
     frame = LATTICES["empty_name"].congruence_frame()
-    view = frame.view()
-    middle = view.closed_sublocale("")
+    middle = frame.closed_sublocale("")
     assert frame.labels_of(middle)["nabla"] == ("",)
-    assert frame.labels_of(view.open_sublocale(""))["delta"] == ("",)
-    assert view.ref_name(view.open_sublocale("")) == "open:"
+    assert frame.labels_of(frame.open_sublocale(""))["delta"] == ("",)
+    assert frame.ref_name(frame.open_sublocale("")) == "open:"
 
 
 def test_unknown_element_is_malformed(b4):
-    view = b4.congruence_frame().view()
-    for label in (view.closed_sublocale, view.open_sublocale):
+    frame = b4.congruence_frame()
+    for label in (frame.closed_sublocale, frame.open_sublocale):
         with pytest.raises(MalformedDocument, match="unknown lattice element"):
             label("nope")
 
@@ -70,13 +68,13 @@ def test_unknown_element_is_malformed(b4):
 @pytest.mark.parametrize("name", sorted(LATTICES))
 @pytest.mark.parametrize("inf_probability", [0.0, 0.3])
 def test_measure_values_agree_with_the_frame_order_table(name, inf_probability):
-    view = LATTICES[name].congruence_frame().view()
+    frame = LATTICES[name].congruence_frame()
     rng = Random(f"{name}-{inf_probability}")
     for _ in range(3):
-        table = random_table(rng, view, inf_probability)
-        by_keep = {s.keep: v for s, v in zip(view.sublocales, table)}
-        mu = Measure(view, [by_keep[1 << k] for k in range(len(view.atoms()))])
-        assert list(mu.items()) == list(zip(view.sublocales, table))
-        assert [mu.value(s) for s in view.sublocales] == table
-        checked = validate_measure(view, dict(zip(view.sublocales, table)))
+        table = random_table(rng, frame, inf_probability)
+        by_keep = {s.keep: v for s, v in zip(frame.congruences, table)}
+        mu = Measure(frame, [by_keep[1 << k] for k in range(len(frame.atoms()))])
+        assert list(mu.items()) == list(zip(frame.congruences, table))
+        assert [mu.value(s) for s in frame.congruences] == table
+        checked = validate_measure(frame, dict(zip(frame.congruences, table)))
         assert list(checked.items()) == list(mu.items())

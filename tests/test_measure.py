@@ -21,112 +21,108 @@ from locint.rationals import NEG_INF, POS_INF, format_extended
 from locint.simple import to_cut_function
 
 
-def view_of(lat):
-    return lat.congruence_frame().view()
-
-
 def test_weights_example(b4):
-    view = view_of(b4)
-    mu = measure_from_weights(view, {"x": F(2), "y": F(3)})
-    assert mu.value(view.resolve_ref("void")) == 0
-    assert mu.value(view.resolve_ref("open:x")) == 2
-    assert mu.value(view.resolve_ref("open:y")) == 3
-    assert mu.value(view.resolve_ref("L")) == 5
+    frame = b4.congruence_frame()
+    mu = measure_from_weights(frame, {"x": F(2), "y": F(3)})
+    assert mu.value(frame.resolve_ref("void")) == 0
+    assert mu.value(frame.resolve_ref("open:x")) == 2
+    assert mu.value(frame.resolve_ref("open:y")) == 3
+    assert mu.value(frame.resolve_ref("L")) == 5
 
 
 def test_explicit_values_validate(b4):
-    view = view_of(b4)
-    values = {view.resolve_ref("void"): F(0), view.resolve_ref("open:x"): F(2),
-              view.resolve_ref("open:y"): F(3), view.resolve_ref("L"): F(5)}
-    mu = validate_measure(view, values)
-    assert mu.value(view.top) == 5
+    frame = b4.congruence_frame()
+    values = {frame.resolve_ref("void"): F(0), frame.resolve_ref("open:x"): F(2),
+              frame.resolve_ref("open:y"): F(3), frame.resolve_ref("L"): F(5)}
+    mu = validate_measure(frame, values)
+    assert mu.value(frame.top) == 5
 
 
 def test_modularity_violation_names_the_pair(b4):
-    view = view_of(b4)
-    values = {view.resolve_ref("void"): F(0), view.resolve_ref("open:x"): F(4),
-              view.resolve_ref("open:y"): F(3), view.resolve_ref("L"): F(5)}
+    frame = b4.congruence_frame()
+    values = {frame.resolve_ref("void"): F(0), frame.resolve_ref("open:x"): F(4),
+              frame.resolve_ref("open:y"): F(3), frame.resolve_ref("L"): F(5)}
     with pytest.raises(AxiomViolation) as err:
-        validate_measure(view, values)
+        validate_measure(frame, values)
     assert "(M3)" in str(err.value)
     assert "open:x" in str(err.value) and "open:y" in str(err.value)
 
 
 def test_monotonicity_violation(b4):
-    view = view_of(b4)
-    values = {view.resolve_ref("void"): F(0), view.resolve_ref("open:x"): F(6),
-              view.resolve_ref("open:y"): F(0), view.resolve_ref("L"): F(5)}
+    frame = b4.congruence_frame()
+    values = {frame.resolve_ref("void"): F(0), frame.resolve_ref("open:x"): F(6),
+              frame.resolve_ref("open:y"): F(0), frame.resolve_ref("L"): F(5)}
     with pytest.raises(AxiomViolation) as err:
-        validate_measure(view, values)
+        validate_measure(frame, values)
     assert "(M2)" in str(err.value) or "(M3)" in str(err.value)
 
 
 def test_strictness_violation(b4):
-    view = view_of(b4)
-    values = {view.resolve_ref("void"): F(1), view.resolve_ref("open:x"): F(2),
-              view.resolve_ref("open:y"): F(3), view.resolve_ref("L"): F(4)}
+    frame = b4.congruence_frame()
+    values = {frame.resolve_ref("void"): F(1), frame.resolve_ref("open:x"): F(2),
+              frame.resolve_ref("open:y"): F(3), frame.resolve_ref("L"): F(4)}
     with pytest.raises(AxiomViolation) as err:
-        validate_measure(view, values)
+        validate_measure(frame, values)
     assert "(M1)" in str(err.value)
 
 
 def test_zero_measure_everywhere(b4, c3):
     for lat in (b4, c3):
-        view = view_of(lat)
-        mu = validate_measure(view, {s: F(0) for s in view.sublocales})
+        frame = lat.congruence_frame()
+        mu = validate_measure(frame, {s: F(0) for s in frame.congruences})
         assert all(v == 0 for _, v in mu.items())
 
 
 def test_totality_is_required(b4):
-    view = view_of(b4)
+    frame = b4.congruence_frame()
     with pytest.raises(MalformedDocument):
-        validate_measure(view, {view.top: F(1)})
+        validate_measure(frame, {frame.top: F(1)})
 
 
 def test_negative_values_rejected(b4):
-    view = view_of(b4)
-    values = {s: F(0) for s in view.sublocales}
-    values[view.top] = F(-1)
+    frame = b4.congruence_frame()
+    values = {s: F(0) for s in frame.congruences}
+    values[frame.top] = F(-1)
     with pytest.raises(MalformedDocument):
-        validate_measure(view, values)
+        validate_measure(frame, values)
 
 
 def test_infinite_weights(b4):
-    view = view_of(b4)
-    mu = measure_from_weights(view, {"x": POS_INF, "y": F(3)})
-    assert mu.value(view.resolve_ref("open:x")) is POS_INF
-    assert mu.value(view.top) is POS_INF
-    assert mu.value(view.resolve_ref("open:y")) == 3
+    frame = b4.congruence_frame()
+    mu = measure_from_weights(frame, {"x": POS_INF, "y": F(3)})
+    assert mu.value(frame.resolve_ref("open:x")) is POS_INF
+    assert mu.value(frame.top) is POS_INF
+    assert mu.value(frame.resolve_ref("open:y")) == 3
 
 
 def test_weights_need_boolean_carrier(c3):
     with pytest.raises(NotBoolean):
-        measure_from_weights(view_of(c3), {"m": F(1)})
+        measure_from_weights(c3.congruence_frame(), {"m": F(1)})
 
 
 def test_all_zero_weights(b8):
-    view = view_of(b8)
-    mu = measure_from_weights(view, {"x": F(0), "y": F(0), "z": F(0)})
+    frame = b8.congruence_frame()
+    mu = measure_from_weights(frame, {"x": F(0), "y": F(0), "z": F(0)})
     assert all(v == 0 for _, v in mu.items())
 
 
 def test_bridge_coherence_open_sublocales(b8):
     # the measure of o(a) is the weight of a, additively
-    view = view_of(b8)
+    frame = b8.congruence_frame()
     weights = {"x": F(1), "y": F(2), "z": F(4)}
-    mu = measure_from_weights(view, weights)
+    mu = measure_from_weights(frame, weights)
     for a in b8.elements:
         expected = sum(weights[p] for p in b8.atoms() if b8.leq(p, a))
-        assert mu.value(view.open_sublocale(a)) == expected
+        assert mu.value(frame.open_sublocale(a)) == expected
 
 
 def test_random_measures_on_non_boolean_carriers():
     rng = Random(7)
     for lat in (divisor_lattice(12), divisor_lattice(60)):
-        view = view_of(lat)
+        frame = lat.congruence_frame()
         for _ in range(10):
-            mu = random_measure(rng, view, inf_probability=0.2)
-            check_axioms(view, [v for _, v in mu.items()])
+            mu = random_measure(rng, frame, inf_probability=0.2)
+            check_axioms(frame, [v for _, v in mu.items()])
 
 
 # -- the constructor: one value per atom of S(L) --------------------------------------
@@ -134,10 +130,10 @@ def test_random_measures_on_non_boolean_carriers():
 
 def test_constructor_sums_the_atom_values(b4, c3):
     for lat in (b4, c3, divisor_lattice(12)):
-        view = view_of(lat)
-        atom_values = [F(k + 1, 2) for k in range(len(view.atoms()))]
+        frame = lat.congruence_frame()
+        atom_values = [F(k + 1, 2) for k in range(len(frame.atoms()))]
         atom_values[0] = POS_INF
-        mu = Measure(view, atom_values)
+        mu = Measure(frame, atom_values)
         for s, v in mu.items():
             bits = [w for k, w in enumerate(atom_values) if s.keep >> k & 1]
             assert v == (POS_INF if POS_INF in bits else sum(bits, F(0)))
@@ -146,33 +142,33 @@ def test_constructor_sums_the_atom_values(b4, c3):
 def test_constructor_rejects_a_wrong_length(b4, c3):
     # a full table has 2**k values, never the k atom values
     for lat in (b4, c3, chain_lattice(["a"]), divisor_lattice(60)):
-        view = view_of(lat)
-        k = len(view.atoms())
-        for n in {0, k - 1, k + 1, len(view.sublocales)} - {k, -1}:
+        frame = lat.congruence_frame()
+        k = len(frame.atoms())
+        for n in {0, k - 1, k + 1, len(frame.congruences)} - {k, -1}:
             with pytest.raises(MalformedDocument) as err:
-                Measure(view, [F(1)] * n)
+                Measure(frame, [F(1)] * n)
             assert str(err.value) == (f"a measure takes one value per atom of S(L), {k}; "
                                       f"got {n}")
-    view = view_of(b4)
+    frame = b4.congruence_frame()
     with pytest.raises(MalformedDocument):
-        Measure(view, (F(-1),) * 4)
+        Measure(frame, (F(-1),) * 4)
 
 
 @pytest.mark.parametrize("bad, shown", [(F(-1), "-1"), (F(-3, 2), "-3/2"), (NEG_INF, "-inf")])
 def test_constructor_range_checks_the_atom_values(b4, bad, shown):
     with pytest.raises(MalformedDocument) as err:
-        Measure(view_of(b4), [F(1), bad])
+        Measure(b4.congruence_frame(), [F(1), bad])
     assert str(err.value) == f"measure values must lie in [0, inf]; got {shown}"
 
 
 @pytest.mark.parametrize("bad", [0.5, True, Decimal("0.5")])
 def test_non_rational_measure_values_raise(b4, bad):
-    view = view_of(b4)
+    frame = b4.congruence_frame()
     pq = [frozenset(), frozenset("p"), frozenset("q"), frozenset("pq")]
     entry_points = [
-        lambda: Measure(view, [F(1), bad]),
-        lambda: validate_measure(view, {s: bad for s in view.sublocales}),
-        lambda: measure_from_weights(view, {"x": bad, "y": F(1)}),
+        lambda: Measure(frame, [F(1), bad]),
+        lambda: validate_measure(frame, {s: bad for s in frame.congruences}),
+        lambda: measure_from_weights(frame, {"x": bad, "y": F(1)}),
         lambda: FiniteMeasurableSpace.powerset(["p"], {"p": bad}),
         lambda: FiniteMeasurableSpace(["p", "q"], pq, {"p": F(1), "q": bad}),
         # an atom of two points
@@ -184,8 +180,8 @@ def test_non_rational_measure_values_raise(b4, bad):
 
 
 def test_measure_and_space_values_are_coerced(b4):
-    view = view_of(b4)
-    mu = validate_measure(view, {s: bin(s.keep).count("1") for s in view.sublocales})
+    frame = b4.congruence_frame()
+    mu = validate_measure(frame, {s: bin(s.keep).count("1") for s in frame.congruences})
     assert {type(v) for _, v in mu.items()} == {F}
     space = FiniteMeasurableSpace.powerset(["p", "q"], {"p": 1, "q": "1/2"})
     assert dict(space.lam) == {frozenset(): 0, frozenset("p"): 1, frozenset("q"): F(1, 2),
@@ -212,20 +208,20 @@ def test_a_value_is_a_bit_sum_and_only_a_listing_builds_the_subset_sums(b4, c3, 
 
     monkeypatch.setattr(measure, "subset_sums", counted)
     for lat in (b4, c3, divisor_lattice(12), divisor_lattice(60)):
-        view = view_of(lat)
-        facade = view.frame.as_lattice()
+        frame = lat.congruence_frame()
+        facade = frame.as_lattice()
         atom_values = [rng.choice((F(0), POS_INF, F(rng.randint(1, 9), rng.randint(1, 4))))
-                       for _ in view.atoms()]
+                       for _ in frame.atoms()]
         sums = real_sums(atom_values)
-        pairs = [(s, sums[s.keep]) for s in view.sublocales]
-        shown = ", ".join(f"{view.ref_name(s)}={format_extended(v)}" for s, v in pairs)
-        mu = Measure(view, atom_values)
+        pairs = [(s, sums[s.keep]) for s in frame.congruences]
+        shown = ", ".join(f"{frame.ref_name(s)}={format_extended(v)}" for s, v in pairs)
+        mu = Measure(frame, atom_values)
         g = random_simple(rng, facade, nonneg=True)
-        for s in (None, rng.choice(view.sublocales)):
+        for s in (None, rng.choice(frame.congruences)):
             summability(g, mu, s)
             integrate_simple(g, mu, s)
             integrate_general(to_cut_function(g), mu, s)
-        nonnegativity_certificate(g, mu, view.top)
+        nonnegativity_certificate(g, mu, frame.top)
         indefinite_integral(g, mu)
         assert [mu.value(s) for s, _ in pairs] == [v for _, v in pairs]
         assert [mu.value_by_keep(s.keep) for s, _ in pairs] == [v for _, v in pairs]

@@ -1,7 +1,6 @@
 """References point one way, from what is built to what it is built over:
-measure -> S(L) view -> congruence frame -> lattice.  No lattice holds its
-frame and no frame holds its view, so every object the library builds is
-freed by reference counting alone, and a full garbage collection after
+measure -> congruence frame -> lattice.  No lattice holds its frame, so
+every object the library builds is freed by reference counting alone, and a full garbage collection after
 dropping them finds nothing."""
 
 import gc
@@ -23,23 +22,22 @@ def exercise() -> None:
                 downset_lattice(Random(7), 4)]
     for lat in lattices:
         frame = lat.congruence_frame()
-        view = frame.view()
         carrier = frame.as_lattice()
         bits = frame.point_bits()
         n = len(bits)
-        mu = Measure(view, [F(k + 1, 2) for k in range(n)])
-        checked = validate_measure(view, dict(mu.items()))
+        mu = Measure(frame, [F(k + 1, 2) for k in range(n)])
+        checked = validate_measure(frame, dict(mu.items()))
         atoms = carrier.atoms()
         g = canonicalize(carrier, [(F(k + 1), a) for k, a in enumerate(atoms)])
         h = sf_mul(sf_add(g, g), g)
         cut = to_cut_function(h)
-        s = view.open_sublocale(lat.top)
+        s = frame.open_sublocale(lat.top)
         assert integrate_simple(h, checked, s)[0] == integrate_general(cut, mu, s)
         assert len(list(indefinite_integral(g, mu).items())) == frame.size
         assert decompose_trace(cut, 3)
-        f = load_function({"kind": "simple", "terms": [["2", "L"]]}, lat, view)
-        nu = load_measure({"values": {view.ref_name(t): str(v) for t, v in mu.items()}}, view)
-        assert integrate_simple(f.as_simple(), nu)[0] == 2 * nu.value(view.top)
+        f = load_function({"kind": "simple", "terms": [["2", "L"]]}, lat, frame)
+        nu = load_measure({"values": {frame.ref_name(t): str(v) for t, v in mu.items()}}, frame)
+        assert integrate_simple(f.as_simple(), nu)[0] == 2 * nu.value(frame.top)
     space = FiniteMeasurableSpace.powerset(["cycle-p", "cycle-q"],
                                            {"cycle-p": F(1), "cycle-q": F(2)})
     fn = ClassicalSimpleFunction(space, {"cycle-p": F(3), "cycle-q": F(-1)})

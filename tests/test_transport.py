@@ -55,12 +55,12 @@ def value_of(fn, *args):
 @pytest.mark.parametrize("name", sorted(LATTICES))
 def test_the_integrals_are_the_classical_integrals_over_j(name):
     lat = LATTICES[name]
-    view = lat.congruence_frame().view()
-    facade = view.frame.as_lattice()
-    assert len(points_with_lower_covers(lat)) == len(view.atoms())
+    frame = lat.congruence_frame()
+    facade = frame.as_lattice()
+    assert len(points_with_lower_covers(lat)) == len(frame.atoms())
     rng = Random(f"transport-{name}")
     for trial in range(6):
-        mu = random_measure(rng, view, inf_probability=0.3 if trial % 2 else 0.0)
+        mu = random_measure(rng, frame, inf_probability=0.3 if trial % 2 else 0.0)
         space, kept = transport(lat, mu)
         g = random_simple(rng, facade, coeff_lo=-6, coeff_hi=6)
         gpos = random_simple(rng, facade, nonneg=True, coeff_hi=4)
