@@ -80,8 +80,7 @@ def cmd_validate(args) -> int:
 
 
 def cmd_congruences(args) -> int:
-    lattice, _ = _carrier_parts(args, need_frame=False)
-    frame = lattice.congruence_frame()
+    _, frame = _carrier_parts(args, need_frame=True)
     rows = []
     for theta in frame.congruences:
         labels = frame.labels_of(theta)

@@ -207,7 +207,7 @@ def test_sigma_continuity_on_stabilizing_chains():
     from locint.rationals import ext_le
     for name, lat in corpus_lattices().items():
         frame = lat.congruence_frame()
-        facade = lat.congruence_frame().as_lattice()
+        facade = frame.as_lattice()
         for _ in range(10):
             mu = random_measure(rng, frame, inf_probability=0.1)
             g = random_simple(rng, facade, nonneg=True, coeff_hi=5)
@@ -226,7 +226,7 @@ def test_scalar_linearity_and_monotonicity_random():
     rng = Random(5)
     for name, lat in corpus_lattices().items():
         frame = lat.congruence_frame()
-        facade = lat.congruence_frame().as_lattice()
+        facade = frame.as_lattice()
         for _ in range(20):
             mu = random_measure(rng, frame)
             g = random_simple(rng, facade, coeff_lo=-5, coeff_hi=5)
