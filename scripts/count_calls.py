@@ -10,8 +10,11 @@ criterion, the number of calls to each counted function, whoever the
 caller.  The counting wrappers are installed from outside the library, in
 every ``locint`` module that holds a counted function and on the classes
 that define the counted methods, so the library itself pays nothing when
-it is not counted.  ``tests/golden/verify_seed0.counts.json`` records the
-output at seed 0; regenerate it on purpose after a change of work with
+it is not counted.  Work done once per process, such as building the
+lattices, frames and carriers of ``corpus.corpus()``, counts in the first
+criterion that asks for it.  ``tests/golden/verify_seed0.counts.json``
+records the output at seed 0; regenerate it on purpose after a change of
+work with
 
     python3 scripts/count_calls.py > tests/golden/verify_seed0.counts.json
 """
@@ -35,7 +38,7 @@ COUNTED = {
     "simple.canonicalize": (simple, "canonicalize"),
     "simple.cut_to_simple": (simple, "cut_to_simple"),
     "simple._from_vector": (simple, "_from_vector"),
-    "FiniteLattice.complement": (lattice.FiniteLattice, "complement"),
+    "FiniteLattice._set": (lattice.FiniteLattice, "_set"),  # one per lattice built
     "CongruenceFrame.__init__": (congruence.CongruenceFrame, "__init__"),
     "integrate._signed_sum": (integrate, "_signed_sum"),
     "Measure.value_by_keep": (measure.Measure, "value_by_keep"),

@@ -250,14 +250,6 @@ class ClassicalSimpleFunction:
         """(value, the points taking it) by ascending value."""
         return self._levels
 
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ClassicalSimpleFunction)
-                and self.values == other.values
-                and self.space is other.space)
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(self.values.items())))
-
     def __repr__(self) -> str:
         return "ClassicalSimpleFunction(" + ", ".join(
             f"{p}={v}" for p, v in self.values.items()) + ")"
@@ -295,11 +287,14 @@ def classical_integral(f: ClassicalSimpleFunction,
 
 def to_localic(f: ClassicalSimpleFunction) -> SimpleFunction:
     """The pointfree counterpart: sum_i r_i * chi(nabla(A_i)) over the
-    congruence frame of the algebra, with A_i the level sets."""
+    congruence frame of the algebra, with A_i the level sets.  nabla(A)
+    collapses exactly the points J(A), so its carrier element is read off
+    that mask."""
     space = f.space
     frame = space.frame()
+    jmask = frame.lattice.jmask
     return SimpleFunction(frame.as_lattice(), [
-        (r, frame.element_of(frame.closed_sublocale(space.name_of(level))))
+        (r, frame._element_collapsing(jmask(space.name_of(level))))
         for r, level in f.level_sets()])
 
 

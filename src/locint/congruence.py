@@ -212,9 +212,14 @@ class CongruenceFrame:
 
     def element_of(self, theta: Congruence) -> str:
         """The carrier element of theta, the inverse of
-        ``congruence_of_element``: carrier bit i is set iff theta collapses
-        the point ``point_bits()[i]``, O(|J|)."""
+        ``congruence_of_element``."""
         collapsed = self.lattice._full ^ self.keep_of(theta)
+        return self._element_collapsing(collapsed)
+
+    def _element_collapsing(self, collapsed: int) -> str:
+        """The carrier element of the congruence that collapses the points
+        of the J-mask `collapsed`: carrier bit i is set iff it holds the
+        point ``point_bits()[i]``, O(|J|)."""
         mask = 0
         for i, k in enumerate(self.point_bits()):
             if collapsed >> k & 1:

@@ -2,8 +2,10 @@
 
 The corpus holds the three-element chain, the Boolean algebras on 2..4
 atoms, and two non-Boolean distributive lattices (the divisor lattices of
-12 and of 60, with 6 and 12 elements).  Generators draw from
-``random.Random`` so a fixed seed reproduces every case exactly.
+12 and of 60, with 6 and 12 elements).  ``corpus()`` pairs each with its
+congruence frame C(L) and C(L)'s carrier, built once per process, and is
+where every ``verify`` criterion takes its lattices from.  Generators draw
+from ``random.Random`` so a fixed seed reproduces every case exactly.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from fractions import Fraction
 from functools import cache
 from random import Random
 from types import MappingProxyType
-from typing import List, Mapping, Sequence, Tuple
+from typing import List, Mapping, NamedTuple, Sequence, Tuple
 
 from .congruence import CongruenceFrame
 from .lattice import FiniteLattice, chain_lattice, powerset_lattice
@@ -39,6 +41,26 @@ def corpus_lattices() -> Mapping[str, FiniteLattice]:
         "div12": divisor_lattice(12),
         "div60": divisor_lattice(60),
     })
+
+
+class CorpusEntry(NamedTuple):
+    """A reference lattice L, its congruence frame C(L) and C(L)'s carrier."""
+
+    name: str
+    lattice: FiniteLattice
+    frame: CongruenceFrame
+    carrier: FiniteLattice
+
+
+@cache
+def corpus() -> Tuple[CorpusEntry, ...]:
+    """The reference lattices in ``corpus_lattices()`` order, each with C(L)
+    and its carrier, built once and shared read-only."""
+    entries = []
+    for name, lattice in corpus_lattices().items():
+        frame = CongruenceFrame(lattice)
+        entries.append(CorpusEntry(name, lattice, frame, frame.as_lattice()))
+    return tuple(entries)
 
 
 def boolean_atoms(lattice: FiniteLattice) -> Tuple[str, ...]:

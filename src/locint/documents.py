@@ -85,6 +85,15 @@ def _strings(value, message: str, n=None) -> list:
     raise MalformedDocument(message.format(value))
 
 
+def _names(value, message: str, bad_name: str) -> list:
+    """A list of strings, none holding "," or "|": a printed blocks ref
+    joins a block's members with "," and the blocks with "|"."""
+    for name in _strings(value, message):
+        if "," in name or "|" in name:
+            raise MalformedDocument(bad_name.format(name))
+    return value
+
+
 def _term(value, message: str, bad_rational: str) -> tuple:
     """A [rational, ref] pair; the carrier resolves the ref."""
     if isinstance(value, list) and len(value) == 2:
@@ -122,8 +131,12 @@ GRAMMAR = {
         "object": "lattice document must be a JSON object",
         "kind": 'unknown lattice kind {!r} (expected "powerset" or "poset")',
         "key": "unknown key {!r} in a {} lattice document", "kinds": {
-            "powerset": {"kind": (), "atoms": (_strings, '"atoms" must be a list of strings')},
-            "poset": {"kind": (), "elements": (_strings, '"elements" must be a list of strings'),
+            "powerset": {"kind": (), "atoms": (
+                _names, '"atoms" must be a list of strings',
+                'atom name {!r} holds "," or "|", which separate blocks in a sublocale ref')},
+            "poset": {"kind": (), "elements": (
+                _names, '"elements" must be a list of strings',
+                'element name {!r} holds "," or "|", which separate blocks in a sublocale ref'),
                       "leq": (_list, '"leq" must be a list of [a, b] pairs',
                               _strings, "bad order pair: {!r}", 2)}}},
     "function": {

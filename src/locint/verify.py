@@ -10,16 +10,17 @@ lists, never a tolerance.
 from __future__ import annotations
 
 import time
+from contextlib import suppress
 from fractions import Fraction
 from math import lcm
 from random import Random
-from typing import Callable, List, NamedTuple, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from . import cutfunction as cf
 from . import simple as sf
 from .bridge import ClassicalSimpleFunction, FiniteMeasurableSpace, bridge_check
 from .corpus import (
-    corpus_lattices,
+    corpus,
     random_measure,
     random_rational,
     random_simple,
@@ -35,12 +36,13 @@ from .integrate import (
     integrate_general,
     integrate_simple,
     nonnegativity_certificate,
+    report_value,
     restrict_vs_multiply,
     summability,
 )
 from .lattice import FiniteLattice
-from .measure import check_axioms
-from .rationals import POS_INF, UndefinedSum, ext_add, ext_le, ext_scale
+from .measure import Measure, check_axioms
+from .rationals import POS_INF, ExtValue, UndefinedSum, ext_add, ext_le, ext_scale
 from .simple import (
     SimpleFunction,
     canonicalize,
@@ -58,6 +60,18 @@ from .simple import (
 def check(condition: bool, message: str) -> None:
     if not condition:
         raise AssertionError(message)
+
+
+def _integral(f, mu: Measure, s) -> Optional[ExtValue]:
+    """The integral of f over s, a simple function's through
+    ``integrate_simple`` and a cut function's through
+    ``integrate_general``, or None where f is not integrable over s."""
+    try:
+        if isinstance(f, cf.CutFunction):
+            return integrate_general(f, mu, s)
+        return integrate_simple(f, mu, s)[0]
+    except NotIntegrable:
+        return None
 
 
 # -- 1. bridge oracle ---------------------------------------------------------------
@@ -85,9 +99,7 @@ def criterion_indefinite(seed: int) -> str:
     rng = Random(seed)
     per_lattice = 100
     total = 0
-    for lat in corpus_lattices().values():
-        frame = lat.congruence_frame()
-        facade = frame.as_lattice()
+    for _, _, frame, facade in corpus():
         for _ in range(per_lattice):
             mu = random_measure(rng, frame, inf_probability=0.1)
             g = random_simple(rng, facade, nonneg=True)
@@ -110,7 +122,7 @@ def criterion_subring(seed: int) -> str:
     vector operations (closure: a subring of the cut ladders)."""
     rng = Random(seed)
     per_lattice = 500
-    for lat in corpus_lattices().values():
+    for _, lat, _, _ in corpus():
         nil = cf.constant(Fraction(0), lat)
         for _ in range(per_lattice):
             g = random_simple(rng, lat, coeff_lo=-6, coeff_hi=6)
@@ -171,9 +183,9 @@ def _messy_representation(rng: Random, g: SimpleFunction) -> List[Tuple[Fraction
 def criterion_canonical(seed: int) -> str:
     rng = Random(seed)
     cases = 500
-    names = list(corpus_lattices().values())
+    lattices = [entry.lattice for entry in corpus()]
     for i in range(cases):
-        lat = names[i % len(names)]
+        lat = lattices[i % len(lattices)]
         g = random_simple(rng, lat, coeff_lo=-6, coeff_hi=6)
         check(canonicalize(lat, g.terms) == g, "canonicalize is not idempotent")
         # a zero term on the top adds nothing to any centre atom
@@ -194,9 +206,9 @@ def criterion_canonical(seed: int) -> str:
 def criterion_tables(seed: int) -> str:
     rng = Random(seed)
     cases = 200
-    names = list(corpus_lattices().values())
+    lattices = [entry.lattice for entry in corpus()]
     for i in range(cases):
-        lat = names[i % len(names)]
+        lat = lattices[i % len(lattices)]
         g = random_simple(rng, lat, coeff_lo=-6, coeff_hi=6)
         acc = cf.constant(Fraction(0), lat)
         for r, a in g.terms:
@@ -241,7 +253,7 @@ def criterion_decompose(seed: int) -> str:
               f"grid gaps exceed 1/{k}")
     count = 0
     milestones = {1: Fraction(0), 2: Fraction(1, 2), 3: Fraction(5, 6), 7: Fraction(41, 42)}
-    for name, lat in corpus_lattices().items():
+    for _, lat, _, _ in corpus():
         for f in _decompose_corpus(rng, lat):
             trace = decompose_trace(f, horizon)
             stages = [to_cut_function(step.stage) for step in trace]
@@ -272,9 +284,7 @@ def criterion_integral_props(seed: int) -> str:
     rng = Random(seed)
     per_lattice = 60
     checked = 0
-    for lat in corpus_lattices().values():
-        frame = lat.congruence_frame()
-        facade = frame.as_lattice()
+    for _, _, frame, facade in corpus():
         subs = frame.congruences
         for _ in range(per_lattice):
             mu = random_measure(rng, frame, inf_probability=0.08)
@@ -284,33 +294,22 @@ def criterion_integral_props(seed: int) -> str:
 
             # scalar linearity
             lam = random_rational(rng, -4, 4, (1, 2, 3))
-            rep_g = summability(g, mu, s)
-            if rep_g.classification != "not-integrable":
-                value_g, _ = integrate_simple(g, mu, s)
-                value_lg, _ = integrate_simple(sf_scale(lam, g), mu, s)
-                check(value_lg == ext_scale(lam, value_g), "scalar linearity fails")
+            int_g = _integral(g, mu, s)
+            if int_g is not None:
+                check(_integral(sf_scale(lam, g), mu, s) == ext_scale(lam, int_g),
+                      "scalar linearity fails")
 
-            # additivity whenever every classification and the sum are defined
-            rep_h = summability(h, mu, s)
-            gh = sf_add(g, h)
-            rep_gh = summability(gh, mu, s)
-            if all(r.classification != "not-integrable" for r in (rep_g, rep_h, rep_gh)):
-                try:
-                    expected = ext_add(integrate_simple(g, mu, s)[0],
-                                       integrate_simple(h, mu, s)[0])
-                except UndefinedSum:
-                    expected = None
-                if expected is not None:
-                    check(integrate_simple(gh, mu, s)[0] == expected, "additivity fails")
+            # additivity whenever every integral and the sum are defined
+            int_h, int_gh = _integral(h, mu, s), _integral(sf_add(g, h), mu, s)
+            if None not in (int_g, int_h, int_gh):
+                with suppress(UndefinedSum):
+                    check(int_gh == ext_add(int_g, int_h), "additivity fails")
 
             # monotonicity in the integrand: h2 = g + nonnegative
             d = random_simple(rng, facade, nonneg=True, coeff_hi=4)
-            h2 = sf_add(g, d)
-            if (rep_g.classification != "not-integrable"
-                    and summability(h2, mu, s).classification != "not-integrable"):
-                check(ext_le(integrate_simple(g, mu, s)[0],
-                             integrate_simple(h2, mu, s)[0]),
-                      "monotonicity in the integrand fails")
+            int_h2 = _integral(sf_add(g, d), mu, s)
+            if None not in (int_g, int_h2):
+                check(ext_le(int_g, int_h2), "monotonicity in the integrand fails")
 
             # relaxed monotonicity: add a disturbance vanishing on S
             off = frame.complement(s)
@@ -320,55 +319,48 @@ def criterion_integral_props(seed: int) -> str:
             side = facade.meet(frame.element_of(off),
                                to_cut_function(sf_add(h3, sf_neg(g))).lower_at(Fraction(0)))
             check(side == facade.bottom, "constructed disturbance is not off-S")
-            if (rep_g.classification != "not-integrable"
-                    and summability(h3, mu, s).classification != "not-integrable"):
-                check(ext_le(integrate_simple(g, mu, s)[0],
-                             integrate_simple(h3, mu, s)[0]),
-                      "relaxed monotonicity fails")
+            int_h3 = _integral(h3, mu, s)
+            if None not in (int_g, int_h3):
+                check(ext_le(int_g, int_h3), "relaxed monotonicity fails")
 
             # monotonicity in the sublocale for nonnegative integrands
             gpos = random_simple(rng, facade, nonneg=True, coeff_hi=5)
             t = subs[rng.randrange(len(subs))]
             if frame.leq(s, t):
-                check(ext_le(integrate_simple(gpos, mu, s)[0],
-                             integrate_simple(gpos, mu, t)[0]),
+                check(ext_le(_integral(gpos, mu, s), _integral(gpos, mu, t)),
                       "monotonicity in the sublocale fails")
 
-            # representation independence, with a negative term on the void part
-            if rep_g.classification != "not-integrable":
+            if int_g is not None:
+                # representation independence, with a negative term on the void part
                 messy = _messy_representation(rng, g)
                 messy_disjoint = list(canonicalize(facade, messy).terms)
                 rng.shuffle(messy_disjoint)
                 messy_disjoint.append((Fraction(-7), facade.bottom))
-                check(integral_of_representation(messy_disjoint, mu, s)
-                      == integrate_simple(g, mu, s)[0],
+                check(integral_of_representation(messy_disjoint, mu, s) == int_g,
                       "representation independence fails")
-
-            # restriction vs product (raises internally on inequality)
-            if rep_g.classification != "not-integrable":
+                # restriction vs product (raises internally on inequality)
                 restrict_vs_multiply(g, mu, s)
-
-            # nonnegativity certificate
-            if rep_g.classification != "not-integrable":
+                # nonnegativity certificate
                 nonnegativity_certificate(g, mu, s)
             gcert = sf_mul(random_simple(rng, facade, coeff_lo=-5, coeff_hi=5),
                            characteristic_of_sublocale(frame, s))
             gcert = sf_add(gcert, random_simple(rng, facade, nonneg=True, coeff_hi=4))
-            if summability(gcert, mu, s).classification != "not-integrable":
-                if nonnegativity_certificate(gcert, mu, frame.complement(s)):
-                    checked += 1
+            if (_integral(gcert, mu, s) is not None
+                    and nonnegativity_certificate(gcert, mu, frame.complement(s))):
+                checked += 1
 
             # summable closure and linearity on summables
             mu_fin = random_measure(rng, frame, inf_probability=0.0)
-            check(summability(g, mu_fin, s).classification == SUMMABLE,
+            fin_g = summability(g, mu_fin, s)
+            check(fin_g.classification == SUMMABLE,
                   "finite measures must make every simple function summable")
             check(summability(sf_add(g, h), mu_fin, s).classification == SUMMABLE,
                   "summable closure fails")
             r1 = random_rational(rng, -3, 3, (1, 2))
             r2 = random_rational(rng, -3, 3, (1, 2))
-            lhs = integrate_simple(sf_add(sf_scale(r1, g), sf_scale(r2, h)), mu_fin, s)[0]
-            rhs = ext_add(ext_scale(r1, integrate_simple(g, mu_fin, s)[0]),
-                          ext_scale(r2, integrate_simple(h, mu_fin, s)[0]))
+            lhs = _integral(sf_add(sf_scale(r1, g), sf_scale(r2, h)), mu_fin, s)
+            rhs = ext_add(ext_scale(r1, report_value(fin_g)),
+                          ext_scale(r2, _integral(h, mu_fin, s)))
             check(lhs == rhs, "linearity on summable functions fails")
             checked += 1
     return f"{checked} randomized proposition checks across the corpus"
@@ -380,9 +372,9 @@ def criterion_integral_props(seed: int) -> str:
 def criterion_limits(seed: int) -> str:
     rng = Random(seed)
     cases = 200
-    corpus = corpus_lattices()
-    lattices = [corpus["b4"], corpus["b8"], corpus["div12"]]
-    facades = [lat.congruence_frame().as_lattice() for lat in lattices]
+    entries = {entry.name: entry for entry in corpus()}
+    lattices = [entries[name].lattice for name in ("b4", "b8", "div12")]
+    facades = [entries[name].carrier for name in ("b4", "b8", "div12")]
 
     def sequence(carrier: FiniteLattice, n: int) -> cf.FunctionSequence:
         """n members, then a cycle of 1-3 drawn from two more, repeats allowed."""
@@ -405,13 +397,12 @@ def criterion_limits(seed: int) -> str:
         check((limit is not None) == constant_tail and limit in (None, seq.cycle[0]),
               "a sequence must converge iff its cycle is constant, to that constant")
     # the harmonic example: 1, 1/2, ..., 1/12, then the declared tail 0
-    for lat in (corpus["b4"], corpus["div60"]):
-        carrier = lat.congruence_frame().as_lattice()
+    for carrier in (entries["b4"].carrier, entries["div60"].carrier):
         prefix = tuple(cf.constant(Fraction(1, n), carrier) for n in range(1, 13))
         _, _, limit = cf.limits(cf.FunctionSequence(prefix, cf.constant(Fraction(0), carrier)))
         check(limit == cf.constant(Fraction(0), carrier), "lim 1/n != 0")
     # the alternating example: chi_x, chi_y, chi_x, ... on B4
-    b4 = corpus["b4"]
+    b4 = entries["b4"].lattice
     alternating = cf.FunctionSequence((), (cf.characteristic("x", b4), cf.characteristic("y", b4)))
     check(cf.limits(alternating) == (cf.constant(Fraction(0), b4), cf.constant(Fraction(1), b4), None),
           "chi_x, chi_y, chi_x, ... must have liminf 0, limsup 1 and no limit")
@@ -438,22 +429,14 @@ def criterion_general(seed: int) -> str:
     rng = Random(seed)
     per_lattice = 50
     count = 0
-    for lat in corpus_lattices().values():
-        frame = lat.congruence_frame()
-        facade = frame.as_lattice()
+    for _, _, frame, facade in corpus():
         for _ in range(per_lattice):
             mu = random_measure(rng, frame, inf_probability=0.08)
             g = random_simple(rng, facade, coeff_lo=-6, coeff_hi=6)
             s = frame.congruences[rng.randrange(len(frame.congruences))]
-            try:
-                expected, _ = integrate_simple(g, mu, s)
-            except NotIntegrable:
-                expected = None
-            try:
-                got = integrate_general(to_cut_function(g), mu, s)
-            except NotIntegrable:
-                got = None
-            check(got == expected, "general integral deviates from the simple one")
+            expected = _integral(g, mu, s)
+            check(_integral(to_cut_function(g), mu, s) == expected,
+                  "general integral deviates from the simple one")
             count += 1
         mu_pos = random_measure(rng, frame, inf_probability=0.0)
         while mu_pos.value(frame.top) == 0:

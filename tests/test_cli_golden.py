@@ -165,6 +165,22 @@ COMMANDS = {
                         "--function", D + "f_padded_rational.json"],
     # an infinity with a sign other than "-"
     "plus_inf_constant": ["eval", "--lattice", B4, "--function", D + "f_plus_inf.json"],
+    # a name holding a separator of a printed blocks ref
+    "chain_comma_name": ["congruences", "--lattice", D + "chain_comma_name.json"],
+    # exits that no other case reaches
+    "weights_missing_atom": ["validate", "--lattice", B4,
+                             "--measure", D + "weights_missing_atom.json"],
+    "blocks_element_twice": ["canonicalize", "--lattice", CHAIN4, "--carrier", "congruence",
+                             "--function", D + "f_blocks_twice.json"],
+    "blocks_element_uncovered": ["canonicalize", "--lattice", CHAIN4, "--carrier", "congruence",
+                                 "--function", D + "f_blocks_uncovered.json"],
+    "canonicalize_inf_constant": ["canonicalize", "--lattice", B4, "--function", D + "f_inf.json"],
+    "indefinite_inf_constant": ["indefinite", "--lattice", B4, "--measure", "sample_docs/mu.json",
+                                "--function", D + "f_inf.json"],
+    "eval_inf_constant": ["eval", "--lattice", B4, "--function", D + "f_inf.json"],
+    "powerset7": ["congruences", "--lattice", D + "powerset7.json"],
+    "space_unknown_point": ["validate", "--space", D + "space_unknown_point.json"],
+    "missing_document": ["congruences", "--lattice", D + "missing.json"],
 }
 
 CASES = {f"{name}.{fmt}": argv + ["--format", fmt]

@@ -361,3 +361,13 @@ def test_a_sublocale_built_from_its_mask_is_the_listed_one(name):
         assert frame.element_of(theta) == theta.partition_name()
         assert frame.element_of(built) == theta.partition_name()
         assert frame.congruence_of_element(frame.element_of(theta)) == theta
+
+
+@pytest.mark.parametrize("name", sorted(MASK_LATTICES))
+def test_printed_refs_resolve_back(name):
+    """Every sublocale's printed ref, the blocks form included, resolves to
+    that sublocale; a lattice document may not name an element with a
+    separator of the blocks form."""
+    frame = MASK_LATTICES[name].congruence_frame()
+    for s in frame.congruences:
+        assert frame.resolve_ref(frame.ref_name(s)) == s

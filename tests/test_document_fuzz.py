@@ -20,7 +20,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from locint.documents import GRAMMAR, _extended, _list, _map, _rational, _strings, _term, _walk
+from locint.documents import (
+    GRAMMAR, _extended, _list, _map, _names, _rational, _strings, _term, _walk)
 from test_cli_golden import B4, CHAIN4, COMMANDS, GOLDEN, ROOT, run_streams
 
 DOCUMENT_FLAGS = ("--lattice", "--measure", "--function", "--space")
@@ -29,7 +30,7 @@ DOCUMENT_FLAGS = ("--lattice", "--measure", "--function", "--space")
 def readable(path: str) -> bool:
     try:
         json.loads((ROOT / path).read_text(encoding="utf-8"))
-    except ValueError:
+    except (OSError, ValueError):
         return False
     return True
 
@@ -184,9 +185,14 @@ def broken_value(draw, value, shape, message, *item_rule):
     if shape in (_rational, _extended):
         bad, text = draw(bad_item(shape, message))
         return bad, text()
-    if shape is _strings:
+    if shape is _strings or (shape is _names and draw(st.booleans())):
         bad = draw(not_strings())
         return bad, message.format(bad)
+    if shape is _names:  # one name holding a separator of a blocks ref
+        name = draw(st.tuples(st.text(max_size=2), st.sampled_from(",|"),
+                              st.text(max_size=2)).map("".join))
+        i = draw(st.integers(0, len(value)))
+        return value[:i] + [name] + value[i:], item_rule[0].format(name)
     if shape is _map:
         if draw(st.booleans()):
             bad = draw(ANY.filter(lambda v: not isinstance(v, dict)))
@@ -257,6 +263,9 @@ def test_every_valid_slot_is_inside_the_grammar():
                "unknown key 'terms' in a constant function document"))
 @example(case=(FUNCTION, 4, b'{"kind": "simple", "terms": [[2, "x"]]}',
                "bad rational in term: 2"))
+@example(case=(LATTICE, 2, b'{"kind": "poset", "elements": ["0", "a,b", "1"], "leq": []}',
+               "element name 'a,b' holds \",\" or \"|\", which separate blocks in a "
+               "sublocale ref"))
 @example(case=(["validate", "--space", ""], 2, b'{"points": [], "lambda": {}, "kind": null}',
                "unknown key 'kind' in a space document"))
 def test_one_broken_rule_exits_2_with_its_message(document, case):
