@@ -35,6 +35,7 @@ carrier and point bits, which every integral reads.
 
 from __future__ import annotations
 
+import re
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import MalformedDocument, SizeLimitExceeded
@@ -324,7 +325,7 @@ class CongruenceFrame:
             return self.open_sublocale(ref[5:])
         if ref.startswith("closed:"):
             return self.closed_sublocale(ref[7:])
-        if ref.startswith("blocks:"):
-            blocks = [b.split(",") for b in ref[7:].split("|")]
+        if ref.startswith("blocks:"):  # a comma inside {...} is part of a subset name
+            blocks = [re.split(r",(?![^{]*})", b) for b in ref[7:].split("|")]
             return Congruence.from_blocks(self.lattice, blocks)
         raise MalformedDocument(f"unknown sublocale reference {ref!r}")

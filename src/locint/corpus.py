@@ -4,7 +4,14 @@ The corpus holds the three-element chain, the Boolean algebras on 2..4
 atoms, and two non-Boolean distributive lattices (the divisor lattices of
 12 and of 60, with 6 and 12 elements).  ``corpus()`` pairs each with its
 congruence frame C(L) and C(L)'s carrier, built once per process, and is
-where every ``verify`` criterion takes its lattices from.  Generators draw
+where every ``verify`` criterion takes its lattices from.
+
+``downset_lattice(rng, points)`` draws a random poset on `points` points
+and builds the lattice of its down-sets from their masks; by Birkhoff every
+finite distributive lattice arises this way, with J(L) the poset.  It
+stops at the 64-element cap.  ``seeded_corpus()`` holds one such lattice
+for each |J| from 4 to 8, each non-Boolean with at least two centre atoms,
+which criteria [3], [7] and [9] run beside ``corpus()``.  Generators draw
 from ``random.Random`` so a fixed seed reproduces every case exactly.
 """
 
@@ -12,12 +19,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
+from itertools import count
 from random import Random
 from types import MappingProxyType
 from typing import List, Mapping, NamedTuple, Sequence, Tuple
 
 from .congruence import CongruenceFrame
-from .lattice import FiniteLattice, chain_lattice, powerset_lattice
+from .errors import SizeLimitExceeded
+from .lattice import SOFT_SIZE_LIMIT, FiniteLattice, chain_lattice, powerset_lattice
 from .measure import Measure
 from .rationals import POS_INF, ExtValue
 from .simple import SimpleFunction, canonicalize
@@ -52,14 +61,57 @@ class CorpusEntry(NamedTuple):
     carrier: FiniteLattice
 
 
+def _entry(name: str, lattice: FiniteLattice) -> CorpusEntry:
+    frame = CongruenceFrame(lattice)
+    return CorpusEntry(name, lattice, frame, frame.as_lattice())
+
+
 @cache
 def corpus() -> Tuple[CorpusEntry, ...]:
     """The reference lattices in ``corpus_lattices()`` order, each with C(L)
     and its carrier, built once and shared read-only."""
+    return tuple(_entry(name, lattice) for name, lattice in corpus_lattices().items())
+
+
+def downset_lattice(rng: Random, points: int) -> FiniteLattice:
+    """The lattice of down-sets of a random poset on `points` points, each
+    pair i < j ordered i below j with probability 0.35, built from the
+    down-set masks.  The down-sets are found by extension from the empty
+    one by each principal down-set, sorted by mask and named "d" followed
+    by their members' indices; a 65th down-set raises SizeLimitExceeded."""
+    below = [1 << i for i in range(points)]  # below[i]: bitmask of the points <= i
+    for j in range(points):
+        for i in range(j):
+            if rng.random() < 0.35:
+                below[j] |= below[i]
+    found = [0]
+    for d in found:  # grows while it is read
+        for e in {d | b for b in below}.difference(found):
+            if len(found) == SOFT_SIZE_LIMIT:
+                raise SizeLimitExceeded(f"the down-sets of a {points}-point order exceed "
+                                        f"the {SOFT_SIZE_LIMIT}-element limit")
+            found.append(e)
+    masks = sorted(found)
+    names = ["d" + "".join(str(i) for i in range(points) if m >> i & 1) for m in masks]
+    return FiniteLattice._from_masks(names, masks)
+
+
+@cache
+def seeded_corpus() -> Tuple[CorpusEntry, ...]:
+    """For each |J| from 4 to 8, the down-set lattice of the first seed
+    whose lattice fits the cap, is not Boolean and has at least two centre
+    atoms, named "downset<|J|>s<seed>", with C(L) and its carrier, built
+    once and shared read-only."""
     entries = []
-    for name, lattice in corpus_lattices().items():
-        frame = CongruenceFrame(lattice)
-        entries.append(CorpusEntry(name, lattice, frame, frame.as_lattice()))
+    for points in range(4, 9):
+        for seed in count():
+            try:
+                lattice = downset_lattice(Random(seed), points)
+            except SizeLimitExceeded:
+                continue
+            if not lattice.is_boolean() and len(lattice._centre_atoms()) >= 2:
+                entries.append(_entry(f"downset{points}s{seed}", lattice))
+                break
     return tuple(entries)
 
 

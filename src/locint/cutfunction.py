@@ -294,8 +294,15 @@ def _sample(fs: Sequence[CutFunction]) -> Tuple[int, List[int], List[Tuple[int, 
 
 
 def leq(f: CutFunction, g: CutFunction) -> bool:
-    """f <= g iff f(p,-) <= g(p,-) everywhere."""
-    return all(not fu & ~gu for fu, gu in _sample((f, g))[2])
+    """f <= g iff f(p,-) <= g(p,-) everywhere.  f is constant on each of its
+    pieces and g antitone, so it is enough to compare f's upper value on a
+    piece with g's just left of the piece's right end, and on the last
+    piece with g's last value."""
+    check_same_carrier(f.carrier, g.carrier, _DIFFERENT_CARRIERS)
+    _, (fb, gb) = _int_grids((f, g))
+    gu = g._up
+    return (all(not fu & ~gu[bisect_left(gb, t)] for fu, t in zip(f._up, fb))
+            and not f._up[-1] & ~gu[-1])
 
 
 def join_meet(f: CutFunction, g: CutFunction) -> Tuple[CutFunction, CutFunction]:

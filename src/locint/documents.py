@@ -85,12 +85,15 @@ def _strings(value, message: str, n=None) -> list:
     raise MalformedDocument(message.format(value))
 
 
-def _names(value, message: str, bad_name: str) -> list:
-    """A list of strings, none holding "," or "|": a printed blocks ref
-    joins a block's members with "," and the blocks with "|"."""
+def _names(value, message: str, bad_name: str, braced_name: str) -> list:
+    """A list of strings, none holding "," or "|", which a printed blocks
+    ref joins a block's members and the blocks with, nor "{" or "}", which
+    enclose a powerset's subset names, whose commas a ref does not split."""
     for name in _strings(value, message):
         if "," in name or "|" in name:
             raise MalformedDocument(bad_name.format(name))
+        if "{" in name or "}" in name:
+            raise MalformedDocument(braced_name.format(name))
     return value
 
 
@@ -133,10 +136,12 @@ GRAMMAR = {
         "key": "unknown key {!r} in a {} lattice document", "kinds": {
             "powerset": {"kind": (), "atoms": (
                 _names, '"atoms" must be a list of strings',
-                'atom name {!r} holds "," or "|", which separate blocks in a sublocale ref')},
+                'atom name {!r} holds "," or "|", which separate blocks in a sublocale ref',
+                'atom name {!r} holds "{{" or "}}", which enclose subset names in a sublocale ref')},
             "poset": {"kind": (), "elements": (
                 _names, '"elements" must be a list of strings',
-                'element name {!r} holds "," or "|", which separate blocks in a sublocale ref'),
+                'element name {!r} holds "," or "|", which separate blocks in a sublocale ref',
+                'element name {!r} holds "{{" or "}}", which enclose subset names in a sublocale ref'),
                       "leq": (_list, '"leq" must be a list of [a, b] pairs',
                               _strings, "bad order pair: {!r}", 2)}}},
     "function": {

@@ -17,8 +17,9 @@ Distributivity is checked in O(n^2), as J(x \\/ y) = J(x) | J(y) for all
 x, y, in the pass that looks up every meet and join among the down-sets
 and up-sets; only a lattice that fails it gets meet and join tables, for
 the O(n^3) sweep over all triples that names the first failing triple.
-Powersets and the carriers of congruence frames, whose masks form a whole
-powerset, are built straight from their masks.  A lattice built from an
+Powersets, the carriers of congruence frames and the lattices of down-sets
+that ``corpus.downset_lattice`` draws are built straight from their masks,
+as rings of sets (``FiniteLattice._from_masks``).  A lattice built from an
 order has at most ``SOFT_SIZE_LIMIT`` elements.
 
 Instances are immutable after construction and safe to share between
@@ -143,8 +144,8 @@ class FiniteLattice:
     The constructor takes the elements and any pairs (a, b), meaning
     a <= b, that generate the order: it closes them by Warshall's algorithm
     and checks the result (antisymmetry, every binary meet and join,
-    distributivity).  ``powerset_lattice`` builds a powerset straight from
-    its masks.
+    distributivity).  ``_from_masks`` builds one straight from a ring of
+    point sets, as ``powerset_lattice`` does.
     """
 
     __slots__ = ("elements", "_idx", "_jmask", "_mask", "_at", "_full", "_jirr",
@@ -156,21 +157,38 @@ class FiniteLattice:
 
     @classmethod
     def _from_masks(cls, elements: Sequence[str], masks: Iterable[int]) -> "FiniteLattice":
-        """The Boolean lattice on `elements` ordered by inclusion of `masks`,
-        which are the 2^k masks over k bits, one per element.  The bits are
-        renumbered so that bit i stands for the i-th atom in element order,
-        the numbering the constructor gives, so equal orders compare equal."""
+        """The lattice on `elements` ordered by inclusion of `masks`, one
+        point set per element, which form a ring of sets: closed under
+        union and intersection, with the empty set (by Birkhoff, every
+        finite distributive lattice is one).  Its join-irreducibles are the
+        least members holding each point; in numeric order, which extends
+        inclusion, a member is least for the points no smaller member holds.
+        Bit k stands for the k-th join-irreducible in element order, the
+        numbering the constructor gives, so equal orders compare equal.  A
+        member holds a join-irreducible iff it holds one point it is least
+        for, so the J-masks are read from one such point per bit, 8 points
+        at a time, through a table of their subsets."""
         elements, masks = tuple(elements), tuple(masks)
         if len(set(elements)) != len(elements):
             raise MalformedDocument("duplicate element names")
-        atoms = [i for i, m in enumerate(masks) if m and not m & (m - 1)]
-        bit = {masks[i]: 1 << k for k, i in enumerate(atoms)}
-        renumbered = [0] * len(masks)
-        for m in range(1, len(masks)):
-            low = m & -m
-            renumbered[m] = renumbered[m ^ low] | bit[low]
+        seen, point = 0, {}  # the least member holding a point -> one such point
+        for m in sorted(masks):
+            if m & ~seen:
+                point[m] = (m & ~seen).bit_length() - 1
+                seen |= m
+        jirr = sorted(map(masks.index, point))
+        bits = [0] * seen.bit_length()
+        for k, i in enumerate(jirr):
+            bits[point[masks[i]]] = 1 << k
+        jmask = [0] * len(masks)
+        for lo in range(0, len(bits), 8):
+            table = [0]
+            for b in bits[lo:lo + 8]:
+                table += [t | b for t in table]
+            jmask = ([table[m & 255] for m in masks] if not lo else
+                     [j | table[m >> lo & 255] for j, m in zip(jmask, masks)])
         lattice = cls.__new__(cls)
-        lattice._set(elements, [renumbered[m] for m in masks], atoms)
+        lattice._set(elements, jmask, jirr)
         return lattice
 
     def _set(self, elements: Tuple[str, ...], jmask: Sequence[int], jirr: Sequence[int]) -> None:

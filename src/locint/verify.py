@@ -20,12 +20,14 @@ from . import cutfunction as cf
 from . import simple as sf
 from .bridge import ClassicalSimpleFunction, FiniteMeasurableSpace, bridge_check
 from .corpus import (
+    CorpusEntry,
     corpus,
     random_measure,
     random_rational,
     random_simple,
     random_subset,
     random_weight,
+    seeded_corpus,
 )
 from .errors import NotIntegrable
 from .integrate import (
@@ -60,6 +62,14 @@ from .simple import (
 def check(condition: bool, message: str) -> None:
     if not condition:
         raise AssertionError(message)
+
+
+def _widened(per_lattice: int, per_seeded: int) -> List[Tuple[CorpusEntry, int]]:
+    """(entry, its number of cases): each lattice of ``corpus()``, then each
+    seeded down-set lattice of ``seeded_corpus()``, drawn after them so
+    that the corpus cases stay as they were."""
+    return ([(entry, per_lattice) for entry in corpus()]
+            + [(entry, per_seeded) for entry in seeded_corpus()])
 
 
 def _integral(f, mu: Measure, s) -> Optional[ExtValue]:
@@ -121,10 +131,10 @@ def criterion_subring(seed: int) -> str:
     into each other, and the ladder operations equal to the converted
     vector operations (closure: a subring of the cut ladders)."""
     rng = Random(seed)
-    per_lattice = 500
-    for _, lat, _, _ in corpus():
+    per_lattice, per_seeded = 500, 30
+    for (_, lat, _, _), cases in _widened(per_lattice, per_seeded):
         nil = cf.constant(Fraction(0), lat)
-        for _ in range(per_lattice):
+        for _ in range(cases):
             g = random_simple(rng, lat, coeff_lo=-6, coeff_hi=6)
             h = random_simple(rng, lat, coeff_lo=-6, coeff_hi=6)
             k = random_simple(rng, lat, coeff_lo=-6, coeff_hi=6)
@@ -153,7 +163,8 @@ def criterion_subring(seed: int) -> str:
                   "ladder scaling disagrees with term scaling")
             check(to_cut_function(sf_mul(gp, hp)) == cgph,
                   "ladder multiplication disagrees with term multiplication")
-    return f"ring axioms and ladder consistency on {per_lattice} triples per lattice"
+    return (f"ring axioms and ladder consistency on {per_lattice} triples per corpus lattice"
+            f" and {per_seeded} per down-set lattice")
 
 
 # -- 4. canonical form uniqueness -----------------------------------------------------------
@@ -282,11 +293,10 @@ def criterion_decompose(seed: int) -> str:
 
 def criterion_integral_props(seed: int) -> str:
     rng = Random(seed)
-    per_lattice = 60
     checked = 0
-    for _, _, frame, facade in corpus():
+    for (_, _, frame, facade), cases in _widened(60, 20):
         subs = frame.congruences
-        for _ in range(per_lattice):
+        for _ in range(cases):
             mu = random_measure(rng, frame, inf_probability=0.08)
             g = random_simple(rng, facade, coeff_lo=-6, coeff_hi=6)
             h = random_simple(rng, facade, coeff_lo=-6, coeff_hi=6)
@@ -363,7 +373,8 @@ def criterion_integral_props(seed: int) -> str:
                           ext_scale(r2, _integral(h, mu_fin, s)))
             check(lhs == rhs, "linearity on summable functions fails")
             checked += 1
-    return f"{checked} randomized proposition checks across the corpus"
+    return (f"{checked} randomized proposition checks across the corpus"
+            f" and {len(seeded_corpus())} down-set lattices")
 
 
 # -- 8. limits -------------------------------------------------------------------------------------------
@@ -427,10 +438,9 @@ def criterion_limits(seed: int) -> str:
 
 def criterion_general(seed: int) -> str:
     rng = Random(seed)
-    per_lattice = 50
     count = 0
-    for _, _, frame, facade in corpus():
-        for _ in range(per_lattice):
+    for (_, _, frame, facade), cases in _widened(50, 50):
+        for _ in range(cases):
             mu = random_measure(rng, frame, inf_probability=0.08)
             g = random_simple(rng, facade, coeff_lo=-6, coeff_hi=6)
             s = frame.congruences[rng.randrange(len(frame.congruences))]

@@ -257,11 +257,17 @@ def table_quotient(t: TableLattice, block_of) -> tuple:
     return names, pairs
 
 
+def leq_order(lattice: FiniteLattice) -> tuple:
+    """(elements, every pair (a, b) with a <= b), read off the lattice's
+    ``leq``: an order to hand to the constructor or the table lattice."""
+    els = list(lattice.elements)
+    return els, [(a, b) for a in els for b in els if lattice.leq(a, b)]
+
+
 @cache
 def table_of(lattice: FiniteLattice) -> TableLattice:
     """The table lattice with the library lattice's elements and order."""
-    els = lattice.elements
-    return TableLattice(els, [(a, b) for a in els for b in els if lattice.leq(a, b)])
+    return TableLattice(*leq_order(lattice))
 
 
 def certified(carrier: FiniteLattice, terms) -> SimpleFunction:
@@ -462,32 +468,6 @@ def first_distributivity_failure(elements, meet, join):
                 if meet(a, join(b, c)) != join(meet(a, b), meet(a, c)):
                     return tuple(elements[i] for i in (a, b, c))
     return None
-
-
-# -- random finite distributive lattices ------------------------------------------
-
-
-def downset_lattice(rng, points: int) -> FiniteLattice:
-    """The lattice of downsets of a random poset on `points` points; by
-    Birkhoff every finite distributive lattice arises this way, with J(L)
-    isomorphic to the poset."""
-    return FiniteLattice(*downset_order(rng, points))
-
-
-def downset_order(rng, points: int) -> tuple:
-    """(elements, order pairs) of ``downset_lattice``: the downsets of the
-    random poset, ordered by inclusion."""
-    below = [1 << i for i in range(points)]  # below[i]: bitmask of the points <= i
-    for j in range(points):
-        for i in range(j):
-            if rng.random() < 0.35:
-                below[j] |= below[i]
-    downsets = [m for m in range(1 << points)
-                if all(below[i] & ~m == 0 for i in range(points) if m >> i & 1)]
-    # "d" followed by the member points, e.g. "d013"; no commas, so refs parse
-    label = {m: "d" + "".join(str(i) for i in range(points) if m >> i & 1) for m in downsets}
-    pairs = [(label[s], label[t]) for s in downsets for t in downsets if s & ~t == 0]
-    return [label[m] for m in downsets], pairs
 
 
 # -- measure tables sublocale by sublocale -----------------------------------------

@@ -20,8 +20,8 @@ from _oracle import (
     closure_congruences,
     closure_join,
     congruence_of,
-    downset_lattice,
     first_distributivity_failure,
+    leq_order,
     modularity_pairs,
     order_pairs,
     positions,
@@ -32,7 +32,13 @@ from _oracle import (
     weights_table,
 )
 from locint.bridge import FiniteMeasurableSpace, extend_measure
-from locint.corpus import corpus_lattices, divisor_lattice, random_measure, random_weight
+from locint.corpus import (
+    corpus_lattices,
+    divisor_lattice,
+    downset_lattice,
+    random_measure,
+    random_weight,
+)
 from locint.errors import AxiomViolation, MalformedDocument, NotDistributive
 from locint.lattice import (
     FiniteLattice,
@@ -362,10 +368,8 @@ def test_distributivity_failures_name_the_first_triple():
     rng = Random(5)
     for trial in range(12):
         bad = N5 if trial % 2 else M3
-        good = downset_lattice(rng, rng.randint(1, 3))
-        good_block = (list(good.elements),
-                      [(a, b) for a in good.elements for b in good.elements if good.leq(a, b)])
-        blocks = [good_block, bad] if rng.random() < 0.5 else [bad, good_block]
+        good = leq_order(downset_lattice(rng, rng.randint(1, 3)))
+        blocks = [good, bad] if rng.random() < 0.5 else [bad, good]
         elements, pairs = stacked(rng, blocks)
         with pytest.raises(NotDistributive) as err:
             FiniteLattice(elements, pairs)

@@ -167,6 +167,13 @@ COMMANDS = {
     "plus_inf_constant": ["eval", "--lattice", B4, "--function", D + "f_plus_inf.json"],
     # a name holding a separator of a printed blocks ref
     "chain_comma_name": ["congruences", "--lattice", D + "chain_comma_name.json"],
+    "chain_brace_name": ["congruences", "--lattice", D + "chain_brace_name.json"],
+    # nabla(x) on B8 as a blocks ref, the same sublocale as closed:x: the commas
+    # inside {...} do not split a block
+    "integrate_b8_over_braced_blocks": ["integrate", "--lattice", D + "b8.json",
+                                        "--measure", D + "mu_b8.json",
+                                        "--function", "sample_docs/one.json",
+                                        "--over", "blocks:0,x|y,{x,y}|z,{x,z}|{y,z},1"],
     # exits that no other case reaches
     "weights_missing_atom": ["validate", "--lattice", B4,
                              "--measure", D + "weights_missing_atom.json"],

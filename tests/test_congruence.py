@@ -178,11 +178,13 @@ def test_sublocale_view_order_and_refs(b4):
         frame.resolve_ref({"blocks": [["0", "x"], ["y"], ["1"]]})  # not a congruence
 
 
-def test_explicit_partition_refs(b4):
+def test_explicit_partition_refs(b4, b8):
     frame = b4.congruence_frame()
     theta = frame.resolve_ref({"blocks": [["0", "x"], ["y", "1"]]})
     assert theta == frame.open_sublocale("y")
     assert frame.resolve_ref("blocks:0,x|y,1") == theta
+    frame = b8.congruence_frame()  # a comma inside {...} does not split a block
+    assert frame.resolve_ref("blocks:0,x|y,{x,y}|z,{x,z}|{y,z},1") == frame.closed_sublocale("x")
 
 
 @pytest.mark.parametrize("ref", [{"blocks": [["0", "x"], ["y", "1"]], "zzz": 1},
@@ -333,8 +335,7 @@ def test_every_operand_of_another_lattice_is_rejected(b4, b8):
 def _mask_lattices():
     from random import Random
 
-    from _oracle import downset_lattice
-    from locint.corpus import corpus_lattices
+    from locint.corpus import corpus_lattices, downset_lattice
 
     out = dict(corpus_lattices())
     rng = Random("sublocale-masks")

@@ -188,11 +188,12 @@ def broken_value(draw, value, shape, message, *item_rule):
     if shape is _strings or (shape is _names and draw(st.booleans())):
         bad = draw(not_strings())
         return bad, message.format(bad)
-    if shape is _names:  # one name holding a separator of a blocks ref
-        name = draw(st.tuples(st.text(max_size=2), st.sampled_from(",|"),
+    if shape is _names:  # one name holding a separator of a blocks ref, or a brace
+        name = draw(st.tuples(st.text(max_size=2), st.sampled_from(",|{}"),
                               st.text(max_size=2)).map("".join))
         i = draw(st.integers(0, len(value)))
-        return value[:i] + [name] + value[i:], item_rule[0].format(name)
+        separates = "," in name or "|" in name
+        return value[:i] + [name] + value[i:], item_rule[0 if separates else 1].format(name)
     if shape is _map:
         if draw(st.booleans()):
             bad = draw(ANY.filter(lambda v: not isinstance(v, dict)))

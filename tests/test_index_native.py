@@ -23,11 +23,10 @@ import locint.simple as sf
 from _oracle import (
     canonicalize_by_names,
     cut_ladders_by_names,
-    downset_lattice,
     refinement_by_names,
 )
 from locint.bridge import ClassicalSimpleFunction, FiniteMeasurableSpace, to_localic
-from locint.corpus import corpus_lattices, random_rational, random_simple
+from locint.corpus import corpus_lattices, downset_lattice, random_rational, random_simple
 from locint.cutfunction import CutFunction, _from_grid, add, constant
 from locint.errors import InvalidArgument, MalformedDocument, NotComplemented
 from locint.lattice import FiniteLattice, chain_lattice

@@ -28,7 +28,6 @@ from _oracle import (
     cut_from_pointwise,
     cut_to_simple_by_names,
     decompose_trace_by_names,
-    downset_lattice,
     indefinite_by_atoms,
     integrate_general_by_ladders,
     join_meet_by_fractions,
@@ -43,7 +42,7 @@ from _oracle import (
     summability_by_terms,
     to_cut_function_by_names,
 )
-from locint.corpus import corpus_lattices, random_measure, random_simple
+from locint.corpus import corpus_lattices, downset_lattice, random_measure, random_simple
 from locint.cutfunction import (
     CutFunction,
     FunctionSequence,
@@ -251,6 +250,11 @@ def test_ladder_kernels_match_the_fraction_kernels(name):
     fs = _functions(rng, lat)
     for _ in range(40):
         compare_pair(rng.choice(fs), rng.choice(fs))
+    for _ in range(10):  # pairs that leq orders: f /\ g <= f <= f \/ g
+        f = rng.choice(fs)
+        join, meet = join_meet(f, rng.choice(fs))
+        compare_pair(meet, f)
+        compare_pair(f, join)
     for _ in range(10):
         compare_family(rng.sample(fs, rng.randint(1, 4)))
     compare_family([])

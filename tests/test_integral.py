@@ -5,8 +5,7 @@ import pytest
 
 import locint.cutfunction as cf
 import locint.simple as sf
-from _oracle import downset_lattice
-from locint.corpus import corpus_lattices, random_measure, random_simple
+from locint.corpus import corpus_lattices, downset_lattice, random_measure, random_simple
 from locint.errors import MalformedDocument, NotIntegrable, NotNonnegative
 from locint.integrate import (
     INTEGRABLE_NOT_SUMMABLE,

@@ -13,7 +13,8 @@ from random import Random
 
 import pytest
 
-from _oracle import downset_order, reference_lattice_from_order
+from _oracle import leq_order, reference_lattice_from_order
+from locint.corpus import downset_lattice
 from locint.errors import LocintError
 from locint.lattice import FiniteLattice
 
@@ -50,7 +51,7 @@ def closed(elements, pairs) -> list:
 def random_order(rng) -> tuple:
     """(elements, generating pairs) of a random order, possibly faulty."""
     if rng.random() < 0.25:
-        elements, pairs = downset_order(rng, rng.randint(0, 3))
+        elements, pairs = leq_order(downset_lattice(rng, rng.randint(0, 3)))
         pairs = [p for p in pairs if rng.random() < 0.7 or p[0] == p[1]]
     else:
         n = rng.randint(0, 7)

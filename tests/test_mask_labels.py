@@ -10,14 +10,13 @@ import pytest
 
 from _oracle import (
     delta_by_partition,
-    downset_lattice,
     labels_by_scan,
     nabla_by_partition,
     random_table,
     ref_name_by_scan,
 )
 from locint.bridge import FiniteMeasurableSpace
-from locint.corpus import corpus_lattices
+from locint.corpus import corpus_lattices, downset_lattice
 from locint.errors import MalformedDocument
 from locint.lattice import chain_lattice
 from locint.measure import Measure, validate_measure

@@ -7,8 +7,8 @@ import gc
 from fractions import Fraction as F
 from random import Random
 
-from _oracle import downset_lattice
 from locint.bridge import ClassicalSimpleFunction, FiniteMeasurableSpace, bridge_check
+from locint.corpus import downset_lattice
 from locint.documents import load_function, load_measure
 from locint.integrate import indefinite_integral, integrate_general, integrate_simple
 from locint.lattice import chain_lattice, powerset_lattice

@@ -9,7 +9,6 @@ import locint.cutfunction as cf
 import locint.simple as sf
 from _oracle import (
     canonicalize_by_names,
-    downset_lattice,
     fractions_upto,
     padd,
     pmul,
@@ -19,7 +18,7 @@ from _oracle import (
     table_boolean_atoms,
     table_of,
 )
-from locint.corpus import corpus_lattices
+from locint.corpus import corpus_lattices, downset_lattice
 from locint.errors import (
     CarrierMismatch,
     NotComplemented,

@@ -2,23 +2,30 @@
 
 Every lattice here is also built as an ``_oracle.TableLattice`` from an
 order given independently of join-irreducibles: positions on a chain,
-subset inclusion, divisibility, inclusion of downsets, and refinement of
-congruence partitions.  For every element and pair the two must agree on
-meet, join, order, complements, atoms and bounds, and on the Boolean atoms
-and the quotients by every congruence, read off its keep-mask."""
+subset inclusion, divisibility, the order ``leq`` reads off a seeded
+down-set lattice, and refinement of congruence partitions.  For every
+element and pair the two must agree on meet, join, order, complements,
+atoms and bounds, on the Boolean atoms, on the quotients by every
+congruence, read off its keep-mask, and on the numbering of J(L) in
+element order, which powersets and C(L) carriers (chains of 2-9
+elements, divisor lattices of 30-360, B64) keep.  Seeded down-set
+lattices built from their masks equal those built from the orders of
+their brute-force down-sets."""
 
+from functools import reduce
 from random import Random
 
 import pytest
 
 from _oracle import (
     TableLattice,
-    downset_order,
+    leq_order,
+    points_with_lower_covers,
     refines,
     table_boolean_atoms,
     table_quotient,
 )
-from locint.corpus import boolean_atoms, corpus_lattices
+from locint.corpus import boolean_atoms, corpus_lattices, divisor_lattice, downset_lattice
 from locint.errors import NotComplemented, SizeLimitExceeded
 from locint.lattice import FiniteLattice, chain_lattice, powerset_lattice, subset_name
 
@@ -58,32 +65,47 @@ SKEW = (list(SKEW_SETS), [(s, t) for s, x in SKEW_SETS.items()
                           for t, y in SKEW_SETS.items() if set(x) <= set(y)])
 
 
-def carrier_order(lattice):
+def carrier_order(frame):
     """The partition names of C(L) in frame order, ordered by refinement."""
-    congruences = lattice.congruence_frame().congruences
+    congruences = frame.congruences
     names = [c.partition_name() for c in congruences]
     return names, [(names[i], names[j]) for i, c in enumerate(congruences)
                    for j, d in enumerate(congruences) if refines(c, d)]
 
 
 def cases():
+    """{name: (lattice, its order)} and {carrier name: the frame C(L)}."""
     out = {name: (corpus_lattices()[name], order) for name, order in CORPUS_ORDERS.items()}
     rng = Random(9)
     for k in range(8):
-        elements, pairs = downset_order(rng, 1 + k % 6)
-        out[f"downset{k}"] = (FiniteLattice(elements, pairs), (elements, pairs))
+        lat = downset_lattice(rng, 1 + k % 6)
+        out[f"downset{k}"] = (lat, leq_order(lat))
     out["skew6"] = (FiniteLattice(*SKEW), SKEW)
-    for name, atoms in (("b1", ""), ("b2", "x"), ("b64", "uvwxyz")):
+    # rings of sets over 12 points, renumbered 8 points at a time: a chain
+    # listed out of order whose steps add one or two points, and B8 with
+    # four points in each atom
+    rng = Random(12)
+    spread, shuffled = rng.sample(range(12), 12), rng.sample(range(9), 9)
+    chain = [f"e{i}" for i in range(9)]
+    out["ring_chain9"] = (
+        FiniteLattice._from_masks([chain[i] for i in shuffled],
+                                  [sum(1 << p for p in spread[:i * 3 // 2]) for i in shuffled]),
+        ([chain[i] for i in shuffled], chain_order(chain)[1]))
+    blocks = [sum(1 << p for p in spread[i::3]) for i in range(3)]
+    out["ring_b8"] = (FiniteLattice._from_masks(powerset_order("xyz")[0], [
+        sum(b for i, b in enumerate(blocks) if m >> i & 1) for m in range(8)]), powerset_order("xyz"))
+    for name, atoms in (("b1", ""), ("b2", "x"), ("b32", "vwxyz"), ("b64", "uvwxyz")):
         out[name] = (powerset_lattice(atoms), powerset_order(atoms))
-    for name, lat in (("chain8", chain_lattice([f"e{i}" for i in range(8)])),
-                      ("chain9", chain_lattice([f"e{i}" for i in range(9)])),
-                      ("b64", powerset_lattice("uvwxyz")),
-                      ("skew6", FiniteLattice(*SKEW))):
-        out[f"C({name})"] = (lat.congruence_frame().as_lattice(), carrier_order(lat))
-    return out
+    lattices = {f"chain{n}": chain_lattice([f"e{i}" for i in range(n)]) for n in range(2, 10)}
+    lattices.update({f"div{n}": divisor_lattice(n) for n in (30, 36, 72, 360)})
+    lattices.update(b64=powerset_lattice("uvwxyz"), skew6=FiniteLattice(*SKEW))
+    frames = {f"C({name})": lat.congruence_frame() for name, lat in lattices.items()}
+    for name, frame in frames.items():
+        out[name] = (frame.as_lattice(), carrier_order(frame))
+    return out, frames
 
 
-CASES = cases()
+CASES, FRAMES = cases()
 
 
 def complement_or_error(lat, a):
@@ -109,6 +131,21 @@ def test_masks_agree_with_tables(name):
     assert lat.complemented_elements() == table.complemented_elements()
     assert lat.is_boolean() == table.is_boolean()
     assert boolean_atoms(lat) == table_boolean_atoms(table)
+    # bit k stands for the k-th join-irreducible in element order: an x
+    # that is not the join of the elements strictly below it
+    below = [[y for y in els if y != x and table.leq(y, x)] for x in els]
+    jirr = tuple(i for i, b in enumerate(below) if b and reduce(table.join, b) != els[i])
+    assert lat._jirr == jirr
+    assert lat._jmask == tuple(sum(1 << k for k, j in enumerate(jirr) if table.leq(els[j], x))
+                               for x in els)
+    if name in FRAMES:  # point bit k: the j of L that the k-th atom of C(L) collapses
+        frame = FRAMES[name]
+        lower = frame.lattice
+        assert frame.point_bits() == tuple(
+            lower._jirr.index(lower.index(j)) for block in
+            (frame.congruences[i].block_of for i in jirr)
+            for j, cover in points_with_lower_covers(lower)
+            if block[lower.index(j)] == block[lower.index(cover)])
 
 
 @pytest.mark.parametrize("name", [n for n in sorted(CASES) if not n.startswith("C(")])
@@ -127,12 +164,45 @@ def test_quotients_agree_with_tables(name):
 
 @pytest.mark.parametrize("name", [n for n in sorted(CASES) if CASES[n][0].size <= 64])
 def test_lattices_equal_and_hash_like_order_built_ones(name):
-    """Powersets and C(L) carriers come from masks, the rest from an order;
-    each equals the lattice the constructor builds from its order."""
+    """Powersets, C(L) carriers, down-set lattices and the rings come from
+    masks, the rest from an order; each equals the lattice the constructor
+    builds from its order."""
     lat, order = CASES[name]
     built = FiniteLattice(*order)
     assert lat == built and built == lat
     assert hash(lat) == hash(built)
+
+
+def brute_force_order(rng, points):
+    """(elements, order pairs) of the down-sets of the poset that
+    ``downset_lattice`` draws from the same generator state, found by
+    filtering all 2^points masks."""
+    below = [1 << i for i in range(points)]
+    for j in range(points):
+        for i in range(j):
+            if rng.random() < 0.35:
+                below[j] |= below[i]
+    found = [m for m in range(1 << points)
+             if all(below[i] & ~m == 0 for i in range(points) if m >> i & 1)]
+    label = {m: "d" + "".join(str(i) for i in range(points) if m >> i & 1) for m in found}
+    return [label[m] for m in found], [(label[s], label[t]) for s in found
+                                        for t in found if s & ~t == 0]
+
+
+@pytest.mark.parametrize("points", range(9))
+def test_downset_lattices_equal_order_built_ones(points):
+    """The down-set lattices built from their masks equal, hash like and
+    number J(L) like the lattices the constructor builds from the
+    brute-force down-sets of the same poset; above the cap both raise."""
+    for seed in range(300):
+        try:
+            built = FiniteLattice(*brute_force_order(Random(seed), points))
+        except SizeLimitExceeded:
+            with pytest.raises(SizeLimitExceeded, match="the 64-element limit$"):
+                downset_lattice(Random(seed), points)
+            continue
+        lat = downset_lattice(Random(seed), points)
+        assert lat == built and hash(lat) == hash(built) and lat._jirr == built._jirr
 
 
 def test_order_built_lattices_are_capped_at_64_elements():

@@ -14,9 +14,9 @@ from random import Random
 
 import pytest
 
-from _oracle import downset_lattice, points_with_lower_covers, transport, transported
+from _oracle import points_with_lower_covers, transport, transported
 from locint.bridge import classical_integral, classical_summability
-from locint.corpus import corpus_lattices, random_measure, random_simple
+from locint.corpus import corpus_lattices, downset_lattice, random_measure, random_simple
 from locint.errors import NotIntegrable
 from locint.integrate import (
     indefinite_integral,
