@@ -39,7 +39,7 @@ import re
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .errors import MalformedDocument, SizeLimitExceeded
-from .lattice import SOFT_SIZE_LIMIT, FiniteLattice
+from .lattice import FiniteLattice
 
 #: Enumeration guard: at most this many congruences, i.e. |J(L)| <= 8.  It
 #: is checked before anything is built.
@@ -169,9 +169,6 @@ class CongruenceFrame:
     __slots__ = ("lattice", "congruences", "_point_bits", "_carrier")
 
     def __init__(self, lattice: FiniteLattice):
-        if lattice.size > SOFT_SIZE_LIMIT:
-            raise SizeLimitExceeded(
-                f"congruence enumeration limited to {SOFT_SIZE_LIMIT}-element lattices")
         if 1 << len(lattice._jirr) > CONGRUENCE_LIMIT:
             raise SizeLimitExceeded(
                 f"more than {CONGRUENCE_LIMIT} congruences; beyond desk scale")

@@ -4,7 +4,9 @@ The corpus holds the three-element chain, the Boolean algebras on 2..4
 atoms, and two non-Boolean distributive lattices (the divisor lattices of
 12 and of 60, with 6 and 12 elements).  ``corpus()`` pairs each with its
 congruence frame C(L) and C(L)'s carrier, built once per process, and is
-where every ``verify`` criterion takes its lattices from.
+where every ``verify`` criterion takes its lattices from.  The test suite's
+corpus, in ``tests/_oracle.py``, holds these entries and builds the rest of
+its lattices with the generators here.
 
 ``downset_lattice(rng, points)`` draws a random poset on `points` points
 and builds the lattice of its down-sets from their masks; by Birkhoff every
@@ -21,8 +23,7 @@ from fractions import Fraction
 from functools import cache
 from itertools import count
 from random import Random
-from types import MappingProxyType
-from typing import List, Mapping, NamedTuple, Sequence, Tuple
+from typing import List, NamedTuple, Sequence, Tuple
 
 from .congruence import CongruenceFrame
 from .errors import SizeLimitExceeded
@@ -37,19 +38,6 @@ def divisor_lattice(n: int) -> FiniteLattice:
     names = [str(d) for d in divisors]
     pairs = [(str(a), str(b)) for a in divisors for b in divisors if b % a == 0]
     return FiniteLattice(names, pairs)
-
-
-@cache
-def corpus_lattices() -> Mapping[str, FiniteLattice]:
-    """The reference lattices, built once and shared read-only."""
-    return MappingProxyType({
-        "c3": chain_lattice(["0", "m", "1"]),
-        "b4": powerset_lattice(["x", "y"]),
-        "b8": powerset_lattice(["x", "y", "z"]),
-        "b16": powerset_lattice(["w", "x", "y", "z"]),
-        "div12": divisor_lattice(12),
-        "div60": divisor_lattice(60),
-    })
 
 
 class CorpusEntry(NamedTuple):
@@ -68,9 +56,16 @@ def _entry(name: str, lattice: FiniteLattice) -> CorpusEntry:
 
 @cache
 def corpus() -> Tuple[CorpusEntry, ...]:
-    """The reference lattices in ``corpus_lattices()`` order, each with C(L)
-    and its carrier, built once and shared read-only."""
-    return tuple(_entry(name, lattice) for name, lattice in corpus_lattices().items())
+    """The reference lattices, each with C(L) and its carrier, built once
+    and shared read-only."""
+    return tuple(_entry(name, lattice) for name, lattice in [
+        ("c3", chain_lattice(["0", "m", "1"])),
+        ("b4", powerset_lattice(["x", "y"])),
+        ("b8", powerset_lattice(["x", "y", "z"])),
+        ("b16", powerset_lattice(["w", "x", "y", "z"])),
+        ("div12", divisor_lattice(12)),
+        ("div60", divisor_lattice(60)),
+    ])
 
 
 def downset_lattice(rng: Random, points: int) -> FiniteLattice:

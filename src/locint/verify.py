@@ -396,7 +396,8 @@ def criterion_limits(seed: int) -> str:
     for i in range(cases):
         seq = sequence((facades if i % 2 else lattices)[i % len(lattices)], rng.randint(0, 3))
         liminf, limsup, limit = cf.limits(seq)
-        check(cf.leq(liminf, limsup), "liminf exceeds limsup")
+        check(cf.leq(liminf, limsup) and cf.leq(limsup, liminf) == (limit is not None),
+              "liminf must lie below limsup, strictly unless the limit exists")
         family = seq.prefix + seq.cycle
         check(cf.leq(cf.seq_inf(family), liminf) and cf.leq(limsup, cf.seq_sup(family)),
               "the limits leave the bounds of the sequence")
@@ -451,8 +452,11 @@ def criterion_general(seed: int) -> str:
         mu_pos = random_measure(rng, frame, inf_probability=0.0)
         while mu_pos.value(frame.top) == 0:
             mu_pos = random_measure(rng, frame)
-        check(integrate_general(cf.constant(POS_INF, facade), mu_pos) == POS_INF,
+        top, finite = cf.constant(POS_INF, facade), to_cut_function(g)
+        check(integrate_general(top, mu_pos) == POS_INF,
               "the constant inf must integrate to inf over positive measure")
+        check(cf.leq(finite, top) and not cf.leq(top, finite),
+              "the constant inf must lie strictly above a finite function")
     return f"{count} simple integrands agree; constant inf handled"
 
 

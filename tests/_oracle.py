@@ -1,6 +1,7 @@
-"""Brute-force oracles: the table-based lattice, pointwise arithmetic on
-the atoms of a carrier's Boolean centre, congruences by union-find closure, the refinement order
-and meet of partitions, measure tables built sublocale by sublocale, and the
+"""The lattice corpus of tier-1, and brute-force oracles: the table-based
+lattice, pointwise arithmetic on the atoms of a carrier's Boolean centre,
+congruences by union-find closure, the refinement order and meet of
+partitions, measure tables built sublocale by sublocale, and the
 name-based canonical form and ladder checks that the index-native ones
 replaced, and the Fraction ladder kernels and parts-based summability that
 the integer kernels replaced, and the classical space checked by pairwise
@@ -12,18 +13,30 @@ integrals summed by term and cell names that the sum over the points of
 J(L) replaced, and the transport of functions and measures to classical
 ones on J(L), read off partitions.
 
-Everything here is computed independently of the library's ladder,
-canonical-form and keep-mask algebra (plain set/dict comprehensions on the
-points of a finite set; closure of relations under meets and joins), so
-tests can freeze expected values produced by an unrelated code path."""
+Every differential test takes its lattices from the corpus, by name, so
+which lattices tier-1 checks is decided here alone; the lattices come from
+``locint.corpus``.  The oracles are computed independently of the
+library's ladder, canonical-form and keep-mask algebra (plain set/dict
+comprehensions on the points of a finite set; closure of relations under
+meets and joins), so tests can freeze expected values produced by an
+unrelated code path."""
 
 from bisect import bisect_right
 from fractions import Fraction
 from functools import cache, reduce
+from random import Random
 
 from locint.bridge import ClassicalSimpleFunction, FiniteMeasurableSpace
 from locint.congruence import Congruence
-from locint.corpus import random_weight
+from locint.corpus import (
+    CorpusEntry,
+    _entry,
+    corpus,
+    divisor_lattice,
+    downset_lattice,
+    random_weight,
+    seeded_corpus,
+)
 from locint.cutfunction import CutFunction, constant, join_meet, negate
 from locint.errors import (
     AxiomViolation,
@@ -40,7 +53,14 @@ from locint.errors import (
     SizeLimitExceeded,
 )
 from locint.integrate import _keep_of, _term_measure, classify, integrate_simple, report_value
-from locint.lattice import SOFT_SIZE_LIMIT, FiniteLattice, check_same_carrier, subset_name
+from locint.lattice import (
+    SOFT_SIZE_LIMIT,
+    FiniteLattice,
+    chain_lattice,
+    check_same_carrier,
+    powerset_lattice,
+    subset_name,
+)
 from locint.measure import Measure, check_measure_value
 from locint.rationals import POS_INF, ext_add, ext_le, ext_scale, format_extended
 from locint.simple import (
@@ -56,6 +76,59 @@ from locint.simple import (
     to_cut_function,
     zero,
 )
+
+
+# -- the lattice corpus of tier-1 -----------------------------------------------
+#
+# Tiers are tuples of names, so tests are parametrized at collection; each
+# lattice, its frame C(L) and C(L)'s carrier are built on first use and
+# shared by every test of the process, so a library fault fails tests, not
+# collection.  "C(<name>)" names the carrier of C(L).  The SMALL tier has at
+# most 30 elements and 64 congruences, for the brute-force oracles
+# (partition enumeration, union-find closure, triple sweeps); the SEEDED
+# and LADDER tiers reach 64 elements and 256 congruences, and a carrier up
+# to C(chain9)'s 256 elements.  To add a lattice, add its name to a tier,
+# and a builder to _BUILD if its kind is new.
+
+CORPUS = ("c3", "b4", "b8", "b16", "div12", "div60")  # locint.corpus.corpus()
+DOWNSETS = tuple(f"downset{k}" for k in range(9))  # seed k, |J| = 1 + k % 6
+POSETS = tuple(f"poset{seed}" for seed in range(14))  # seed, |J| drawn from 1 to 6
+SMALL = CORPUS + DOWNSETS + POSETS
+SEEDED = tuple(f"downset{n}s0" for n in range(4, 9))  # locint.corpus.seeded_corpus(), |J| = n
+LADDER = tuple(f"chain{n}" for n in range(2, 10)) + ("div30", "div36", "div72", "div360",
+                                                      "b32", "b64")
+
+
+_BUILD = {
+    "downset": lambda k: downset_lattice(Random(k), 1 + k % 6),
+    "poset": lambda seed: downset_lattice(rng := Random(seed), rng.randint(1, 6)),
+    "chain": lambda n: chain_lattice([f"e{i}" for i in range(n)]),
+    "div": divisor_lattice,
+    "b": lambda n: powerset_lattice("uvwxyz"[7 - n.bit_length():]),  # b32: v..z, b64: u..z
+}
+
+
+@cache
+def entry(name: str) -> CorpusEntry:
+    """The corpus lattice `name` with C(L) and C(L)'s carrier."""
+    shared = {e.name: e for e in corpus() + seeded_corpus()}
+    if name in shared:
+        return shared[name]
+    kind = name.rstrip("0123456789")
+    return _entry(name, _BUILD[kind](int(name[len(kind):])))
+
+
+def named(name: str) -> FiniteLattice:
+    """The corpus lattice `name`, or for "C(<name>)" the carrier of its C(L)."""
+    return entry(name[2:-1]).carrier if name.startswith("C(") else entry(name).lattice
+
+
+def outcome(fn, *args):
+    """("ok", value) or ("error", exception class, message)."""
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:  # the class and message are what is compared
+        return ("error", type(exc), str(exc))
 
 
 # -- the lattice as n x n meet and join tables -------------------------------------

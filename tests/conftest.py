@@ -1,18 +1,18 @@
 import pytest
 
-from locint.lattice import chain_lattice, powerset_lattice
+from _oracle import named
 
 
 @pytest.fixture(scope="session")
 def b4():
-    return powerset_lattice(["x", "y"])
+    return named("b4")
 
 
 @pytest.fixture(scope="session")
 def b8():
-    return powerset_lattice(["x", "y", "z"])
+    return named("b8")
 
 
 @pytest.fixture(scope="session")
 def c3():
-    return chain_lattice(["0", "m", "1"])
+    return named("c3")

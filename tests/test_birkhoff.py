@@ -7,12 +7,13 @@ distributivity check against the triple sweep."""
 
 import tracemalloc
 from fractions import Fraction as F
-from functools import lru_cache
 from random import Random
 
 import pytest
 
 from _oracle import (
+    CORPUS,
+    POSETS,
     all_pairs,
     canonical,
     check_axioms_by_pairs,
@@ -20,9 +21,11 @@ from _oracle import (
     closure_congruences,
     closure_join,
     congruence_of,
+    entry,
     first_distributivity_failure,
     leq_order,
     modularity_pairs,
+    named,
     order_pairs,
     positions,
     random_table,
@@ -32,65 +35,34 @@ from _oracle import (
     weights_table,
 )
 from locint.bridge import FiniteMeasurableSpace, extend_measure
-from locint.corpus import (
-    corpus_lattices,
-    divisor_lattice,
-    downset_lattice,
-    random_measure,
-    random_weight,
-)
+from locint.corpus import divisor_lattice, downset_lattice, random_measure, random_weight
 from locint.errors import AxiomViolation, MalformedDocument, NotDistributive
-from locint.lattice import (
-    FiniteLattice,
-    chain_lattice,
-    powerset_lattice,
-    subset_name,
-)
+from locint.lattice import FiniteLattice, chain_lattice, powerset_lattice, subset_name
 from locint.measure import Measure, check_axioms, measure_from_weights, validate_measure
 from locint.rationals import POS_INF
 
-SMALL = [f"poset{seed}" for seed in range(14)]
-LARGE = ["b32", "div360", "chain8", "chain9"]
-
-
-@lru_cache(maxsize=None)
-def lattice(name):
-    if name.startswith("poset"):
-        rng = Random(int(name[5:]))
-        return downset_lattice(rng, rng.randint(1, 6))
-    return {
-        "b32": lambda: powerset_lattice(["a", "b", "c", "d", "e"]),
-        "div360": lambda: divisor_lattice(360),
-        "chain8": lambda: chain_lattice([f"e{i}" for i in range(8)]),
-        "chain9": lambda: chain_lattice([f"e{i}" for i in range(9)]),
-    }[name]()
-
-
-@lru_cache(maxsize=None)
-def oracle(name):
-    return closure_congruences(lattice(name))
+WIDE = ("b32", "div360", "chain8", "chain9")
 
 
 def pairs_to_check(name, frame):
-    """Every pair on the small lattices, a seeded sample on the large ones."""
+    """Every pair on the posets, a seeded sample on the wide lattices."""
     n = frame.size
-    if name in SMALL:
+    if name in POSETS:
         return [(i, j) for i in range(n) for j in range(n)]
     rng = Random(n)
     return [(rng.randrange(n), rng.randrange(n)) for _ in range(60)]
 
 
 def test_small_corpus_is_varied():
-    sizes = {lattice(name).size for name in SMALL}
-    counts = {lattice(name).congruence_frame().size for name in SMALL}
+    sizes = {named(name).size for name in POSETS}
+    counts = {entry(name).frame.size for name in POSETS}
     assert len(sizes) >= 5 and max(counts) >= 32
 
 
-@pytest.mark.parametrize("name", SMALL + LARGE)
+@pytest.mark.parametrize("name", POSETS + WIDE)
 def test_same_congruences_order_and_names(name):
-    lat = lattice(name)
-    frame = lat.congruence_frame()
-    expected = oracle(name)
+    lat, frame = named(name), entry(name).frame
+    expected = closure_congruences(lat)
     assert [c.block_of for c in frame.congruences] == [c.block_of for c in expected]
     assert ([c.partition_name() for c in frame.congruences]
             == [c.partition_name() for c in expected])
@@ -100,10 +72,9 @@ def test_same_congruences_order_and_names(name):
         assert frame.resolve_ref(ref) == s
 
 
-@pytest.mark.parametrize("name", SMALL + LARGE)
+@pytest.mark.parametrize("name", POSETS + WIDE)
 def test_meet_join_complement_match_closure(name):
-    lat = lattice(name)
-    frame = lat.congruence_frame()
+    lat, frame = named(name), entry(name).frame
     cons = frame.congruences
     eq, everything = frame.top, all_pairs(lat)
     assert eq.block_of == tuple(range(lat.size))
@@ -118,13 +89,12 @@ def test_meet_join_complement_match_closure(name):
         assert closure_join(c, comp) == everything
 
 
-@pytest.mark.parametrize("name", SMALL)
+@pytest.mark.parametrize("name", POSETS)
 def test_principal_congruences_match_closure(name):
     # the smallest congruence identifying a and b is the meet in C(L) of the
     # closed nabla(a \/ b) and the open delta(a /\ b), the join of their
     # sublocales in S(L)
-    lat = lattice(name)
-    frame = lat.congruence_frame()
+    lat, frame = named(name), entry(name).frame
     for i, a in enumerate(lat.elements):
         for j, b in enumerate(lat.elements):
             expected = canonical(closure(lat, [(i, j)]))
@@ -133,9 +103,9 @@ def test_principal_congruences_match_closure(name):
             assert theta.block_of == expected
 
 
-@pytest.mark.parametrize("name", SMALL + ["b32", "div360"])
+@pytest.mark.parametrize("name", POSETS + WIDE[:2])
 def test_view_tables_match_partition_order(name):
-    frame = lattice(name).congruence_frame()
+    frame = entry(name).frame
     subs = frame.congruences
     n = len(subs)
     order = [(i, j) for i in range(n) for j in range(n)
@@ -153,9 +123,7 @@ def test_view_tables_match_partition_order(name):
 
 
 def test_facade_is_the_inclusion_order():
-    for name in SMALL[:6] + ["div360"]:
-        frame = lattice(name).congruence_frame()
-        facade = frame.as_lattice()
+    for _, _, frame, facade in map(entry, POSETS[:6] + ("div360",)):
         for c in frame.congruences:
             for d in frame.congruences:
                 assert facade.leq(c.partition_name(), d.partition_name()) == refines(c, d)
@@ -179,9 +147,9 @@ def is_atom_sum(frame, table):
     return [v for _, v in mu.items()] == table
 
 
-@pytest.mark.parametrize("name", SMALL[:8] + ["div360"])
+@pytest.mark.parametrize("name", POSETS[:8] + ("div360",))
 def test_additive_check_agrees_with_exhaustive_sweep(name):
-    frame = lattice(name).congruence_frame()
+    frame = entry(name).frame
     rng = Random(len(frame.congruences))
     valid = perturbed = 0
     for _ in range(12):
@@ -232,9 +200,9 @@ def perturbed_tables(rng, frame):
             yield broken
 
 
-@pytest.mark.parametrize("name", SMALL + ["div360", "chain9"])
+@pytest.mark.parametrize("name", POSETS + ("div360", "chain9"))
 def test_in_place_sweep_matches_pair_list_sweep(name):
-    frame = lattice(name).congruence_frame()
+    frame = entry(name).frame
     rng = Random(name)
     seen = set()
     for table in perturbed_tables(rng, frame):
@@ -248,7 +216,7 @@ def test_in_place_sweep_matches_pair_list_sweep(name):
 
 def test_naming_a_failure_allocates_no_pair_list():
     # chain9 has 256 sublocales: a list of its pairs takes megabytes
-    frame = lattice("chain9").congruence_frame()
+    frame = entry("chain9").frame
     table = [v for _, v in random_measure(Random(9), frame).items()]
     top = positions(frame)[frame.lattice._full]
     table[top] += 1
@@ -290,10 +258,9 @@ def table_of(mu):
     return table
 
 
-@pytest.mark.parametrize("name", sorted(corpus_lattices()) + SMALL + ["b32", "div360"])
+@pytest.mark.parametrize("name", CORPUS + POSETS + WIDE[:2])
 def test_random_measure_matches_per_sublocale_formula(name):
-    lat = corpus_lattices()[name] if name in corpus_lattices() else lattice(name)
-    frame = lat.congruence_frame()
+    frame = entry(name).frame
     for seed in range(6):
         new_rng, old_rng = Random(seed), Random(seed)
         inf_probability = 0.25 if seed % 2 else 0.0
@@ -304,8 +271,7 @@ def test_random_measure_matches_per_sublocale_formula(name):
 
 @pytest.mark.parametrize("name", ["b4", "b8", "b16", "b32"])
 def test_weights_measure_matches_per_sublocale_formula(name):
-    lat = corpus_lattices().get(name) or lattice(name)
-    frame = lat.congruence_frame()
+    lat, frame = named(name), entry(name).frame
     rng = Random(name)
     for _ in range(6):
         weights = {a: random_weight(rng, 0.25) for a in lat.atoms()}
@@ -395,16 +361,16 @@ def test_distributivity_failures_name_the_first_triple():
         assert str(err.value) == f"distributivity fails on the triple ({a!r}, {b!r}, {c!r})"
 
 
-@pytest.mark.parametrize("name", SMALL + LARGE)
+@pytest.mark.parametrize("name", POSETS + WIDE)
 def test_distributive_corpus_passes_the_triple_sweep(name):
-    lat = lattice(name)
+    lat = named(name)
     if lat.size <= 32:
         idx = lat.index
         assert first_distributivity_failure(
             lat.elements,
             lambda x, y: idx(lat.meet(lat.elements[x], lat.elements[y])),
             lambda x, y: idx(lat.join(lat.elements[x], lat.elements[y]))) is None
-    assert lat.congruence_frame().as_lattice().is_boolean()
+    assert entry(name).carrier.is_boolean()
 
 
 # -- partitions entering through from_blocks versus the closure ---------------------

@@ -3,7 +3,18 @@ from itertools import product
 
 import pytest
 
-from _oracle import all_pairs, equality_relation, refines
+from _oracle import (
+    CORPUS,
+    DOWNSETS,
+    LADDER,
+    SEEDED,
+    SMALL,
+    all_pairs,
+    entry,
+    equality_relation,
+    named,
+    refines,
+)
 from locint.congruence import Congruence
 from locint.errors import MalformedDocument
 
@@ -54,8 +65,8 @@ def frame_as_partition_set(lat):
     return out
 
 
-def test_enumeration_matches_brute_force(c3, b4, b8):
-    for lat in (c3, b4, b8):
+def test_enumeration_matches_brute_force(b8):
+    for lat in [b8] + [entry(n).lattice for n in SMALL if entry(n).lattice.size <= 6]:
         assert frame_as_partition_set(lat) == brute_force_congruences(lat)
 
 
@@ -89,10 +100,8 @@ def test_open_closed_examples(c3, b4):
     assert frame.open_sublocale("x") == frame.closed_sublocale("y")
 
 
-def test_open_closed_are_complements(c3, b4, b8):
-    for lat in (c3, b4, b8):
-        frame = lat.congruence_frame()
-        facade = frame.as_lattice()
+def test_open_closed_are_complements():
+    for _, lat, frame, facade in map(entry, SMALL):
         for a in lat.elements:
             d, n = frame.open_sublocale(a), frame.closed_sublocale(a)
             assert frame.join(d, n) == frame.top == equality_relation(lat)
@@ -107,10 +116,8 @@ def test_congruence_complement_examples(c3):
     assert frame.complement(frame.closed_sublocale("m")) == frame.open_sublocale("m")
 
 
-def test_nabla_is_an_embedding(b8, c3):
-    for lat in (b8, c3):
-        frame = lat.congruence_frame()
-        facade = frame.as_lattice()
+def test_nabla_is_an_embedding():
+    for _, lat, frame, facade in map(entry, SMALL):
         for a in lat.elements:
             for b in lat.elements:
                 na, nb = frame.closed_sublocale(a), frame.closed_sublocale(b)
@@ -122,17 +129,17 @@ def test_nabla_is_an_embedding(b8, c3):
                     assert na != nb
 
 
-def test_delta_reverses_order(b8):
-    frame = b8.congruence_frame()
-    for a in b8.elements:
-        for b in b8.elements:
-            if b8.leq(a, b):
-                assert refines(frame.open_sublocale(b), frame.open_sublocale(a))
+def test_delta_reverses_order():
+    for _, lat, frame, _ in map(entry, SMALL):
+        for a in lat.elements:
+            for b in lat.elements:
+                if lat.leq(a, b):
+                    assert refines(frame.open_sublocale(b), frame.open_sublocale(a))
 
 
-def test_frame_is_boolean_at_this_scale(c3, b4, b8):
-    for lat in (c3, b4, b8):
-        assert lat.congruence_frame().as_lattice().is_boolean()
+def test_frame_is_boolean_at_this_scale():
+    for name in SMALL + SEEDED + LADDER:
+        assert entry(name).carrier.is_boolean()
 
 
 def test_quotient_examples(c3):
@@ -218,10 +225,8 @@ def test_validate_congruence_rejects_non_congruences(b4):
         Congruence.from_blocks(b4, [["0", "x"], ["y"], ["1"]])
 
 
-def test_every_congruence_is_complemented_in_frame(c3, b4, b8):
-    for lat in (c3, b4, b8):
-        frame = lat.congruence_frame()
-        facade = frame.as_lattice()
+def test_every_congruence_is_complemented_in_frame():
+    for _, lat, frame, facade in map(entry, SMALL):
         for theta in frame.congruences:
             comp = frame.complement(theta)
             assert frame.join(theta, comp) == frame.top == equality_relation(lat)
@@ -231,10 +236,12 @@ def test_every_congruence_is_complemented_in_frame(c3, b4, b8):
 
 def test_enumeration_size_guard():
     # an n-chain has 2^(n-1) congruences: the 9-chain is at the cap, the
-    # 10-chain just beyond it and the 12-chain far beyond desk scale
+    # 10-chain just beyond it and the 12-chain far beyond desk scale; only
+    # the count is capped, so C(chain9)'s 256-element carrier has a frame
     from locint.errors import SizeLimitExceeded
     from locint.lattice import chain_lattice
-    assert chain_lattice([f"e{i}" for i in range(9)]).congruence_frame().size == 256
+    assert entry("chain9").frame.size == 256
+    assert named("C(chain9)").congruence_frame().size == 256
     for n in (10, 12):
         long_chain = chain_lattice([f"e{i}" for i in range(n)])
         with pytest.raises(SizeLimitExceeded, match="more than 256 congruences"):
@@ -332,27 +339,12 @@ def test_every_operand_of_another_lattice_is_rejected(b4, b8):
                 call()
 
 
-def _mask_lattices():
-    from random import Random
-
-    from locint.corpus import corpus_lattices, downset_lattice
-
-    out = dict(corpus_lattices())
-    rng = Random("sublocale-masks")
-    for points in range(1, 9):
-        out[f"downset{points}"] = downset_lattice(rng, points)
-    return out
-
-
-MASK_LATTICES = _mask_lattices()
-
-
-@pytest.mark.parametrize("name", sorted(MASK_LATTICES))
+@pytest.mark.parametrize("name", CORPUS + DOWNSETS + SEEDED)
 def test_a_sublocale_built_from_its_mask_is_the_listed_one(name):
     """For every keep-mask, the sublocale the frame builds from the lattice
     alone is the frame's listed congruence, partition and name included,
     and ``element_of`` inverts ``congruence_of_element``."""
-    frame = MASK_LATTICES[name].congruence_frame()
+    frame = entry(name).frame
     assert sorted(theta.keep for theta in frame.congruences) == list(range(frame.size))
     for theta in frame.congruences:
         built = frame._sublocale(theta.keep)
@@ -364,11 +356,11 @@ def test_a_sublocale_built_from_its_mask_is_the_listed_one(name):
         assert frame.congruence_of_element(frame.element_of(theta)) == theta
 
 
-@pytest.mark.parametrize("name", sorted(MASK_LATTICES))
+@pytest.mark.parametrize("name", CORPUS + DOWNSETS + SEEDED)
 def test_printed_refs_resolve_back(name):
     """Every sublocale's printed ref, the blocks form included, resolves to
     that sublocale; a lattice document may not name an element with a
     separator of the blocks form."""
-    frame = MASK_LATTICES[name].congruence_frame()
+    frame = entry(name).frame
     for s in frame.congruences:
         assert frame.resolve_ref(frame.ref_name(s)) == s

@@ -36,11 +36,6 @@ def docs(tmp_path):
         "function": write(tmp_path, "f.json",
                           {"kind": "simple", "terms": [["2", "open:x"], ["3", "open:y"]]}),
         "one": write(tmp_path, "one.json", {"kind": "constant", "value": "1"}),
-        "space": write(tmp_path, "space.json",
-                       {"points": ["x", "y"], "algebra": "powerset",
-                        "lambda": {"x": "2", "y": "3"}}),
-        "classical": write(tmp_path, "fc.json",
-                           {"kind": "classical", "values": {"x": "2", "y": "3"}}),
     }
 
 
@@ -188,64 +183,6 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_cli_integrate_matches_expected(docs, capsys):
-    code, out, _ = run_cli(capsys, "integrate", "--lattice", docs["lattice"],
-                           "--measure", docs["measure"], "--function", docs["function"])
-    assert code == 0
-    assert out == "13\nsummable\n"
-    code, out, _ = run_cli(capsys, "integrate", "--lattice", docs["lattice"],
-                           "--measure", docs["measure"], "--function", docs["function"],
-                           "--over", "open:x")
-    assert code == 0
-    assert out.splitlines()[0] == "4"
-
-
-def test_cli_decompose_trace_milestone(docs, capsys):
-    code, out, _ = run_cli(capsys, "decompose", "--function", docs["one"], "--k", "7")
-    assert code == 0
-    assert out.rstrip().endswith("f_7 = 41/42")
-
-
-def test_cli_congruences(docs, capsys):
-    code, out, _ = run_cli(capsys, "congruences", "--lattice", docs["lattice"])
-    assert code == 0
-    assert out.splitlines()[0] == "4 congruences"
-    assert any("nabla:x" in line for line in out.splitlines())
-
-
-def test_cli_eval_and_canonicalize(docs, capsys):
-    code, out, _ = run_cli(capsys, "eval", "--lattice", docs["lattice"],
-                           "--function", docs["one"])
-    assert code == 0 and "breakpoints: 1" in out
-    code, out, _ = run_cli(capsys, "canonicalize", "--lattice", docs["lattice"],
-                           "--function", docs["function"], "--carrier", "congruence")
-    assert code == 0 and "canonical form:" in out
-
-
-def test_cli_indefinite(docs, capsys):
-    code, out, _ = run_cli(capsys, "indefinite", "--lattice", docs["lattice"],
-                           "--measure", docs["measure"], "--function", docs["function"])
-    assert code == 0
-    assert "L -> 13" in out and "void -> 0" in out
-    assert "M4 by finiteness" in out
-
-
-def test_cli_bridge(docs, capsys):
-    code, out, _ = run_cli(capsys, "bridge", "--space", docs["space"],
-                           "--function", docs["classical"])
-    assert code == 0 and "exact agreement" in out
-    code, out, _ = run_cli(capsys, "bridge", "--space", docs["space"],
-                           "--function", docs["classical"], "--over", "x")
-    assert code == 0 and out.splitlines()[0].startswith("classical integral: 4")
-
-
-def test_cli_validate(docs, capsys):
-    code, out, _ = run_cli(capsys, "validate", "--lattice", docs["lattice"],
-                           "--measure", docs["measure"], "--function", docs["function"],
-                           "--carrier", "congruence", "--space", docs["space"])
-    assert code == 0 and out.rstrip().endswith("valid")
-
-
 def test_cli_exit_code_2_on_bad_documents(tmp_path, capsys):
     bad_lattice = write(tmp_path, "bad.json",
                         {"kind": "poset", "elements": ["0", "a", "b", "c", "1"],
@@ -308,29 +245,6 @@ def test_cli_exit_code_3_on_undefined_operations(tmp_path, capsys):
     code, _, err = run_cli(capsys, "integrate", "--lattice", lattice,
                            "--measure", mu, "--function", f)
     assert code == 3 and "infinite" in err
-
-
-def test_cli_output_is_deterministic(docs, capsys):
-    outs = set()
-    for _ in range(2):
-        _, out, _ = run_cli(capsys, "integrate", "--lattice", docs["lattice"],
-                            "--measure", docs["measure"], "--function", docs["function"],
-                            "--format", "json")
-        outs.add(out)
-    assert len(outs) == 1
-    for _ in range(2):
-        _, out, _ = run_cli(capsys, "congruences", "--lattice", docs["lattice"])
-        outs.add(out)
-    assert len(outs) == 2
-
-
-def test_cli_json_format(docs, capsys):
-    code, out, _ = run_cli(capsys, "integrate", "--lattice", docs["lattice"],
-                           "--measure", docs["measure"], "--function", docs["function"],
-                           "--format", "json")
-    payload = json.loads(out)
-    assert payload["integral"] == "13"
-    assert payload["classification"] == "summable"
 
 
 def test_cli_rejects_minus_inf_atom_weight(docs, tmp_path, capsys):

@@ -21,12 +21,17 @@ import pytest
 
 import locint.simple as sf
 from _oracle import (
+    CORPUS,
+    DOWNSETS,
+    SEEDED,
     canonicalize_by_names,
     cut_ladders_by_names,
+    named,
+    outcome,
     refinement_by_names,
 )
 from locint.bridge import ClassicalSimpleFunction, FiniteMeasurableSpace, to_localic
-from locint.corpus import corpus_lattices, downset_lattice, random_rational, random_simple
+from locint.corpus import downset_lattice, random_rational, random_simple
 from locint.cutfunction import CutFunction, _from_grid, add, constant
 from locint.errors import InvalidArgument, MalformedDocument, NotComplemented
 from locint.lattice import FiniteLattice, chain_lattice
@@ -35,26 +40,8 @@ from locint.rationals import NEG_INF, POS_INF, over_common_denominator
 ONE_POINT = FiniteLattice(["0"], [("0", "0")])
 
 
-def _carriers():
-    out = dict(corpus_lattices())
-    out["chain4"] = chain_lattice(["0", "a", "b", "1"])
-    for name in ("c3", "b4", "b8", "div12", "chain4"):
-        out[f"C({name})"] = out[name].congruence_frame().as_lattice()
-    rng = Random(5)
-    for k in range(8):  # |J| from 1 to 8
-        out[f"downset{k}"] = downset_lattice(rng, 1 + k)
-    return out
-
-
-CARRIERS = _carriers()
-
-
-def outcome(fn, *args):
-    """("ok", value) or ("error", exception class, message)."""
-    try:
-        return ("ok", fn(*args))
-    except Exception as exc:  # the class and message are what is compared
-        return ("error", type(exc), str(exc))
+CARRIER_NAMES = CORPUS + ("chain4",) + DOWNSETS + SEEDED + tuple(
+    f"C({name})" for name in ("c3", "b4", "b8", "div12", "chain4"))
 
 
 def terms_of(fn):
@@ -150,9 +137,9 @@ def _builders(rng, lat):
     return out
 
 
-@pytest.mark.parametrize("name", sorted(CARRIERS))
+@pytest.mark.parametrize("name", CARRIER_NAMES)
 def test_canonicalize_matches_the_name_based_split(name):
-    lat = CARRIERS[name]
+    lat = named(name)
     rng = Random(f"canonicalize-{name}")
     for terms in _term_lists(rng, lat):
         want = outcome(terms_of(canonicalize_by_names), lat, terms)
@@ -163,8 +150,8 @@ def test_canonicalize_matches_the_name_based_split(name):
 
 
 def test_canonical_input_comes_back_unchanged():
-    for name, lat in CARRIERS.items():
-        rng = Random(f"fast-{name}")
+    for name in CARRIER_NAMES:
+        lat, rng = named(name), Random(f"fast-{name}")
         for _ in range(10):
             g = random_simple(rng, lat, max_parts=4)
             assert sf.canonicalize(lat, g.terms).terms == g.terms
@@ -252,9 +239,9 @@ def test_one_pass_canonicalize_on_every_input_form(seed):
             assert outcome(terms_of(sf.canonicalize), lat, form) == want, broken
 
 
-@pytest.mark.parametrize("name", sorted(CARRIERS))
+@pytest.mark.parametrize("name", CARRIER_NAMES)
 def test_refinement_products_and_parts_match_the_name_based_code(name):
-    lat = CARRIERS[name]
+    lat = named(name)
     rng = Random(f"ring-{name}")
     for _ in range(20):
         g, h = random_simple(rng, lat, max_parts=4), random_simple(rng, lat, max_parts=4)
@@ -310,9 +297,9 @@ def _perturbed(rng, lat, bp, up, lo):
     return out
 
 
-@pytest.mark.parametrize("name", sorted(CARRIERS))
+@pytest.mark.parametrize("name", CARRIER_NAMES)
 def test_cut_function_checks_match_the_name_based_checks(name):
-    lat = CARRIERS[name]
+    lat = named(name)
     rng = Random(f"ladders-{name}")
     for bp, up, lo in _valid_ladders(rng, lat):
         for args in [(bp, up, lo)] + _perturbed(rng, lat, bp, up, lo):
@@ -320,14 +307,14 @@ def test_cut_function_checks_match_the_name_based_checks(name):
                 outcome(cut_ladders_by_names, lat, *args), args
 
 
-@pytest.mark.parametrize("name", sorted(CARRIERS))
+@pytest.mark.parametrize("name", CARRIER_NAMES)
 def test_the_builder_checks_what_the_constructor_checks(name):
     """The upper ladder of each case above as ints and J-masks, against the
     name-based checks on it and its complement.  An upper ladder with a name
     that is unknown or not complemented has no complement, and a lower
     ladder that is not the complement of the upper one reaches only the
     constructor: both are left to the test above."""
-    lat = CARRIERS[name]
+    lat = named(name)
     rng = Random(f"ladders-{name}")
     comp = set(lat.complemented_elements())
     for bp, up, lo in _valid_ladders(rng, lat):
@@ -342,7 +329,7 @@ def test_the_builder_checks_what_the_constructor_checks(name):
 
 
 def test_hashes_agree_with_equality():
-    lat = CARRIERS["div60"]
+    lat = named("div60")
     rng = Random(3)
     for _ in range(20):
         g = random_simple(rng, lat, max_parts=4)

@@ -23,18 +23,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from _oracle import (
+    CORPUS,
+    DOWNSETS,
+    SEEDED,
     add_by_fractions,
     certificate_by_lower_cut,
     cut_from_pointwise,
     cut_to_simple_by_names,
     decompose_trace_by_names,
+    entry,
     indefinite_by_atoms,
     integrate_general_by_ladders,
     join_meet_by_fractions,
     leq_by_fractions,
     limits_by_fractions,
     mul_nonneg_by_fractions,
+    named,
     negate_by_fractions,
+    outcome,
     scale_by_fractions,
     seq_inf_by_fractions,
     seq_sup_by_fractions,
@@ -42,7 +48,7 @@ from _oracle import (
     summability_by_terms,
     to_cut_function_by_names,
 )
-from locint.corpus import corpus_lattices, downset_lattice, random_measure, random_simple
+from locint.corpus import downset_lattice, random_measure, random_simple
 from locint.cutfunction import (
     CutFunction,
     FunctionSequence,
@@ -66,7 +72,7 @@ from locint.integrate import (
     report_value,
     summability,
 )
-from locint.lattice import FiniteLattice, chain_lattice, powerset_lattice
+from locint.lattice import FiniteLattice, powerset_lattice
 from locint.measure import Measure
 from locint.rationals import NEG_INF, POS_INF
 from locint.simple import (
@@ -84,28 +90,7 @@ from locint.simple import (
 ONE_POINT = FiniteLattice(["0"], [("0", "0")])
 
 
-FRAMES = {"C(chain8)": chain_lattice([f"c{i}" for i in range(8)]).congruence_frame(),
-          "C(b64)": powerset_lattice("uvwxyz").congruence_frame()}
-
-
-def _carriers():
-    out = dict(corpus_lattices())
-    rng = Random(7)
-    for k in range(8):  # |J| from 1 to 8
-        out[f"downset{k}"] = downset_lattice(rng, 1 + k)
-    out.update((name, frame.as_lattice()) for name, frame in FRAMES.items())
-    return out
-
-
-CARRIERS = _carriers()
-
-
-def outcome(fn, *args):
-    """("ok", value) or ("error", exception class, message)."""
-    try:
-        return ("ok", fn(*args))
-    except Exception as exc:  # the class and message are what is compared
-        return ("error", type(exc), str(exc))
+CARRIER_NAMES = CORPUS + DOWNSETS + SEEDED + ("C(chain8)", "C(b64)")
 
 
 def ladders(f):
@@ -243,9 +228,9 @@ def _functions(rng, lat):
     return fs
 
 
-@pytest.mark.parametrize("name", sorted(CARRIERS))
+@pytest.mark.parametrize("name", CARRIER_NAMES)
 def test_ladder_kernels_match_the_fraction_kernels(name):
-    lat = CARRIERS[name]
+    lat = named(name)
     rng = Random(f"int-kernels-{name}")
     fs = _functions(rng, lat)
     for _ in range(40):
@@ -260,11 +245,11 @@ def test_ladder_kernels_match_the_fraction_kernels(name):
     compare_family([])
 
 
-@pytest.mark.parametrize("name", sorted(CARRIERS))
+@pytest.mark.parametrize("name", CARRIER_NAMES)
 def test_negate_scale_limits_and_cells_match_the_fraction_code(name, monkeypatch):
     """limits on prefixes of 0 to 7 members and cycles of 1 to 4, finite
     and extended, repeats allowed."""
-    lat = CARRIERS[name]
+    lat = named(name)
     rng = Random(f"unary-{name}")
     fs = _functions(rng, lat)
     for f in fs:
@@ -275,11 +260,11 @@ def test_negate_scale_limits_and_cells_match_the_fraction_code(name, monkeypatch
         compare_limits(prefix, rng.choices(fs, k=rng.randint(1, 4)), fills)
 
 
-@pytest.mark.parametrize("name", sorted(CARRIERS))
+@pytest.mark.parametrize("name", CARRIER_NAMES)
 def test_kernel_results_equal_their_ladders_built_by_name(name):
     """add, mul_nonneg, join_meet and seq_inf/seq_sup build from ints and
     masks; each result equals and hashes as its public rebuild."""
-    lat = CARRIERS[name]
+    lat = named(name)
     rng = Random(f"public-{name}")
     fs = _functions(rng, lat)
     for _ in range(20):
@@ -290,13 +275,13 @@ def test_kernel_results_equal_their_ladders_built_by_name(name):
             shown(outcome(kernel, [f, g])[1])
 
 
-@pytest.mark.parametrize("name", sorted(CARRIERS))
+@pytest.mark.parametrize("name", CARRIER_NAMES)
 def test_to_cut_function_matches_the_name_based_joins(name, monkeypatch):
     """From the vector of a sum, before and after its terms are read.  The
     ladder is built unchecked: it equals the one the checked builder
     ``_from_grid`` makes of the same grid and ladder, and no conversion
     calls ``_fill``."""
-    lat = CARRIERS[name]
+    lat = named(name)
     rng = Random(f"to-cut-{name}")
     fills = counted_fills(monkeypatch)
 
@@ -325,7 +310,7 @@ def test_one_element_carrier():
         for g in fs:
             compare_pair(f, g)
     compare_family(fs)
-    other = constant(F(0), CARRIERS["b4"])
+    other = constant(F(0), named("b4"))
     compare_pair(flat, other)  # different carriers
     compare_family([flat, other])
 
@@ -340,8 +325,8 @@ def test_unary_kernels_on_the_one_element_carrier(monkeypatch):
     rng = Random("unary-one-point")
     for n in range(8):
         compare_limits(rng.choices(fs, k=n), rng.choices(fs, k=rng.randint(1, 4)), fills)
-    compare_limits([flat], [constant(F(0), CARRIERS["b4"])], fills)  # different carriers
-    compare_limits([], [flat, constant(F(0), CARRIERS["b4"])], fills)
+    compare_limits([flat], [constant(F(0), named("b4"))], fills)  # different carriers
+    compare_limits([], [flat, constant(F(0), named("b4"))], fills)
 
 
 def _decomposable(rng, lat):
@@ -354,17 +339,16 @@ def _decomposable(rng, lat):
     return fs
 
 
-@pytest.mark.parametrize("name", sorted(CARRIERS))
+@pytest.mark.parametrize("name", CARRIER_NAMES)
 def test_decomposition_matches_the_name_based_steps(name):
-    lat = CARRIERS[name]
+    lat = named(name)
     for f in _decomposable(Random(f"decompose-{name}"), lat):
         compare_decompositions(f)
 
 
 @pytest.mark.parametrize("name", ["b4", "b8", "div12", "c3"])
 def test_summability_matches_the_parts(name):
-    frame = corpus_lattices()[name].congruence_frame()
-    facade = frame.as_lattice()
+    _, _, frame, facade = entry(name)
     rng = Random(f"summability-{name}")
     measures = [random_measure(rng, frame, inf_probability=p) for p in (0.0, 0.3, 0.6)]
     subs = [None] + list(frame.congruences)
@@ -376,17 +360,12 @@ def test_summability_matches_the_parts(name):
         assert summability(g, mu, over) == summability_by_parts(g, mu, over), (g, over)
 
 
-INTEGRAL_FRAMES = {**{f"C({n})": lat.congruence_frame() for n, lat in corpus_lattices().items()},
-                   **FRAMES}
-
-
-@pytest.mark.parametrize("name", sorted(INTEGRAL_FRAMES))
+@pytest.mark.parametrize("name", [f"C({name})" for name in CORPUS + ("chain8", "b64")])
 def test_integrals_match_the_sums_by_names(name):
     """Every integral over every sublocale, against the term, cell and
     ladder sums by name; signed, vector-held and extended integrands under
     measures with +inf atoms."""
-    frame = INTEGRAL_FRAMES[name]
-    facade = frame.as_lattice()
+    _, _, frame, facade = entry(name[2:-1])
     rng = Random(f"integrals-{name}")
     measures = [random_measure(rng, frame, inf_probability=p) for p in (0.0, 0.3, 0.6)]
     simples = [random_simple(rng, facade, max_parts=4, denominators=(1, 7, 11, 10**9 + 7))

@@ -5,7 +5,8 @@ import pytest
 
 import locint.cutfunction as cf
 import locint.simple as sf
-from locint.corpus import corpus_lattices, downset_lattice, random_measure, random_simple
+from _oracle import CORPUS, POSETS, entry
+from locint.corpus import corpus, random_measure, random_simple
 from locint.errors import MalformedDocument, NotIntegrable, NotNonnegative
 from locint.integrate import (
     INTEGRABLE_NOT_SUMMABLE,
@@ -18,7 +19,6 @@ from locint.integrate import (
     restrict_vs_multiply,
     summability,
 )
-from locint.lattice import chain_lattice
 from locint.measure import measure_from_weights
 from locint.rationals import NEG_INF, POS_INF
 
@@ -104,20 +104,14 @@ def test_indefinite_integral_example(setting):
         assert eta1.value(s) == mu.value(s)
 
 
-def differential_lattices():
-    yield from corpus_lattices().items()
-    for seed in range(6):
-        rng = Random(seed)
-        yield f"poset{seed}", downset_lattice(rng, rng.randint(1, 6))
-    yield "chain9", chain_lattice([f"e{i}" for i in range(9)])
+INDEFINITE = CORPUS + POSETS[:6] + ("chain9",)
 
 
-@pytest.mark.parametrize("name, lat", list(differential_lattices()))
-def test_indefinite_integral_is_the_integral_over_each_sublocale(name, lat):
+@pytest.mark.parametrize("name", INDEFINITE, ids=[f"{name}-lat{i}" for i, name in enumerate(INDEFINITE)])
+def test_indefinite_integral_is_the_integral_over_each_sublocale(name):
     # summed from the atoms, checked against the integral over every S;
     # +inf atom weights and zero coefficients make 0 * inf terms
-    frame = lat.congruence_frame()
-    facade = frame.as_lattice()
+    _, _, frame, facade = entry(name)
     rng = Random(name)
     for _ in range(8):
         mu = random_measure(rng, frame, inf_probability=0.3)
@@ -204,9 +198,7 @@ def test_sigma_continuity_on_stabilizing_chains():
     # increasing chains in S(L) stabilise, and the integral reaches the join
     rng = Random(9)
     from locint.rationals import ext_le
-    for name, lat in corpus_lattices().items():
-        frame = lat.congruence_frame()
-        facade = frame.as_lattice()
+    for _, _, frame, facade in corpus():
         for _ in range(10):
             mu = random_measure(rng, frame, inf_probability=0.1)
             g = random_simple(rng, facade, nonneg=True, coeff_hi=5)
@@ -223,9 +215,7 @@ def test_sigma_continuity_on_stabilizing_chains():
 
 def test_scalar_linearity_and_monotonicity_random():
     rng = Random(5)
-    for name, lat in corpus_lattices().items():
-        frame = lat.congruence_frame()
-        facade = frame.as_lattice()
+    for _, _, frame, facade in corpus():
         for _ in range(20):
             mu = random_measure(rng, frame)
             g = random_simple(rng, facade, coeff_lo=-5, coeff_hi=5)

@@ -9,38 +9,37 @@ from random import Random
 import pytest
 
 from _oracle import (
+    CORPUS,
+    DOWNSETS,
     delta_by_partition,
+    entry,
     labels_by_scan,
     nabla_by_partition,
     random_table,
     ref_name_by_scan,
 )
 from locint.bridge import FiniteMeasurableSpace
-from locint.corpus import corpus_lattices, downset_lattice
 from locint.errors import MalformedDocument
 from locint.lattice import chain_lattice
 from locint.measure import Measure, validate_measure
 
 
-def lattices():
-    out = dict(corpus_lattices())
-    out.update({f"downset{seed}": downset_lattice(Random(seed), 2 + seed % 5)
-                for seed in range(8)})
-    for n in range(1, 6):
-        points = [f"p{i}" for i in range(n)]
-        out[f"space{n}"] = FiniteMeasurableSpace.powerset(points, dict.fromkeys(points, 1)).lattice()
-    # an element named "": a label is present when it is not None, not when truthy
-    out["empty_name"] = chain_lattice(["0", "", "1"])
-    return out
+# powerset spaces of 1 to 5 points, and an element named "": a label is
+# present when it is not None, not when truthy
+OWN = {f"space{n}": FiniteMeasurableSpace.powerset([f"p{i}" for i in range(n)],
+                                                  {f"p{i}": 1 for i in range(n)}).lattice()
+       for n in range(1, 6)}
+OWN["empty_name"] = chain_lattice(["0", "", "1"])
 
 
-LATTICES = lattices()
+def frame_of(name):
+    return OWN[name].congruence_frame() if name in OWN else entry(name).frame
 
 
-@pytest.mark.parametrize("name", sorted(LATTICES))
+@pytest.mark.parametrize("name", CORPUS + DOWNSETS + tuple(OWN))
 def test_labels_and_names_agree_with_the_element_scan(name):
-    lat = LATTICES[name]
-    frame = lat.congruence_frame()
+    frame = frame_of(name)
+    lat = frame.lattice
     for theta in frame.congruences:
         assert frame.labels_of(theta) == labels_by_scan(theta)
         assert frame.ref_name(theta) == ref_name_by_scan(frame, theta)
@@ -50,7 +49,7 @@ def test_labels_and_names_agree_with_the_element_scan(name):
 
 
 def test_an_element_named_empty_is_a_label():
-    frame = LATTICES["empty_name"].congruence_frame()
+    frame = frame_of("empty_name")
     middle = frame.closed_sublocale("")
     assert frame.labels_of(middle)["nabla"] == ("",)
     assert frame.labels_of(frame.open_sublocale(""))["delta"] == ("",)
@@ -64,10 +63,10 @@ def test_unknown_element_is_malformed(b4):
             label("nope")
 
 
-@pytest.mark.parametrize("name", sorted(LATTICES))
+@pytest.mark.parametrize("name", CORPUS + DOWNSETS + tuple(OWN))
 @pytest.mark.parametrize("inf_probability", [0.0, 0.3])
 def test_measure_values_agree_with_the_frame_order_table(name, inf_probability):
-    frame = LATTICES[name].congruence_frame()
+    frame = frame_of(name)
     rng = Random(f"{name}-{inf_probability}")
     for _ in range(3):
         table = random_table(rng, frame, inf_probability)

@@ -8,24 +8,29 @@ element and pair the two must agree on meet, join, order, complements,
 atoms and bounds, on the Boolean atoms, on the quotients by every
 congruence, read off its keep-mask, and on the numbering of J(L) in
 element order, which powersets and C(L) carriers (chains of 2-9
-elements, divisor lattices of 30-360, B64) keep.  Seeded down-set
+elements, divisor lattices of 30-360, B32 and B64) keep.  Seeded down-set
 lattices built from their masks equal those built from the orders of
 their brute-force down-sets."""
 
-from functools import reduce
+from functools import cache, reduce
 from random import Random
 
 import pytest
 
 from _oracle import (
+    CORPUS,
+    DOWNSETS,
+    LADDER,
     TableLattice,
+    entry,
     leq_order,
+    named,
     points_with_lower_covers,
     refines,
     table_boolean_atoms,
     table_quotient,
 )
-from locint.corpus import boolean_atoms, corpus_lattices, divisor_lattice, downset_lattice
+from locint.corpus import boolean_atoms, downset_lattice
 from locint.errors import NotComplemented, SizeLimitExceeded
 from locint.lattice import FiniteLattice, chain_lattice, powerset_lattice, subset_name
 
@@ -73,39 +78,44 @@ def carrier_order(frame):
                    for j, d in enumerate(congruences) if refines(c, d)]
 
 
-def cases():
-    """{name: (lattice, its order)} and {carrier name: the frame C(L)}."""
-    out = {name: (corpus_lattices()[name], order) for name, order in CORPUS_ORDERS.items()}
-    rng = Random(9)
-    for k in range(8):
-        lat = downset_lattice(rng, 1 + k % 6)
-        out[f"downset{k}"] = (lat, leq_order(lat))
-    out["skew6"] = (FiniteLattice(*SKEW), SKEW)
-    # rings of sets over 12 points, renumbered 8 points at a time: a chain
-    # listed out of order whose steps add one or two points, and B8 with
-    # four points in each atom
+def rings():
+    """Rings of sets over 12 points, renumbered 8 points at a time: a chain
+    listed out of order whose steps add one or two points, and B8 with four
+    points in each atom."""
     rng = Random(12)
     spread, shuffled = rng.sample(range(12), 12), rng.sample(range(9), 9)
     chain = [f"e{i}" for i in range(9)]
-    out["ring_chain9"] = (
+    yield "ring_chain9", (
         FiniteLattice._from_masks([chain[i] for i in shuffled],
                                   [sum(1 << p for p in spread[:i * 3 // 2]) for i in shuffled]),
         ([chain[i] for i in shuffled], chain_order(chain)[1]))
     blocks = [sum(1 << p for p in spread[i::3]) for i in range(3)]
-    out["ring_b8"] = (FiniteLattice._from_masks(powerset_order("xyz")[0], [
+    yield "ring_b8", (FiniteLattice._from_masks(powerset_order("xyz")[0], [
         sum(b for i, b in enumerate(blocks) if m >> i & 1) for m in range(8)]), powerset_order("xyz"))
-    for name, atoms in (("b1", ""), ("b2", "x"), ("b32", "vwxyz"), ("b64", "uvwxyz")):
-        out[name] = (powerset_lattice(atoms), powerset_order(atoms))
-    lattices = {f"chain{n}": chain_lattice([f"e{i}" for i in range(n)]) for n in range(2, 10)}
-    lattices.update({f"div{n}": divisor_lattice(n) for n in (30, 36, 72, 360)})
-    lattices.update(b64=powerset_lattice("uvwxyz"), skew6=FiniteLattice(*SKEW))
-    frames = {f"C({name})": lat.congruence_frame() for name, lat in lattices.items()}
-    for name, frame in frames.items():
-        out[name] = (frame.as_lattice(), carrier_order(frame))
-    return out, frames
 
 
-CASES, FRAMES = cases()
+OWN = {"skew6": (FiniteLattice(*SKEW), SKEW), **dict(rings()),
+       "b1": (powerset_lattice(""), powerset_order("")),
+       "b2": (powerset_lattice("x"), powerset_order("x"))}
+ORDERS = {**CORPUS_ORDERS, "b32": powerset_order("vwxyz"), "b64": powerset_order("uvwxyz")}
+LOWER = CORPUS + DOWNSETS + ("b32", "b64") + tuple(OWN)
+CARRIER_NAMES = tuple(f"C({name})" for name in LADDER + ("skew6",))
+
+
+def frame_of(name):
+    return OWN[name][0].congruence_frame() if name in OWN else entry(name).frame
+
+
+@cache
+def case(name):
+    """(the lattice, its order): given apart from join-irreducibles, read
+    off ``leq`` for the down-set lattices, by refinement for a carrier."""
+    if name in OWN:
+        return OWN[name]
+    if name.startswith("C("):
+        frame = frame_of(name[2:-1])
+        return frame.as_lattice(), carrier_order(frame)
+    return named(name), ORDERS.get(name) or leq_order(named(name))
 
 
 def complement_or_error(lat, a):
@@ -115,9 +125,9 @@ def complement_or_error(lat, a):
         return str(exc)
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
+@pytest.mark.parametrize("name", LOWER + CARRIER_NAMES)
 def test_masks_agree_with_tables(name):
-    lat, (elements, pairs) = CASES[name]
+    lat, (elements, pairs) = case(name)
     table = TableLattice(elements, pairs)
     assert lat.elements == table.elements
     assert (lat.bottom, lat.top) == (table.bottom, table.top)
@@ -138,8 +148,8 @@ def test_masks_agree_with_tables(name):
     assert lat._jirr == jirr
     assert lat._jmask == tuple(sum(1 << k for k, j in enumerate(jirr) if table.leq(els[j], x))
                                for x in els)
-    if name in FRAMES:  # point bit k: the j of L that the k-th atom of C(L) collapses
-        frame = FRAMES[name]
+    if name in CARRIER_NAMES:  # point bit k: the j of L that the k-th atom of C(L) collapses
+        frame = frame_of(name[2:-1])
         lower = frame.lattice
         assert frame.point_bits() == tuple(
             lower._jirr.index(lower.index(j)) for block in
@@ -148,13 +158,13 @@ def test_masks_agree_with_tables(name):
             if block[lower.index(j)] == block[lower.index(cover)])
 
 
-@pytest.mark.parametrize("name", [n for n in sorted(CASES) if not n.startswith("C(")])
+@pytest.mark.parametrize("name", LOWER)
 def test_quotients_agree_with_tables(name):
     """Block i of a congruence lies below block j in the quotient iff the
     join-irreducibles its keep-mask keeps below i are among those below j."""
-    lat, (elements, pairs) = CASES[name]
+    lat, (elements, pairs) = case(name)
     table = TableLattice(elements, pairs)
-    for theta in lat.congruence_frame().congruences:
+    for theta in frame_of(name).congruences:
         names, order = table_quotient(table, theta.block_of)
         kept = [lat.jmask(block[0]) & theta.keep for block in theta.blocks()]
         assert len(names) == theta.n_blocks
@@ -162,12 +172,13 @@ def test_quotients_agree_with_tables(name):
                 for j, qj in enumerate(kept) if not qi & ~qj} == set(order)
 
 
-@pytest.mark.parametrize("name", [n for n in sorted(CASES) if CASES[n][0].size <= 64])
+@pytest.mark.parametrize("name", [n for n in LOWER + CARRIER_NAMES  # up to 64 elements
+                                  if n not in ("C(chain8)", "C(chain9)")])
 def test_lattices_equal_and_hash_like_order_built_ones(name):
     """Powersets, C(L) carriers, down-set lattices and the rings come from
     masks, the rest from an order; each equals the lattice the constructor
     builds from its order."""
-    lat, order = CASES[name]
+    lat, order = case(name)
     built = FiniteLattice(*order)
     assert lat == built and built == lat
     assert hash(lat) == hash(built)

@@ -14,28 +14,12 @@ from random import Random
 
 import pytest
 
-from _oracle import points_with_lower_covers, transport, transported
+from _oracle import DOWNSETS, entry, points_with_lower_covers, transport, transported
 from locint.bridge import classical_integral, classical_summability
-from locint.corpus import corpus_lattices, downset_lattice, random_measure, random_simple
+from locint.corpus import random_measure, random_simple
 from locint.errors import NotIntegrable
-from locint.integrate import (
-    indefinite_integral,
-    integrate_general,
-    integrate_simple,
-    summability,
-)
+from locint.integrate import indefinite_integral, integrate_general, integrate_simple, summability
 from locint.simple import to_cut_function
-
-
-def _lattices():
-    corpus = corpus_lattices()
-    out = {name: corpus[name] for name in ("c3", "div12", "div60")}
-    for seed in range(8):
-        out[f"downset{seed}"] = downset_lattice(Random(seed), 6 - seed % 6)
-    return out
-
-
-LATTICES = _lattices()
 
 
 def outcome(fn, *args):
@@ -52,11 +36,9 @@ def value_of(fn, *args):
         return None
 
 
-@pytest.mark.parametrize("name", sorted(LATTICES))
+@pytest.mark.parametrize("name", ("c3", "div12", "div60") + DOWNSETS)
 def test_the_integrals_are_the_classical_integrals_over_j(name):
-    lat = LATTICES[name]
-    frame = lat.congruence_frame()
-    facade = frame.as_lattice()
+    _, lat, frame, facade = entry(name)
     assert len(points_with_lower_covers(lat)) == len(frame.atoms())
     rng = Random(f"transport-{name}")
     for trial in range(6):
