@@ -287,14 +287,13 @@ def classical_integral(f: ClassicalSimpleFunction,
 
 def to_localic(f: ClassicalSimpleFunction) -> SimpleFunction:
     """The pointfree counterpart: sum_i r_i * chi(nabla(A_i)) over the
-    congruence frame of the algebra, with A_i the level sets.  nabla(A)
-    collapses exactly the points J(A), so its carrier element is read off
-    that mask."""
+    congruence frame of the algebra, with A_i the level sets.  nabla(A) is
+    the congruence of the closed sublocale c(A), so its carrier element is
+    that sublocale's."""
     space = f.space
     frame = space.frame()
-    jmask = frame.lattice.jmask
     return SimpleFunction(frame.as_lattice(), [
-        (r, frame._element_collapsing(jmask(space.name_of(level))))
+        (r, frame.element_of(frame.closed_sublocale(space.name_of(level))))
         for r, level in f.level_sets()])
 
 

@@ -152,7 +152,9 @@ class CongruenceFrame:
     per bit, the bit of that j in the keep-masks, so a function's value at
     a carrier bit is its value at the point j of J(L); ``element_of`` and
     ``congruence_of_element`` go between a congruence and its carrier
-    element.
+    element, ``element_of`` in O(|J|) from the points the congruence
+    collapses, and it is the one way from a sublocale to a carrier element
+    (the bridge passes it c(A), whose congruence is nabla(A)).
 
     The Boolean operations defined here are those of S(L): a sublocale is
     identified with its congruence, and S <= T holds iff theta_T is
@@ -210,14 +212,9 @@ class CongruenceFrame:
 
     def element_of(self, theta: Congruence) -> str:
         """The carrier element of theta, the inverse of
-        ``congruence_of_element``."""
+        ``congruence_of_element``: carrier bit i is set iff theta collapses
+        the point ``point_bits()[i]``, O(|J|)."""
         collapsed = self.lattice._full ^ self.keep_of(theta)
-        return self._element_collapsing(collapsed)
-
-    def _element_collapsing(self, collapsed: int) -> str:
-        """The carrier element of the congruence that collapses the points
-        of the J-mask `collapsed`: carrier bit i is set iff it holds the
-        point ``point_bits()[i]``, O(|J|)."""
         mask = 0
         for i, k in enumerate(self.point_bits()):
             if collapsed >> k & 1:

@@ -19,6 +19,7 @@ from ``random.Random`` so a fixed seed reproduces every case exactly.
 
 from __future__ import annotations
 
+import string
 from fractions import Fraction
 from functools import cache
 from itertools import count
@@ -68,12 +69,19 @@ def corpus() -> Tuple[CorpusEntry, ...]:
     ])
 
 
+#: One character per point of a down-set lattice's order, digits first: an
+#: order on 64 points has more than 64 down-sets, so 63 characters suffice.
+_POINT_CHARS = string.digits + string.ascii_letters + "_"
+
+
 def downset_lattice(rng: Random, points: int) -> FiniteLattice:
     """The lattice of down-sets of a random poset on `points` points, each
     pair i < j ordered i below j with probability 0.35, built from the
     down-set masks.  The down-sets are found by extension from the empty
     one by each principal down-set, sorted by mask and named "d" followed
-    by their members' indices; a 65th down-set raises SizeLimitExceeded."""
+    by one character per member, ``_POINT_CHARS[i]`` for point i: its
+    index while i < 10, so distinct down-sets have distinct names; a 65th
+    down-set raises SizeLimitExceeded."""
     below = [1 << i for i in range(points)]  # below[i]: bitmask of the points <= i
     for j in range(points):
         for i in range(j):
@@ -87,7 +95,7 @@ def downset_lattice(rng: Random, points: int) -> FiniteLattice:
                                         f"the {SOFT_SIZE_LIMIT}-element limit")
             found.append(e)
     masks = sorted(found)
-    names = ["d" + "".join(str(i) for i in range(points) if m >> i & 1) for m in masks]
+    names = ["d" + "".join(_POINT_CHARS[i] for i in range(points) if m >> i & 1) for m in masks]
     return FiniteLattice._from_masks(names, masks)
 
 

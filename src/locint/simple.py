@@ -5,11 +5,12 @@ the sublattice of complemented elements, as every complemented element is
 the join of the centre atoms below it.  So a ``SimpleFunction`` is its
 carrier and its values on At(Z(L)) (found once per lattice, in element
 order): ``_vec`` = (den, vals), ints with no common factor.  That vector
-is unique: equality reads it, the ring operations, the parts and the
-modulus are pointwise on it, and the bridge to cut ladders reads its
-level sets.  The canonical form ``terms`` is those level sets by
-ascending value: strictly ascending rationals over a pairwise-disjoint
-complemented cover of the top, built on first read.  The hash is that of
+is unique: equality reads it, the ring operations and the modulus are
+pointwise on it, and the bridge to cut ladders reads its level sets.  The
+canonical form ``terms`` is those level sets by ascending value: strictly
+ascending rationals over a pairwise-disjoint complemented cover of the
+top, built on first read.  The integrals read the vector too, so no
+positive or negative part is ever built as a function.  The hash is that of
 the terms.  Names enter only through ``canonicalize`` and the constructor
 and leave only through ``terms`` and the cells a decomposition records;
 inside, elements are the carrier's J-masks.  ``canonicalize`` is the one
@@ -26,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, lru_cache
 from math import gcd, lcm
-from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import (
     InvalidArgument,
@@ -205,22 +206,10 @@ def sf_neg(g: SimpleFunction) -> SimpleFunction:
     return _from_vector(g.carrier, den, [-v for v in vals])
 
 
-def positive_part(g: SimpleFunction) -> SimpleFunction:
-    return _each(g, lambda v: max(v, 0))
-
-
-def negative_part(g: SimpleFunction) -> SimpleFunction:
-    return _each(g, lambda v: max(-v, 0))
-
-
 def abs_simple(g: SimpleFunction) -> SimpleFunction:
-    return _each(g, abs)
-
-
-def _each(g: SimpleFunction, op: Callable[[int], int]) -> SimpleFunction:
-    """op on each value of g, over the same denominator."""
+    """|g|, pointwise on the centre atoms, over the same denominator."""
     den, vals = g._vec
-    return _from_vector(g.carrier, den, [op(v) for v in vals])
+    return _from_vector(g.carrier, den, [abs(v) for v in vals])
 
 
 # -- the two-way bridge to cut ladders --------------------------------------------------

@@ -457,6 +457,13 @@ def criterion_general(seed: int) -> str:
               "the constant inf must integrate to inf over positive measure")
         check(cf.leq(finite, top) and not cf.leq(top, finite),
               "the constant inf must lie strictly above a finite function")
+        # 0 * inf = 0, under a measure that takes no draw, so no other case moves
+        atoms = frame.atoms()
+        mu_null = Measure(frame, [Fraction(0)] + [Fraction(1)] * (len(atoms) - 1))
+        null = next(a for a in atoms if mu_null.value(a) == 0)
+        check(integrate_general(top, mu_null, null) == 0
+              and integrate_general(top, mu_null) == POS_INF,
+              "the constant inf must integrate to 0 over a null atom and to inf over L")
     return f"{count} simple integrands agree; constant inf handled"
 
 

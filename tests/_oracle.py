@@ -3,9 +3,9 @@ lattice, pointwise arithmetic on the atoms of a carrier's Boolean centre,
 congruences by union-find closure, the refinement order and meet of
 partitions, measure tables built sublocale by sublocale, and the
 name-based canonical form and ladder checks that the index-native ones
-replaced, and the Fraction ladder kernels and parts-based summability that
-the integer kernels replaced, and the classical space checked by pairwise
-sweeps that the atom-based checks replaced, and the measure sweep over the
+replaced, and the Fraction ladder kernels that the integer kernels
+replaced, and the classical space checked by pairwise sweeps that the
+atom-based checks replaced, and the measure sweep over the
 pair lists that the in-place sweep replaced, and the frame labels found by
 scanning L that the keep-mask lookups replaced, the lattice builder
 that closed an order into a list of name pairs and parsed it back, the
@@ -68,8 +68,6 @@ from locint.simple import (
     DecompositionStep,
     SimpleFunction,
     characteristic_simple,
-    negative_part,
-    positive_part,
     sf_add,
     sf_neg,
     sf_scale,
@@ -777,16 +775,16 @@ def cut_ladders_by_names(carrier: FiniteLattice, breakpoints, upper, lower) -> t
     return tuple(nbp), tuple(nup), tuple(nlo)
 
 
-# -- Fraction ladder kernels and parts-based summability --------------------------
+# -- Fraction ladder kernels ----------------------------------------------------
 #
-# add, mul_nonneg, leq, join_meet, seq_inf/seq_sup, negate, scale, limits,
-# the two bridges between ladders and terms, and summability as they were
-# written on Fractions and names: grids merged as sets of Fractions,
-# ladders read with upper_at/lower_at, quotients q / b_j formed as
-# Fractions, covers joined and cells met by name, and the integral split
-# through positive_part and negative_part.  The
-# differential tests compare the integer kernels with these: the same
-# ladders and values, or the same exception class and message.
+# add, mul_nonneg, leq, join_meet, seq_inf/seq_sup, negate, scale, limits
+# and the two bridges between ladders and terms as they were written on
+# Fractions and names: grids merged as sets of Fractions, ladders read
+# with upper_at/lower_at, quotients q / b_j formed as Fractions, covers
+# joined and cells met by name.  The differential tests compare the
+# integer kernels with these: the same ladders and values, or the same
+# exception class and message.  Summability has one reference,
+# ``summability_by_terms`` below.
 
 _DIFFERENT = "the two functions live on different carriers"
 
@@ -968,21 +966,6 @@ def decompose_trace_by_names(f, horizon=12):
             residual = sf_add(f_simple, sf_neg(fk)).coefficients()[-1]
         steps.append(DecompositionStep(k, cell, fk, residual))
     return steps
-
-
-def summability_by_parts(g, measure, over=None):
-    """Both parts built as checked simple functions, each summed term by
-    term with the extended-line arithmetic."""
-    check_same_carrier(g.carrier, measure.frame.as_lattice(),
-                       "the simple function does not live on the measure's congruence frame")
-    q = _keep_of(measure, over)
-    sums = []
-    for part in (positive_part(g), negative_part(g)):
-        total = Fraction(0)
-        for r, element in part.terms:
-            total = ext_add(total, ext_scale(r, _term_measure(measure, element, q)))
-        sums.append(total)
-    return classify(*sums)
 
 
 # -- the integrals by term and cell names ---------------------------------------------

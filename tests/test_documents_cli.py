@@ -35,7 +35,6 @@ def docs(tmp_path):
         "measure": write(tmp_path, "mu.json", {"on_open_weights": {"x": "2", "y": "3"}}),
         "function": write(tmp_path, "f.json",
                           {"kind": "simple", "terms": [["2", "open:x"], ["3", "open:y"]]}),
-        "one": write(tmp_path, "one.json", {"kind": "constant", "value": "1"}),
     }
 
 
@@ -213,12 +212,6 @@ def test_cli_rejects_a_deeply_nested_document(tmp_path, capsys):
     path.write_text("[" * 100_000 + "]" * 100_000)
     code, out, err = run_cli(capsys, "congruences", "--lattice", str(path))
     assert (code, out, err) == (2, "", f"error: {path} nests too deeply to read\n")
-
-
-def test_cli_decompose_horizon_zero_exits_2(docs, capsys):
-    code, out, err = run_cli(capsys, "decompose", "--function", docs["one"], "--k", "0")
-    assert code == 2 and out == ""
-    assert err == "error: horizon must be at least 1\n"
 
 
 def test_cli_rejects_rationals_outside_the_grammar(docs, tmp_path, capsys):

@@ -190,32 +190,53 @@ def test_every_public_name_is_used():
     assert ORACLE_ONLY <= set(locint.__all__) - used
 
 
-def test_no_meet_or_join_tables():
-    """A lattice is its J-masks: meet, join and order are bit operations, so
-    no module reads or builds ``_meet``/``_join`` tables."""
-    tables = re.compile(r"(?<![A-Za-z0-9_])_(meet|join)\b")
-    for path in sorted((SRC / "locint").glob("*.py")):
-        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            assert not tables.search(line), f"{path.name}:{number}: {line.strip()}"
+# The structural guards that scan lines: name -> (a regex, the modules of
+# src/locint that may match it, why no other module may).
+OWNERSHIP = {
+    "meet-join-tables": (r"(?<![A-Za-z0-9_])_(meet|join)\b", (),
+                         "a lattice is its J-masks: meet and join are bit operations"),
+    "frame-numbering": (r"(?<![A-Za-z0-9_])(_pos|index_of|_nabla|_delta)\b", (),
+                        "S(L) is 2^J(L): a sublocale is its keep-mask, not a table position"),
+    "space-frame-write": (r"\._frame\s*=(?!=)", ("bridge.py",),
+                          "a space's frame is built by the bridge alone"),
+    "value-vector": (r"\._(vec|terms)\b", ("simple.py",),
+                     "a simple function is its value vector on the centre atoms"),
+    "point-values": (r"\._point_values\(", ("integrate.py",),
+                     "the layout is one value per point of J(L) only for the integrals"),
+    "ladder-ints": (r"\._(den|grid|up|lo|fill)\b", ("cutfunction.py",),
+                    "a cut function is its int grid and its upper J-mask ladder"),
+    "ladder-builder": (r"(?<![A-Za-z0-9_])_from_grid\b", ("cutfunction.py", "simple.py"),
+                       "the unchecked ladder builder takes a grid only simple.py derives"),
+    "fraction-internals": (r"(?<![A-Za-z0-9_])_(numerator|denominator|normalize)\b", (),
+                           "Fraction's private names (_normalize is gone in Python 3.12)"),
+    "measure-ints": (r"\._(weights|inf|denom)\b", ("measure.py", "integrate.py"),
+                     "a measure is its atom weights over one denominator and its +inf mask"),
+    "frame-state": (r"\._(sublocale|point_bits|carrier|element_collapsing)\b",
+                    ("congruence.py",), "the frame's caches and keep-mask builder"),
+    "space-state": (r"\._(below|measure|names|atoms)\b", ("bridge.py",),
+                    "a measurable space's tables and cached measure"),
+}
+
+
+def unowned_uses(pattern, owners, paths):
+    """"file:line: text" for each line of `paths` outside `owners` that
+    matches `pattern`."""
+    return [f"{path.name}:{number}: {line.strip()}" for path in paths if path.name not in owners
+            for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+            if re.search(pattern, line)]
+
+
+@pytest.mark.parametrize("row", OWNERSHIP)
+def test_private_state_is_used_only_by_its_owner(row):
+    pattern, owners, reason = OWNERSHIP[row]
+    assert unowned_uses(pattern, owners, sorted((SRC / "locint").glob("*.py"))) == [], reason
 
 
 def test_a_sublocale_is_read_through_its_keep_mask():
-    """S(L) is 2^J(L): a sublocale is its keep-mask, so no module reads a
-    frame position table (``_pos``, ``index_of``) or per-element
-    ``_nabla``/``_delta`` tables, and no module but ``bridge.py`` assigns
-    a space's ``_frame``.
-
-    Inside ``congruence.py`` every ``CongruenceFrame`` method takes a
+    """Inside ``congruence.py`` every ``CongruenceFrame`` method takes a
     sublocale argument's mask through the one gate ``keep_of``, which
     rejects a sublocale of another lattice: no other method reads
     ``.keep`` off an argument."""
-    numbering = re.compile(r"(?<![A-Za-z0-9_])(_pos|index_of|_nabla|_delta)\b")
-    frame_write = re.compile(r"\._frame\s*=(?!=)")
-    for path in sorted((SRC / "locint").glob("*.py")):
-        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            where = f"{path.name}:{number}: {line.strip()}"
-            assert not numbering.search(line), where
-            assert path.name == "bridge.py" or not frame_write.search(line), where
     assert ungated_keep_readers(CONGRUENCE_SOURCE) == set()
 
 
@@ -252,43 +273,15 @@ def test_the_keep_mask_guard_sees_an_ungated_reader():
 
 
 def test_only_simple_reads_the_value_vector():
-    """A simple function is its value vector on the centre atoms: no module
-    but ``simple.py`` reads its ``_vec`` slot or its cached ``_terms``.  The
-    one reader of that layout from outside is
-    ``SimpleFunction._point_values()``, (den, one int per centre atom),
-    which is one int per carrier bit only because the carrier C(L) is
-    Boolean; it and ``CutFunction._point_values()`` are called by
-    ``integrate.py`` alone, the integrals over the points of J(L).  The
-    vector is the one state, filled at construction: ``simple.py`` never
+    """The vector is a simple function's one state, filled at construction
+    (``OWNERSHIP`` keeps every other module off it): ``simple.py`` never
     tests ``_vec is None``, and tests ``_terms is None`` only in the
     ``terms`` view."""
-    vector = re.compile(r"\._(vec|terms)\b")
-    points = re.compile(r"\._point_values\(")
-    for path in sorted((SRC / "locint").glob("*.py")):
-        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            where = f"{path.name}:{number}: {line.strip()}"
-            assert path.name == "simple.py" or not vector.search(line), where
-            assert path.name == "integrate.py" or not points.search(line), where
     source = (SRC / "locint" / "simple.py").read_text(encoding="utf-8")
     assert not re.search(r"_vec\s+is\s+None", source)
     view = re.search(r"\n    def terms\(self\).*?(?=\n    \S)", source, re.S)
     assert view and len(re.findall(r"_terms\s+is\s+None", source)) == \
         len(re.findall(r"_terms\s+is\s+None", view.group())) == 1
-
-
-def test_only_cutfunction_reads_the_ladder_ints():
-    """A cut function is its int grid over a denominator and its upper
-    J-mask ladder: no module but ``cutfunction.py`` reads or writes its
-    ``_den``, ``_grid`` or ``_up`` slots (or a ``_lo`` slot for a lower
-    ladder) or calls its ``_fill`` check, and only ``simple.py`` calls the
-    builder ``_from_grid`` from outside it."""
-    slots = re.compile(r"\._(den|grid|up|lo|fill)\b")
-    builder = re.compile(r"(?<![A-Za-z0-9_])_from_grid\b")
-    for path in sorted((SRC / "locint").glob("*.py")):
-        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            where = f"{path.name}:{number}: {line.strip()}"
-            assert path.name == "cutfunction.py" or not slots.search(line), where
-            assert path.name in ("cutfunction.py", "simple.py") or not builder.search(line), where
 
 
 def test_a_cut_function_holds_one_ladder():
@@ -316,17 +309,6 @@ def test_the_integrals_read_no_names():
     for chunk in re.split(r"\n(?=\S)", source):  # top-level statements
         if "congruence_of_element" in chunk:
             assert chunk.startswith("def _term_measure("), chunk.split("\n", 1)[0]
-
-
-def test_no_private_fraction_internals():
-    """``Fraction._numerator``, ``_denominator`` and the ``_normalize``
-    keyword are private (the keyword is gone in Python 3.12), so the
-    package reads only ``numerator``, ``denominator`` and
-    ``as_integer_ratio()``."""
-    private = re.compile(r"(?<![A-Za-z0-9_])_(numerator|denominator|normalize)\b")
-    for path in sorted((SRC / "locint").glob("*.py")):
-        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
-            assert not private.search(line), f"{path.name}:{number}: {line.strip()}"
 
 
 def test_no_public_callable_takes_a_private_parameter():

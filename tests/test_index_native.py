@@ -125,8 +125,6 @@ def _builders(rng, lat):
             (sf.sf_mul(g, h), [(r * s, lat.meet(a, b)) for r, a in t for s, b in u]),
             (sf.sf_scale(lam, g), [(lam * r, a) for r, a in t]),
             (sf.sf_neg(g), [(-r, a) for r, a in t]),
-            (sf.positive_part(g), [(max(r, F(0)), a) for r, a in t]),
-            (sf.negative_part(g), [(max(-r, F(0)), a) for r, a in t]),
             (sf.abs_simple(g), [(abs(r), a) for r, a in t]),
         ]
         f = sf.to_cut_function(sf.abs_simple(g))
@@ -247,10 +245,6 @@ def test_refinement_products_and_parts_match_the_name_based_code(name):
         g, h = random_simple(rng, lat, max_parts=4), random_simple(rng, lat, max_parts=4)
         assert sf.sf_add(g, h).terms == refinement_by_names(g, h, operator.add).terms
         assert sf.sf_mul(g, h).terms == refinement_by_names(g, h, operator.mul).terms
-        zero = sf.zero(lat)
-        assert sf.positive_part(g).terms == refinement_by_names(g, zero, max).terms
-        assert sf.negative_part(g).terms == \
-            refinement_by_names(g, zero, lambda r, _: max(-r, F(0))).terms
 
 
 # -- ladders -------------------------------------------------------------------

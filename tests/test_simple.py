@@ -97,10 +97,7 @@ def test_sf_mul_examples(b4):
 
 def test_parts_and_modulus(b4):
     g = sf.canonicalize(b4, [(F(-2), "x"), (F(3), "y")])
-    assert sf.positive_part(g).terms == ((F(0), "x"), (F(3), "y"))
-    assert sf.negative_part(g).terms == ((F(0), "y"), (F(2), "x"))
     assert sf.abs_simple(g).terms == ((F(2), "x"), (F(3), "y"))
-    assert sf.sf_add(sf.positive_part(g), sf.sf_neg(sf.negative_part(g))) == g
 
 
 def test_decompose_milestones(b4):
@@ -300,6 +297,4 @@ def test_ring_and_parts_match_pointwise_on_the_centre_atoms(name, u, v, lam):
     assert sf.sf_add(g, h) == pointwise(padd(u, v))
     assert sf.sf_mul(g, h) == pointwise(pmul(u, v))
     assert sf.sf_scale(lam, g) == pointwise(pscale(lam, u))
-    assert sf.positive_part(g) == pointwise({x: max(r, 0) for x, r in u.items()})
-    assert sf.negative_part(g) == pointwise({x: max(-r, 0) for x, r in u.items()})
     assert sf.abs_simple(g) == pointwise({x: abs(r) for x, r in u.items()})

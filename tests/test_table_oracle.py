@@ -216,6 +216,24 @@ def test_downset_lattices_equal_order_built_ones(points):
         assert lat == built and hash(lat) == hash(built) and lat._jirr == built._jirr
 
 
+@pytest.mark.parametrize("points", range(11, 17))
+def test_downset_names_stay_distinct_past_ten_points(points):
+    """Every draw builds with distinct element names or exceeds the cap.
+    Seeds 382 (13-16 points) and 2901 (13 points) drew lattices of 44-60
+    elements whose names collided while a name spelled its members in
+    decimal: {0, 1, 2} and {0, 12} were both "d012"."""
+    built = set()
+    for seed in [*range(300), 382, 2901]:
+        try:
+            lat = downset_lattice(Random(seed), points)
+        except SizeLimitExceeded:
+            continue
+        assert len(set(lat.elements)) == lat.size
+        built.add(seed)
+    assert points < 13 or 382 in built
+    assert points != 13 or 2901 in built
+
+
 def test_order_built_lattices_are_capped_at_64_elements():
     names = [f"e{i}" for i in range(65)]
     message = "^65 elements exceeds the 64-element limit$"
